@@ -229,7 +229,7 @@ func RunRebalance() ([]HotPathResult, error) {
 // live join or drain (the /virtual rows) must stay within maxRatio of the
 // quiesced p99. A migrating batch and a foreground op do contend for the
 // same simulated disks, so some elevation is physical — the batch bounds
-// (MigrationBatchChunks/Bytes) and the token-bucket throttle are exactly
+// (MigrationBatchChunks, 1 MiB of payload) and the token-bucket throttle are exactly
 // the mechanisms that keep it a small constant instead of a stall, and
 // this gate is what pins them. Today the measured elevation is ~3x for a
 // join and ~2.6x for a drain (a foreground op landing right behind a

@@ -62,44 +62,45 @@
 //
 // # Failure semantics
 //
-// The store keeps serving through node failures and heals on rejoin; the
-// rules below are what the seeded chaos battery (chaos_test.go) pins.
+// The store keeps serving through node failures and heals on rejoin. One
+// rule decides freshness everywhere (survey.go): chunk versions. A write is
+// versioned one past the highest version any non-wiped server holds and
+// applies only onto replicas holding exactly the version before it; every
+// other way a replica changes — repair, rejoin resync, migration — is a
+// whole-chunk replace at its source's version (installChunk). So the highest
+// version of a chunk always holds every acknowledged byte, and a replica may
+// serve a read, or seed a copy, exactly when it holds that maximum. Soft-down
+// servers keep their memory (the stand-in for monitor-layer peering
+// metadata) and count toward the maximum, crash-wiped ones do not; a read
+// with no live holder at the maximum fails with storage.ErrUnavailable
+// rather than return older bytes.
 //
-// Degraded writes. A write whose replica set contains down owners proceeds
-// on the live subset as long as Config.MinLiveOwners (default 1) replicas
-// remain; a down chunk primary is promoted past. A down owner is EXCLUDED
-// from the write, never partially applied to: its chunk version stays
-// frozen below the excluding write, which is what makes version comparison
-// meaningful later. Every surviving replica durably logs a RecRepairNeeded
-// record naming the excluded owners (full-mask overwrite semantics in the
-// record's version slot; mask 0 deletes the entry) — the debt that repair
-// drains. Debt is recorded only AFTER the holder applies the write
-// (direct writes on the data path, 2PC exclusions at commit apply), so a
-// debt bit always lives on a holder strictly newer than the peer it names;
-// clearDebt's version guard leans on that invariant. If an excluded owner
-// flaps back up mid-write, the writer's epilogue drains the freshly logged
-// debt immediately (io.go writeLocked) — between that and the rejoin
-// drain, one of the two always runs after the debt lands.
+// Degraded writes. An owner that is down, or behind, at the write's placement
+// survey is EXCLUDED from the write, never partially applied to: its version
+// stays frozen below the excluding write. The write proceeds on the rest as
+// long as Config.MinLiveOwners (default 1) replicas remain, a down chunk
+// primary being promoted past.
 //
-// Reads never observe stale replicas. While any repair is pending, reads
-// union the chunk's debt masks across ALL owners (down servers keep their
-// memory — the stand-in for monitor-layer peering metadata) and serve from
-// the highest-versioned live owner not named stale; a replica that missed
-// a write is unreachable until its debt clears. Paths that find no usable
-// replica fail with storage.ErrUnavailable.
+// Repair debt is only a work list. Every replica that applied a degraded
+// write durably logs a RecRepairNeeded record naming the excluded owners
+// (full-mask overwrite semantics in the record's version slot; mask 0
+// deletes the entry); rejoin resync and the migration sweep list the owners
+// they leave behind the same way. An entry for target T on holder H clears
+// once ver(T) ≥ ver(H) — a stale or vacuous entry costs one no-op repair and
+// can hide nothing. The store-wide entry count (RepairPending) and the
+// migrating flag are the "not known clean" gate: while both are zero every
+// owner of every chunk holds its maximum, and reads take the first live
+// owner with no probing at all. SetDown(node, false), Recover, the writer's
+// own epilogue (an excluded owner that flapped back up mid-write) and the
+// end of a migration drain the list (repair.go).
 //
-// Rejoin resync. SetDown(node, false) and Recover both drain the node's
-// debt (repair.go). Recover additionally version-syncs the replayed state
+// Rejoin resync. Recover additionally version-syncs the replayed state
 // against live peers BEFORE rejoining (resyncNode): a torn lane tail can
 // discard acknowledged writes together with the very debt records that
-// named them, so version comparison is the only witness left. The sweep is
-// bidirectional (pull what peers hold newer, re-record debt for peers
-// behind the replayed log), trusts a debt bit only when some holder
-// asserting it is strictly newer than the named peer (a resurrected old
-// mask is vacuous and must not block resync), and drops replayed chunks
-// that live desc-owner peers say were deleted or truncated away rather
-// than spreading the resurrection back. All installs are version-guarded
-// under stripe locks and epoch-checked against rebalance.
+// named them, so version comparison is the only witness left. It pulls what
+// peers hold newer, lists peers behind the replayed log, and drops replayed
+// chunks that live desc-owner peers say were deleted or truncated away
+// rather than spreading the resurrection back.
 //
 // Fault injection enters at two layers: wal.FaultMedium injects clean
 // errors, torn writes, and slow writes under the log (WAL-layer tests),
@@ -134,7 +135,7 @@
 // acknowledged write on a replica the sweep then deletes.
 //
 // Batches are crash-atomic and throttled. The sweep moves chunks in
-// bounded batches (Config.MigrationBatchChunks/MigrationBatchBytes), each
+// bounded batches (Config.MigrationBatchChunks, at most 1 MiB of payload), each
 // 2PC-logged: a prepare marker on the gained owners, buffered chunk-copy
 // and chunk-delete records, then a commit marker on every participant.
 // Replay materializes a batch only at its commit marker — version-guarded,
@@ -144,21 +145,17 @@
 // batch's bytes before dispatch, charging deficits to the migration
 // caller's clock, and at most one batch is in flight on the pool.
 //
-// Live traffic during the sweep. While Store.migrating is nonzero, reads
-// take the version-checked path with the candidate set widened from the
-// current owners to every non-wiped server — a chunk's only fresh copy
-// (and the debt mask naming its stale peers) may still sit on the drained
-// node or a stray holder the sweep has not reached — serving the
-// highest-versioned fresh live holder, vetoed into unavailability by any
-// fresh down holder strictly ahead of it. Writes assign versions against
-// the same widened scan (nextChunkVer), so the version order stays globally
-// comparable mid-handover, and exclude owners whose chunk version is
-// behind that maximum, recording repair debt instead of writing a partial
-// update over a base the owner does not hold yet. A soft-down gained
-// owner receives its migration copy exactly as it receives a foreground
-// write after the partition snapshot (retained memory + log keep it
-// consistent); only a crash-wiped target becomes repair debt, converged
-// by resyncNode after its recovery.
+// Live traffic during the sweep. While Store.migrating is nonzero the store
+// is not clean, so reads and writes survey versions (survey.go) with the
+// scope widened from the current owners to every non-wiped server: a
+// chunk's freshest copy may still sit on the drained node or a stray holder
+// the sweep has not reached, while a gained owner holds nothing yet. The
+// same rule as under failures then applies unchanged — reads serve a live
+// holder of the maximum, writes skip owners still behind it and list them.
+// The sweep copies the maximum to every reachable owner behind it (a
+// soft-down owner receives it like a foreground write; a crash-wiped one
+// resyncs at its own Recover) and deletes a stray only once an owner holds
+// its bytes.
 // Descriptors move by sharing the canonical *descriptor pointer with
 // gained owners under the blob's latch, so writers racing the handover
 // still serialize on a single latch and log sizes in a replayable order.
@@ -234,15 +231,10 @@ type Config struct {
 	MinLiveOwners int
 	// MigrationBatchChunks caps how many chunks one rebalance batch moves:
 	// each AddServer/RemoveServer sweep is cut into batches of at most this
-	// many chunks, each batch 2PC-logged (RecMigrateBatch prepare / copies /
-	// deletes / commit) and individually crash-atomic. Defaults to 16.
+	// many chunks (and migrationBatchBytes of payload), each batch 2PC-logged
+	// (RecMigrateBatch prepare / copies / deletes / commit) and individually
+	// crash-atomic. Defaults to 16.
 	MigrationBatchChunks int
-	// MigrationBatchBytes additionally bounds a batch by payload volume:
-	// a batch closes once its source bytes reach this cap (a single chunk
-	// larger than the cap still forms a one-chunk batch). This is the bound
-	// on in-flight migration bytes — at most one batch is in flight.
-	// Defaults to 1 MiB.
-	MigrationBatchBytes int
 	// MigrationRateBytes throttles the rebalance sweep against foreground
 	// traffic: a token bucket holding one migrationTick's worth of budget
 	// refills MigrationRateBytes per virtual-time tick, and a batch's bytes
@@ -278,9 +270,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MigrationBatchChunks <= 0 {
 		c.MigrationBatchChunks = 16
-	}
-	if c.MigrationBatchBytes <= 0 {
-		c.MigrationBatchBytes = 1 << 20
 	}
 	if c.MigrationRateBytes <= 0 {
 		c.MigrationRateBytes = 8 << 20
@@ -389,8 +378,8 @@ type Store struct {
 	servers   []*server
 	placement placementCache
 	// repairPending counts debt entries (chunks owing repair to at least
-	// one replica) across every server. While it is zero — the steady
-	// state — reads take the fast path with no freshness probing.
+	// one replica) across every server. While it and migrating are zero —
+	// the steady state — reads take the fast path with no version probing.
 	repairPending atomic.Int64
 	// metrics counts failure-domain events: degraded writes, transient
 	// retries, repaired chunks/bytes. Only event paths touch it, so the
@@ -414,9 +403,8 @@ type Store struct {
 	// totally ordered per store lifetime.
 	migSeq uint64
 	// migrating is nonzero while a migration sweep (or crash roll-forward)
-	// is in flight. Reads then take the version-checked path and writes
-	// exclude owners still awaiting their migration copy (io.go), which is
-	// what keeps live traffic stale-free while placement converges.
+	// is in flight: the store is then not clean, and chunk surveys widen
+	// to every non-wiped server (survey.go).
 	migrating atomic.Int64
 	// migIntent publishes the open migration intent (live, or replayed
 	// from a RecMigrateBegin without a matching End) so checkpoints can
@@ -449,14 +437,14 @@ type chunkStripe struct {
 	m  map[chunkID][]byte
 	// ver holds the replica-comparable version of each chunk this server
 	// stores: assigned by the writer as one more than the highest version
-	// any owner held, installed identically on every replica that applied
-	// the write, and persisted in the chunk's WAL records. Rejoin resync
-	// and degraded-read freshness compare these versions across replicas.
+	// any server held, installed identically on every replica that applied
+	// the write, and persisted in the chunk's WAL records. It is the one
+	// freshness witness (survey.go).
 	ver map[chunkID]uint64
-	// debt maps a chunk to the bitmask of node IDs that missed one of its
-	// writes (degraded write while those owners were down, or an injected
-	// replica fault). Every mutation is mirrored by a RecRepairNeeded
-	// record carrying the full new mask, so debt survives crashes.
+	// debt maps a chunk to the bitmask of node IDs known to be behind this
+	// holder's copy — the repair work list (repair.go). Every mutation is
+	// mirrored by a RecRepairNeeded record carrying the full new mask, so
+	// the list survives crashes.
 	debt map[chunkID]uint64
 }
 
@@ -604,14 +592,6 @@ func (sv *server) forEachChunk(fn func(id chunkID, data []byte, ver uint64)) {
 	}
 }
 
-// debtMask reads the chunk's repair-debt mask (0 when none is recorded).
-func (sv *server) debtMask(h uint64, id chunkID) uint64 {
-	st := sv.stripe(h)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.debt[id]
-}
-
 // forEachDebt calls fn for every debt entry on the server, under each
 // stripe's read lock; fn must not call back into the stripe.
 func (sv *server) forEachDebt(fn func(id chunkID, mask uint64)) {
@@ -661,6 +641,9 @@ func New(c *cluster.Cluster, cfg Config) *Store {
 // every cluster node so that AddServer can later join the rest.
 func NewOnNodes(c *cluster.Cluster, cfg Config, serving []cluster.NodeID) *Store {
 	cfg = cfg.withDefaults()
+	if c.Size() > maxServers {
+		panic(fmt.Sprintf("blob: %d nodes: repair-debt masks address at most %d", c.Size(), maxServers))
+	}
 	if cfg.Replication > c.Size() {
 		cfg.Replication = c.Size()
 	}
@@ -719,10 +702,10 @@ func (s *Store) RepairPending() int64 { return s.repairPending.Load() }
 // SetDown marks a server as failed (true) or recovered (false). Reads fall
 // back to replicas of a down server; writes whose replica sets contain it
 // proceed degraded on the live subset (Config.MinLiveOwners). Flipping a
-// server back up kicks a repair pass that drains the replication debt the
-// node accumulated while it was down; until a chunk's debt clears, reads
-// keep avoiding the stale replica (version-checked fallback in readChunk),
-// so rejoin never serves stale bytes.
+// server back up runs the repair work list: the node is both a target (the
+// writes it missed) and a source (writes only it holds, owed to peers that
+// rejoined while it was away). Until a chunk's copy catches up, reads keep
+// passing it over by version, so rejoin never serves stale bytes.
 func (s *Store) SetDown(node cluster.NodeID, down bool) {
 	sv := s.servers[int(node)]
 	sv.mu.Lock()
@@ -731,10 +714,9 @@ func (s *Store) SetDown(node cluster.NodeID, down bool) {
 	sv.mu.Unlock()
 	tracef("setDown node=%d down=%v was=%v", node, down, was)
 	if was && !down {
-		// Mark up first so racing writes stop creating new debt for this
-		// node, then drain what accumulated. The drain also terminates
-		// early if a concurrent flap takes the node back down.
-		s.repairNode(storage.NewContext(), node)
+		// Mark up first so racing writes stop excluding this node, then
+		// drain what accumulated.
+		s.Repair(storage.NewContext())
 	}
 }
 

@@ -279,12 +279,13 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 }
 
 // dumpChunkState prints, for every chunk of key where got and want differ,
-// each owner's version, debt mask, down state, and bytes — the diagnostic
-// for a stale-read failure.
+// every non-wiped holder's version, down state, bytes and log history, and
+// every server's debt mask for the chunk (holder or not) — the diagnostic for
+// a stale-read failure.
 func dumpChunkState(t *testing.T, s *Store, key string, got, want []byte) {
 	t.Helper()
 	cs := int64(s.cfg.ChunkSize)
-	t.Logf("repairPending=%d", s.RepairPending())
+	t.Logf("repairPending=%d migrating=%d", s.RepairPending(), s.migrating.Load())
 	for idx := int64(0); idx*cs < int64(len(want)); idx++ {
 		lo := idx * cs
 		hi := lo + cs
@@ -297,12 +298,21 @@ func dumpChunkState(t *testing.T, s *Store, key string, got, want []byte) {
 		}
 		id := chunkID{key, idx}
 		h := id.ringHash()
-		t.Logf("chunk %d (owners %v): got %x want %x", idx, s.ownersForHash(h), g, want[lo:hi])
-		for _, o := range s.ownersForHash(h) {
-			sv := s.servers[o]
+		owners := s.ownersForHash(h)
+		t.Logf("chunk %d (owners %v): got %x want %x", idx, owners, g, want[lo:hi])
+		for i, sv := range s.servers {
+			var mask uint64
+			sv.forEachDebt(func(did chunkID, m uint64) {
+				if did == id {
+					mask = m
+				}
+			})
 			data, ver, ok := sv.copyChunk(h, id)
-			t.Logf("  node %d: down=%v ver=%d debt=%b present=%v data=%x",
-				o, sv.isDown(), ver, sv.debtMask(h, id), ok, data)
+			if sv.isWiped() || !ok && mask == 0 && !containsNode(owners, i) {
+				continue
+			}
+			t.Logf("  node %d: owner=%v down=%v ver=%d debt=%b present=%v data=%x",
+				i, containsNode(owners, i), sv.isDown(), ver, mask, ok, data)
 			var hist []string
 			sv.wal.ReplayMerged(func(rec wal.Record) error {
 				rid, within, rver, rdata, err := decChunkPayload(rec.Payload)
@@ -342,7 +352,9 @@ func verifyOracle(t *testing.T, s *Store, ctx *storage.Context, seed uint64, key
 			t.Fatalf("seed %d %s: read %q: (%d, %v)", seed, stage, key, n, err)
 		}
 		if !bytes.Equal(got, oracle[w]) {
-			t.Fatalf("seed %d %s: %q diverged from the never-failed oracle", seed, stage, key)
+			t.Errorf("seed %d %s: %q diverged from the never-failed oracle", seed, stage, key)
+			dumpChunkState(t, s, key, got, oracle[w])
+			t.FailNow()
 		}
 	}
 }

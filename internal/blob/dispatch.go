@@ -97,43 +97,37 @@
 //
 // # Repair and resync stages
 //
-// Debt-driven repair (repair.go) fans per-chunk repairChunk tasks through
-// this pool round by round, and rejoin resync (resyncNode) runs inline on
-// the Recover/SetDown caller; both obey additional lock rules:
+// Debt-driven repair, rejoin resync and the migration sweep are work-list
+// generators over one copy (survey.go, repair.go: surveyChunk picks the
+// source by version, installChunk replaces the target whole). Repair fans
+// per-chunk repairChunk tasks through this pool round by round; resyncNode
+// runs inline on the Recover caller. Two lock rules:
 //
-//   - Repair tasks touch only short-hold locks: a source chunk is copied
-//     out under its stripe RLock, the install takes the TARGET's stripe
-//     lock, and the two are never held together (the copy is a snapshot;
-//     the version guard at install, not lock coverage, is what keeps a
-//     racing writer's newer data from being clobbered). Debt clears are
-//     version-guarded under the holder's stripe lock the same way.
+//   - A replica copy touches only short-hold locks: the source chunk is
+//     copied out under its stripe RLock, installChunk takes the TARGET's
+//     stripe lock, and the two are never held together (the copy is a
+//     snapshot; the version guard at install, not lock coverage, is what
+//     keeps a racing writer's newer data from being clobbered). Debt clears
+//     are version-guarded under the holder's stripe lock the same way.
 //     (enforced: blobvet/stripelock — holding two chunk-stripe locks at
 //     once is flagged, including through callbacks run under a stripe)
-//   - Repair never acquires the per-blob descriptor latch. That is what
-//     makes the degraded-write epilogue sound: writeLocked invokes
-//     repairNode WHILE holding the written blob's latch (the writer is a
-//     caller, allowed to hold it across its own join), and a repair task
-//     that took latches would deadlock right there.
+//   - Repair never acquires the per-blob descriptor latch and never waits
+//     on the pool from inside a task. The first is what makes the
+//     degraded-write epilogue sound: writeLocked invokes repairDrain WHILE
+//     holding the written blob's latch (the writer is a caller, allowed to
+//     hold it across its own join). The second makes repairDrain, which
+//     joins a fan per round, caller-only; its rounds require progress (a
+//     chunk installed or a bit cleared) to continue, so a target whose only
+//     newer source is down ends the loop instead of spinning it.
 //     (enforced: blobvet/workerlatch — repairChunk runs in the
-//     task-reachable graph, where latch takes are flagged)
-//   - repairDrain performs a fan join per round, so it is caller-only —
-//     never callable from inside a pool task (the nested-wait rule above).
-//     Its rounds require progress (a chunk actually installed or a bit
-//     actually cleared) to continue, so an unserviceable target (sole
-//     fresh source down) terminates the loop instead of spinning it.
-//     (enforced: blobvet/workerlatch — repairDrain is itself a flagged
-//     pool wait)
-//   - Repair and rebalance coordinate through the ring epoch: each round
-//     snapshots it and every task re-checks before mutating, bailing out
-//     when membership changed underneath.
-//     (enforced: manual: epoch re-check is a liveness protocol, pinned by
-//     the rebalance/repair chaos tests)
+//     task-reachable graph, where latch takes are flagged, and repairDrain
+//     is itself a flagged pool wait)
 //
 // # Migration stages
 //
 // Membership changes (rebalance.go) run the reconcile sweep's per-chunk
 // migrateChunk tasks through this pool, one 2PC batch in flight at a time,
-// under four additional rules:
+// under four rules:
 //
 //   - The descriptor handover sweep is caller-only and runs BEFORE any
 //     chunk batch: it installs the canonical descriptor pointer on gained
@@ -141,25 +135,20 @@
 //     the latch to exclude a racing DeleteBlob). Chunk-batch tasks
 //     therefore never need — and must never take — a descriptor latch;
 //     like repair tasks they touch only stripe locks, server maps, and WAL
-//     lanes. revalidateBatch, which does read the latch to re-check blob
-//     extents, runs on the batch CALLER after join, never in a task.
+//     lanes (intents and batch markers on the migration lane, buffered
+//     chunk records on the chunk's natural lane, all through the accounted
+//     append path). revalidateBatch, which does read the latch to re-check
+//     blob extents, runs on the batch CALLER after join, never in a task.
 //     (enforced: blobvet/workerlatch — migrateChunk is in the
-//     task-reachable graph, where latch takes are flagged)
+//     task-reachable graph, where latch takes are flagged; blobvet/walappend
+//     keeps walAppendLane and checkpointLane the only direct lane writers)
 //   - Durable-before-visible, per batch: tasks append buffered copy/delete
 //     records (RecMigrateBatch) and defer every in-memory mutation to the
-//     batch caller, which materializes installs and deletes only AFTER the
-//     commit markers land on all logged participants. Installs are
-//     version-guarded (setChunkIfNewer), mirroring the replay-side guard,
-//     so a concurrent foreground write that outran the copy wins on both
-//     sides of a crash.
+//     batch caller, which materializes installs (installChunk, the same
+//     version guard replay applies) and then deletes only AFTER the commit
+//     markers land on all logged participants.
 //     (enforced: manual: commit-before-materialize ordering is pinned by
 //     the migration crash sweep's batch-boundary and torn-tail captures)
-//   - Migration appends ride the accounted append path: intents and batch
-//     markers go to the migration lane, buffered chunk records to the
-//     chunk's natural lane, all through walAppendLane so the server-scoped
-//     order keys keep merged replay in true append order.
-//     (enforced: blobvet/walappend — walAppendLane and checkpointLane are
-//     the only direct lane writers)
 //   - Sweep iteration is determinism-critical: the descriptor sweep and the
 //     migration plan sort their key/chunk sets before walking them, so the
 //     record order every log receives — and therefore the roll-forward
@@ -399,7 +388,7 @@ type fanTask struct {
 
 	// operands (union across kinds)
 	pl     chunkPlace
-	plp    *chunkPlace // taskWriteChunk: write-back slot for the computed excl mask
+	plp    *chunkPlace // taskWriteChunk/taskReplicaWrite: the shared placement, for a faulted replica to join excl
 	within int64
 	size   int64
 	mask   uint64 // taskReplicaWrite: debt mask owed by the write's down owners
@@ -408,8 +397,8 @@ type fanTask struct {
 	rec    wal.RecordType
 	key    string
 	desc   *descriptor // taskDescReplicate: the primary's object, to skip pointer-shared stores
-	lane   int  // taskWalFlush: the target log lane of the spec batch
-	meta   bool // taskWalFlush: charge one round trip per record; taskDescReplicate: upsert
+	lane   int         // taskWalFlush: the target log lane of the spec batch
+	meta   bool        // taskWalFlush: charge one round trip per record; taskDescReplicate: upsert
 	specs  []wal.AppendVSpec
 	fn     func(cg *charge) error
 }
@@ -428,7 +417,7 @@ func (t *fanTask) run() {
 	case taskWriteChunk:
 		t.err = s.writeChunk(t, t.pl, t.within, t.data, t.rec)
 	case taskReplicaWrite:
-		t.err = s.replicaWrite(cg, t.sv, t.pl, t.within, t.data, t.rec, t.mask)
+		t.err = s.replicaWrite(cg, t.sv, t.plp, t.pl, t.within, t.data, t.rec, t.mask)
 	case taskApplyChunk:
 		// Commit-phase memory materialization of a prepared multi-chunk
 		// write: every replica the data phase reached, in parallel across
@@ -442,14 +431,12 @@ func (t *fanTask) run() {
 		// raise its chunk version past bytes it never received.
 		//
 		// The exclusion debt is recorded HERE, after each included owner's
-		// apply, not in the prepare phase: clearDebt's version guard reads
-		// "the holder has seen nothing newer than what the repair
-		// installed", which is only sound when every holder applies a
-		// write BEFORE recording its debt. A prepare-time record sits in
-		// the window where the holder's applied version still predates the
-		// transaction, so a racing repair of the excluded owner would pass
-		// the guard and erase the debt the commit is about to depend on.
-		// (Aborted transactions also stop leaving spurious debt behind.)
+		// apply, not in the prepare phase: a debt entry clears once its
+		// target has caught up with THIS holder's version, so a holder must
+		// hold the write before it lists who missed it — else a racing
+		// repair of the excluded owner could erase the entry the commit is
+		// about to depend on. (Aborted transactions also stop leaving
+		// spurious debt behind.)
 		for _, o := range t.pl.owners {
 			if t.pl.excl&(1<<uint(o)) != 0 {
 				continue
@@ -460,21 +447,18 @@ func (t *fanTask) run() {
 			}
 		}
 	case taskPrepare:
-		// One prepare round trip on the participant chunk's primary — or,
-		// with the primary down, on the first live owner (the same
-		// promotion the degraded data phase applies).
-		sv := t.sv
-		if sv.isDown() {
-			sv = nil
-			for _, o := range t.pl.owners {
-				if cand := s.servers[o]; !cand.isDown() {
-					sv = cand
-					break
-				}
+		// One prepare round trip on the participant chunk's primary — the
+		// first owner the placement survey did not exclude, the same
+		// promotion the degraded data phase applies.
+		var sv *server
+		for _, o := range t.pl.owners {
+			if t.pl.excl&(1<<uint(o)) == 0 {
+				sv = s.servers[o]
+				break
 			}
 		}
 		if sv == nil {
-			t.err = fmt.Errorf("chunk %d of %q: all replicas down: %w", t.pl.id.idx, t.pl.id.key, storage.ErrUnavailable)
+			t.err = fmt.Errorf("chunk %d of %q: all replicas down or behind: %w", t.pl.id.idx, t.pl.id.key, storage.ErrUnavailable)
 			return
 		}
 		if err := s.faultCheck(cg, sv.node, cluster.FaultMetaOp); err != nil {
@@ -587,10 +571,10 @@ func (t *fanTask) release() {
 	t.cg = charge{}
 	t.err = nil
 	t.pl = chunkPlace{}
+	t.plp = nil
 	t.within = 0
 	t.size = 0
 	t.mask = 0
-	t.plp = nil
 	t.data = nil
 	t.sv = nil
 	t.rec = 0

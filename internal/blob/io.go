@@ -3,6 +3,7 @@ package blob
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
@@ -63,48 +64,28 @@ func (s *Store) ReadBlob(ctx *storage.Context, key string, off int64, p []byte) 
 	return int(want), nil
 }
 
-// readChunk reads from the first live replica of the chunk. Missing chunk
-// data within the blob's size reads as zeros (sparse blob semantics). The
-// placement hash is computed once and reused for both the owner lookup and
-// the lock-stripe selection — the whole dispatch is allocation-free.
-//
-// While any repair debt is outstanding anywhere in the store, the read
-// takes a freshness-checked slow path instead: replicas named stale by a
-// debt mask are skipped, and among the fresh live owners the one with the
-// highest chunk version serves — so a rejoined-but-unrepaired replica can
-// never satisfy a read with stale bytes.
+// readChunk reads the chunk from the replica the freshness rule selects
+// (serveChunk). Missing chunk data within the blob's size reads as zeros
+// (sparse blob semantics). The healthy dispatch is allocation-free.
 func (s *Store) readChunk(cg *charge, id chunkID, within int64, dst []byte) error {
-	h := id.ringHash()
-	owners := s.ownersForHash(h)
-	// A live migration forces the checked path too: a gained owner that has
-	// not yet received its copy holds nothing (or an older version) with no
-	// debt mask naming it, and only the version comparison keeps it from
-	// serving a stale or empty read while placement converges.
-	if s.repairPending.Load() != 0 || s.migrating.Load() != 0 {
-		return s.readChunkChecked(cg, h, id, owners, within, dst)
-	}
-	for _, o := range owners {
-		sv := s.servers[o]
-		if sv.isDown() {
-			continue
-		}
-		if s.faultCheck(cg, sv.node, cluster.FaultDiskRead) != nil {
-			continue // a faulted replica reads like a down one: fall back
-		}
-		s.readReplica(cg, sv, h, id, within, dst)
-		return nil
-	}
-	return fmt.Errorf("chunk %d of %q: all replicas down: %w", id.idx, id.key, storage.ErrUnavailable)
+	return s.serveChunk(cg, id, func(sv *server, h, want uint64) bool {
+		return s.readReplica(cg, sv, h, id, within, dst, want)
+	})
 }
 
 // readReplica copies the chunk's bytes out of one replica and charges the
-// transfer. Only the bytes the replica actually held are charged as disk
-// read; the sparse zero-filled tail costs nothing on the disk (the RPC
-// still carries the full response).
-func (s *Store) readReplica(cg *charge, sv *server, h uint64, id chunkID, within int64, dst []byte) {
+// transfer, unless the replica no longer holds version want (anyVer skips the
+// check). Only the bytes the replica actually held are charged as disk read;
+// the sparse zero-filled tail costs nothing on the disk (the RPC still
+// carries the full response).
+func (s *Store) readReplica(cg *charge, sv *server, h uint64, id chunkID, within int64, dst []byte, want uint64) bool {
 	var copied int
 	st := sv.stripe(h)
 	st.mu.RLock()
+	if want != anyVer && st.ver[id] != want {
+		st.mu.RUnlock()
+		return false
+	}
 	if data, ok := st.m[id]; ok && within < int64(len(data)) {
 		copied = copy(dst, data[within:])
 	}
@@ -113,84 +94,7 @@ func (s *Store) readReplica(cg *charge, sv *server, h uint64, id chunkID, within
 	clear(dst[copied:])
 	cg.diskRead(sv.node, copied)
 	cg.rpc(sv.node, 64, len(dst), 0)
-}
-
-// readChunkChecked is the degraded-mode read path: it unions the chunk's
-// debt masks across every owner (down servers keep their memory, so their
-// debt records still count — the stand-in for the monitor-layer peering
-// metadata a real RADOS cluster consults), then serves from the
-// highest-versioned live owner not named stale. A replica that missed a
-// write is therefore unreachable until repair clears its debt bit.
-func (s *Store) readChunkChecked(cg *charge, h uint64, id chunkID, owners []int, within int64, dst []byte) error {
-	// While a migration is in flight the candidate set widens from the
-	// current owners to every non-wiped server: the chunk's only fresh copy
-	// (and the debt mask that names its stale peers) may still sit on a
-	// drained node or a stray holder the reconcile sweep has not reached,
-	// while the gained owners hold nothing at all. Restricting the scan to
-	// the post-flip owner set there serves sparse zeros off a live-but-empty
-	// gained owner — a stale read nothing in the owner set can veto.
-	if s.migrating.Load() != 0 {
-		// Fresh slice — the caller's owners may alias the placement cache.
-		all := make([]int, 0, len(s.servers))
-		for i, sv := range s.servers {
-			if !sv.isWiped() {
-				all = append(all, i)
-			}
-		}
-		owners = all
-	}
-	var stale uint64
-	for _, o := range owners {
-		st := s.servers[o].stripe(h)
-		st.mu.RLock()
-		stale |= st.debt[id]
-		st.mu.RUnlock()
-	}
-	// Highest version among the fresh live owners.
-	var maxVer uint64
-	found := false
-	for _, o := range owners {
-		sv := s.servers[o]
-		if sv.isDown() || (o < 64 && stale&(1<<uint(o)) != 0) {
-			continue
-		}
-		if v := sv.chunkVer(h, id); !found || v > maxVer {
-			maxVer = v
-			found = true
-		}
-	}
-	// A fresh DOWN owner strictly ahead of every fresh live owner means the
-	// reachable copies are missing writes no debt mask accounts for — the
-	// live-but-empty gained owner of an in-flight migration is the canonical
-	// case (its copy is en route, so nothing names it stale). Down servers
-	// keep their memory (the monitor-metadata stand-in, as above), so the
-	// version probe is answerable; the read reports unavailable rather than
-	// serving bytes known to be behind. Wiped servers hold nothing and
-	// cannot veto.
-	for _, o := range owners {
-		sv := s.servers[o]
-		if !sv.isDown() || sv.isWiped() || (o < 64 && stale&(1<<uint(o)) != 0) {
-			continue
-		}
-		if sv.chunkVer(h, id) > maxVer {
-			found = false
-			break
-		}
-	}
-	if found {
-		for _, o := range owners {
-			sv := s.servers[o]
-			if sv.isDown() || (o < 64 && stale&(1<<uint(o)) != 0) || sv.chunkVer(h, id) != maxVer {
-				continue
-			}
-			if s.faultCheck(cg, sv.node, cluster.FaultDiskRead) != nil {
-				continue
-			}
-			s.readReplica(cg, sv, h, id, within, dst)
-			return nil
-		}
-	}
-	return fmt.Errorf("chunk %d of %q: no fresh live replica: %w", id.idx, id.key, storage.ErrUnavailable)
+	return true
 }
 
 // WriteBlob writes p at off, extending the blob as needed. A write that
@@ -234,12 +138,12 @@ type chunkPlace struct {
 	h      uint64
 	ver    uint64
 	owners []int
-	// excl is the owner set the data phase excluded from this write (down,
-	// or already named stale by a debt mask), written back by writeChunk.
-	// The commit phases consult it so apply and commit cover EXACTLY the
-	// replicas that received the data — the version invariant (a replica at
-	// version V holds every write ≤ V it was not excluded-with-debt from)
-	// breaks if a later phase touches an excluded replica.
+	// excl is the owner set excluded from this write: down at the placement
+	// survey, or not holding ver-1. Every phase consults it so prepare, data,
+	// apply and commit cover EXACTLY the same replicas — a write applies only
+	// onto the base it was versioned against, which is what keeps "the
+	// highest version holds every acknowledged byte" true; the excluded
+	// owners become the write's repair debt.
 	excl uint64
 }
 
@@ -293,8 +197,14 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 	for idx := firstChunk; idx <= lastChunk; idx++ {
 		id := chunkID{key, idx}
 		h := id.ringHash()
-		owners := s.ownersForHash(h)
-		places = append(places, chunkPlace{id: id, h: h, ver: s.nextChunkVer(h, id, owners), owners: owners})
+		// One survey per chunk versions the write and partitions its owners.
+		// It is a snapshot — an owner flapping down after it still gets the
+		// write (retained memory and log keep it consistent), equivalent to
+		// delivery just before the flap.
+		var buf [8]replica
+		sy := s.surveyChunk(h, id, buf[:])
+		behind, down := sy.behind()
+		places = append(places, chunkPlace{id: id, h: h, ver: sy.max + 1, owners: s.ownersForHash(h), excl: behind | down})
 	}
 
 	recType := wal.RecWrite
@@ -306,7 +216,6 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 		fan := s.newFan()
 		for i := range places {
 			t := fan.task(taskPrepare)
-			t.sv = s.servers[places[i].owners[0]]
 			t.pl = places[i]
 			fan.spawn(t)
 		}
@@ -329,7 +238,7 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 	forEachSpan(off, int64(len(p)), cs, func(idx, within, start, take int64) {
 		t := fan.task(taskWriteChunk)
 		t.pl = places[idx-firstChunk]
-		t.plp = &places[idx-firstChunk] // writeChunk reports its excl mask here
+		t.plp = &places[idx-firstChunk] // a faulted replica joins excl here
 		t.within = within
 		t.data = p[start : start+take]
 		t.rec = recType
@@ -352,16 +261,16 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 	if multi {
 		// Commit phase, step 1: materialize the prepared writes in memory,
 		// one task per chunk covering exactly the replicas the data phase
-		// reached (the excl mask writeChunk reported: excluded replicas
-		// hold no prepare, and a partial apply would corrupt their version
-		// history — repair re-installs them whole instead). Pure memory
-		// work (no charges fold), deferred to here so an aborted data
-		// phase leaves live replicas untouched. Readers cannot observe the
-		// window: the descriptor latch is held until the write returns.
+		// reached (excluded replicas hold no prepare, and a partial apply
+		// would corrupt their version history — repair re-installs them
+		// whole instead). Pure memory work (no charges fold), deferred to
+		// here so an aborted data phase leaves live replicas untouched.
+		// Readers cannot observe the window: the descriptor latch is held
+		// until the write returns.
 		applyFan := s.newFan()
 		forEachSpan(off, int64(len(p)), cs, func(idx, within, start, take int64) {
 			t := applyFan.task(taskApplyChunk)
-			t.pl = places[idx-firstChunk] // copies excl from the data phase
+			t.pl = places[idx-firstChunk]
 			t.within = within
 			t.data = p[start : start+take]
 			applyFan.spawn(t)
@@ -398,68 +307,28 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 		s.replicateDescSize(ctx, key, d, d.size)
 	}
 
-	// Degraded-write epilogue: drain the debt owed to any excluded owner
-	// that rejoined while this write was in flight. The rejoin-triggered
-	// drain (SetDown) runs when a node comes up, but an owner excluded at
-	// the partition snapshot can come back BEFORE the write records its
-	// debt — that drain finds nothing, and nothing else ever services debt
-	// that names an already-live node. The window is real and dangerous: a
-	// sole-surviving holder can then lose both the data and its debt record
-	// to one torn lane tail. The handoff is race-free because the debt is
-	// durably recorded before this check: a rejoin before it is seen here,
-	// a rejoin after it sees the debt.
+	// Degraded-write epilogue: drain the debt owed to any excluded owner that
+	// is up by now. The rejoin drain (SetDown) may have run BEFORE this write
+	// recorded its debt and found nothing, and nothing else services debt
+	// naming an already-live node. The handoff is race-free because the debt
+	// is durable before this check: a rejoin before it is seen here, a rejoin
+	// after it sees the debt.
 	var excl uint64
 	for i := range places {
 		excl |= places[i].excl
 	}
 	for node := 0; node < len(s.servers) && excl != 0; node++ {
 		if excl&(1<<uint(node)) != 0 && !s.servers[node].isDown() {
-			s.repairNode(ctx, cluster.NodeID(node))
+			s.repairDrain(ctx, cluster.NodeID(node))
 		}
 	}
 	return len(p), nil
 }
 
-// nextChunkVer assigns the version a write will install: one more than the
-// highest version any owner currently holds for the chunk. Called under
-// the blob's descriptor latch, which serializes the chunk's mutation
-// history, so the assignment is deterministic and every replica that
-// applies the write installs the same, strictly increasing version.
-//
-// While a migration is in flight the scan widens to every non-wiped
-// server: the freshest copy may still sit entirely outside the current
-// owner set (a drained node, or a stray the reconcile sweep has not
-// reached). An owner-only scan there would re-issue a low version —
-// colliding with history the strays still hold, defeating writeChunk's
-// behind-owner exclusion (whose pl.ver-1 must be the global maximum),
-// and letting the sweep later overwrite an acknowledged write with the
-// older stray copy it out-versions.
-func (s *Store) nextChunkVer(h uint64, id chunkID, owners []int) uint64 {
-	var max uint64
-	for _, o := range owners {
-		if v := s.servers[o].chunkVer(h, id); v > max {
-			max = v
-		}
-	}
-	if s.migrating.Load() != 0 {
-		for _, sv := range s.servers {
-			if sv.isWiped() {
-				continue
-			}
-			if v := sv.chunkVer(h, id); v > max {
-				max = v
-			}
-		}
-	}
-	return max + 1
-}
-
 // abortPrepared logs RecAbort markers on every replica the data phase
 // reached (the excl mask says which it did not), batched per server. An
 // excluded replica holds no prepare, so it needs no abort; uncommitted
-// prepares die at replay anyway, the marker just keeps logs tidy. A chunk
-// whose data task never ran reports excl 0 and aborts everywhere — the
-// markers are no-ops at replay.
+// prepares die at replay anyway, the marker just keeps logs tidy.
 func (s *Store) abortPrepared(ctx *storage.Context, places []chunkPlace) {
 	batch := newWalBatch(s)
 	for i := range places {
@@ -481,9 +350,9 @@ func (s *Store) abortPrepared(ctx *storage.Context, places []chunkPlace) {
 // ledger, so simulated time keeps the primary-then-parallel-replicas shape
 // while the actual copies run on the worker pool.
 //
-// Down owners do not fail the write (degraded mode): as long as
-// Config.MinLiveOwners replicas are up, every live owner applies the write
-// and records the down owners as repair debt — a RecRepairNeeded record
+// Excluded owners (pl.excl) do not fail the write (degraded mode): as long
+// as Config.MinLiveOwners replicas take it, each of them applies the write
+// and records the excluded owners as repair debt — a RecRepairNeeded record
 // carrying the full debt mask, logged under the stripe lock so the mask
 // history in the log matches memory. An injected permanent fault at the
 // promoted primary fails the write before anything durable lands
@@ -491,50 +360,10 @@ func (s *Store) abortPrepared(ctx *storage.Context, places []chunkPlace) {
 // instead, with the failed replica added to the debt the survivors record.
 func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte, rec wal.RecordType) error {
 	cg := &t.cg
-	// Partition the replica set: the first live fresh owner is the
-	// (possibly promoted) primary; down owners AND owners already named
-	// stale by an unserviced debt mask become the write's debt mask. A
-	// stale-but-live owner must not receive this partial write: applying
-	// it would raise the owner's chunk version past bytes it never got,
-	// and repair — which trusts versions — would then clear its debt
-	// without re-installing anything. Excluding it keeps the version
-	// invariant (ver V ⇒ every non-excluded write ≤ V applied) and repair
-	// installs the full chunk later.
-	//
-	// The partition is a snapshot — an owner flapping down after this
-	// point still gets the write (its memory is retained while down, and
-	// its WAL gets the record, so it stays consistent), which is
-	// equivalent to the write having been delivered just before the flap.
-	var stale uint64
-	for _, o := range pl.owners {
-		stale |= s.servers[o].debtMask(pl.h, pl.id)
-	}
-	var downMask uint64
+	downMask := pl.excl
 	live, promoted := 0, -1
-	migrating := s.migrating.Load() != 0
 	for _, o := range pl.owners {
-		if s.servers[o].isDown() {
-			if o >= 64 {
-				// Debt masks address nodes by bit; no simulated cluster
-				// here is near that wide, but refuse rather than corrupt.
-				return fmt.Errorf("chunk %d of %q: down replica %d exceeds debt mask width: %w",
-					pl.id.idx, pl.id.key, o, storage.ErrUnavailable)
-			}
-			downMask |= 1 << uint(o)
-			continue
-		}
-		if o < 64 && stale&(1<<uint(o)) != 0 {
-			downMask |= 1 << uint(o)
-			continue
-		}
-		// During a migration an owner still awaiting its copy (gained, or an
-		// overlap owner behind the freshest version — pl.ver-1 is exactly
-		// that maximum, see nextChunkVer) must not apply a partial write
-		// over a base it never received; it goes into the debt mask like a
-		// down owner and the migration copy plus repair converge it. Fresh
-		// chunks (pl.ver == 1) have no base to miss and are unaffected.
-		if migrating && o < 64 && s.servers[o].chunkVer(pl.h, pl.id) < pl.ver-1 {
-			downMask |= 1 << uint(o)
+		if downMask&(1<<uint(o)) != 0 {
 			continue
 		}
 		live++
@@ -542,14 +371,11 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 			promoted = o
 		}
 	}
-	if t.plp != nil {
-		t.plp.excl = downMask
-	}
 	if downMask != 0 {
-		tracef("writeChunk id=%s/%d ver=%d excl=%x stale=%x promoted=%d rec=%d", pl.id.key, pl.id.idx, pl.ver, downMask, stale, promoted, rec)
+		tracef("writeChunk id=%s/%d ver=%d excl=%x promoted=%d rec=%d", pl.id.key, pl.id.idx, pl.ver, downMask, promoted, rec)
 	}
 	if promoted < 0 || live < s.cfg.MinLiveOwners {
-		return fmt.Errorf("chunk %d of %q: %d of %d replicas down (need %d live): %w",
+		return fmt.Errorf("chunk %d of %q: %d of %d replicas down or behind (need %d live): %w",
 			pl.id.idx, pl.id.key, len(pl.owners)-live, len(pl.owners), s.cfg.MinLiveOwners, storage.ErrUnavailable)
 	}
 	primary := s.servers[promoted]
@@ -575,8 +401,9 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 	cg.diskWrite(primary.node, len(data))
 	// Exclusion debt rides with the APPLY, never ahead of it: the direct
 	// path records it here, the prepared path at commit materialization
-	// (taskApplyChunk), where the holder's version has already advanced —
-	// the ordering clearDebt's version guard is built on.
+	// (taskApplyChunk). A holder's version advances before it lists anyone,
+	// so clearDebt's guard (target caught up with THIS holder) cannot erase
+	// an entry the write is about to depend on.
 	if downMask != 0 && apply {
 		s.recordDebt(cg, primary, pl.h, pl.id, downMask)
 	}
@@ -589,18 +416,16 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 	if rest > 0 {
 		sf := t.subFan()
 		for _, o := range pl.owners {
-			// The partition snapshot decides, NOT a fresh isDown probe: an
-			// owner that flapped down after the partition was counted live
-			// and owes nobody a debt record, so it must still receive the
-			// write (retained memory + log keep it consistent). Re-probing
-			// here would skip it silently — a stale replica no debt mask
-			// names, invisible to the checked read path.
+			// The placement survey decides, NOT a fresh down probe: an owner
+			// that flapped down since was counted in and nobody lists it, so
+			// it must still receive the write.
 			if o == promoted || downMask&(1<<uint(o)) != 0 {
 				continue
 			}
 			rt := sf.task(taskReplicaWrite)
 			rt.sv = s.servers[o]
 			rt.pl = pl
+			rt.plp = t.plp
 			rt.within = within
 			rt.data = data
 			rt.rec = rec
@@ -620,28 +445,27 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 }
 
 // replicaWrite is the per-replica body of writeChunk's nested fan. owed is
-// the debt mask of the write's down owners, recorded by every live owner
-// alongside its copy. A permanent injected fault here does NOT fail the
-// write: the primary already holds the bytes durably, so the failed
-// replica is simply added to the debt mask on the owners that did apply —
-// RADOS-style "primary acks, marks the peer missing, recovery backfills" —
-// keeping the single-chunk path free of one-sided durable divergence.
-func (s *Store) replicaWrite(cg *charge, sv *server, pl chunkPlace, within int64, data []byte, rec wal.RecordType, owed uint64) error {
+// the debt mask of the write's excluded owners, recorded by every included
+// owner alongside its copy. A permanent injected fault here does NOT fail the
+// write: the primary already holds the bytes durably, so the failed replica
+// simply joins the excluded set (plp.excl, shared with the later phases) —
+// RADOS-style "primary acks, marks the peer missing, recovery backfills". A
+// prepared write then skips it at apply and commit, where the survivors list
+// it with the other excluded owners: it logged no prepare, so applying there
+// would leave its log unable to reproduce the version its memory claims. A
+// direct write has no later phase, so the other owners list it right here.
+func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPlace, within int64, data []byte, rec wal.RecordType, owed uint64) error {
 	if err := s.faultCheck(cg, sv.node, cluster.FaultDiskWrite); err != nil {
-		if int(sv.node) >= 64 {
-			return fmt.Errorf("chunk %d of %q: faulted replica %d exceeds debt mask width: %w",
-				pl.id.idx, pl.id.key, sv.node, storage.ErrUnavailable)
-		}
 		bit := uint64(1) << uint(sv.node)
-		for _, o := range pl.owners {
-			// Every other owner records the fault — including ones that
-			// flapped down meanwhile (retained memory and log stay
-			// mutable) — so the debt union names the faulted replica no
-			// matter which holders survive to be consulted.
-			if o == int(sv.node) {
-				continue
+		atomic.OrUint64(&plp.excl, bit)
+		if rec == wal.RecWrite {
+			for _, o := range pl.owners {
+				// Including owners that flapped down meanwhile: retained
+				// memory and log stay mutable.
+				if o != int(sv.node) {
+					s.recordDebt(cg, s.servers[o], pl.h, pl.id, bit)
+				}
 			}
-			s.recordDebt(cg, s.servers[o], pl.h, pl.id, bit)
 		}
 		s.metrics.Counter("blob.write.replica-faulted").Inc()
 		return nil
@@ -658,22 +482,6 @@ func (s *Store) replicaWrite(cg *charge, sv *server, pl chunkPlace, within int64
 		s.recordDebt(cg, sv, pl.h, pl.id, owed)
 	}
 	return nil
-}
-
-// recordDebt merges owed into the chunk's debt mask on sv and logs the
-// updated mask durably (RecRepairNeeded, full-mask overwrite semantics).
-// Mask update and log append happen under the stripe lock so the mask
-// history in the log matches the in-memory ordering; the lane append may
-// park as a group-commit follower, but a lane leader never takes stripe
-// locks, so the lock order is acyclic (see the dispatch.go contract).
-func (s *Store) recordDebt(cg *charge, sv *server, h uint64, id chunkID, owed uint64) {
-	st := sv.stripe(h)
-	st.mu.Lock()
-	mask := st.debt[id] | owed
-	sv.setDebtLocked(st, id, mask)
-	s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil)
-	tracef("recordDebt node=%d id=%s/%d owed=%x mask=%x ver=%d", sv.node, id.key, id.idx, owed, mask, st.ver[id])
-	st.mu.Unlock()
 }
 
 // tracef feeds the chaos battery's event trace when a test installs one;

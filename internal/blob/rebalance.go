@@ -50,6 +50,12 @@ var ErrLastServer = fmt.Errorf("blob: cannot remove the last server: %w", storag
 // the merged replay in true append order across lanes.
 const migLane = 0
 
+// migrationBatchBytes bounds a batch by payload volume on top of
+// Config.MigrationBatchChunks: a batch closes once its source bytes reach
+// this cap (a single larger chunk still forms a one-chunk batch). At most one
+// batch is in flight, so this is the bound on in-flight migration bytes.
+const migrationBatchBytes = 1 << 20
+
 // migrationTick is the virtual-time quantum the migration throttle sleeps
 // when its token budget is exhausted; each tick refills
 // Config.MigrationRateBytes.
@@ -160,7 +166,7 @@ func (s *Store) resumeMigration(ctx *storage.Context) {
 	s.finishMigration(ctx, intent)
 }
 
-// finishMigration drains a removed node, converges repair debt recorded
+// finishMigration drains a removed node, works off the repair debt listed
 // during the sweep, and durably closes the intent.
 func (s *Store) finishMigration(ctx *storage.Context, intent *migrationIntent) {
 	cg := s.directCharge(ctx)
@@ -177,10 +183,10 @@ func (s *Store) finishMigration(ctx *storage.Context, intent *migrationIntent) {
 		// pre-drain descriptors and chunks the survivors now own.
 		sv.wal.ResetAll()
 	}
-	// Drain the debt the sweep recorded for targets it could not reach
-	// (crash-wiped gained owners, fault-failed installs). Targets still
-	// unreachable stay in debt here and converge via the repairNode pass
-	// when they come back (Recover / SetDown(false)).
+	// Drain the debt the sweep listed for owners it left behind (fault-failed
+	// installs, a source that was down) and the bits the membership change
+	// orphaned. Targets still unreachable stay listed and converge when they
+	// come back (Recover / SetDown(false)).
 	s.Repair(ctx)
 	s.logIntent(&cg, wal.RecMigrateEnd, intent, skip)
 	s.migIntent.Store(nil)
@@ -237,7 +243,7 @@ func (s *Store) runMigration(ctx *storage.Context, intent *migrationIntent) {
 	for batch := 0; len(moves) > 0; batch++ {
 		n, bytes := 0, 0
 		for n < len(moves) && n < s.cfg.MigrationBatchChunks &&
-			(n == 0 || bytes+moves[n].bytes <= s.cfg.MigrationBatchBytes) {
+			(n == 0 || bytes+moves[n].bytes <= migrationBatchBytes) {
 			bytes += moves[n].bytes
 			n++
 		}
@@ -350,13 +356,11 @@ type migMove struct {
 // sorted order, the chunks whose placement disagrees with the current ring:
 // an owner missing the chunk or holding a version behind the freshest
 // surviving copy, or a holder outside the replica set. The plan carries no
-// placement snapshot — each batch task re-resolves owners and versions at
-// execution time, so the same plan formulation serves fresh migrations and
-// crash roll-forward alike.
+// placement snapshot — each batch task re-surveys at execution time, so the
+// same plan formulation serves fresh migrations and crash roll-forward alike.
 func (s *Store) migrationPlan() []migMove {
 	type chunkInfo struct {
 		holders uint64
-		debt    uint64
 		maxVer  uint64
 		bytes   int
 	}
@@ -373,36 +377,15 @@ func (s *Store) migrationPlan() []migMove {
 				infos[id] = ci
 			}
 			ci.holders |= bit
-			if ver > ci.maxVer {
-				ci.maxVer = ver
-			}
-			if len(data) > ci.bytes {
-				ci.bytes = len(data)
-			}
-		})
-		// Debt records walk separately: a mask may sit on a server that
-		// holds no copy of the chunk at all (the owed-target fallback in
-		// runBatch parks one there), and orphaned masks are themselves a
-		// reason to visit a chunk (see the need check below).
-		sv.forEachDebt(func(id chunkID, mask uint64) {
-			ci := infos[id]
-			if ci == nil {
-				ci = &chunkInfo{}
-				infos[id] = ci
-			}
-			ci.debt |= mask
+			ci.maxVer = max(ci.maxVer, ver)
+			ci.bytes = max(ci.bytes, len(data))
 		})
 	}
 	ids := make([]chunkID, 0, len(infos))
 	for id := range infos {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].key != ids[j].key {
-			return ids[i].key < ids[j].key
-		}
-		return ids[i].idx < ids[j].idx
-	})
+	sort.Slice(ids, func(i, j int) bool { return ids[i].less(ids[j]) })
 	var moves []migMove
 	for _, id := range ids {
 		ci := infos[id]
@@ -415,16 +398,7 @@ func (s *Store) migrationPlan() []migMove {
 				need = true
 			}
 		}
-		if ci.holders&^ownerBits != 0 {
-			need = true
-		}
-		// A debt mask naming a peer outside the new owner set is orphaned:
-		// repairChunk services only owner targets, so the bit would count as
-		// outstanding debt forever. Visiting the chunk lets runBatch scrub it.
-		if ci.debt&^ownerBits != 0 {
-			need = true
-		}
-		if need {
+		if need || ci.holders&^ownerBits != 0 {
 			moves = append(moves, migMove{id: id, h: h, bytes: ci.bytes})
 		}
 	}
@@ -440,57 +414,29 @@ type migInstall struct {
 }
 
 // migResult is what one chunk's migration task hands back to the batch
-// caller: the deferred installs and deletes, the repair debt owed by
-// unreachable targets, and the bitmask of servers whose logs buffered a
-// record (the batch's 2PC participants).
+// caller: the deferred installs and deletes, and the bitmask of servers whose
+// logs buffered a record (the batch's 2PC participants).
 type migResult struct {
 	mv       migMove
 	installs []migInstall
 	deletes  []int
-	owed     uint64
 	logged   uint64
 }
 
-// migTargets returns the owners that need a copy of the chunk: missing it
-// or holding a version behind the freshest surviving copy.
-func (s *Store) migTargets(h uint64, id chunkID) []int {
-	var best uint64
-	for _, sv := range s.servers {
-		if sv.isWiped() {
-			continue
-		}
-		if v := sv.chunkVer(h, id); v > best {
-			best = v
-		}
-	}
-	if best == 0 {
-		return nil
-	}
-	var out []int
-	for _, o := range s.ownersForHash(h) {
-		if s.servers[o].chunkVer(h, id) < best {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // runBatch moves one bounded batch of chunks under the 2PC protocol:
-// prepare markers on the live gained owners, buffered copy/delete records
-// appended by the per-chunk fan tasks, commit markers on every participant,
-// and only then the in-memory materialization — so the durable order is
-// exactly "batch fully applied or fully absent" at any crash point.
+// prepare markers on the reachable behind owners, buffered copy/delete
+// records appended by the per-chunk fan tasks, commit markers on every
+// participant, and only then the in-memory materialization — so the durable
+// order is exactly "batch fully applied or fully absent" at any crash point.
 func (s *Store) runBatch(ctx *storage.Context, cg *charge, intent *migrationIntent, batch uint64, moves []migMove) {
 	var prep uint64
 	for _, mv := range moves {
-		for _, o := range s.migTargets(mv.h, mv.id) {
-			// Soft-down targets participate (retained memory + log, like a
-			// foreground write after the partition snapshot); only a
-			// crash-wiped target is out of reach until Recover.
-			if !s.servers[o].isWiped() {
-				prep |= 1 << uint(o)
-			}
-		}
+		// Soft-down targets participate (retained memory + log, like a
+		// foreground write after its placement survey); only a crash-wiped
+		// target is out of reach until Recover.
+		sy := s.surveyChunk(mv.h, mv.id, nil)
+		behind, _ := sy.behind()
+		prep |= behind
 	}
 	for i, sv := range s.servers {
 		if prep&(1<<uint(i)) != 0 {
@@ -519,218 +465,85 @@ func (s *Store) runBatch(ctx *storage.Context, cg *charge, intent *migrationInte
 			s.walAppendMigMark(cg, sv, migPhaseCommit, intent.seq, batch)
 		}
 	}
-	// Commit markers are durable; now materialize. Installs are version
+	// Commit markers are durable; now materialize, installs before deletes so
+	// a racing survey never loses sight of the maximum. Installs are version
 	// guarded: a foreground write that advanced the chunk past the copied
 	// version while the batch was in flight wins, exactly as it does at
 	// replay (recovery.go applies buffered copies under the same guard).
 	for i := range results {
 		r := &results[i]
 		for _, in := range r.installs {
-			s.servers[in.node].setChunkIfNewer(r.mv.h, r.mv.id, append([]byte(nil), in.data...), in.ver)
+			s.installChunk(nil, s.servers[in.node], r.mv.h, r.mv.id, append([]byte(nil), in.data...), in.ver)
 		}
 		for _, n := range r.deletes {
 			s.servers[n].deleteChunk(r.mv.h, r.mv.id)
 		}
-		if r.owed != 0 {
-			// Record the debt on every reachable fresh owner, after the
-			// installs above so the debt-on-fresh-holder invariant holds.
-			recorded := false
-			for _, o := range s.ownersForHash(r.mv.h) {
-				sv := s.servers[o]
-				if sv.isDown() || sv.isWiped() || r.owed&(1<<uint(o)) != 0 {
-					continue
-				}
-				if sv.chunkVer(r.mv.h, r.mv.id) == 0 {
-					continue
-				}
-				s.recordDebt(cg, sv, r.mv.h, r.mv.id, r.owed)
-				recorded = true
-			}
-			if !recorded {
-				// Every fresh owner is down or gone from the owner set (the
-				// bytes may survive only on strays or down nodes). The
-				// checked-read path unions debt across CURRENT owners only,
-				// so the record must land on one: park the mask on each
-				// reachable owed target itself. A live-but-empty gained
-				// owner then reads as stale rather than serving sparse
-				// zeros, and repair drains the self-record once a fresh
-				// source rejoins.
-				for _, o := range s.ownersForHash(r.mv.h) {
-					sv := s.servers[o]
-					if r.owed&(1<<uint(o)) == 0 || sv.isDown() || sv.isWiped() {
-						continue
-					}
-					s.recordDebt(cg, sv, r.mv.h, r.mv.id, r.owed)
-				}
-			}
-		}
-		s.scrubDebt(cg, r.mv.h, r.mv.id)
 	}
 	s.revalidateBatch(cg, results)
-}
-
-// scrubDebt drops, on every non-wiped server, the chunk's debt bits naming
-// peers outside the current owner set. A membership change orphans such
-// bits: the named peer's copy is deleted by this same sweep (or was never
-// made), it will never serve the chunk again, and repairChunk services
-// only owner targets — an orphaned bit would otherwise count as
-// outstanding repair debt forever. Claims about current owners are
-// untouched (a concurrent degraded write resolves its owner set after the
-// epoch flip, so every live claim names current owners only). The reduced
-// mask is logged with recordDebt's full-mask overwrite semantics, under
-// the stripe lock, so replay converges to the same bookkeeping.
-func (s *Store) scrubDebt(cg *charge, h uint64, id chunkID) {
-	var ownerBits uint64
-	for _, o := range s.ownersForHash(h) {
-		ownerBits |= 1 << uint(o)
-	}
-	for _, sv := range s.servers {
-		if sv.isWiped() {
-			continue
-		}
-		st := sv.stripe(h)
-		st.mu.Lock()
-		if mask, ok := st.debt[id]; ok && mask&^ownerBits != 0 {
-			mask &= ownerBits
-			sv.setDebtLocked(st, id, mask)
-			s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil)
-			tracef("scrubDebt node=%d id=%s/%d mask=%x", sv.node, id.key, id.idx, mask)
-		}
-		st.mu.Unlock()
+	// Whoever the batch left behind (a faulted or wiped-then-recovered target,
+	// a source that was down) goes on the work list; a deleted stray's own
+	// entries went with its copy and are re-derived here from versions.
+	for i := range results {
+		mv := results[i].mv
+		sy := s.surveyChunk(mv.h, mv.id, nil)
+		s.oweBehind(cg, mv.h, mv.id, &sy)
 	}
 }
 
-// migrateChunk reconciles one chunk's replica set as a fan task. It
-// performs the durable work (buffered copy/delete records, cost charges)
-// and defers the in-memory effects to the batch caller, which applies them
-// only after the commit markers land.
+// migrateChunk reconciles one chunk's replica set as a fan task: the
+// highest-version surviving copy goes to every reachable owner behind it,
+// and holders outside the replica set drop theirs once an owner holds those
+// bytes. It performs the durable work (buffered copy/delete records, cost
+// charges) and defers the in-memory effects to the batch caller, which
+// applies them only after the commit markers land.
 func (s *Store) migrateChunk(cg *charge, mv migMove) migResult {
 	res := migResult{mv: mv}
 	h, id := mv.h, mv.id
-	owners := s.ownersForHash(h)
-	var ownerBits uint64
-	for _, o := range owners {
-		ownerBits |= 1 << uint(o)
+	sy := s.surveyChunk(h, id, nil)
+	src := sy.source(nil, true)
+	if src == nil || s.faultCheck(cg, src.sv.node, cluster.FaultDiskRead) != nil {
+		return res // nothing readable this round: every copy stays put
 	}
-	// Survey the surviving holders: debt union and source candidates.
-	type migSrc struct {
-		sv    *server
-		node  int
-		ver   uint64
-		stale bool
-		down  bool
-	}
-	var rawOwed, holderBits uint64
-	var cands []migSrc
-	for i, sv := range s.servers {
-		if sv.isWiped() {
-			continue
-		}
-		ver := sv.chunkVer(h, id)
-		if ver == 0 {
-			continue
-		}
-		holderBits |= 1 << uint(i)
-		rawOwed |= sv.debtMask(h, id)
-	}
-	for i, sv := range s.servers {
-		if holderBits&(1<<uint(i)) == 0 {
-			continue
-		}
-		cands = append(cands, migSrc{
-			sv:    sv,
-			node:  i,
-			ver:   sv.chunkVer(h, id),
-			stale: rawOwed&(1<<uint(i)) != 0,
-			down:  sv.isDown(),
-		})
-	}
-	res.owed = rawOwed & ownerBits
-	// Source order: fresh before stale, live before down, higher version
-	// first — the copy every destination receives is the best survivor.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].stale != cands[j].stale {
-			return !cands[i].stale
-		}
-		if cands[i].down != cands[j].down {
-			return !cands[i].down
-		}
-		if cands[i].ver != cands[j].ver {
-			return cands[i].ver > cands[j].ver
-		}
-		return cands[i].node < cands[j].node
-	})
-	var src *migSrc
-	var data []byte
-	var srcVer uint64
-	for ci := range cands {
-		c := &cands[ci]
-		if err := s.faultCheck(cg, c.sv.node, cluster.FaultDiskRead); err != nil {
-			continue
-		}
-		d, ver, ok := c.sv.copyChunk(h, id)
-		if !ok {
-			continue // raced a concurrent delete
-		}
-		src, data, srcVer = c, d, ver
-		break
-	}
-	if src == nil {
-		// No readable source survives: every behind owner goes into debt
-		// and the stray copies are retained — they are the only bytes left,
-		// and repairDrain converges placement once a source is reachable.
-		for _, o := range owners {
-			if s.servers[o].chunkVer(h, id) == 0 {
-				res.owed |= 1 << uint(o)
-			}
-		}
-		return res
+	data, srcVer, ok := src.sv.copyChunk(h, id)
+	if !ok {
+		return res // raced a concurrent delete
 	}
 	// One source read serves every destination.
 	cg.diskRead(src.sv.node, len(data))
-	for _, o := range owners {
-		sv := s.servers[o]
-		if sv.chunkVer(h, id) >= srcVer {
+	reached := false
+	for i := range sy.reps {
+		r := &sy.reps[i]
+		if !r.owner {
 			continue
 		}
-		bit := uint64(1) << uint(o)
-		if sv.isWiped() {
-			// A crash-wiped gained owner cannot take the copy — its memory
-			// is gone until Recover rebuilds it from the WAL alone — so the
-			// batch records repair debt and resyncNode converges it after
-			// recovery. A soft-DOWN owner, by contrast, receives the copy
-			// below exactly as it receives a foreground write after the
-			// partition snapshot (retained memory + log keep it consistent):
-			// delivering now is what keeps a drained node from being wiped
-			// at finishMigration while still holding a chunk's only fresh
-			// bytes, with nothing but an undrainable debt mask left behind.
-			res.owed |= bit
+		if r.ver >= srcVer {
+			reached = true
 			continue
 		}
-		if err := s.faultCheck(cg, sv.node, cluster.FaultDiskWrite); err != nil {
-			res.owed |= bit
+		// A crash-wiped owner cannot take the copy (its own Recover resyncs
+		// it); a soft-DOWN one receives it exactly as it receives a
+		// foreground write after the placement survey.
+		if r.wiped || s.faultCheck(cg, r.sv.node, cluster.FaultDiskWrite) != nil {
 			continue
 		}
-		cg.rpc(sv.node, len(data), 64, 0)
-		cg.diskWrite(sv.node, len(data))
-		s.walAppendMigChunk(cg, sv, migPhaseChunk, h, id, srcVer, data)
-		res.logged |= bit
-		if src.stale {
-			// A copy from a stale source misses the same writes the source
-			// does; the destination inherits the debt.
-			res.owed |= bit
-		}
-		res.installs = append(res.installs, migInstall{node: o, data: data, ver: srcVer})
+		cg.rpc(r.sv.node, len(data), 64, 0)
+		cg.diskWrite(r.sv.node, len(data))
+		s.walAppendMigChunk(cg, r.sv, migPhaseChunk, h, id, srcVer, data)
+		res.logged |= r.bit()
+		res.installs = append(res.installs, migInstall{node: int(r.sv.node), data: data, ver: srcVer})
+		reached = true
 	}
-	// Holders outside the replica set drop their copy (buffered, so the
-	// drop replays atomically with the batch's installs).
-	for i, sv := range s.servers {
-		if holderBits&(1<<uint(i)) == 0 || ownerBits&(1<<uint(i)) != 0 {
+	// Holders outside the replica set drop their copy (buffered, so the drop
+	// replays atomically with the batch's installs) — but never the last
+	// copy of a version no owner holds yet.
+	for i := range sy.reps {
+		r := &sy.reps[i]
+		if r.owner || !reached || r.ver > srcVer {
 			continue
 		}
-		s.walAppendMigChunk(cg, sv, migPhaseDelete, h, id, 0, nil)
-		res.logged |= 1 << uint(i)
-		res.deletes = append(res.deletes, i)
+		s.walAppendMigChunk(cg, r.sv, migPhaseDelete, h, id, 0, nil)
+		res.logged |= r.bit()
+		res.deletes = append(res.deletes, int(r.sv.node))
 	}
 	return res
 }
@@ -784,19 +597,4 @@ func (s *Store) revalidateBatch(cg *charge, results []migResult) {
 			}
 		}
 	}
-}
-
-// setChunkIfNewer installs data at ver unless the server already holds the
-// chunk at that version or newer (a concurrent foreground write won the
-// race). Returns whether the install happened.
-func (sv *server) setChunkIfNewer(h uint64, id chunkID, data []byte, ver uint64) bool {
-	st := sv.stripe(h)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.ver[id] >= ver {
-		return false
-	}
-	st.m[id] = data
-	st.ver[id] = ver
-	return true
 }

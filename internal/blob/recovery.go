@@ -290,7 +290,7 @@ func (s *Store) Recover(node cluster.NodeID) error {
 				// SHORTER than what an older replayed write grew (the source
 				// may have been trimmed), so the grow-only applyRecovered
 				// merge would keep a stale tail. The version guard mirrors
-				// the live install (setChunkIfNewer): a newer foreground
+				// the live install (installChunk): a newer foreground
 				// write logged before the copy wins.
 				for id, pw := range migPend {
 					if pw.ver > vers[id] {
@@ -611,14 +611,18 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 //
 //  1. every descriptor on a primary is present on all of its replicas with
 //     the same size;
-//  2. every chunk replica belongs to a live blob and lies within its size;
-//  3. replicas of one chunk hold identical bytes — except replicas named in
-//     the chunk's repair-debt mask (unioned across owners), which a
-//     degraded write is allowed to leave behind until repair clears them.
+//  2. every chunk replica an owner holds belongs to a live blob and lies
+//     within its size;
+//  3. version honesty: all holders of a chunk's maximum version (strays
+//     included) hold identical bytes;
+//  4. work-list completeness: an owner may sit behind that maximum only
+//     while some repair-debt entry names it — a behind owner nobody lists
+//     would look clean to the read path.
 //
-// It returns a description of the first violation found, or "". After every
-// node has rejoined and repair drained (RepairPending() == 0), the debt
-// exemption is vacuous and the full strict check applies.
+// Crash-wiped servers are skipped: nothing can be said about them until they
+// recover. It returns a description of the first violation found, or "".
+// After every node has rejoined and repair drained (RepairPending() == 0),
+// rule 4 has no exemption left and every owner must hold the maximum.
 func (s *Store) CheckInvariants() string {
 	for i, sv := range s.servers {
 		sv.mu.RLock()
@@ -657,53 +661,58 @@ func (s *Store) CheckInvariants() string {
 		}
 	}
 
-	// Chunk-level checks from each chunk primary's view.
-	for i, sv := range s.servers {
-		var ids []chunkID
-		sv.forEachChunk(func(id chunkID, _ []byte, _ uint64) {
-			ids = append(ids, id)
-		})
-		for _, id := range ids {
-			h := id.ringHash()
-			owners := s.ownersForHash(h)
-			if owners[0] != i {
+	// Chunk-level checks, once per chunk any server holds.
+	listed := make(map[chunkID]uint64)
+	held := make(map[chunkID]bool)
+	for _, sv := range s.servers {
+		sv.forEachDebt(func(id chunkID, mask uint64) { listed[id] |= mask })
+		sv.forEachChunk(func(id chunkID, _ []byte, _ uint64) { held[id] = true })
+	}
+	ids := make([]chunkID, 0, len(held))
+	for id := range held {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i].less(ids[j]) })
+	for _, id := range ids {
+		h := id.ringHash()
+		owners := s.ownersForHash(h)
+		var maxVer uint64
+		var ref *server
+		var refData []byte
+		ownerHeld := false
+		for i, sv := range s.servers {
+			if sv.isWiped() {
 				continue
 			}
-			_, d, err := s.primaryDesc(id.key)
-			if err != nil {
-				return fmt.Sprintf("chunk %d of %q has no live blob", id.idx, id.key)
+			data, ver, ok := sv.copyChunk(h, id)
+			ownerHeld = ownerHeld || ok && containsNode(owners, i)
+			if ok && (ref == nil || ver > maxVer) {
+				maxVer, ref, refData = ver, sv, data
+			} else if ok && ver == maxVer && string(data) != string(refData) {
+				return fmt.Sprintf("chunk %d of %q diverges at v%d between node %d and node %d", id.idx, id.key, ver, ref.node, i)
 			}
-			d.latch.RLock()
-			size := d.size
-			d.latch.RUnlock()
-			if id.idx*int64(s.cfg.ChunkSize) >= size {
-				return fmt.Sprintf("chunk %d of %q lies beyond blob size %d", id.idx, id.key, size)
+		}
+		if !ownerHeld {
+			continue // strays only: the next sweep reconciles them
+		}
+		_, d, err := s.primaryDesc(id.key)
+		if err != nil {
+			return fmt.Sprintf("chunk %d of %q has no live blob", id.idx, id.key)
+		}
+		d.latch.RLock()
+		size := d.size
+		d.latch.RUnlock()
+		if id.idx*int64(s.cfg.ChunkSize) >= size {
+			return fmt.Sprintf("chunk %d of %q lies beyond blob size %d", id.idx, id.key, size)
+		}
+		for _, o := range owners {
+			sv := s.servers[o]
+			if sv.isWiped() || listed[id]&(1<<uint(o)) != 0 {
+				continue
 			}
-			// Union the debt mask across owners; replicas it names missed
-			// degraded writes and legitimately diverge until repaired.
-			var stale uint64
-			for _, o := range owners {
-				stale |= s.servers[o].debtMask(h, id)
-			}
-			refNode := -1
-			var refData []byte
-			var refVer uint64
-			for _, o := range owners {
-				if o < 64 && stale&(1<<uint(o)) != 0 {
-					continue
-				}
-				data, ver, _ := s.servers[o].copyChunk(h, id)
-				if refNode < 0 {
-					refNode, refData, refVer = o, data, ver
-					continue
-				}
-				if ver != refVer {
-					return fmt.Sprintf("chunk %d of %q version diverges between node %d (v%d) and node %d (v%d)",
-						id.idx, id.key, refNode, refVer, o, ver)
-				}
-				if string(data) != string(refData) {
-					return fmt.Sprintf("chunk %d of %q diverges between node %d and node %d", id.idx, id.key, refNode, o)
-				}
+			if ver := sv.chunkVer(h, id); ver < maxVer {
+				return fmt.Sprintf("chunk %d of %q: node %d holds v%d behind v%d on node %d and no debt entry names it",
+					id.idx, id.key, o, ver, maxVer, ref.node)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -156,74 +155,26 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	return s.deleteLocked(ctx, oldKey, oldPrimary, oldD)
 }
 
-// snapshotChunk reads one chunk's stored bytes for the rename copy,
-// following readChunk's replica-selection rules exactly (first live owner
-// on the healthy fast path; freshest non-stale live owner while repair debt
-// is outstanding anywhere). Unlike readChunk it returns the bytes the
-// replica actually holds — no zero-fill to the logical chunk span — with
-// ok=false for a chunk no replica stores, so sparse holes survive the copy.
-func (s *Store) snapshotChunk(cg *charge, id chunkID) ([]byte, bool, error) {
-	h := id.ringHash()
-	owners := s.ownersForHash(h)
-	// Migration forces the checked path for the same reason it does in
-	// readChunk: a gained owner awaiting its copy must not serve the
-	// snapshot empty or stale.
-	if s.repairPending.Load() != 0 || s.migrating.Load() != 0 {
-		var stale uint64
-		for _, o := range owners {
-			st := s.servers[o].stripe(h)
-			st.mu.RLock()
-			stale |= st.debt[id]
-			st.mu.RUnlock()
+// snapshotChunk reads one chunk's stored bytes for the rename copy off the
+// replica readChunk would use — the same serveChunk rule, so the two cannot
+// diverge. Unlike readChunk it returns the bytes the replica actually holds —
+// no zero-fill to the logical chunk span — with ok=false for a chunk no
+// replica stores, so sparse holes survive the copy.
+//
+// Only the source-side disk read is charged — the repair/rebalance
+// accounting for server-to-server movement. The data-bearing network hop is
+// the write path's payload RPC to the target primary (writeLocked), so
+// charging a response transfer here would bill the bytes for a trip through
+// a client they never take. This is where the rename fast path beats the
+// client-side copy loop it replaces: R+1 data transfers per chunk become R.
+func (s *Store) snapshotChunk(cg *charge, id chunkID) (data []byte, ok bool, err error) {
+	err = s.serveChunk(cg, id, func(sv *server, h, want uint64) bool {
+		var ver uint64
+		if data, ver, ok = sv.copyChunk(h, id); want != anyVer && ver != want {
+			return false
 		}
-		var maxVer uint64
-		found := false
-		for _, o := range owners {
-			sv := s.servers[o]
-			if sv.isDown() || (o < 64 && stale&(1<<uint(o)) != 0) {
-				continue
-			}
-			if v := sv.chunkVer(h, id); !found || v > maxVer {
-				maxVer = v
-				found = true
-			}
-		}
-		if found {
-			for _, o := range owners {
-				sv := s.servers[o]
-				if sv.isDown() || (o < 64 && stale&(1<<uint(o)) != 0) || sv.chunkVer(h, id) != maxVer {
-					continue
-				}
-				if s.faultCheck(cg, sv.node, cluster.FaultDiskRead) != nil {
-					continue
-				}
-				return s.snapshotReplica(cg, sv, h, id)
-			}
-		}
-		return nil, false, fmt.Errorf("chunk %d of %q: no fresh live replica: %w", id.idx, id.key, storage.ErrUnavailable)
-	}
-	for _, o := range owners {
-		sv := s.servers[o]
-		if sv.isDown() {
-			continue
-		}
-		if s.faultCheck(cg, sv.node, cluster.FaultDiskRead) != nil {
-			continue
-		}
-		return s.snapshotReplica(cg, sv, h, id)
-	}
-	return nil, false, fmt.Errorf("chunk %d of %q: all replicas down: %w", id.idx, id.key, storage.ErrUnavailable)
-}
-
-// snapshotReplica copies the chunk off one replica, charging only the
-// source-side disk read — the repair/rebalance accounting for server-to-
-// server movement. The data-bearing network hop is the write path's
-// payload RPC to the target primary (writeLocked), so charging a response
-// transfer here would bill the bytes for a trip through a client they
-// never take. This is where the rename fast path beats the client-side
-// copy loop it replaces: R+1 data transfers per chunk become R.
-func (s *Store) snapshotReplica(cg *charge, sv *server, h uint64, id chunkID) ([]byte, bool, error) {
-	data, _, ok := sv.copyChunk(h, id)
-	cg.diskRead(sv.node, len(data))
-	return data, ok, nil
+		cg.diskRead(sv.node, len(data))
+		return true
+	})
+	return data, ok, err
 }

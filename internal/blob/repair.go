@@ -9,33 +9,28 @@ import (
 	"repro/internal/wal"
 )
 
-// repair.go — rejoin resync: the background pass that pays down the repair
-// debt degraded writes accumulate (io.go) so a node that was down converges
-// back to byte-identical replicas before its copies are ever served.
+// repair.go — the repair work list. Debt entries (RecRepairNeeded, a per-chunk
+// bitmask of owners on each holder) name the replicas known to be behind; they
+// decide nothing about freshness (survey.go does, from versions alone) and
+// exist so the store knows it is not clean and where the work is. Three
+// generators feed the same pull (pullChunk: survey, snapshot the best live
+// source, version-guarded installChunk):
 //
-// Two mechanisms cooperate:
+//   - debt entries (Repair): a degraded write lists, on every
+//     owner that applied it, the owners it excluded. An entry for target T on
+//     holder H clears once ver(T) ≥ ver(H).
+//   - the rejoin sweep (resyncNode): a crash can tear a WAL lane tail and drop
+//     acknowledged writes — and the debt records naming them — so Recover
+//     compares versions with the live peers BEFORE marking the node up, pulls
+//     what is newer, and lists whoever is left behind (oweBehind).
+//   - the ring diff (rebalance.go), which batches its installs under 2PC.
 //
-//   - Debt-driven repair (Repair / repairNode): degraded writes record, on
-//     every surviving owner, a per-chunk bitmask of the owners that missed
-//     the write (RecRepairNeeded). Repair copies the freshest fresh-owner
-//     version onto each owed live node and clears its bit, guarded by the
-//     chunk version so a racing degraded write's fresh debt is never erased.
-//   - Version resync (resyncNode): a crash can tear a WAL lane tail and
-//     silently drop acknowledged writes that NO debt record names (every
-//     replica applied them; only this node's log lost them). Recover
-//     therefore sweeps the live peers' chunk tables, compares per-chunk
-//     versions, and pulls anything newer BEFORE marking the node up.
-//
-// Both run on the dispatch pool as ordinary fan tasks and obey the
-// dispatch.go contract: stripe locks and WAL appends only (short-hold /
-// bounded-wait), never the per-blob descriptor latch, never a nested pool
-// wait. Repair and rebalance coordinate through the ring epoch: a repair
-// round snapshots the epoch and every per-chunk task re-checks it, bailing
-// out when membership changed underneath (migrate re-records surviving debt
-// against the new owner set, so nothing is lost by bailing).
+// All run on the dispatch pool as ordinary fan tasks and obey the dispatch.go
+// contract: stripe locks and WAL appends only (short-hold / bounded-wait),
+// never the per-blob descriptor latch, never a nested pool wait.
 
 // repairItem is one chunk's outstanding debt restricted to the targets a
-// repair round will actually service.
+// repair round will service.
 type repairItem struct {
 	id   chunkID
 	mask uint64
@@ -44,23 +39,17 @@ type repairItem struct {
 // Repair drains every outstanding repair-debt entry whose owed node is
 // currently live, returning the number of per-chunk repair tasks that made
 // progress. Debt owed to still-down nodes remains until they rejoin
-// (SetDown / Recover trigger the node-scoped drain automatically).
+// (SetDown / Recover run the drain automatically).
 func (s *Store) Repair(ctx *storage.Context) int {
 	return s.repairDrain(ctx, cluster.NodeID(-1))
 }
 
-// repairNode drains the debt owed to one node, looping until no entry names
-// it or no progress can be made (node re-downed, no fresh live source yet).
-// Called by SetDown(node, false) and Recover after the node is serving.
-func (s *Store) repairNode(ctx *storage.Context, node cluster.NodeID) int {
-	return s.repairDrain(ctx, node)
-}
-
-// repairDrain is the shared drain loop. only < 0 targets every live owed
-// node; otherwise only that node's bit is serviced. Each round fans the
-// collected items across the worker pool and re-collects; it terminates
-// when a round finds no debt or clears nothing (progress is required so an
-// unreachable target cannot spin the loop).
+// repairDrain is the drain loop. only < 0 services every owed node; otherwise
+// only that node's bit (a writer whose excluded owner rejoined mid-write),
+// ending early if that node goes down again. Each round fans the collected
+// items across the worker pool and re-collects; it terminates when a round
+// finds no debt or clears nothing (progress is required so an unreachable
+// target cannot spin the loop).
 func (s *Store) repairDrain(ctx *storage.Context, only cluster.NodeID) int {
 	total := 0
 	for {
@@ -71,14 +60,13 @@ func (s *Store) repairDrain(ctx *storage.Context, only cluster.NodeID) int {
 		if len(work) == 0 {
 			return total
 		}
-		epoch := s.ring.Epoch()
 		var progressed atomic.Int64
 		fan := s.newFan()
 		for _, w := range work {
 			w := w
 			t := fan.task(taskFunc)
 			t.fn = func(cg *charge) error {
-				if s.repairChunk(cg, w.id, w.mask, epoch) {
+				if s.repairChunk(cg, w.id, w.mask) {
 					progressed.Add(1)
 				}
 				return nil
@@ -93,9 +81,10 @@ func (s *Store) repairDrain(ctx *storage.Context, only cluster.NodeID) int {
 	}
 }
 
-// collectDebt unions the per-chunk debt masks across every server, restricts
-// them to serviceable targets (the one node asked for, or every live owed
-// node), and returns the items sorted for deterministic fan submission.
+// collectDebt unions the per-chunk debt masks across every server (a mask
+// may sit on a drained node or a stray holder), restricts them to the one
+// node asked for, and returns the items sorted for deterministic fan
+// submission.
 func (s *Store) collectDebt(only cluster.NodeID) []repairItem {
 	union := make(map[chunkID]uint64)
 	for _, sv := range s.servers {
@@ -106,136 +95,100 @@ func (s *Store) collectDebt(only cluster.NodeID) []repairItem {
 	items := make([]repairItem, 0, len(union))
 	for id, mask := range union {
 		if only >= 0 {
-			bit := uint64(1) << uint(only)
-			if mask&bit == 0 {
-				continue
-			}
-			mask = bit
-		} else {
-			var live uint64
-			for o := 0; o < len(s.servers) && o < 64; o++ {
-				if mask&(1<<uint(o)) != 0 && !s.servers[o].isDown() {
-					live |= 1 << uint(o)
-				}
-			}
-			if live == 0 {
-				continue
-			}
-			mask = live
+			mask &= 1 << uint(only)
 		}
-		items = append(items, repairItem{id: id, mask: mask})
+		if mask != 0 {
+			items = append(items, repairItem{id: id, mask: mask})
+		}
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].id.key != items[j].id.key {
-			return items[i].id.key < items[j].id.key
-		}
-		return items[i].id.idx < items[j].id.idx
-	})
+	sort.Slice(items, func(i, j int) bool { return items[i].id.less(items[j].id) })
 	return items
 }
 
-// repairChunk services one chunk's owed targets. It re-checks the ring
-// epoch (membership moved: bail, migrate carried the debt to the new owner
-// set) and the live debt union (a racing repair may already have cleared
-// bits). Reports whether any target made progress.
-func (s *Store) repairChunk(cg *charge, id chunkID, owed uint64, epoch uint64) bool {
-	if s.ring.Epoch() != epoch {
-		return false
-	}
+// repairChunk services one chunk's owed targets: pull the best live copy
+// onto each live owner named, then clear its bit on every holder it caught
+// up with. A bit naming a non-owner was orphaned by a membership change —
+// that node will never serve the chunk — and clears outright. Owners are
+// resolved here, at execution time, so a membership change between collection
+// and this task needs no other coordination. Reports whether anything
+// changed; a target whose only newer source is down makes no progress, which
+// is what stops the drain loop.
+func (s *Store) repairChunk(cg *charge, id chunkID, owed uint64) bool {
 	h := id.ringHash()
-	owners := s.ownersForHash(h)
-	var stale uint64
-	for _, o := range owners {
-		stale |= s.servers[o].debtMask(h, id)
-	}
-	owed &= stale
+	sy := s.surveyChunk(h, id, nil)
 	progress := false
-	for _, o := range owners {
-		if o >= 64 || owed&(1<<uint(o)) == 0 {
+	for node, sv := range s.servers {
+		bit := uint64(1) << uint(node)
+		if owed&bit == 0 {
 			continue
 		}
-		target := s.servers[o]
-		if target.isDown() {
-			continue
+		upTo := anyVer // a non-owner's bit clears whatever the holder's version
+		if t := sy.find(sv); t != nil && t.owner {
+			if !t.live {
+				continue
+			}
+			var installed bool
+			if upTo, installed = s.pullChunk(cg, &sy, t, h, id, "blob.repair"); installed {
+				progress = true
+			}
 		}
-		if s.repairReplica(cg, h, id, owners, target, stale) {
-			progress = true
+		for _, holder := range s.servers {
+			if s.clearDebt(cg, holder, h, id, bit, upTo) {
+				progress = true
+			}
 		}
 	}
 	return progress
 }
 
-// repairReplica copies the freshest fresh-owner version of the chunk onto
-// target (only if strictly newer than what target holds — a concurrent
-// writer may already have covered it) and clears target's debt bit on every
-// holder. The install and the clear are both guarded by version: the
-// install never moves target backwards, and the clear is capped at the
-// version repaired to (clearDebt's upTo), so a degraded write that lands a
-// NEWER version concurrently keeps its debt. Never holds two stripe locks
-// at once.
-func (s *Store) repairReplica(cg *charge, h uint64, id chunkID, owners []int, target *server, stale uint64) bool {
-	var src *server
-	var srcData []byte
-	var srcVer uint64
-	for _, o := range owners {
-		sv := s.servers[o]
-		if sv == target || sv.isDown() {
-			continue
-		}
-		if o < 64 && stale&(1<<uint(o)) != 0 {
-			continue // a stale replica must never seed a repair
-		}
-		if data, ver, ok := sv.copyChunk(h, id); ok && (src == nil || ver > srcVer) {
-			src, srcData, srcVer = sv, data, ver
-		}
+// pullChunk brings the surveyed replica me up to the best live copy the
+// survey found: the source is snapshotted under its stripe RLock, installed
+// under the target's stripe lock, and the two are never held together — the
+// version guard at install, not lock coverage, keeps a racing writer's newer
+// data. The survey is updated with what the copy saw. Returns me's version
+// afterwards and whether bytes went in (counted under kind.chunks/.bytes).
+func (s *Store) pullChunk(cg *charge, sy *chunkSurvey, me *replica, h uint64, id chunkID, kind string) (uint64, bool) {
+	src := sy.source(me.sv, false)
+	if src == nil || src.ver <= me.ver ||
+		s.faultCheck(cg, src.sv.node, cluster.FaultDiskRead) != nil ||
+		s.faultCheck(cg, me.sv.node, cluster.FaultDiskWrite) != nil {
+		return me.ver, false
 	}
-	if src == nil {
-		return false // no fresh live source right now; a later round retries
+	data, ver, ok := src.sv.copyChunk(h, id)
+	if !ok {
+		return me.ver, false
 	}
-	if s.faultCheck(cg, src.node, cluster.FaultDiskRead) != nil ||
-		s.faultCheck(cg, target.node, cluster.FaultDiskWrite) != nil {
-		return false
+	cg.diskRead(src.sv.node, len(data))
+	var installed bool
+	if me.ver, installed = s.installChunk(cg, me.sv, h, id, data, ver); installed {
+		s.metrics.Counter(kind + ".chunks").Inc()
+		s.metrics.Counter(kind + ".bytes").Add(int64(len(data)))
 	}
-	cg.diskRead(src.node, len(srcData))
-	cg.rpc(target.node, len(srcData), 64, 0)
-	st := target.stripe(h)
+	src.ver = max(src.ver, ver)
+	sy.max = max(sy.max, ver)
+	return me.ver, installed
+}
+
+// recordDebt merges owed into the chunk's debt mask on sv and logs the
+// updated mask durably (RecRepairNeeded, full-mask overwrite semantics).
+// Mask update and log append happen under the stripe lock so the mask
+// history in the log matches the in-memory ordering; the lane append may
+// park as a group-commit follower, but a lane leader never takes stripe
+// locks, so the lock order is acyclic (see the dispatch.go contract).
+func (s *Store) recordDebt(cg *charge, sv *server, h uint64, id chunkID, owed uint64) {
+	st := sv.stripe(h)
 	st.mu.Lock()
-	upTo := st.ver[id]
-	installed := false
-	if srcVer > upTo {
-		st.m[id] = srcData
-		st.ver[id] = srcVer
-		upTo = srcVer
-		installed = true
-		// Durable on the target too: a crash after repair must not resurrect
-		// the stale bytes. Append-under-stripe-lock is the recordDebt
-		// pattern — acyclic, a lane leader never takes stripe locks.
-		s.walAppendChunk(cg, target, wal.RecWrite, h, id, 0, srcVer, srcData)
-		cg.diskWrite(target.node, len(srcData))
-		s.metrics.Counter("blob.repair.chunks").Inc()
-		s.metrics.Counter("blob.repair.bytes").Add(int64(len(srcData)))
-	}
-	tracef("repairReplica target=%d id=%s/%d src=%d srcVer=%d upTo=%d installed=%v", target.node, id.key, id.idx, src.node, srcVer, upTo, installed)
+	mask := st.debt[id] | owed
+	sv.setDebtLocked(st, id, mask)
+	s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil)
+	tracef("recordDebt node=%d id=%s/%d owed=%x mask=%x ver=%d", sv.node, id.key, id.idx, owed, mask, st.ver[id])
 	st.mu.Unlock()
-	bit := uint64(1) << uint(target.node)
-	cleared := false
-	for _, o := range owners {
-		if s.clearDebt(cg, s.servers[o], h, id, bit, upTo) {
-			cleared = true
-		}
-	}
-	// Progress only if something actually changed. A debt bit held solely
-	// by a holder NEWER than any live source (e.g. the sole fresh copy is
-	// on a down node) is unserviceable this round: the install is a no-op
-	// and the version guard rightly refuses the clear. Reporting progress
-	// there would spin the drain loop.
-	return installed || cleared
 }
 
 // clearDebt removes bit from the chunk's debt mask on sv and logs the
-// reduced mask, but only while sv has not seen a write newer than upTo —
-// a holder at a newer version recorded (or is about to record, under this
-// same stripe lock's ordering) debt the repair pass has not serviced yet.
+// reduced mask, but only while sv holds nothing newer than upTo, the version
+// the named target reached: a holder past it recorded (or is about to record,
+// under this same stripe lock's ordering) a write the target still misses.
 func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bit, upTo uint64) bool {
 	st := sv.stripe(h)
 	st.mu.Lock()
@@ -251,14 +204,33 @@ func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bit, upT
 	return cleared
 }
 
-// resyncNode pulls, onto the still-down sv, every chunk version a live peer
-// holds newer than sv's own copy. Recover runs this after replaying sv's
-// log and BEFORE marking sv up: the merged-replay prefix contract discards
-// everything behind a torn lane tail, including acknowledged writes that no
-// surviving debt record names (all replicas applied them — only sv's log
-// lost them), and version comparison against the peers is the only way to
-// find those. Chunks whose debt mask names sv are skipped here; the
-// post-rejoin repairNode pass services them with full debt bookkeeping.
+// oweBehind lists every non-wiped owner the survey found behind the chunk's
+// maximum as repair debt on every holder of that maximum (soft-down holders
+// included: retained memory and log stay mutable). This is work-list
+// completeness — a replica that may not serve is named by some entry, so the
+// store never looks clean around it. A concurrent writer can make a peer look
+// transiently behind; the spurious bit clears at the next repair pass.
+func (s *Store) oweBehind(cg *charge, h uint64, id chunkID, sy *chunkSurvey) {
+	behind, _ := sy.behind()
+	if behind == 0 {
+		return
+	}
+	for i := range sy.reps {
+		if r := &sy.reps[i]; !r.wiped && r.ver == sy.max {
+			s.recordDebt(cg, r.sv, h, id, behind)
+		}
+	}
+}
+
+// resyncNode converges the still-down sv with its peers, chunk by chunk:
+// pull what a live peer holds newer, list whoever is then behind. Recover
+// runs this after replaying sv's log and BEFORE marking sv up: the
+// merged-replay prefix contract discards everything behind a torn lane tail,
+// including acknowledged writes together with the debt records that named
+// them, and version comparison is the only witness left. It runs both ways —
+// sv's replayed version is authoritative for what it holds (RecWrite is only
+// logged for applied, acknowledged writes), so a peer behind it missed
+// writes even if the record saying so was torn off.
 //
 // Quiescence is NOT required: sv is still down, so writers neither read nor
 // update its copies beyond the retained-memory applies, and those only move
@@ -266,7 +238,7 @@ func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bit, upT
 func (s *Store) resyncNode(sv *server) {
 	// Candidates: everything the live peers hold (what sv might have to
 	// pull) plus everything sv itself replayed (chunks the peers might be
-	// missing outright — the bidirectional check below needs those too).
+	// missing outright).
 	candidates := make(map[chunkID]bool)
 	for _, peer := range s.servers {
 		if peer != sv && peer.isDown() {
@@ -283,15 +255,9 @@ func (s *Store) resyncNode(sv *server) {
 	for id := range candidates {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].key != ids[j].key {
-			return ids[i].key < ids[j].key
-		}
-		return ids[i].idx < ids[j].idx
-	})
+	sort.Slice(ids, func(i, j int) bool { return ids[i].less(ids[j]) })
 	ctx := storage.NewContext()
 	cg := s.directCharge(ctx)
-	mine := int(sv.node)
 
 	// Descriptors resync FIRST: the chunk sweep below uses the adopted
 	// blob extents to tell a resurrected chunk (sv replayed a write whose
@@ -302,15 +268,7 @@ func (s *Store) resyncNode(sv *server) {
 
 	for _, id := range ids {
 		h := id.ringHash()
-		owners := s.ownersForHash(h)
-		member := false
-		for _, o := range owners {
-			if o == mine {
-				member = true
-				break
-			}
-		}
-		if !member {
+		if !containsNode(s.ownersForHash(h), int(sv.node)) {
 			continue
 		}
 		// Deletion gating: a torn tail loses a delete or truncate record as
@@ -332,138 +290,15 @@ func (s *Store) resyncNode(sv *server) {
 			extents[id.key] = ext
 		}
 		if ext.known && (!ext.exists || id.idx*int64(s.cfg.ChunkSize) >= ext.size) {
-			st := sv.stripe(h)
-			st.mu.Lock()
-			if _, have := st.m[id]; have {
-				delete(st.m, id)
-				delete(st.ver, id)
-				sv.setDebtLocked(st, id, 0)
-				tracef("resyncDrop node=%d id=%s/%d beyond extent (size=%d exists=%v)", sv.node, id.key, id.idx, ext.size, ext.exists)
-			}
-			st.mu.Unlock()
+			tracef("resyncDrop node=%d id=%s/%d beyond extent (size=%d exists=%v)", sv.node, id.key, id.idx, ext.size, ext.exists)
+			sv.deleteChunk(h, id)
 			continue
 		}
-		// Staleness here is the REFINED claim, not the raw debt union: a
-		// debt bit for peer p only proves p missed a write if some holder
-		// asserting it has a HIGHER chunk version than p (exclusion freezes
-		// a genuinely stale replica's version below the excluding write, so
-		// a real claim always has such a holder). sv's own replayed mask
-		// can be a resurrected OLD record — the tear that dropped sv's tail
-		// also dropped the clearDebt records logged after its peers were
-		// repaired — and trusting it raw would make resync distrust exactly
-		// the fresh peers it must pull from. A vacuous bit is left for the
-		// post-rejoin repair pass to clear (version-guarded, same rule).
-		var stale uint64
-		for _, o := range owners {
-			if o >= 64 {
-				continue
-			}
-			m := s.servers[o].debtMask(h, id)
-			if m == 0 {
-				continue
-			}
-			hv := s.servers[o].chunkVer(h, id)
-			for _, p := range owners {
-				if p >= 64 || p == o {
-					continue
-				}
-				if m&(1<<uint(p)) != 0 && hv > s.servers[p].chunkVer(h, id) {
-					stale |= 1 << uint(p)
-				}
-			}
+		sy := s.surveyChunk(h, id, nil)
+		if me := sy.find(sv); me != nil {
+			s.pullChunk(&cg, &sy, me, h, id, "blob.resync")
 		}
-		if mine < 64 && stale&(1<<uint(mine)) != 0 {
-			continue // owed by real debt: repairNode handles it after rejoin
-		}
-		var src *server
-		var srcData []byte
-		var srcVer uint64
-		for _, o := range owners {
-			peer := s.servers[o]
-			if peer == sv || peer.isDown() {
-				continue
-			}
-			if o < 64 && stale&(1<<uint(o)) != 0 {
-				continue
-			}
-			if data, ver, ok := peer.copyChunk(h, id); ok && (src == nil || ver > srcVer) {
-				src, srcData, srcVer = peer, data, ver
-			}
-		}
-		var myVer uint64
-		if src != nil {
-			cg.diskRead(src.node, len(srcData))
-			cg.rpc(sv.node, len(srcData), 64, 0)
-		}
-		st := sv.stripe(h)
-		st.mu.Lock()
-		if src != nil && srcVer > st.ver[id] {
-			tracef("resyncPull node=%d id=%s/%d src=%d srcVer=%d had=%d", sv.node, id.key, id.idx, src.node, srcVer, st.ver[id])
-			st.m[id] = srcData
-			st.ver[id] = srcVer
-			s.walAppendChunk(&cg, sv, wal.RecWrite, h, id, 0, srcVer, srcData)
-			cg.diskWrite(sv.node, len(srcData))
-			s.metrics.Counter("blob.resync.chunks").Inc()
-			s.metrics.Counter("blob.resync.bytes").Add(int64(len(srcData)))
-		}
-		myVer = st.ver[id]
-		st.mu.Unlock()
-
-		// The sweep is bidirectional. A degraded write acked by a single
-		// included owner leaves that owner holding both the only copy of
-		// the data AND the only RecRepairNeeded naming the peers that
-		// missed it; if that owner is the one crashing, a torn lane tail
-		// can keep the data record yet drop the debt record — replay then
-		// knows the bytes but has forgotten the peers are stale. sv's
-		// replayed version is authoritative for what it holds (RecWrite is
-		// only logged for applied, acknowledged writes, and deletes and
-		// truncates replicate to every owner's log including down ones),
-		// so any owner behind it that no surviving debt record names must
-		// have missed writes: re-record the debt and let repair
-		// re-install. Concurrent writers can make a peer look transiently
-		// behind; the spurious bit that records is cleared by the next
-		// repair pass after a full-chunk install, never by a stale one.
-		var behind uint64
-		for _, o := range owners {
-			if o == mine || o >= 64 {
-				continue
-			}
-			if stale&(1<<uint(o)) != 0 {
-				continue
-			}
-			// Soft-down peers count on both sides of the comparison: their
-			// retained memory still answers version probes. Crash-wiped
-			// peers do NOT — their memory is gone until their own Recover
-			// replays it, so any comparison against them is noise (a full
-			// cluster recovery would otherwise record spurious debt naming
-			// every not-yet-recovered node).
-			if s.servers[o].isWiped() {
-				continue
-			}
-			v := s.servers[o].chunkVer(h, id)
-			if v != myVer {
-				tracef("resyncSweep node=%d id=%s/%d peer=%d peerVer=%d myVer=%d", sv.node, id.key, id.idx, o, v, myVer)
-			}
-			if v < myVer {
-				behind |= 1 << uint(o)
-			} else if v > myVer && mine < 64 {
-				// A fresh peer is ahead of sv and the pull above could not
-				// service it (the peer is down, or a fault blocked the
-				// copy). The classic shape: sv was repaired, its installed
-				// write record was torn off with the crash, and the repair
-				// had already cleared sv's debt bit everywhere — replay
-				// legitimately shows no debt, yet sv is behind. Record
-				// sv's bit ON THE AHEAD PEER: the debt-on-fresh-holder
-				// invariant is what keeps clearDebt's version guard sound
-				// (the bit only clears once a repair reaches the peer's
-				// version), and the read path unions debt across all
-				// owners, so sv is skipped until the re-install lands.
-				s.recordDebt(&cg, s.servers[o], h, id, 1<<uint(mine))
-			}
-		}
-		if behind != 0 {
-			s.recordDebt(&cg, sv, h, id, behind)
-		}
+		s.oweBehind(&cg, h, id, &sy)
 	}
 }
 

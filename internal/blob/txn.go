@@ -143,9 +143,10 @@ func (t *Txn) Commit() error {
 	// Validation phase: every recorded read version must be current.
 	for _, p := range parts {
 		if want, ok := t.reads[p.key]; ok && p.desc.version != want {
+			got := p.desc.version // read under the latch, not after unlock
 			unlock()
 			return fmt.Errorf("txn commit %q: version %d != read %d: %w",
-				p.key, p.desc.version, want, storage.ErrTxnConflict)
+				p.key, got, want, storage.ErrTxnConflict)
 		}
 	}
 

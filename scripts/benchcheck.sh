@@ -35,6 +35,11 @@
 # batteries, so failure-domain regressions fail here before any number is
 # recorded.
 #
+# The freshness stress stage then reruns exactly those two tests twenty
+# times at 1, 2 and 4 procs, once plain and once under -race (ROADMAP item
+# 1): every stale read on record was a scheduler-dependent interleaving a
+# single pass misses, and the bar is zero failures, not "rare".
+#
 # The hot-path, recovery, and faults micro-benchmarks then run with
 # allocation accounting and the results (including the WAL lane-count
 # sweeps) land in BENCH_hotpath.json, BENCH_recovery.json, and
@@ -85,6 +90,8 @@ for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
 		go test -run '^$' -fuzz "^${fz}\$" -fuzztime 10s "$pkg"
 	done
 done
+go test -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
+go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 scripts/examples.sh
 go test -run '^$' -bench 'HotPath|Recover|Fault' -benchmem -benchtime=1s .
 go run ./cmd/benchsuite -exp hotpath -hotpath-out "$out" -hotpath-baseline BENCH_hotpath.json
