@@ -53,8 +53,9 @@
 //     the caller's buffer to the log medium in exactly one copy.
 //     Multi-record operations batch same-(server,lane) records through
 //     AppendNV.
-//   - goroutine fan-out: per-chunk work executes on a bounded worker pool
-//     (dispatch.go) with resource charges recorded into per-task ledgers
+//   - goroutine fan-out: per-chunk work runs on the goroutine that joins
+//     the fan, with idle workers of a bounded pool stealing its tail
+//     (dispatch.go), and with resource charges recorded into per-task ledgers
 //     and folded into the shared cluster accounting at join, so real
 //     parallel execution keeps the sequential implementation's virtual
 //     clock semantics bit-for-bit. See dispatch.go for the concurrency
@@ -168,6 +169,7 @@ package blob
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -204,9 +206,10 @@ type Config struct {
 	// delete. This is the extension the paper's future work points toward.
 	IndexedScan bool
 	// InlineFanout executes fan-out tasks sequentially on the calling
-	// goroutine instead of the worker pool. Virtual-time results are
-	// identical by construction (charges fold at join either way); the
-	// knob exists as the determinism baseline and for debugging.
+	// goroutine, at spawn, and never offers them to the worker pool.
+	// Virtual-time results are identical by construction (charges fold at
+	// join either way); the knob exists as the determinism baseline and
+	// for debugging.
 	InlineFanout bool
 	// WALLanes is the number of sharded write-ahead-log lanes per server
 	// (wal.MultiLog): concurrent writers to chunks in different lanes do
@@ -385,6 +388,15 @@ type Store struct {
 	// retries, repaired chunks/bytes. Only event paths touch it, so the
 	// healthy hot path pays nothing.
 	metrics *metrics.Registry
+	// helpers caps the help tokens one fan posts: GOMAXPROCS, cached because
+	// reading it takes the scheduler lock. One more than can run beside the
+	// caller, on purpose: a token handed to a parked worker rides it into the
+	// poster's own run queue; only the tokens behind it wait in the channel
+	// for whichever worker wakes first (one fewer cost two barrier-coupled
+	// ranks' 16-chunk restart reads 5–15 % on 2 cores). fanOffered/fanHelped
+	// count tokens posted and tasks helpers ran, added once per join.
+	helpers               int
+	fanOffered, fanHelped *metrics.Counter
 
 	// member gates foreground ops against the instant the ring mutates:
 	// every placement-resolving op holds it shared for its whole duration,
@@ -658,7 +670,8 @@ func NewOnNodes(c *cluster.Cluster, cfg Config, serving []cluster.NodeID) *Store
 		}
 	}
 	s := &Store{cfg: cfg, cluster: c, ring: chash.New(cfg.VNodes), metrics: metrics.NewRegistry(),
-		migBatchHook: cfg.MigrationBatchHook}
+		migBatchHook: cfg.MigrationBatchHook, helpers: runtime.GOMAXPROCS(0)}
+	s.fanOffered, s.fanHelped = s.metrics.Counter("blob.fan.offered"), s.metrics.Counter("blob.fan.helped")
 	for _, n := range c.Nodes() {
 		sv := &server{
 			node:          n.ID,

@@ -1,20 +1,22 @@
 // dispatch.go implements the data plane's scatter-gather dispatcher: a
-// bounded worker pool that executes per-chunk fan-out work (striped reads,
-// replica writes, 2PC prepare/commit traffic, descriptor replication,
-// rebalance copies) on real goroutines while keeping the simulated-clock
-// semantics of the sequential implementation bit-for-bit.
+// fork-join scheduler for per-chunk fan-out work (striped reads, replica
+// writes, 2PC prepare/commit traffic, descriptor replication, rebalance
+// copies). The caller is worker zero — a fan runs on the goroutine that
+// joins it and idle pool workers steal its tail — while the simulated-clock
+// semantics of the sequential implementation stay bit-for-bit.
 //
 // # Concurrency contract
 //
 // The difficulty is that virtual-time accounting must stay deterministic
 // while real execution becomes parallel. sim.Resource reservations are
-// order-sensitive (FIFO by arrival of the Use call), so letting worker
-// goroutines charge the shared cluster resources directly would make joined
-// clock times depend on the host scheduler. The dispatcher therefore splits
+// order-sensitive (FIFO by arrival of the Use call), so letting tasks
+// charge the shared cluster resources directly would make joined clock
+// times depend on the host scheduler. The dispatcher therefore splits
 // every task into two halves:
 //
 //   - Real work — byte copies, chunk-table mutations, WAL appends — runs on
-//     the worker goroutine immediately. All touched structures are
+//     whichever goroutine takes the task off the fan's run queue: the
+//     joining caller or a helping pool worker. All touched structures are
 //     independently locked (chunk stripes, server descriptor maps, the
 //     per-server WAL lanes, the placement cache), so this half is free to
 //     interleave. A WAL append may briefly park as a group-commit follower
@@ -50,19 +52,21 @@
 //     tests)
 //   - ctxFan.join is the only place ledgers touch shared resources, so
 //     costs fold deterministically no matter where tasks physically ran
-//     (worker goroutine, saturated-pool inline fallback, or
-//     Config.InlineFanout sequential mode — all three are virtual-time
-//     identical, which TestFanoutDeterministicVirtualTime pins).
+//     (the joining caller, a helping pool worker, or at spawn under
+//     Config.InlineFanout — all three are virtual-time identical, which
+//     TestFanoutDeterministicVirtualTime pins).
 //     (enforced: manual: pinned by TestFanoutDeterministicVirtualTime)
 //   - A task must never block on a lock that can be held across a pool
 //     wait (ctxFan.join, parallelDo). Concretely: the per-blob descriptor
-//     latch is held across writers' joins, so tasks may not acquire it —
-//     they collect descriptor pointers and let the caller read under the
-//     latch after join (see Scan). The short-hold locks — chunk stripes,
-//     server maps, the WAL, the placement cache — are fine; their holders
-//     never wait on the pool.
+//     latch is held across writers' joins — which run the fan's tasks on the
+//     writer's own goroutine — so tasks may not acquire it; they collect
+//     descriptor pointers and let the caller read under the latch after
+//     join (see Scan). The short-hold locks — chunk stripes, server maps,
+//     the WAL, the placement cache — are fine; their holders never wait on
+//     the pool.
 //     (enforced: blobvet/workerlatch — latch takes and pool waits are
-//     flagged in the whole call graph reachable from task bodies)
+//     flagged in the whole call graph reachable from task bodies and from
+//     a helper's ctxFan.run)
 //
 // # Recovery and checkpoint stages
 //
@@ -90,8 +94,8 @@
 //   - parallelDo must not be called from a worker, so multi-stage sweeps
 //     fan out FLAT: CheckpointAll expands to (server, lane) jobs at the
 //     caller instead of nesting a per-server parallelDo inside a pool
-//     task, which on a saturated pool would deadlock (every worker
-//     blocked in a nested wait, every nested job stuck in the queue).
+//     task, where every worker parked in a nested wait is a helper lost to
+//     every other fan.
 //     (enforced: blobvet/workerlatch — parallelDo is a flagged pool wait
 //     inside the task-reachable graph)
 //
@@ -164,10 +168,13 @@
 //     the live-traffic migration tests and the chaos battery's membership
 //     actor)
 //
-// The pool is package-global, lazily started, and bounded by GOMAXPROCS
-// (capped at maxDispatchWorkers). Workers never block: a task that fans out
-// further (replica writes) records the sub-fan and returns, and a spawn
-// that finds the queue full runs the task inline on the submitter. Both
+// The pool is package-global, lazily started, and sized from runtime.NumCPU
+// (capped at maxDispatchWorkers). No fan depends on it for progress: spawn
+// links the task into the fan's own run queue, join runs that queue on the
+// caller, and the pool is only offered non-blocking help tokens — unread
+// while every core is busy, answered by an idle worker taking tasks off the
+// same queue. Workers never block: a task that fans out further (replica
+// writes) appends the sub-fan to the root's queue and returns. Both
 // properties together make nested fan-outs deadlock-free by construction.
 package blob
 
@@ -175,6 +182,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -187,72 +195,75 @@ import (
 // more goroutines than the simulated cluster could meaningfully exercise.
 const maxDispatchWorkers = 16
 
-// dispatchQueueLen is the pool's submission queue depth. Overflow is not an
-// error: spawn falls back to inline execution on the submitter.
+// dispatchQueueLen is the pool's token queue depth. Overflow is not an
+// error: a fan whose help token does not fit simply runs without helpers.
 const dispatchQueueLen = 256
 
-// runnable is what the worker pool executes: fan tasks and the clock-free
-// bulk jobs of parallelDo.
+// runnable is what a pool worker receives: a fan to help drain, the shared
+// job of a parallelDo, or a recovery lane-decode job.
 type runnable interface{ run() }
 
-var (
-	dispatchOnce sync.Once
-	dispatchCh   chan runnable
-)
-
-// dispatchPool lazily starts the shared worker pool and returns its queue.
-func dispatchPool() chan runnable {
-	dispatchOnce.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		if n < 2 {
-			n = 2
-		}
-		if n > maxDispatchWorkers {
-			n = maxDispatchWorkers
-		}
-		dispatchCh = make(chan runnable, dispatchQueueLen)
-		for i := 0; i < n; i++ {
-			go func() {
-				for t := range dispatchCh {
-					t.run()
-				}
-			}()
-		}
-	})
-	return dispatchCh
+// dispatchWorkers is the pool's size: a property of the host, not of the
+// GOMAXPROCS in force when the first fan happened to run.
+func dispatchWorkers() int {
+	return min(max(runtime.NumCPU(), 2), maxDispatchWorkers)
 }
 
-// parallelDo runs fn(0..n-1) across the worker pool and waits for all of
-// them. It is for clock-free bulk state manipulation (recovery chunk
-// reinsertion, checkpoint sweeps); fan tasks with cost accounting go
-// through ctxFan. Must not be called from a worker (it blocks).
+// dispatchPool lazily starts the shared worker pool and returns its queue.
+var dispatchPool = sync.OnceValue(func() chan runnable {
+	ch := make(chan runnable, dispatchQueueLen)
+	for i := dispatchWorkers(); i > 0; i-- {
+		go func() {
+			for t := range ch {
+				t.run()
+			}
+		}()
+	}
+	return ch
+})
+
+// offerHelp posts one help token without blocking and reports whether it fit.
+func offerHelp(t runnable) bool {
+	select {
+	case dispatchPool() <- t:
+		return true
+	default:
+		return false
+	}
+}
+
+// parallelDo runs fn(0..n-1) and waits for all of them: the caller pulls
+// indices off a shared cursor and idle pool workers pull from the same one.
+// It is for clock-free bulk state manipulation (recovery chunk reinsertion,
+// checkpoint sweeps); fan tasks with cost accounting go through ctxFan.
+// Must not be called from a worker (it blocks).
 func parallelDo(n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	ch := dispatchPool()
-	for i := 0; i < n; i++ {
-		j := &funcJob{wg: &wg, i: i, fn: fn}
-		select {
-		case ch <- j:
-		default:
-			j.run()
-		}
+	j := &funcJob{fn: fn, n: int64(n)}
+	j.wg.Add(n)
+	for range min(n-1, runtime.GOMAXPROCS(0)) {
+		offerHelp(j)
 	}
-	wg.Wait()
+	j.run()
+	j.wg.Wait()
 }
 
+// funcJob is parallelDo's one shared job. A token read after the sweep is
+// over finds the cursor past n and does nothing.
 type funcJob struct {
-	wg *sync.WaitGroup
-	i  int
-	fn func(int)
+	fn   func(int)
+	n    int64
+	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
 func (j *funcJob) run() {
-	defer j.wg.Done()
-	j.fn(j.i)
+	for i := j.next.Add(1) - 1; i < j.n; i = j.next.Add(1) - 1 {
+		j.fn(int(i))
+		j.wg.Done()
+	}
 }
 
 // ---- cost ledgers ----
@@ -379,7 +390,7 @@ const (
 // recycling.
 type fanTask struct {
 	next *fanTask
-	fan  *ctxFan // root fan: owns the WaitGroup and the inline flag
+	fan  *ctxFan // root fan: owns the run queue and the inline flag
 	s    *Store
 	cg   charge
 	led  ledger
@@ -406,7 +417,6 @@ type fanTask struct {
 var taskPool = sync.Pool{New: func() any { return new(fanTask) }}
 
 func (t *fanTask) run() {
-	defer t.fan.wg.Done()
 	s := t.s
 	cg := &t.cg
 	switch t.kind {
@@ -592,19 +602,33 @@ var clockPool = sync.Pool{New: func() any { return sim.NewClock() }}
 
 // ---- fans ----
 
-// ctxFan is a scatter-gather in flight: the submission-ordered task list,
-// the WaitGroup covering every task in the tree (nested fans included), and
-// the execution mode. It amortizes through a pool, so a steady-state
-// fan-out allocates nothing.
+// ctxFan is a scatter-gather in flight: the submission-ordered task list
+// that join folds, and the run queue of every task in the tree (nested fans
+// included) nobody has started yet. The queue is all a helper touches,
+// always under mu, so a help token needs no generation check: a worker that
+// reads one after the fan was joined and recycled finds the queue empty, or
+// helps whichever operation owns the object by then. Fans are pooled, queue
+// capacity included, so a steady-state fan-out allocates nothing.
 type ctxFan struct {
 	s      *Store
 	inline bool
-	wg     sync.WaitGroup
 	head   *fanTask
 	tail   *fanTask
+
+	mu      sync.Mutex
+	idle    sync.Cond  // join parks here while helpers hold tasks
+	q       []*fanTask // q[next:] are unclaimed
+	next    int
+	out     int // tasks helpers have taken and not finished
+	offered int // help tokens posted
+	helped  int // tasks a helper ran
 }
 
-var fanPool = sync.Pool{New: func() any { return new(ctxFan) }}
+var fanPool = sync.Pool{New: func() any {
+	f := new(ctxFan)
+	f.idle.L = &f.mu
+	return f
+}}
 
 // newFan starts a scatter-gather rooted at this store.
 func (s *Store) newFan() *ctxFan {
@@ -624,20 +648,38 @@ func (f *ctxFan) task(kind taskKind) *fanTask {
 	return t
 }
 
-// dispatch hands t to the pool, or runs it inline when the fan is in
-// sequential mode or the queue is full. Workers never block, so inline
-// fallback (not backpressure) is what bounds the queue.
+// dispatch links t into the run queue (tasks start at join, not here), or
+// runs it at once in sequential mode. While more tasks are unclaimed than
+// the caller's next one, it offers the pool a token each, up to the cap.
 func (f *ctxFan) dispatch(t *fanTask) {
-	f.wg.Add(1)
 	if f.inline {
 		t.run()
 		return
 	}
-	select {
-	case dispatchPool() <- t:
-	default:
-		t.run()
+	f.mu.Lock()
+	f.q = append(f.q, t)
+	if f.offered < f.s.helpers && f.offered < len(f.q)-f.next-1 && offerHelp(f) {
+		f.offered++
 	}
+	f.mu.Unlock()
+}
+
+// run is a pool worker answering a help token: it drains whatever the fan
+// object holds right now and goes back to the pool.
+func (f *ctxFan) run() {
+	f.mu.Lock()
+	for f.next < len(f.q) {
+		t := f.q[f.next]
+		f.next++
+		f.out++
+		f.mu.Unlock()
+		t.run()
+		f.mu.Lock()
+		f.out--
+		f.helped++
+		f.idle.Signal()
+	}
+	f.mu.Unlock()
 }
 
 // spawn submits a top-level task.
@@ -651,14 +693,35 @@ func (f *ctxFan) spawn(t *fanTask) {
 	f.dispatch(t)
 }
 
-// join waits for every task in the fan (nested ones included), folds the
-// recorded charges into the shared cluster resources in submission order,
-// and advances ctx's clock to the slowest child — the synchronization point
-// of the simulated parallel fan-out. It returns the index of the first
-// failed top-level task and the first error in submission order (-1, nil
-// when everything succeeded), and recycles the fan.
+// join runs the fan on the calling goroutine (the queue front to back,
+// nested sub-fans as they are appended), waits for the tasks helpers took,
+// folds the recorded charges into the shared cluster resources in
+// submission order, and advances ctx's clock to the slowest child — the
+// synchronization point of the simulated parallel fan-out. It returns the
+// index of the first failed top-level task and the first error in submission
+// order (-1, nil when everything succeeded), and recycles the fan.
 func (f *ctxFan) join(ctx *storage.Context) (int, error) {
-	f.wg.Wait()
+	if !f.inline {
+		f.mu.Lock()
+		for f.next < len(f.q) || f.out > 0 {
+			if f.next == len(f.q) {
+				f.idle.Wait()
+				continue
+			}
+			t := f.q[f.next]
+			f.next++
+			f.mu.Unlock()
+			t.run()
+			f.mu.Lock()
+		}
+		offered, helped := f.offered, f.helped
+		f.q, f.next, f.offered, f.helped = f.q[:0], 0, 0, 0
+		f.mu.Unlock()
+		if offered > 0 {
+			f.s.fanOffered.Add(int64(offered))
+			f.s.fanHelped.Add(int64(helped))
+		}
+	}
 	forkAt := ctx.Clock.Now()
 	errIdx, firstErr := -1, error(nil)
 	i := 0
@@ -684,9 +747,9 @@ func (f *ctxFan) join(ctx *storage.Context) (int, error) {
 }
 
 // subFan collects the nested fan-out of a task already running (a chunk
-// write's replica replication). Its tasks share the root fan's WaitGroup
+// write's replica replication). Its tasks share the root fan's run queue
 // and mode, but their charges are recorded into the parent task's ledger —
-// joinSubs/dropSubs — instead of touching shared resources, so a worker
+// joinSubs/dropSubs — instead of touching shared resources, so a task
 // never blocks and never charges out of order.
 type subFan struct {
 	root *ctxFan

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -18,88 +20,408 @@ func mkStore(nodes int, cfg Config, inline bool) *Store {
 	return New(cluster.New(cluster.Config{Nodes: nodes, Seed: 42}), cfg)
 }
 
+// detScript drives one client's worth of every fan shape — replicated
+// creates, multi- and single-chunk writes, striped reads, truncates, a scan,
+// a transaction, failing and deleting ops — and stamps the client's virtual
+// clock after each.
+func detScript(s *Store) ([]int64, error) {
+	ctx := storage.NewContext()
+	var stamps []int64
+	stamp := func() { stamps = append(stamps, int64(ctx.Clock.Now())) }
+
+	for i := 0; i < 4; i++ {
+		if err := s.CreateBlob(ctx, fmt.Sprintf("det-%d", i)); err != nil {
+			return nil, err
+		}
+		stamp()
+	}
+	buf := make([]byte, 200)
+	for i := range buf {
+		buf[i] = byte(i * 7)
+	}
+	for i := 0; i < 4; i++ {
+		key := fmt.Sprintf("det-%d", i)
+		if _, err := s.WriteBlob(ctx, key, int64(i*13), buf); err != nil { // multi-chunk 2PC
+			return nil, err
+		}
+		stamp()
+		if _, err := s.WriteBlob(ctx, key, 5, buf[:8]); err != nil { // single chunk
+			return nil, err
+		}
+		stamp()
+		rd := make([]byte, 150)
+		if _, err := s.ReadBlob(ctx, key, 3, rd); err != nil {
+			return nil, err
+		}
+		stamp()
+		if err := s.TruncateBlob(ctx, key, 70); err != nil { // shrink
+			return nil, err
+		}
+		stamp()
+		if err := s.TruncateBlob(ctx, key, 70); err != nil { // no-op
+			return nil, err
+		}
+		stamp()
+	}
+	if _, err := s.Scan(ctx, "det-"); err != nil {
+		return nil, err
+	}
+	stamp()
+	txn := s.Begin(ctx)
+	txn.Write("det-0", 0, buf)
+	txn.Write("det-1", 16, buf[:40])
+	if err := txn.Commit(); err != nil {
+		return nil, err
+	}
+	stamp()
+	// Error paths must charge deterministically too.
+	owners := s.chunkOwners(chunkID{"det-2", 1})
+	s.SetDown(cluster.NodeID(owners[0]), true)
+	if _, err := s.WriteBlob(ctx, "det-2", 0, buf[:96]); err == nil {
+		return nil, errors.New("write with a chunk primary down succeeded")
+	}
+	stamp()
+	s.SetDown(cluster.NodeID(owners[0]), false)
+	if err := s.DeleteBlob(ctx, "det-3"); err != nil {
+		return nil, err
+	}
+	stamp()
+	return stamps, nil
+}
+
+// gateJob parks the pool worker that takes it until the gate opens.
+type gateJob struct {
+	parked *sync.WaitGroup
+	gate   chan struct{}
+}
+
+func (j gateJob) run() { j.parked.Done(); <-j.gate }
+
+// saturatePool parks every pool worker and fills the token queue behind
+// them, so no fan can post a help token, let alone have one taken. The
+// returned func opens the gate and waits for the workers (which never
+// block) to drain the no-op filler, so the next test finds room again.
+func saturatePool() (release func()) {
+	ch := dispatchPool()
+	j := gateJob{parked: new(sync.WaitGroup), gate: make(chan struct{})}
+	for i := dispatchWorkers(); i > 0; i-- {
+		j.parked.Add(1)
+		ch <- j
+	}
+	j.parked.Wait()
+	for offerHelp(&funcJob{}) {
+	}
+	return func() {
+		close(j.gate)
+		for len(ch) > 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// fanCounters reads the store's help-token counters.
+func fanCounters(s *Store) (offered, helped int64) {
+	return s.Metrics().Counter("blob.fan.offered").Value(), s.Metrics().Counter("blob.fan.helped").Value()
+}
+
 // TestFanoutDeterministicVirtualTime pins the dispatcher's core invariant:
-// executing fan-out tasks on the worker pool must produce, operation by
-// operation, exactly the virtual clock times of the sequential baseline
+// whichever goroutine physically runs a fan's tasks, every operation lands
+// on exactly the virtual clock time of the sequential baseline
 // (InlineFanout). Charges are recorded per task and folded at join in
-// submission order, so the two modes must agree bit-for-bit.
+// submission order, so a fan run entirely by its caller (pool saturated: no
+// token is ever posted) and fans whose tails helpers race for (eight
+// clients at once, each on its own cluster so its clock is its own) must
+// both agree with the inline twin bit for bit, at every GOMAXPROCS.
 func TestFanoutDeterministicVirtualTime(t *testing.T) {
-	run := func(inline bool) []int64 {
-		cfg := Config{ChunkSize: 32, Replication: 3}
-		s := mkStore(6, cfg, inline)
+	cfg := Config{ChunkSize: 32, Replication: 3}
+	want, err := detScript(mkStore(6, cfg, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, got []int64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if len(got) != len(want) {
+			t.Errorf("stamp counts diverge: inline %d, got %d", len(want), len(got))
+			return
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("virtual time diverges at op %d: inline %d, got %d", i, want[i], got[i])
+				return
+			}
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+
+			s := mkStore(6, cfg, true)
+			got, err := detScript(s)
+			check(t, got, err)
+			if offered, helped := fanCounters(s); offered != 0 || helped != 0 {
+				t.Errorf("InlineFanout store posted %d tokens, %d tasks helped; want 0/0", offered, helped)
+			}
+
+			release := saturatePool()
+			s = mkStore(6, cfg, false)
+			got, err = detScript(s)
+			release()
+			check(t, got, err)
+			if offered, helped := fanCounters(s); offered != 0 || helped != 0 {
+				t.Errorf("saturated pool: %d tokens posted, %d tasks helped; want 0/0", offered, helped)
+			}
+
+			const clients = 8
+			var wg sync.WaitGroup
+			stamps, errs := make([][]int64, clients), make([]error, clients)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					stamps[c], errs[c] = detScript(mkStore(6, cfg, false))
+				}(c)
+			}
+			wg.Wait()
+			for c := 0; c < clients; c++ {
+				check(t, stamps[c], errs[c])
+			}
+		})
+	}
+}
+
+// TestPoolSizedByHostNotFirstUse: the pool's worker count is a function of
+// the host's CPUs alone, and a store's per-fan token cap follows the
+// GOMAXPROCS in force when the store is built — neither remembers whichever
+// -cpu value happened to run the first fan.
+func TestPoolSizedByHostNotFirstUse(t *testing.T) {
+	dispatchPool()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	wantWorkers := min(max(runtime.NumCPU(), 2), maxDispatchWorkers)
+	for _, procs := range []int{1, 4, 2} {
+		runtime.GOMAXPROCS(procs)
+		if got := dispatchWorkers(); got != wantWorkers {
+			t.Errorf("GOMAXPROCS=%d: pool size %d, want %d", procs, got, wantWorkers)
+		}
+		if got := mkStore(3, Config{}, false).helpers; got != procs {
+			t.Errorf("GOMAXPROCS=%d: per-fan token cap %d, want %d", procs, got, procs)
+		}
+	}
+	// The cap bounds what a fan posts: a 16-chunk read on a cap-1 store
+	// offers exactly one token.
+	runtime.GOMAXPROCS(1)
+	s := mkStore(6, Config{ChunkSize: 8, Replication: 1}, false)
+	ctx := storage.NewContext()
+	if err := s.CreateBlob(ctx, "cap"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 128)
+	if _, err := s.WriteBlob(ctx, "cap", 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := fanCounters(s)
+	if _, err := s.ReadBlob(ctx, "cap", 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := fanCounters(s); after-before != 1 {
+		t.Errorf("16-chunk read at cap 1 posted %d tokens, want 1", after-before)
+	}
+}
+
+// TestStaleHelpTokenHarmless: a token outlives its fan. A worker that reads
+// one after the fan was joined and recycled must find nothing to do — or
+// legitimately help whichever operation owns the object by then — so tokens
+// for an already-recycled fan pushed throughout 1000 mixed ops change no
+// result.
+func TestStaleHelpTokenHarmless(t *testing.T) {
+	s := mkStore(6, Config{ChunkSize: 16, Replication: 3}, false)
+	ctx := storage.NewContext()
+	stale := s.newFan()
+	for i := 0; i < 3; i++ {
+		tk := stale.task(taskFunc)
+		tk.fn = func(cg *charge) error { return nil }
+		stale.spawn(tk)
+	}
+	stale.join(ctx) // recycled: the next newFan on this P hands it out again
+
+	const keys = 4
+	model := make([]refBlob, keys)
+	for k := range model {
+		if err := s.CreateBlob(ctx, fmt.Sprintf("stale-%d", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verify := func(i, k int) {
+		want := model[k].data
+		got := make([]byte, len(want))
+		if n, err := s.ReadBlob(ctx, fmt.Sprintf("stale-%d", k), 0, got); err != nil || n != len(want) || !bytes.Equal(got, want) {
+			t.Fatalf("op %d: read of key %d = (%d, %v), diverges from the model", i, k, n, err)
+		}
+	}
+	rng := sim.NewRNG(7)
+	buf := make([]byte, 100)
+	for i := 0; i < 1000; i++ {
+		if i%3 == 0 {
+			dispatchPool() <- stale
+		}
+		k := rng.Intn(keys)
+		key := fmt.Sprintf("stale-%d", k)
+		switch rng.Intn(4) {
+		case 0, 1:
+			off, p := int64(rng.Intn(60)), buf[:1+rng.Intn(len(buf)-1)]
+			rng.Fill(p)
+			if _, err := s.WriteBlob(ctx, key, off, p); err != nil {
+				t.Fatal(err)
+			}
+			model[k].write(off, p)
+		case 2:
+			verify(i, k)
+		case 3:
+			size := int64(rng.Intn(120))
+			if err := s.TruncateBlob(ctx, key, size); err != nil {
+				t.Fatal(err)
+			}
+			model[k].truncate(size)
+		}
+	}
+	for k := range model {
+		verify(1000, k)
+	}
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Fatalf("invariants after stale tokens: %s", msg)
+	}
+}
+
+// TestNestedFanRunByHelper: when a pool worker, not the joining caller, runs
+// a single-chunk R=3 write's chunk task and the replica sub-fan it appends,
+// join must still fold primary-then-parallel-replicas virtual time exactly
+// as the inline oracle does, and a replica task's error must still surface
+// through firstError.
+func TestNestedFanRunByHelper(t *testing.T) {
+	data := bytes.Repeat([]byte("n"), 24)
+	id := chunkID{"nest", 0}
+	// drain stands in for a pool worker that answers the fan's token before
+	// the caller reaches join: it runs everything queued, sub-fans included.
+	drain := func(f *ctxFan, helper bool) {
+		if helper {
+			f.run()
+		}
+	}
+	// dataPhase is writeLockedRec's data phase for one chunk; it returns the
+	// virtual time the write took.
+	dataPhase := func(s *Store, helper bool) int64 {
 		ctx := storage.NewContext()
-		var stamps []int64
-		stamp := func() { stamps = append(stamps, int64(ctx.Clock.Now())) }
-
-		for i := 0; i < 4; i++ {
-			if err := s.CreateBlob(ctx, fmt.Sprintf("det-%d", i)); err != nil {
-				t.Fatal(err)
-			}
-			stamp()
-		}
-		buf := make([]byte, 200)
-		for i := range buf {
-			buf[i] = byte(i * 7)
-		}
-		for i := 0; i < 4; i++ {
-			key := fmt.Sprintf("det-%d", i)
-			if _, err := s.WriteBlob(ctx, key, int64(i*13), buf); err != nil { // multi-chunk 2PC
-				t.Fatal(err)
-			}
-			stamp()
-			if _, err := s.WriteBlob(ctx, key, 5, buf[:8]); err != nil { // single chunk
-				t.Fatal(err)
-			}
-			stamp()
-			rd := make([]byte, 150)
-			if _, err := s.ReadBlob(ctx, key, 3, rd); err != nil {
-				t.Fatal(err)
-			}
-			stamp()
-			if err := s.TruncateBlob(ctx, key, 70); err != nil { // shrink
-				t.Fatal(err)
-			}
-			stamp()
-			if err := s.TruncateBlob(ctx, key, 70); err != nil { // no-op
-				t.Fatal(err)
-			}
-			stamp()
-		}
-		if _, err := s.Scan(ctx, "det-"); err != nil {
+		if err := s.CreateBlob(ctx, id.key); err != nil {
 			t.Fatal(err)
 		}
-		stamp()
-		txn := s.Begin(ctx)
-		txn.Write("det-0", 0, buf)
-		txn.Write("det-1", 16, buf[:40])
-		if err := txn.Commit(); err != nil {
+		h := id.ringHash()
+		var rbuf [8]replica
+		pl := chunkPlace{id: id, h: h, ver: s.surveyChunk(h, id, rbuf[:]).max + 1, owners: s.ownersForHash(h)}
+		start := ctx.Clock.Now()
+		offered0, helped0 := fanCounters(s)
+		fan := s.newFan()
+		wt := fan.task(taskWriteChunk)
+		wt.pl, wt.plp, wt.data, wt.rec = pl, &pl, data, wal.RecWrite
+		fan.spawn(wt)
+		drain(fan, helper)
+		if _, err := fan.join(ctx); err != nil {
 			t.Fatal(err)
 		}
-		stamp()
-		// Error paths must charge deterministically too.
-		owners := s.chunkOwners(chunkID{"det-2", 1})
-		s.SetDown(cluster.NodeID(owners[0]), true)
-		if _, err := s.WriteBlob(ctx, "det-2", 0, buf[:96]); err == nil {
-			t.Fatal("write with a chunk primary down succeeded")
+		// The second replica task made two unclaimed, so a token went out
+		// (unless the queue was full) and the fan reports its counts:
+		// helpers — never the caller — ran all three tasks.
+		if offered, helped := fanCounters(s); helper && offered > offered0 && helped-helped0 != 3 {
+			t.Fatalf("%d of 3 tasks counted as helped", helped-helped0)
 		}
-		stamp()
-		s.SetDown(cluster.NodeID(owners[0]), false)
-		if err := s.DeleteBlob(ctx, "det-3"); err != nil {
-			t.Fatal(err)
+		return int64(ctx.Clock.Now() - start)
+	}
+	cfg := Config{ChunkSize: 64, Replication: 3}
+	s := mkStore(6, cfg, false)
+	want, got := dataPhase(mkStore(6, cfg, true), false), dataPhase(s, true)
+	if got != want {
+		t.Fatalf("helper-run nested fan folded %d virtual ns, inline oracle %d", got, want)
+	}
+	// The primary's copy, then the slower of two parallel replica copies —
+	// not their sum: more than one copy's time, less than three.
+	if one := dataPhase(mkStore(6, Config{ChunkSize: 64, Replication: 1}, true), false); got <= one || got >= 3*one {
+		t.Fatalf("R=3 single-chunk write took %d virtual ns against %d for one copy: not primary-then-parallel-replicas", got, one)
+	}
+	for _, o := range s.chunkOwners(id) {
+		if held, _, ok := s.servers[o].copyChunk(id.ringHash(), id); !ok || !bytes.Equal(held, data) {
+			t.Fatalf("replica %d holds %q after the helper-run write", o, held)
 		}
-		stamp()
-		return stamps
 	}
 
-	seq := run(true)
-	par := run(false)
-	if len(seq) != len(par) {
-		t.Fatalf("stamp counts diverge: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("virtual time diverges at op %d: sequential %d, dispatcher %d", i, seq[i], par[i])
+	// The real replica body degrades instead of failing, so the error case
+	// is a hand-built parent whose second replica sub-task refuses.
+	errReplica := errors.New("replica refused")
+	failPhase := func(s *Store, helper bool) (int64, int, error) {
+		ctx := storage.NewContext()
+		fan := s.newFan()
+		pt := fan.task(taskFunc)
+		pt.fn = func(cg *charge) error {
+			cg.rpc(0, len(data), 64, 0)
+			sf := pt.subFan()
+			for node := cluster.NodeID(1); node <= 2; node++ {
+				st := sf.task(taskFunc)
+				st.fn = func(cg *charge) error {
+					cg.diskWrite(node, len(data))
+					if node == 2 {
+						return errReplica
+					}
+					return nil
+				}
+				sf.spawn(st)
+			}
+			pt.joinSubs(&sf)
+			return nil
 		}
+		fan.spawn(pt)
+		drain(fan, helper)
+		errIdx, err := fan.join(ctx)
+		return int64(ctx.Clock.Now()), errIdx, err
+	}
+	wantT, _, _ := failPhase(mkStore(6, cfg, true), false)
+	gotT, errIdx, err := failPhase(mkStore(6, cfg, false), true)
+	if gotT != wantT || errIdx != 0 || !errors.Is(err, errReplica) {
+		t.Fatalf("failing sub-fan run by a helper: (%d ns, %d, %v), want (%d ns, 0, %v)", gotT, errIdx, err, wantT, errReplica)
+	}
+}
+
+// TestHotPathAllocFree: a warm 1-, 4- and 16-chunk read and a 4-chunk
+// transactional write allocate nothing — fan, run queue, tasks, ledgers and
+// clocks all come back from their pools.
+func TestHotPathAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const cs = 1 << 10
+	s := mkStore(9, Config{ChunkSize: cs, Replication: 3}, false)
+	ctx := storage.NewContext()
+	if err := s.CreateBlob(ctx, "hot"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16*cs)
+	if _, err := s.WriteBlob(ctx, "hot", 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, chunks := range []int{1, 4, 16} {
+		if a := testing.AllocsPerRun(100, func() { s.ReadBlob(ctx, "hot", 0, buf[:chunks*cs]) }); a != 0 {
+			t.Errorf("warm %d-chunk ReadBlob: %v allocs/op, want 0", chunks, a)
+		}
+	}
+	// Two windows of writes and a checkpoint park the log slabs' high-water
+	// on the free lists, as the hot-path benchmarks do before measuring.
+	write := func() { s.WriteBlob(ctx, "hot", 0, buf[:4*cs]) }
+	for i := 0; i < 256; i++ {
+		write()
+	}
+	s.CheckpointAll()
+	if a := testing.AllocsPerRun(100, write); a != 0 {
+		t.Errorf("warm 4-chunk WriteBlob: %v allocs/op, want 0", a)
 	}
 }
 
@@ -107,9 +429,25 @@ func TestFanoutDeterministicVirtualTime(t *testing.T) {
 // reads, writes (single- and multi-chunk), truncates, sizes, and scans.
 // Run under -race (scripts/benchcheck.sh does) it is the dispatcher's
 // concurrency-safety gate; the invariant check at the end is the
-// correctness gate.
+// correctness gate. The help counters must stay honest under the churn: a
+// pooled store cannot report more helped tasks than it spawned (every op
+// here spawns well under 64), and its InlineFanout twin posts no token.
 func TestFanoutRaceStress(t *testing.T) {
-	s := mkStore(8, Config{ChunkSize: 64, Replication: 2}, false)
+	for _, inline := range []bool{false, true} {
+		s := mkStore(8, Config{ChunkSize: 64, Replication: 2}, inline)
+		ops := fanoutChurn(t, s)
+		offered, helped := fanCounters(s)
+		if inline && (offered != 0 || helped != 0) {
+			t.Fatalf("InlineFanout store posted %d tokens, %d tasks helped; want 0/0", offered, helped)
+		}
+		if helped > 64*ops || (offered == 0 && helped != 0) {
+			t.Fatalf("%d tasks helped on %d tokens over %d ops", helped, offered, ops)
+		}
+	}
+}
+
+// fanoutChurn runs the stress body against s and returns the op count.
+func fanoutChurn(t *testing.T, s *Store) int64 {
 	setup := storage.NewContext()
 	const keys = 4
 	for i := 0; i < keys; i++ {
@@ -177,6 +515,7 @@ func TestFanoutRaceStress(t *testing.T) {
 	if msg := s.CheckInvariants(); msg != "" {
 		t.Fatalf("invariants after concurrent churn: %s", msg)
 	}
+	return workers * iters
 }
 
 // TestMultiChunkAbortNotReplayed is the write-atomicity regression test: a

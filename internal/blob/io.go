@@ -37,17 +37,13 @@ func (s *Store) ReadBlob(ctx *storage.Context, key string, off int64, p []byte) 
 		want = size - off
 	}
 
-	// Fan out per-chunk reads across the worker pool; join on the slowest —
-	// parallel striped reads are the throughput story of object storage.
-	// Every exit joins the fan, so no pooled context leaks and the time
-	// charged by completed chunks is never lost. A read confined to one
-	// chunk runs inline: a one-task fan pays dispatch overhead for no
-	// parallelism, and the folded virtual time is identical either way.
+	// Fan out per-chunk reads; join on the slowest — parallel striped reads
+	// are the throughput story of object storage. The fan runs on this
+	// goroutine with idle pool workers taking chunks off its tail, so a
+	// one-chunk read never touches the pool. Every exit joins the fan, so no
+	// pooled context leaks and completed chunks' charged time is never lost.
 	cs := int64(s.cfg.ChunkSize)
 	fan := s.newFan()
-	if off/cs == (off+want-1)/cs {
-		fan.inline = true
-	}
 	forEachSpan(off, want, cs, func(idx, within, start, take int64) {
 		t := fan.task(taskReadChunk)
 		t.pl.id = chunkID{key, idx}
@@ -183,7 +179,6 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 	firstChunk := off / cs
 	lastChunk := (off + int64(len(p)) - 1) / cs
 	multi := (lastChunk > firstChunk) && !direct
-	spanFan := lastChunk > firstChunk
 
 	// Resolve every participant chunk's placement once; the prepare, data,
 	// and commit phases all dispatch from this scratch instead of
@@ -227,14 +222,9 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 	}
 
 	// Data phase: write each chunk to its full replica set, in parallel
-	// across chunks. A single-chunk write keeps the chunk task inline
-	// (PR 1's sequential shape); only its replica sub-fan, if any, can
-	// profit from the pool, and that profit is below dispatch cost at
-	// typical chunk sizes. A direct multi-chunk span still fans out.
+	// across chunks. A single-chunk write's one task runs right here at
+	// join; its replica sub-fan is what an idle worker may take.
 	fan := s.newFan()
-	if !spanFan {
-		fan.inline = true
-	}
 	forEachSpan(off, int64(len(p)), cs, func(idx, within, start, take int64) {
 		t := fan.task(taskWriteChunk)
 		t.pl = places[idx-firstChunk]
@@ -348,7 +338,7 @@ func (s *Store) abortPrepared(ctx *storage.Context, places []chunkPlace) {
 // promotion) then the other live owners in parallel. It runs as a fan
 // task: the replica copies are a nested fan recorded into this task's
 // ledger, so simulated time keeps the primary-then-parallel-replicas shape
-// while the actual copies run on the worker pool.
+// whichever goroutines run the actual copies.
 //
 // Excluded owners (pl.excl) do not fail the write (degraded mode): as long
 // as Config.MinLiveOwners replicas take it, each of them applies the write

@@ -88,9 +88,7 @@ func newRecoveryFeeds(m *wal.MultiLog) []wal.LaneFeed {
 // when the queue is full (the job is non-blocking, so inline fallback is
 // safe on the merge caller).
 func (f *laneFeed) kick() {
-	select {
-	case dispatchPool() <- f:
-	default:
+	if !offerHelp(f) {
 		f.run()
 	}
 }

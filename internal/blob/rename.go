@@ -78,16 +78,12 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	size := oldD.size
 	cs := int64(s.cfg.ChunkSize)
 	nChunks := (size + cs - 1) / cs
-	// Snapshot every source chunk in parallel across the worker pool — the
-	// same scatter-gather ReadBlob rides — so the rename's read side costs
-	// the slowest chunk in virtual time, not the sum. Each task writes only
-	// its own slot, so the collection needs no lock.
+	// Snapshot every source chunk in parallel — the scatter-gather ReadBlob
+	// rides — so the rename's read side costs the slowest chunk in virtual
+	// time, not the sum. Each task writes only its own slot: no lock needed.
 	snaps := make([][]byte, nChunks)
 	oks := make([]bool, nChunks)
 	fan := s.newFan()
-	if nChunks == 1 {
-		fan.inline = true
-	}
 	for idx := int64(0); idx < nChunks; idx++ {
 		idx := idx
 		t := fan.task(taskFunc)

@@ -1,6 +1,6 @@
 // Package workerlatch exercises the workerlatch analyzer: miniature
 // replicas of the dispatch-pool shapes (fanTask/funcJob/laneFeed,
-// parallelDo, ctxFan, the descriptor latch) with positive cases the
+// parallelDo, ctxFan and its helper entry, the descriptor latch) with positive cases the
 // analyzer must flag and sanctioned caller-side patterns it must not.
 package workerlatch
 
@@ -28,6 +28,16 @@ func (f *ctxFan) task() *fanTask     { return &fanTask{} }
 func (f *ctxFan) spawn(t *fanTask)   {}
 func (f *ctxFan) join() (int, error) { return 0, nil }
 func (t *fanTask) run(cg *charge)    { t.err = t.fn(cg) }
+
+// run is a pool worker answering a help token: whatever it reaches runs on
+// a worker even though no task type names it.
+func (f *ctxFan) run(d *descriptor) { helperOnlyLatch(d) }
+
+func helperOnlyLatch(d *descriptor) {
+	d.latch.Lock() // want `descriptor latch acquired on a pool worker`
+	d.latch.Unlock()
+}
+
 func parallelDo(n int, fn func(int)) {
 	for i := 0; i < n; i++ {
 		fn(i)

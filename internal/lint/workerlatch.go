@@ -1,13 +1,15 @@
 package lint
 
 // workerlatch enforces the dispatch.go nested-wait contract: code that
-// runs on a pool worker — fanTask/funcJob/laneFeed run bodies, closures
-// passed to parallelDo, and anything assigned to a task's fn field —
+// runs on a pool worker — fanTask/funcJob/laneFeed run bodies, ctxFan.run
+// (a helper draining a fan it was offered), closures passed to parallelDo,
+// and anything assigned to a task's fn field —
 // must never acquire a per-blob descriptor latch and must never wait on
 // the pool (parallelDo, ctxFan.join, laneFeed.Next, repairDrain).
 // Either one re-enters the dispatch pool from inside it: a writer holds
-// the latch across its own fan join, so a worker blocking on the latch
-// (or on a nested join) closes the cycle and deadlocks under load.
+// the latch across its own fan join — and runs the fan's tasks on its own
+// goroutine there — so a task blocking on the latch (or a worker parked
+// in a nested join) closes the cycle and deadlocks under load.
 //
 // Caller-side code is exempt by construction: only the call graph
 // reachable from task roots is checked, so writeLocked holding the
@@ -20,7 +22,7 @@ import (
 
 // taskRootRecv names the receiver types whose run/replay methods
 // execute on pool workers.
-var taskRootRecv = map[string]bool{"fanTask": true, "funcJob": true, "laneFeed": true}
+var taskRootRecv = map[string]bool{"fanTask": true, "funcJob": true, "laneFeed": true, "ctxFan": true}
 
 // poolWaits maps receiver type name -> method names that block on the
 // dispatch pool. The "" key holds package-level functions.

@@ -40,6 +40,13 @@
 # 1): every stale read on record was a scheduler-dependent interleaving a
 # single pass misses, and the bar is zero failures, not "rare".
 #
+# The nested benchmark/ module — invisible to the root `go test ./...` —
+# then runs its own tests (every workload at -scale 0.01, the
+# BENCHMARK.json drift test, the wrapper-transparency digests): it drives
+# the data plane through InlineFanout twins and traced wrappers, so a
+# change to blob, blobfs or a front-end can break it without tier-1
+# noticing.
+#
 # The hot-path, recovery, and faults micro-benchmarks then run with
 # allocation accounting and the results (including the WAL lane-count
 # sweeps) land in BENCH_hotpath.json, BENCH_recovery.json, and
@@ -92,6 +99,7 @@ for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
 done
 go test -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
+(cd benchmark && go test ./...)
 scripts/examples.sh
 go test -run '^$' -bench 'HotPath|Recover|Fault' -benchmem -benchtime=1s .
 go run ./cmd/benchsuite -exp hotpath -hotpath-out "$out" -hotpath-baseline BENCH_hotpath.json
