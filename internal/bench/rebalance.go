@@ -231,8 +231,8 @@ func RunRebalance() ([]HotPathResult, error) {
 // same simulated disks, so some elevation is physical — the batch bounds
 // (MigrationBatchChunks, 1 MiB of payload) and the token-bucket throttle are exactly
 // the mechanisms that keep it a small constant instead of a stall, and
-// this gate is what pins them. Today the measured elevation is ~3x for a
-// join and ~2.6x for a drain (a foreground op landing right behind a
+// this gate is what pins them. Today the measured elevation is ~2.5x for a
+// join and ~2.1x for a drain (a foreground op landing right behind a
 // batch queues behind up to MigrationBatchChunks chunk writes on the
 // shared disks); the default of 4 gives those deterministic numbers
 // headroom for legitimate cost shifts while still failing the

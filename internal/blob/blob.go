@@ -135,16 +135,17 @@
 // or entirely on the new ones — never a mix that could strand an
 // acknowledged write on a replica the sweep then deletes.
 //
-// Batches are crash-atomic and throttled. The sweep moves chunks in
-// bounded batches (Config.MigrationBatchChunks, at most 1 MiB of payload), each
-// 2PC-logged: a prepare marker on the gained owners, buffered chunk-copy
-// and chunk-delete records, then a commit marker on every participant.
-// Replay materializes a batch only at its commit marker — version-guarded,
-// so copies never regress a chunk a concurrent write advanced — which
-// makes every batch fully applied or fully absent after a crash. A token
-// bucket (Config.MigrationRateBytes per virtual-time tick) debits each
-// batch's bytes before dispatch, charging deficits to the migration
-// caller's clock, and at most one batch is in flight on the pool.
+// Every record is self-contained; batches only throttle. The sweep moves a
+// chunk the way repair does: the freshest copy goes onto each owner behind it
+// through installChunk — memory and one RecWrite together under the target's
+// stripe lock — and a holder outside the replica set logs its RecChunkDelete
+// only after an owner's install has returned. A crash after any record
+// therefore leaves every chunk on some server, and the roll-forward sweep
+// redoes what is missing. A batch (Config.MigrationBatchChunks, at most 1 MiB
+// of payload) is the dispatch and throttle quantum: a token bucket
+// (Config.MigrationRateBytes per virtual-time tick) debits each batch's bytes
+// before dispatch, charging deficits to the migration caller's clock, and at
+// most one batch is in flight on the pool.
 //
 // Live traffic during the sweep. While Store.migrating is nonzero the store
 // is not clean, so reads and writes survey versions (survey.go) with the
@@ -234,9 +235,9 @@ type Config struct {
 	MinLiveOwners int
 	// MigrationBatchChunks caps how many chunks one rebalance batch moves:
 	// each AddServer/RemoveServer sweep is cut into batches of at most this
-	// many chunks (and migrationBatchBytes of payload), each batch 2PC-logged
-	// (RecMigrateBatch prepare / copies / deletes / commit) and individually
-	// crash-atomic. Defaults to 16.
+	// many chunks (and migrationBatchBytes of payload). A batch is the
+	// dispatch and throttle quantum only — crash safety is per record.
+	// Defaults to 16.
 	MigrationBatchChunks int
 	// MigrationRateBytes throttles the rebalance sweep against foreground
 	// traffic: a token bucket holding one migrationTick's worth of budget
@@ -249,7 +250,7 @@ type Config struct {
 	// MigrationBatchHook, when set, is called on the migration caller's
 	// goroutine at every batch boundary of a rebalance sweep: once with -1
 	// after the intent is durable but before any batch dispatches, then
-	// once after each committed batch. Benchmarks and tests use it to
+	// once after each batch. Benchmarks and tests use it to
 	// interleave foreground work with a live migration at deterministic
 	// points; production configs leave it nil.
 	MigrationBatchHook func(batch int)
@@ -423,12 +424,6 @@ type Store struct {
 	// re-log it and Recover can roll the migration forward once no server
 	// is left wiped.
 	migIntent atomic.Pointer[migrationIntent]
-	// migBatchHook, when set, runs on the migration caller after each
-	// batch commits — the seam the crash sweep uses to capture
-	// batch-boundary media and to interleave foreground 2PC load. Seeded
-	// from Config.MigrationBatchHook; tests in this package assign it
-	// directly.
-	migBatchHook func(batch int)
 }
 
 // migrationIntent is the in-memory form of a RecMigrateBegin record: one
@@ -503,14 +498,6 @@ func (sv *server) metaLane(key string) int { return sv.wal.LaneFor(descRingHash(
 // shardings decorrelate.
 func (sv *server) stripe(h uint64) *chunkStripe {
 	return &sv.stripes[(h>>32)&(chunkStripes-1)]
-}
-
-func (sv *server) getChunk(h uint64, id chunkID) ([]byte, bool) {
-	st := sv.stripe(h)
-	st.mu.RLock()
-	data, ok := st.m[id]
-	st.mu.RUnlock()
-	return data, ok
 }
 
 // copyChunk returns a copy of the chunk's bytes and its version, made
@@ -670,7 +657,7 @@ func NewOnNodes(c *cluster.Cluster, cfg Config, serving []cluster.NodeID) *Store
 		}
 	}
 	s := &Store{cfg: cfg, cluster: c, ring: chash.New(cfg.VNodes), metrics: metrics.NewRegistry(),
-		migBatchHook: cfg.MigrationBatchHook, helpers: runtime.GOMAXPROCS(0)}
+		helpers: runtime.GOMAXPROCS(0)}
 	s.fanOffered, s.fanHelped = s.metrics.Counter("blob.fan.offered"), s.metrics.Counter("blob.fan.helped")
 	for _, n := range c.Nodes() {
 		sv := &server{

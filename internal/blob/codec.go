@@ -81,26 +81,15 @@ func decChunkPayload(p []byte) (id chunkID, within int64, ver uint64, data []byt
 	return id, within, ver, data, nil
 }
 
-// Migration payload codecs (rebalance.go, recovery.go).
+// Migration payload codec (rebalance.go, recovery.go): the intent, opened by
+// RecMigrateBegin and closed by RecMigrateEnd. Chunks move under the ordinary
+// chunk records above.
 //
-//	RecMigrateBegin: u64 seq | u8 op | i64 node            (the intent)
-//	RecMigrateEnd:   u64 seq | u8 op | i64 node            (intent closed)
-//	RecMigrateBatch: u8 phase | ...
-//	  phase marker (prepare/commit): u8 phase | u64 seq | u64 batch
-//	  phase chunk:                   u8 phase | chunk header | data
-//	  phase delete:                  u8 phase | chunk header (no data)
-//
-// The phase byte leads the batch payload so replay can branch before
-// touching the variable-length chunk addressing.
+//	u64 seq | u8 op | i64 node
 
 const (
 	migOpAdd    = 0
 	migOpRemove = 1
-
-	migPhasePrepare = 0 // batch opened on a participant: drop buffered state
-	migPhaseChunk   = 1 // one chunk copy, buffered until the commit marker
-	migPhaseDelete  = 2 // one chunk drop, buffered until the commit marker
-	migPhaseCommit  = 3 // materialize the buffered copies and deletes
 )
 
 func appendMigrateIntent(dst []byte, seq uint64, op uint8, node int64) []byte {
@@ -120,29 +109,4 @@ func decMigrateIntent(p []byte) (seq uint64, op uint8, node int64, err error) {
 	op = p[8]
 	node = int64(binary.LittleEndian.Uint64(p[9:17]))
 	return seq, op, node, nil
-}
-
-// appendMigrateMark encodes a prepare or commit batch marker.
-func appendMigrateMark(dst []byte, phase uint8, seq, batch uint64) []byte {
-	dst = append(dst, phase)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], seq)
-	dst = append(dst, u64[:]...)
-	binary.LittleEndian.PutUint64(u64[:], batch)
-	return append(dst, u64[:]...)
-}
-
-func decMigrateMark(p []byte) (seq, batch uint64, err error) {
-	if len(p) < 17 {
-		return 0, 0, fmt.Errorf("blob: migrate batch marker too short (%d bytes)", len(p))
-	}
-	return binary.LittleEndian.Uint64(p[1:9]), binary.LittleEndian.Uint64(p[9:17]), nil
-}
-
-// appendMigrateChunkHeader encodes the header of a buffered chunk copy or
-// delete: the phase byte followed by the standard chunk addressing header,
-// so the data segment still streams through the vectored WAL append.
-func appendMigrateChunkHeader(dst []byte, phase uint8, id chunkID, ver uint64) []byte {
-	dst = append(dst, phase)
-	return appendChunkHeader(dst, id, 0, ver)
 }

@@ -130,8 +130,8 @@
 // # Migration stages
 //
 // Membership changes (rebalance.go) run the reconcile sweep's per-chunk
-// migrateChunk tasks through this pool, one 2PC batch in flight at a time,
-// under four rules:
+// migrateChunk tasks through this pool, one batch in flight at a time, under
+// three rules:
 //
 //   - The descriptor handover sweep is caller-only and runs BEFORE any
 //     chunk batch: it installs the canonical descriptor pointer on gained
@@ -139,20 +139,13 @@
 //     the latch to exclude a racing DeleteBlob). Chunk-batch tasks
 //     therefore never need — and must never take — a descriptor latch;
 //     like repair tasks they touch only stripe locks, server maps, and WAL
-//     lanes (intents and batch markers on the migration lane, buffered
-//     chunk records on the chunk's natural lane, all through the accounted
-//     append path). revalidateBatch, which does read the latch to re-check
-//     blob extents, runs on the batch CALLER after join, never in a task.
+//     lanes (installChunk and dropChunk on the chunk's natural lane, through
+//     the accounted append path). revalidateBatch, which does read the
+//     latch to re-check blob extents, runs on the batch CALLER after join,
+//     never in a task.
 //     (enforced: blobvet/workerlatch — migrateChunk is in the
 //     task-reachable graph, where latch takes are flagged; blobvet/walappend
 //     keeps walAppendLane and checkpointLane the only direct lane writers)
-//   - Durable-before-visible, per batch: tasks append buffered copy/delete
-//     records (RecMigrateBatch) and defer every in-memory mutation to the
-//     batch caller, which materializes installs (installChunk, the same
-//     version guard replay applies) and then deletes only AFTER the commit
-//     markers land on all logged participants.
-//     (enforced: manual: commit-before-materialize ordering is pinned by
-//     the migration crash sweep's batch-boundary and torn-tail captures)
 //   - Sweep iteration is determinism-critical: the descriptor sweep and the
 //     migration plan sort their key/chunk sets before walking them, so the
 //     record order every log receives — and therefore the roll-forward

@@ -103,7 +103,7 @@ func TestVacuousDebtNeverHidesFreshestCopy(t *testing.T) {
 	write('b')
 
 	stage := 0
-	s.migBatchHook = func(batch int) {
+	s.cfg.MigrationBatchHook = func(batch int) {
 		if batch != -1 {
 			return
 		}
@@ -254,4 +254,93 @@ func TestReadAndRenameShareFreshnessRule(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestShrinkingInstallReplaysExactly pins that installChunk logs what it did:
+// RecWrite replays as a grow-only merge, so an install shorter than what the
+// target held must log the cut with the write or the target's log rebuilds
+// new bytes followed by a stale tail. Peers are soft-down for the final
+// crash, so nothing but the target's own log can supply its bytes.
+func TestShrinkingInstallReplaysExactly(t *testing.T) {
+	// A one-chunk key and an owner of its chunk that holds no descriptor copy:
+	// its log carries only the chunk's records, and writes proceed while it is
+	// crashed.
+	setup := func(t *testing.T) (s *Store, ctx *storage.Context, key string, target *server, id chunkID) {
+		s = newStore(t, 3, Config{ChunkSize: 64, Replication: 2, WALLanes: 4})
+		ctx = storage.NewContext()
+		for i := 0; target == nil; i++ {
+			key = fmt.Sprintf("shrink-%d", i)
+			id = chunkID{key, 0}
+			for _, o := range s.chunkOwners(id) {
+				if !containsNode(s.descOwners(key), o) {
+					target = s.servers[o]
+				}
+			}
+		}
+		if err := s.CreateBlob(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WriteBlob(ctx, key, 0, pattern(1, 64)); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	// crashAlone crashes and recovers target with every peer soft-down and
+	// requires its copy to come back exactly as memory held it.
+	crashAlone := func(t *testing.T, s *Store, target *server, id chunkID) {
+		t.Helper()
+		want, ver, _ := target.copyChunk(id.ringHash(), id)
+		for _, sv := range s.servers {
+			if sv != target {
+				s.SetDown(sv.node, true)
+			}
+		}
+		s.Crash(target.node)
+		if err := s.Recover(target.node); err != nil {
+			t.Fatal(err)
+		}
+		got, gotVer, _ := target.copyChunk(id.ringHash(), id)
+		if gotVer != ver || !bytes.Equal(got, want) {
+			t.Fatalf("replayed %d bytes at v%d, memory held %d bytes at v%d", len(got), gotVer, len(want), ver)
+		}
+		for _, sv := range s.servers {
+			s.SetDown(sv.node, false)
+		}
+		if msg := s.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+
+	t.Run("direct", func(t *testing.T) {
+		s, ctx, _, target, id := setup(t)
+		cg := s.directCharge(ctx)
+		if _, ok := s.installChunk(&cg, target, id.ringHash(), id, pattern(9, 10), 9); !ok {
+			t.Fatal("install refused")
+		}
+		crashAlone(t, s, target, id)
+	})
+
+	// The way production gets there: the target loses its RecChunkTruncate to
+	// a torn lane tail, so it replays the long chunk and resync installs the
+	// peers' shorter, newer copy over it.
+	t.Run("resync", func(t *testing.T) {
+		s, ctx, key, target, id := setup(t)
+		if err := s.TruncateBlob(ctx, key, 10); err != nil {
+			t.Fatal(err)
+		}
+		s.Crash(target.node)
+		lb := target.wal.LaneBuffer(target.chunkLane(id.ringHash()))
+		lb.Truncate(lb.Len() - 3)
+		if _, err := s.WriteBlob(ctx, key, 0, pattern(2, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Recover(target.node); err != nil {
+			t.Fatal(err)
+		}
+		crashAlone(t, s, target, id)
+		got := make([]byte, 10)
+		if _, err := s.ReadBlob(ctx, key, 0, got); err != nil || !bytes.Equal(got, pattern(2, 10)) {
+			t.Fatalf("read (%q, %v)", got, err)
+		}
+	})
 }

@@ -26,10 +26,11 @@ import (
 //  2. The ring mutates under the member gate, so the epoch flip is atomic
 //     with respect to in-flight foreground ops.
 //  3. A reconcile sweep moves chunks in bounded, throttled batches on the
-//     dispatch pool. Each batch is 2PC-logged: prepare markers on the
-//     gained owners, buffered copy/delete records, then commit markers —
-//     replay materializes a batch only at its commit marker, so a crash
-//     leaves it fully applied or fully absent.
+//     dispatch pool. Every copy ends in installChunk, the same logged
+//     install repair and resync use, and a stray holder drops its copy
+//     (RecChunkDelete) only after an owner's install has returned — so each
+//     record is self-contained and a crash after ANY of them leaves every
+//     chunk on some server.
 //  4. RecMigrateEnd closes the intent. A crash before the End record
 //     replays an open intent and resumeMigration re-runs the reconcile
 //     sweep, which is idempotent: placement already consistent means an
@@ -44,10 +45,8 @@ import (
 // ErrLastServer is returned when removal would empty the store.
 var ErrLastServer = fmt.Errorf("blob: cannot remove the last server: %w", storage.ErrInvalidArg)
 
-// migLane is the log lane carrying migration intents and batch markers.
-// Lane 0 always exists (Config.WALLanes >= 1). Buffered copy/delete records
-// ride the chunk's natural lane instead; the server-scoped order keys keep
-// the merged replay in true append order across lanes.
+// migLane is the log lane carrying migration intents. Lane 0 always exists
+// (Config.WALLanes >= 1).
 const migLane = 0
 
 // migrationBatchBytes bounds a batch by payload volume on top of
@@ -140,7 +139,7 @@ func (s *Store) runMembershipChange(ctx *storage.Context, op uint8, node cluster
 		s.ring.Remove(int(node))
 	}
 	s.member.Unlock()
-	s.runMigration(ctx, intent)
+	s.runMigration(ctx)
 	s.finishMigration(ctx, intent)
 	return nil
 }
@@ -162,7 +161,7 @@ func (s *Store) resumeMigration(ctx *storage.Context) {
 	}
 	s.migrating.Add(1)
 	defer s.migrating.Add(-1)
-	s.runMigration(ctx, intent)
+	s.runMigration(ctx)
 	s.finishMigration(ctx, intent)
 }
 
@@ -207,34 +206,15 @@ func (s *Store) logIntent(cg *charge, t wal.RecordType, intent *migrationIntent,
 	hdrPool.Put(bp)
 }
 
-// walAppendMigMark appends a prepare or commit batch marker to sv's
-// migration lane.
-func (s *Store) walAppendMigMark(cg *charge, sv *server, phase uint8, seq, batch uint64) {
-	bp := hdrPool.Get().(*[]byte)
-	*bp = appendMigrateMark((*bp)[:0], phase, seq, batch)
-	s.walAppendLane(cg, sv, migLane, wal.RecMigrateBatch, *bp, nil)
-	hdrPool.Put(bp)
-}
-
-// walAppendMigChunk appends a buffered chunk copy or delete to the chunk's
-// natural lane; the data segment streams through the vectored append
-// exactly like a foreground write.
-func (s *Store) walAppendMigChunk(cg *charge, sv *server, phase uint8, h uint64, id chunkID, ver uint64, data []byte) {
-	bp := hdrPool.Get().(*[]byte)
-	*bp = appendMigrateChunkHeader((*bp)[:0], phase, id, ver)
-	s.walAppendLane(cg, sv, sv.chunkLane(h), wal.RecMigrateBatch, *bp, data)
-	hdrPool.Put(bp)
-}
-
 // runMigration reconciles descriptors, then moves chunks in bounded batches
 // throttled by a virtual-time token bucket: each batch debits its byte
 // footprint, and an exhausted budget sleeps migrationTick quanta (refilling
 // MigrationRateBytes each) before the batch may proceed. One batch is in
 // flight at a time, which bounds in-flight migration bytes on the pool.
-func (s *Store) runMigration(ctx *storage.Context, intent *migrationIntent) {
-	if s.migBatchHook != nil {
+func (s *Store) runMigration(ctx *storage.Context) {
+	if s.cfg.MigrationBatchHook != nil {
 		// The boundary before any batch: intent durable, sweep not started.
-		s.migBatchHook(-1)
+		s.cfg.MigrationBatchHook(-1)
 	}
 	cg := s.directCharge(ctx)
 	s.migrateDescriptors(&cg)
@@ -252,9 +232,9 @@ func (s *Store) runMigration(ctx *storage.Context, intent *migrationIntent) {
 			budget += s.cfg.MigrationRateBytes
 		}
 		budget -= bytes
-		s.runBatch(ctx, &cg, intent, uint64(batch), moves[:n])
-		if s.migBatchHook != nil {
-			s.migBatchHook(batch)
+		s.runBatch(ctx, &cg, moves[:n])
+		if s.cfg.MigrationBatchHook != nil {
+			s.cfg.MigrationBatchHook(batch)
 		}
 		moves = moves[n:]
 	}
@@ -316,6 +296,7 @@ func (s *Store) migrateDescriptors(cg *charge) {
 				// recorded here cannot interleave with a newer RecMeta on
 				// this server's lane in the wrong order.
 				s.walAppendMeta(cg, sv, wal.RecCreate, key, size)
+				tracef("descInstall node=%d key=%s", sv.node, key)
 			}
 		}
 		d.latch.RUnlock()
@@ -331,6 +312,7 @@ func (s *Store) migrateDescriptors(cg *charge) {
 			sv.mu.Unlock()
 			if held {
 				s.walAppendMeta(cg, sv, wal.RecDelete, key, 0)
+				tracef("descDrop node=%d key=%s", sv.node, key)
 			}
 		}
 	}
@@ -405,111 +387,58 @@ func (s *Store) migrationPlan() []migMove {
 	return moves
 }
 
-// migInstall is one in-memory chunk install deferred until the batch's
-// commit markers are durable.
-type migInstall struct {
-	node int
-	data []byte
-	ver  uint64
+// migCopy is one install a chunk's migration task made: what revalidateBatch
+// needs to find it again.
+type migCopy struct {
+	sv  *server
+	ver uint64
+	n   int // bytes installed
 }
 
-// migResult is what one chunk's migration task hands back to the batch
-// caller: the deferred installs and deletes, and the bitmask of servers whose
-// logs buffered a record (the batch's 2PC participants).
-type migResult struct {
-	mv       migMove
-	installs []migInstall
-	deletes  []int
-	logged   uint64
-}
-
-// runBatch moves one bounded batch of chunks under the 2PC protocol:
-// prepare markers on the reachable behind owners, buffered copy/delete
-// records appended by the per-chunk fan tasks, commit markers on every
-// participant, and only then the in-memory materialization — so the durable
-// order is exactly "batch fully applied or fully absent" at any crash point.
-func (s *Store) runBatch(ctx *storage.Context, cg *charge, intent *migrationIntent, batch uint64, moves []migMove) {
-	var prep uint64
-	for _, mv := range moves {
-		// Soft-down targets participate (retained memory + log, like a
-		// foreground write after its placement survey); only a crash-wiped
-		// target is out of reach until Recover.
-		sy := s.surveyChunk(mv.h, mv.id, nil)
-		behind, _ := sy.behind()
-		prep |= behind
-	}
-	for i, sv := range s.servers {
-		if prep&(1<<uint(i)) != 0 {
-			s.walAppendMigMark(cg, sv, migPhasePrepare, intent.seq, batch)
-		}
-	}
-	results := make([]migResult, len(moves))
+// runBatch moves one bounded batch of chunks: a batch is what the throttle
+// debits and the hook observes, nothing more — every record a task appends is
+// durable and self-contained on its own.
+func (s *Store) runBatch(ctx *storage.Context, cg *charge, moves []migMove) {
+	copies := make([][]migCopy, len(moves))
 	fan := s.newFan()
 	for i := range moves {
-		i := i
-		mv := moves[i]
 		t := fan.task(taskFunc)
 		t.fn = func(tcg *charge) error {
-			results[i] = s.migrateChunk(tcg, mv)
+			copies[i] = s.migrateChunk(tcg, moves[i])
 			return nil
 		}
 		fan.spawn(t)
 	}
 	fan.join(ctx)
-	var parts uint64
-	for i := range results {
-		parts |= results[i].logged
-	}
-	for i, sv := range s.servers {
-		if parts&(1<<uint(i)) != 0 {
-			s.walAppendMigMark(cg, sv, migPhaseCommit, intent.seq, batch)
-		}
-	}
-	// Commit markers are durable; now materialize, installs before deletes so
-	// a racing survey never loses sight of the maximum. Installs are version
-	// guarded: a foreground write that advanced the chunk past the copied
-	// version while the batch was in flight wins, exactly as it does at
-	// replay (recovery.go applies buffered copies under the same guard).
-	for i := range results {
-		r := &results[i]
-		for _, in := range r.installs {
-			s.installChunk(nil, s.servers[in.node], r.mv.h, r.mv.id, append([]byte(nil), in.data...), in.ver)
-		}
-		for _, n := range r.deletes {
-			s.servers[n].deleteChunk(r.mv.h, r.mv.id)
-		}
-	}
-	s.revalidateBatch(cg, results)
+	s.revalidateBatch(cg, moves, copies)
 	// Whoever the batch left behind (a faulted or wiped-then-recovered target,
-	// a source that was down) goes on the work list; a deleted stray's own
+	// a source that was down) goes on the work list; a dropped stray's own
 	// entries went with its copy and are re-derived here from versions.
-	for i := range results {
-		mv := results[i].mv
+	for _, mv := range moves {
 		sy := s.surveyChunk(mv.h, mv.id, nil)
 		s.oweBehind(cg, mv.h, mv.id, &sy)
 	}
 }
 
 // migrateChunk reconciles one chunk's replica set as a fan task: the
-// highest-version surviving copy goes to every reachable owner behind it,
-// and holders outside the replica set drop theirs once an owner holds those
-// bytes. It performs the durable work (buffered copy/delete records, cost
-// charges) and defers the in-memory effects to the batch caller, which
-// applies them only after the commit markers land.
-func (s *Store) migrateChunk(cg *charge, mv migMove) migResult {
-	res := migResult{mv: mv}
+// highest-version surviving copy is installed on every reachable owner behind
+// it, and holders outside the replica set drop theirs once an owner holds
+// those bytes — installs before drops, in memory and in the logs, so a racing
+// survey never loses sight of the maximum and neither does a crash.
+func (s *Store) migrateChunk(cg *charge, mv migMove) []migCopy {
 	h, id := mv.h, mv.id
 	sy := s.surveyChunk(h, id, nil)
 	src := sy.source(nil, true)
 	if src == nil || s.faultCheck(cg, src.sv.node, cluster.FaultDiskRead) != nil {
-		return res // nothing readable this round: every copy stays put
+		return nil // nothing readable this round: every copy stays put
 	}
 	data, srcVer, ok := src.sv.copyChunk(h, id)
 	if !ok {
-		return res // raced a concurrent delete
+		return nil // raced a concurrent delete
 	}
 	// One source read serves every destination.
 	cg.diskRead(src.sv.node, len(data))
+	var copies []migCopy
 	reached := false
 	for i := range sy.reps {
 		r := &sy.reps[i]
@@ -526,42 +455,34 @@ func (s *Store) migrateChunk(cg *charge, mv migMove) migResult {
 		if r.wiped || s.faultCheck(cg, r.sv.node, cluster.FaultDiskWrite) != nil {
 			continue
 		}
-		cg.rpc(r.sv.node, len(data), 64, 0)
-		cg.diskWrite(r.sv.node, len(data))
-		s.walAppendMigChunk(cg, r.sv, migPhaseChunk, h, id, srcVer, data)
-		res.logged |= r.bit()
-		res.installs = append(res.installs, migInstall{node: int(r.sv.node), data: data, ver: srcVer})
+		// Each target owns its slice: applyChunk writes in place.
+		if _, installed := s.installChunk(cg, r.sv, h, id, append([]byte(nil), data...), srcVer); installed {
+			copies = append(copies, migCopy{sv: r.sv, ver: srcVer, n: len(data)})
+		}
 		reached = true
 	}
-	// Holders outside the replica set drop their copy (buffered, so the drop
-	// replays atomically with the batch's installs) — but never the last
+	// Holders outside the replica set drop their copy — but never the last
 	// copy of a version no owner holds yet.
 	for i := range sy.reps {
-		r := &sy.reps[i]
-		if r.owner || !reached || r.ver > srcVer {
-			continue
+		if r := &sy.reps[i]; !r.owner && reached && r.ver <= srcVer {
+			s.dropChunk(cg, r.sv, h, id)
 		}
-		s.walAppendMigChunk(cg, r.sv, migPhaseDelete, h, id, 0, nil)
-		res.logged |= r.bit()
-		res.deletes = append(res.deletes, int(r.sv.node))
 	}
-	return res
+	return copies
 }
 
 // revalidateBatch re-checks each installed chunk against its blob's current
-// extent after the batch committed. The copy source may have been a holder
-// that missed a concurrent DeleteBlob or TruncateBlob (those fan out to the
-// owners of record, and a stray holder is no longer one), so an install can
-// resurrect bytes past the blob's end; the fix-ups here are logged plainly
-// (RecChunkDelete / RecChunkTruncate), after the batch, so replay converges
-// to the same state.
-func (s *Store) revalidateBatch(cg *charge, results []migResult) {
-	for i := range results {
-		r := &results[i]
-		if len(r.installs) == 0 {
+// extent once the batch's tasks have joined. The copy source may have been a
+// holder that missed a concurrent DeleteBlob or TruncateBlob (those fan out to
+// the owners of record, and a stray holder is no longer one), so an install
+// can resurrect bytes past the blob's end; the fix-ups here are logged plainly
+// (RecChunkDelete / RecChunkTruncate) so replay converges to the same state.
+func (s *Store) revalidateBatch(cg *charge, moves []migMove, copies [][]migCopy) {
+	for i, mv := range moves {
+		if len(copies[i]) == 0 {
 			continue
 		}
-		h, id := r.mv.h, r.mv.id
+		h, id := mv.h, mv.id
 		_, d, err := s.primaryDesc(id.key)
 		keep := int64(0)
 		if err == nil {
@@ -570,30 +491,21 @@ func (s *Store) revalidateBatch(cg *charge, results []migResult) {
 			d.latch.RUnlock()
 			keep = size - id.idx*int64(s.cfg.ChunkSize)
 		}
-		switch {
-		case keep <= 0:
-			// Blob deleted (or truncated away) while the copy was in
-			// flight: drop the installs we made, and only those (the
-			// version guard skips chunks a newer write has since replaced).
-			for _, in := range r.installs {
-				sv := s.servers[in.node]
-				if sv.chunkVer(h, id) != in.ver {
-					continue
-				}
-				sv.deleteChunk(h, id)
-				s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil)
+		if keep >= int64(s.cfg.ChunkSize) {
+			continue
+		}
+		// Touch the installs we made, and only those: the version check skips
+		// chunks a newer write has since replaced.
+		for _, c := range copies[i] {
+			if c.sv.chunkVer(h, id) != c.ver {
+				continue
 			}
-		case keep < int64(s.cfg.ChunkSize):
-			for _, in := range r.installs {
-				if int64(len(in.data)) <= keep {
-					continue
-				}
-				sv := s.servers[in.node]
-				if sv.chunkVer(h, id) != in.ver {
-					continue
-				}
-				sv.trimChunk(h, id, keep)
-				s.walAppendChunk(cg, sv, wal.RecChunkTruncate, h, id, keep, 0, nil)
+			if keep <= 0 {
+				// Blob deleted (or truncated away) while the copy was in flight.
+				s.dropChunk(cg, c.sv, h, id)
+			} else if int64(c.n) > keep {
+				c.sv.trimChunk(h, id, keep)
+				s.walAppendChunk(cg, c.sv, wal.RecChunkTruncate, h, id, keep, 0, nil)
 			}
 		}
 	}

@@ -1,13 +1,14 @@
 // rebalance_crash_test.go pins the crash-safety and liveness claims of the
 // epoch-versioned migration protocol (rebalance.go):
 //
-//   - TestMigrationCrashSweep{Add,Remove} crash the WHOLE cluster at every
-//     migration batch boundary — and at a torn-tail variant of each, the
-//     crash landing inside the last medium write — then recover every node
-//     and require the open intent to roll forward to a placement satisfying
-//     CheckInvariants, with every blob byte-identical to the pre-migration
-//     oracle, on both the parallel and serial recovery paths (byte-identical
-//     to each other: state AND repaired media).
+//   - TestMigrationCrashSweep{Add,Remove} crash the WHOLE cluster after every
+//     record the sweep appends and at every batch boundary — and at a torn
+//     variant of each, the crash landing inside the last medium write — for
+//     Replication 1, 2 and 3, then recover every node and require the
+//     open intent to roll forward to a placement satisfying CheckInvariants,
+//     with every blob byte-identical to the pre-migration oracle, on both
+//     the parallel and serial recovery paths (byte-identical to each other:
+//     state AND repaired media).
 //   - TestMigrationCheckpointCarriesIntent checkpoints mid-migration (the
 //     quiescent gap between two batches) and crashes after: the compacted
 //     logs must still replay an open RecMigrateBegin — the planner re-logs
@@ -21,8 +22,9 @@
 //     write to succeed and every read to be read-your-writes exact — the
 //     zero-stale-reads contract.
 //   - FuzzRebalanceCrash drives fuzzer-chosen workloads into a membership
-//     change, crashes at a fuzzer-chosen batch boundary with optional torn
-//     tails, and requires recovery equivalence plus oracle-exact contents.
+//     change at a fuzzer-chosen Replication, crashes after a fuzzer-chosen
+//     record with an optional torn tail, and requires recovery equivalence
+//     plus oracle-exact contents.
 package blob
 
 import (
@@ -61,6 +63,14 @@ func restoreAllLanes(s *Store, snap [][][]byte) {
 // entirely: a crash that tears the intent record on EVERY server makes the
 // membership change itself non-durable, which the store-global ring (whose
 // membership is durable out of band) cannot represent.
+//
+// This is harsher than any crash: the sweep has one write in flight, so only
+// one lane can really tear, and the others' last records returned long ago.
+// With Replication >= 2 an untouched owner of every chunk survives it anyway
+// (one membership change moves at most one owner per chunk). With
+// Replication 1 it is not a legal image: it can tear a gained owner's install
+// whose stray, acting on that install's return, already logged its drop
+// beneath a later record — leaving the chunk nowhere.
 func tearMigrationTails(s *Store, base [][][]byte, witness int) {
 	for i, sv := range s.servers {
 		if i == witness {
@@ -92,31 +102,35 @@ func crashRecoverAll(t *testing.T, s *Store, serial bool) {
 	s.cfg.SerialRecovery = false
 }
 
-// runMigrationCrashSweep seeds a cluster, runs one membership change while
-// capturing full cluster media at every batch boundary, then replays each
-// capture (and its torn variant) as a whole-cluster crash.
-func runMigrationCrashSweep(t *testing.T, remove bool) {
-	c := cluster.New(cluster.Config{Nodes: 5, Seed: 91})
-	initial := []cluster.NodeID{0, 1, 2, 3}
-	if remove {
-		initial = []cluster.NodeID{0, 1, 2, 3, 4}
-	}
-	// InlineFanout: batch boundaries are quiescent instants, so a media
-	// capture there is a consistent whole-cluster crash image, and the
-	// roll-forward's own appends replay deterministically.
-	s := NewOnNodes(c, Config{ChunkSize: 64, Replication: 2, WALLanes: 4,
-		InlineFanout: true, MigrationBatchChunks: 4}, initial)
-	ctx := storage.NewContext()
-	expect := seedBlobs(t, s, ctx, 24)
+// crashImage is one whole-cluster crash point of a membership change: every
+// server's lane media as some append returned. node and lane locate that
+// append — the one write in flight under InlineFanout; node < 0 marks a
+// quiescent batch boundary instead.
+type crashImage struct {
+	media      [][][]byte
+	node, lane int
+}
 
-	// Snapshot points: the pre-sweep boundary (intent durable, no batch —
-	// the hook's batch == -1 call), every batch boundary, and completion.
-	// The pre-intent state is NOT a valid crash image here: the ring is
-	// store-global (membership is assumed durable out of band), so the
-	// earliest representable crash is "intent logged".
-	base := captureAllLanes(s)
-	var snaps [][][][]byte
-	s.migBatchHook = func(int) { snaps = append(snaps, captureAllLanes(s)) }
+// captureMigration runs one membership change of node 4 and returns a crash
+// image after every record its sweep appends (the data plane's trace fires
+// right after each descriptor handover and each chunk install, drop and debt
+// append, leading with node, key and — for a chunk — its index), at every
+// batch boundary — the first being "intent durable, no batch" — and at
+// completion. The pre-intent state is NOT a valid crash image: the ring is
+// store-global (membership is assumed durable out of band), so the earliest
+// representable crash is "intent logged".
+func captureMigration(t testing.TB, s *Store, ctx *storage.Context, remove bool) []crashImage {
+	var images []crashImage
+	s.cfg.MigrationBatchHook = func(int) { images = append(images, crashImage{captureAllLanes(s), -1, 0}) }
+	chaosTrace = func(_ string, args ...any) {
+		sv, key := s.servers[args[0].(cluster.NodeID)], args[1].(string)
+		lane := sv.metaLane(key)
+		if len(args) > 2 {
+			lane = sv.chunkLane(chunkID{key, args[2].(int64)}.ringHash())
+		}
+		images = append(images, crashImage{captureAllLanes(s), int(sv.node), lane})
+	}
+	defer func() { s.cfg.MigrationBatchHook, chaosTrace = nil, nil }()
 	var err error
 	if remove {
 		err = s.RemoveServer(ctx, 4)
@@ -126,30 +140,70 @@ func runMigrationCrashSweep(t *testing.T, remove bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.migBatchHook = nil
-	snaps = append(snaps, captureAllLanes(s)) // completed (End logged)
-	if len(snaps) < 4 {
-		t.Fatalf("migration produced only %d batch boundaries; workload too small to sweep", len(snaps)-2)
-	}
+	return append(images, crashImage{captureAllLanes(s), -1, 0}) // completed (End logged)
+}
 
-	for si, snap := range snaps {
+// restore rewrites the cluster's media to the image. torn lands the crash
+// inside the last medium write: the record whose append produced the image,
+// or at a boundary — where nothing is in flight — every lane the migration
+// grew past base, which only Replication >= 2 survives (tearMigrationTails).
+func (img crashImage) restore(s *Store, base [][][]byte, torn bool) {
+	restoreAllLanes(s, img.media)
+	switch {
+	case !torn:
+	case img.node >= 0:
+		lb := s.servers[img.node].wal.LaneBuffer(img.lane)
+		lb.Truncate(lb.Len() - 3)
+	case s.cfg.Replication >= 2:
+		tearMigrationTails(s, base, 0)
+	}
+}
+
+// runMigrationCrashSweep seeds a cluster, runs one membership change while
+// capturing full cluster media after every record, then replays each capture
+// (and its torn variant) as a whole-cluster crash.
+func runMigrationCrashSweep(t *testing.T, replication int, remove bool) {
+	c := cluster.New(cluster.Config{Nodes: 5, Seed: 91})
+	initial := []cluster.NodeID{0, 1, 2, 3}
+	if remove {
+		initial = []cluster.NodeID{0, 1, 2, 3, 4}
+	}
+	// InlineFanout: one append is in flight at a time, so a media capture as
+	// it returns is a consistent whole-cluster crash image, and the
+	// roll-forward's own appends replay deterministically.
+	s := NewOnNodes(c, Config{ChunkSize: 64, Replication: replication, WALLanes: 4,
+		InlineFanout: true, MigrationBatchChunks: 4}, initial)
+	ctx := storage.NewContext()
+	expect := seedBlobs(t, s, ctx, 24)
+
+	base := captureAllLanes(s)
+	images := captureMigration(t, s, ctx, remove)
+	boundaries := 0
+	for _, img := range images {
+		if img.node < 0 {
+			boundaries++
+		}
+	}
+	if boundaries < 4 || len(images) < 4*boundaries {
+		t.Fatalf("migration produced %d images over %d batch boundaries; workload too small to sweep", len(images), boundaries-2)
+	}
+	t.Logf("%d crash images, %d of them batch boundaries", len(images), boundaries)
+
+	for si, img := range images {
 		for _, torn := range []bool{false, true} {
 			// Parallel recovery first.
-			restoreAllLanes(s, snap)
-			if torn {
-				tearMigrationTails(s, base, 0)
-			}
+			img.restore(s, base, torn)
 			crashRecoverAll(t, s, false)
 			if s.migIntent.Load() != nil {
-				t.Fatalf("snap %d torn=%v: migration intent still open after recovery", si, torn)
+				t.Fatalf("image %d torn=%v: migration intent still open after recovery", si, torn)
 			}
 			if msg := s.CheckInvariants(); msg != "" {
-				t.Fatalf("snap %d torn=%v: invariants: %s", si, torn, msg)
+				t.Fatalf("image %d torn=%v: invariants: %s", si, torn, msg)
 			}
 			verifyBlobs(t, s, ctx, expect)
 			if remove {
 				if s.DescriptorCount(4)+s.ChunkCount(4) != 0 {
-					t.Fatalf("snap %d torn=%v: drained node holds data after roll-forward", si, torn)
+					t.Fatalf("image %d torn=%v: drained node holds data after roll-forward", si, torn)
 				}
 			}
 			parallel := make([]nodeState, len(s.servers))
@@ -160,15 +214,12 @@ func runMigrationCrashSweep(t *testing.T, remove bool) {
 			// The identical crash through the serial oracle must land on
 			// identical bytes everywhere — state and repaired media, including
 			// the roll-forward's own appends.
-			restoreAllLanes(s, snap)
-			if torn {
-				tearMigrationTails(s, base, 0)
-			}
+			img.restore(s, base, torn)
 			crashRecoverAll(t, s, true)
 			for ni, sv := range s.servers {
 				serial := captureNode(sv)
 				if !reflect.DeepEqual(parallel[ni], serial) {
-					t.Fatalf("snap %d torn=%v: node %d diverges between parallel and serial recovery\nparallel descs %v chunks %d\nserial   descs %v chunks %d",
+					t.Fatalf("image %d torn=%v: node %d diverges between parallel and serial recovery\nparallel descs %v chunks %d\nserial   descs %v chunks %d",
 						si, torn, ni, parallel[ni].descs, len(parallel[ni].chunks),
 						serial.descs, len(serial.chunks))
 				}
@@ -177,8 +228,14 @@ func runMigrationCrashSweep(t *testing.T, remove bool) {
 	}
 }
 
-func TestMigrationCrashSweepAdd(t *testing.T)    { runMigrationCrashSweep(t, false) }
-func TestMigrationCrashSweepRemove(t *testing.T) { runMigrationCrashSweep(t, true) }
+func sweepReplications(t *testing.T, remove bool) {
+	for r := 1; r <= 3; r++ {
+		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) { runMigrationCrashSweep(t, r, remove) })
+	}
+}
+
+func TestMigrationCrashSweepAdd(t *testing.T)    { sweepReplications(t, false) }
+func TestMigrationCrashSweepRemove(t *testing.T) { sweepReplications(t, true) }
 
 // TestMigrationCheckpointCarriesIntent checkpoints in the quiescent gap
 // between two migration batches — which resets every lane — and crashes
@@ -193,7 +250,7 @@ func TestMigrationCheckpointCarriesIntent(t *testing.T) {
 	expect := seedBlobs(t, s, ctx, 24)
 
 	var snap [][][]byte
-	s.migBatchHook = func(batch int) {
+	s.cfg.MigrationBatchHook = func(batch int) {
 		if batch == 1 {
 			s.CheckpointAll()
 			snap = captureAllLanes(s)
@@ -202,7 +259,7 @@ func TestMigrationCheckpointCarriesIntent(t *testing.T) {
 	if err := s.AddServer(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
-	s.migBatchHook = nil
+	s.cfg.MigrationBatchHook = nil
 	if snap == nil {
 		t.Fatal("migration finished before batch 1; workload too small")
 	}
@@ -314,7 +371,7 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	// with every migration stage. This test asserts oracle equality, not
 	// timing, so the real-time pacing cannot leak into any replayed log.
 	//blobvet:allow virtualtime test-only real-time pacing to force goroutine interleaving; assertions are oracle-based, not timing-based
-	s.migBatchHook = func(int) { time.Sleep(200 * time.Microsecond) }
+	s.cfg.MigrationBatchHook = func(int) { time.Sleep(200 * time.Microsecond) }
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -374,7 +431,7 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	s.migBatchHook = nil
+	s.cfg.MigrationBatchHook = nil
 	if t.Failed() {
 		return
 	}
@@ -393,26 +450,28 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	}
 }
 
-// FuzzRebalanceCrash: a fuzzer-derived workload, then a membership change
-// crashed at a fuzzer-chosen batch boundary (optionally with torn lane
-// tails). Recovery must close the intent, satisfy the invariants, serve
-// every blob oracle-exact, and agree byte-for-byte between the parallel and
-// serial paths. Registered alongside the other Fuzz targets in
+// FuzzRebalanceCrash: a fuzzer-derived workload, then a membership change at
+// a fuzzer-chosen Replication crashed after a fuzzer-chosen record (optionally
+// torn). Recovery must close the intent, satisfy the invariants, serve every
+// blob oracle-exact, and agree byte-for-byte between the parallel and serial
+// paths. Registered alongside the other Fuzz targets in
 // scripts/benchcheck.sh's fuzz loop.
 func FuzzRebalanceCrash(f *testing.F) {
-	f.Add([]byte{}, uint32(0), false, false)
-	f.Add([]byte{0, 0, 0, 1, 0, 120, 0, 1, 0, 1, 1, 70, 1, 0, 40}, uint32(1), false, false)
-	f.Add([]byte{0, 0, 0, 1, 0, 200, 0, 1, 0, 1, 1, 90, 3, 0, 50, 1, 2, 0, 1, 2, 60}, uint32(2), true, true)
-	f.Add([]byte{0, 0, 0, 1, 0, 90, 5, 0, 0, 1, 0, 80, 0, 1, 0, 1, 1, 100}, uint32(0), false, true)
+	// replicas 1 is Replication 2, what every seed ran under before the
+	// fuzzer chose it.
+	f.Add([]byte{}, uint32(0), false, false, uint8(1))
+	f.Add([]byte{0, 0, 0, 1, 0, 120, 0, 1, 0, 1, 1, 70, 1, 0, 40}, uint32(1), false, false, uint8(1))
+	f.Add([]byte{0, 0, 0, 1, 0, 200, 0, 1, 0, 1, 1, 90, 3, 0, 50, 1, 2, 0, 1, 2, 60}, uint32(2), true, true, uint8(1))
+	f.Add([]byte{0, 0, 0, 1, 0, 90, 5, 0, 0, 1, 0, 80, 0, 1, 0, 1, 1, 100}, uint32(0), false, true, uint8(1))
 
 	keys := []string{"m0", "m1", "m2"}
-	f.Fuzz(func(t *testing.T, script []byte, crashAt uint32, torn, remove bool) {
+	f.Fuzz(func(t *testing.T, script []byte, crashAt uint32, torn, remove bool, replicas uint8) {
 		initial := []cluster.NodeID{0, 1, 2, 3}
 		if remove {
 			initial = []cluster.NodeID{0, 1, 2, 3, 4}
 		}
 		s := NewOnNodes(cluster.New(cluster.Config{Nodes: 5, Seed: 3}),
-			Config{ChunkSize: 32, Replication: 2, WALLanes: 4,
+			Config{ChunkSize: 32, Replication: 1 + int(replicas)%3, WALLanes: 4,
 				InlineFanout: true, MigrationBatchChunks: 3}, initial)
 		ctx := storage.NewContext()
 		want := make(map[string][]byte)
@@ -464,26 +523,11 @@ func FuzzRebalanceCrash(f *testing.F) {
 		}
 
 		base := captureAllLanes(s)
-		var snaps [][][][]byte
-		s.migBatchHook = func(int) { snaps = append(snaps, captureAllLanes(s)) }
-		var err error
-		if remove {
-			err = s.RemoveServer(ctx, 4)
-		} else {
-			err = s.AddServer(ctx, 4)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.migBatchHook = nil
-		snaps = append(snaps, captureAllLanes(s))
-		snap := snaps[int(crashAt)%len(snaps)]
+		images := captureMigration(t, s, ctx, remove)
+		img := images[int(crashAt)%len(images)]
 
 		check := func(serial bool) []nodeState {
-			restoreAllLanes(s, snap)
-			if torn {
-				tearMigrationTails(s, base, 0)
-			}
+			img.restore(s, base, torn)
 			crashRecoverAll(t, s, serial)
 			if s.migIntent.Load() != nil {
 				t.Fatalf("serial=%v: intent still open after recovery", serial)

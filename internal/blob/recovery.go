@@ -117,13 +117,8 @@ func (s *Store) Recover(node cluster.NodeID) error {
 	vers := make(map[chunkID]uint64)
 	debt := make(map[chunkID]uint64)
 	var pending map[chunkID]prepWrite
-	// Migration replay state: buffered batch records (copies AND deletes)
-	// materialize only at their commit marker, so a batch torn anywhere
-	// before it replays as fully absent; the open intent (a Begin without a
-	// matching End) is published after replay so Recover can roll the
-	// migration forward.
-	var migPend map[chunkID]prepWrite
-	var migDel map[chunkID]bool
+	// The open migration intent (a Begin without a matching End) is published
+	// after replay so Recover can roll the migration forward.
 	var openIntent *migrationIntent
 	var maxMigSeq uint64
 	replay := func(fn func(wal.Record) error) error {
@@ -242,7 +237,6 @@ func (s *Store) Recover(node cluster.NodeID) error {
 			if seq > maxMigSeq {
 				maxMigSeq = seq
 			}
-			migPend, migDel = nil, nil
 			return nil
 		case wal.RecMigrateEnd:
 			seq, _, _, err := decMigrateIntent(rec.Payload)
@@ -254,58 +248,6 @@ func (s *Store) Recover(node cluster.NodeID) error {
 			}
 			if openIntent != nil && openIntent.seq == seq {
 				openIntent = nil
-			}
-			migPend, migDel = nil, nil
-			return nil
-		case wal.RecMigrateBatch:
-			if len(rec.Payload) < 1 {
-				return fmt.Errorf("blob: migrate batch record empty")
-			}
-			switch phase := rec.Payload[0]; phase {
-			case migPhasePrepare:
-				// A fresh batch opens: any residue a torn earlier batch left
-				// buffered is dead (its commit can no longer follow).
-				migPend, migDel = nil, nil
-			case migPhaseChunk:
-				id, _, ver, data, err := decChunkPayload(rec.Payload[1:])
-				if err != nil {
-					return err
-				}
-				if migPend == nil {
-					migPend = make(map[chunkID]prepWrite)
-				}
-				migPend[id] = prepWrite{ver: ver, data: data}
-			case migPhaseDelete:
-				id, _, _, _, err := decChunkPayload(rec.Payload[1:])
-				if err != nil {
-					return err
-				}
-				if migDel == nil {
-					migDel = make(map[chunkID]bool)
-				}
-				migDel[id] = true
-			case migPhaseCommit:
-				// Materialize the batch. Installs replace wholesale — a
-				// migration copy carries the chunk's full bytes, possibly
-				// SHORTER than what an older replayed write grew (the source
-				// may have been trimmed), so the grow-only applyRecovered
-				// merge would keep a stale tail. The version guard mirrors
-				// the live install (installChunk): a newer foreground
-				// write logged before the copy wins.
-				for id, pw := range migPend {
-					if pw.ver > vers[id] {
-						chunks[id] = pw.data
-						vers[id] = pw.ver
-					}
-				}
-				for id := range migDel {
-					delete(chunks, id)
-					delete(vers, id)
-					delete(debt, id)
-				}
-				migPend, migDel = nil, nil
-			default:
-				return fmt.Errorf("blob: migrate batch record: unknown phase %d", phase)
 			}
 			return nil
 		default:
@@ -476,9 +418,7 @@ func (sv *server) checkpointPlan() []ckptLane {
 		plan[lane].debts = append(plan[lane].debts, ckptDebt{id, mask})
 	})
 	// An open migration intent is part of the durable state the snapshot
-	// must carry forward (batch buffers need not be: a checkpoint requires
-	// quiescence, so no batch is torn open at this point — the chunk table
-	// already reflects every committed batch).
+	// must carry forward.
 	if intent := sv.migIntent.Load(); intent != nil {
 		plan[migLane].intent = intent
 	}

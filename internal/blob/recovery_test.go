@@ -138,7 +138,7 @@ func TestRecoveredStateIdenticalToLive(t *testing.T) {
 		t.Fatalf("chunk count after recovery = %d, want %d", got, len(liveChunks))
 	}
 	for id, c := range liveChunks {
-		got, ok := sv.getChunk(id.ringHash(), id)
+		got, _, ok := sv.copyChunk(id.ringHash(), id)
 		if !ok || string(got) != c {
 			t.Fatalf("chunk %v diverges after recovery", id)
 		}

@@ -23,7 +23,7 @@ import (
 //     acknowledged writes — and the debt records naming them — so Recover
 //     compares versions with the live peers BEFORE marking the node up, pulls
 //     what is newer, and lists whoever is left behind (oweBehind).
-//   - the ring diff (rebalance.go), which batches its installs under 2PC.
+//   - the ring diff (rebalance.go), which throttles its installs in batches.
 //
 // All run on the dispatch pool as ordinary fan tasks and obey the dispatch.go
 // contract: stripe locks and WAL appends only (short-hold / bounded-wait),

@@ -183,27 +183,51 @@ func (s *Store) serveChunk(cg *charge, id chunkID, serve func(sv *server, h, wan
 // installChunk is the version-guarded whole-chunk replace every copy between
 // replicas ends in (repair, resync, migration): target takes data at ver
 // unless it already holds that version or newer — a concurrent writer or a
-// racing install won. It charges the transfer and logs RecWrite under the
-// stripe lock (the recordDebt pattern: a lane leader never takes stripe
-// locks). A nil cg installs in memory only, for a migration batch whose
-// commit marker already made the copy durable and charged. Returns target's
-// version afterwards and whether data went in.
+// racing install won. target owns data from here on. Memory and log change
+// together under the stripe lock (the recordDebt pattern: a lane leader never
+// takes stripe locks), so the chunk's lane receives records in the order
+// memory changed and replay needs no guard of its own. RecWrite replays as a
+// grow-only merge, so a copy shorter than what target held logs the cut with
+// it as ONE lane append: a crash can tear that write but never falls between
+// the two. Returns target's version afterwards and whether data went in.
 func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, data []byte, ver uint64) (uint64, bool) {
-	if cg != nil {
-		cg.rpc(target.node, len(data), 64, 0)
-	}
+	cg.rpc(target.node, len(data), 64, 0)
 	st := target.stripe(h)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if have := st.ver[id]; have >= ver {
 		return have, false
 	}
+	shrinks := len(st.m[id]) > len(data)
 	st.m[id] = data
 	st.ver[id] = ver
-	if cg != nil {
+	if shrinks {
+		bp := hdrPool.Get().(*[]byte)
+		*bp = appendChunkHeader((*bp)[:0], id, int64(len(data)), 0)
+		cut := len(*bp)
+		*bp = appendChunkHeader(*bp, id, 0, ver)
+		s.walAppendBatch(cg, target, target.chunkLane(h), []wal.AppendVSpec{
+			{Type: wal.RecChunkTruncate, Header: (*bp)[:cut]},
+			{Type: wal.RecWrite, Header: (*bp)[cut:], Payload: data},
+		})
+		hdrPool.Put(bp)
+	} else {
 		s.walAppendChunk(cg, target, wal.RecWrite, h, id, 0, ver, data)
-		cg.diskWrite(target.node, len(data))
 	}
+	cg.diskWrite(target.node, len(data))
 	tracef("install node=%d id=%s/%d ver=%d", target.node, id.key, id.idx, ver)
 	return ver, true
+}
+
+// dropChunk removes sv's copy of the chunk, memory and log together under the
+// stripe lock like installChunk.
+func (s *Store) dropChunk(cg *charge, sv *server, h uint64, id chunkID) {
+	st := sv.stripe(h)
+	st.mu.Lock()
+	delete(st.m, id)
+	delete(st.ver, id)
+	sv.setDebtLocked(st, id, 0)
+	s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil)
+	tracef("drop node=%d id=%s/%d", sv.node, id.key, id.idx)
+	st.mu.Unlock()
 }

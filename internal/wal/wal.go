@@ -53,7 +53,10 @@ import (
 // payloads as opaque; types exist so replay handlers can dispatch.
 type RecordType uint8
 
-// Record types used by the blob server.
+// Record types used by the blob server. The values are positional: deleting a
+// type renumbers those after it (RecMigrateEnd is 14 since the migration batch
+// record went), which is safe only because no log outlives the process that
+// wrote it and nothing stores a type number.
 const (
 	RecCreate RecordType = iota + 1
 	RecDelete
@@ -89,18 +92,10 @@ const (
 	// node; replay keeps at most one intent open per server (a later Begin
 	// supersedes an earlier one).
 	RecMigrateBegin
-	// RecMigrateBatch carries one migration batch's 2PC protocol on a
-	// participating server. Its payload starts with a phase byte: a prepare
-	// marker (replay drops any buffered batch state), a chunk-copy record
-	// (replay buffers it, like RecPrepWrite), a chunk-delete record (replay
-	// buffers the drop), or a commit marker (replay materializes every
-	// buffered copy version-guarded and applies every buffered delete). A
-	// crash between prepare and commit therefore leaves the batch fully
-	// absent; a crash after commit leaves it fully applied.
-	RecMigrateBatch
 	// RecMigrateEnd closes the intent opened by RecMigrateBegin with the
 	// same sequence number: the migration completed and recovery has
-	// nothing to roll forward.
+	// nothing to roll forward. Between the two, chunks move under the
+	// ordinary chunk records (RecWrite, RecChunkDelete).
 	RecMigrateEnd
 )
 
@@ -133,8 +128,6 @@ func (t RecordType) String() string {
 		return "repair-needed"
 	case RecMigrateBegin:
 		return "migrate-begin"
-	case RecMigrateBatch:
-		return "migrate-batch"
 	case RecMigrateEnd:
 		return "migrate-end"
 	default:

@@ -76,8 +76,9 @@
 # drain vs quiesced — into BENCH_rebalance.json, gated on the
 # during-migration/quiesced virtual p99 ratio (bench.CheckRebalance)
 # before the file is overwritten. Its crash-safety side is covered above:
-# the -race suite includes the migration batch-boundary crash sweeps and
-# the chaos battery's membership actor, and the fuzz loop picks up
+# the -race suite includes the migration crash sweeps (a whole-cluster
+# crash after every record a join or drain appends, Replication 1 to 3)
+# and the chaos battery's membership actor, and the fuzz loop picks up
 # FuzzRebalanceCrash with the other blob fuzz targets.
 #
 # Usage: scripts/benchcheck.sh [hotpath-output-file] [recovery-output-file] [faults-output-file] [frontends-output-file] [rebalance-output-file]
