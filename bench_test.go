@@ -10,7 +10,6 @@ package repro
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -362,7 +361,8 @@ func BenchmarkAblationScanEmulation(b *testing.B) {
 
 // --- Data-plane hot path: per-chunk dispatch cost on striped reads and
 // writes (placement lookup, chunk addressing, server locks, WAL append).
-// Allocation counts are the regression guard: see BENCH_hotpath.json. ---
+// -cpuprofile entry points: the allocation guard is internal/blob's
+// TestHotPathAllocFree, wall-clock numbers come from benchmark/run.sh. ---
 
 func BenchmarkHotPathRead(b *testing.B) {
 	h, err := bench.NewHotPath()
@@ -403,136 +403,6 @@ func BenchmarkHotPathWrite(b *testing.B) {
 		}
 		if err := h.Write(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// Inline variants pin the dispatcher's overhead against sequential
-// execution of the same code path (virtual times are identical by
-// construction; host time is the contrast).
-
-func BenchmarkHotPathReadInline(b *testing.B) {
-	h, err := bench.NewHotPathInline()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(h.OpBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Read(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHotPathWriteInline(b *testing.B) {
-	h, err := bench.NewHotPathInline()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := h.Warm(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(h.OpBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%bench.CompactEvery == bench.CompactEvery-1 {
-			b.StopTimer()
-			h.Compact()
-			b.StartTimer()
-		}
-		if err := h.Write(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHotPathReadParallel drives the dispatcher from many concurrent
-// clients — the shape the worker pool exists for. Each client owns its
-// context and buffer; the blob, its descriptor latch (read-shared), and
-// the chunk stripes are shared.
-func BenchmarkHotPathReadParallel(b *testing.B) {
-	h, err := bench.NewHotPath()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(h.OpBytes())
-	b.ReportAllocs()
-	var readErr atomic.Value // Fatalf must not run on RunParallel workers
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		ctx := storage.NewContext()
-		buf := make([]byte, h.OpBytes())
-		for pb.Next() {
-			n, err := h.Store.ReadBlob(ctx, "hot", 0, buf)
-			if err != nil || n != len(buf) {
-				readErr.Store(fmt.Errorf("parallel read: (%d, %v)", n, err))
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	if err := readErr.Load(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkHotPathWriteParallel drives concurrent writers against
-// per-client blobs — every client's descriptor latch is private, so the
-// contention measured here is the shared substrate: per-server WAL mutexes,
-// chunk stripes, and the dispatcher (ROADMAP's write-scaling question).
-// Batches of writes alternate with out-of-timer compaction like the serial
-// write benchmark, keeping the in-memory logs bounded. ns/op counts
-// individual write operations across all clients.
-func BenchmarkHotPathWriteParallel(b *testing.B) {
-	h, err := bench.NewHotPathParallel(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := h.WarmParallel(); err != nil {
-		b.Fatal(err)
-	}
-	h.DriveParallelWrites(b)
-}
-
-// BenchmarkHotPathWriteParallelLanes1 is the same contended-writer shape
-// pinned to a single WAL lane per server — the pre-sharding layout. The
-// contrast against BenchmarkHotPathWriteParallel is what the lane sharding
-// and group commit buy under multi-client write load (benchsuite records
-// the fuller lane sweep in BENCH_hotpath.json).
-func BenchmarkHotPathWriteParallelLanes1(b *testing.B) {
-	h, err := bench.NewHotPathParallelLanes(0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := h.WarmParallel(); err != nil {
-		b.Fatal(err)
-	}
-	h.DriveParallelWrites(b)
-}
-
-// BenchmarkRecover measures crash recovery of the fullest server of a
-// cold 9-node store — merged lane decode, 2PC prepare buffering, and the
-// chunk-table scatter — serial (the single-threaded oracle) against the
-// parallel lane-decode pipeline, across the WAL lane sweep. ns/op is one
-// full crash+recover cycle; MB/s is log bytes replayed. benchsuite's
-// `recovery` experiment records the fuller sweep (including cold-store
-// sizes) in BENCH_recovery.json, gated by bench.CheckRecoveryScaling.
-func BenchmarkRecover(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"serial", true}, {"parallel", false}} {
-		for _, lanes := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/lanes=%d", mode.name, lanes), func(b *testing.B) {
-				f, err := bench.NewRecoveryFixture(lanes, 32, mode.serial)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f.Drive(b)
-			})
 		}
 	}
 }
@@ -656,30 +526,4 @@ func BenchmarkAblationIndexedScan(b *testing.B) {
 			reportVirtual(b, ctx.Clock.Now()-start)
 		})
 	}
-}
-
-// BenchmarkFaultWrite profiles the failure-domain write paths behind the
-// benchsuite `faults` experiment: the healthy replicated overwrite against
-// the degraded path that excludes a down owner and logs repair debt.
-func BenchmarkFaultWrite(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		degraded bool
-	}{{"healthy", false}, {"degraded", true}} {
-		f, err := bench.NewFaultsFixture()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(mode.name, f.DriveWrite(mode.degraded))
-	}
-}
-
-// BenchmarkFaultResync measures the rejoin path: a node misses a full-blob
-// overwrite and SetDown(..., false) drains the debt back onto it.
-func BenchmarkFaultResync(b *testing.B) {
-	f, err := bench.NewFaultsFixture()
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.DriveResync(b)
 }

@@ -4,119 +4,33 @@
 //
 // Usage:
 //
-//	benchsuite [-exp all|table1|fig1|fig2|table2|mapping|futurework|hotpath|recovery|faults|frontends|rebalance]
+//	benchsuite [-exp all|table1|fig1|fig2|table2|mapping|futurework]
 //	           [-factor N] [-chunk N] [-ranks N] [-executors N]
-//	           [-hotpath-out FILE] [-hotpath-baseline FILE]
-//	           [-recovery-out FILE] [-recovery-ratio R]
-//	           [-faults-out FILE] [-faults-ratio R]
-//	           [-frontends-out FILE] [-frontends-ratio R]
-//	           [-rebalance-out FILE] [-rebalance-ratio R]
 //
 // The default factor 1024 scales the paper's GB volumes to MB; the chunk
 // scales the per-call I/O unit accordingly (see internal/workloads).
 //
-// The hotpath experiment is the benchcheck target: it runs the data-plane
-// micro-benchmarks (BenchmarkHotPathRead / BenchmarkHotPathWrite /
-// BenchmarkHotPathWriteParallel plus a WAL lane-count sweep, with
-// allocation accounting equivalent to `go test -bench HotPath -benchmem`)
-// and writes the results to -hotpath-out (default BENCH_hotpath.json) so
-// successive PRs have a perf trajectory to compare against. Two gates run
-// before the file is written:
-//
-//   - with -hotpath-baseline, the committed file is read BEFORE the
-//     results overwrite it and the run fails if the write path's
-//     allocation volume regressed against it;
-//
-//   - the parallel/serial write ratio is checked against -hotpath-ratio
-//     (default: a hardware-aware bound chosen by GOMAXPROCS, see
-//     bench.CheckWriteScaling; 0 disables), failing the run if the
-//     sharded-lane WAL stops delivering parallel write scaling.
-//
-//     go run ./cmd/benchsuite -exp hotpath -hotpath-baseline BENCH_hotpath.json
-//
-// The recovery experiment is the other benchcheck target: the
-// serial-vs-parallel crash-recovery sweep (WAL lane counts x cold-store
-// sizes) written to -recovery-out (default BENCH_recovery.json), gated by
-// -recovery-ratio (default: a GOMAXPROCS-aware bound, see
-// bench.CheckRecoveryScaling; 0 disables) BEFORE the file is written.
-//
-//	go run ./cmd/benchsuite -exp recovery
-//
-// The faults experiment is the failure-domain benchcheck target: healthy vs
-// degraded full-blob overwrites and the rejoin-resync cycle, written to
-// -faults-out (default BENCH_faults.json). The gate reads the deterministic
-// /virtual result pair (simulated cost, identical on every host) rather
-// than wall-clock ns/op, bounding the degraded/healthy write cost ratio by
-// -faults-ratio (default 1.25, see bench.CheckFaults; 0 disables) BEFORE
-// the file is written.
-//
-//	go run ./cmd/benchsuite -exp faults
-//
-// The frontends experiment is the converged-access-layer benchcheck
-// target: the IOR-style HPC pattern, the Sort shuffle, and the S3 put/get
-// cycle, each over one blob data plane with a deterministic /virtual twin,
-// written to -frontends-out (default BENCH_frontends.json). The gate reads
-// the BenchmarkFrontendRename virtual pair, requiring the server-side
-// rename fast path to cost at most -frontends-ratio of the client-side
-// copy loop (default 0.95, see bench.CheckFrontends; 0 disables) BEFORE
-// the file is written.
-//
-//	go run ./cmd/benchsuite -exp frontends
-//
-// The rebalance experiment is the elasticity benchcheck target: the
-// foreground p99 of a mixed read / 2PC-write workload during a live node
-// join and drain, against the same workload quiesced, written to
-// -rebalance-out (default BENCH_rebalance.json). The gate reads the three
-// deterministic /virtual rows, bounding the during-migration/quiesced p99
-// ratio by -rebalance-ratio (default 4, see bench.CheckRebalance; 0
-// disables) BEFORE the file is written.
-//
-//	go run ./cmd/benchsuite -exp rebalance
+// No performance number comes from here: wall clock is `bash benchmark/run.sh`,
+// simulated cost is internal/bench's TestVirtualTwinsPinned.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/workloads"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, fig1, fig2, table2, mapping, futurework, hotpath, recovery, faults, frontends, rebalance")
+	exp := flag.String("exp", "all", "experiment: all, table1, fig1, fig2, table2, mapping, futurework")
 	factor := flag.Int64("factor", 1024, "divide the paper's byte volumes by this factor")
 	chunk := flag.Int("chunk", 4096, "per-call I/O unit in bytes")
 	ranks := flag.Int("ranks", 8, "MPI ranks for HPC applications")
 	executors := flag.Int("executors", 4, "Spark executors")
-	hotpathOut := flag.String("hotpath-out", "BENCH_hotpath.json", "output file for the hotpath experiment")
-	hotpathBaseline := flag.String("hotpath-baseline", "", "committed BENCH_hotpath.json to gate write-path allocation regressions against")
-	hotpathRatio := flag.Float64("hotpath-ratio", -1,
-		"max parallel/serial write ns-per-op ratio gate: <0 picks a GOMAXPROCS-aware default, 0 disables the gate")
-	recoveryOut := flag.String("recovery-out", "BENCH_recovery.json", "output file for the recovery experiment")
-	recoveryRatio := flag.Float64("recovery-ratio", -1,
-		"max parallel/serial recovery ns-per-op ratio gate: <0 picks a GOMAXPROCS-aware default, 0 disables the gate")
-	faultsOut := flag.String("faults-out", "BENCH_faults.json", "output file for the faults experiment")
-	faultsRatio := flag.Float64("faults-ratio", -1,
-		"max degraded/healthy write ns-per-op ratio gate: <0 picks a GOMAXPROCS-aware default, 0 disables the gate")
-	frontendsOut := flag.String("frontends-out", "BENCH_frontends.json", "output file for the frontends experiment")
-	frontendsRatio := flag.Float64("frontends-ratio", -1,
-		"max fastpath/copy rename ns-per-op ratio gate: <0 picks the default (0.95), 0 disables the gate")
-	rebalanceOut := flag.String("rebalance-out", "BENCH_rebalance.json", "output file for the rebalance experiment")
-	rebalanceRatio := flag.Float64("rebalance-ratio", -1,
-		"max during-migration/quiesced foreground p99 ratio gate: <0 picks the default (4), 0 disables the gate")
 	flag.Parse()
-
-	// Read the baseline up front: -hotpath-out usually names the same file,
-	// and the gate must compare against the committed numbers, not ours.
-	var baseline []byte
-	if *hotpathBaseline != "" {
-		var err error
-		if baseline, err = os.ReadFile(*hotpathBaseline); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: hotpath baseline: %v\n", err)
-			os.Exit(1)
-		}
-	}
 
 	cfg := workloads.Config{
 		Factor:    *factor,
@@ -125,10 +39,14 @@ func main() {
 		Executors: *executors,
 	}
 
+	valid := []string{"all"}
+	ran := false
 	run := func(name string, fn func() error) {
+		valid = append(valid, name)
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "benchsuite: %s: %v\n", name, err)
 			os.Exit(1)
@@ -188,176 +106,8 @@ func main() {
 		fmt.Printf("flat-namespace gains hold: %v\n", res.GainsHold())
 		return nil
 	})
-	// The hotpath experiment only runs when requested explicitly: it is the
-	// benchcheck target, not part of the paper's evaluation tables.
-	if *exp == "hotpath" {
-		results, err := bench.RunHotPath()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-30s %10d ns/op %8d B/op %6d allocs/op %10.1f MB/s\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.MBPerSec)
-		}
-		// Gate BEFORE writing -hotpath-out: the two usually name the same
-		// file, and a failing run must not clobber the committed baseline —
-		// that would make a simple re-run pass against its own regression.
-		if baseline != nil {
-			if err := bench.CheckHotPathBaseline(results, baseline); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v (baseline left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("write-path allocation gate vs %s: ok\n", *hotpathBaseline)
-		}
-		if *hotpathRatio != 0 {
-			if err := bench.CheckWriteScaling(results, *hotpathRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v (baseline left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("parallel/serial write-scaling gate: ok")
-		}
-		out, err := bench.RenderHotPath(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*hotpathOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *hotpathOut)
-	}
-	// The recovery experiment is the second benchcheck target: the
-	// serial-vs-parallel crash-recovery sweep across WAL lane counts and
-	// cold-store sizes, gated on the parallel pipeline actually beating
-	// (or, without parallel hardware, staying within bounded overhead of)
-	// the single-threaded oracle before BENCH_recovery.json is written.
-	if *exp == "recovery" {
-		results, err := bench.RunRecovery()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: recovery: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-45s %10d ns/op %8d B/op %6d allocs/op %10.1f MB/s\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.MBPerSec)
-		}
-		if *recoveryRatio != 0 {
-			if err := bench.CheckRecoveryScaling(results, *recoveryRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: recovery: %v (output left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("parallel/serial recovery-scaling gate: ok")
-		}
-		out, err := bench.RenderRecovery(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: recovery: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*recoveryOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: recovery: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *recoveryOut)
-	}
-	// The faults experiment is the third benchcheck target: the cost profile
-	// of writing through a failure domain (degraded writes on the live
-	// replica subset) and of the rejoin-resync drain, gated on degraded
-	// writes never costing more than bounded bookkeeping over healthy ones
-	// before BENCH_faults.json is written.
-	if *exp == "faults" {
-		results, err := bench.RunFaults()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: faults: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-35s %10d ns/op %8d B/op %6d allocs/op %10.1f MB/s\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.MBPerSec)
-		}
-		if *faultsRatio != 0 {
-			if err := bench.CheckFaults(results, *faultsRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: faults: %v (output left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("degraded/healthy write-cost gate: ok")
-		}
-		out, err := bench.RenderFaults(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: faults: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*faultsOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: faults: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *faultsOut)
-	}
-	// The frontends experiment is the fourth benchcheck target: the three
-	// converged access layers (IOR pattern, Sort shuffle, S3 put/get) over
-	// one blob data plane, gated on the blobfs rename fast path still
-	// beating the client-side copy loop before BENCH_frontends.json is
-	// written.
-	if *exp == "frontends" {
-		results, err := bench.RunFrontends()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: frontends: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-40s %12d ns/op %8d B/op %6d allocs/op %10.1f MB/s\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.MBPerSec)
-		}
-		if *frontendsRatio != 0 {
-			if err := bench.CheckFrontends(results, *frontendsRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: frontends: %v (output left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("rename fastpath/copy gate: ok")
-		}
-		out, err := bench.RenderFrontends(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: frontends: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*frontendsOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: frontends: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *frontendsOut)
-	}
-	// The rebalance experiment is the fifth benchcheck target: foreground
-	// p99 latency during a live join/drain against the quiesced baseline,
-	// gated on the throttled, batched migration sweep never costing the
-	// foreground more than bounded contention before BENCH_rebalance.json
-	// is written.
-	if *exp == "rebalance" {
-		results, err := bench.RunRebalance()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: rebalance: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-48s %12d ns/op %8d B/op %6d allocs/op\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		}
-		if *rebalanceRatio != 0 {
-			if err := bench.CheckRebalance(results, *rebalanceRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: rebalance: %v (output left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("migration/quiesced foreground-p99 gate: ok")
-		}
-		out, err := bench.RenderRebalance(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: rebalance: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*rebalanceOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: rebalance: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *rebalanceOut)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "benchsuite: unknown experiment %q (valid: %s)\n", *exp, strings.Join(valid, ", "))
+		os.Exit(2)
 	}
 }

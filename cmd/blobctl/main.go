@@ -104,14 +104,20 @@ func execute(w io.Writer, store storage.BlobStore, ctx *storage.Context, line st
 			return fmt.Errorf("usage: read KEY OFFSET LEN")
 		}
 		off, err := strconv.ParseInt(args[1], 10, 64)
-		if err != nil {
-			return fmt.Errorf("offset: %w", err)
+		if err != nil || off < 0 {
+			return fmt.Errorf("offset: %v", args[1])
 		}
-		length, err := strconv.Atoi(args[2])
+		length, err := strconv.ParseInt(args[2], 10, 64)
 		if err != nil || length < 0 {
 			return fmt.Errorf("length: %v", args[2])
 		}
-		buf := make([]byte, length)
+		// LEN is whatever the user typed: size the buffer by what the blob
+		// holds past OFFSET (a read at EOF is short anyway), never by LEN.
+		size, err := store.BlobSize(ctx, args[0])
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, min(length, max(size-off, 0)))
 		n, err := store.ReadBlob(ctx, args[0], off, buf)
 		if err != nil {
 			return err

@@ -30,10 +30,11 @@ func TestShellRoundTrip(t *testing.T) {
 		"create greeting",
 		"write greeting 0 hello blob world",
 		"read greeting 6 4",
+		"read greeting 11 4000000000000", // LEN is user input: the blob sizes the buffer
 		"size greeting",
 		"ls",
 	)
-	for _, want := range []string{"wrote 16 bytes", `"blob"`, "16", "greeting", "(1 blobs)"} {
+	for _, want := range []string{"wrote 16 bytes", `"blob"`, `"world"`, "16", "greeting", "(1 blobs)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
@@ -68,6 +69,7 @@ func TestShellErrors(t *testing.T) {
 		"write k notanumber data",
 		"read k 0",
 		"read k 0 -3",
+		"read k -1 4000000000000",
 		"size",
 		"trunc k",
 		"rm",

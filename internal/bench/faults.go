@@ -1,10 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-
-	"testing"
 	"time"
 
 	"repro/internal/blob"
@@ -12,235 +8,49 @@ import (
 	"repro/internal/storage"
 )
 
-// FaultsFixture backs the benchsuite `faults` experiment: the failure-domain
-// cost profile of the degraded write path and rejoin resync. The cluster is
-// 3 nodes with 3-way replication so every chunk is owned by every node —
-// downing one node makes EVERY chunk write degraded (exclusion + per-chunk
-// RecRepairNeeded debt record on the survivors), which keeps the
-// healthy/degraded comparison crisp instead of diluting it across a larger
-// ring where only a third of the chunks lose a replica.
-type FaultsFixture struct {
-	store *blob.Store
-	ctx   *storage.Context
-	buf   []byte
-	down  cluster.NodeID
-}
+// twinOps is how many ops each twin averages over, after one throw-away op.
+const twinOps = 8
 
-// NewFaultsFixture builds the 3-node store with one 4-chunk blob target.
-func NewFaultsFixture() (*FaultsFixture, error) {
+// VirtualWriteCost measures the simulated per-op cost of a full-blob
+// (4-chunk, 256 KiB) overwrite, healthy or degraded: every disk, RPC, and
+// compute charge the write folds into its context. The cluster is 3 nodes
+// with 3-way replication so every chunk is owned by every node — downing one
+// makes EVERY chunk write degraded (exclusion + a RecRepairNeeded debt record
+// on the survivors) instead of diluting the comparison across a larger ring.
+//
+// The fixture is fresh because the simulator's per-node disk queues carry
+// virtual time forward; one throwaway write syncs the fresh clock with the
+// fixture's seeded construction history, and the marginal cost of the next
+// twinOps writes is then a pure function of the code path — reproducible to
+// the nanosecond on any host, which is what lets TestVirtualTwinsPinned pin it.
+func VirtualWriteCost(degraded bool) (time.Duration, error) {
 	st := blob.New(cluster.New(cluster.Config{Nodes: 3, Seed: 1}),
 		blob.Config{ChunkSize: 64 << 10, Replication: 3})
 	ctx := storage.NewContext()
 	if err := st.CreateBlob(ctx, "fault-target"); err != nil {
-		return nil, err
+		return 0, err
 	}
 	buf := make([]byte, 256<<10)
 	for i := range buf {
 		buf[i] = byte(i)
 	}
-	f := &FaultsFixture{store: st, ctx: ctx, buf: buf, down: 2}
-	// Prime the blob so every benchmark iteration is an overwrite of
-	// existing chunks, never a first-touch allocation.
+	// Prime the blob so every measured op is an overwrite of existing
+	// chunks, never a first-touch allocation.
 	if _, err := st.WriteBlob(ctx, "fault-target", 0, buf); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// RunWrite performs one full-blob overwrite. With the cluster healthy this
-// is the baseline replicated 2PC write; with a node down it is the degraded
-// path: the down owner is excluded from every chunk and the survivors log
-// repair debt naming it.
-func (f *FaultsFixture) RunWrite() error {
-	_, err := f.store.WriteBlob(f.ctx, "fault-target", 0, f.buf)
-	return err
-}
-
-// RunResync performs one down/write/rejoin/repair cycle: a node misses a
-// full-blob overwrite, then rejoins — SetDown(..., false) synchronously
-// drains the debt, re-installing the node's replica of every chunk. The
-// repaired volume per cycle is len(buf): one node's worth.
-func (f *FaultsFixture) RunResync() error {
-	f.store.SetDown(f.down, true)
-	if _, err := f.store.WriteBlob(f.ctx, "fault-target", 0, f.buf); err != nil {
-		return err
-	}
-	f.store.SetDown(f.down, false)
-	if n := f.store.RepairPending(); n != 0 {
-		return fmt.Errorf("bench: resync cycle left %d chunks owing repair", n)
-	}
-	return nil
-}
-
-func (f *FaultsFixture) DriveWrite(degraded bool) func(*testing.B) {
-	return func(b *testing.B) {
-		if degraded {
-			f.store.SetDown(f.down, true)
-		}
-		b.SetBytes(int64(len(f.buf)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := f.RunWrite(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if degraded {
-			// Rejoin outside the timer: SetDown(..., false) synchronously
-			// drains the accumulated debt, leaving the fixture healthy for
-			// the next benchmark.
-			f.store.SetDown(f.down, false)
-		}
-	}
-}
-
-func (f *FaultsFixture) DriveResync(b *testing.B) {
-	b.SetBytes(int64(len(f.buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.RunResync(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// VirtualWriteCost measures the simulated per-op cost of a full-blob
-// overwrite, healthy or degraded: every disk, RPC, and compute charge the
-// write folds into its context. It builds its own fresh fixture — the
-// simulator's shared resources (per-node disk queues) carry virtual time
-// forward, so measuring on a store that already ran wall-clock benchmarks
-// would fold an arbitrary amount of queue catch-up into the first op. One
-// throwaway write syncs the fresh clock with the fixture's (seeded,
-// identical every run) construction history; the marginal cost of the next
-// `ops` writes is then a pure function of the code path — byte-for-byte
-// reproducible on any host — which is what makes it gateable.
-func VirtualWriteCost(degraded bool, ops int) (time.Duration, error) {
-	f, err := NewFaultsFixture()
-	if err != nil {
 		return 0, err
 	}
 	if degraded {
-		f.store.SetDown(f.down, true)
+		st.SetDown(2, true)
 	}
-	ctx := storage.NewContext()
-	if _, err := f.store.WriteBlob(ctx, "fault-target", 0, f.buf); err != nil {
+	ctx = storage.NewContext()
+	if _, err := st.WriteBlob(ctx, "fault-target", 0, buf); err != nil {
 		return 0, err
 	}
 	start := ctx.Clock.Now()
-	for i := 0; i < ops; i++ {
-		if _, err := f.store.WriteBlob(ctx, "fault-target", 0, f.buf); err != nil {
+	for i := 0; i < twinOps; i++ {
+		if _, err := st.WriteBlob(ctx, "fault-target", 0, buf); err != nil {
 			return 0, err
 		}
 	}
-	return (ctx.Clock.Now() - start) / time.Duration(ops), nil
-}
-
-// RunFaults runs the failure-domain sweep via testing.Benchmark and returns
-// results for BENCH_faults.json: BenchmarkFaultWrite/{healthy,degraded}
-// (ns/op of a replicated vs degraded full-blob overwrite, with a
-// /virtual twin carrying the simulated per-op cost) and BenchmarkFaultResync
-// (MB/s of the rejoin repair path, measured over a full
-// down/write/rejoin/drain cycle).
-func RunFaults() ([]HotPathResult, error) {
-	f, err := NewFaultsFixture()
-	if err != nil {
-		return nil, err
-	}
-	var out []HotPathResult
-	var firstErr error
-	// Best-of-3: the healthy/degraded comparison gates a RATIO of two
-	// wall-clock measurements, so a scheduler hiccup during either one
-	// produces a spurious 2x. The minimum over repetitions is the standard
-	// noise-robust statistic for that — the fastest observed run is the one
-	// closest to the code's true cost.
-	record := func(name string, body func(*testing.B)) {
-		var best testing.BenchmarkResult
-		for rep := 0; rep < 3; rep++ {
-			r := testing.Benchmark(body)
-			if rep == 0 || (r.N > 0 && r.NsPerOp() < best.NsPerOp()) {
-				best = r
-			}
-		}
-		if best.N == 0 && firstErr == nil {
-			firstErr = fmt.Errorf("benchmark %s failed", name)
-		}
-		mbps := 0.0
-		if best.T > 0 {
-			mbps = float64(best.Bytes) * float64(best.N) / 1e6 / best.T.Seconds()
-		}
-		out = append(out, HotPathResult{
-			Name:        name,
-			NsPerOp:     best.NsPerOp(),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-			MBPerSec:    mbps,
-		})
-	}
-	record("BenchmarkFaultWrite/healthy", f.DriveWrite(false))
-	record("BenchmarkFaultWrite/degraded", f.DriveWrite(true))
-	record("BenchmarkFaultResync", f.DriveResync)
-	// The deterministic twins: simulated per-op cost, each on its own fresh
-	// fixture. These are what CheckFaults gates — wall-clock above is the
-	// host-dependent FYI.
-	for _, mode := range []struct {
-		name     string
-		degraded bool
-	}{{"healthy", false}, {"degraded", true}} {
-		v, err := VirtualWriteCost(mode.degraded, 8)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, HotPathResult{
-			Name:    "BenchmarkFaultWrite/" + mode.name + "/virtual",
-			NsPerOp: int64(v),
-		})
-	}
-	return out, firstErr
-}
-
-// CheckFaults gates the degraded/healthy ratio of the VIRTUAL write cost
-// (the /virtual result pair). Degraded writes move FEWER bytes (a 28-byte
-// debt record per chunk replaces a full replica write) yet cost somewhat
-// MORE virtual time: the aggregate I/O that used to spread over R disks
-// lands on R-1, chunks whose primary is the down node pay a promotion, and
-// every included owner logs a debt record. At R=3 that works out to ~1.14x
-// today; the gate's default of 1.25 gives that physics deterministic
-// headroom while still catching the pathological regressions it exists
-// for — synchronous repair or a full catch-up sneaking into the degraded
-// write path, which shows up as 2x and worse.
-//
-// The gate deliberately reads the virtual twins, not the wall-clock
-// numbers: simulated cost is a pure function of the code path, identical on
-// every host, where wall-clock ns/op on a contended box swings an order of
-// magnitude between runs (both directions were observed) and would make any
-// wall-clock ratio bound either flaky or vacuous. Absent result pairs pass
-// vacuously, like the other baseline gates.
-func CheckFaults(results []HotPathResult, maxRatio float64) error {
-	if maxRatio <= 0 {
-		maxRatio = 1.25
-	}
-	var healthy, degraded *HotPathResult
-	for i := range results {
-		switch results[i].Name {
-		case "BenchmarkFaultWrite/healthy/virtual":
-			healthy = &results[i]
-		case "BenchmarkFaultWrite/degraded/virtual":
-			degraded = &results[i]
-		}
-	}
-	if healthy == nil || degraded == nil || healthy.NsPerOp <= 0 {
-		return nil
-	}
-	if ratio := float64(degraded.NsPerOp) / float64(healthy.NsPerOp); ratio > maxRatio {
-		return fmt.Errorf("bench: degraded writes regressed: virtual %d ns/op is %.3fx healthy %d ns/op (gate %.3fx)",
-			degraded.NsPerOp, ratio, healthy.NsPerOp, maxRatio)
-	}
-	return nil
-}
-
-// RenderFaults formats results as the JSON written to BENCH_faults.json.
-func RenderFaults(results []HotPathResult) ([]byte, error) {
-	return json.MarshalIndent(results, "", "  ")
+	return (ctx.Clock.Now() - start) / twinOps, nil
 }

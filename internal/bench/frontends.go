@@ -2,95 +2,29 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"testing"
 	"time"
 
 	"repro/internal/blob"
 	"repro/internal/blobfs"
 	"repro/internal/cluster"
-	"repro/internal/ior"
 	"repro/internal/s3gw"
-	"repro/internal/sparksim"
 	"repro/internal/storage"
-	"repro/internal/workloads"
 )
 
-// The frontends experiment drives the three converged access layers of the
-// paper's Section II over ONE blob data plane — the HPC path (an IOR-style
-// segmented shared-file pattern), the analytics path (a SparkBench-shaped
-// shuffle through sparksim), and the object path (an S3 put/get cycle
-// through the HTTP gateway) — and records wall-clock plus deterministic
-// virtual-time twins for each. The gated pair is the rename fast path:
-// blobfs routes Rename through blob.RenameBlob (server-side chunk rewrite
-// under both descriptor latches) when the store implements
-// storage.BlobRenamer, falling back to the client-side copy loop
-// otherwise; CheckFrontends requires the fast path to actually beat the
-// copy on simulated cost.
+// The front-end twins price two converged access paths in virtual time: one
+// request through the S3 gateway and one blobfs Rename. blobfs routes Rename
+// through blob.RenameBlob (server-side chunk rewrite under both descriptor
+// latches) when the store implements storage.BlobRenamer and falls back to
+// the client-side copy loop otherwise; TestVirtualTwinsPinned requires the
+// fast path to actually beat the copy on simulated cost.
 
 func newFrontendStore() *blob.Store {
 	return blob.New(cluster.New(cluster.Config{Nodes: 5, Seed: 1}),
 		blob.Config{ChunkSize: 64 << 10, Replication: 3})
-}
-
-func iorParams() ior.Params {
-	return ior.Params{
-		Clients:      8,
-		TransferSize: 16 << 10,
-		BlockSize:    64 << 10,
-		Segments:     2,
-		SharedFile:   true,
-		ReadBack:     true,
-		Dir:          "/ior",
-	}
-}
-
-// RunIORCycle executes one full IOR write+read pass over a blobfs mount of
-// fs, creating the working directory on first use.
-func RunIORCycle(fs storage.FileSystem) (*ior.Result, error) {
-	ctx := storage.NewContext()
-	if _, err := fs.Stat(ctx, "/ior"); err != nil {
-		if err := fs.Mkdir(ctx, "/ior"); err != nil {
-			return nil, err
-		}
-	}
-	return ior.Run(fs, iorParams())
-}
-
-func shuffleConfig() workloads.Config {
-	// 1:2^16 scaling turns Sort's 5.8 GB in/out into ~90 KB each — big
-	// enough to shuffle through every executor, small enough to iterate.
-	return workloads.Config{Factor: 1 << 16, Chunk: 4096, Executors: 4}.WithDefaults()
-}
-
-// RunShuffleCycle provisions and runs the Sort application (the paper's
-// shuffle-heavy SparkBench representative) over a blobfs mount of a fresh
-// blob store, returning the driver context so callers can read its virtual
-// clock.
-func RunShuffleCycle() (*storage.Context, error) {
-	fs := blobfs.New(newFrontendStore())
-	cfg := shuffleConfig()
-	app, err := workloads.SparkAppByName(cfg, "Sort")
-	if err != nil {
-		return nil, err
-	}
-	if err := workloads.SetupSparkEnv(fs); err != nil {
-		return nil, err
-	}
-	if err := workloads.SetupSparkApp(fs, app); err != nil {
-		return nil, err
-	}
-	engine := sparksim.NewEngine(fs, cfg.Executors)
-	engine.SetChunkSize(cfg.Chunk)
-	ctx := storage.NewContext()
-	if _, err := workloads.RunSpark(engine, ctx, app); err != nil {
-		return nil, err
-	}
-	return ctx, nil
 }
 
 const (
@@ -137,9 +71,9 @@ type noRenamer struct {
 // VirtualRenameCost measures the simulated marginal cost of one blobfs
 // Rename of a 1 MiB (16-chunk) file, through the server-side fast path
 // (fast=true) or the client-side copy fallback. Fresh fixture plus one
-// warm-up rename, then the mean over ops — the same deterministic-twin
+// warm-up rename, then the mean over twinOps — the same deterministic-twin
 // recipe VirtualWriteCost uses, and equally host-independent.
-func VirtualRenameCost(fast bool, ops int) (time.Duration, error) {
+func VirtualRenameCost(fast bool) (time.Duration, error) {
 	st := newFrontendStore()
 	var fs *blobfs.FS
 	if fast {
@@ -167,180 +101,29 @@ func VirtualRenameCost(fast bool, ops int) (time.Duration, error) {
 		return 0, err
 	}
 	start := ctx.Clock.Now()
-	for i := 0; i < ops; i++ {
+	for i := 0; i < twinOps; i++ {
 		if err := fs.Rename(ctx, names[(i+1)%2], names[i%2]); err != nil {
 			return 0, err
 		}
 	}
-	return (ctx.Clock.Now() - start) / time.Duration(ops), nil
+	return (ctx.Clock.Now() - start) / twinOps, nil
 }
 
-// RunFrontends runs the converged-front-end sweep for BENCH_frontends.json:
-// wall-clock results for the IOR pattern, the Sort shuffle, and the S3
-// put/get cycle, each with a deterministic /virtual twin, plus the gated
-// rename fast-path/copy pair.
-func RunFrontends() ([]HotPathResult, error) {
-	var out []HotPathResult
-	var firstErr error
-	// Best-of-3 for the wall-clock numbers, same rationale as RunFaults:
-	// the minimum over repetitions is the noise-robust statistic.
-	record := func(name string, body func(*testing.B)) {
-		var best testing.BenchmarkResult
-		for rep := 0; rep < 3; rep++ {
-			r := testing.Benchmark(body)
-			if rep == 0 || (r.N > 0 && r.NsPerOp() < best.NsPerOp()) {
-				best = r
-			}
-		}
-		if best.N == 0 && firstErr == nil {
-			firstErr = fmt.Errorf("benchmark %s failed", name)
-		}
-		mbps := 0.0
-		if best.T > 0 {
-			mbps = float64(best.Bytes) * float64(best.N) / 1e6 / best.T.Seconds()
-		}
-		out = append(out, HotPathResult{
-			Name:        name,
-			NsPerOp:     best.NsPerOp(),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-			MBPerSec:    mbps,
-		})
-	}
-
-	// HPC front end: the segmented shared-file pattern, one mount reused
-	// across iterations (steady-state overwrite, like the paper's runs).
-	iorFS := blobfs.New(newFrontendStore())
-	p := iorParams()
-	iorBytes := int64(p.Clients) * int64(p.BlockSize) * int64(p.Segments) * 2 // write + read
-	record("BenchmarkFrontendIOR", func(b *testing.B) {
-		b.SetBytes(iorBytes)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunIORCycle(iorFS); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Analytics front end: full provision+run cycle on a fresh mount per
-	// iteration (Spark jobs are one-shot; staging dirs are torn down by
-	// the committer, inputs are not).
-	record("BenchmarkFrontendShuffle", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunShuffleCycle(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Object front end: put/get cycle over HTTP against one gateway.
-	s3Store := newFrontendStore()
-	srv := httptest.NewServer(s3gw.New(s3Store))
-	defer srv.Close()
+// VirtualS3RequestCost measures the simulated cost of one S3 gateway request:
+// a put/get cycle of s3Objects objects over loopback HTTP against a fresh
+// store, averaged over its 2*s3Objects requests.
+func VirtualS3RequestCost() (time.Duration, error) {
 	payload := make([]byte, s3ObjSize)
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
-	record("BenchmarkFrontendS3", func(b *testing.B) {
-		b.SetBytes(int64(s3Objects) * s3ObjSize * 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := runS3Cycle(srv.URL, payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Deterministic virtual twins, each on a fresh fixture.
-	iorTwin, err := RunIORCycle(blobfs.New(newFrontendStore()))
+	gw := s3gw.New(newFrontendStore())
+	srv := httptest.NewServer(gw)
+	err := runS3Cycle(srv.URL, payload)
+	// Close waits for the handlers, which add their virtual time after responding.
+	srv.Close()
 	if err != nil {
-		return nil, fmt.Errorf("bench: ior twin: %w", err)
+		return 0, err
 	}
-	out = append(out, HotPathResult{
-		Name:     "BenchmarkFrontendIOR/virtual",
-		NsPerOp:  int64(iorTwin.WriteTime + iorTwin.ReadTime),
-		MBPerSec: iorTwin.WriteMBps,
-	})
-	shuffleCtx, err := RunShuffleCycle()
-	if err != nil {
-		return nil, fmt.Errorf("bench: shuffle twin: %w", err)
-	}
-	out = append(out, HotPathResult{
-		Name:    "BenchmarkFrontendShuffle/virtual",
-		NsPerOp: int64(shuffleCtx.Clock.Now()),
-	})
-	s3Gateway := s3gw.New(newFrontendStore())
-	s3TwinSrv := httptest.NewServer(s3Gateway)
-	if err := runS3Cycle(s3TwinSrv.URL, payload); err != nil {
-		s3TwinSrv.Close()
-		return nil, fmt.Errorf("bench: s3 twin: %w", err)
-	}
-	s3TwinSrv.Close()
-	out = append(out, HotPathResult{
-		Name:    "BenchmarkFrontendS3/virtual",
-		NsPerOp: int64(s3Gateway.TotalVirtualTime()) / (s3Objects * 2),
-	})
-
-	// The gated pair: server-side rename vs client-side copy loop.
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fastpath", true}, {"copy", false}} {
-		v, err := VirtualRenameCost(mode.fast, 8)
-		if err != nil {
-			return nil, fmt.Errorf("bench: rename %s: %w", mode.name, err)
-		}
-		out = append(out, HotPathResult{
-			Name:    "BenchmarkFrontendRename/" + mode.name + "/virtual",
-			NsPerOp: int64(v),
-		})
-	}
-	return out, firstErr
-}
-
-// CheckFrontends gates the rename fast path on its virtual twins: routing
-// blobfs.Rename through blob.RenameBlob must cost at most maxRatio of the
-// client-side copy loop it replaced. Both paths pay the same irreducible
-// disk work — R replica writes plus WAL appends per chunk, and the source
-// chunk reads — so on the HDD-class default cost model the fast path's
-// whole honest saving is the client wire legs, the per-chunk read-response
-// RPCs, and the 2PC prepare/commit rounds its latched direct commit skips:
-// about 6% of a 1 MiB rename. The default gate of 0.95 sits between that
-// deterministic floor (~0.94) and parity; the failure mode it exists to
-// catch — the BlobRenamer routing silently disengaging — reads ≈1.0 and
-// fails it outright. Like the other baseline gates, the check reads only
-// deterministic simulated costs and passes vacuously when either result
-// is absent.
-func CheckFrontends(results []HotPathResult, maxRatio float64) error {
-	if maxRatio <= 0 {
-		maxRatio = 0.95
-	}
-	var fast, copyLoop *HotPathResult
-	for i := range results {
-		switch results[i].Name {
-		case "BenchmarkFrontendRename/fastpath/virtual":
-			fast = &results[i]
-		case "BenchmarkFrontendRename/copy/virtual":
-			copyLoop = &results[i]
-		}
-	}
-	if fast == nil || copyLoop == nil || copyLoop.NsPerOp <= 0 {
-		return nil
-	}
-	if ratio := float64(fast.NsPerOp) / float64(copyLoop.NsPerOp); ratio > maxRatio {
-		return fmt.Errorf("bench: rename fast path regressed: virtual %d ns/op is %.3fx the copy loop's %d ns/op (gate %.3fx)",
-			fast.NsPerOp, ratio, copyLoop.NsPerOp, maxRatio)
-	}
-	return nil
-}
-
-// RenderFrontends formats results as the JSON written to
-// BENCH_frontends.json.
-func RenderFrontends(results []HotPathResult) ([]byte, error) {
-	return json.MarshalIndent(results, "", "  ")
+	return gw.TotalVirtualTime() / (s3Objects * 2), nil
 }

@@ -1,58 +1,37 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
-	"sync"
-	"testing"
 
 	"repro/internal/blob"
 	"repro/internal/cluster"
 	"repro/internal/storage"
 )
 
-// HotPath is the fixture behind BenchmarkHotPathRead/BenchmarkHotPathWrite
-// and the benchsuite `hotpath` experiment: a 9-node store with 64 KiB chunks
-// and 3-way replication, serving 256 KiB operations that stripe across four
-// chunks — the steady-state data-plane shape whose per-chunk dispatch cost
+// HotPath is the fixture behind BenchmarkHotPathRead/BenchmarkHotPathWrite,
+// the -cpuprofile entry point of the data plane: a 9-node store with 64 KiB
+// chunks and 3-way replication, serving 256 KiB operations that stripe
+// across four chunks — the steady-state shape whose per-chunk dispatch cost
 // (placement lookup, chunk addressing, server locking, WAL append) the
-// benchmarks isolate.
+// benchmarks isolate. Wall-clock numbers with provenance come from
+// benchmark/run.sh, not from here.
 type HotPath struct {
-	Store *blob.Store
-	Ctx   *storage.Context
+	store *blob.Store
+	ctx   *storage.Context
 	buf   []byte
-	// clients is the per-client fixture of the parallel write benchmark:
-	// every client owns a key (so its descriptor latch is private and the
-	// contention lands on the shared WAL mutexes and dispatcher), a
-	// context, and a payload buffer.
-	clients []hotClient
-}
-
-type hotClient struct {
-	key string
-	ctx *storage.Context
-	buf []byte
 }
 
 // NewHotPath builds the fixture with the blob pre-written so reads hit
 // materialized chunks. The store runs the default configuration: per-chunk
 // work dispatched across the goroutine worker pool.
-func NewHotPath() (*HotPath, error) { return newHotPath(false, 0) }
-
-// NewHotPathInline builds the same fixture with blob.Config.InlineFanout:
-// the sequential-execution baseline the dispatcher is measured against.
-// Virtual times are identical by construction; host ns/op is the contrast.
-func NewHotPathInline() (*HotPath, error) { return newHotPath(true, 0) }
-
-func newHotPath(inline bool, lanes int) (*HotPath, error) {
+func NewHotPath() (*HotPath, error) {
 	st := blob.New(cluster.New(cluster.Config{Nodes: 9, Seed: 1}),
-		blob.Config{ChunkSize: 64 << 10, Replication: 3, InlineFanout: inline, WALLanes: lanes})
+		blob.Config{ChunkSize: 64 << 10, Replication: 3})
 	ctx := storage.NewContext()
 	if err := st.CreateBlob(ctx, "hot"); err != nil {
 		return nil, err
 	}
-	h := &HotPath{Store: st, Ctx: ctx, buf: make([]byte, 256<<10)}
+	h := &HotPath{store: st, ctx: ctx, buf: make([]byte, 256<<10)}
 	for i := range h.buf {
 		h.buf[i] = byte(i)
 	}
@@ -65,147 +44,22 @@ func newHotPath(inline bool, lanes int) (*HotPath, error) {
 // OpBytes is the payload size of one Read/Write operation.
 func (h *HotPath) OpBytes() int64 { return int64(len(h.buf)) }
 
-// NewHotPathParallel builds the fixture plus clients per-client blobs
-// ("hot-0".."hot-N", pre-written like the shared blob) for multi-client
-// write benchmarks — the shape that answers ROADMAP's descriptor-latch vs.
-// per-server-WAL-mutex scaling question, since per-client keys make every
-// latch private while all clients share the nine servers' logs. clients <= 0
-// selects GOMAXPROCS capped at 16 (the dispatcher's worker ceiling).
-func NewHotPathParallel(clients int) (*HotPath, error) {
-	return NewHotPathParallelLanes(clients, 0)
-}
-
-// NewHotPathParallelLanes is NewHotPathParallel with an explicit WAL lane
-// count (0 selects the store default), the fixture of the lane-count sweep
-// recorded in BENCH_hotpath.json.
-func NewHotPathParallelLanes(clients, lanes int) (*HotPath, error) {
-	if clients <= 0 {
-		clients = runtime.GOMAXPROCS(0)
-		if clients > 16 {
-			clients = 16
-		}
-	}
-	h, err := newHotPath(false, lanes)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < clients; i++ {
-		c := hotClient{
-			key: fmt.Sprintf("hot-%d", i),
-			ctx: storage.NewContext(),
-			buf: append([]byte(nil), h.buf...),
-		}
-		if err := h.Store.CreateBlob(c.ctx, c.key); err != nil {
-			return nil, err
-		}
-		if _, err := h.Store.WriteBlob(c.ctx, c.key, 0, c.buf); err != nil {
-			return nil, err
-		}
-		h.clients = append(h.clients, c)
-	}
-	return h, nil
-}
-
-// Clients reports the parallel fixture's client count.
-func (h *HotPath) Clients() int { return len(h.clients) }
-
-// WriteParallel performs ops write operations split round-robin across the
-// per-client blobs, each client driving its share from its own goroutine
-// against its own key, context, and buffer. It returns the first error.
-// Callers interleave WriteParallel batches with Compact the way the serial
-// write benchmarks do, so the in-memory logs stay bounded.
-func (h *HotPath) WriteParallel(ops int) error {
-	if len(h.clients) == 0 {
-		return fmt.Errorf("hotpath: fixture built without clients")
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(h.clients))
-	per := ops / len(h.clients)
-	extra := ops % len(h.clients)
-	for i := range h.clients {
-		n := per
-		if i < extra {
-			n++
-		}
-		if n == 0 {
-			break
-		}
-		wg.Add(1)
-		go func(i, n int) {
-			defer wg.Done()
-			c := &h.clients[i]
-			for j := 0; j < n; j++ {
-				if _, err := h.Store.WriteBlob(c.ctx, c.key, 0, c.buf); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i, n)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CompactEvery is how many write ops a benchmark runs between WAL
 // checkpoints (HotPath.Compact).
 const CompactEvery = 256
 
-// DriveParallelWrites is the standard contended-write benchmark body over
-// a parallel fixture: batches of CompactEvery writes split across the
-// clients, alternating with out-of-timer compaction like the serial write
-// benchmarks. It is the single definition of that protocol — the root
-// BenchmarkHotPathWriteParallel* benchmarks and the benchsuite lane sweep
-// all run it, so the serial-vs-parallel and lane-vs-lane comparisons can
-// never diverge in cadence.
-func (h *HotPath) DriveParallelWrites(b *testing.B) {
-	b.SetBytes(h.OpBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := CompactEvery
-		if n > b.N-done {
-			n = b.N - done
-		}
-		if err := h.WriteParallel(n); err != nil {
-			b.Fatal(err)
-		}
-		done += n
-		b.StopTimer()
-		h.Compact()
-		b.StartTimer()
-	}
-}
-
-// Warm drives a double compaction window of serial writes and compacts, so
-// every server's slab-backed log reaches its steady-state high-water (the
-// slabs parked on the free list by the final Compact) before measurement
-// begins. Without it, whether the one-time first-window medium fill lands
-// inside the measured trial depends on testing.Benchmark's ramp timing —
-// B/op would flip between ~0 and the fill cost run to run. The window is
-// doubled because a fixture shared across trials (benchsuite) sees
-// un-compacted stretches of up to 2*CompactEvery-2 ops: a trial's leftover
-// tail plus the next trial's ops before its first compaction. Write
-// benchmarks call it before the timer starts.
+// Warm drives one compaction window of writes and compacts, so every
+// server's slab-backed log reaches its steady-state high-water (the slabs
+// parked on the free list by the final Compact) before measurement begins.
+// Without it, whether the one-time first-window medium fill lands inside the
+// measured trial depends on testing.Benchmark's ramp timing — B/op would
+// flip between ~0 and the fill cost run to run. Write benchmarks call it
+// before the timer starts.
 func (h *HotPath) Warm() error {
-	for i := 0; i < 2*CompactEvery; i++ {
+	for i := 0; i < CompactEvery; i++ {
 		if err := h.Write(); err != nil {
 			return err
 		}
-	}
-	h.Compact()
-	return nil
-}
-
-// WarmParallel is Warm for the multi-client fixture: a double benchmark
-// batch of parallel writes, then a compaction.
-func (h *HotPath) WarmParallel() error {
-	if err := h.WriteParallel(2 * CompactEvery); err != nil {
-		return err
 	}
 	h.Compact()
 	return nil
@@ -216,11 +70,11 @@ func (h *HotPath) WarmParallel() error {
 // CompactEvery iterations so the measured loop reflects per-op dispatch
 // cost instead of unbounded in-memory log growth (which would otherwise
 // dominate B/op and drift with -benchtime).
-func (h *HotPath) Compact() { h.Store.CheckpointAll() }
+func (h *HotPath) Compact() { h.store.CheckpointAll() }
 
 // Read performs one 4-chunk striped read.
 func (h *HotPath) Read() error {
-	n, err := h.Store.ReadBlob(h.Ctx, "hot", 0, h.buf)
+	n, err := h.store.ReadBlob(h.ctx, "hot", 0, h.buf)
 	if err != nil {
 		return err
 	}
@@ -233,7 +87,7 @@ func (h *HotPath) Read() error {
 // Write performs one 4-chunk striped overwrite (a multi-chunk transaction:
 // prepare + data + commit phases).
 func (h *HotPath) Write() error {
-	n, err := h.Store.WriteBlob(h.Ctx, "hot", 0, h.buf)
+	n, err := h.store.WriteBlob(h.ctx, "hot", 0, h.buf)
 	if err != nil {
 		return err
 	}
@@ -241,185 +95,4 @@ func (h *HotPath) Write() error {
 		return fmt.Errorf("hotpath: short write %d", n)
 	}
 	return nil
-}
-
-// HotPathResult is one benchmark's measurement, serialized by the
-// benchsuite `benchcheck` target into BENCH_hotpath.json so successive PRs
-// have a perf trajectory to compare against.
-type HotPathResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"alloc_bytes_per_op"`
-	MBPerSec    float64 `json:"mb_per_sec"`
-}
-
-// RunHotPath runs both hot-path benchmarks via testing.Benchmark (so the
-// numbers match `go test -bench HotPath -benchmem`) and returns the results.
-func RunHotPath() ([]HotPathResult, error) {
-	h, err := NewHotPath()
-	if err != nil {
-		return nil, err
-	}
-	var firstErr error
-	run := func(name string, body func(b *testing.B)) HotPathResult {
-		r := testing.Benchmark(body)
-		if r.N == 0 && firstErr == nil {
-			firstErr = fmt.Errorf("benchmark %s failed", name)
-		}
-		mbps := 0.0
-		if r.T > 0 {
-			mbps = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
-		}
-		return HotPathResult{
-			Name:        name,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			MBPerSec:    mbps,
-		}
-	}
-	if err := h.Warm(); err != nil {
-		return nil, err
-	}
-	serial := func(op func() error) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.SetBytes(h.OpBytes())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%CompactEvery == CompactEvery-1 {
-					b.StopTimer()
-					h.Compact()
-					b.StartTimer()
-				}
-				if err := op(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	out := []HotPathResult{
-		run("BenchmarkHotPathRead", serial(h.Read)),
-		run("BenchmarkHotPathWrite", serial(h.Write)),
-	}
-
-	// Multi-client write scaling: per-client keys, shared servers. ns/op
-	// counts individual writes, so the serial/parallel ns_per_op ratio is
-	// the aggregate write speedup under contention.
-	runParallel := func(name string, lanes int) error {
-		hp, err := NewHotPathParallelLanes(0, lanes)
-		if err != nil {
-			return err
-		}
-		if err := hp.WarmParallel(); err != nil {
-			return err
-		}
-		out = append(out, run(name, hp.DriveParallelWrites))
-		return nil
-	}
-	if err := runParallel("BenchmarkHotPathWriteParallel", 0); err != nil {
-		return nil, err
-	}
-	// Lane-count sweep: the same contended-writer shape against a single
-	// log lane (the pre-sharding layout) and an intermediate count, so the
-	// recorded trajectory shows what the lanes buy on this host.
-	for _, lanes := range []int{1, 4} {
-		if err := runParallel(fmt.Sprintf("BenchmarkHotPathWriteParallel/lanes=%d", lanes), lanes); err != nil {
-			return nil, err
-		}
-	}
-	return out, firstErr
-}
-
-// CheckWriteScaling gates the parallel/serial write ratio: with the WAL
-// lanes in place, concurrent writers must actually outrun one client —
-// BenchmarkHotPathWriteParallel ns/op at most maxRatio of
-// BenchmarkHotPathWrite ns/op. maxRatio <= 0 selects a hardware-aware
-// default: the hot-path write op is dominated by irreducible byte work
-// (chunk memmove + CRC), so the achievable speedup is bounded by real
-// cores, not by lock contention alone —
-//
-//	>= 4 procs: 0.75 (the acceptance bar: >= 25% faster than serial)
-//	2-3 procs:  0.90
-//	1 proc:     1.00 (no parallel hardware: contended writes must at
-//	            least match serial — the pre-sharding behavior this gate
-//	            exists to catch was 1.09-1.26x serial, so flat-or-better
-//	            still separates lanes-working from lanes-broken here)
-//
-// Benchmarks absent from results are not gated, so older callers without
-// the parallel benchmark pass vacuously.
-func CheckWriteScaling(results []HotPathResult, maxRatio float64) error {
-	if maxRatio <= 0 {
-		switch procs := runtime.GOMAXPROCS(0); {
-		case procs >= 4:
-			maxRatio = 0.75
-		case procs >= 2:
-			maxRatio = 0.90
-		default:
-			maxRatio = 1.00
-		}
-	}
-	var serial, parallel *HotPathResult
-	for i := range results {
-		switch results[i].Name {
-		case "BenchmarkHotPathWrite":
-			serial = &results[i]
-		case "BenchmarkHotPathWriteParallel":
-			parallel = &results[i]
-		}
-	}
-	if serial == nil || parallel == nil || serial.NsPerOp <= 0 {
-		return nil
-	}
-	if ratio := float64(parallel.NsPerOp) / float64(serial.NsPerOp); ratio > maxRatio {
-		return fmt.Errorf("bench: parallel writes do not scale: %s %d ns/op is %.2fx serial %d ns/op (gate %.2fx at GOMAXPROCS=%d)",
-			parallel.Name, parallel.NsPerOp, ratio, serial.NsPerOp, maxRatio, runtime.GOMAXPROCS(0))
-	}
-	return nil
-}
-
-// CheckHotPathBaseline compares fresh results against the raw JSON of a
-// committed BENCH_hotpath.json (read by the caller before the results
-// overwrite it) and returns an error if the write path's allocation volume
-// regressed: alloc_bytes_per_op (or allocs_per_op) of BenchmarkHotPathWrite
-// above the committed value — beyond a small noise floor, since GC-driven
-// sync.Pool evictions during a run can surface a handful of refill
-// allocations against a zero baseline — fails the gate. A real regression
-// (un-pooled staging, per-record escapes) costs hundreds of bytes per op
-// and clears the floor by orders of magnitude. Benchmarks present on only
-// one side are ignored, so adding a benchmark does not break the gate
-// against an older baseline.
-func CheckHotPathBaseline(results []HotPathResult, raw []byte) error {
-	var baseline []HotPathResult
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return fmt.Errorf("bench: parse baseline: %w", err)
-	}
-	byName := make(map[string]HotPathResult, len(baseline))
-	for _, r := range baseline {
-		byName[r.Name] = r
-	}
-	for _, r := range results {
-		if r.Name != "BenchmarkHotPathWrite" {
-			continue
-		}
-		old, ok := byName[r.Name]
-		if !ok {
-			continue
-		}
-		if limit := old.BytesPerOp + max(old.BytesPerOp/8, 64); r.BytesPerOp > limit {
-			return fmt.Errorf("bench: %s alloc_bytes_per_op regressed: %d > baseline %d (+noise floor %d)",
-				r.Name, r.BytesPerOp, old.BytesPerOp, limit)
-		}
-		if limit := old.AllocsPerOp + max(old.AllocsPerOp/8, 2); r.AllocsPerOp > limit {
-			return fmt.Errorf("bench: %s allocs_per_op regressed: %d > baseline %d (+noise floor %d)",
-				r.Name, r.AllocsPerOp, old.AllocsPerOp, limit)
-		}
-	}
-	return nil
-}
-
-// RenderHotPath formats results as the JSON written to BENCH_hotpath.json.
-func RenderHotPath(results []HotPathResult) ([]byte, error) {
-	return json.MarshalIndent(results, "", "  ")
 }

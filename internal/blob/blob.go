@@ -82,6 +82,14 @@
 // long as Config.MinLiveOwners (default 1) replicas remain, a down chunk
 // primary being promoted past.
 //
+// Descriptor primaries are not promoted past. A mutation — WriteBlob,
+// TruncateBlob, DeleteBlob, Txn.Commit, RenameBlob (either key), CreateBlob —
+// is refused with storage.ErrUnavailable exactly when the descriptor primary
+// (descOwners(key)[0]) of a key it names is down: 1/N of the keyspace with
+// one of N nodes down. A refusal changes nothing — no bytes, no size, no
+// repair debt, no key created — every other key is served degraded as above,
+// and refused keys stay readable (TestDescriptorPrimaryDownRefusalSet).
+//
 // Repair debt is only a work list. Every replica that applied a degraded
 // write durably logs a RecRepairNeeded record naming the excluded owners
 // (full-mask overwrite semantics in the record's version slot; mask 0
@@ -191,9 +199,6 @@ type Config struct {
 	// Replication is the number of copies of every chunk and descriptor,
 	// including the primary. Defaults to 3.
 	Replication int
-	// VNodes is the consistent-hash virtual-node count per server.
-	// Defaults to 64.
-	VNodes int
 	// AsyncReplication relaxes write durability: the client is
 	// acknowledged after the chunk primary persists, with replica copies
 	// applied off the critical path — one of the configurable consistency
@@ -262,9 +267,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replication <= 0 {
 		c.Replication = 3
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.WALLanes <= 0 {
 		c.WALLanes = chunkStripes
@@ -437,6 +439,10 @@ type migrationIntent struct {
 // chunkStripes is the lock-striping factor of each server's chunk table.
 // Must be a power of two.
 const chunkStripes = 16
+
+// vnodes is the consistent-hash virtual-node count per server: a constant,
+// because benchmark/ predicts placement from outside with a chash.New(64) twin.
+const vnodes = 64
 
 // chunkStripe is one lock-striped shard of a server's chunk table.
 type chunkStripe struct {
@@ -656,7 +662,7 @@ func NewOnNodes(c *cluster.Cluster, cfg Config, serving []cluster.NodeID) *Store
 			inRing[id] = true
 		}
 	}
-	s := &Store{cfg: cfg, cluster: c, ring: chash.New(cfg.VNodes), metrics: metrics.NewRegistry(),
+	s := &Store{cfg: cfg, cluster: c, ring: chash.New(vnodes), metrics: metrics.NewRegistry(),
 		helpers: runtime.GOMAXPROCS(0)}
 	s.fanOffered, s.fanHelped = s.metrics.Counter("blob.fan.offered"), s.metrics.Counter("blob.fan.helped")
 	for _, n := range c.Nodes() {

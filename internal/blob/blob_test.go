@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -20,7 +21,7 @@ func newStore(t *testing.T, nodes int, cfg Config) *Store {
 func TestConfigDefaults(t *testing.T) {
 	s := newStore(t, 4, Config{})
 	cfg := s.Config()
-	if cfg.ChunkSize != 4<<20 || cfg.Replication != 3 || cfg.VNodes != 64 {
+	if cfg.ChunkSize != 4<<20 || cfg.Replication != 3 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }
@@ -363,6 +364,151 @@ func TestStrictWriteRefusedBelowMinLiveOwners(t *testing.T) {
 	}
 	if s.RepairPending() != 0 {
 		t.Fatal("refused write left repair debt behind")
+	}
+}
+
+// TestDescriptorPrimaryDownRefusalSet pins the refusal rule the package doc
+// states under "Failure semantics": with one node down, a mutation is refused
+// with ErrUnavailable exactly when the descriptor primary of a key it names is
+// that node; a refusal changes nothing (bytes, size, repair debt, no key
+// created) and leaves the key readable; every other key is served degraded.
+func TestDescriptorPrimaryDownRefusalSet(t *testing.T) {
+	const down, keys = 4, 72
+	s := newStore(t, 9, Config{ChunkSize: 32, Replication: 3})
+	ctx := storage.NewContext()
+	model := writeWorkload(t, s, ctx, sim.NewRNG(1), "k", keys) // every blob >= 64 bytes
+	refusedKey := func(key string) bool { return s.descOwners(key)[0] == down }
+	// fresh mints an unused key whose descriptor primary is up.
+	minted := 0
+	fresh := func() string {
+		for {
+			minted++
+			if key := fmt.Sprintf("f-%d", minted); !refusedKey(key) {
+				return key
+			}
+		}
+	}
+	src := fresh() // the "RenameBlob to" row's source; it follows its renames
+	model[src] = []byte("rename me")
+	s.CreateBlob(ctx, src)
+	s.WriteBlob(ctx, src, 0, model[src])
+	s.SetDown(down, true)
+
+	payload := bytes.Repeat([]byte{0xEE}, 24) // at offset 20 it spans chunks 0 and 1
+	// Each row mutates through key and updates the model only on success, so
+	// a refusal that changed anything shows up in verify.
+	rows := []struct {
+		name   string
+		prefix string // "k": the seeded keys; anything else: keys that do not exist yet
+		do     func(key string) error
+	}{
+		{"WriteBlob", "k", func(key string) error {
+			_, err := s.WriteBlob(ctx, key, 20, payload)
+			if err == nil {
+				copy(model[key][20:], payload)
+			}
+			return err
+		}},
+		{"TruncateBlob", "k", func(key string) error {
+			err := s.TruncateBlob(ctx, key, 10)
+			if err == nil {
+				model[key] = model[key][:10]
+			}
+			return err
+		}},
+		{"Txn.Commit", "k", func(key string) error {
+			txn := s.Begin(ctx)
+			txn.Write(key, 20, payload)
+			err := txn.Commit()
+			if err == nil {
+				copy(model[key][20:], payload)
+			}
+			return err
+		}},
+		{"RenameBlob from", "k", func(key string) error {
+			to := fresh()
+			err := s.RenameBlob(ctx, key, to)
+			if err == nil {
+				model[to] = model[key]
+				delete(model, key)
+			}
+			return err
+		}},
+		{"DeleteBlob", "k", func(key string) error {
+			err := s.DeleteBlob(ctx, key)
+			if err == nil {
+				delete(model, key)
+			}
+			return err
+		}},
+		{"CreateBlob", "c", func(key string) error {
+			err := s.CreateBlob(ctx, key)
+			if err == nil {
+				model[key] = nil
+			}
+			return err
+		}},
+		{"RenameBlob to", "r", func(key string) error {
+			err := s.RenameBlob(ctx, src, key)
+			if err == nil {
+				model[key] = model[src]
+				delete(model, src)
+				src = key
+			}
+			return err
+		}},
+	}
+	// The store holds exactly the model: every key whole, no key beyond them.
+	verify := func(phase string) {
+		t.Helper()
+		for key, want := range model {
+			got := make([]byte, len(want)+1)
+			if n, err := s.ReadBlob(ctx, key, 0, got); err != nil || !bytes.Equal(got[:n], want) {
+				t.Fatalf("%s: read %q = (%d, %v), want %d bytes", phase, key, n, err, len(want))
+			}
+		}
+		if infos, err := s.Scan(ctx, ""); err != nil || len(infos) != len(model) {
+			t.Fatalf("%s: scan = (%d keys, %v), want %d", phase, len(infos), err, len(model))
+		}
+	}
+
+	const seeded = 5 // the leading "k" rows
+	refused, served := make([]int, len(rows)), make([]int, len(rows))
+	for i := 0; i < keys; i++ {
+		for r, row := range rows {
+			key := fmt.Sprintf("%s-%03d", row.prefix, i)
+			if row.prefix == "k" && !refusedKey(key) && r != i%seeded {
+				continue // a served mutation consumes its key: one row each
+			}
+			debt := s.RepairPending()
+			err := row.do(key)
+			switch {
+			case !refusedKey(key) && err != nil:
+				t.Fatalf("%s %q, descriptor primary up: %v", row.name, key, err)
+			case !refusedKey(key):
+				served[r]++
+			case !errors.Is(err, storage.ErrUnavailable) || s.RepairPending() != debt:
+				t.Fatalf("%s %q, descriptor primary down: %v (repair debt %d -> %d), want ErrUnavailable and no debt",
+					row.name, key, err, debt, s.RepairPending())
+			default:
+				refused[r]++
+			}
+		}
+	}
+	for r, row := range rows {
+		if refused[r] == 0 || served[r] == 0 {
+			t.Fatalf("%s: %d refused, %d served: one side of the rule went unexercised", row.name, refused[r], served[r])
+		}
+	}
+	verify("node down")
+	if s.RepairPending() == 0 {
+		t.Fatal("no served mutation was degraded")
+	}
+
+	s.SetDown(down, false)
+	verify("rejoined")
+	if n, msg := s.RepairPending(), s.CheckInvariants(); n != 0 || msg != "" {
+		t.Fatalf("after rejoin: repair debt %d, invariants %q", n, msg)
 	}
 }
 

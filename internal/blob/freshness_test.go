@@ -21,7 +21,7 @@ import (
 // issued). The ring is a pure function of its members, so a twin predicts it.
 func seed070Roles(t *testing.T, s *Store) (key string, p, q, g int) {
 	t.Helper()
-	with, without := chash.New(s.cfg.VNodes), chash.New(s.cfg.VNodes)
+	with, without := chash.New(vnodes), chash.New(vnodes)
 	for n := 0; n < 5; n++ {
 		with.Add(n)
 		if n != 4 {

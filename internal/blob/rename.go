@@ -100,7 +100,8 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	// Contiguous full chunks coalesce into one parallel-fan write per run
 	// rather than per-chunk commits, which would pay the fixed RPC/WAL
 	// overhead nChunks times over and lose to the client-side copy loop
-	// they replace (the CheckFrontends gate caught exactly that). The run
+	// they replace (the rename bound of internal/bench's
+	// TestVirtualTwinsPinned caught exactly that). The run
 	// commits direct (RecWrite, no 2PC prepare/commit rounds): the target
 	// is freshly created and doubly latched, so no observer exists to
 	// need transactional isolation — see writeLockedRec. A hole, a short

@@ -277,8 +277,11 @@ func TestClockConcurrentMerge(t *testing.T) {
 	parent.Advance(time.Second)
 	var wg sync.WaitGroup
 	children := make([]*Clock, 16)
+	// Fork all before any join: a later fork would start from an advanced parent.
 	for i := range children {
 		children[i] = parent.Fork()
+	}
+	for i := range children {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
