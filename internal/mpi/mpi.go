@@ -27,8 +27,11 @@ type World struct {
 	cond    *sync.Cond
 	gen     int64
 	arrived int
-	inputs  [][]byte
-	outputs [][]byte
+	// One slot per rank, double-buffered by generation parity: generation
+	// g+2 reuses g's slots, and its first arrival comes after g+1 has
+	// completed, that is after every rank has entered g+1 and so finished
+	// reading g.
+	slots [2][]contribution
 
 	// Point-to-point mailboxes, one per (src, dst) pair, created lazily.
 	boxesMu sync.Mutex
@@ -37,6 +40,14 @@ type World struct {
 	// Sub-communicators created by Split, keyed by (color, membership).
 	subMu sync.Mutex
 	subs  map[string]*World
+}
+
+// contribution is what one rank leaves in its rendezvous slot.
+type contribution struct {
+	clock time.Duration // the rank's clock on arrival
+	wire  int           // bytes the contribution occupies on the interconnect
+	data  []byte        // by-value collectives: the sender's snapshot
+	ref   any           // AllGatherRef: handed to every rank as is
 }
 
 type message struct {
@@ -64,6 +75,8 @@ func newWorld(n int, cost sim.CostModel) *World {
 		cost:  cost,
 		boxes: make(map[[2]int]chan message),
 	}
+	w.slots[0] = make([]contribution, n)
+	w.slots[1] = make([]contribution, n)
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
@@ -109,21 +122,18 @@ func FirstError(errs []error) error {
 	return nil
 }
 
-// rendezvous blocks until every rank has contributed input for this
-// generation, then returns the full input slice (identical view for all
-// ranks). The last arriver advances the generation.
-func (w *World) rendezvous(rank int, input []byte) [][]byte {
+// rendezvous blocks until every rank has left its contribution for this
+// generation, then returns all of them (identical view for all ranks). The
+// last arriver advances the generation. The view is only valid until the
+// caller enters its next collective on this communicator.
+func (w *World) rendezvous(rank int, c contribution) []contribution {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.inputs == nil {
-		w.inputs = make([][]byte, w.size)
-	}
-	w.inputs[rank] = input
-	w.arrived++
 	gen := w.gen
+	slots := w.slots[gen&1]
+	slots[rank] = c
+	w.arrived++
 	if w.arrived == w.size {
-		w.outputs = w.inputs
-		w.inputs = nil
 		w.arrived = 0
 		w.gen++
 		w.cond.Broadcast()
@@ -132,7 +142,7 @@ func (w *World) rendezvous(rank int, input []byte) [][]byte {
 			w.cond.Wait()
 		}
 	}
-	return w.outputs
+	return slots
 }
 
 // treeCost returns the collective's virtual-time cost for a payload of n
@@ -148,62 +158,47 @@ func (w *World) treeCost(n int) time.Duration {
 	return time.Duration(steps) * w.cost.WireTime(n)
 }
 
-// syncClocks advances every participant to the max clock plus cost. It must
-// be called by every rank with its own context after a rendezvous (the
-// rendezvous result carries no clock info, so clocks are exchanged as part
-// of the collective payloads below).
-func maxTime(times []time.Duration) time.Duration {
-	var m time.Duration
-	for _, t := range times {
-		if t > m {
-			m = t
-		}
+// collect runs one collective exchange: every rank contributes c, every
+// rank sees all contributions, and all clocks synchronize to the slowest
+// participant plus the tree cost for the largest wire size.
+func (r *Rank) collect(c contribution) []contribution {
+	c.clock = r.Ctx.Clock.Now()
+	all := r.world.rendezvous(r.ID, c)
+	var latest time.Duration
+	wire := 0
+	for _, p := range all {
+		latest = max(latest, p.clock)
+		wire = max(wire, p.wire)
 	}
-	return m
+	r.Ctx.Clock.AdvanceTo(latest + r.world.treeCost(wire))
+	return all
 }
 
-// clockBytes and clockFromBytes serialize a clock reading into rendezvous
-// payload prefixes.
-func clockBytes(d time.Duration) []byte {
-	v := uint64(d)
-	return []byte{
-		byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24),
-		byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56),
-	}
-}
-
-func clockFromBytes(b []byte) time.Duration {
-	if len(b) < 8 {
-		return 0
-	}
-	v := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-	return time.Duration(v)
-}
-
-// collect runs one collective exchange: every rank contributes data, every
-// rank receives all contributions, and all clocks synchronize to the
-// slowest participant plus the tree cost for the largest payload.
-func (r *Rank) collect(data []byte) [][]byte {
-	payload := append(clockBytes(r.Ctx.Clock.Now()), data...)
-	all := r.world.rendezvous(r.ID, payload)
-	times := make([]time.Duration, len(all))
-	out := make([][]byte, len(all))
-	maxLen := 0
-	for i, p := range all {
-		times[i] = clockFromBytes(p)
-		out[i] = p[8:]
-		if len(out[i]) > maxLen {
-			maxLen = len(out[i])
-		}
-	}
-	r.Ctx.Clock.AdvanceTo(maxTime(times) + r.world.treeCost(maxLen))
-	return out
+// byValue is the contribution of the by-value collectives (Bcast, Gather,
+// AllGather). It snapshots data on the sender's side because a sender may
+// mutate its buffer as soon as *it* returns, while slower ranks are still
+// reading the slot; receivers then take private copies of the snapshot
+// because each of them owns what it is handed.
+func byValue(data []byte) contribution {
+	return contribution{wire: len(data), data: append([]byte(nil), data...)}
 }
 
 // Barrier blocks until all ranks arrive; clocks synchronize to the slowest.
 func (r *Rank) Barrier() {
-	r.collect(nil)
+	r.collect(contribution{})
+}
+
+// AllGatherRef is the by-reference all-gather for ranks that share an
+// address space: every rank receives every rank's ref itself (appended to
+// dst in rank order), nothing is copied, and virtual time is charged for
+// wireBytes exactly as AllGather of that many bytes would charge it. What
+// a ref points to is shared: the contributor must leave it alone until a
+// later collective tells it that every reader is done.
+func (r *Rank) AllGatherRef(ref any, wireBytes int, dst []any) []any {
+	for _, p := range r.collect(contribution{wire: wireBytes, ref: ref}) {
+		dst = append(dst, p.ref)
+	}
+	return dst
 }
 
 // Bcast distributes root's buffer to every rank, returning the received
@@ -216,10 +211,7 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 	if r.ID == root {
 		contrib = data
 	}
-	all := r.collect(contrib)
-	out := make([]byte, len(all[root]))
-	copy(out, all[root])
-	return out
+	return append([]byte{}, r.collect(byValue(contrib))[root].data...)
 }
 
 // Gather collects every rank's buffer; the root receives the full slice
@@ -228,23 +220,22 @@ func (r *Rank) Gather(root int, data []byte) [][]byte {
 	if root < 0 || root >= r.world.size {
 		panic(fmt.Sprintf("mpi: Gather root %d out of range", root))
 	}
-	all := r.collect(data)
+	all := r.collect(byValue(data))
 	if r.ID != root {
 		return nil
 	}
-	out := make([][]byte, len(all))
-	for i, p := range all {
-		out[i] = append([]byte(nil), p...)
-	}
-	return out
+	return privateCopies(all)
 }
 
 // AllGather collects every rank's buffer on every rank.
 func (r *Rank) AllGather(data []byte) [][]byte {
-	all := r.collect(data)
+	return privateCopies(r.collect(byValue(data)))
+}
+
+func privateCopies(all []contribution) [][]byte {
 	out := make([][]byte, len(all))
 	for i, p := range all {
-		out[i] = append([]byte(nil), p...)
+		out[i] = append([]byte(nil), p.data...)
 	}
 	return out
 }
@@ -256,10 +247,11 @@ func (r *Rank) AllReduceInt64(v int64, op func(a, b int64) int64) int64 {
 	for i := 0; i < 8; i++ {
 		buf[i] = byte(u >> (8 * i))
 	}
-	all := r.collect(buf)
-	acc := decodeInt64(all[0])
+	// buf is private already, so it goes in without a snapshot.
+	all := r.collect(contribution{wire: len(buf), data: buf})
+	acc := decodeInt64(all[0].data)
 	for _, p := range all[1:] {
-		acc = op(acc, decodeInt64(p))
+		acc = op(acc, decodeInt64(p.data))
 	}
 	return acc
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 func cost() sim.CostModel { return sim.DefaultCostModel() }
@@ -362,5 +363,78 @@ func TestSplitSharesClock(t *testing.T) {
 	})
 	if err := FirstError(errs); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// AllGatherRef with a declared wire size must cost exactly what AllGather of
+// that many bytes costs: run the same skewed-arrival script through both in
+// twin worlds and compare every rank's clock.
+func TestAllGatherRefChargesLikeAllGather(t *testing.T) {
+	for size := 1; size <= 8; size++ {
+		for _, wire := range []int{0, 1, 4 + 12 + 100, 64 << 10} {
+			script := func(gather func(r *Rank, id *int)) []time.Duration {
+				clocks := make([]time.Duration, size)
+				ids := make([]int, size)
+				errs := Run(size, cost(), func(r *Rank) error {
+					ids[r.ID] = r.ID
+					for round := 1; round <= 3; round++ {
+						// A different rank arrives last each round.
+						r.Ctx.Clock.Advance(time.Duration((r.ID*7+round*3)%size+1) * 13 * time.Microsecond)
+						gather(r, &ids[r.ID])
+					}
+					clocks[r.ID] = r.Ctx.Clock.Now()
+					return nil
+				})
+				if err := FirstError(errs); err != nil {
+					t.Fatal(err)
+				}
+				return clocks
+			}
+			byValue := script(func(r *Rank, _ *int) { r.AllGather(make([]byte, wire)) })
+			byRef := script(func(r *Rank, id *int) {
+				// Every rank gets every rank's own pointer, in rank order.
+				for i, ref := range r.AllGatherRef(id, wire, nil) {
+					if p, ok := ref.(*int); !ok || *p != i {
+						t.Errorf("size %d: rank %d received %v from rank %d", size, r.ID, ref, i)
+					}
+				}
+			})
+			for id := range byValue {
+				if byRef[id] != byValue[id] {
+					t.Errorf("size %d wire %d rank %d: AllGatherRef leaves the clock at %v, AllGather at %v",
+						size, wire, id, byRef[id], byValue[id])
+				}
+			}
+		}
+	}
+}
+
+// A by-value collective hands out private copies of a snapshot taken on
+// entry: the sender may scribble on its buffer the moment it returns, and a
+// receiver on what it was handed, without any other rank noticing.
+func TestAllGatherCopiesAreIndependent(t *testing.T) {
+	errs := Run(4, cost(), func(r *Rank) error {
+		buf := []byte{byte(r.ID)}
+		for round := 0; round < 100; round++ {
+			got := r.AllGather(buf)
+			for i, p := range got {
+				if p[0] != byte(i+round) {
+					return fmt.Errorf("round %d: rank %d sees %d from rank %d", round, r.ID, p[0], i)
+				}
+				p[0] = 0xFF
+			}
+			buf[0]++
+		}
+		return nil
+	})
+	if err := FirstError(errs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBarrierAllocatesNothing(t *testing.T) {
+	r := Self(storage.NewContext(), cost())
+	if n := testing.AllocsPerRun(100, r.Barrier); n != 0 {
+		t.Fatalf("Barrier made %v allocations per call", n)
 	}
 }

@@ -20,7 +20,7 @@ func (r *Rank) Split(color, key int) *Rank {
 	var payload [16]byte
 	binary.LittleEndian.PutUint64(payload[0:8], uint64(int64(color)))
 	binary.LittleEndian.PutUint64(payload[8:16], uint64(int64(key)))
-	all := r.collect(payload[:])
+	all := r.collect(contribution{wire: len(payload), data: payload[:]})
 
 	if color < 0 {
 		return nil
@@ -31,8 +31,8 @@ func (r *Rank) Split(color, key int) *Rank {
 	}
 	var members []member
 	for oldRank, p := range all {
-		c := int(int64(binary.LittleEndian.Uint64(p[0:8])))
-		k := int(int64(binary.LittleEndian.Uint64(p[8:16])))
+		c := int(int64(binary.LittleEndian.Uint64(p.data[0:8])))
+		k := int(int64(binary.LittleEndian.Uint64(p.data[8:16])))
 		if c == color {
 			members = append(members, member{oldRank, k})
 		}

@@ -1,7 +1,9 @@
 package mpiio
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blob"
@@ -13,12 +15,16 @@ import (
 )
 
 // recFS wraps a FileSystem and records every WriteAt issued through its
-// handles, so the test can see exactly how the collective aggregated.
+// handles, so the test can see exactly how the collective aggregated. It
+// fails, unrecorded, the writes issued under the victim context, if any.
 type recFS struct {
 	storage.FileSystem
 	mu     sync.Mutex
 	writes []recWrite
+	victim atomic.Pointer[storage.Context]
 }
+
+var errDiskOnFire = errors.New("disk on fire")
 
 type recWrite struct {
 	off int64
@@ -54,6 +60,9 @@ type recHandle struct {
 }
 
 func (h *recHandle) WriteAt(ctx *storage.Context, off int64, p []byte) (int, error) {
+	if ctx == h.fs.victim.Load() {
+		return 0, errDiskOnFire
+	}
 	h.fs.mu.Lock()
 	h.fs.writes = append(h.fs.writes, recWrite{off, len(p)})
 	h.fs.mu.Unlock()

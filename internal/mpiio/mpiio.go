@@ -18,15 +18,29 @@
 //     one large contiguous storage access instead of many interleaved small
 //     ones.
 //
+// Buffer ownership in a collective write: ranks share an address space, so
+// the exchange hands every rank references to every rank's pieces, not
+// copies, and charges virtual time as if the bytes had crossed the wire.
+// Until WriteAtAll / WriteAtAllv returns, peers may be reading the slices
+// the caller passed in, so the caller must not modify them; once it returns
+// — on every rank together, and with an error on every rank if any
+// aggregator failed — nothing holds them and the caller may reuse them at
+// once. An aggregator writes a stretch that one piece covers straight from
+// that piece and stitches only stretches made of several pieces, in one
+// aggregation buffer per File that grows to the largest such stretch and is
+// released by Close. Only bytes some rank contributed are written: a hole
+// in the union keeps whatever the file held.
+//
 // The package issues only file reads, writes, opens, closes and syncs —
 // never a directory operation — which is precisely why Figure 1 shows HPC
 // applications performing nothing but file I/O.
 package mpiio
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/mpi"
@@ -49,12 +63,31 @@ type File struct {
 	maxBuf   int
 	atomic   bool
 	closed   bool
+
+	// Collective-write state. Only the rank's own goroutine touches it,
+	// except contrib, which peers read between the exchange and the
+	// completion collective of one WriteAtAllv (the exchange shares a
+	// pointer to the field: boxing the slice itself would allocate).
+	contrib []Piece
+	peers   []any    // what the last collective gathered, one entry per rank
+	exts    []extent // the gathered pieces clipped to this rank's share
+	agg     []byte   // stitches multi-piece runs; grows, never shrinks
 }
 
 type pendingWrite struct {
 	off  int64
 	data []byte
 }
+
+// extent is a byte range of the file with the bytes to put there; seq is
+// its place in arrival order, which decides who wins an overlap.
+type extent struct {
+	off  int64
+	data []byte
+	seq  int
+}
+
+func (e extent) end() int64 { return e.off + int64(len(e.data)) }
 
 // Options tunes an open file.
 type Options struct {
@@ -215,62 +248,55 @@ func (f *File) flushLocked() error {
 }
 
 // coalesce merges a write list into sorted, disjoint, maximal runs, with
-// later writes overriding earlier ones where they overlap. Walking from the
-// last write to the first, each earlier write keeps only the parts not
-// already covered by later ones.
+// later writes overriding earlier ones where they overlap. A run made of a
+// single write is that write's slice, not a copy of it.
 func coalesce(writes []pendingWrite) []pendingWrite {
-	if len(writes) == 0 {
+	exts := make([]extent, 0, len(writes))
+	for i, w := range writes {
+		if len(w.data) > 0 {
+			exts = append(exts, extent{off: w.off, data: w.data, seq: i})
+		}
+	}
+	var runs []pendingWrite
+	_ = forEachRun(exts, func(off, end int64, members []extent) error { // this emit never fails
+		data := members[0].data
+		if len(members) > 1 {
+			data = stitch(make([]byte, end-off), off, members)
+		}
+		runs = append(runs, pendingWrite{off, data})
 		return nil
-	}
-	covered := make([]pendingWrite, 0, len(writes))
-	var result []pendingWrite
-	for i := len(writes) - 1; i >= 0; i-- {
-		if len(writes[i].data) == 0 {
-			continue
-		}
-		pieces := []pendingWrite{writes[i]}
-		for _, c := range covered {
-			var next []pendingWrite
-			for _, p := range pieces {
-				next = append(next, subtract(p, c)...)
-			}
-			pieces = next
-		}
-		for _, p := range pieces {
-			if len(p.data) > 0 {
-				result = append(result, p)
-			}
-		}
-		covered = append(covered, writes[i])
-	}
-	sort.Slice(result, func(a, b int) bool { return result[a].off < result[b].off })
-	// Merge adjacent runs into maximal contiguous writes.
-	var merged []pendingWrite
-	for _, w := range result {
-		if n := len(merged); n > 0 && merged[n-1].off+int64(len(merged[n-1].data)) == w.off {
-			merged[n-1].data = append(merged[n-1].data, w.data...)
-			continue
-		}
-		merged = append(merged, pendingWrite{w.off, append([]byte(nil), w.data...)})
-	}
-	return merged
+	})
+	return runs
 }
 
-// subtract returns the parts of p not covered by c.
-func subtract(p, c pendingWrite) []pendingWrite {
-	pLo, pHi := p.off, p.off+int64(len(p.data))
-	cLo, cHi := c.off, c.off+int64(len(c.data))
-	if cHi <= pLo || cLo >= pHi {
-		return []pendingWrite{p}
+// forEachRun reorders exts and calls emit once per maximal run of touching
+// or overlapping extents, in ascending offset order, with the run's bounds
+// and its members in arrival order. It stops at emit's first error.
+func forEachRun(exts []extent, emit func(off, end int64, members []extent) error) error {
+	slices.SortFunc(exts, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
+	for i := 0; i < len(exts); {
+		off, end := exts[i].off, exts[i].end()
+		j := i + 1
+		for ; j < len(exts) && exts[j].off <= end; j++ {
+			end = max(end, exts[j].end())
+		}
+		members := exts[i:j]
+		slices.SortFunc(members, func(a, b extent) int { return cmp.Compare(a.seq, b.seq) })
+		if err := emit(off, end, members); err != nil {
+			return err
+		}
+		i = j
 	}
-	var out []pendingWrite
-	if pLo < cLo {
-		out = append(out, pendingWrite{pLo, p.data[:cLo-pLo]})
+	return nil
+}
+
+// stitch copies a run's members into buf, whose first byte is file offset
+// off, in arrival order so that later ones win, and returns buf.
+func stitch(buf []byte, off int64, members []extent) []byte {
+	for _, m := range members {
+		copy(buf[m.off-off:], m.data)
 	}
-	if pHi > cHi {
-		out = append(out, pendingWrite{cHi, p.data[cHi-pLo:]})
-	}
-	return out
+	return buf
 }
 
 // Close flushes, closes the storage handle, and synchronizes the
@@ -284,6 +310,7 @@ func (f *File) Close() error {
 	err := f.flushLocked()
 	f.closed = true
 	f.mu.Unlock()
+	f.agg = nil
 	if cerr := f.h.Close(f.rank.Ctx); err == nil {
 		err = cerr
 	}
@@ -292,6 +319,7 @@ func (f *File) Close() error {
 }
 
 // Piece is one (offset, data) extent contributed to a collective write.
+// Peers read Data in place until the collective returns.
 type Piece struct {
 	Off  int64
 	Data []byte
@@ -306,11 +334,14 @@ func (f *File) WriteAtAll(off int64, p []byte) (int, error) {
 
 // WriteAtAllv is the general collective two-phase write: every rank
 // contributes any number of (possibly tiny, strided) pieces; the pieces
-// are exchanged across the communicator and each rank issues ONE large
-// contiguous write covering its share of the union range — the I/O
-// aggregation that turns N*k interleaved small accesses into N sequential
-// streams. All ranks must call it together. Returns this rank's
-// contributed byte count.
+// are exchanged across the communicator and each rank writes its share of
+// the union range, ONE large contiguous write when the union has no holes
+// — the I/O aggregation that turns N*k interleaved small accesses into N
+// sequential streams. Where pieces overlap, the higher rank and, within a
+// rank, the later piece wins. All ranks must call it together, each from
+// the goroutine that runs the rank, and all return together: with this
+// rank's contributed byte count, or with an error on every rank if any
+// rank's argument was bad or any aggregator's write failed.
 func (f *File) WriteAtAllv(pieces []Piece) (int64, error) {
 	f.mu.Lock()
 	if f.closed {
@@ -318,63 +349,93 @@ func (f *File) WriteAtAllv(pieces []Piece) (int64, error) {
 		return 0, storage.ErrClosed
 	}
 	f.mu.Unlock()
+	var contributed int64
+	var err error
 	for _, p := range pieces {
 		if p.Off < 0 {
-			return 0, fmt.Errorf("mpiio: collective write at %d: %w", p.Off, storage.ErrInvalidArg)
+			err = fmt.Errorf("mpiio: collective write at %d: %w", p.Off, storage.ErrInvalidArg)
 		}
-	}
-	var contributed int64
-	for _, p := range pieces {
 		contributed += int64(len(p.Data))
 	}
-
-	all := f.exchangeV(pieces)
-	lo, hi := unionRangeV(all)
-	if hi <= lo {
-		f.rank.Barrier()
-		return contributed, nil
+	if err != nil {
+		pieces = nil // the peers are waiting: join them empty-handed
 	}
-	// Partition [lo, hi) into size contiguous shares; this rank assembles
-	// and writes share #ID. Interior share boundaries are aligned to the
-	// backend's chunk size (storage.ChunkSizer) so each aggregated write
-	// covers whole chunks: on the blob store that sends every chunk to
-	// exactly one writer — no two ranks contend for one chunk's replica
-	// set, and a multi-chunk share commits through the 2PC batched write
-	// path instead of splitting chunks across ranks.
-	size := int64(f.rank.Size())
-	span := hi - lo
-	share := (span + size - 1) / size
-	myLo := shareBound(lo, hi, share, f.chunkAlign(), int64(f.rank.ID))
-	myHi := shareBound(lo, hi, share, f.chunkAlign(), int64(f.rank.ID)+1)
-	if myLo < myHi {
-		buf := make([]byte, myHi-myLo)
-		filled := false
-		for _, pc := range all {
-			pLo, pHi := pc.Off, pc.Off+int64(len(pc.Data))
-			if pHi <= myLo || pLo >= myHi {
-				continue
-			}
-			start, end := pLo, pHi
-			if start < myLo {
-				start = myLo
-			}
-			if end > myHi {
-				end = myHi
-			}
-			copy(buf[start-myLo:end-myLo], pc.Data[start-pLo:end-pLo])
-			filled = true
-		}
-		if filled {
-			f.mu.Lock()
-			_, err := f.h.WriteAt(f.rank.Ctx, myLo, buf)
-			f.mu.Unlock()
-			if err != nil {
-				return 0, fmt.Errorf("mpiio: collective write: %w", err)
-			}
+	f.contrib = pieces
+	f.peers = f.rank.AllGatherRef(&f.contrib, wireSize(pieces), f.peers[:0])
+	if err == nil {
+		err = f.writeShare()
+	}
+	// Completion. No rank may return, and let its caller reuse the slices
+	// it contributed, while a peer can still be reading them; the same
+	// zero-byte collective tells every rank whether every share landed.
+	f.peers = f.rank.AllGatherRef(err, 0, f.peers[:0])
+	f.contrib = nil
+	if err != nil {
+		return 0, err
+	}
+	for id, p := range f.peers {
+		if p != nil {
+			return 0, fmt.Errorf("mpiio: collective write: rank %d: %w", id, p.(error))
 		}
 	}
-	f.rank.Barrier() // collective completion
 	return contributed, nil
+}
+
+// wireSize is what a piece list would occupy on an interconnect — a u32
+// piece count, then per piece an i64 offset, a u32 length and the bytes —
+// and so what the exchange charges for, although only references move.
+func wireSize(pieces []Piece) int {
+	n := 4
+	for _, p := range pieces {
+		n += 12 + len(p.Data)
+	}
+	return n
+}
+
+// writeShare writes this rank's share of the pieces in f.peers (one
+// *[]Piece per rank). It partitions the union range [lo, hi) into size
+// contiguous shares, this rank taking share #ID. Interior share boundaries
+// are aligned to the backend's chunk size (storage.ChunkSizer) so each
+// aggregated write covers whole chunks: on the blob store that sends every
+// chunk to exactly one writer — no two ranks contend for one chunk's
+// replica set, and a multi-chunk share commits through the 2PC batched
+// write path instead of splitting chunks across ranks.
+func (f *File) writeShare() error {
+	lo, hi := unionRange(f.peers)
+	if hi <= lo {
+		return nil
+	}
+	size, align := int64(f.rank.Size()), f.chunkAlign()
+	share := (hi - lo + size - 1) / size
+	myLo := shareBound(lo, hi, share, align, int64(f.rank.ID))
+	myHi := shareBound(lo, hi, share, align, int64(f.rank.ID)+1)
+	exts := f.exts[:0]
+	for _, p := range f.peers {
+		for _, pc := range *p.(*[]Piece) {
+			start, end := max(pc.Off, myLo), min(pc.Off+int64(len(pc.Data)), myHi)
+			if start < end {
+				exts = append(exts, extent{off: start, data: pc.Data[start-pc.Off : end-pc.Off], seq: len(exts)})
+			}
+		}
+	}
+	f.exts = exts
+	defer clear(exts) // keep no reference to a peer's slices past the call
+	return forEachRun(exts, func(off, end int64, members []extent) error {
+		data := members[0].data
+		if len(members) > 1 {
+			if int64(cap(f.agg)) < end-off {
+				f.agg = make([]byte, end-off)
+			}
+			data = stitch(f.agg[:end-off], off, members)
+		}
+		f.mu.Lock()
+		_, err := f.h.WriteAt(f.rank.Ctx, off, data)
+		f.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("mpiio: collective write: %w", err)
+		}
+		return nil
+	})
 }
 
 // chunkAlign reports the backend's chunk granularity for collective share
@@ -392,7 +453,7 @@ func (f *File) chunkAlign() int64 {
 // the share width) keeps the partition exact — boundaries stay monotone,
 // the first is lo, the last is hi, and every interior one lands on a chunk
 // edge even when lo itself is unaligned. Shares may end up empty; their
-// ranks simply skip the write and meet the others at the barrier.
+// ranks simply skip the write and meet the others at the completion.
 func shareBound(lo, hi, share, align, k int64) int64 {
 	b := lo + k*share
 	if b >= hi {
@@ -429,62 +490,17 @@ func (f *File) ReadAtAll(off int64, p []byte) (int, error) {
 	return n, err
 }
 
-// exchangeV all-gathers every rank's piece list. Wire format: u32 piece
-// count, then per piece i64 offset, u32 length, data bytes.
-func (f *File) exchangeV(pieces []Piece) []Piece {
-	size := 4
-	for _, p := range pieces {
-		size += 12 + len(p.Data)
-	}
-	payload := make([]byte, 0, size)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(pieces)))
-	payload = append(payload, hdr[:4]...)
-	for _, p := range pieces {
-		binary.LittleEndian.PutUint64(hdr[0:8], uint64(p.Off))
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(p.Data)))
-		payload = append(payload, hdr[:12]...)
-		payload = append(payload, p.Data...)
-	}
-	all := f.rank.AllGather(payload)
-	var out []Piece
-	for _, b := range all {
-		if len(b) < 4 {
-			continue
-		}
-		count := binary.LittleEndian.Uint32(b[:4])
-		pos := 4
-		for i := uint32(0); i < count && pos+12 <= len(b); i++ {
-			off := int64(binary.LittleEndian.Uint64(b[pos : pos+8]))
-			n := int(binary.LittleEndian.Uint32(b[pos+8 : pos+12]))
-			pos += 12
-			if pos+n > len(b) {
-				break
+// unionRange returns the smallest range covering every non-empty piece of
+// every rank's list (one *[]Piece per rank); hi <= lo when there is none.
+func unionRange(peers []any) (lo, hi int64) {
+	lo = math.MaxInt64
+	for _, p := range peers {
+		for _, pc := range *p.(*[]Piece) {
+			if len(pc.Data) > 0 {
+				lo = min(lo, pc.Off)
+				hi = max(hi, pc.Off+int64(len(pc.Data)))
 			}
-			out = append(out, Piece{Off: off, Data: b[pos : pos+n]})
-			pos += n
 		}
-	}
-	return out
-}
-
-func unionRangeV(pieces []Piece) (lo, hi int64) {
-	first := true
-	for _, p := range pieces {
-		if len(p.Data) == 0 {
-			continue
-		}
-		pLo, pHi := p.Off, p.Off+int64(len(p.Data))
-		if first || pLo < lo {
-			lo = pLo
-		}
-		if first || pHi > hi {
-			hi = pHi
-		}
-		first = false
-	}
-	if first {
-		return 0, 0
 	}
 	return lo, hi
 }

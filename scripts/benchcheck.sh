@@ -15,9 +15,13 @@
 # guarantees and the dynamic race detector cover the same tree, plus
 # every front-end the conformance matrix registers (fstest, blobfs,
 # posixfs, relaxedfs, mpiio, h5, adios, s3gw, sparksim) so the converged
-# surface runs under the detector too, plus internal/bench, whose pinned
-# virtual twins (TestVirtualTwinsPinned) drive pooled dispatch through
-# blobfs and s3gw — minus TestFutureWorkGainsHold, whose shared-write arm
+# surface runs under the detector too, plus internal/mpi and the
+# internal/workloads that drive it — mpiio's collective write hands ranks
+# references to each other's buffers, so its ownership rule (nobody returns
+# while a peer can still read) is a race-detector property — plus
+# internal/bench, whose pinned virtual twins (TestVirtualTwinsPinned)
+# drive pooled dispatch through blobfs and s3gw — minus
+# TestFutureWorkGainsHold, whose shared-write arm
 # races real goroutines for one simulated disk on a thin margin and reads
 # 0.97x in three of four raced runs on a 2-CPU host (tier-1 runs it plain);
 # -shuffle=on randomizes test order so accidental
@@ -72,7 +76,7 @@ cd "$(dirname "$0")/.."
 go run ./cmd/blobvet ./...
 go vet ./...
 go test -race -shuffle=on -skip '^TestFutureWorkGainsHold$' ./internal/blob/... ./internal/sim/... ./internal/cluster/... ./internal/wal/... ./internal/core/... ./internal/storage/... ./internal/kvstore/... \
-	./internal/fstest/... ./internal/blobfs/... ./internal/fs/... ./internal/mpiio/... ./internal/h5/... ./internal/adios/... ./internal/s3gw/... ./internal/sparksim/... \
+	./internal/fstest/... ./internal/blobfs/... ./internal/fs/... ./internal/mpi/... ./internal/mpiio/... ./internal/workloads/... ./internal/h5/... ./internal/adios/... ./internal/s3gw/... ./internal/sparksim/... \
 	./internal/bench/...
 for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
 	for fz in $(go test -run '^$' -list '^Fuzz' "$pkg" | grep '^Fuzz'); do
