@@ -39,18 +39,17 @@
 //     hash, so concurrent readers and writers of different chunks do not
 //     contend on one RWMutex. The per-blob descriptor latch remains the
 //     atomic-visibility point for multi-chunk commits.
-//   - sharded WAL lanes + group commit: each server's write-ahead log is a
-//     wal.MultiLog — Config.WALLanes lanes (default: the chunk-stripe
-//     count), a chunk's lane derived from the same placement-hash bits as
-//     its lock stripe, descriptor records routed by the descriptor's ring
-//     hash — so parallel writers to different chunks append to different
-//     lane mutexes, and writers that do collide on a lane coalesce through
-//     the group-commit staging ring into one medium write. A server-scoped
-//     order key stamped into every record lets recovery merge the lanes
-//     back into exact logical order (wal.MultiLog.RecoverMerged). Records
-//     append vectored (AppendV/AppendNV): only the small addressing header
-//     is staged in a pooled scratch buffer, while chunk data streams from
-//     the caller's buffer to the log medium in exactly one copy.
+//   - sharded WAL lanes: each server's write-ahead log is a wal.MultiLog —
+//     Config.WALLanes lanes (default: the chunk-stripe count), a chunk's
+//     lane derived from the same placement-hash bits as its lock stripe,
+//     descriptor records routed by the descriptor's ring hash — so parallel
+//     writers to different chunks append under different lane mutexes. A
+//     server-scoped order key stamped into every record lets recovery merge
+//     the lanes back into exact logical order
+//     (wal.MultiLog.RecoverMerged). Records append vectored
+//     (AppendV/AppendNV): only the small addressing header is staged in a
+//     pooled scratch buffer, while chunk data streams from the caller's
+//     buffer to the log medium in exactly one copy.
 //     Multi-record operations batch same-(server,lane) records through
 //     AppendNV.
 //   - goroutine fan-out: per-chunk work runs on the goroutine that joins
@@ -463,7 +462,7 @@ type chunkStripe struct {
 
 // server is the per-node state: the descriptors this node owns as primary
 // or replica, the chunks placed on it (lock-striped by placement hash), and
-// its sharded, group-committed write-ahead log.
+// its sharded write-ahead log.
 type server struct {
 	node cluster.NodeID
 	mu   sync.RWMutex
@@ -718,7 +717,7 @@ func (s *Store) SetDown(node cluster.NodeID, down bool) {
 	was := sv.down
 	sv.down = down
 	sv.mu.Unlock()
-	tracef("setDown node=%d down=%v was=%v", node, down, was)
+	traceStep(traceEvent{what: "setDown", node: node, on: down, was: was})
 	if was && !down {
 		// Mark up first so racing writes stop excluding this node, then
 		// drain what accumulated.
@@ -823,10 +822,9 @@ var hdrPool = sync.Pool{
 }
 
 // walAppendLane records a durable mutation on one of sv's log lanes — the
-// record payload being header||data, appended vectored (and possibly
-// group-committed with concurrent lane appenders) so data is copied exactly
-// once — and charges the log persistence on sv's disk through cg (directly
-// on the caller's clock, or into a fan task's ledger).
+// record payload being header||data, appended vectored so data is copied
+// exactly once — and charges the log persistence on sv's disk through cg
+// (directly on the caller's clock, or into a fan task's ledger).
 func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType, header, data []byte) {
 	_, n, err := sv.wal.AppendV(lane, t, header, data)
 	if err != nil {
@@ -1159,10 +1157,10 @@ func (b *walBatch) resolve() {
 }
 
 // walAppendBatch logs specs to one of sv's lanes with a single AppendNV
-// (atomic within the lane, group-committed with concurrent lane traffic)
-// and charges the disk append through cg. Shared by walBatch.flush (direct
-// charging) and the dispatcher's taskWalFlush (ledger charging), so the
-// append invariant and the cost shape cannot diverge between the two.
+// (atomic within the lane) and charges the disk append through cg. Shared
+// by walBatch.flush (direct charging) and the dispatcher's taskWalFlush
+// (ledger charging), so the append invariant and the cost shape cannot
+// diverge between the two.
 func (s *Store) walAppendBatch(cg *charge, sv *server, lane int, specs []wal.AppendVSpec) {
 	_, n, err := sv.wal.AppendNV(lane, specs)
 	if err != nil {

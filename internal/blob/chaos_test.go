@@ -82,6 +82,27 @@ func (f *chaosFlaps) healAll() {
 	}
 }
 
+// String renders one trace line for a failure dump: the step, its node, the
+// descriptor or chunk it names, then whichever operands the site set.
+func (ev traceEvent) String() string {
+	line := fmt.Sprintf("%s node=%d", ev.what, ev.node)
+	if ev.chunk {
+		line += fmt.Sprintf(" id=%s/%d", ev.key, ev.idx)
+	} else if ev.key != "" {
+		line += " key=" + ev.key
+	}
+	if ev.on || ev.was {
+		line += fmt.Sprintf(" on=%v was=%v", ev.on, ev.was)
+	}
+	if ev.ver|ev.mask|ev.owed|ev.upTo != 0 {
+		line += fmt.Sprintf(" ver=%d mask=%x owed=%x upTo=%d", ev.ver, ev.mask, ev.owed, ev.upTo)
+	}
+	if ev.n|ev.m != 0 {
+		line += fmt.Sprintf(" n=%d m=%d", ev.n, ev.m)
+	}
+	return line
+}
+
 func runChaosSchedule(t *testing.T, seed uint64) {
 	const (
 		nodes   = 5
@@ -92,9 +113,9 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 	)
 	var traceMu sync.Mutex
 	var trace []string
-	chaosTrace = func(format string, args ...any) {
+	chaosTrace = func(ev traceEvent) {
 		traceMu.Lock()
-		trace = append(trace, fmt.Sprintf(format, args...))
+		trace = append(trace, ev.String())
 		traceMu.Unlock()
 	}
 	defer func() {
@@ -202,12 +223,12 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 				defer wg.Done()
 				mctx := storage.NewContext()
 				if s.serving(4) {
-					tracef("membership: removing node 4")
+					traceStep(traceEvent{what: "membership: removing", node: 4})
 					if err := s.RemoveServer(mctx, 4); err != nil {
 						t.Errorf("seed %d: remove node 4: %v", seed, err)
 					}
 				} else {
-					tracef("membership: adding node 4")
+					traceStep(traceEvent{what: "membership: adding", node: 4})
 					if err := s.AddServer(mctx, 4); err != nil {
 						t.Errorf("seed %d: add node 4: %v", seed, err)
 					}
@@ -231,7 +252,7 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 				lane := rng.Intn(sv.wal.Lanes())
 				if buf := sv.wal.LaneBuffer(lane); buf.Len() > 4 {
 					buf.Truncate(buf.Len() - 1 - rng.Intn(3))
-					tracef("tear node=%d lane=%d", victim, lane)
+					traceStep(traceEvent{what: "tear lane", node: cluster.NodeID(victim), n: int64(lane)})
 				}
 			}
 			s.Crash(cluster.NodeID(victim))

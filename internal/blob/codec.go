@@ -13,11 +13,11 @@ import (
 //
 // Meta and chunk payloads are distinguished by record type (RecCreate /
 // RecDelete / RecTruncate / RecMeta carry meta payloads; RecWrite /
-// RecPrepWrite / RecChunkDelete / RecChunkTruncate and the 2PC markers
-// RecChunkCommit / RecAbort carry chunk payloads), so chunk addressing
-// never round-trips through a combined string key. RecCommit remains the
+// RecPrepWrite / RecChunkDelete / RecChunkTruncate and the 2PC marker
+// RecChunkCommit carry chunk payloads), so chunk addressing never
+// round-trips through a combined string key. RecCommit remains the
 // transaction-level marker with a meta payload; replay skips it, while
-// RecChunkCommit / RecAbort drive the prepared-write buffer (recovery.go).
+// RecChunkCommit drives the prepared-write buffer (recovery.go).
 // All encoders are append-style into caller-provided buffers.
 //
 // A chunk record's payload is the addressing header (appendChunkHeader)

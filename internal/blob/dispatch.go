@@ -19,10 +19,7 @@
 //     joining caller or a helping pool worker. All touched structures are
 //     independently locked (chunk stripes, server descriptor maps, the
 //     per-server WAL lanes, the placement cache), so this half is free to
-//     interleave. A WAL append may briefly park as a group-commit follower
-//     (wal.MultiLog), waiting on a leader that holds only lane-local locks
-//     and never waits on the pool — the same bounded-wait class as a
-//     mutex, so the no-deadlock argument is unchanged.
+//     interleave.
 //     (enforced: blobvet/stripelock for the stripe half; blobvet/walappend
 //     keeps appends on the accounted path)
 //   - Cost charging — RPC, DiskRead, DiskWrite, DiskAppend, MetaOp,

@@ -156,9 +156,11 @@ var placePool = sync.Pool{
 //
 // Multi-chunk writes log 2PC-style: the data phase appends RecPrepWrite to
 // every replica of every participant, the commit phase appends
-// RecChunkCommit to the same set, and a data-phase failure appends RecAbort
-// markers — so crash replay applies a multi-chunk write all-or-nothing
-// (recovery.go buffers prepares and materializes them only on commit).
+// RecChunkCommit to the same set, and a data-phase failure appends nothing
+// more — so crash replay applies a multi-chunk write all-or-nothing
+// (recovery.go buffers prepares and materializes them only on commit; a
+// prepare whose commit never comes is overwritten by the chunk's next
+// prepare or dropped at the end of the log).
 func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d *descriptor, off int64, p []byte) (int, error) {
 	return s.writeLockedRec(ctx, key, primary, d, off, p, false)
 }
@@ -235,16 +237,11 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 		fan.spawn(t)
 	})
 	if _, err := fan.join(ctx); err != nil {
-		if multi {
-			// The transaction dies mid-flight: append abort markers so
-			// replay discards the prepared chunk writes instead of
-			// resurrecting a half-committed transaction.
-			s.abortPrepared(ctx, places)
-		}
 		// Nothing is readable or durable from the failed write — a
 		// single-chunk write validates its replica set before mutating,
-		// and a multi-chunk write is rolled back whole by the abort — so
-		// the reported count is zero, not the completed-task prefix.
+		// and a multi-chunk write's prepares never materialize without the
+		// commit records this return skips — so the reported count is zero,
+		// not the completed-task prefix.
 		return 0, err
 	}
 
@@ -315,24 +312,6 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 	return len(p), nil
 }
 
-// abortPrepared logs RecAbort markers on every replica the data phase
-// reached (the excl mask says which it did not), batched per server. An
-// excluded replica holds no prepare, so it needs no abort; uncommitted
-// prepares die at replay anyway, the marker just keeps logs tidy.
-func (s *Store) abortPrepared(ctx *storage.Context, places []chunkPlace) {
-	batch := newWalBatch(s)
-	for i := range places {
-		pl := &places[i]
-		for _, o := range pl.owners {
-			if pl.excl&(1<<uint(o)) != 0 {
-				continue
-			}
-			batch.addChunk(s.servers[o], wal.RecAbort, pl.h, pl.id, 0, 0, nil)
-		}
-	}
-	batch.flushParallel(ctx, true)
-}
-
 // writeChunk applies data to the chunk at the given intra-chunk offset on
 // the live subset of its replica set, first live owner first (primary
 // promotion) then the other live owners in parallel. It runs as a fan
@@ -362,7 +341,7 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 		}
 	}
 	if downMask != 0 {
-		tracef("writeChunk id=%s/%d ver=%d excl=%x promoted=%d rec=%d", pl.id.key, pl.id.idx, pl.ver, downMask, promoted, rec)
+		traceStep(traceEvent{what: "writeChunk", node: cluster.NodeID(promoted), key: pl.id.key, idx: pl.id.idx, chunk: true, ver: pl.ver, mask: downMask, n: int64(rec)})
 	}
 	if promoted < 0 || live < s.cfg.MinLiveOwners {
 		return fmt.Errorf("chunk %d of %q: %d of %d replicas down or behind (need %d live): %w",
@@ -372,7 +351,7 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 	// A permanent fault on the primary's write path fails the chunk write
 	// before anything lands — nothing durable, nothing applied, so the
 	// single-chunk direct-commit path stays failure-atomic and the
-	// multi-chunk path rolls back via RecAbort.
+	// multi-chunk path never commits its prepares.
 	if err := s.faultCheck(cg, primary.node, cluster.FaultDiskWrite); err != nil {
 		return fmt.Errorf("chunk %d of %q: %w", pl.id.idx, pl.id.key, err)
 	}
@@ -474,13 +453,27 @@ func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPl
 	return nil
 }
 
-// tracef feeds the chaos battery's event trace when a test installs one;
-// production runs leave chaosTrace nil and pay only a nil check.
-var chaosTrace func(format string, args ...any)
+// traceEvent is one data-plane step as the chaos battery's event trace sees
+// it: the union of what the sites report, passed by value so that building it
+// allocates nothing. key/idx name a chunk when chunk is set, else key (when
+// non-empty) names a descriptor.
+type traceEvent struct {
+	what                  string
+	node                  cluster.NodeID
+	key                   string
+	idx                   int64
+	chunk, on, was        bool
+	ver, mask, owed, upTo uint64
+	n, m                  int64
+}
 
-func tracef(format string, args ...any) {
+// traceStep feeds the chaos battery's event trace when a test installs one;
+// production runs leave chaosTrace nil and pay only a nil check.
+var chaosTrace func(traceEvent)
+
+func traceStep(ev traceEvent) {
 	if chaosTrace != nil {
-		chaosTrace(format, args...)
+		chaosTrace(ev)
 	}
 }
 

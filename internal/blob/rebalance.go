@@ -296,7 +296,7 @@ func (s *Store) migrateDescriptors(cg *charge) {
 				// recorded here cannot interleave with a newer RecMeta on
 				// this server's lane in the wrong order.
 				s.walAppendMeta(cg, sv, wal.RecCreate, key, size)
-				tracef("descInstall node=%d key=%s", sv.node, key)
+				traceStep(traceEvent{what: "descInstall", node: sv.node, key: key})
 			}
 		}
 		d.latch.RUnlock()
@@ -312,7 +312,7 @@ func (s *Store) migrateDescriptors(cg *charge) {
 			sv.mu.Unlock()
 			if held {
 				s.walAppendMeta(cg, sv, wal.RecDelete, key, 0)
-				tracef("descDrop node=%d key=%s", sv.node, key)
+				traceStep(traceEvent{what: "descDrop", node: sv.node, key: key})
 			}
 		}
 	}

@@ -114,7 +114,7 @@ type crashImage struct {
 // captureMigration runs one membership change of node 4 and returns a crash
 // image after every record its sweep appends (the data plane's trace fires
 // right after each descriptor handover and each chunk install, drop and debt
-// append, leading with node, key and — for a chunk — its index), at every
+// append, naming node, key and — for a chunk — its index), at every
 // batch boundary — the first being "intent durable, no batch" — and at
 // completion. The pre-intent state is NOT a valid crash image: the ring is
 // store-global (membership is assumed durable out of band), so the earliest
@@ -122,11 +122,11 @@ type crashImage struct {
 func captureMigration(t testing.TB, s *Store, ctx *storage.Context, remove bool) []crashImage {
 	var images []crashImage
 	s.cfg.MigrationBatchHook = func(int) { images = append(images, crashImage{captureAllLanes(s), -1, 0}) }
-	chaosTrace = func(_ string, args ...any) {
-		sv, key := s.servers[args[0].(cluster.NodeID)], args[1].(string)
-		lane := sv.metaLane(key)
-		if len(args) > 2 {
-			lane = sv.chunkLane(chunkID{key, args[2].(int64)}.ringHash())
+	chaosTrace = func(ev traceEvent) {
+		sv := s.servers[ev.node]
+		lane := sv.metaLane(ev.key)
+		if ev.chunk {
+			lane = sv.chunkLane(chunkID{ev.key, ev.idx}.ringHash())
 		}
 		images = append(images, crashImage{captureAllLanes(s), int(sv.node), lane})
 	}

@@ -40,7 +40,7 @@ func (s *Store) Crash(node cluster.NodeID) {
 	sv.wiped = true
 	sv.mu.Unlock()
 	sv.resetChunks()
-	tracef("crash node=%d", node)
+	traceStep(traceEvent{what: "crash", node: node})
 }
 
 // prepWrite is the buffered 2PC chunk write awaiting its commit record
@@ -81,8 +81,9 @@ func applyRecovered(chunks map[chunkID][]byte, vers map[chunkID]uint64, id chunk
 //
 // Multi-chunk (2PC) writes replay all-or-nothing: RecPrepWrite records are
 // buffered per chunk and materialize only when that chunk's RecChunkCommit
-// arrives; a RecAbort discards them, and prepares still pending when the
-// log ends (a crash mid-transaction) are dropped.
+// arrives; a prepare whose write failed is overwritten by the chunk's next
+// prepare, and prepares still pending when the log ends (a failed write, a
+// crash mid-transaction) are dropped.
 //
 // The log is a sharded lane log (wal.MultiLog): replay merges the lanes by
 // the server-scoped order key stamped into every record, yielding exactly
@@ -170,13 +171,6 @@ func (s *Store) Recover(node cluster.NodeID) error {
 				applyRecovered(chunks, vers, id, p.within, p.ver, p.data)
 				delete(pending, id)
 			}
-			return nil
-		case wal.RecAbort:
-			id, _, _, _, err := decChunkPayload(rec.Payload)
-			if err != nil {
-				return err
-			}
-			delete(pending, id)
 			return nil
 		case wal.RecRepairNeeded:
 			// Overwrite semantics: the record carries the chunk's full debt
@@ -301,7 +295,7 @@ func (s *Store) Recover(node cluster.NodeID) error {
 	sv.mu.Lock()
 	sv.wiped = false
 	sv.mu.Unlock()
-	tracef("recover node=%d replayed chunks=%d debts=%d", node, len(chunks), len(debt))
+	traceStep(traceEvent{what: "recover", node: node, n: int64(len(chunks)), m: int64(len(debt))})
 	// Resync from live peers BEFORE serving: the merged-replay prefix
 	// contract can drop acknowledged writes behind a torn lane tail, and
 	// this node's own debt records only cover what its log survived. A

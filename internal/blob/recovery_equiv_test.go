@@ -10,13 +10,16 @@
 //     boundary that corresponds to a completed operation it additionally
 //     verifies the recovered blobs bit-for-bit against the workload's
 //     recorded expected state and the cross-replica invariants.
+//   - TestFailedWriteCrashSweep crashes the cluster after every record a
+//     multi-chunk write that died in its data phase appended, and requires
+//     the pre-write state back on every replica.
 //   - TestRecoveryEquivalenceRandomized drives randomized workloads
 //     (random lane counts, op mixes, concurrent fan-out 2PC) and
 //     randomized tears/corruption, then requires the two recovery paths
 //     to agree on every node: same error class, same descriptors, same
 //     chunk bytes, same repaired lane media.
 //
-// Both tests exploit that the two paths share the merge engine and differ
+// All three exploit that the two paths share the merge engine and differ
 // only in decode staging — so any divergence is a real pipeline bug, not
 // tolerated nondeterminism.
 package blob
@@ -333,7 +336,7 @@ func applyCut(sv *server, idx []laneIndex, n uint64, torn bool) {
 // write boundary": the workload runs inline (serial), so the medium state
 // at the instant write N+1 begins is precisely "every record with key <= N
 // persisted" — per-lane prefixes cut at those records — and the torn
-// variant is the crash landing inside write N+1 itself. Group-commit
+// variant is the crash landing inside write N+1 itself. AppendNV
 // batches are covered too: a cut between two records of one vectored
 // batch append is the torn tail of that single medium write.
 func runCrashPointSweep(t *testing.T, w *sweeper, base uint64, allKeys []string) {
@@ -486,6 +489,110 @@ func TestCrashPointSweep(t *testing.T) {
 	w.write("b4", 0, 70, 9)
 	w.delete("b1")
 	runCrashPointSweep(t, w, base, allKeys)
+}
+
+// TestFailedWriteCrashSweep: a 3-chunk overwrite dies in its data phase on a
+// permanent disk-write fault at one participant's primary, leaving prepares
+// that no commit will ever follow. The whole cluster then crashes after every
+// record that write appended — every combination of per-server prefixes, a
+// superset of the instants that really occurred — whole and with the next
+// record torn, through the parallel and the serial Recover: every replica
+// must come back holding exactly the pre-write descriptors and chunk
+// bytes. Nothing but the missing commit keeps those prepares dead, so this
+// is the sweep that says replay needs no abort marker.
+func TestFailedWriteCrashSweep(t *testing.T) {
+	// Two nodes at Replication 2: the history up to the failing write is fully
+	// replicated, which is what the sweeper's shared order-key boundary needs.
+	s := New(cluster.New(cluster.Config{Nodes: 2, Seed: 71}),
+		Config{ChunkSize: 64, Replication: 2, WALLanes: 4, InlineFanout: true})
+	w := newSweeper(t, s)
+	// The victim is primary of the middle chunk only: chunks 0 and 2 log their
+	// prepare on the other node (the victim's replica copy faults and is
+	// excluded), chunk 1 is refused outright.
+	const victim = 1
+	key := ""
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("fw-%d", i)
+		if s.chunkOwners(chunkID{k, 0})[0] != victim && s.chunkOwners(chunkID{k, 1})[0] == victim &&
+			s.chunkOwners(chunkID{k, 2})[0] != victim {
+			key = k
+		}
+	}
+	w.create(key)
+	w.write(key, 0, 192, 1)
+	w.write(key, 20, 150, 2)
+	base := w.lastKey()
+	pre := make([]nodeState, len(s.servers))
+	for si, sv := range s.servers {
+		pre[si] = captureNode(sv)
+	}
+
+	errDisk := errors.New("injected: disk write refused")
+	s.cluster.SetFaultInjector(cluster.NewFaultPlan(1, []cluster.FaultRule{
+		{Node: victim, Kind: cluster.FaultDiskWrite, Prob: 1, Fault: cluster.Fault{Err: errDisk}},
+	}))
+	if _, err := s.WriteBlob(w.ctx, key, 0, pattern(3, 192)); !errors.Is(err, errDisk) {
+		t.Fatalf("overwrite with a faulted chunk primary: err = %v, want the injected fault", err)
+	}
+	s.cluster.SetFaultInjector(nil)
+
+	full := make([][][]byte, len(s.servers))
+	idx := make([][]laneIndex, len(s.servers))
+	last := make([]uint64, len(s.servers))
+	appended := uint64(0)
+	for si, sv := range s.servers {
+		full[si], idx[si], last[si] = captureLanes(sv), indexLanes(t, sv), sv.wal.NextKey()-1
+		appended += last[si] - base
+	}
+	if appended == 0 {
+		t.Fatal("the failed write appended no record: nothing to sweep")
+	}
+	recoverAll := func(cuts []uint64, torn, serial bool) []nodeState {
+		for si, sv := range s.servers {
+			restoreLanes(sv, full[si])
+			applyCut(sv, idx[si], cuts[si], torn)
+			s.Crash(cluster.NodeID(si))
+		}
+		s.cfg.SerialRecovery = serial
+		defer func() { s.cfg.SerialRecovery = false }()
+		out := make([]nodeState, len(s.servers))
+		for si, sv := range s.servers {
+			if err := s.Recover(cluster.NodeID(si)); err != nil {
+				t.Fatalf("cuts %v torn=%v serial=%v: recover node %d: %v", cuts, torn, serial, si, err)
+			}
+			out[si] = captureNode(sv)
+		}
+		return out
+	}
+	images := 0
+	for n0 := base; n0 <= last[0]; n0++ {
+		for n1 := base; n1 <= last[1]; n1++ {
+			cuts := []uint64{n0, n1}
+			for _, torn := range []bool{false, true} {
+				if torn && n0 == last[0] && n1 == last[1] {
+					continue // no next record to tear
+				}
+				images++
+				parallel := recoverAll(cuts, torn, false)
+				if serial := recoverAll(cuts, torn, true); !reflect.DeepEqual(parallel, serial) {
+					t.Fatalf("cuts %v torn=%v: parallel and serial recovery diverge", cuts, torn)
+				}
+				for si := range s.servers {
+					if !reflect.DeepEqual(parallel[si].descs, pre[si].descs) || !reflect.DeepEqual(parallel[si].chunks, pre[si].chunks) {
+						t.Fatalf("cuts %v torn=%v: node %d did not recover to its pre-write state", cuts, torn, si)
+					}
+				}
+				if msg := s.CheckInvariants(); msg != "" {
+					t.Fatalf("cuts %v torn=%v: invariants: %s", cuts, torn, msg)
+				}
+				got := make([]byte, len(w.want[key]))
+				if _, err := s.ReadBlob(w.ctx, key, 0, got); err != nil || !bytes.Equal(got, w.want[key]) {
+					t.Fatalf("cuts %v torn=%v: blob does not read back as its pre-write bytes (err %v)", cuts, torn, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d records appended by the failed write, %d crash images", appended, images)
 }
 
 // TestRecoveryEquivalenceRandomized: randomized lane counts, op mixes

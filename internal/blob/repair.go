@@ -172,16 +172,15 @@ func (s *Store) pullChunk(cg *charge, sy *chunkSurvey, me *replica, h uint64, id
 // recordDebt merges owed into the chunk's debt mask on sv and logs the
 // updated mask durably (RecRepairNeeded, full-mask overwrite semantics).
 // Mask update and log append happen under the stripe lock so the mask
-// history in the log matches the in-memory ordering; the lane append may
-// park as a group-commit follower, but a lane leader never takes stripe
-// locks, so the lock order is acyclic (see the dispatch.go contract).
+// history in the log matches the in-memory ordering; the nesting is stripe
+// lock → lane log mutex → buffer mutex, and the log side is a leaf.
 func (s *Store) recordDebt(cg *charge, sv *server, h uint64, id chunkID, owed uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
 	mask := st.debt[id] | owed
 	sv.setDebtLocked(st, id, mask)
 	s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil)
-	tracef("recordDebt node=%d id=%s/%d owed=%x mask=%x ver=%d", sv.node, id.key, id.idx, owed, mask, st.ver[id])
+	traceStep(traceEvent{what: "recordDebt", node: sv.node, key: id.key, idx: id.idx, chunk: true, owed: owed, mask: mask, ver: st.ver[id]})
 	st.mu.Unlock()
 }
 
@@ -198,7 +197,7 @@ func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bit, upT
 		sv.setDebtLocked(st, id, mask)
 		s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil)
 		cleared = true
-		tracef("clearDebt node=%d id=%s/%d bit=%x upTo=%d mask=%x ver=%d", sv.node, id.key, id.idx, bit, upTo, mask, st.ver[id])
+		traceStep(traceEvent{what: "clearDebt", node: sv.node, key: id.key, idx: id.idx, chunk: true, owed: bit, upTo: upTo, mask: mask, ver: st.ver[id]})
 	}
 	st.mu.Unlock()
 	return cleared
@@ -290,7 +289,7 @@ func (s *Store) resyncNode(sv *server) {
 			extents[id.key] = ext
 		}
 		if ext.known && (!ext.exists || id.idx*int64(s.cfg.ChunkSize) >= ext.size) {
-			tracef("resyncDrop node=%d id=%s/%d beyond extent (size=%d exists=%v)", sv.node, id.key, id.idx, ext.size, ext.exists)
+			traceStep(traceEvent{what: "resyncDrop beyond extent", node: sv.node, key: id.key, idx: id.idx, chunk: true, n: ext.size, on: ext.exists})
 			sv.deleteChunk(h, id)
 			continue
 		}

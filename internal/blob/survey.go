@@ -184,12 +184,13 @@ func (s *Store) serveChunk(cg *charge, id chunkID, serve func(sv *server, h, wan
 // replicas ends in (repair, resync, migration): target takes data at ver
 // unless it already holds that version or newer — a concurrent writer or a
 // racing install won. target owns data from here on. Memory and log change
-// together under the stripe lock (the recordDebt pattern: a lane leader never
-// takes stripe locks), so the chunk's lane receives records in the order
-// memory changed and replay needs no guard of its own. RecWrite replays as a
-// grow-only merge, so a copy shorter than what target held logs the cut with
-// it as ONE lane append: a crash can tear that write but never falls between
-// the two. Returns target's version afterwards and whether data went in.
+// together under the stripe lock (the recordDebt pattern: the lane log's
+// mutex nests inside it as a leaf), so the chunk's lane receives records in
+// the order memory changed and replay needs no guard of its own. RecWrite
+// replays as a grow-only merge, so a copy shorter than what target held logs
+// the cut with it as ONE lane append: a crash can tear that write but never
+// falls between the two. Returns target's version afterwards and whether
+// data went in.
 func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, data []byte, ver uint64) (uint64, bool) {
 	cg.rpc(target.node, len(data), 64, 0)
 	st := target.stripe(h)
@@ -215,7 +216,7 @@ func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, d
 		s.walAppendChunk(cg, target, wal.RecWrite, h, id, 0, ver, data)
 	}
 	cg.diskWrite(target.node, len(data))
-	tracef("install node=%d id=%s/%d ver=%d", target.node, id.key, id.idx, ver)
+	traceStep(traceEvent{what: "install", node: target.node, key: id.key, idx: id.idx, chunk: true, ver: ver})
 	return ver, true
 }
 
@@ -228,6 +229,6 @@ func (s *Store) dropChunk(cg *charge, sv *server, h uint64, id chunkID) {
 	delete(st.ver, id)
 	sv.setDebtLocked(st, id, 0)
 	s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil)
-	tracef("drop node=%d id=%s/%d", sv.node, id.key, id.idx)
+	traceStep(traceEvent{what: "drop", node: sv.node, key: id.key, idx: id.idx, chunk: true})
 	st.mu.Unlock()
 }

@@ -16,7 +16,7 @@ func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType
 	sv.wal.AppendV(lane, t, header, data)
 }
 
-// walAppendBatch is the group-commit batch path — sanctioned.
+// walAppendBatch is the AppendNV batch path — sanctioned.
 func (s *Store) walAppendBatch(cg *charge, sv *server, lane int, specs []wal.AppendVSpec) {
 	sv.wal.AppendNV(lane, specs)
 }

@@ -5,8 +5,8 @@ package lint
 // Store.walAppendLane, Store.walAppendBatch, and the checkpoint
 // writer server.checkpointLane — may call the append methods of
 // wal.Log/wal.MultiLog. Everything else must go through
-// walAppendChunk/walAppendMeta/walBatch so that charge accounting,
-// lane routing, and group-commit batching cannot be bypassed.
+// walAppendChunk/walAppendMeta/walBatch so that charge accounting and
+// lane routing cannot be bypassed.
 
 import (
 	"go/ast"

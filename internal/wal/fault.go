@@ -39,7 +39,7 @@ type FaultMediumConfig struct {
 }
 
 // FaultMedium is a fault-injecting RecordWriter. Safe for concurrent use;
-// given one goroutine (a WAL lane has a single flush leader at a time) the
+// given one goroutine (a lane's writes are serialized by its log's mutex) the
 // fault sequence is a pure function of the seed and the write sequence.
 type FaultMedium struct {
 	mu     sync.Mutex

@@ -214,7 +214,7 @@ func FuzzReplayMerged(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 8, 1, 2, 1, 8, 255, 0, 0, 0, 2, 3, 0, 8, 3, 4, 1, 8}, uint16(20), uint16(0xffff), false, uint16(0))
 	// Checkpoint between appends on the SAME lane plus a flip after it.
 	f.Add([]byte{1, 1, 0, 50, 255, 0, 0, 0, 1, 2, 0, 50}, uint16(0xffff), uint16(0xffff), true, uint16(9))
-	// Mid-group-commit tears: multi-record AppendNV batches (one medium
+	// Mid-batch tears: multi-record AppendNV batches (one medium
 	// write each) cut so the tear lands between and inside batch records.
 	f.Add([]byte{1, 1, 2, 210, 1, 4, 2, 210}, uint16(40), uint16(0xffff), false, uint16(0))
 	f.Add([]byte{2, 5, 2, 100, 2, 6, 2, 100, 2, 7, 2, 100}, uint16(90), uint16(300), false, uint16(0))

@@ -11,7 +11,7 @@
 // fed the same appends — with one semantic shift: the u64 LSN field of
 // every record carries a server-scoped order key drawn from one atomic
 // counter shared by all lanes. Keys are assigned in append order (the
-// counter increments under the appending lane's flush ownership), so:
+// counter increments under the appending lane log's mutex), so:
 //
 //   - keys are unique and total-ordered across the whole MultiLog;
 //   - within one lane, keys on the medium are strictly increasing;
@@ -34,84 +34,30 @@
 // lane media: unlike a single Log's ResetSize, keys restart at 1 after a
 // checkpoint, because the start-at-1 invariant is what lets merged replay
 // detect a lane whose entire content was torn away.
-//
-// # Group commit
-//
-// Each lane admits one flush leader at a time. An appender that finds the
-// lane idle becomes leader immediately and appends directly — at
-// concurrency 1 this is the whole protocol, a handful of uncontended
-// atomic/mutex operations more than a bare Log append. Appenders that
-// arrive while a flush is in progress enqueue their vectored segments in
-// the lane's staging ring and block on a pooled wakeup channel; the
-// current leader drains the ring after its own write and flushes the
-// coalesced batch as ONE vectored append — one lane-log lock acquisition,
-// one medium write, consecutive order keys — then signals each follower
-// with its assigned key and encoded size. The leader loops until the ring
-// is empty before releasing flush ownership, so every staged request is
-// flushed by construction.
 package wal
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
-// MultiLog is a sharded, group-committed write-ahead log: N lanes with
-// independent mutexes and media, totally ordered by a shared order-key
-// counter stamped into each record's LSN field. Safe for concurrent
-// appends; replay and recovery require quiescence (no in-flight appends),
-// the same discipline Log's readers already assume.
+// MultiLog is a sharded write-ahead log: N lanes with independent mutexes
+// and media, totally ordered by a shared order-key counter stamped into
+// each record's LSN field. A lane append is the lane Log's append under
+// that Log's own mutex — the key is drawn under it, so each lane's keys are
+// strictly increasing and an AppendNV batch is contiguous with consecutive
+// keys. Safe for concurrent appends; replay and recovery require quiescence
+// (no in-flight appends), the same discipline Log's readers already assume.
 type MultiLog struct {
 	seq   atomic.Uint64 // order-key source shared by every lane
 	lanes []mlane
 }
 
-// mlane is one lane: a private Log over a private Buffer plus the
-// group-commit staging ring.
+// mlane is one lane: a private Log over a private Buffer.
 type mlane struct {
 	log *Log
 	buf *Buffer
-
-	mu       sync.Mutex // guards queue and flushing
-	queue    []*laneReq // staged appends awaiting the flush leader
-	spare    []*laneReq // recycled backing for the next queue swap
-	flushing bool       // a leader currently owns the lane's flush
-
-	// specs is the leader's scratch for the coalesced batch; the backing
-	// survives across flushes, entries are zeroed after each write so the
-	// lane does not pin caller payload buffers between batches.
-	specs []AppendVSpec
-}
-
-// laneReq is one staged append awaiting a lane's flush leader. Requests
-// are pooled; the wakeup channel is allocated once per pooled object.
-type laneReq struct {
-	// Single-record form (AppendV): type plus the two payload segments.
-	typ     RecordType
-	header  []byte
-	payload []byte
-	// Batch form (AppendNV); non-nil takes precedence over the single-
-	// record fields. The slice is the caller's and must stay unchanged
-	// until the request completes.
-	batch []AppendVSpec
-
-	key  uint64 // order key of the (first) record, set by the leader
-	n    int    // encoded bytes of this request's records
-	err  error
-	done chan struct{} // leader -> follower wakeup, capacity 1
-}
-
-var laneReqPool = sync.Pool{
-	New: func() any { return &laneReq{done: make(chan struct{}, 1)} },
-}
-
-// release drops the request's payload references and recycles it.
-func (r *laneReq) release() {
-	r.typ, r.header, r.payload, r.batch = 0, nil, nil, nil
-	r.key, r.n, r.err = 0, 0, nil
-	laneReqPool.Put(r)
 }
 
 // NewMultiLog returns a lane log with the given lane count (minimum 1).
@@ -164,111 +110,19 @@ func (m *MultiLog) Size() int64 {
 // when quiescent.
 func (m *MultiLog) NextKey() uint64 { return m.seq.Load() + 1 }
 
-// AppendV appends one record to the lane, group-committed, and returns its
-// order key and encoded size. The header/payload split follows Log.AppendV;
-// both segments must stay unchanged until the call returns.
+// AppendV appends one record to the lane and returns its order key and
+// encoded size. The header/payload split follows Log.AppendV; both segments
+// must stay unchanged until the call returns.
 func (m *MultiLog) AppendV(lane int, t RecordType, header, payload []byte) (key uint64, n int, err error) {
-	ln := &m.lanes[lane]
-	ln.mu.Lock()
-	if !ln.flushing {
-		// Idle lane: become leader and append directly — the concurrency-1
-		// fast path, nothing staged. (flushing==false implies the ring is
-		// empty: a leader only clears the flag once it has drained.)
-		ln.flushing = true
-		ln.mu.Unlock()
-		key, n, err = ln.log.AppendV(t, header, payload)
-		ln.drain()
-		return key, n, err
-	}
-	r := laneReqPool.Get().(*laneReq)
-	r.typ, r.header, r.payload = t, header, payload
-	ln.queue = append(ln.queue, r)
-	ln.mu.Unlock()
-	<-r.done
-	key, n, err = r.key, r.n, r.err
-	r.release()
-	return key, n, err
+	return m.lanes[lane].log.AppendV(t, header, payload)
 }
 
 // AppendNV appends a batch of records to the lane atomically (contiguous
-// on the medium, consecutive order keys), group-committed alongside any
-// concurrent appends to the same lane. Returns the first record's key and
-// the total encoded size. specs and the segments they reference must stay
-// unchanged until the call returns.
+// on the medium, consecutive order keys). Returns the first record's key
+// and the total encoded size. specs and the segments they reference must
+// stay unchanged until the call returns.
 func (m *MultiLog) AppendNV(lane int, specs []AppendVSpec) (firstKey uint64, n int, err error) {
-	if len(specs) == 0 {
-		return 0, 0, nil
-	}
-	ln := &m.lanes[lane]
-	ln.mu.Lock()
-	if !ln.flushing {
-		ln.flushing = true
-		ln.mu.Unlock()
-		firstKey, n, err = ln.log.AppendNV(specs)
-		ln.drain()
-		return firstKey, n, err
-	}
-	r := laneReqPool.Get().(*laneReq)
-	r.batch = specs
-	ln.queue = append(ln.queue, r)
-	ln.mu.Unlock()
-	<-r.done
-	firstKey, n, err = r.key, r.n, r.err
-	r.release()
-	return firstKey, n, err
-}
-
-// drain is the group-commit flush loop, run only by the lane's current
-// leader (whose own record was already appended directly on the fast
-// path): flush coalesced batches until the staging ring is empty, then
-// release flush ownership.
-func (ln *mlane) drain() {
-	for {
-		ln.mu.Lock()
-		if len(ln.queue) == 0 {
-			ln.flushing = false
-			ln.mu.Unlock()
-			return
-		}
-		batch := ln.queue
-		ln.queue = ln.spare[:0]
-		ln.spare = batch
-		ln.mu.Unlock()
-
-		// Coalesce every staged request into one vectored batch append:
-		// one lane-log lock acquisition, one medium write, consecutive
-		// order keys.
-		specs := ln.specs[:0]
-		for _, r := range batch {
-			if r.batch != nil {
-				specs = append(specs, r.batch...)
-			} else {
-				specs = append(specs, AppendVSpec{Type: r.typ, Header: r.header, Payload: r.payload})
-			}
-		}
-		first, _, err := ln.log.AppendNV(specs)
-		for i := range specs {
-			specs[i] = AppendVSpec{} // drop payload refs before the scratch parks
-		}
-		ln.specs = specs[:0]
-
-		key := first
-		for i, r := range batch {
-			recs := 1
-			n := recPrefixLen + len(r.header) + len(r.payload)
-			if r.batch != nil {
-				recs = len(r.batch)
-				n = 0
-				for _, sp := range r.batch {
-					n += recPrefixLen + len(sp.Header) + len(sp.Payload)
-				}
-			}
-			r.key, r.n, r.err = key, n, err
-			key += uint64(recs)
-			r.done <- struct{}{} // after this send, r belongs to the follower
-			batch[i] = nil       // spare must not pin recycled requests
-		}
-	}
+	return m.lanes[lane].log.AppendNV(specs)
 }
 
 // LaneFeed supplies one lane's records, in medium order, to a merged

@@ -72,23 +72,32 @@ func TestMultiLogSingleLaneByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMultiLogMergedOrderConcurrent drives concurrent appenders across the
-// lanes and checks the merge contract: ReplayMerged yields every record
-// exactly once, keys exactly consecutive from 1, each record bit-identical
-// to what the appender that received that key wrote.
+// TestMultiLogMergedOrderConcurrent drives concurrent appenders — single
+// records mixed with 2–5-record batches — across shared lanes and checks the
+// append and merge contracts: every request's returned (firstKey, n) matches
+// the reference encoding, a batch's records sit adjacent on its lane's
+// medium with consecutive keys, each lane's keys strictly increase, and
+// ReplayMerged yields every record exactly once, keys exactly consecutive
+// from 1, each bit-identical to what the appender that received that key
+// wrote. One lane is the fully contended case.
 func TestMultiLogMergedOrderConcurrent(t *testing.T) {
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) { testMergedOrderConcurrent(t, lanes) })
+	}
+}
+
+func testMergedOrderConcurrent(t *testing.T, lanes int) {
 	const (
 		writers = 8
 		perW    = 200
-		lanes   = 4
 	)
 	m := NewMultiLog(lanes)
-	type wrote struct {
-		typ     RecordType
-		payload []byte
+	type request struct {
+		lane  int
+		first uint64
+		specs []AppendVSpec
 	}
-	byKey := make([]wrote, writers*perW+1) // 1-indexed by order key
-	var mu sync.Mutex
+	reqs := make([][]request, writers) // per writer, no sharing
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -96,34 +105,85 @@ func TestMultiLogMergedOrderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perW; j++ {
 				lane := (w + j) % lanes
-				typ := RecordType(1 + (w+j)%11)
-				payload := []byte(fmt.Sprintf("w%d-j%d", w, j))
-				split := j % (len(payload) + 1)
-				key, _, err := m.AppendV(lane, typ, payload[:split], payload[split:])
+				k := 1
+				if (w+j)%3 == 0 {
+					k = 2 + (w*7+j)%4 // 2..5
+				}
+				specs := make([]AppendVSpec, k)
+				wantN := 0
+				for i := range specs {
+					payload := []byte(fmt.Sprintf("w%d-j%d-r%d", w, j, i))
+					split := j % (len(payload) + 1)
+					specs[i] = AppendVSpec{Type: RecordType(1 + (w+j+i)%11), Header: payload[:split], Payload: payload[split:]}
+					wantN += len(appendRecord(nil, specs[i].Type, 0, payload))
+				}
+				var first uint64
+				var n int
+				var err error
+				if k == 1 {
+					first, n, err = m.AppendV(lane, specs[0].Type, specs[0].Header, specs[0].Payload)
+				} else {
+					first, n, err = m.AppendNV(lane, specs)
+				}
 				if err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
-				mu.Lock()
-				if byKey[key].payload != nil {
-					t.Errorf("key %d assigned twice", key)
+				if n != wantN {
+					t.Errorf("writer %d request %d: encoded size %d, reference encoding %d", w, j, n, wantN)
 				}
-				byKey[key] = wrote{typ, payload}
-				mu.Unlock()
+				reqs[w] = append(reqs[w], request{lane, first, specs})
 			}
 		}(w)
 	}
 	wg.Wait()
+
+	// Where each key landed: lane and position on that lane's medium.
+	type slot struct{ lane, pos int }
+	at := map[uint64]slot{}
+	for lane := 0; lane < lanes; lane++ {
+		recs, err := ReplayAll(m.LaneBuffer(lane).Reader())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos, rec := range recs {
+			if pos > 0 && rec.LSN <= recs[pos-1].LSN {
+				t.Fatalf("lane %d: key %d follows key %d on the medium", lane, rec.LSN, recs[pos-1].LSN)
+			}
+			at[rec.LSN] = slot{lane, pos}
+		}
+	}
+	byKey := map[uint64]AppendVSpec{}
+	for w := range reqs {
+		for _, r := range reqs[w] {
+			head, ok := at[r.first]
+			if !ok || head.lane != r.lane {
+				t.Fatalf("key %d: on lane %d (found %v), appended to lane %d", r.first, head.lane, ok, r.lane)
+			}
+			for i, sp := range r.specs {
+				key := r.first + uint64(i)
+				if _, dup := byKey[key]; dup {
+					t.Fatalf("key %d assigned twice", key)
+				}
+				byKey[key] = sp
+				if got := at[key]; got != (slot{head.lane, head.pos + i}) {
+					t.Fatalf("batch at key %d: record %d sits at %+v, want lane %d position %d",
+						r.first, i, got, head.lane, head.pos+i)
+				}
+			}
+		}
+	}
 
 	next := uint64(1)
 	err := m.ReplayMerged(func(rec Record) error {
 		if rec.LSN != next {
 			return fmt.Errorf("merged key %d, want %d", rec.LSN, next)
 		}
-		want := byKey[rec.LSN]
-		if rec.Type != want.typ || !bytes.Equal(rec.Payload, want.payload) {
+		want, ok := byKey[rec.LSN]
+		joined := append(append([]byte(nil), want.Header...), want.Payload...)
+		if !ok || rec.Type != want.Type || !bytes.Equal(rec.Payload, joined) {
 			return fmt.Errorf("key %d: record %v %q diverges from appended %v %q",
-				rec.LSN, rec.Type, rec.Payload, want.typ, want.payload)
+				rec.LSN, rec.Type, rec.Payload, want.Type, joined)
 		}
 		next++
 		return nil
@@ -131,73 +191,9 @@ func TestMultiLogMergedOrderConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := next-1, uint64(writers*perW); got != want {
+	if got, want := next-1, uint64(len(byKey)); got != want {
 		t.Fatalf("merged %d records, appended %d", got, want)
 	}
-}
-
-// TestMultiLogGroupCommitCoalesces is the white-box staging test: requests
-// pre-loaded into a lane's ring must flush as ONE medium write with
-// consecutive keys and per-request sizes matching the reference encoding.
-func TestMultiLogGroupCommitCoalesces(t *testing.T) {
-	m := NewMultiLog(2)
-	ln := &m.lanes[1]
-
-	reqs := []*laneReq{
-		{typ: RecWrite, header: []byte("hh"), payload: []byte("payload-one"), done: make(chan struct{}, 1)},
-		{typ: RecCommit, done: make(chan struct{}, 1)},
-		{batch: []AppendVSpec{
-			{Type: RecCreate, Header: []byte("k1")},
-			{Type: RecDelete, Payload: []byte("k2")},
-		}, done: make(chan struct{}, 1)},
-	}
-	ln.mu.Lock()
-	ln.flushing = true
-	ln.queue = append(ln.queue, reqs...)
-	ln.mu.Unlock()
-
-	before := ln.buf.Writes()
-	ln.drain()
-	if got := ln.buf.Writes() - before; got != 1 {
-		t.Fatalf("group commit issued %d medium writes for 3 staged requests, want 1", got)
-	}
-	wantKeys := []uint64{1, 2, 3} // batch occupies keys 3,4
-	wantN := []int{
-		recPrefixLen + 2 + 11,
-		recPrefixLen,
-		2*recPrefixLen + 2 + 2,
-	}
-	for i, r := range reqs {
-		select {
-		case <-r.done:
-		default:
-			t.Fatalf("request %d was not signaled", i)
-		}
-		if r.err != nil {
-			t.Fatalf("request %d: %v", i, r.err)
-		}
-		if r.key != wantKeys[i] || r.n != wantN[i] {
-			t.Fatalf("request %d: key=%d n=%d, want key=%d n=%d", i, r.key, r.n, wantKeys[i], wantN[i])
-		}
-	}
-	var got []Record
-	if err := m.ReplayMerged(func(rec Record) error {
-		got = append(got, Record{Type: rec.Type, LSN: rec.LSN, Payload: append([]byte(nil), rec.Payload...)})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("replayed %d records, want 4", len(got))
-	}
-	if got[0].Type != RecWrite || string(got[0].Payload) != "hhpayload-one" ||
-		got[1].Type != RecCommit || got[2].Type != RecCreate || got[3].Type != RecDelete {
-		t.Fatalf("coalesced batch replayed wrong: %+v", got)
-	}
-	if !ln.flushing && len(ln.queue) == 0 {
-		return
-	}
-	t.Fatal("drain left the lane owned or non-empty")
 }
 
 // TestMultiLogRecoverRepairsTornLanes: a tear on one lane must make the

@@ -21,7 +21,7 @@
 // bit-identical to the single-buffer appendRecord form, so logs written by
 // any mix of Append/AppendV/AppendNV replay interchangeably.
 //
-// # Sharded lanes and group commit
+// # Sharded lanes
 //
 // A single Log serializes every appender on one mutex — the write-scaling
 // wall of a server whose chunks are otherwise independently locked.
@@ -30,12 +30,9 @@
 // stamped into the records' LSN field so replay can interleave the lanes
 // back into the exact logical append order. The lane format is exactly the
 // single-log format — a MultiLog with one lane is byte-identical to a Log —
-// and appends within a lane coalesce through a group-commit staging ring:
-// concurrent appenders enqueue their vectored segments, one leader flushes
-// the whole batch under a single lane-lock acquisition and a single medium
-// write, and followers are woken over per-request channels. See multilog.go
-// for the order-key semantics, the merged-replay prefix contract, and the
-// group-commit protocol in detail.
+// and a lane append is that Log's append under its own mutex. See
+// multilog.go for the order-key semantics and the merged-replay prefix
+// contract.
 package wal
 
 import (
@@ -54,8 +51,8 @@ import (
 type RecordType uint8
 
 // Record types used by the blob server. The values are positional: deleting a
-// type renumbers those after it (RecMigrateEnd is 14 since the migration batch
-// record went), which is safe only because no log outlives the process that
+// type renumbers those after it (RecMeta…RecMigrateEnd are 6…13 since the abort
+// marker went), which is safe only because no log outlives the process that
 // wrote it and nothing stores a type number.
 const (
 	RecCreate RecordType = iota + 1
@@ -63,7 +60,6 @@ const (
 	RecWrite
 	RecTruncate
 	RecCommit
-	RecAbort
 	RecMeta
 	RecChunkDelete
 	RecChunkTruncate
@@ -112,8 +108,6 @@ func (t RecordType) String() string {
 		return "truncate"
 	case RecCommit:
 		return "commit"
-	case RecAbort:
-		return "abort"
 	case RecMeta:
 		return "meta"
 	case RecChunkDelete:
@@ -178,8 +172,8 @@ type Log struct {
 	// src, when non-nil, overrides LSN assignment: each record draws its
 	// LSN from this shared counter instead of the log's private nextLSN.
 	// MultiLog sets it on its lane logs so every record carries a
-	// server-scoped order key; because one flush leader at a time appends
-	// to a lane, the keys on each lane's medium are strictly increasing.
+	// server-scoped order key; the key is drawn under the lane log's mutex,
+	// so the keys on each lane's medium are strictly increasing.
 	// With src set, a failed medium write burns the drawn keys — callers
 	// must use an infallible medium (Buffer is; the blob store panics on
 	// any append error regardless), or merged replay would stop at the gap.
@@ -623,8 +617,8 @@ func (b *Buffer) Len() int {
 }
 
 // Writes reports how many Write/WriteV calls have landed since creation
-// (Reset does not zero it). Tests use it to prove group commit actually
-// coalesced a staged batch into one medium write.
+// (Reset does not zero it): one per Append/AppendV call, one per AppendNV
+// batch however many records it carries.
 func (b *Buffer) Writes() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

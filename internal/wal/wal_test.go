@@ -141,7 +141,7 @@ func TestBufferCorruptBounds(t *testing.T) {
 func TestRecordTypeString(t *testing.T) {
 	cases := map[RecordType]string{
 		RecCreate: "create", RecDelete: "delete", RecWrite: "write",
-		RecTruncate: "truncate", RecCommit: "commit", RecAbort: "abort",
+		RecTruncate: "truncate", RecCommit: "commit", RecMeta: "meta",
 		RecordType(99): "RecordType(99)",
 	}
 	for tt, want := range cases {
@@ -334,6 +334,35 @@ func TestAppendNVMatchesSequentialAppendV(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+
+	// One more input, with every request's key and size spelled out: a
+	// split record, an empty one, and a two-record batch holding keys 3-4.
+	ops := []vOp{
+		{T: uint8(RecWrite), Header: []byte("hh"), Payload: []byte("payload-one")},
+		{T: uint8(RecCommit)},
+		{T: uint8(RecCreate), Header: []byte("k1")},
+		{T: uint8(RecDelete), Payload: []byte("k2")},
+	}
+	if !f(ops) {
+		t.Fatal("fixed input: batch diverges from sequential appends")
+	}
+	var b Buffer
+	l := New(&b)
+	k1, n1, err1 := l.AppendV(RecWrite, ops[0].Header, ops[0].Payload)
+	k2, n2, err2 := l.AppendV(RecCommit, nil, nil)
+	k3, n3, err3 := l.AppendNV([]AppendVSpec{
+		{Type: RecCreate, Header: ops[2].Header},
+		{Type: RecDelete, Payload: ops[3].Payload},
+	})
+	if err1 != nil || err2 != nil || err3 != nil {
+		t.Fatal(err1, err2, err3)
+	}
+	checkAccounting(t, l, k1, 1, n1, recPrefixLen+2+11)
+	checkAccounting(t, l, k2, 2, n2, recPrefixLen)
+	checkAccounting(t, l, k3, 3, n3, 2*recPrefixLen+2+2)
+	if !bytes.Equal(readerBytes(t, &b), legacyStream(ops)) {
+		t.Fatal("fixed input: mixed AppendV/AppendNV stream diverges from the reference encoding")
 	}
 }
 

@@ -46,7 +46,10 @@
 # The freshness stress stage then reruns exactly those two tests twenty
 # times at 1, 2 and 4 procs, once plain and once under -race (ROADMAP item
 # 1): every stale read on record was a scheduler-dependent interleaving a
-# single pass misses, and the bar is zero failures, not "rare".
+# single pass misses, and the bar is zero failures, not "rare". The same
+# stage hammers the lane log: a lane append is the lane Log's append under
+# its own mutex, and the MultiLog tests (concurrent single and batch appends
+# on shared lanes, key order, batch adjacency) run twenty times raced.
 #
 # The nested benchmark/ module — invisible to the root `go test ./...` —
 # then runs its own tests (every workload at -scale 0.01, the
@@ -85,6 +88,7 @@ for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
 done
 go test -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
+go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog' ./internal/wal
 (cd benchmark && go test ./...)
 scripts/examples.sh
 bash benchmark/run.sh -repeat 2 -check
