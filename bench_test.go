@@ -414,35 +414,6 @@ func reportVirtual(b *testing.B, total time.Duration) {
 	}
 }
 
-// --- Ablation 7: synchronous vs asynchronous replica acknowledgement. ---
-
-func BenchmarkAblationAsyncReplication(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		async bool
-	}{{"sync-ack", false}, {"async-ack", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			store := blob.New(cluster.New(cluster.Config{Nodes: 9, Seed: 1}),
-				blob.Config{ChunkSize: 1 << 20, Replication: 3, AsyncReplication: mode.async})
-			ctx := storage.NewContext()
-			if err := store.CreateBlob(ctx, "k"); err != nil {
-				b.Fatal(err)
-			}
-			block := make([]byte, 64<<10)
-			start := ctx.Clock.Now()
-			b.SetBytes(int64(len(block)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := store.WriteBlob(ctx, "k", int64(i%64)<<16, block); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportVirtual(b, ctx.Clock.Now()-start)
-		})
-	}
-}
-
 // --- Ablation 8: transactional vs direct multi-blob updates. ---
 
 func BenchmarkAblationTransactions(b *testing.B) {
@@ -474,52 +445,6 @@ func BenchmarkAblationTransactions(b *testing.B) {
 					if err := txn.Commit(); err != nil {
 						b.Fatal(err)
 					}
-				}
-			}
-			b.StopTimer()
-			reportVirtual(b, ctx.Clock.Now()-start)
-		})
-	}
-}
-
-// --- Ablation 9 (extension): indexed vs plain flat-namespace scan. ---
-
-func BenchmarkAblationIndexedScan(b *testing.B) {
-	const files, decoys = 128, 2048
-	for _, mode := range []struct {
-		name    string
-		indexed bool
-	}{{"flat-scan", false}, {"indexed-scan", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			fs := blobfs.New(blob.New(cluster.New(cluster.Config{Nodes: 9, Seed: 1}),
-				blob.Config{ChunkSize: 1 << 20, Replication: 1, IndexedScan: mode.indexed}))
-			ctx := storage.NewContext()
-			if err := fs.Mkdir(ctx, "/dir"); err != nil {
-				b.Fatal(err)
-			}
-			if err := fs.Mkdir(ctx, "/rest"); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < files; i++ {
-				h, err := fs.Create(ctx, fmt.Sprintf("/dir/f-%05d", i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				h.Close(ctx)
-			}
-			for i := 0; i < decoys; i++ {
-				h, err := fs.Create(ctx, fmt.Sprintf("/rest/d-%05d", i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				h.Close(ctx)
-			}
-			start := ctx.Clock.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				entries, err := fs.ReadDir(ctx, "/dir")
-				if err != nil || len(entries) != files {
-					b.Fatalf("listing = (%d, %v)", len(entries), err)
 				}
 			}
 			b.StopTimer()

@@ -116,13 +116,11 @@ func TestMappingCoverage(t *testing.T) {
 
 func TestFutureWorkGainsHold(t *testing.T) {
 	res, err := RunFutureWork(FutureWorkOptions{
-		Files:           50,
-		Depths:          []int{1, 4},
-		Writers:         []int{1, 4},
-		BlocksPerWriter: 16,
-		BlockSize:       16 << 10,
-		ListFiles:       64,
-		DecoyFactor:     32,
+		Files:       50,
+		Depths:      []int{1, 4},
+		Writers:     []int{1, 4},
+		ListFiles:   64,
+		DecoyFactor: 32,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,8 +78,7 @@
 // Degraded writes. An owner that is down, or behind, at the write's placement
 // survey is EXCLUDED from the write, never partially applied to: its version
 // stays frozen below the excluding write. The write proceeds on the rest as
-// long as Config.MinLiveOwners (default 1) replicas remain, a down chunk
-// primary being promoted past.
+// long as one owner remains, a down chunk primary being promoted past.
 //
 // Descriptor primaries are not promoted past. A mutation — WriteBlob,
 // TruncateBlob, DeleteBlob, Txn.Commit, RenameBlob (either key), CreateBlob —
@@ -190,7 +189,8 @@ import (
 	"repro/internal/wal"
 )
 
-// Config sizes a blob store.
+// Config is what a caller of New sets; zero values take the defaults named
+// per field. The field count may only go down (TestConfigFieldsRatchet).
 type Config struct {
 	// ChunkSize is the striping granularity in bytes. Defaults to 4 MiB
 	// (RADOS' default object size order of magnitude).
@@ -198,18 +198,6 @@ type Config struct {
 	// Replication is the number of copies of every chunk and descriptor,
 	// including the primary. Defaults to 3.
 	Replication int
-	// AsyncReplication relaxes write durability: the client is
-	// acknowledged after the chunk primary persists, with replica copies
-	// applied off the critical path — one of the configurable consistency
-	// models the paper cites ([12], [13]) as the HPC community's
-	// alternative to strict semantics.
-	AsyncReplication bool
-	// IndexedScan adds a per-server ordered prefix index over descriptor
-	// keys. Scans then cost proportional to the matches instead of the
-	// whole keyspace, closing the directory-emulation gap the paper
-	// concedes — at the price of index maintenance on every create and
-	// delete. This is the extension the paper's future work points toward.
-	IndexedScan bool
 	// InlineFanout executes fan-out tasks sequentially on the calling
 	// goroutine, at spawn, and never offers them to the worker pool.
 	// Virtual-time results are identical by construction (charges fold at
@@ -218,11 +206,11 @@ type Config struct {
 	InlineFanout bool
 	// WALLanes is the number of sharded write-ahead-log lanes per server
 	// (wal.MultiLog): concurrent writers to chunks in different lanes do
-	// not contend on a log mutex, and writers that do share a lane group-
-	// commit. Defaults to the chunk-stripe count, so a chunk's log lane is
-	// derived from the same placement-hash bits as its lock stripe. With 1
-	// lane the on-medium layout is byte-identical to the single-log
-	// implementation.
+	// not contend on a log mutex, and writers that do share a lane
+	// serialize on that lane log's mutex. Defaults to the chunk-stripe
+	// count, so a chunk's log lane is derived from the same placement-hash
+	// bits as its lock stripe. With 1 lane the on-medium layout is
+	// byte-identical to the single-log implementation.
 	WALLanes int
 	// SerialRecovery makes Store.Recover decode the WAL lanes with the
 	// single-threaded merge instead of the parallel lane-decode pipeline
@@ -231,12 +219,6 @@ type Config struct {
 	// the equivalence property tests pin byte-for-byte; the knob exists as
 	// that oracle and for debugging.
 	SerialRecovery bool
-	// MinLiveOwners is the minimum number of live replicas a chunk write
-	// needs before it proceeds degraded (the down owners' copies become
-	// repair debt). Defaults to 1: a write survives as long as any owner
-	// is up, with the first live owner promoted to primary. Setting it to
-	// Replication restores the strict all-replicas-or-fail behavior.
-	MinLiveOwners int
 	// MigrationBatchChunks caps how many chunks one rebalance batch moves:
 	// each AddServer/RemoveServer sweep is cut into batches of at most this
 	// many chunks (and migrationBatchBytes of payload). A batch is the
@@ -269,9 +251,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WALLanes <= 0 {
 		c.WALLanes = chunkStripes
-	}
-	if c.MinLiveOwners <= 0 {
-		c.MinLiveOwners = 1
 	}
 	if c.MigrationBatchChunks <= 0 {
 		c.MigrationBatchChunks = 16
@@ -706,15 +685,22 @@ func (s *Store) RepairPending() int64 { return s.repairPending.Load() }
 
 // SetDown marks a server as failed (true) or recovered (false). Reads fall
 // back to replicas of a down server; writes whose replica sets contain it
-// proceed degraded on the live subset (Config.MinLiveOwners). Flipping a
-// server back up runs the repair work list: the node is both a target (the
-// writes it missed) and a source (writes only it holds, owed to peers that
-// rejoined while it was away). Until a chunk's copy catches up, reads keep
-// passing it over by version, so rejoin never serves stale bytes.
+// proceed degraded on the owners that are left. Flipping a server back up
+// runs the repair work list: the node is both a target (the writes it
+// missed) and a source (writes only it holds, owed to peers that rejoined
+// while it was away). Until a chunk's copy catches up, reads keep passing it
+// over by version, so rejoin never serves stale bytes.
+//
+// An up-flip of a crash-wiped server is ignored: it stays down until Recover,
+// the only thing that can make its emptied tables authoritative again (the
+// clean read path asks only isDown).
 func (s *Store) SetDown(node cluster.NodeID, down bool) {
 	sv := s.servers[int(node)]
 	sv.mu.Lock()
 	was := sv.down
+	if !down && sv.wiped {
+		down = true
+	}
 	sv.down = down
 	sv.mu.Unlock()
 	traceStep(traceEvent{what: "setDown", node: node, on: down, was: was})
@@ -878,10 +864,6 @@ func (s *Store) createBlob(ctx *storage.Context, key string) error {
 	// One metadata RPC to the primary: flat-namespace single lookup — this
 	// is the cost asymmetry against hierarchical path resolution.
 	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
-	if s.cfg.IndexedScan {
-		// Prefix-index insert, the write-path price of cheap scans.
-		s.cluster.LocalCompute(ctx.Clock, s.cluster.Cost().MetaTime(1))
-	}
 
 	primary.mu.Lock()
 	if _, exists := primary.blobs[key]; exists {
@@ -937,10 +919,6 @@ func (s *Store) DeleteBlob(ctx *storage.Context, key string) error {
 // blob's latch, matching the multi-latch discipline of txn.go.
 func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, d *descriptor) error {
 	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
-	if s.cfg.IndexedScan {
-		// Prefix-index removal mirrors the insert cost.
-		s.cluster.LocalCompute(ctx.Clock, s.cluster.Cost().MetaTime(1))
-	}
 	size := d.size
 	nChunks := (size + int64(s.cfg.ChunkSize) - 1) / int64(s.cfg.ChunkSize)
 
@@ -1006,12 +984,10 @@ func (s *Store) Scan(ctx *storage.Context, prefix string) ([]storage.BlobInfo, e
 			cg.metaOp(sv.node, 1)
 			sv.mu.RLock()
 			examined := len(sv.blobs)
-			matches := 0
 			for key, d := range sv.blobs {
 				if !strings.HasPrefix(key, prefix) {
 					continue
 				}
-				matches++
 				// Only the primary's answer is authoritative for size.
 				if owners := s.descOwners(key); len(owners) > 0 && owners[0] == i {
 					//blobvet:allow virtualtime per-server hit slices are disjoint scratch; the merged result is sorted by key after the join
@@ -1019,17 +995,12 @@ func (s *Store) Scan(ctx *storage.Context, prefix string) ([]storage.BlobInfo, e
 				}
 			}
 			sv.mu.RUnlock()
-			if s.cfg.IndexedScan {
-				// Ordered prefix index: cost follows the matches only.
-				cg.localCompute(s.cluster.Cost().MetaTime(1 + matches/16))
-			} else {
-				// The plain flat namespace has no index: every descriptor on
-				// the server is examined regardless of the prefix — the reason
-				// the paper calls scan-based directory emulation "far from
-				// optimized". One metadata unit per four descriptors examined
-				// approximates RADOS-style pool listing cost.
-				cg.localCompute(s.cluster.Cost().MetaTime(1 + examined/4))
-			}
+			// The flat namespace has no index: every descriptor on the
+			// server is examined regardless of the prefix — the reason the
+			// paper calls scan-based directory emulation "far from
+			// optimized". One metadata unit per four descriptors examined
+			// approximates RADOS-style pool listing cost.
+			cg.localCompute(s.cluster.Cost().MetaTime(1 + examined/4))
 			return nil
 		}
 		fan.spawn(t)

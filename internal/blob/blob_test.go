@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -16,6 +17,15 @@ import (
 func newStore(t *testing.T, nodes int, cfg Config) *Store {
 	t.Helper()
 	return New(cluster.New(cluster.Config{Nodes: nodes, Seed: 1}), cfg)
+}
+
+// TestConfigFieldsRatchet: every Config field multiplies the configurations
+// the batteries and crash sweeps must cover. A ratchet, not a target — the
+// count may only go down; a new mode replaces a field or lives in its test.
+func TestConfigFieldsRatchet(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n > 8 {
+		t.Fatalf("Config grew to %d fields; the budget is 8", n)
+	}
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -343,27 +353,6 @@ func TestDegradedWriteWhenReplicaDown(t *testing.T) {
 	}
 	if msg := s.CheckInvariants(); msg != "" {
 		t.Fatalf("invariants: %s", msg)
-	}
-}
-
-// TestStrictWriteRefusedBelowMinLiveOwners restores the historical strict
-// behavior: MinLiveOwners == Replication means any down replica refuses the
-// write with ErrUnavailable before anything durable lands.
-func TestStrictWriteRefusedBelowMinLiveOwners(t *testing.T) {
-	s := newStore(t, 4, Config{ChunkSize: 4, Replication: 2, MinLiveOwners: 2})
-	ctx := storage.NewContext()
-	s.CreateBlob(ctx, "w")
-	owners := s.chunkOwners(chunkID{"w", 0})
-	down := owners[0]
-	if down == s.descOwners("w")[0] {
-		down = owners[1]
-	}
-	s.SetDown(cluster.NodeID(down), true)
-	if _, err := s.WriteBlob(ctx, "w", 0, []byte("data")); !errors.Is(err, storage.ErrUnavailable) {
-		t.Fatalf("strict-mode write with a replica down: %v", err)
-	}
-	if s.RepairPending() != 0 {
-		t.Fatal("refused write left repair debt behind")
 	}
 }
 

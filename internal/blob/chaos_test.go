@@ -50,8 +50,8 @@ func TestChaosBattery(t *testing.T) {
 var errChaosTransient = errors.New("chaos: injected transient fault")
 
 // chaosFlaps coordinates concurrent down/up flapping so at most maxDown
-// nodes are down at once (keeping MinLiveOwners satisfiable most of the
-// time without making every op fail).
+// nodes are down at once (keeping a live owner per chunk most of the time
+// without making every op fail).
 type chaosFlaps struct {
 	mu   sync.Mutex
 	s    *Store

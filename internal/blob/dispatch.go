@@ -33,9 +33,8 @@
 // implementation would have issued: every top-level task's clock forks at
 // the caller's time at join, charges replay in submission order against the
 // live resources, and the caller advances to the slowest child. Nested fans
-// (a chunk write's replica replication) are recorded as join/drop ops inside
-// the parent task's ledger and replayed recursively, so AsyncReplication
-// keeps its "reserve the resource time but do not wait" semantics.
+// (a chunk write's replica replication) are recorded as a join op inside the
+// parent task's ledger and replayed recursively.
 //
 // Ownership rules:
 //
@@ -268,11 +267,9 @@ const (
 	opDiskAppend
 	opMetaOp
 	opLocalCompute
-	// opJoinSubs / opDropSubs replay a nested fan: the linked sub-tasks
-	// fork at the replay clock's current time; join advances to the
-	// slowest sub, drop reserves the resource time without advancing.
+	// opJoinSubs replays a nested fan: the linked sub-tasks fork at the
+	// replay clock's current time and the clock advances to the slowest.
 	opJoinSubs
-	opDropSubs
 )
 
 // ledgerOp is one deferred charge. a and b carry the integer operands of
@@ -282,7 +279,7 @@ type ledgerOp struct {
 	node cluster.NodeID
 	a, b int
 	d    time.Duration
-	sub  *fanTask // head of the sibling-linked nested fan (opJoinSubs/opDropSubs)
+	sub  *fanTask // head of the sibling-linked nested fan (opJoinSubs)
 }
 
 // ledger accumulates a task's charges. The ops slice is recycled with its
@@ -370,8 +367,6 @@ const (
 	taskPrepare
 	taskWalFlush
 	taskDescReplicate
-	taskChunkDelete
-	taskChunkTrim
 )
 
 // fanTask is one unit of scatter-gather work: operands, a private cost
@@ -489,10 +484,6 @@ func (t *fanTask) run() {
 		}
 		t.sv.mu.Unlock()
 		s.walAppendMeta(cg, t.sv, t.rec, t.key, t.size)
-	case taskChunkDelete:
-		t.sv.deleteChunk(t.pl.h, t.pl.id)
-	case taskChunkTrim:
-		t.sv.trimChunk(t.pl.h, t.pl.id, t.size)
 	}
 }
 
@@ -516,15 +507,13 @@ func (t *fanTask) replay(clk *sim.Clock) {
 			s.cluster.MetaOp(clk, op.node, op.a)
 		case opLocalCompute:
 			s.cluster.LocalCompute(clk, op.d)
-		case opJoinSubs, opDropSubs:
+		case opJoinSubs:
 			forkAt := clk.Now()
 			for sub := op.sub; sub != nil; sub = sub.next {
 				sc := clockPool.Get().(*sim.Clock)
 				sc.Reset(forkAt)
 				sub.replay(sc)
-				if op.kind == opJoinSubs {
-					clk.Join(sc)
-				}
+				clk.Join(sc)
 				clockPool.Put(sc)
 			}
 		}
@@ -532,15 +521,14 @@ func (t *fanTask) replay(clk *sim.Clock) {
 }
 
 // firstError returns the task's own error or the first error among its
-// nested sub-tasks, in recorded order. Dropped (async) subs report too: a
-// down replica fails the write even when the client does not wait for it.
+// nested sub-tasks, in recorded order.
 func (t *fanTask) firstError() error {
 	if t.err != nil {
 		return t.err
 	}
 	for i := range t.led.ops {
 		op := &t.led.ops[i]
-		if op.kind == opJoinSubs || op.kind == opDropSubs {
+		if op.kind == opJoinSubs {
 			for sub := op.sub; sub != nil; sub = sub.next {
 				if err := sub.firstError(); err != nil {
 					return err
@@ -555,7 +543,7 @@ func (t *fanTask) firstError() error {
 func (t *fanTask) release() {
 	for i := range t.led.ops {
 		op := &t.led.ops[i]
-		if op.kind == opJoinSubs || op.kind == opDropSubs {
+		if op.kind == opJoinSubs {
 			for sub := op.sub; sub != nil; {
 				next := sub.next
 				sub.release()
@@ -739,8 +727,8 @@ func (f *ctxFan) join(ctx *storage.Context) (int, error) {
 // subFan collects the nested fan-out of a task already running (a chunk
 // write's replica replication). Its tasks share the root fan's run queue
 // and mode, but their charges are recorded into the parent task's ledger —
-// joinSubs/dropSubs — instead of touching shared resources, so a task
-// never blocks and never charges out of order.
+// joinSubs — instead of touching shared resources, so a task never blocks
+// and never charges out of order.
 type subFan struct {
 	root *ctxFan
 	head *fanTask
@@ -769,16 +757,6 @@ func (t *fanTask) joinSubs(sf *subFan) {
 		return
 	}
 	t.led.ops = append(t.led.ops, ledgerOp{kind: opJoinSubs, sub: sf.head})
-}
-
-// dropSubs records a fork without a join — the async-replication
-// acknowledgement path. The subs' resource time is still reserved at
-// replay, but the parent clock does not wait on them.
-func (t *fanTask) dropSubs(sf *subFan) {
-	if sf.head == nil {
-		return
-	}
-	t.led.ops = append(t.led.ops, ledgerOp{kind: opDropSubs, sub: sf.head})
 }
 
 // forEachSpan invokes fn for every chunk-aligned span of the byte range

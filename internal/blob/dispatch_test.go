@@ -930,6 +930,68 @@ func TestTruncateNoopLeavesStateUntouched(t *testing.T) {
 	}
 }
 
+const truncChunk = 64 << 10
+
+// truncateScript creates a 4-chunk blob on the 9-node / 64 KiB / R = 3
+// fixture and returns it with the client context.
+func truncateScript(t *testing.T, inline bool) (*Store, *storage.Context) {
+	t.Helper()
+	s := mkStore(9, Config{ChunkSize: truncChunk, Replication: 3}, inline)
+	ctx := storage.NewContext()
+	if err := s.CreateBlob(ctx, "trunc"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WriteBlob(ctx, "trunc", 0, make([]byte, 4*truncChunk)); err != nil {
+		t.Fatal(err)
+	}
+	return s, ctx
+}
+
+// TestTruncatePostsNoHelpTokens: dropping and trimming chunk replicas is
+// map work on the latch holder's goroutine — no fan, so no help token wakes
+// a pool worker for a delete(map, key). The only fan a truncate joins is the
+// descriptor replication, which a growing truncate joins just the same, so
+// shrinking 4 chunks to 0 posts exactly the tokens growing by a byte does.
+func TestTruncatePostsNoHelpTokens(t *testing.T) {
+	s, ctx := truncateScript(t, false)
+	offeredBy := func(size int64) int64 {
+		before, _ := fanCounters(s)
+		if err := s.TruncateBlob(ctx, "trunc", size); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := fanCounters(s)
+		return after - before
+	}
+	grow := offeredBy(4*truncChunk + 1)
+	if shrink := offeredBy(0); shrink != grow {
+		t.Fatalf("truncate to 0 posted %d help tokens, descriptor replication alone posts %d", shrink, grow)
+	}
+	for node := range s.servers {
+		if n := s.ChunkCount(cluster.NodeID(node)); n != 0 {
+			t.Fatalf("node %d still holds %d chunks after truncate to 0", node, n)
+		}
+	}
+}
+
+// TestTruncateVirtualCostUnchanged: create, a 4-chunk write, truncate to 1.5
+// chunks, truncate to 0 charge the same virtual time pooled and inline, and
+// exactly what they charged while the chunk drops still ran as a fan of
+// charge-free tasks (the constant predates the inline loop).
+func TestTruncateVirtualCostUnchanged(t *testing.T) {
+	const want = 4360225
+	for _, inline := range []bool{false, true} {
+		s, ctx := truncateScript(t, inline)
+		for _, size := range []int64{truncChunk * 3 / 2, 0} {
+			if err := s.TruncateBlob(ctx, "trunc", size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := int64(ctx.Clock.Now()); got != want {
+			t.Errorf("inline=%v: script charged %d virtual ns, want %d", inline, got, want)
+		}
+	}
+}
+
 // TestErrorPathsJoinFanAndCharge is the fan-leak regression test: an
 // operation that fails mid-fan must still join its fan — advancing the
 // caller's clock by the work that did complete — and leave the pooled

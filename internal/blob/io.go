@@ -320,7 +320,7 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 // whichever goroutines run the actual copies.
 //
 // Excluded owners (pl.excl) do not fail the write (degraded mode): as long
-// as Config.MinLiveOwners replicas take it, each of them applies the write
+// as one owner is left to take it, each included owner applies the write
 // and records the excluded owners as repair debt — a RecRepairNeeded record
 // carrying the full debt mask, logged under the stripe lock so the mask
 // history in the log matches memory. An injected permanent fault at the
@@ -343,9 +343,8 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 	if downMask != 0 {
 		traceStep(traceEvent{what: "writeChunk", node: cluster.NodeID(promoted), key: pl.id.key, idx: pl.id.idx, chunk: true, ver: pl.ver, mask: downMask, n: int64(rec)})
 	}
-	if promoted < 0 || live < s.cfg.MinLiveOwners {
-		return fmt.Errorf("chunk %d of %q: %d of %d replicas down or behind (need %d live): %w",
-			pl.id.idx, pl.id.key, len(pl.owners)-live, len(pl.owners), s.cfg.MinLiveOwners, storage.ErrUnavailable)
+	if promoted < 0 {
+		return fmt.Errorf("chunk %d of %q: all replicas down or behind: %w", pl.id.idx, pl.id.key, storage.ErrUnavailable)
 	}
 	primary := s.servers[promoted]
 	// A permanent fault on the primary's write path fails the chunk write
@@ -377,12 +376,9 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 		s.recordDebt(cg, primary, pl.h, pl.id, downMask)
 	}
 
-	// Primary -> the other live owners in parallel. With synchronous
-	// replication the client waits for every copy; with AsyncReplication
-	// the copies are applied (and their resource time reserved) but the
-	// client clock does not wait on them.
-	rest := live - 1
-	if rest > 0 {
+	// Primary -> the other live owners in parallel; the client waits for
+	// every copy.
+	if live > 1 {
 		sf := t.subFan()
 		for _, o := range pl.owners {
 			// The placement survey decides, NOT a fresh down probe: an owner
@@ -401,11 +397,7 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 			rt.mask = downMask
 			sf.spawn(rt)
 		}
-		if s.cfg.AsyncReplication {
-			t.dropSubs(&sf)
-		} else {
-			t.joinSubs(&sf)
-		}
+		t.joinSubs(&sf)
 	}
 	if downMask != 0 {
 		s.metrics.Counter("blob.write.degraded").Inc()
@@ -547,16 +539,12 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 		oldChunks := (d.size + cs - 1) / cs
 		keepChunks := (size + cs - 1) / cs
 		batch := newWalBatch(s)
-		fan := s.newFan()
 		for idx := keepChunks; idx < oldChunks; idx++ {
 			id := chunkID{key, idx}
 			h := id.ringHash()
 			for _, o := range s.ownersForHash(h) {
 				sv := s.servers[o]
-				t := fan.task(taskChunkDelete)
-				t.sv = sv
-				t.pl = chunkPlace{id: id, h: h}
-				fan.spawn(t)
+				sv.deleteChunk(h, id)
 				batch.addChunk(sv, wal.RecChunkDelete, h, id, 0, 0, nil)
 			}
 		}
@@ -568,15 +556,10 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 			h := id.ringHash()
 			for _, o := range s.ownersForHash(h) {
 				sv := s.servers[o]
-				t := fan.task(taskChunkTrim)
-				t.sv = sv
-				t.pl = chunkPlace{id: id, h: h}
-				t.size = keep
-				fan.spawn(t)
+				sv.trimChunk(h, id, keep)
 				batch.addChunk(sv, wal.RecChunkTruncate, h, id, keep, 0, nil)
 			}
 		}
-		fan.join(ctx)
 		batch.flush(ctx)
 	}
 	d.version++

@@ -193,32 +193,3 @@ func TestJoinThenDrainRoundTrip(t *testing.T) {
 	expect["data/blob-000"] = append([]byte("post-churn"), expect["data/blob-000"][10:]...)
 	verifyBlobs(t, s, ctx, expect)
 }
-
-func TestAsyncReplicationCheaperButConsistent(t *testing.T) {
-	run := func(async bool) (int64, *Store, *storage.Context) {
-		c := cluster.New(cluster.Config{Nodes: 6, Seed: 5})
-		s := New(c, Config{ChunkSize: 1 << 20, Replication: 3, AsyncReplication: async})
-		ctx := storage.NewContext()
-		if err := s.CreateBlob(ctx, "k"); err != nil {
-			t.Fatal(err)
-		}
-		start := ctx.Clock.Now()
-		if _, err := s.WriteBlob(ctx, "k", 0, make([]byte, 1<<20)); err != nil {
-			t.Fatal(err)
-		}
-		return int64(ctx.Clock.Now() - start), s, ctx
-	}
-	syncCost, _, _ := run(false)
-	asyncCost, s, ctx := run(true)
-	if asyncCost >= syncCost {
-		t.Fatalf("async write (%d) not cheaper than sync (%d)", asyncCost, syncCost)
-	}
-	// Replicas are still applied: all copies identical.
-	if msg := s.CheckInvariants(); msg != "" {
-		t.Fatalf("async replication broke invariants: %s", msg)
-	}
-	got := make([]byte, 1<<20)
-	if n, err := s.ReadBlob(ctx, "k", 0, got); err != nil || n != 1<<20 {
-		t.Fatalf("read after async write: (%d, %v)", n, err)
-	}
-}

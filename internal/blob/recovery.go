@@ -438,9 +438,6 @@ func (sv *server) checkpointPlan() []ckptLane {
 // (dispatch contract: the job takes no latch-class lock and never waits
 // on the pool).
 func (sv *server) checkpointLane(lane int, plan *ckptLane) {
-	if plan.empty() {
-		return
-	}
 	bp := hdrPool.Get().(*[]byte)
 	appendOne := func(t wal.RecordType, data []byte) {
 		if _, _, err := sv.wal.AppendV(lane, t, *bp, data); err != nil {
@@ -471,34 +468,16 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 	hdrPool.Put(bp)
 }
 
-// Checkpoint rewrites a server's write-ahead log as a snapshot of its
-// current volatile state — one record per descriptor and chunk replica —
-// and drops the old log content, bounding log growth the way real object
-// stores compact their journals. Recovery after a checkpoint replays the
-// snapshot exactly. The snapshot streams per-lane: each lane's surviving
-// records are re-encoded against that lane's own medium as an independent
-// worker-pool job, so the compaction write-back scales with the lane
-// sharding exactly like recovery's decode does. The server must be
-// quiescent (no concurrent mutations) for the duration, the same
-// discipline Crash and Recover require; like every parallelDo caller,
-// Checkpoint must not run on a pool worker.
-func (s *Store) Checkpoint(node cluster.NodeID) {
-	sv := s.servers[int(node)]
-	plan := sv.checkpointPlan()
-	if plan == nil {
-		return
-	}
-	parallelDo(len(plan), func(lane int) {
-		sv.checkpointLane(lane, &plan[lane])
-	})
-}
-
-// CheckpointAll checkpoints every live server; the store must be
-// quiescent. Down servers are skipped (their WAL is their only state).
-// The fan-out is flat — every (server, lane) pair becomes one pool job —
-// rather than nesting per-server parallelDo calls inside pool workers,
-// which the dispatch contract forbids (a worker blocking on a nested
-// pool wait can deadlock a saturated pool).
+// CheckpointAll rewrites every live server's write-ahead log as a snapshot of
+// its volatile state — one record per descriptor, chunk replica and debt
+// entry — and drops the old content, bounding log growth the way object
+// stores compact their journals; recovery replays the snapshot exactly. Down
+// servers are skipped (their WAL is their only state). The store must be
+// quiescent, the discipline Crash and Recover require. Each lane's records
+// are re-encoded against that lane's own medium, and the fan-out is flat —
+// every (server, lane) pair is one pool job — rather than nesting per-server
+// parallelDo calls inside pool workers, which the dispatch contract forbids
+// (a worker blocking on a nested pool wait can deadlock a saturated pool).
 func (s *Store) CheckpointAll() {
 	type laneJob struct {
 		sv   *server

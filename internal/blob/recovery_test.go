@@ -515,3 +515,54 @@ func TestWritesFailWhileCrashed(t *testing.T) {
 		t.Fatalf("write after recovery: %v", err)
 	}
 }
+
+// TestSetDownCannotReviveWipedServer: SetDown(node, false) on a crash-wiped
+// server is ignored. Its tables are empty and the clean read path asks only
+// isDown(), so marking it up would serve zeros for acknowledged bytes with a
+// nil error; only Recover can bring it back.
+func TestSetDownCannotReviveWipedServer(t *testing.T) {
+	s := newStore(t, 4, Config{ChunkSize: 8, Replication: 2})
+	ctx := storage.NewContext()
+	// A key whose chunk-0 owners both differ from its descriptor primary, so
+	// crashing a chunk owner leaves the blob writable.
+	var key string
+	var owners []int
+	for i := 0; ; i++ {
+		key = fmt.Sprintf("w-%d", i)
+		owners = s.chunkOwners(chunkID{key, 0})
+		if dp := s.descOwners(key)[0]; owners[0] != dp && owners[1] != dp {
+			break
+		}
+	}
+	if err := s.CreateBlob(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WriteBlob(ctx, key, 0, []byte("abcdefgh")); err != nil {
+		t.Fatal(err)
+	}
+	wiped := cluster.NodeID(owners[0])
+	s.Crash(wiped)
+	s.SetDown(wiped, false)
+	got := make([]byte, 8)
+	if n, err := s.ReadBlob(ctx, key, 0, got); err != nil || n != 8 || string(got) != "abcdefgh" {
+		t.Fatalf("read after the ignored up-flip = (%d, %v, %q), want the surviving owner's bytes", n, err, got)
+	}
+	if !s.servers[owners[0]].isDown() {
+		t.Fatal("SetDown(false) marked a crash-wiped server up without Recover")
+	}
+	if _, err := s.WriteBlob(ctx, key, 0, []byte("ABCD")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Recover(wiped); err != nil {
+		t.Fatal(err)
+	}
+	if s.servers[owners[0]].isDown() {
+		t.Fatal("Recover left the server down")
+	}
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Fatalf("invariants after Recover: %s", msg)
+	}
+	if n, err := s.ReadBlob(ctx, key, 0, got); err != nil || n != 8 || string(got) != "ABCDefgh" {
+		t.Fatalf("read after Recover = (%d, %v, %q)", n, err, got)
+	}
+}

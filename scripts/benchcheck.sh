@@ -20,10 +20,7 @@
 # references to each other's buffers, so its ownership rule (nobody returns
 # while a peer can still read) is a race-detector property — plus
 # internal/bench, whose pinned virtual twins (TestVirtualTwinsPinned)
-# drive pooled dispatch through blobfs and s3gw — minus
-# TestFutureWorkGainsHold, whose shared-write arm
-# races real goroutines for one simulated disk on a thin margin and reads
-# 0.97x in three of four raced runs on a 2-CPU host (tier-1 runs it plain);
+# drive pooled dispatch through blobfs and s3gw;
 # -shuffle=on randomizes test order so accidental
 # inter-test state dependencies cannot hide a regression. Each wal,
 # blob, and fstest fuzz target then runs for a short fixed budget —
@@ -78,7 +75,7 @@ set -e
 cd "$(dirname "$0")/.."
 go run ./cmd/blobvet ./...
 go vet ./...
-go test -race -shuffle=on -skip '^TestFutureWorkGainsHold$' ./internal/blob/... ./internal/sim/... ./internal/cluster/... ./internal/wal/... ./internal/core/... ./internal/storage/... ./internal/kvstore/... \
+go test -race -shuffle=on ./internal/blob/... ./internal/sim/... ./internal/cluster/... ./internal/wal/... ./internal/core/... ./internal/storage/... ./internal/kvstore/... \
 	./internal/fstest/... ./internal/blobfs/... ./internal/fs/... ./internal/mpi/... ./internal/mpiio/... ./internal/workloads/... ./internal/h5/... ./internal/adios/... ./internal/s3gw/... ./internal/sparksim/... \
 	./internal/bench/...
 for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
