@@ -1,6 +1,6 @@
 // Package repro's benchmark suite: one benchmark per table and figure of
-// the paper (delegating to internal/bench), plus ablation benchmarks for
-// the design choices called out in DESIGN.md §5. Custom "v*/op" metrics
+// the paper (delegating to internal/bench), plus ablations 1–6 for the
+// design choices called out in DESIGN.md §5. Custom "v*/op" metrics
 // report virtual (simulated-cluster) time; the built-in ns/op is host time.
 //
 // Run everything with:
@@ -411,44 +411,5 @@ func BenchmarkHotPathWrite(b *testing.B) {
 func reportVirtual(b *testing.B, total time.Duration) {
 	if b.N > 0 {
 		b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "vns/op")
-	}
-}
-
-// --- Ablation 8: transactional vs direct multi-blob updates. ---
-
-func BenchmarkAblationTransactions(b *testing.B) {
-	for _, mode := range []string{"direct", "transactional"} {
-		b.Run(mode, func(b *testing.B) {
-			store := blob.New(cluster.New(cluster.Config{Nodes: 9, Seed: 1}),
-				blob.Config{ChunkSize: 1 << 20, Replication: 2})
-			ctx := storage.NewContext()
-			for _, k := range []string{"x", "y"} {
-				if err := store.CreateBlob(ctx, k); err != nil {
-					b.Fatal(err)
-				}
-			}
-			payload := make([]byte, 4096)
-			start := ctx.Clock.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if mode == "direct" {
-					if _, err := store.WriteBlob(ctx, "x", 0, payload); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := store.WriteBlob(ctx, "y", 0, payload); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					txn := store.Begin(ctx)
-					txn.Write("x", 0, payload)
-					txn.Write("y", 0, payload)
-					if err := txn.Commit(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			reportVirtual(b, ctx.Clock.Now()-start)
-		})
 	}
 }

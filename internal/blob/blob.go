@@ -8,9 +8,10 @@
 //   - consistent-hash data placement over the cluster (package chash),
 //     chunked striping, primary-copy replication;
 //   - per-server write-ahead logging for durability;
-//   - Týr-style lightweight transactions: a write spanning several chunks
-//     commits atomically via a two-phase protocol whose round trips are
-//     charged to the virtual clock.
+//   - a Týr-style lightweight transaction, and only one: a WriteBlob
+//     spanning several chunks commits atomically via a two-phase protocol
+//     whose round trips are charged to the virtual clock. There are no
+//     multi-blob transactions.
 //
 // Correctness (read-your-writes, atomic multi-chunk visibility, scan
 // completeness) is implemented for real on in-memory data; only durations
@@ -81,7 +82,7 @@
 // long as one owner remains, a down chunk primary being promoted past.
 //
 // Descriptor primaries are not promoted past. A mutation — WriteBlob,
-// TruncateBlob, DeleteBlob, Txn.Commit, RenameBlob (either key), CreateBlob —
+// TruncateBlob, DeleteBlob, RenameBlob (either key), CreateBlob —
 // is refused with storage.ErrUnavailable exactly when the descriptor primary
 // (descOwners(key)[0]) of a key it names is down: 1/N of the keyspace with
 // one of N nodes down. A refusal changes nothing — no bytes, no size, no
@@ -607,8 +608,7 @@ func (sv *server) resetChunks() {
 // descriptor is a blob's metadata. The authoritative copy lives on the
 // blob's primary descriptor server; replicas hold copies.
 type descriptor struct {
-	size    int64
-	version uint64
+	size int64
 	// latch serializes writes and makes multi-chunk commits atomically
 	// visible. Only the primary's latch is used.
 	latch sync.RWMutex
@@ -915,8 +915,8 @@ func (s *Store) DeleteBlob(ctx *storage.Context, key string) error {
 }
 
 // deleteLocked performs the deletion with the descriptor latch already held.
-// RenameBlob (rename.go) calls it while additionally holding the target
-// blob's latch, matching the multi-latch discipline of txn.go.
+// RenameBlob (rename.go) calls it while also holding the target blob's
+// latch: RenameBlob latches both descriptors in key order.
 func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, d *descriptor) error {
 	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
 	size := d.size
@@ -1080,13 +1080,6 @@ func (b *walBatch) addChunk(sv *server, t wal.RecordType, h uint64, id chunkID, 
 	b.add(sv, sv.chunkLane(h), t, start, len(*b.buf), data)
 }
 
-// addMeta stages one descriptor record for sv on the descriptor's lane.
-func (b *walBatch) addMeta(sv *server, t wal.RecordType, key string, size int64) {
-	start := len(*b.buf)
-	*b.buf = appendMetaPayload(*b.buf, key, size)
-	b.add(sv, sv.metaLane(key), t, start, len(*b.buf), nil)
-}
-
 // add records the spec under the (sv, lane) group. Header extents are
 // resolved into slices only at flush time, because the staging buffer may
 // still be reallocated by later appends; the data segment is stable and
@@ -1142,8 +1135,7 @@ func (s *Store) walAppendBatch(cg *charge, sv *server, lane int, specs []wal.App
 
 // flush logs every (server,lane) batch, charging the disk appends
 // sequentially on ctx's clock — the cost shape of a client walking replica
-// sets one record at a time (deletes, truncates, transaction commit
-// markers).
+// sets one record at a time (deletes, truncates).
 func (b *walBatch) flush(ctx *storage.Context) {
 	b.resolve()
 	cg := b.s.directCharge(ctx)
@@ -1156,9 +1148,9 @@ func (b *walBatch) flush(ctx *storage.Context) {
 // flushParallel logs each (server,lane) batch as a worker-pool task on its
 // own forked clock and joins on the slowest — the cost shape of the 2PC
 // commit phase, where every participant persists its commit records
-// concurrently. metaPerRecord additionally charges one commit round trip
-// per record on the participant's clock before the append.
-func (b *walBatch) flushParallel(ctx *storage.Context, metaPerRecord bool) {
+// concurrently, each after one commit round trip per record on the
+// participant's clock.
+func (b *walBatch) flushParallel(ctx *storage.Context) {
 	b.resolve()
 	fan := b.s.newFan()
 	for i := range b.servers {
@@ -1166,7 +1158,6 @@ func (b *walBatch) flushParallel(ctx *storage.Context, metaPerRecord bool) {
 		t.sv = b.servers[i]
 		t.lane = b.lanes[i]
 		t.specs = b.specs[i]
-		t.meta = metaPerRecord
 		fan.spawn(t)
 	}
 	// join waits for every append before the staging buffer is recycled.

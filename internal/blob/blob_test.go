@@ -405,15 +405,6 @@ func TestDescriptorPrimaryDownRefusalSet(t *testing.T) {
 			}
 			return err
 		}},
-		{"Txn.Commit", "k", func(key string) error {
-			txn := s.Begin(ctx)
-			txn.Write(key, 20, payload)
-			err := txn.Commit()
-			if err == nil {
-				copy(model[key][20:], payload)
-			}
-			return err
-		}},
 		{"RenameBlob from", "k", func(key string) error {
 			to := fresh()
 			err := s.RenameBlob(ctx, key, to)

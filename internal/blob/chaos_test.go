@@ -17,7 +17,7 @@ import (
 // Chaos battery: randomized, seeded fault schedules — down/up flaps,
 // transient and slow injected faults, crashes with torn WAL lane tails —
 // under a concurrent mixed workload of single-chunk writes, multi-chunk
-// (2PC) writes, transactions, and verifying reads. The schedule is seeded
+// (2PC) writes, and verifying reads. The schedule is seeded
 // but its interleaving is scheduler-dependent (see cluster.FaultPlan), so
 // every assertion is schedule-independent:
 //
@@ -184,18 +184,7 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 						}
 						data := make([]byte, 1+wrng.Intn(40))
 						wrng.Fill(data)
-						var err error
-						if wrng.Float64() < 0.25 { // transactional variant
-							txn := s.Begin(wctx)
-							if err = txn.Write(keys[w], off, data); err == nil {
-								err = txn.Commit()
-							} else {
-								txn.Abort()
-							}
-						} else {
-							_, err = s.WriteBlob(wctx, keys[w], off, data)
-						}
-						if err == nil {
+						if _, err := s.WriteBlob(wctx, keys[w], off, data); err == nil {
 							oracle[w] = applyOracle(oracle[w], off, data)
 						}
 					default: // verifying read

@@ -15,9 +15,8 @@ import (
 // RecDelete / RecTruncate / RecMeta carry meta payloads; RecWrite /
 // RecPrepWrite / RecChunkDelete / RecChunkTruncate and the 2PC marker
 // RecChunkCommit carry chunk payloads), so chunk addressing never
-// round-trips through a combined string key. RecCommit remains the
-// transaction-level marker with a meta payload; replay skips it, while
-// RecChunkCommit drives the prepared-write buffer (recovery.go).
+// round-trips through a combined string key. RecChunkCommit drives the
+// prepared-write buffer (recovery.go).
 // All encoders are append-style into caller-provided buffers.
 //
 // A chunk record's payload is the addressing header (appendChunkHeader)

@@ -394,7 +394,7 @@ type fanTask struct {
 	key    string
 	desc   *descriptor // taskDescReplicate: the primary's object, to skip pointer-shared stores
 	lane   int         // taskWalFlush: the target log lane of the spec batch
-	meta   bool        // taskWalFlush: charge one round trip per record; taskDescReplicate: upsert
+	meta   bool        // taskDescReplicate: upsert
 	specs  []wal.AppendVSpec
 	fn     func(cg *charge) error
 }
@@ -462,9 +462,7 @@ func (t *fanTask) run() {
 		}
 		cg.metaOp(sv.node, 1)
 	case taskWalFlush:
-		if t.meta {
-			cg.metaOp(t.sv.node, len(t.specs))
-		}
+		cg.metaOp(t.sv.node, len(t.specs))
 		s.walAppendBatch(cg, t.sv, t.lane, t.specs)
 	case taskDescReplicate:
 		cg.metaOp(t.sv.node, 1)

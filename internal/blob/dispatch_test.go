@@ -23,7 +23,7 @@ func mkStore(nodes int, cfg Config, inline bool) *Store {
 
 // detScript drives one client's worth of every fan shape — replicated
 // creates, multi- and single-chunk writes, striped reads, truncates, a scan,
-// a transaction, failing and deleting ops — and stamps the client's virtual
+// failing and deleting ops — and stamps the client's virtual
 // clock after each.
 func detScript(s *Store) ([]int64, error) {
 	ctx := storage.NewContext()
@@ -65,13 +65,6 @@ func detScript(s *Store) ([]int64, error) {
 		stamp()
 	}
 	if _, err := s.Scan(ctx, "det-"); err != nil {
-		return nil, err
-	}
-	stamp()
-	txn := s.Begin(ctx)
-	txn.Write("det-0", 0, buf)
-	txn.Write("det-1", 16, buf[:40])
-	if err := txn.Commit(); err != nil {
 		return nil, err
 	}
 	stamp()
@@ -311,7 +304,7 @@ func TestNestedFanRunByHelper(t *testing.T) {
 			f.run()
 		}
 	}
-	// dataPhase is writeLockedRec's data phase for one chunk; it returns the
+	// dataPhase is writeLocked's data phase for one chunk; it returns the
 	// virtual time the write took.
 	dataPhase := func(s *Store, helper bool) int64 {
 		ctx := storage.NewContext()
@@ -881,8 +874,8 @@ func TestStalePrepareNotResurrectedByLaterCommit(t *testing.T) {
 
 // TestTruncateNoopLeavesStateUntouched is the regression test for the
 // no-op truncate fix: truncating to the current size must charge the
-// metadata lookup but change nothing — no version bump, no WAL append, no
-// descriptor replication.
+// metadata lookup but change nothing — no WAL append, no descriptor
+// replication.
 func TestTruncateNoopLeavesStateUntouched(t *testing.T) {
 	s := mkStore(4, Config{ChunkSize: 16, Replication: 2}, false)
 	ctx := storage.NewContext()
@@ -892,11 +885,6 @@ func TestTruncateNoopLeavesStateUntouched(t *testing.T) {
 	if _, err := s.WriteBlob(ctx, "noop", 0, make([]byte, 40)); err != nil {
 		t.Fatal(err)
 	}
-	_, d, err := s.primaryDesc("noop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verBefore := d.version
 	logBefore := make([]int64, 4)
 	for i := range logBefore {
 		logBefore[i] = s.servers[i].wal.Size()
@@ -909,21 +897,15 @@ func TestTruncateNoopLeavesStateUntouched(t *testing.T) {
 	if ctx.Clock.Now() <= clockBefore {
 		t.Fatal("no-op truncate did not charge the metadata lookup")
 	}
-	if d.version != verBefore {
-		t.Fatalf("no-op truncate bumped version %d -> %d", verBefore, d.version)
-	}
 	for i := range logBefore {
 		if got := s.servers[i].wal.Size(); got != logBefore[i] {
 			t.Fatalf("no-op truncate appended to node %d's WAL (%d -> %d)", i, logBefore[i], got)
 		}
 	}
 
-	// A size-changing truncate still versions and logs.
+	// A size-changing truncate still applies.
 	if err := s.TruncateBlob(ctx, "noop", 48); err != nil {
 		t.Fatal(err)
-	}
-	if d.version != verBefore+1 {
-		t.Fatalf("grow truncate version = %d, want %d", d.version, verBefore+1)
 	}
 	if size, _ := s.BlobSize(ctx, "noop"); size != 48 {
 		t.Fatalf("grow truncate size = %d", size)
@@ -1027,19 +1009,33 @@ func TestErrorPathsJoinFanAndCharge(t *testing.T) {
 	}
 
 	// A failing multi-chunk write (prepare phase: chunk 1's ONLY replica is
-	// down, so not even degraded mode can place it) must also charge and
-	// leave the pools reusable.
+	// down, so not even degraded mode can place it) must also charge, leave
+	// the pools reusable, and change nothing: no log record anywhere, and
+	// the original bytes once the victim is back.
+	logBefore := make([]int64, len(s.servers))
+	for i := range logBefore {
+		logBefore[i] = s.servers[i].wal.Size()
+	}
 	before = ctx.Clock.Now()
-	if _, err := s.WriteBlob(ctx, "leak", 0, content); !errors.Is(err, storage.ErrUnavailable) {
+	if _, err := s.WriteBlob(ctx, "leak", 0, bytes.Repeat([]byte("X"), 24)); !errors.Is(err, storage.ErrUnavailable) {
 		t.Fatalf("write with chunk primary down: err = %v", err)
 	}
 	if ctx.Clock.Now() <= before {
 		t.Fatal("failed write charged no virtual time")
 	}
+	for i := range logBefore {
+		if got := s.servers[i].wal.Size(); got != logBefore[i] {
+			t.Fatalf("refused write appended to node %d's WAL (%d -> %d)", i, logBefore[i], got)
+		}
+	}
 
-	// Recover and verify the store still works and the dispatcher pools
-	// were not corrupted by the error exits.
+	// Recover and verify the refused write left the content intact, the
+	// store still works and the dispatcher pools were not corrupted by the
+	// error exits.
 	s.SetDown(cluster.NodeID(victim), false)
+	if n, err := s.ReadBlob(ctx, "leak", 0, got); err != nil || n != 24 || !bytes.Equal(got, content) {
+		t.Fatalf("after refused write: (%d, %v) %q, want %q", n, err, got, content)
+	}
 	for i := 0; i < 50; i++ {
 		if _, err := s.WriteBlob(ctx, "leak", 0, content); err != nil {
 			t.Fatal(err)

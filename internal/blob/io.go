@@ -96,8 +96,8 @@ func (s *Store) readReplica(cg *charge, sv *server, h uint64, id chunkID, within
 // WriteBlob writes p at off, extending the blob as needed. A write that
 // spans a single chunk commits directly on that chunk's replica set; a
 // multi-chunk write runs the Týr-style lightweight transaction: prepare on
-// every participant chunk, then commit, with the descriptor version bumped
-// once — the paper's "blob manipulation" primitive with built-in atomicity.
+// every participant chunk, then commit — the paper's "blob manipulation"
+// primitive with built-in atomicity.
 func (s *Store) WriteBlob(ctx *storage.Context, key string, off int64, p []byte) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("write %q at %d: %w", key, off, storage.ErrInvalidArg)
@@ -121,7 +121,7 @@ func (s *Store) WriteBlob(ctx *storage.Context, key string, off int64, p []byte)
 	// future-work experiment measures.
 	d.latch.Lock()
 	defer d.latch.Unlock()
-	return s.writeLocked(ctx, key, primary, d, off, p)
+	return s.writeLocked(ctx, key, primary, d, off, p, false)
 }
 
 // chunkPlace is one participant chunk's resolved placement, computed once
@@ -152,7 +152,7 @@ var placePool = sync.Pool{
 }
 
 // writeLocked performs the write with the descriptor latch already held.
-// Multi-blob transactions (txn.go) call it while holding several latches.
+// WriteBlob calls it with direct=false, RenameBlob with direct=true.
 //
 // Multi-chunk writes log 2PC-style: the data phase appends RecPrepWrite to
 // every replica of every participant, the commit phase appends
@@ -161,11 +161,7 @@ var placePool = sync.Pool{
 // (recovery.go buffers prepares and materializes them only on commit; a
 // prepare whose commit never comes is overwritten by the chunk's next
 // prepare or dropped at the end of the log).
-func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d *descriptor, off int64, p []byte) (int, error) {
-	return s.writeLockedRec(ctx, key, primary, d, off, p, false)
-}
-
-// writeLockedRec is writeLocked with the commit protocol selectable.
+//
 // direct=true commits every chunk with RecWrite and skips the prepare and
 // commit phases even for a multi-chunk span. That is sound ONLY when the
 // caller needs no write-level crash atomicity: RenameBlob's copy-in
@@ -176,7 +172,7 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d
 // flushes multiple spans, so 2PC per span never provided rename-level
 // atomicity anyway). Per-chunk RecWrite records replay independently,
 // exactly like ordinary single-chunk writes.
-func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server, d *descriptor, off int64, p []byte, direct bool) (int, error) {
+func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d *descriptor, off int64, p []byte, direct bool) (int, error) {
 	cs := int64(s.cfg.ChunkSize)
 	firstChunk := off / cs
 	lastChunk := (off + int64(len(p)) - 1) / cs
@@ -281,11 +277,10 @@ func (s *Store) writeLockedRec(ctx *storage.Context, key string, primary *server
 				batch.addChunk(s.servers[o], wal.RecChunkCommit, pl.h, pl.id, 0, 0, nil)
 			}
 		}
-		batch.flushParallel(ctx, true)
+		batch.flushParallel(ctx)
 	}
 
-	// Descriptor update: bump version, extend size if needed, replicate.
-	d.version++
+	// Descriptor update: extend size if needed, replicate.
 	if off+int64(len(p)) > d.size {
 		d.size = off + int64(len(p))
 		s.cluster.MetaOp(ctx.Clock, primary.node, 1)
@@ -511,8 +506,8 @@ func applyChunk(sv *server, h uint64, id chunkID, within int64, data []byte, ver
 // TruncateBlob sets the blob's size. Shrinking drops whole chunks past the
 // new end and trims the boundary chunk; growing is sparse (reads return
 // zeros). Truncating to the current size is a pure metadata probe: after
-// the lookup charge it changes nothing — no version bump, no WAL record,
-// no descriptor replication.
+// the lookup charge it changes nothing — no WAL record, no descriptor
+// replication.
 func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("truncate %q to %d: %w", key, size, storage.ErrInvalidArg)
@@ -562,7 +557,6 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 		}
 		batch.flush(ctx)
 	}
-	d.version++
 	d.size = size
 	cg := s.directCharge(ctx)
 	s.walAppendMeta(&cg, primary, wal.RecTruncate, key, size)

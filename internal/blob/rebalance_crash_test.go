@@ -388,16 +388,7 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 				}
 				data := pattern(w*31+i, 30+i%70)
 				off := int64((i * 17) % 180)
-				var err error
-				if i%4 == 3 { // transactional variant: 2PC under migration
-					txn := s.Begin(wctx)
-					if err = txn.Write(keys[w], off, data); err == nil {
-						err = txn.Commit()
-					}
-				} else {
-					_, err = s.WriteBlob(wctx, keys[w], off, data)
-				}
-				if err != nil {
+				if _, err := s.WriteBlob(wctx, keys[w], off, data); err != nil {
 					t.Errorf("worker %d write %d during migration: %v", w, i, err)
 					return
 				}

@@ -220,8 +220,6 @@ func (s *Store) Recover(node cluster.NodeID) error {
 				chunks[id] = c[:keep]
 			}
 			return nil
-		case wal.RecCommit:
-			return nil // transaction-level marker; state is in the chunk records
 		case wal.RecMigrateBegin:
 			seq, op, mnode, err := decMigrateIntent(rec.Payload)
 			if err != nil {

@@ -19,9 +19,9 @@ import (
 //
 // The target key must not exist (storage.ErrExists otherwise), matching
 // the blobfs adapter's rename contract. Both descriptor latches are held
-// for the duration, acquired in sorted key order — the txn.go multi-latch
-// discipline — so the rename is atomic against concurrent writers and a
-// reader never observes a half-copied target.
+// for the duration, acquired in sorted key order, so the rename is atomic
+// against concurrent writers and a reader never observes a half-copied
+// target.
 func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	if newKey == "" || strings.ContainsRune(newKey, '\x00') {
 		return fmt.Errorf("blob key %q: %w", newKey, storage.ErrInvalidArg)
@@ -40,9 +40,9 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 		return fmt.Errorf("blob %q: primary down: %w", oldKey, storage.ErrUnavailable)
 	}
 	// Register the target first (no latch is needed to create), then latch
-	// both descriptors in key order so a concurrent txn.Commit or reverse
-	// rename cannot deadlock against this one. The ungated createBlob: this
-	// op already holds the member gate, and RLock does not nest.
+	// both descriptors in key order so a concurrent reverse rename cannot
+	// deadlock against this one. The ungated createBlob: this op already
+	// holds the member gate, and RLock does not nest.
 	if err := s.createBlob(ctx, newKey); err != nil {
 		return err
 	}
@@ -104,7 +104,7 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	// TestVirtualTwinsPinned caught exactly that). The run
 	// commits direct (RecWrite, no 2PC prepare/commit rounds): the target
 	// is freshly created and doubly latched, so no observer exists to
-	// need transactional isolation — see writeLockedRec. A hole, a short
+	// need transactional isolation — see writeLocked. A hole, a short
 	// chunk, or the run cap flushes.
 	const maxRunChunks = 64
 	var run []byte
@@ -113,7 +113,7 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 		if len(run) == 0 {
 			return nil
 		}
-		_, err := s.writeLockedRec(ctx, newKey, newPrimary, newD, runStart*cs, run, true)
+		_, err := s.writeLocked(ctx, newKey, newPrimary, newD, runStart*cs, run, true)
 		run = nil
 		return err
 	}
@@ -142,7 +142,6 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	// the logical size; install it explicitly with the same descriptor
 	// protocol writeLocked uses for size extension.
 	if newD.size != size {
-		newD.version++
 		newD.size = size
 		s.cluster.MetaOp(ctx.Clock, newPrimary.node, 1)
 		mcg := s.directCharge(ctx)

@@ -52,7 +52,6 @@ var errClasses = []struct {
 	{"closed", storage.ErrClosed},
 	{"stale", storage.ErrStaleHandle},
 	{"unavailable", storage.ErrUnavailable},
-	{"conflict", storage.ErrTxnConflict},
 	{"quota", storage.ErrQuotaExceeded},
 }
 

@@ -57,7 +57,6 @@ var (
 	ErrClosed        = errors.New("storage: handle closed")
 	ErrStaleHandle   = errors.New("storage: stale handle")
 	ErrUnavailable   = errors.New("storage: unavailable")
-	ErrTxnConflict   = errors.New("storage: transaction conflict")
 	ErrQuotaExceeded = errors.New("storage: quota exceeded")
 )
 

@@ -102,7 +102,7 @@ func TestSentinelErrorsDistinct(t *testing.T) {
 	errs := []error{ErrNotFound, ErrExists, ErrNotEmpty, ErrIsDirectory,
 		ErrNotDirectory, ErrPermission, ErrReadOnly, ErrInvalidArg,
 		ErrUnsupported, ErrClosed, ErrStaleHandle, ErrUnavailable,
-		ErrTxnConflict, ErrQuotaExceeded}
+		ErrQuotaExceeded}
 	seen := map[string]bool{}
 	for _, e := range errs {
 		if e == nil {

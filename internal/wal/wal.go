@@ -4,20 +4,18 @@
 // torn or corrupt record, mimicking crash-recovery behaviour of real object
 // stores (RADOS journals, Týr's persistent log).
 //
-// The log writes into any io.Writer (in the simulation, an in-memory buffer
-// whose persistence cost is charged to the virtual disk by the caller), so
-// the package itself is pure and synchronous.
+// The log writes into a RecordWriter (in the simulation, an in-memory
+// buffer whose persistence cost is charged to the virtual disk by the
+// caller), so the package itself is pure and synchronous.
 //
 // # Vectored appends
 //
 // A record's payload often arrives in two pieces: a small caller-encoded
 // header (chunk addressing, descriptor metadata) and a large data segment
-// (the chunk bytes). AppendV and AppendNV accept the pieces separately and,
-// when the target implements RecordWriter, stream prefix, header, and
-// payload to the medium as one vectored write — the data segment is copied
-// exactly once, caller buffer to log medium, with the CRC computed
-// incrementally over the segments. Targets that only implement io.Writer
-// get the same byte stream via a staging buffer. Either way the encoding is
+// (the chunk bytes). AppendV and AppendNV accept the pieces separately and
+// stream prefix, header, and payload to the medium as one vectored write —
+// the data segment is copied exactly once, caller buffer to log medium,
+// with the CRC computed incrementally over the segments. The encoding is
 // bit-identical to the single-buffer appendRecord form, so logs written by
 // any mix of Append/AppendV/AppendNV replay interchangeably.
 //
@@ -69,8 +67,8 @@ const (
 	// resurrect a half-committed write.
 	RecPrepWrite
 	// RecChunkCommit commits every buffered RecPrepWrite for its chunk.
-	// (RecCommit remains the transaction-level marker with a meta payload;
-	// replay skips it.)
+	// (The blob store does not write RecCommit; the type stays because
+	// benchmark/'s small-record probe appends it.)
 	RecChunkCommit
 	// RecRepairNeeded records replication debt for one chunk: a degraded
 	// write succeeded on this replica while peers named in the payload's
@@ -141,11 +139,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt reports a record whose checksum failed during replay.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// RecordWriter is the writev-style log target: WriteV appends the
-// concatenation of the segments as one atomic write, so a vectored record
-// append lands on the medium without the segments being staged into a
-// contiguous buffer first. Buffer implements it; targets that do not are
-// served through a staging fallback producing the identical byte stream.
+// RecordWriter is the log target: WriteV appends the concatenation of the
+// segments as one atomic write, so a vectored record append lands on the
+// medium without the segments being staged into a contiguous buffer first.
+// Buffer and FaultMedium implement it.
 type RecordWriter interface {
 	io.Writer
 	WriteV(segs [][]byte) (int, error)
@@ -154,20 +151,14 @@ type RecordWriter interface {
 // Log is an append-only write-ahead log. Safe for concurrent appends.
 type Log struct {
 	mu      sync.Mutex
-	w       io.Writer
-	rw      RecordWriter // non-nil when w supports vectored writes
+	w       RecordWriter
 	nextLSN uint64
 	bytes   int64
-	// scratch is the per-log reusable encode buffer for non-vectored
-	// targets: records are staged here under mu and written out in one
-	// Write call, so steady-state appends allocate nothing once the buffer
-	// has grown to the working record size.
-	scratch []byte
 	// hdrs stages the fixed 17-byte prefix+header block of each record in
 	// a vectored append (recPrefixLen per record, contiguous). Persistent
 	// so the blocks never escape to a per-call heap allocation.
 	hdrs []byte
-	// segs is the reusable segment list handed to rw.WriteV.
+	// segs is the reusable segment list handed to w.WriteV.
 	segs [][]byte
 	// src, when non-nil, overrides LSN assignment: each record draws its
 	// LSN from this shared counter instead of the log's private nextLSN.
@@ -185,10 +176,8 @@ type Log struct {
 const recPrefixLen = 17
 
 // New returns a log appending to w.
-func New(w io.Writer) *Log {
-	l := &Log{w: w, nextLSN: 1}
-	l.rw, _ = w.(RecordWriter)
-	return l
+func New(w RecordWriter) *Log {
+	return &Log{w: w, nextLSN: 1}
 }
 
 // Append writes one record and returns its LSN and the encoded size in
@@ -198,11 +187,10 @@ func (l *Log) Append(t RecordType, payload []byte) (lsn uint64, n int, err error
 }
 
 // AppendV writes one record whose payload is the concatenation of header
-// and payload, without ever staging the payload segment: on a RecordWriter
-// target the prefix, header, and payload stream to the medium as one
-// vectored write (payload bytes are copied exactly once). Either segment
-// may be nil. The encoded byte stream is bit-identical to
-// Append(t, header||payload).
+// and payload, without ever staging the payload segment: the prefix,
+// header, and payload stream to the medium as one vectored write (payload
+// bytes are copied exactly once). Either segment may be nil. The encoded
+// byte stream is bit-identical to Append(t, header||payload).
 func (l *Log) AppendV(t RecordType, header, payload []byte) (lsn uint64, n int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -215,16 +203,9 @@ func (l *Log) AppendV(t RecordType, header, payload []byte) (lsn uint64, n int, 
 	}
 	l.hdrs = l.hdrs[:recPrefixLen]
 	l.stagePrefix(0, t, lsn, header, payload)
-	if l.rw != nil {
-		l.segs = append(l.segs[:0], l.hdrs[0:recPrefixLen], header, payload)
-		n, err = l.rw.WriteV(l.segs)
-		l.clearSegs()
-	} else {
-		l.scratch = append(l.scratch[:0], l.hdrs[0:recPrefixLen]...)
-		l.scratch = append(l.scratch, header...)
-		l.scratch = append(l.scratch, payload...)
-		n, err = l.w.Write(l.scratch)
-	}
+	l.segs = append(l.segs[:0], l.hdrs[0:recPrefixLen], header, payload)
+	n, err = l.w.WriteV(l.segs)
+	l.clearSegs()
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -243,7 +224,7 @@ type AppendVSpec struct {
 
 // AppendNV is the vectored batch append: the records land atomically with
 // consecutive LSNs in a single write to the target, every record's header
-// and payload segments streaming to a RecordWriter without staging. Byte
+// and payload segments streaming to the target without staging. Byte
 // stream, LSNs, and sizes are identical to calling
 // Append(t, header||payload) per spec. It returns the LSN of the first
 // record and the total encoded size.
@@ -265,22 +246,12 @@ func (l *Log) AppendNV(specs []AppendVSpec) (firstLSN uint64, n int, err error) 
 	for i, sp := range specs {
 		l.stagePrefix(i*recPrefixLen, sp.Type, firstLSN+uint64(i), sp.Header, sp.Payload)
 	}
-	if l.rw != nil {
-		l.segs = l.segs[:0]
-		for i, sp := range specs {
-			l.segs = append(l.segs, l.hdrs[i*recPrefixLen:(i+1)*recPrefixLen], sp.Header, sp.Payload)
-		}
-		n, err = l.rw.WriteV(l.segs)
-		l.clearSegs()
-	} else {
-		l.scratch = l.scratch[:0]
-		for i, sp := range specs {
-			l.scratch = append(l.scratch, l.hdrs[i*recPrefixLen:(i+1)*recPrefixLen]...)
-			l.scratch = append(l.scratch, sp.Header...)
-			l.scratch = append(l.scratch, sp.Payload...)
-		}
-		n, err = l.w.Write(l.scratch)
+	l.segs = l.segs[:0]
+	for i, sp := range specs {
+		l.segs = append(l.segs, l.hdrs[i*recPrefixLen:(i+1)*recPrefixLen], sp.Header, sp.Payload)
 	}
+	n, err = l.w.WriteV(l.segs)
+	l.clearSegs()
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: append batch: %w", err)
 	}

@@ -186,12 +186,6 @@ func TestConcurrentAppendsUniqueLSNs(t *testing.T) {
 	}
 }
 
-// plainWriter hides a Buffer's WriteV so a Log falls back to the staging
-// encode path, which must produce the identical byte stream.
-type plainWriter struct{ b *Buffer }
-
-func (w plainWriter) Write(p []byte) (int, error) { return w.b.Write(p) }
-
 // vOp is one randomized record shape for the vectored-equivalence
 // properties: a type, a header segment, and a payload segment.
 type vOp struct {
@@ -225,21 +219,17 @@ func checkAccounting(t *testing.T, l *Log, lsn uint64, wantLSN uint64, n, wantN 
 }
 
 // TestAppendVMatchesAppendRecord pins the vectored encode paths —
-// AppendV and AppendNV, on both a RecordWriter target and a plain
-// io.Writer fallback — byte-for-byte against the legacy appendRecord
+// AppendV and AppendNV — byte-for-byte against the legacy appendRecord
 // encoding across randomized type/header/payload shapes, including
 // LSN/Size accounting equality.
 func TestAppendVMatchesAppendRecord(t *testing.T) {
 	f := func(ops []vOp) bool {
 		want := legacyStream(ops)
 
-		// AppendV, vectored target.
+		// AppendV.
 		var vb Buffer
 		vl := New(&vb)
-		// AppendV, fallback (staging) target.
-		var fb Buffer
-		fl := New(plainWriter{&fb})
-		// AppendNV, vectored target, one atomic batch.
+		// AppendNV, one atomic batch.
 		var nb Buffer
 		nl := New(&nb)
 		specs := make([]AppendVSpec, 0, len(ops))
@@ -252,11 +242,6 @@ func TestAppendVMatchesAppendRecord(t *testing.T) {
 				return false
 			}
 			checkAccounting(t, vl, lsn, uint64(i+1), n, recLen)
-			lsn, n, err = fl.AppendV(RecordType(op.T), op.Header, op.Payload)
-			if err != nil {
-				return false
-			}
-			checkAccounting(t, fl, lsn, uint64(i+1), n, recLen)
 			specs = append(specs, AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload})
 			off += recLen
 		}
@@ -266,14 +251,14 @@ func TestAppendVMatchesAppendRecord(t *testing.T) {
 				return false
 			}
 		}
-		for name, b := range map[string]*Buffer{"AppendV": &vb, "AppendV-fallback": &fb, "AppendNV": &nb} {
+		for name, b := range map[string]*Buffer{"AppendV": &vb, "AppendNV": &nb} {
 			if got := readerBytes(t, b); !bytes.Equal(got, want) {
 				t.Logf("%s stream diverges from appendRecord (%d vs %d bytes)", name, len(got), len(want))
 				return false
 			}
 		}
 		// Size/NextLSN accounting must agree with the reference stream.
-		for _, l := range []*Log{vl, fl, nl} {
+		for _, l := range []*Log{vl, nl} {
 			if l.Size() != int64(len(want)) || l.NextLSN() != uint64(len(ops)+1) {
 				return false
 			}

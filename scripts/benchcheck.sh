@@ -22,7 +22,9 @@
 # internal/bench, whose pinned virtual twins (TestVirtualTwinsPinned)
 # drive pooled dispatch through blobfs and s3gw;
 # -shuffle=on randomizes test order so accidental
-# inter-test state dependencies cannot hide a regression. Each wal,
+# inter-test state dependencies cannot hide a regression. Every root
+# bench_test.go benchmark then runs once (-benchtime 1x), so its b.Fatal
+# checks execute, not just compile. Each wal,
 # blob, and fstest fuzz target then runs for a short fixed budget —
 # FuzzReplayMerged covers lane interleavings, per-lane torn tails, and
 # checkpoint-then-append resets on top of the single-stream battery, the
@@ -78,6 +80,7 @@ go vet ./...
 go test -race -shuffle=on ./internal/blob/... ./internal/sim/... ./internal/cluster/... ./internal/wal/... ./internal/core/... ./internal/storage/... ./internal/kvstore/... \
 	./internal/fstest/... ./internal/blobfs/... ./internal/fs/... ./internal/mpi/... ./internal/mpiio/... ./internal/workloads/... ./internal/h5/... ./internal/adios/... ./internal/s3gw/... ./internal/sparksim/... \
 	./internal/bench/...
+go test -run '^$' -bench . -benchtime 1x .
 for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
 	for fz in $(go test -run '^$' -list '^Fuzz' "$pkg" | grep '^Fuzz'); do
 		go test -run '^$' -fuzz "^${fz}\$" -fuzztime 10s "$pkg"
