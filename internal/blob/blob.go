@@ -66,11 +66,15 @@
 // The store keeps serving through node failures and heals on rejoin. One
 // rule decides freshness everywhere (survey.go): chunk versions. A write is
 // versioned one past the highest version any non-wiped server holds and
-// applies only onto replicas holding exactly the version before it; every
+// applies only onto replicas holding exactly the version before it. A delete
+// or shrinking truncate is versioned the same way: a dropped chunk leaves a
+// tombstone on every owner, a version with no bytes that reads as a hole, and
+// a trimmed one takes the new version on the copies at the maximum. Every
 // other way a replica changes — repair, rejoin resync, migration — is a
-// whole-chunk replace at its source's version (installChunk). So the highest
-// version of a chunk always holds every acknowledged byte, and a replica may
-// serve a read, or seed a copy, exactly when it holds that maximum. Soft-down
+// whole-chunk replace at its source's version (installChunk), tombstones
+// included. So chunk versions never go backwards, the highest version of a
+// chunk always holds every acknowledged byte, and a replica may serve a read,
+// or seed a copy, exactly when it holds that maximum. Soft-down
 // servers keep their memory (the stand-in for monitor-layer peering
 // metadata) and count toward the maximum, crash-wiped ones do not; a read
 // with no live holder at the maximum fails with storage.ErrUnavailable
@@ -104,11 +108,14 @@
 //
 // Rejoin resync. Recover additionally version-syncs the replayed state
 // against live peers BEFORE rejoining (resyncNode): a torn lane tail can
-// discard acknowledged writes together with the very debt records that
-// named them, so version comparison is the only witness left. It pulls what
-// peers hold newer, lists peers behind the replayed log, and drops replayed
-// chunks that live desc-owner peers say were deleted or truncated away
-// rather than spreading the resurrection back.
+// discard acknowledged writes, deletes and truncates together with the very
+// debt records that named them, so version comparison is the only witness
+// left. It pulls what peers hold newer — a tombstone like any copy — and
+// lists peers behind the replayed log.
+//
+// Tombstones live until a CheckpointAll finds every server up and the store
+// clean with no migration intent open: that run rewrites every log without
+// the older incarnations a tombstone exists to outrank, so it forgets them.
 //
 // Fault injection enters at two layers: wal.FaultMedium injects clean
 // errors, torn writes, and slow writes under the log (WAL-layer tests),
@@ -426,12 +433,13 @@ const vnodes = 64
 // chunkStripe is one lock-striped shard of a server's chunk table.
 type chunkStripe struct {
 	mu sync.RWMutex
-	m  map[chunkID][]byte
+	// m holds the chunk bytes; an entry with none is a tombstone.
+	m map[chunkID][]byte
 	// ver holds the replica-comparable version of each chunk this server
-	// stores: assigned by the writer as one more than the highest version
-	// any server held, installed identically on every replica that applied
-	// the write, and persisted in the chunk's WAL records. It is the one
-	// freshness witness (survey.go).
+	// stores: assigned by a write, delete or truncate as one more than the
+	// highest version any server held, installed identically on every
+	// replica that applied it, and persisted in the chunk's WAL records. It
+	// is the one freshness witness (survey.go).
 	ver map[chunkID]uint64
 	// debt maps a chunk to the bitmask of node IDs known to be behind this
 	// holder's copy — the repair work list (repair.go). Every mutation is
@@ -531,34 +539,47 @@ func (sv *server) setDebtLocked(st *chunkStripe, id chunkID, mask uint64) {
 	st.debt[id] = mask
 }
 
-func (sv *server) deleteChunk(h uint64, id chunkID) {
+// deleteChunk applies a RecChunkDelete at ver to memory, as replay does: ver 0
+// removes the copy outright (a stray's drop), any other ver leaves a tombstone
+// at that version. Debt goes either way.
+func (sv *server) deleteChunk(h uint64, id chunkID, ver uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
-	delete(st.m, id)
-	delete(st.ver, id)
-	sv.setDebtLocked(st, id, 0)
+	sv.deleteChunkLocked(st, id, ver)
 	st.mu.Unlock()
 }
 
-// trimChunk shortens the chunk to keep bytes if it is longer.
-func (sv *server) trimChunk(h uint64, id chunkID, keep int64) {
+func (sv *server) deleteChunkLocked(st *chunkStripe, id chunkID, ver uint64) {
+	if ver == 0 {
+		delete(st.m, id)
+		delete(st.ver, id)
+	} else {
+		st.m[id] = nil
+		st.ver[id] = max(st.ver[id], ver)
+	}
+	sv.setDebtLocked(st, id, 0)
+}
+
+// trimChunk applies a RecChunkTruncate to memory, as replay does: a held
+// chunk is cut to keep bytes and raised to ver.
+func (sv *server) trimChunk(h uint64, id chunkID, keep int64, ver uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
-	if c, ok := st.m[id]; ok && int64(len(c)) > keep {
-		st.m[id] = c[:keep]
+	if c, ok := st.m[id]; ok {
+		st.m[id] = c[:min(int64(len(c)), keep)]
+		st.ver[id] = max(st.ver[id], ver)
 	}
 	st.mu.Unlock()
 }
 
-// chunkCount sums the stripes.
+// chunkCount sums the chunks holding bytes; tombstones do not count.
 func (sv *server) chunkCount() int {
 	n := 0
-	for i := range sv.stripes {
-		st := &sv.stripes[i]
-		st.mu.RLock()
-		n += len(st.m)
-		st.mu.RUnlock()
-	}
+	sv.forEachChunk(func(_ chunkID, data []byte, _ uint64) {
+		if len(data) > 0 {
+			n++
+		}
+	})
 	return n
 }
 
@@ -896,9 +917,9 @@ func (s *Store) replicateDesc(ctx *storage.Context, key string, replicas []int, 
 	fan.join(ctx)
 }
 
-// DeleteBlob removes the blob's descriptor and all chunk replicas. Chunk
-// deletion records bound for the same server are batched into one WAL
-// append.
+// DeleteBlob removes the blob's descriptor and drops every chunk to a
+// tombstone. Chunk deletion records bound for the same server are batched
+// into one WAL append.
 func (s *Store) DeleteBlob(ctx *storage.Context, key string) error {
 	s.member.RLock()
 	defer s.member.RUnlock()
@@ -925,15 +946,7 @@ func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, 
 	// Drop chunk replicas, recording each removal durably; records are
 	// grouped per server and logged with one batched append each.
 	batch := newWalBatch(s)
-	for idx := int64(0); idx < nChunks; idx++ {
-		id := chunkID{key, idx}
-		h := id.ringHash()
-		for _, o := range s.ownersForHash(h) {
-			sv := s.servers[o]
-			sv.deleteChunk(h, id)
-			batch.addChunk(sv, wal.RecChunkDelete, h, id, 0, 0, nil)
-		}
-	}
+	s.tombstoneChunks(batch, key, 0, nChunks)
 	batch.flush(ctx)
 	// Drop descriptor replicas, then the primary copy.
 	cg := s.directCharge(ctx)
@@ -945,6 +958,25 @@ func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, 
 		s.walAppendMeta(&cg, sv, wal.RecDelete, key, 0)
 	}
 	return nil
+}
+
+// tombstoneChunks drops chunks [from, to) of key on every owner, staging the
+// records into batch. Each chunk is surveyed like a write and dropped at one
+// past the highest version any non-wiped server holds, so what every owner
+// keeps is a tombstone that outranks any older copy — one a torn log replays,
+// or a stray's still in flight — and is itself what a behind replica pulls.
+func (s *Store) tombstoneChunks(batch *walBatch, key string, from, to int64) {
+	for idx := from; idx < to; idx++ {
+		id := chunkID{key, idx}
+		h := id.ringHash()
+		var buf [8]replica
+		ver := s.surveyChunk(h, id, buf[:]).max + 1
+		for _, o := range s.ownersForHash(h) {
+			sv := s.servers[o]
+			sv.deleteChunk(h, id, ver)
+			batch.addChunk(sv, wal.RecChunkDelete, h, id, 0, ver, nil)
+		}
+	}
 }
 
 // BlobSize reports the blob's size from its primary descriptor.

@@ -51,7 +51,10 @@ func decMeta(p []byte) (key string, size int64, err error) {
 // appendChunkHeader encodes the addressing header of a chunk record: the
 // whole payload minus the chunk data, which the vectored WAL append carries
 // as its own segment. ver is the replica-comparable chunk version installed
-// by the mutation (RecRepairNeeded reuses the slot for its debt mask).
+// by the mutation — a RecChunkDelete's is its tombstone's, and 0 there is a
+// stray's drop that leaves none; a RecChunkTruncate's is what the trim
+// stamps, 0 when it stamps nothing — and RecRepairNeeded reuses the slot for
+// its debt mask.
 func appendChunkHeader(dst []byte, id chunkID, within int64, ver uint64) []byte {
 	var u16 [2]byte
 	binary.LittleEndian.PutUint16(u16[:], uint16(len(id.key)))

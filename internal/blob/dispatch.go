@@ -136,9 +136,7 @@
 //     therefore never need — and must never take — a descriptor latch;
 //     like repair tasks they touch only stripe locks, server maps, and WAL
 //     lanes (installChunk and dropChunk on the chunk's natural lane, through
-//     the accounted append path). revalidateBatch, which does read the
-//     latch to re-check blob extents, runs on the batch CALLER after join,
-//     never in a task.
+//     the accounted append path).
 //     (enforced: blobvet/workerlatch — migrateChunk is in the
 //     task-reachable graph, where latch takes are flagged; blobvet/walappend
 //     keeps walAppendLane and checkpointLane the only direct lane writers)

@@ -440,7 +440,7 @@ func TestTraceOffAllocatesNothing(t *testing.T) {
 		s.installChunk(&cg, sv, h, id, data, ver)
 		s.recordDebt(&cg, sv, h, id, 2)
 		s.clearDebt(&cg, sv, h, id, 2, ver)
-		s.dropChunk(&cg, sv, h, id)
+		s.dropChunk(&cg, sv, h, id, ver)
 	}
 	for i := 0; i < 64; i++ {
 		step() // warm the header pool, the stripe maps and the lane's slab
@@ -481,7 +481,7 @@ func TestStripeLockedAppendsShareOneLane(t *testing.T) {
 				// AppendNV batch, a growing one a single AppendV.
 				s.installChunk(&cg, sv, h, id, pattern(w*rounds+r, 1+(r*7+w)%64), uint64(r))
 				if (r+w)%5 == 0 {
-					s.dropChunk(&cg, sv, h, id)
+					s.dropChunk(&cg, sv, h, id, uint64(r))
 				}
 			}
 		}(w, id)

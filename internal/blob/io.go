@@ -504,10 +504,10 @@ func applyChunk(sv *server, h uint64, id chunkID, within int64, data []byte, ver
 }
 
 // TruncateBlob sets the blob's size. Shrinking drops whole chunks past the
-// new end and trims the boundary chunk; growing is sparse (reads return
-// zeros). Truncating to the current size is a pure metadata probe: after
-// the lookup charge it changes nothing — no WAL record, no descriptor
-// replication.
+// new end to tombstones and trims the boundary chunk, each at a new version;
+// growing is sparse (reads return zeros). Truncating to the current size is
+// a pure metadata probe: after the lookup charge it changes nothing — no WAL
+// record, no descriptor replication.
 func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("truncate %q to %d: %w", key, size, storage.ErrInvalidArg)
@@ -534,25 +534,23 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 		oldChunks := (d.size + cs - 1) / cs
 		keepChunks := (size + cs - 1) / cs
 		batch := newWalBatch(s)
-		for idx := keepChunks; idx < oldChunks; idx++ {
-			id := chunkID{key, idx}
-			h := id.ringHash()
-			for _, o := range s.ownersForHash(h) {
-				sv := s.servers[o]
-				sv.deleteChunk(h, id)
-				batch.addChunk(sv, wal.RecChunkDelete, h, id, 0, 0, nil)
-			}
-		}
-		// Trim the boundary chunk.
+		s.tombstoneChunks(batch, key, keepChunks, oldChunks)
+		// Trim the boundary chunk at a new version, like a write, on every
+		// copy at the maximum — a stray's too, or a migration could install
+		// its untrimmed bytes. A copy behind it keeps its version, to be
+		// replaced whole by whoever catches it up.
 		if keepChunks > 0 {
 			idx := keepChunks - 1
 			keep := size - idx*cs
 			id := chunkID{key, idx}
 			h := id.ringHash()
-			for _, o := range s.ownersForHash(h) {
-				sv := s.servers[o]
-				sv.trimChunk(h, id, keep)
-				batch.addChunk(sv, wal.RecChunkTruncate, h, id, keep, 0, nil)
+			var buf [8]replica
+			sy := s.surveyChunk(h, id, buf[:])
+			for _, r := range sy.reps {
+				if !r.wiped && r.ver == sy.max {
+					r.sv.trimChunk(h, id, keep, sy.max+1)
+					batch.addChunk(r.sv, wal.RecChunkTruncate, h, id, keep, sy.max+1, nil)
+				}
 			}
 		}
 		batch.flush(ctx)

@@ -387,30 +387,20 @@ func (s *Store) migrationPlan() []migMove {
 	return moves
 }
 
-// migCopy is one install a chunk's migration task made: what revalidateBatch
-// needs to find it again.
-type migCopy struct {
-	sv  *server
-	ver uint64
-	n   int // bytes installed
-}
-
 // runBatch moves one bounded batch of chunks: a batch is what the throttle
 // debits and the hook observes, nothing more — every record a task appends is
 // durable and self-contained on its own.
 func (s *Store) runBatch(ctx *storage.Context, cg *charge, moves []migMove) {
-	copies := make([][]migCopy, len(moves))
 	fan := s.newFan()
-	for i := range moves {
+	for _, mv := range moves {
 		t := fan.task(taskFunc)
 		t.fn = func(tcg *charge) error {
-			copies[i] = s.migrateChunk(tcg, moves[i])
+			s.migrateChunk(tcg, mv)
 			return nil
 		}
 		fan.spawn(t)
 	}
 	fan.join(ctx)
-	s.revalidateBatch(cg, moves, copies)
 	// Whoever the batch left behind (a faulted or wiped-then-recovered target,
 	// a source that was down) goes on the work list; a dropped stray's own
 	// entries went with its copy and are re-derived here from versions.
@@ -424,21 +414,22 @@ func (s *Store) runBatch(ctx *storage.Context, cg *charge, moves []migMove) {
 // highest-version surviving copy is installed on every reachable owner behind
 // it, and holders outside the replica set drop theirs once an owner holds
 // those bytes — installs before drops, in memory and in the logs, so a racing
-// survey never loses sight of the maximum and neither does a crash.
-func (s *Store) migrateChunk(cg *charge, mv migMove) []migCopy {
+// survey never loses sight of the maximum and neither does a crash. A copy
+// taken before a concurrent delete or truncate is older than the version that
+// op stamps, so the install guard refuses it.
+func (s *Store) migrateChunk(cg *charge, mv migMove) {
 	h, id := mv.h, mv.id
 	sy := s.surveyChunk(h, id, nil)
 	src := sy.source(nil, true)
 	if src == nil || s.faultCheck(cg, src.sv.node, cluster.FaultDiskRead) != nil {
-		return nil // nothing readable this round: every copy stays put
+		return // nothing readable this round: every copy stays put
 	}
 	data, srcVer, ok := src.sv.copyChunk(h, id)
 	if !ok {
-		return nil // raced a concurrent delete
+		return // the source lost its copy meanwhile
 	}
 	// One source read serves every destination.
 	cg.diskRead(src.sv.node, len(data))
-	var copies []migCopy
 	reached := false
 	for i := range sy.reps {
 		r := &sy.reps[i]
@@ -456,57 +447,14 @@ func (s *Store) migrateChunk(cg *charge, mv migMove) []migCopy {
 			continue
 		}
 		// Each target owns its slice: applyChunk writes in place.
-		if _, installed := s.installChunk(cg, r.sv, h, id, append([]byte(nil), data...), srcVer); installed {
-			copies = append(copies, migCopy{sv: r.sv, ver: srcVer, n: len(data)})
-		}
+		s.installChunk(cg, r.sv, h, id, append([]byte(nil), data...), srcVer)
 		reached = true
 	}
 	// Holders outside the replica set drop their copy — but never the last
 	// copy of a version no owner holds yet.
 	for i := range sy.reps {
 		if r := &sy.reps[i]; !r.owner && reached && r.ver <= srcVer {
-			s.dropChunk(cg, r.sv, h, id)
-		}
-	}
-	return copies
-}
-
-// revalidateBatch re-checks each installed chunk against its blob's current
-// extent once the batch's tasks have joined. The copy source may have been a
-// holder that missed a concurrent DeleteBlob or TruncateBlob (those fan out to
-// the owners of record, and a stray holder is no longer one), so an install
-// can resurrect bytes past the blob's end; the fix-ups here are logged plainly
-// (RecChunkDelete / RecChunkTruncate) so replay converges to the same state.
-func (s *Store) revalidateBatch(cg *charge, moves []migMove, copies [][]migCopy) {
-	for i, mv := range moves {
-		if len(copies[i]) == 0 {
-			continue
-		}
-		h, id := mv.h, mv.id
-		_, d, err := s.primaryDesc(id.key)
-		keep := int64(0)
-		if err == nil {
-			d.latch.RLock()
-			size := d.size
-			d.latch.RUnlock()
-			keep = size - id.idx*int64(s.cfg.ChunkSize)
-		}
-		if keep >= int64(s.cfg.ChunkSize) {
-			continue
-		}
-		// Touch the installs we made, and only those: the version check skips
-		// chunks a newer write has since replaced.
-		for _, c := range copies[i] {
-			if c.sv.chunkVer(h, id) != c.ver {
-				continue
-			}
-			if keep <= 0 {
-				// Blob deleted (or truncated away) while the copy was in flight.
-				s.dropChunk(cg, c.sv, h, id)
-			} else if int64(c.n) > keep {
-				c.sv.trimChunk(h, id, keep)
-				s.walAppendChunk(cg, c.sv, wal.RecChunkTruncate, h, id, keep, 0, nil)
-			}
+			s.dropChunk(cg, r.sv, h, id, srcVer)
 		}
 	}
 }

@@ -194,12 +194,19 @@ func (s *Store) Recover(node cluster.NodeID) error {
 			delete(blobs, key)
 			return nil
 		case wal.RecChunkDelete:
-			id, _, _, _, err := decChunkPayload(rec.Payload)
+			// As server.deleteChunk: version 0 is a stray's drop, anything
+			// else a tombstone.
+			id, _, ver, _, err := decChunkPayload(rec.Payload)
 			if err != nil {
 				return err
 			}
-			delete(chunks, id)
-			delete(vers, id)
+			if ver == 0 {
+				delete(chunks, id)
+				delete(vers, id)
+			} else {
+				chunks[id] = nil
+				vers[id] = max(vers[id], ver)
+			}
 			delete(debt, id)
 			return nil
 		case wal.RecTruncate:
@@ -212,12 +219,13 @@ func (s *Store) Recover(node cluster.NodeID) error {
 			}
 			return nil
 		case wal.RecChunkTruncate:
-			id, keep, _, _, err := decChunkPayload(rec.Payload)
+			id, keep, ver, _, err := decChunkPayload(rec.Payload)
 			if err != nil {
 				return err
 			}
-			if c, ok := chunks[id]; ok && int64(len(c)) > keep {
-				chunks[id] = c[:keep]
+			if c, ok := chunks[id]; ok {
+				chunks[id] = c[:min(int64(len(c)), keep)]
+				vers[id] = max(vers[id], ver)
 			}
 			return nil
 		case wal.RecMigrateBegin:
@@ -377,8 +385,9 @@ type ckptDebt struct {
 // The plan holds live chunk slices by reference; the quiescence the
 // checkpoint requires (no concurrent mutations, the Crash/Recover
 // discipline) is what keeps them stable until the lane writers have
-// streamed them out.
-func (sv *server) checkpointPlan() []ckptLane {
+// streamed them out. With forget set, tombstones leave memory instead of
+// entering the plan.
+func (sv *server) checkpointPlan(forget bool) []ckptLane {
 	sv.mu.Lock()
 	if sv.down {
 		sv.mu.Unlock()
@@ -398,10 +407,20 @@ func (sv *server) checkpointPlan() []ckptLane {
 		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, sv.blobs[key].size})
 	}
 	sv.mu.Unlock()
-	sv.forEachChunk(func(id chunkID, data []byte, ver uint64) {
-		lane := sv.chunkLane(id.ringHash())
-		plan[lane].chunks = append(plan[lane].chunks, ckptChunk{id, ver, data})
-	})
+	for i := range sv.stripes {
+		st := &sv.stripes[i]
+		st.mu.Lock()
+		for id, data := range st.m {
+			if forget && len(data) == 0 {
+				sv.deleteChunkLocked(st, id, 0)
+				continue
+			}
+			lane := sv.chunkLane(id.ringHash())
+			//blobvet:allow virtualtime each lane's chunk list is sorted by chunk ID below, before any record streams
+			plan[lane].chunks = append(plan[lane].chunks, ckptChunk{id, st.ver[id], data})
+		}
+		st.mu.Unlock()
+	}
 	// Outstanding repair debt must survive the compaction: re-log each
 	// chunk's current mask so a crash between checkpoint and repair still
 	// recovers knowing which replicas owe copies.
@@ -454,7 +473,11 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 	}
 	for _, c := range plan.chunks {
 		*bp = appendChunkHeader((*bp)[:0], c.id, 0, c.ver)
-		appendOne(wal.RecWrite, c.data)
+		if len(c.data) == 0 {
+			appendOne(wal.RecChunkDelete, nil) // a tombstone
+		} else {
+			appendOne(wal.RecWrite, c.data)
+		}
 	}
 	for _, d := range plan.debts {
 		// RecRepairNeeded reuses the chunk header with the mask in the
@@ -467,8 +490,8 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 }
 
 // CheckpointAll rewrites every live server's write-ahead log as a snapshot of
-// its volatile state — one record per descriptor, chunk replica and debt
-// entry — and drops the old content, bounding log growth the way object
+// its volatile state — one record per descriptor, chunk replica, tombstone and
+// debt entry — and drops the old content, bounding log growth the way object
 // stores compact their journals; recovery replays the snapshot exactly. Down
 // servers are skipped (their WAL is their only state). The store must be
 // quiescent, the discipline Crash and Recover require. Each lane's records
@@ -476,15 +499,24 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 // every (server, lane) pair is one pool job — rather than nesting per-server
 // parallelDo calls inside pool workers, which the dispatch contract forbids
 // (a worker blocking on a nested pool wait can deadlock a saturated pool).
+//
+// A tombstone exists to outrank older copies of its chunk, in memory or in a
+// log. When every server is up, the store is clean and no migration intent is
+// open, every owner holds the tombstone and this run rewrites every log
+// without the older copies, so the tombstones are forgotten, not re-logged.
 func (s *Store) CheckpointAll() {
 	type laneJob struct {
 		sv   *server
 		plan *ckptLane
 		lane int
 	}
+	forget := s.clean() && s.migIntent.Load() == nil
+	for _, sv := range s.servers {
+		forget = forget && !sv.isDown()
+	}
 	var jobs []laneJob
 	for _, sv := range s.servers {
-		plan := sv.checkpointPlan()
+		plan := sv.checkpointPlan(forget)
 		for lane := range plan {
 			if plan[lane].empty() {
 				continue
@@ -522,13 +554,14 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 //
 //  1. every descriptor on a primary is present on all of its replicas with
 //     the same size;
-//  2. every chunk replica an owner holds belongs to a live blob and lies
-//     within its size;
+//  2. every chunk an owner holds belongs to a live blob and lies within its
+//     size, unless the chunk's maximum version is a tombstone, which has no
+//     extent;
 //  3. version honesty: all holders of a chunk's maximum version (strays
-//     included) hold identical bytes;
-//  4. work-list completeness: an owner may sit behind that maximum only
-//     while some repair-debt entry names it — a behind owner nobody lists
-//     would look clean to the read path.
+//     included, a tombstone counting as a version) hold identical bytes;
+//  4. work-list completeness: an owner may sit behind that maximum — a
+//     tombstone's too — only while some repair-debt entry names it: a behind
+//     owner nobody lists would look clean to the read path.
 //
 // Crash-wiped servers are skipped: nothing can be said about them until they
 // recover. It returns a description of the first violation found, or "".
@@ -606,15 +639,17 @@ func (s *Store) CheckInvariants() string {
 		if !ownerHeld {
 			continue // strays only: the next sweep reconciles them
 		}
-		_, d, err := s.primaryDesc(id.key)
-		if err != nil {
-			return fmt.Sprintf("chunk %d of %q has no live blob", id.idx, id.key)
-		}
-		d.latch.RLock()
-		size := d.size
-		d.latch.RUnlock()
-		if id.idx*int64(s.cfg.ChunkSize) >= size {
-			return fmt.Sprintf("chunk %d of %q lies beyond blob size %d", id.idx, id.key, size)
+		if len(refData) > 0 {
+			_, d, err := s.primaryDesc(id.key)
+			if err != nil {
+				return fmt.Sprintf("chunk %d of %q has no live blob", id.idx, id.key)
+			}
+			d.latch.RLock()
+			size := d.size
+			d.latch.RUnlock()
+			if id.idx*int64(s.cfg.ChunkSize) >= size {
+				return fmt.Sprintf("chunk %d of %q lies beyond blob size %d", id.idx, id.key, size)
+			}
 		}
 		for _, o := range owners {
 			sv := s.servers[o]

@@ -15,9 +15,9 @@
 //     the pre-write state back on every replica.
 //   - TestRecoveryEquivalenceRandomized drives randomized workloads
 //     (random lane counts, op mixes, concurrent fan-out 2PC) and
-//     randomized tears/corruption, then requires the two recovery paths
-//     to agree on every node: same error class, same descriptors, same
-//     chunk bytes, same repaired lane media.
+//     randomized tears/corruption, then crashes the whole cluster and
+//     requires the two recovery paths to agree on every node: same error
+//     class, same descriptors, same chunk bytes, same repaired lane media.
 //
 // All three exploit that the two paths share the merge engine and differ
 // only in decode staging — so any divergence is a real pipeline bug, not
@@ -89,69 +89,86 @@ func captureNode(sv *server) nodeState {
 	return st
 }
 
-// compareRecoveryModes crashes and recovers one node twice from identical
-// media — parallel pipeline first, then the serial oracle — and requires
-// both outcomes to match exactly: error class, descriptors, chunk bytes,
-// and repaired lane media. The node is left recovered (or down, if both
-// paths report corruption).
-func compareRecoveryModes(t *testing.T, s *Store, node int) {
+// compareRecoveryModes crashes the whole cluster twice from the same lane
+// images — every server's media as it stood on entry — and recovers every
+// server in node order with last moved to the end: once through the parallel
+// pipeline, once through the serial oracle. The two passes must agree on every
+// server: error class, descriptors, chunk bytes and repaired lane media. Fans
+// run inline meanwhile, so a repair pass appends in one order both times. The
+// cluster is left as the serial pass recovered it; a server both paths found
+// corrupt stays down.
+func compareRecoveryModes(t *testing.T, s *Store, last int) {
 	t.Helper()
-	sv := s.servers[node]
-	full := captureLanes(sv)
-
-	s.cfg.SerialRecovery = false
-	s.Crash(cluster.NodeID(node))
-	errP := s.Recover(cluster.NodeID(node))
-	var stP nodeState
-	if errP == nil {
-		stP = captureNode(sv)
-	}
-
-	restoreLanes(sv, full)
-	s.cfg.SerialRecovery = true
-	s.Crash(cluster.NodeID(node))
-	errS := s.Recover(cluster.NodeID(node))
-	s.cfg.SerialRecovery = false
-
-	if (errP == nil) != (errS == nil) {
-		t.Fatalf("node %d: recovery outcomes diverge: parallel %v, serial %v", node, errP, errS)
-	}
-	if errP != nil {
-		if !errors.Is(errP, wal.ErrCorrupt) || !errors.Is(errS, wal.ErrCorrupt) {
-			t.Fatalf("node %d: non-corruption recovery errors: parallel %v, serial %v", node, errP, errS)
+	images := captureAllLanes(s)
+	order := make([]int, 0, len(s.servers))
+	for node := range s.servers {
+		if node != last {
+			order = append(order, node)
 		}
-		return
 	}
-	stS := captureNode(sv)
-	if !reflect.DeepEqual(stP.descs, stS.descs) {
-		t.Fatalf("node %d: descriptors diverge between parallel and serial recovery:\nparallel %v\nserial   %v",
-			node, stP.descs, stS.descs)
+	order = append(order, last)
+	inline := s.cfg.InlineFanout
+	s.cfg.InlineFanout = true
+	defer func() { s.cfg.InlineFanout, s.cfg.SerialRecovery = inline, false }()
+	pass := func(serial bool) ([]error, []nodeState) {
+		restoreAllLanes(s, images)
+		for node := range s.servers {
+			s.Crash(cluster.NodeID(node))
+		}
+		s.cfg.SerialRecovery = serial
+		errs := make([]error, len(s.servers))
+		for _, node := range order {
+			errs[node] = s.Recover(cluster.NodeID(node))
+		}
+		states := make([]nodeState, len(s.servers))
+		for node, sv := range s.servers {
+			states[node] = captureNode(sv)
+		}
+		return errs, states
 	}
-	if !reflect.DeepEqual(stP.chunks, stS.chunks) {
-		t.Fatalf("node %d: chunk tables diverge between parallel and serial recovery", node)
-	}
-	if !reflect.DeepEqual(stP.lanes, stS.lanes) {
-		dump := func(raw string) []string {
-			var out []string
-			dec := wal.NewDecoder(bytes.NewReader([]byte(raw)))
-			for {
-				rec, _, done, err := dec.Next()
-				if err != nil || done {
-					if err != nil {
-						out = append(out, fmt.Sprintf("ERR:%v", err))
+	errsP, statesP := pass(false)
+	errsS, statesS := pass(true)
+	for node := range s.servers {
+		errP, errS, stP, stS := errsP[node], errsS[node], statesP[node], statesS[node]
+		if (errP == nil) != (errS == nil) {
+			t.Fatalf("node %d: recovery outcomes diverge: parallel %v, serial %v", node, errP, errS)
+		}
+		if errP != nil {
+			if !errors.Is(errP, wal.ErrCorrupt) || !errors.Is(errS, wal.ErrCorrupt) {
+				t.Fatalf("node %d: non-corruption recovery errors: parallel %v, serial %v", node, errP, errS)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(stP.descs, stS.descs) {
+			t.Fatalf("node %d: descriptors diverge between parallel and serial recovery:\nparallel %v\nserial   %v",
+				node, stP.descs, stS.descs)
+		}
+		if !reflect.DeepEqual(stP.chunks, stS.chunks) {
+			t.Fatalf("node %d: chunk tables diverge between parallel and serial recovery", node)
+		}
+		if !reflect.DeepEqual(stP.lanes, stS.lanes) {
+			dump := func(raw string) []string {
+				var out []string
+				dec := wal.NewDecoder(bytes.NewReader([]byte(raw)))
+				for {
+					rec, _, done, err := dec.Next()
+					if err != nil || done {
+						if err != nil {
+							out = append(out, fmt.Sprintf("ERR:%v", err))
+						}
+						return out
 					}
-					return out
+					out = append(out, fmt.Sprintf("%v/lsn%d/%dB", rec.Type, rec.LSN, len(rec.Payload)))
 				}
-				out = append(out, fmt.Sprintf("%v/lsn%d/%dB", rec.Type, rec.LSN, len(rec.Payload)))
 			}
-		}
-		for i := range stP.lanes {
-			if stP.lanes[i] != stS.lanes[i] {
-				t.Logf("lane %d parallel: %v", i, dump(stP.lanes[i]))
-				t.Logf("lane %d serial:   %v", i, dump(stS.lanes[i]))
+			for i := range stP.lanes {
+				if stP.lanes[i] != stS.lanes[i] {
+					t.Logf("lane %d parallel: %v", i, dump(stP.lanes[i]))
+					t.Logf("lane %d serial:   %v", i, dump(stS.lanes[i]))
+				}
 			}
+			t.Fatalf("node %d: repaired lane media diverge between parallel and serial recovery", node)
 		}
-		t.Fatalf("node %d: repaired lane media diverge between parallel and serial recovery", node)
 	}
 }
 
@@ -663,8 +680,6 @@ func TestRecoveryEquivalenceRandomized(t *testing.T) {
 				}
 			}
 		}
-		for node := range s.servers {
-			compareRecoveryModes(t, s, node)
-		}
+		compareRecoveryModes(t, s, len(s.servers)-1)
 	}
 }

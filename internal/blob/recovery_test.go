@@ -134,7 +134,9 @@ func TestRecoveredStateIdenticalToLive(t *testing.T) {
 		}
 	}
 	sv.mu.RUnlock()
-	if got := sv.chunkCount(); got != len(liveChunks) {
+	got := 0 // chunks and tombstones
+	sv.forEachChunk(func(chunkID, []byte, uint64) { got++ })
+	if got != len(liveChunks) {
 		t.Fatalf("chunk count after recovery = %d, want %d", got, len(liveChunks))
 	}
 	for id, c := range liveChunks {

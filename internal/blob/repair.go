@@ -20,9 +20,11 @@ import (
 //     owner that applied it, the owners it excluded. An entry for target T on
 //     holder H clears once ver(T) ≥ ver(H).
 //   - the rejoin sweep (resyncNode): a crash can tear a WAL lane tail and drop
-//     acknowledged writes — and the debt records naming them — so Recover
-//     compares versions with the live peers BEFORE marking the node up, pulls
-//     what is newer, and lists whoever is left behind (oweBehind).
+//     acknowledged writes, deletes and truncates — and the debt records
+//     naming them — so Recover compares versions with the live peers BEFORE
+//     marking the node up, pulls what is newer, and lists whoever is left
+//     behind (oweBehind). A node that replays a chunk its peers dropped holds
+//     an older version than their tombstone, so it simply pulls the tombstone.
 //   - the ring diff (rebalance.go), which throttles its installs in batches.
 //
 // All run on the dispatch pool as ordinary fan tasks and obey the dispatch.go
@@ -221,15 +223,15 @@ func (s *Store) oweBehind(cg *charge, h uint64, id chunkID, sy *chunkSurvey) {
 	}
 }
 
-// resyncNode converges the still-down sv with its peers, chunk by chunk:
-// pull what a live peer holds newer, list whoever is then behind. Recover
-// runs this after replaying sv's log and BEFORE marking sv up: the
-// merged-replay prefix contract discards everything behind a torn lane tail,
-// including acknowledged writes together with the debt records that named
-// them, and version comparison is the only witness left. It runs both ways —
-// sv's replayed version is authoritative for what it holds (RecWrite is only
-// logged for applied, acknowledged writes), so a peer behind it missed
-// writes even if the record saying so was torn off.
+// resyncNode converges the still-down sv with its peers, descriptors first,
+// then chunk by chunk: pull what a live peer holds newer, list whoever is then
+// behind. Recover runs this after replaying sv's log and BEFORE marking sv up:
+// the merged-replay prefix contract discards everything behind a torn lane
+// tail, including acknowledged writes and drops together with the debt records
+// that named them, and version comparison is the only witness left. It runs
+// both ways — sv's replayed version is authoritative for what it holds (a
+// record is only logged for an applied mutation), so a peer behind it missed
+// mutations even if the record saying so was torn off.
 //
 // Quiescence is NOT required: sv is still down, so writers neither read nor
 // update its copies beyond the retained-memory applies, and those only move
@@ -247,9 +249,6 @@ func (s *Store) resyncNode(sv *server) {
 			candidates[id] = true
 		})
 	}
-	if len(candidates) == 0 {
-		return
-	}
 	ids := make([]chunkID, 0, len(candidates))
 	for id := range candidates {
 		ids = append(ids, id)
@@ -257,40 +256,10 @@ func (s *Store) resyncNode(sv *server) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i].less(ids[j]) })
 	ctx := storage.NewContext()
 	cg := s.directCharge(ctx)
-
-	// Descriptors resync FIRST: the chunk sweep below uses the adopted
-	// blob extents to tell a resurrected chunk (sv replayed a write whose
-	// later delete/truncate fell behind the torn tail) from a chunk the
-	// peers are genuinely missing.
 	s.resyncDescriptors(sv, &cg)
-	extents := make(map[string]blobExtent)
-
 	for _, id := range ids {
 		h := id.ringHash()
 		if !containsNode(s.ownersForHash(h), int(sv.node)) {
-			continue
-		}
-		// Deletion gating: a torn tail loses a delete or truncate record as
-		// easily as a write record, and replay then resurrects the chunk.
-		// The live desc-owner peers' descriptors are the authority on the
-		// blob's extent (size changes replicate synchronously to every desc
-		// owner): a chunk wholly beyond that extent — or of a blob no live
-		// desc owner knows — is a resurrection. Drop it from memory instead
-		// of sweeping versions; sweeping would read the peers' deletion as
-		// "everyone is behind me" and spread the corpse back across the
-		// replica set. The drop is deliberately NOT logged: a crash mid-write
-		// can legitimately replay a chunk ahead of its size record (the data
-		// append precedes the meta append), and logging a delete there would
-		// change the recovered record stream. An in-memory drop is re-derived
-		// from the peers on every recovery, which is just as permanent.
-		ext, seen := extents[id.key]
-		if !seen {
-			ext = s.peerBlobExtent(sv, id.key)
-			extents[id.key] = ext
-		}
-		if ext.known && (!ext.exists || id.idx*int64(s.cfg.ChunkSize) >= ext.size) {
-			traceStep(traceEvent{what: "resyncDrop beyond extent", node: sv.node, key: id.key, idx: id.idx, chunk: true, n: ext.size, on: ext.exists})
-			sv.deleteChunk(h, id)
 			continue
 		}
 		sy := s.surveyChunk(h, id, nil)
@@ -299,55 +268,6 @@ func (s *Store) resyncNode(sv *server) {
 		}
 		s.oweBehind(&cg, h, id, &sy)
 	}
-}
-
-// blobExtent is the cluster view of a blob's existence and size as held by
-// the recovering node's live desc-owner peers. known is false when no such
-// peer is reachable — then nothing may be dropped on its authority.
-type blobExtent struct {
-	size   int64
-	exists bool
-	known  bool
-}
-
-// peerBlobExtent polls sv's desc-owner peers for key. Soft-down peers count
-// (retained memory stays authoritative — SetDown keeps descriptors current);
-// crash-wiped peers do not (their memory is garbage until their own Recover).
-// Sizes replicate synchronously so peers agree; max papers over a peer probed
-// mid-extend.
-func (s *Store) peerBlobExtent(sv *server, key string) blobExtent {
-	var ext blobExtent
-	// An open migration intent means descriptor placement may be
-	// mid-handover: the current ring's desc owners are polled below, and one
-	// that lacks the blob may simply not have RECEIVED it yet — its
-	// ignorance is not deletion evidence, and dropping on it would destroy
-	// chunks of every blob whose descriptor the interrupted migration had
-	// not reached. Yield no authority; the roll-forward's reconcile sweep
-	// re-establishes descriptor placement and revalidateBatch re-checks
-	// chunk extents against it.
-	if s.migIntent.Load() != nil {
-		return ext
-	}
-	for _, o := range s.descOwners(key) {
-		peer := s.servers[o]
-		if peer == sv || peer.isWiped() {
-			continue
-		}
-		ext.known = true
-		peer.mu.RLock()
-		d, ok := peer.blobs[key]
-		peer.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		ext.exists = true
-		d.latch.RLock()
-		if d.size > ext.size {
-			ext.size = d.size
-		}
-		d.latch.RUnlock()
-	}
-	return ext
 }
 
 // resyncDescriptors adopts, onto the still-down sv, the descriptor sizes its

@@ -8,13 +8,15 @@ import (
 	"repro/internal/wal"
 )
 
-// survey.go — the one freshness rule. Chunk versions order every mutation
-// (the writer assigns max+1 under the blob's latch; every other install is a
-// whole-chunk replace at its source's version), so "which replica may serve
-// or seed a copy?" has one answer everywhere: a holder at the highest version
+// survey.go — the one freshness rule. Chunk versions order every mutation,
+// deletes included: a write, delete or shrinking truncate assigns max+1 under
+// the blob's latch — a dropped chunk keeps that version as a tombstone, no
+// bytes — and every other install is a whole-chunk replace at its source's
+// version. So versions never go backwards, and "which replica may serve or
+// seed a copy?" has one answer everywhere: a holder at the highest version
 // any non-wiped server holds. surveyChunk collects those versions, serveChunk
 // applies the rule to reads and rename snapshots, installChunk is the only
-// way a replica changes outside a foreground write. Repair debt plays no part
+// way a replica changes outside a foreground op. Repair debt plays no part
 // in the decision — it is the work list repair.go drains, and its store-wide
 // count (with Store.migrating) is only the "not known clean" gate that keeps
 // the healthy path probe-free.
@@ -220,15 +222,18 @@ func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, d
 	return ver, true
 }
 
-// dropChunk removes sv's copy of the chunk, memory and log together under the
-// stripe lock like installChunk.
-func (s *Store) dropChunk(cg *charge, sv *server, h uint64, id chunkID) {
+// dropChunk removes sv's copy of the chunk, leaving no tombstone, memory and
+// log together under the stripe lock like installChunk — unless the copy has
+// moved past upTo, the version the caller saw replace it (a truncate
+// re-versions a stray at the maximum).
+func (s *Store) dropChunk(cg *charge, sv *server, h uint64, id chunkID, upTo uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
-	delete(st.m, id)
-	delete(st.ver, id)
-	sv.setDebtLocked(st, id, 0)
+	defer st.mu.Unlock()
+	if st.ver[id] > upTo {
+		return
+	}
+	sv.deleteChunkLocked(st, id, 0)
 	s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil)
 	traceStep(traceEvent{what: "drop", node: sv.node, key: id.key, idx: id.idx, chunk: true})
-	st.mu.Unlock()
 }
