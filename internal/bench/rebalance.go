@@ -32,9 +32,8 @@ type rebalanceFixture struct {
 }
 
 // newRebalanceFixture builds the 6-node store (5 serving) and seeds the
-// blob population. hook is installed as the migration batch-boundary
-// callback before the store is built.
-func newRebalanceFixture(hook func(int)) (*rebalanceFixture, error) {
+// blob population.
+func newRebalanceFixture() (*rebalanceFixture, error) {
 	st := blob.NewOnNodes(cluster.New(cluster.Config{Nodes: 6, Seed: 11}),
 		blob.Config{
 			ChunkSize:            rebalanceChunkSize,
@@ -42,7 +41,6 @@ func newRebalanceFixture(hook func(int)) (*rebalanceFixture, error) {
 			WALLanes:             4,
 			InlineFanout:         true,
 			MigrationBatchChunks: 8,
-			MigrationBatchHook:   hook,
 		},
 		[]cluster.NodeID{0, 1, 2, 3, 4})
 	ctx := storage.NewContext()
@@ -98,17 +96,21 @@ func p99(samples []time.Duration) time.Duration {
 // VirtualRebalanceP99 measures the three pinned numbers on one fresh
 // fixture: the foreground p99 on the quiesced 5-node ring, then during a
 // live join (AddServer 5) and a live drain (RemoveServer 5), with
-// rebalanceOpsPerCut foreground ops interleaved at every migration batch
-// boundary via the batch hook. Everything runs on the virtual clock over
-// a seeded, single-threaded schedule, so the numbers are identical on
-// every host — what lets TestVirtualTwinsPinned pin them.
+// rebalanceOpsPerCut foreground ops interleaved at every batch event of the
+// store, the -1 before the first batch included; append events, its own ops'
+// among them, are ignored. Everything runs on the virtual clock over a seeded,
+// single-threaded schedule, so the numbers are identical on every host — what
+// lets TestVirtualTwinsPinned pin them.
 func VirtualRebalanceP99() (quiesced, join, leave time.Duration, err error) {
-	var f *rebalanceFixture
-	var wctx *storage.Context
+	f, err := newRebalanceFixture()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	wctx := storage.NewContext()
 	var during []time.Duration
 	opSeq := 0
-	hook := func(batch int) {
-		if f == nil {
+	f.store.Observe(func(ev blob.Event) {
+		if ev.Kind != blob.EventBatch {
 			return
 		}
 		for k := 0; k < rebalanceOpsPerCut; k++ {
@@ -120,11 +122,7 @@ func VirtualRebalanceP99() (quiesced, join, leave time.Duration, err error) {
 			}
 			during = append(during, d)
 		}
-	}
-	if f, err = newRebalanceFixture(hook); err != nil {
-		return 0, 0, 0, err
-	}
-	wctx = storage.NewContext()
+	})
 	// One throwaway op syncs the fresh clock with the fixture's seeded
 	// construction history (same reasoning as VirtualWriteCost).
 	if _, err = f.foregroundOp(wctx, 0); err != nil {

@@ -61,6 +61,12 @@
 //     clock semantics bit-for-bit. See dispatch.go for the concurrency
 //     contract.
 //
+// The log is the history (ARIES redo), so the store is observed where the log
+// is written: Store.Observe installs one subscriber that walAppendLane and
+// walAppendBatch, the only two data-plane appenders, call once per append,
+// and that a migration sweep calls at every batch boundary. The crash sweeps
+// take their crash points from it; nothing in the store depends on it.
+//
 // # Failure semantics
 //
 // The store keeps serving through node failures and heals on rejoin. One
@@ -241,13 +247,6 @@ type Config struct {
 	// to 8 MiB per tick. Set to a huge value to effectively disable
 	// throttling (tests do).
 	MigrationRateBytes int
-	// MigrationBatchHook, when set, is called on the migration caller's
-	// goroutine at every batch boundary of a rebalance sweep: once with -1
-	// after the intent is durable but before any batch dispatches, then
-	// once after each batch. Benchmarks and tests use it to
-	// interleave foreground work with a live migration at deterministic
-	// points; production configs leave it nil.
-	MigrationBatchHook func(batch int)
 }
 
 func (c Config) withDefaults() Config {
@@ -412,6 +411,8 @@ type Store struct {
 	// re-log it and Recover can roll the migration forward once no server
 	// is left wiped.
 	migIntent atomic.Pointer[migrationIntent]
+	// observe is the one event subscriber (Observe), nil by default.
+	observe func(Event)
 }
 
 // migrationIntent is the in-memory form of a RecMigrateBegin record: one
@@ -724,7 +725,6 @@ func (s *Store) SetDown(node cluster.NodeID, down bool) {
 	}
 	sv.down = down
 	sv.mu.Unlock()
-	traceStep(traceEvent{what: "setDown", node: node, on: down, was: was})
 	if was && !down {
 		// Mark up first so racing writes stop excluding this node, then
 		// drain what accumulated.
@@ -828,17 +828,51 @@ var hdrPool = sync.Pool{
 	},
 }
 
+// EventKind says what an Event reports: a WAL append call that returned, or
+// a migration sweep's batch boundary.
+type EventKind uint8
+
+const (
+	EventAppend EventKind = iota
+	EventBatch
+)
+
+// Event is one observation, passed by value and built without allocation.
+// An EventAppend names the append: its node and lane, the type and order key
+// of its first record, and how many records (keys Key … Key+Records-1, all on
+// Lane) and encoded bytes it added. An EventBatch carries Batch: -1 once the
+// migration intent is durable and before any batch, then 0, 1, … after each.
+type Event struct {
+	Kind                  EventKind
+	Node                  cluster.NodeID
+	Lane                  int
+	Type                  wal.RecordType
+	Key                   uint64
+	Records, Bytes, Batch int
+}
+
+// Observe installs fn (nil: none) as the one event subscriber; call it while
+// the store is quiescent. An append event fires on the appending goroutine,
+// possibly under a stripe lock or the descriptor latch, so fn must not call
+// into the Store there. A batch event fires on the migration caller with no
+// data-plane lock held, so fn may run foreground ops there, whose appends it
+// sees too. Checkpoint rewrites are not reported.
+func (s *Store) Observe(fn func(Event)) { s.observe = fn }
+
 // walAppendLane records a durable mutation on one of sv's log lanes — the
 // record payload being header||data, appended vectored so data is copied
 // exactly once — and charges the log persistence on sv's disk through cg
 // (directly on the caller's clock, or into a fan task's ledger).
 func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType, header, data []byte) {
-	_, n, err := sv.wal.AppendV(lane, t, header, data)
+	key, n, err := sv.wal.AppendV(lane, t, header, data)
 	if err != nil {
 		// The in-memory buffer cannot fail; a failure here is a bug.
 		panic(fmt.Sprintf("blob: wal append: %v", err))
 	}
 	cg.diskAppend(sv.node, n)
+	if s.observe != nil {
+		s.observe(Event{Kind: EventAppend, Node: sv.node, Lane: lane, Type: t, Key: key, Records: 1, Bytes: n})
+	}
 }
 
 // walAppendChunk logs a chunk mutation on the chunk's lane: the addressing
@@ -1158,11 +1192,14 @@ func (b *walBatch) resolve() {
 // (ledger charging), so the append invariant and the cost shape cannot
 // diverge between the two.
 func (s *Store) walAppendBatch(cg *charge, sv *server, lane int, specs []wal.AppendVSpec) {
-	_, n, err := sv.wal.AppendNV(lane, specs)
+	key, n, err := sv.wal.AppendNV(lane, specs)
 	if err != nil {
 		panic(fmt.Sprintf("blob: wal batch append: %v", err))
 	}
 	cg.diskAppend(sv.node, n)
+	if s.observe != nil {
+		s.observe(Event{Kind: EventAppend, Node: sv.node, Lane: lane, Type: specs[0].Type, Key: key, Records: len(specs), Bytes: n})
+	}
 }
 
 // flush logs every (server,lane) batch, charging the disk appends

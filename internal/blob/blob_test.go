@@ -23,8 +23,92 @@ func newStore(t *testing.T, nodes int, cfg Config) *Store {
 // the batteries and crash sweeps must cover. A ratchet, not a target — the
 // count may only go down; a new mode replaces a field or lives in its test.
 func TestConfigFieldsRatchet(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n > 8 {
-		t.Fatalf("Config grew to %d fields; the budget is 8", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n > 7 {
+		t.Fatalf("Config grew to %d fields; the budget is 7", n)
+	}
+}
+
+// TestObserveSeesEveryAppend pins the observer seam. Through create, a
+// multi-chunk 2PC write, a single-chunk write, a shrinking truncate, delete, a
+// flap with its rejoin repair and a join, the append events account for every
+// byte each lane grew and for every order key each node drew, exactly once,
+// and the batch events count -1, 0, 1, … in order. An append path that
+// bypasses walAppendLane and walAppendBatch fails it. The events also show
+// each mutation's record type, and a commit for every prepare.
+func TestObserveSeesEveryAppend(t *testing.T) {
+	// A fresh store: every lane starts empty, every node's order keys at 1.
+	s := NewOnNodes(cluster.New(cluster.Config{Nodes: 4, Seed: 3}),
+		Config{ChunkSize: 32, Replication: 2, WALLanes: 4, InlineFanout: true}, []cluster.NodeID{0, 1, 2})
+	ctx := storage.NewContext()
+	type at struct{ node, n int } // a (node, lane) or a (node, order key)
+	grew, reported, types := make(map[at]int), make(map[at]int), make(map[wal.RecordType]int)
+	var batches []int
+	s.Observe(func(ev Event) {
+		if ev.Kind == EventBatch {
+			batches = append(batches, ev.Batch)
+			return
+		}
+		grew[at{int(ev.Node), ev.Lane}] += ev.Bytes
+		types[ev.Type] += ev.Records // by first type: only a shrinking install mixes two
+		for k := ev.Key; k < ev.Key+uint64(ev.Records); k++ {
+			reported[at{int(ev.Node), int(k)}]++
+		}
+	})
+	write := func(key string, tag, n int) error {
+		_, err := s.WriteBlob(ctx, key, 0, pattern(tag, n))
+		return err
+	}
+	// In argument order: two 8-chunk 2PC writes, a direct one, then a blob
+	// shrinks and goes.
+	if err := errors.Join(s.CreateBlob(ctx, "gone"), s.CreateBlob(ctx, "kept"), write("gone", 1, 8*32),
+		write("kept", 1, 8*32), write("kept", 3, 16), s.TruncateBlob(ctx, "gone", 40), s.DeleteBlob(ctx, "gone")); err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range []wal.RecordType{wal.RecCreate, wal.RecWrite, wal.RecPrepWrite, wal.RecTruncate, wal.RecDelete} {
+		if types[rt] == 0 {
+			t.Errorf("no %v append: %v", rt, types)
+		}
+	}
+	flapped := cluster.NodeID((s.descOwners("kept")[0] + 1) % 3)
+	s.SetDown(flapped, true)
+	if err := write("kept", 2, 8*32); err != nil || s.RepairPending() == 0 {
+		t.Fatalf("write during the flap: %v with %d debt entries, want a degraded write", err, s.RepairPending())
+	}
+	s.SetDown(flapped, false)
+	if err := s.AddServer(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	s.Observe(nil)
+
+	drawn := 0
+	for i, sv := range s.servers {
+		for l := 0; l < sv.wal.Lanes(); l++ {
+			if got, want := grew[at{i, l}], sv.wal.LaneBuffer(l).Len(); got != want {
+				t.Errorf("node %d lane %d: events report %d bytes, the lane grew %d", i, l, got, want)
+			}
+		}
+		for k := 1; k < int(sv.wal.NextKey()); k++ {
+			if n := reported[at{i, k}]; n != 1 {
+				t.Errorf("node %d: order key %d reported %d times", i, k, n)
+			}
+			drawn++
+		}
+	}
+	if len(reported) != drawn {
+		t.Errorf("events name %d order keys, the nodes drew %d", len(reported), drawn)
+	}
+	// Every replica holding a prepare logs its commit, or its own crash
+	// replay would discard the data.
+	if types[wal.RecChunkCommit] != types[wal.RecPrepWrite] {
+		t.Errorf("prepares (%d) and chunk commits (%d) diverge", types[wal.RecPrepWrite], types[wal.RecChunkCommit])
+	}
+	if len(batches) < 2 {
+		t.Fatalf("batch events %v: the join moved nothing", batches)
+	}
+	for i, b := range batches {
+		if b != i-1 {
+			t.Fatalf("batch events %v, want -1, 0, 1, …", batches)
+		}
 	}
 }
 
@@ -489,37 +573,6 @@ func TestDescriptorPrimaryDownRefusalSet(t *testing.T) {
 	verify("rejoined")
 	if n, msg := s.RepairPending(), s.CheckInvariants(); n != 0 || msg != "" {
 		t.Fatalf("after rejoin: repair debt %d, invariants %q", n, msg)
-	}
-}
-
-func TestWALDurabilityRecords(t *testing.T) {
-	s := newStore(t, 3, Config{ChunkSize: 8, Replication: 2})
-	ctx := storage.NewContext()
-	s.CreateBlob(ctx, "w")
-	s.WriteBlob(ctx, "w", 0, make([]byte, 20)) // multi-chunk -> 2PC prepare + commit records
-	s.WriteBlob(ctx, "w", 0, make([]byte, 4))  // single-chunk -> plain write records
-	s.TruncateBlob(ctx, "w", 4)
-	s.DeleteBlob(ctx, "w")
-	byType := map[wal.RecordType]int{}
-	for i := 0; i < 3; i++ {
-		recs, err := s.LogRecords(cluster.NodeID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			byType[r.Type]++
-		}
-	}
-	if byType[wal.RecCreate] == 0 || byType[wal.RecWrite] == 0 ||
-		byType[wal.RecPrepWrite] == 0 || byType[wal.RecChunkCommit] == 0 ||
-		byType[wal.RecTruncate] == 0 || byType[wal.RecDelete] == 0 {
-		t.Fatalf("missing WAL record types: %v", byType)
-	}
-	// A multi-chunk write must commit on every replica that holds a
-	// prepare, or that replica's own crash replay would discard the data.
-	if byType[wal.RecChunkCommit] != byType[wal.RecPrepWrite] {
-		t.Fatalf("prepares (%d) and chunk commits (%d) diverge: %v",
-			byType[wal.RecPrepWrite], byType[wal.RecChunkCommit], byType)
 	}
 }
 

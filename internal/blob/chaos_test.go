@@ -56,6 +56,12 @@ type chaosFlaps struct {
 	mu   sync.Mutex
 	s    *Store
 	down map[int]bool
+	act  func(format string, args ...any)
+}
+
+func (f *chaosFlaps) setDown(node int, down bool) {
+	f.act("SetDown(%d, %v)", node, down)
+	f.s.SetDown(cluster.NodeID(node), down) // up triggers the repair pass
 }
 
 func (f *chaosFlaps) flap(node int, maxDown int) {
@@ -63,14 +69,14 @@ func (f *chaosFlaps) flap(node int, maxDown int) {
 	defer f.mu.Unlock()
 	if f.down[node] {
 		delete(f.down, node)
-		f.s.SetDown(cluster.NodeID(node), false) // triggers the repair pass
+		f.setDown(node, false)
 		return
 	}
 	if len(f.down) >= maxDown {
 		return
 	}
 	f.down[node] = true
-	f.s.SetDown(cluster.NodeID(node), true)
+	f.setDown(node, true)
 }
 
 func (f *chaosFlaps) healAll() {
@@ -78,29 +84,8 @@ func (f *chaosFlaps) healAll() {
 	defer f.mu.Unlock()
 	for node := range f.down {
 		delete(f.down, node)
-		f.s.SetDown(cluster.NodeID(node), false)
+		f.setDown(node, false)
 	}
-}
-
-// String renders one trace line for a failure dump: the step, its node, the
-// descriptor or chunk it names, then whichever operands the site set.
-func (ev traceEvent) String() string {
-	line := fmt.Sprintf("%s node=%d", ev.what, ev.node)
-	if ev.chunk {
-		line += fmt.Sprintf(" id=%s/%d", ev.key, ev.idx)
-	} else if ev.key != "" {
-		line += " key=" + ev.key
-	}
-	if ev.on || ev.was {
-		line += fmt.Sprintf(" on=%v was=%v", ev.on, ev.was)
-	}
-	if ev.ver|ev.mask|ev.owed|ev.upTo != 0 {
-		line += fmt.Sprintf(" ver=%d mask=%x owed=%x upTo=%d", ev.ver, ev.mask, ev.owed, ev.upTo)
-	}
-	if ev.n|ev.m != 0 {
-		line += fmt.Sprintf(" n=%d m=%d", ev.n, ev.m)
-	}
-	return line
 }
 
 func runChaosSchedule(t *testing.T, seed uint64) {
@@ -111,26 +96,36 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 		opsPer  = 16
 		maxDown = 2
 	)
-	var traceMu sync.Mutex
-	var trace []string
-	chaosTrace = func(ev traceEvent) {
-		traceMu.Lock()
-		trace = append(trace, ev.String())
-		traceMu.Unlock()
-	}
-	defer func() {
-		chaosTrace = nil
-		if t.Failed() {
-			traceMu.Lock()
-			for _, line := range trace {
-				t.Log("trace:", line)
-			}
-			traceMu.Unlock()
-		}
-	}()
-
 	cfg := Config{ChunkSize: 16, Replication: 3, SerialRecovery: seed%2 == 1}
 	s := New(cluster.New(cluster.Config{Nodes: nodes, Seed: seed + 7}), cfg)
+	// A failing seed prints every store event, by value, and the battery's own
+	// actions, in arrival order. An append's node, lane and order keys address
+	// its records in dumpChunkState's log lines.
+	type step struct {
+		ev  Event
+		act string
+	}
+	var histMu sync.Mutex
+	var hist []step
+	record := func(st step) {
+		histMu.Lock()
+		hist = append(hist, st)
+		histMu.Unlock()
+	}
+	act := func(format string, args ...any) { record(step{act: fmt.Sprintf(format, args...)}) }
+	s.Observe(func(ev Event) { record(step{ev: ev}) })
+	defer func() {
+		if !t.Failed() {
+			return
+		}
+		for _, st := range hist {
+			if st.act != "" {
+				t.Log("act:", st.act)
+			} else {
+				t.Logf("event: %+v", st.ev)
+			}
+		}
+	}()
 	ctx := storage.NewContext()
 	rng := sim.NewRNG(seed*0x9e3779b9 + 1)
 
@@ -142,7 +137,7 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 			t.Fatal(err)
 		}
 	}
-	flaps := &chaosFlaps{s: s, down: make(map[int]bool)}
+	flaps := &chaosFlaps{s: s, down: make(map[int]bool), act: act}
 
 	// On every fifth seed a membership actor joins the schedule: node 4 is
 	// drained out of and re-added to the ring WHILE the workers, flaps, and
@@ -212,12 +207,12 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 				defer wg.Done()
 				mctx := storage.NewContext()
 				if s.serving(4) {
-					traceStep(traceEvent{what: "membership: removing", node: 4})
+					act("RemoveServer(4)")
 					if err := s.RemoveServer(mctx, 4); err != nil {
 						t.Errorf("seed %d: remove node 4: %v", seed, err)
 					}
 				} else {
-					traceStep(traceEvent{what: "membership: adding", node: 4})
+					act("AddServer(4)")
 					if err := s.AddServer(mctx, 4); err != nil {
 						t.Errorf("seed %d: add node 4: %v", seed, err)
 					}
@@ -241,9 +236,10 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 				lane := rng.Intn(sv.wal.Lanes())
 				if buf := sv.wal.LaneBuffer(lane); buf.Len() > 4 {
 					buf.Truncate(buf.Len() - 1 - rng.Intn(3))
-					traceStep(traceEvent{what: "tear lane", node: cluster.NodeID(victim), n: int64(lane)})
+					act("tear node %d lane %d to %d bytes", victim, lane, buf.Len())
 				}
 			}
+			act("Crash(%d), Recover(%d)", victim, victim)
 			s.Crash(cluster.NodeID(victim))
 			if err := s.Recover(cluster.NodeID(victim)); err != nil {
 				t.Fatalf("seed %d: recover node %d: %v", seed, victim, err)
@@ -255,6 +251,7 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 	// checks below must cover a cluster that went through a full
 	// remove/add round trip.
 	if membership && !s.serving(4) {
+		act("AddServer(4)")
 		if err := s.AddServer(ctx, 4); err != nil {
 			t.Fatalf("seed %d: re-add node 4: %v", seed, err)
 		}
@@ -274,6 +271,7 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 
 	// Total power loss: every node rebuilds from its WAL alone and the
 	// converged state must come back exactly (serial recovery on odd seeds).
+	act("Crash and Recover every node")
 	for n := 0; n < nodes; n++ {
 		s.Crash(cluster.NodeID(n))
 	}
@@ -329,10 +327,10 @@ func dumpChunkState(t *testing.T, s *Store, key string, got, want []byte) {
 				if err != nil || rid != id {
 					return nil
 				}
-				hist = append(hist, fmt.Sprintf("%v(w=%d v=%d len=%d)", rec.Type, within, rver, len(rdata)))
+				hist = append(hist, fmt.Sprintf("%d:%v(w=%d v=%d len=%d)", rec.LSN, rec.Type, within, rver, len(rdata)))
 				return nil
 			})
-			t.Logf("    log: %v", hist)
+			t.Logf("    log, lane %d, key:record: %v", sv.chunkLane(h), hist)
 		}
 	}
 }

@@ -419,11 +419,11 @@ func TestHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestTraceOffAllocatesNothing: with no trace sink installed, the traced
-// steps of repair, migration and degraded writes — install, record debt,
-// clear debt, drop, each under the stripe lock — allocate nothing. The event
-// is a by-value struct, so tracing off costs a nil check, not an argument
-// slice and a boxed operand per call.
+// TestTraceOffAllocatesNothing: the appends of repair, migration and degraded
+// writes — install, record debt, clear debt, drop, each under the stripe
+// lock — allocate nothing, with no observer and with one copying every event
+// into a preallocated slice. The event is a by-value struct, so observing
+// costs the subscriber's own work, not a boxed operand per append.
 func TestTraceOffAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -445,8 +445,16 @@ func TestTraceOffAllocatesNothing(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		step() // warm the header pool, the stripe maps and the lane's slab
 	}
-	if a := testing.AllocsPerRun(100, step); a != 0 {
-		t.Errorf("install, record debt, clear debt, drop with tracing off: %v allocs, want 0", a)
+	const runs = 100
+	seen := make([]Event, 0, 4*(runs+1))
+	for _, observer := range []func(Event){nil, func(ev Event) { seen = append(seen, ev) }} {
+		s.Observe(observer)
+		if a := testing.AllocsPerRun(runs, step); a != 0 {
+			t.Errorf("install, record debt, clear debt, drop (observer %v): %v allocs, want 0", observer != nil, a)
+		}
+	}
+	if len(seen) != cap(seen) {
+		t.Fatalf("observer saw %d appends, want %d", len(seen), cap(seen))
 	}
 }
 
@@ -738,7 +746,7 @@ func TestSingleChunkWriteDegradedOnReplicaDown(t *testing.T) {
 // phases, simulated by truncating the log back to before the commit
 // records). Replay must drop the pending prepares.
 func TestCrashMidTransactionDropsPrepares(t *testing.T) {
-	s := mkStore(3, Config{ChunkSize: 8, Replication: 1}, false)
+	s := mkStore(3, Config{ChunkSize: 8, Replication: 1}, true)
 	ctx := storage.NewContext()
 	if err := s.CreateBlob(ctx, "torn"); err != nil {
 		t.Fatal(err)
@@ -747,54 +755,13 @@ func TestCrashMidTransactionDropsPrepares(t *testing.T) {
 	if _, err := s.WriteBlob(ctx, "torn", 0, first); err != nil {
 		t.Fatal(err)
 	}
-	// Record the chunk-0 lane length on its primary, run a second
-	// multi-chunk write, then rewind that lane to just after chunk 0's
-	// prepare: everything logically after it — the commit records on this
-	// lane AND every later record on the other lanes, via the merged
-	// order-key prefix — is torn away, exactly a crash between the phases.
-	owners := s.chunkOwners(chunkID{"torn", 0})
-	sv := s.servers[owners[0]]
-	h0 := chunkID{"torn", 0}.ringHash()
-	lbuf := sv.wal.LaneBuffer(sv.chunkLane(h0))
-	preLen := lbuf.Len()
-	second := bytes.Repeat([]byte("Z"), 24)
-	if _, err := s.WriteBlob(ctx, "torn", 0, second); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := s.LogRecords(cluster.NodeID(owners[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hasPrep bool
-	for _, r := range recs {
-		if r.Type == wal.RecPrepWrite {
-			hasPrep = true
-		}
-	}
-	if !hasPrep {
-		t.Fatal("multi-chunk write logged no prepares")
-	}
-	// Find the cut point on the lane: walk its records counting framed
-	// bytes (8-byte preamble + 9-byte header + payload) and cut right
-	// after chunk 0's post-baseline RecPrepWrite.
-	cut, off := -1, 0
-	if err := wal.Replay(lbuf.Reader(), func(r wal.Record) error {
-		off += 8 + 9 + len(r.Payload)
-		if cut < 0 && off > preLen && r.Type == wal.RecPrepWrite {
-			if id, _, _, _, derr := decChunkPayload(r.Payload); derr == nil && id == (chunkID{"torn", 0}) {
-				cut = off
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if cut < 0 {
-		t.Fatal("no post-baseline prepare found on the chunk-0 lane")
-	}
-	lbuf.Truncate(cut)
-	s.Crash(cluster.NodeID(owners[0]))
-	if err := s.Recover(cluster.NodeID(owners[0])); err != nil {
+	// Cut chunk 0's lane right after a second multi-chunk write's prepare:
+	// everything logically after it — the commit records on this lane AND
+	// every later record on the other lanes, via the merged order-key
+	// prefix — is torn away, exactly a crash between the phases.
+	owner := writeCutAfterPrepare(t, s, ctx, "torn", bytes.Repeat([]byte("Z"), 24))
+	s.Crash(owner)
+	if err := s.Recover(owner); err != nil {
 		t.Fatal(err)
 	}
 	// The recovered node must serve chunk 0's committed (first-write)
@@ -808,12 +775,38 @@ func TestCrashMidTransactionDropsPrepares(t *testing.T) {
 	}
 }
 
+// writeCutAfterPrepare writes p over key with a multi-chunk write on an
+// InlineFanout store, then cuts chunk 0's lane on its primary right after the
+// first prepare the write appended there — chunk 0's own, as an inline fan
+// appends in chunk order — and returns that primary.
+func writeCutAfterPrepare(t *testing.T, s *Store, ctx *storage.Context, key string, p []byte) cluster.NodeID {
+	t.Helper()
+	h := chunkID{key, 0}.ringHash()
+	owner := s.servers[s.ownersForHash(h)[0]]
+	lane := owner.wal.LaneBuffer(owner.chunkLane(h))
+	cut := -1
+	s.Observe(func(ev Event) {
+		if cut < 0 && ev.Type == wal.RecPrepWrite && ev.Node == owner.node && ev.Lane == owner.chunkLane(h) {
+			cut = lane.Len()
+		}
+	})
+	defer s.Observe(nil)
+	if _, err := s.WriteBlob(ctx, key, 0, p); err != nil {
+		t.Fatal(err)
+	}
+	if cut < 0 {
+		t.Fatal("the multi-chunk write appended no prepare on chunk 0's lane")
+	}
+	lane.Truncate(cut)
+	return owner.node
+}
+
 // TestStalePrepareNotResurrectedByLaterCommit: a dangling RecPrepWrite
 // left by a torn transaction must not be applied by a later, unrelated
 // transaction's commit to the same chunk — replay keeps only the latest
 // pending prepare per chunk.
 func TestStalePrepareNotResurrectedByLaterCommit(t *testing.T) {
-	s := mkStore(3, Config{ChunkSize: 8, Replication: 1}, false)
+	s := mkStore(3, Config{ChunkSize: 8, Replication: 1}, true)
 	ctx := storage.NewContext()
 	if err := s.CreateBlob(ctx, "stale"); err != nil {
 		t.Fatal(err)
@@ -822,34 +815,11 @@ func TestStalePrepareNotResurrectedByLaterCommit(t *testing.T) {
 	if _, err := s.WriteBlob(ctx, "stale", 0, base); err != nil {
 		t.Fatal(err)
 	}
-	owner := s.chunkOwners(chunkID{"stale", 0})[0]
-	sv := s.servers[owner]
-	h0 := chunkID{"stale", 0}.ringHash()
-	lbuf := sv.wal.LaneBuffer(sv.chunkLane(h0))
-	preLen := lbuf.Len()
-	// Second multi-chunk write; then tear chunk 0's lane on its owner
-	// right after the prepare, leaving a dangling RecPrepWrite("ZZZZ...").
-	if _, err := s.WriteBlob(ctx, "stale", 0, bytes.Repeat([]byte("Z"), 24)); err != nil {
-		t.Fatal(err)
-	}
-	cut, off := -1, 0
-	if err := wal.Replay(lbuf.Reader(), func(r wal.Record) error {
-		off += 8 + 9 + len(r.Payload)
-		if cut < 0 && off > preLen && r.Type == wal.RecPrepWrite {
-			if id, _, _, _, derr := decChunkPayload(r.Payload); derr == nil && id == (chunkID{"stale", 0}) {
-				cut = off
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if cut < 0 {
-		t.Fatal("no prepare found after the baseline on the chunk-0 lane")
-	}
-	lbuf.Truncate(cut)
-	s.Crash(cluster.NodeID(owner))
-	if err := s.Recover(cluster.NodeID(owner)); err != nil {
+	// A second multi-chunk write torn right after chunk 0's prepare leaves a
+	// dangling RecPrepWrite("ZZZZ...").
+	owner := writeCutAfterPrepare(t, s, ctx, "stale", bytes.Repeat([]byte("Z"), 24))
+	s.Crash(owner)
+	if err := s.Recover(owner); err != nil {
 		t.Fatal(err)
 	}
 
@@ -859,8 +829,8 @@ func TestStalePrepareNotResurrectedByLaterCommit(t *testing.T) {
 	if _, err := s.WriteBlob(ctx, "stale", 4, []byte("yyyyzzzz")); err != nil { // chunks 0 and 1
 		t.Fatal(err)
 	}
-	s.Crash(cluster.NodeID(owner))
-	if err := s.Recover(cluster.NodeID(owner)); err != nil {
+	s.Crash(owner)
+	if err := s.Recover(owner); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 8)
@@ -885,22 +855,14 @@ func TestTruncateNoopLeavesStateUntouched(t *testing.T) {
 	if _, err := s.WriteBlob(ctx, "noop", 0, make([]byte, 40)); err != nil {
 		t.Fatal(err)
 	}
-	logBefore := make([]int64, 4)
-	for i := range logBefore {
-		logBefore[i] = s.servers[i].wal.Size()
-	}
 	clockBefore := ctx.Clock.Now()
-
+	s.Observe(func(ev Event) { t.Errorf("no-op truncate appended %+v", ev) })
 	if err := s.TruncateBlob(ctx, "noop", 40); err != nil {
 		t.Fatal(err)
 	}
+	s.Observe(nil)
 	if ctx.Clock.Now() <= clockBefore {
 		t.Fatal("no-op truncate did not charge the metadata lookup")
-	}
-	for i := range logBefore {
-		if got := s.servers[i].wal.Size(); got != logBefore[i] {
-			t.Fatalf("no-op truncate appended to node %d's WAL (%d -> %d)", i, logBefore[i], got)
-		}
 	}
 
 	// A size-changing truncate still applies.
@@ -1012,21 +974,14 @@ func TestErrorPathsJoinFanAndCharge(t *testing.T) {
 	// down, so not even degraded mode can place it) must also charge, leave
 	// the pools reusable, and change nothing: no log record anywhere, and
 	// the original bytes once the victim is back.
-	logBefore := make([]int64, len(s.servers))
-	for i := range logBefore {
-		logBefore[i] = s.servers[i].wal.Size()
-	}
 	before = ctx.Clock.Now()
+	s.Observe(func(ev Event) { t.Errorf("refused write appended %+v", ev) })
 	if _, err := s.WriteBlob(ctx, "leak", 0, bytes.Repeat([]byte("X"), 24)); !errors.Is(err, storage.ErrUnavailable) {
 		t.Fatalf("write with chunk primary down: err = %v", err)
 	}
+	s.Observe(nil)
 	if ctx.Clock.Now() <= before {
 		t.Fatal("failed write charged no virtual time")
-	}
-	for i := range logBefore {
-		if got := s.servers[i].wal.Size(); got != logBefore[i] {
-			t.Fatalf("refused write appended to node %d's WAL (%d -> %d)", i, logBefore[i], got)
-		}
 	}
 
 	// Recover and verify the refused write left the content intact, the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/chash"
@@ -13,7 +14,7 @@ import (
 
 // freshness_test.go pins the one freshness rule (survey.go): versions decide
 // which replica serves, repair debt never does. Both tests are deterministic —
-// no goroutines; faults are driven with SetDown and the migration batch hook.
+// no goroutines; faults are driven with SetDown and migration batch events.
 
 // seed070Roles finds a one-chunk key whose chunk owners are {p, q, 4} with
 // node 4 in the ring and {p, q, g} without it, and whose descriptor primary
@@ -103,8 +104,8 @@ func TestVacuousDebtNeverHidesFreshestCopy(t *testing.T) {
 	write('b')
 
 	stage := 0
-	s.cfg.MigrationBatchHook = func(batch int) {
-		if batch != -1 {
+	s.Observe(func(ev Event) {
+		if ev.Kind != EventBatch || ev.Batch != -1 {
 			return
 		}
 		switch stage {
@@ -121,7 +122,7 @@ func TestVacuousDebtNeverHidesFreshestCopy(t *testing.T) {
 			check("mid-join", 'c')
 		}
 		stage++
-	}
+	})
 	if err := s.RemoveServer(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestVacuousDebtNeverHidesFreshestCopy(t *testing.T) {
 	}
 	check("rejoined", 'c')
 	if stage != 2 {
-		t.Fatalf("batch hook ran %d times, want 2", stage)
+		t.Fatalf("batch -1 seen %d times, want 2", stage)
 	}
 
 	down(q, false)
@@ -294,63 +295,51 @@ func TestVersionsNeverGoBackwards(t *testing.T) {
 		{"truncate-regrow", []step{create, write(1), write(2), truncate(0), write(3)}, 3},
 		{"trim-extend", []step{create, write(1), write(2), truncate(60), truncate(97)}, 3},
 	}
-	laneLens := func(s *Store) [][]int {
-		out := make([][]int, len(s.servers))
-		for i, sv := range s.servers {
-			for lane := 0; lane < sv.wal.Lanes(); lane++ {
-				out[i] = append(out[i], sv.wal.LaneBuffer(lane).Len())
-			}
-		}
-		return out
-	}
+	type tear struct{ node, lane, at int }
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			// run replays the script on a fresh store and returns each lane's
-			// length before and after the victim.
-			run := func() (s *Store, ref *refBlob, before, after [][]int) {
+			// run replays the script on a fresh store and returns, for every
+			// (node, lane) the victim appended to, where its first record
+			// there starts.
+			run := func() (s *Store, ref *refBlob, tears []tear) {
 				s = New(cluster.New(cluster.Config{Nodes: 3, Seed: 5}),
 					Config{ChunkSize: 32, Replication: 2, WALLanes: 4, InlineFanout: true})
 				ctx := storage.NewContext()
 				for i, st := range r.script {
 					if i == r.victim {
-						before = laneLens(s)
+						s.Observe(func(ev Event) {
+							if !slices.ContainsFunc(tears, func(x tear) bool { return x.node == int(ev.Node) && x.lane == ev.Lane }) {
+								tears = append(tears, tear{int(ev.Node), ev.Lane, s.servers[ev.Node].wal.LaneBuffer(ev.Lane).Len() - ev.Bytes})
+							}
+						})
 					}
 					if err := st(s, ctx, &ref); err != nil {
 						t.Fatalf("step %d: %v", i, err)
 					}
-					if i == r.victim {
-						after = laneLens(s)
-					}
+					s.Observe(nil)
 				}
-				return s, ref, before, after
+				return s, ref, tears
 			}
-			_, _, before, after := run()
-			tears := 0
-			for node := range before {
-				for lane, n := range before[node] {
-					if after[node][lane] == n {
-						continue // the victim appended nothing here
-					}
-					tears++
-					s, ref, _, _ := run()
-					s.servers[node].wal.LaneBuffer(lane).Truncate(n + 1)
-					s.Crash(cluster.NodeID(node))
-					if err := s.Recover(cluster.NodeID(node)); err != nil {
-						t.Fatalf("node %d lane %d: recover: %v", node, lane, err)
-					}
-					ctx := storage.NewContext()
-					got := make([]byte, len(ref.data)+1)
-					if m, err := s.ReadBlob(ctx, key, 0, got); err != nil || !bytes.Equal(got[:m], ref.data) {
-						t.Errorf("node %d lane %d torn: read (%d, %v), want the last write", node, lane, m, err)
-						dumpChunkState(t, s, key, got[:m], ref.data)
-					}
-					if msg := s.CheckInvariants(); msg != "" {
-						t.Errorf("node %d lane %d torn: invariants: %s", node, lane, msg)
-					}
-				}
-			}
-			if tears == 0 {
+			_, _, tears := run()
+			if len(tears) == 0 {
 				t.Fatal("the victim appended nothing")
+			}
+			for _, x := range tears {
+				s, ref, _ := run()
+				s.servers[x.node].wal.LaneBuffer(x.lane).Truncate(x.at + 1)
+				s.Crash(cluster.NodeID(x.node))
+				if err := s.Recover(cluster.NodeID(x.node)); err != nil {
+					t.Fatalf("node %d lane %d: recover: %v", x.node, x.lane, err)
+				}
+				ctx := storage.NewContext()
+				got := make([]byte, len(ref.data)+1)
+				if m, err := s.ReadBlob(ctx, key, 0, got); err != nil || !bytes.Equal(got[:m], ref.data) {
+					t.Errorf("node %d lane %d torn: read (%d, %v), want the last write", x.node, x.lane, m, err)
+					dumpChunkState(t, s, key, got[:m], ref.data)
+				}
+				if msg := s.CheckInvariants(); msg != "" {
+					t.Errorf("node %d lane %d torn: invariants: %s", x.node, x.lane, msg)
+				}
 			}
 		})
 	}

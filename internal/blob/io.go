@@ -335,9 +335,6 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 			promoted = o
 		}
 	}
-	if downMask != 0 {
-		traceStep(traceEvent{what: "writeChunk", node: cluster.NodeID(promoted), key: pl.id.key, idx: pl.id.idx, chunk: true, ver: pl.ver, mask: downMask, n: int64(rec)})
-	}
 	if promoted < 0 {
 		return fmt.Errorf("chunk %d of %q: all replicas down or behind: %w", pl.id.idx, pl.id.key, storage.ErrUnavailable)
 	}
@@ -438,30 +435,6 @@ func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPl
 		s.recordDebt(cg, sv, pl.h, pl.id, owed)
 	}
 	return nil
-}
-
-// traceEvent is one data-plane step as the chaos battery's event trace sees
-// it: the union of what the sites report, passed by value so that building it
-// allocates nothing. key/idx name a chunk when chunk is set, else key (when
-// non-empty) names a descriptor.
-type traceEvent struct {
-	what                  string
-	node                  cluster.NodeID
-	key                   string
-	idx                   int64
-	chunk, on, was        bool
-	ver, mask, owed, upTo uint64
-	n, m                  int64
-}
-
-// traceStep feeds the chaos battery's event trace when a test installs one;
-// production runs leave chaosTrace nil and pay only a nil check.
-var chaosTrace func(traceEvent)
-
-func traceStep(ev traceEvent) {
-	if chaosTrace != nil {
-		chaosTrace(ev)
-	}
 }
 
 // applyChunk writes data into sv's copy of the chunk, growing it as

@@ -212,9 +212,9 @@ func (s *Store) logIntent(cg *charge, t wal.RecordType, intent *migrationIntent,
 // MigrationRateBytes each) before the batch may proceed. One batch is in
 // flight at a time, which bounds in-flight migration bytes on the pool.
 func (s *Store) runMigration(ctx *storage.Context) {
-	if s.cfg.MigrationBatchHook != nil {
+	if s.observe != nil {
 		// The boundary before any batch: intent durable, sweep not started.
-		s.cfg.MigrationBatchHook(-1)
+		s.observe(Event{Kind: EventBatch, Batch: -1})
 	}
 	cg := s.directCharge(ctx)
 	s.migrateDescriptors(&cg)
@@ -233,8 +233,8 @@ func (s *Store) runMigration(ctx *storage.Context) {
 		}
 		budget -= bytes
 		s.runBatch(ctx, &cg, moves[:n])
-		if s.cfg.MigrationBatchHook != nil {
-			s.cfg.MigrationBatchHook(batch)
+		if s.observe != nil {
+			s.observe(Event{Kind: EventBatch, Batch: batch})
 		}
 		moves = moves[n:]
 	}
@@ -296,7 +296,6 @@ func (s *Store) migrateDescriptors(cg *charge) {
 				// recorded here cannot interleave with a newer RecMeta on
 				// this server's lane in the wrong order.
 				s.walAppendMeta(cg, sv, wal.RecCreate, key, size)
-				traceStep(traceEvent{what: "descInstall", node: sv.node, key: key})
 			}
 		}
 		d.latch.RUnlock()
@@ -306,13 +305,10 @@ func (s *Store) migrateDescriptors(cg *charge) {
 			}
 			sv.mu.Lock()
 			_, held := sv.blobs[key]
-			if held {
-				delete(sv.blobs, key)
-			}
+			delete(sv.blobs, key)
 			sv.mu.Unlock()
 			if held {
 				s.walAppendMeta(cg, sv, wal.RecDelete, key, 0)
-				traceStep(traceEvent{what: "descDrop", node: sv.node, key: key})
 			}
 		}
 	}
@@ -388,8 +384,8 @@ func (s *Store) migrationPlan() []migMove {
 }
 
 // runBatch moves one bounded batch of chunks: a batch is what the throttle
-// debits and the hook observes, nothing more — every record a task appends is
-// durable and self-contained on its own.
+// debits and a batch event reports, nothing more — every record a task
+// appends is durable and self-contained on its own.
 func (s *Store) runBatch(ctx *storage.Context, cg *charge, moves []migMove) {
 	fan := s.newFan()
 	for _, mv := range moves {

@@ -2,7 +2,8 @@
 // epoch-versioned migration protocol (rebalance.go):
 //
 //   - TestMigrationCrashSweep{Add,Remove} crash the WHOLE cluster after every
-//     record the sweep appends and at every batch boundary — and at a torn
+//     append from the durable intent on — the sweep's, the drain's and each
+//     server's RecMigrateEnd — and at every batch boundary, and at a torn
 //     variant of each, the crash landing inside the last medium write — for
 //     Replication 1, 2 and 3, then recover every node and require the
 //     open intent to roll forward to a placement satisfying CheckInvariants,
@@ -112,25 +113,22 @@ type crashImage struct {
 }
 
 // captureMigration runs one membership change of node 4 and returns a crash
-// image after every record its sweep appends (the data plane's trace fires
-// right after each descriptor handover and each chunk install, drop and debt
-// append, naming node, key and — for a chunk — its index), at every
-// batch boundary — the first being "intent durable, no batch" — and at
-// completion. The pre-intent state is NOT a valid crash image: the ring is
-// store-global (membership is assumed durable out of band), so the earliest
-// representable crash is "intent logged".
+// image at every batch boundary — the first being "intent durable, no
+// batch" — after every append from there on, each located by its append
+// event's node and lane, and at completion. The pre-intent state is NOT a
+// valid crash image: the ring is store-global (membership is assumed durable
+// out of band), so the earliest representable crash is "intent logged".
 func captureMigration(t testing.TB, s *Store, ctx *storage.Context, remove bool) []crashImage {
 	var images []crashImage
-	s.cfg.MigrationBatchHook = func(int) { images = append(images, crashImage{captureAllLanes(s), -1, 0}) }
-	chaosTrace = func(ev traceEvent) {
-		sv := s.servers[ev.node]
-		lane := sv.metaLane(ev.key)
-		if ev.chunk {
-			lane = sv.chunkLane(chunkID{ev.key, ev.idx}.ringHash())
+	s.Observe(func(ev Event) {
+		switch {
+		case ev.Kind == EventBatch:
+			images = append(images, crashImage{captureAllLanes(s), -1, 0})
+		case images != nil: // past batch -1, so not the intent itself
+			images = append(images, crashImage{captureAllLanes(s), int(ev.Node), ev.Lane})
 		}
-		images = append(images, crashImage{captureAllLanes(s), int(sv.node), lane})
-	}
-	defer func() { s.cfg.MigrationBatchHook, chaosTrace = nil, nil }()
+	})
+	defer s.Observe(nil)
 	var err error
 	if remove {
 		err = s.RemoveServer(ctx, 4)
@@ -250,16 +248,16 @@ func TestMigrationCheckpointCarriesIntent(t *testing.T) {
 	expect := seedBlobs(t, s, ctx, 24)
 
 	var snap [][][]byte
-	s.cfg.MigrationBatchHook = func(batch int) {
-		if batch == 1 {
+	s.Observe(func(ev Event) {
+		if ev.Kind == EventBatch && ev.Batch == 1 {
 			s.CheckpointAll()
 			snap = captureAllLanes(s)
 		}
-	}
+	})
 	if err := s.AddServer(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
-	s.cfg.MigrationBatchHook = nil
+	s.Observe(nil)
 	if snap == nil {
 		t.Fatal("migration finished before batch 1; workload too small")
 	}
@@ -370,8 +368,12 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	// Stretch the sweep in real time so the workers genuinely interleave
 	// with every migration stage. This test asserts oracle equality, not
 	// timing, so the real-time pacing cannot leak into any replayed log.
-	//blobvet:allow virtualtime test-only real-time pacing to force goroutine interleaving; assertions are oracle-based, not timing-based
-	s.cfg.MigrationBatchHook = func(int) { time.Sleep(200 * time.Microsecond) }
+	s.Observe(func(ev Event) {
+		if ev.Kind == EventBatch {
+			//blobvet:allow virtualtime test-only real-time pacing to force goroutine interleaving; assertions are oracle-based, not timing-based
+			time.Sleep(200 * time.Microsecond)
+		}
+	})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -422,7 +424,7 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	s.cfg.MigrationBatchHook = nil
+	s.Observe(nil)
 	if t.Failed() {
 		return
 	}

@@ -40,7 +40,6 @@ func (s *Store) Crash(node cluster.NodeID) {
 	sv.wiped = true
 	sv.mu.Unlock()
 	sv.resetChunks()
-	traceStep(traceEvent{what: "crash", node: node})
 }
 
 // prepWrite is the buffered 2PC chunk write awaiting its commit record
@@ -301,7 +300,6 @@ func (s *Store) Recover(node cluster.NodeID) error {
 	sv.mu.Lock()
 	sv.wiped = false
 	sv.mu.Unlock()
-	traceStep(traceEvent{what: "recover", node: node, n: int64(len(chunks)), m: int64(len(debt))})
 	// Resync from live peers BEFORE serving: the merged-replay prefix
 	// contract can drop acknowledged writes behind a torn lane tail, and
 	// this node's own debt records only cover what its log survived. A

@@ -182,7 +182,6 @@ func (s *Store) recordDebt(cg *charge, sv *server, h uint64, id chunkID, owed ui
 	mask := st.debt[id] | owed
 	sv.setDebtLocked(st, id, mask)
 	s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil)
-	traceStep(traceEvent{what: "recordDebt", node: sv.node, key: id.key, idx: id.idx, chunk: true, owed: owed, mask: mask, ver: st.ver[id]})
 	st.mu.Unlock()
 }
 
@@ -199,7 +198,6 @@ func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bit, upT
 		sv.setDebtLocked(st, id, mask)
 		s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil)
 		cleared = true
-		traceStep(traceEvent{what: "clearDebt", node: sv.node, key: id.key, idx: id.idx, chunk: true, owed: bit, upTo: upTo, mask: mask, ver: st.ver[id]})
 	}
 	st.mu.Unlock()
 	return cleared

@@ -218,7 +218,6 @@ func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, d
 		s.walAppendChunk(cg, target, wal.RecWrite, h, id, 0, ver, data)
 	}
 	cg.diskWrite(target.node, len(data))
-	traceStep(traceEvent{what: "install", node: target.node, key: id.key, idx: id.idx, chunk: true, ver: ver})
 	return ver, true
 }
 
@@ -235,5 +234,4 @@ func (s *Store) dropChunk(cg *charge, sv *server, h uint64, id chunkID, upTo uin
 	}
 	sv.deleteChunkLocked(st, id, 0)
 	s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil)
-	traceStep(traceEvent{what: "drop", node: sv.node, key: id.key, idx: id.idx, chunk: true})
 }

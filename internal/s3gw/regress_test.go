@@ -1,14 +1,19 @@
 package s3gw
 
 import (
+	"errors"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
+
+	"repro/internal/blob"
+	"repro/internal/cluster"
 )
 
-// TestPutOverwriteShorterBody pins the truncate-then-write overwrite path:
-// replacing a long object with a shorter body must not leave a stale tail
-// from the previous version (the PUT truncates to zero before writing).
+// TestPutOverwriteShorterBody pins the overwrite path: replacing a long
+// object with a shorter body must not leave a stale tail from the previous
+// version (the PUT trims to the new body's length after writing it).
 func TestPutOverwriteShorterBody(t *testing.T) {
 	srv, _, _ := newServer(t)
 	long := "a-rather-long-first-version-spanning-multiple-chunks-" +
@@ -37,6 +42,28 @@ func TestPutOverwriteShorterBody(t *testing.T) {
 	resp = do(t, http.MethodGet, srv.URL+"/obj", "")
 	if body, _ := io.ReadAll(resp.Body); len(body) != 0 {
 		t.Fatalf("object after empty overwrite = %q, want empty", body)
+	}
+}
+
+// TestFailedOverwriteKeepsObject pins write-then-trim: an overwrite PUT whose
+// write fails must leave the previous object whole, not emptied.
+func TestFailedOverwriteKeepsObject(t *testing.T) {
+	srv, _, store := newServer(t)
+	v1 := strings.Repeat("first-version-", 8)
+	if resp := do(t, http.MethodPut, srv.URL+"/obj", v1); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first PUT status = %d", resp.StatusCode)
+	}
+	c := store.(*blob.Store).Cluster()
+	c.SetFaultInjector(cluster.NewFaultPlan(1, []cluster.FaultRule{
+		{Node: -1, Kind: cluster.FaultDiskWrite, Prob: 1, Fault: cluster.Fault{Err: errors.New("disk gone")}},
+	}))
+	if resp := do(t, http.MethodPut, srv.URL+"/obj", "second"); resp.StatusCode == http.StatusOK {
+		t.Fatal("overwrite PUT succeeded with every disk failing")
+	}
+	c.SetFaultInjector(nil)
+	resp := do(t, http.MethodGet, srv.URL+"/obj", "")
+	if body, _ := io.ReadAll(resp.Body); string(body) != v1 {
+		t.Fatalf("object after the failed overwrite = %q, want %q", body, v1)
 	}
 }
 

@@ -91,20 +91,21 @@ func (g *Gateway) put(ctx *storage.Context, w http.ResponseWriter, r *http.Reque
 		return
 	}
 	err = g.store.CreateBlob(ctx, key)
-	switch {
-	case err == nil:
-	case errors.Is(err, storage.ErrExists):
-		// S3 PUT overwrites.
-		if err := g.store.TruncateBlob(ctx, key, 0); err != nil {
-			httpStoreError(w, err)
-			return
-		}
-	default:
+	exists := errors.Is(err, storage.ErrExists)
+	if err != nil && !exists {
 		httpStoreError(w, err)
 		return
 	}
 	if len(body) > 0 {
 		if _, err := g.store.WriteBlob(ctx, key, 0, body); err != nil {
+			httpStoreError(w, err)
+			return
+		}
+	}
+	// S3 PUT overwrites: trim the old object's tail only once the new body
+	// is in, so a failed write leaves the old object, not an empty one.
+	if exists {
+		if err := g.store.TruncateBlob(ctx, key, int64(len(body))); err != nil {
 			httpStoreError(w, err)
 			return
 		}

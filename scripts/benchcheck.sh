@@ -89,6 +89,8 @@ done
 go test -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog' ./internal/wal
+# The one migration test whose outcome depends on interleaving, and the observer it drives from live appends.
+go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend' ./internal/blob
 (cd benchmark && go test ./...)
 scripts/examples.sh
 bash benchmark/run.sh -repeat 2 -check
