@@ -9,7 +9,12 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,6 +25,7 @@ import (
 	"repro/internal/fs/posixfs"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/s3gw"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -405,6 +411,70 @@ func BenchmarkHotPathWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- Object path: one S3 request through Gateway.ServeHTTP on the hot-path
+// store shape, no sockets, a reused hand-built request and a discarding
+// writer. -cpuprofile entry point for the gateway; its allocation guard is
+// internal/s3gw's TestGatewayRequestAllocationBudget. ---
+
+func BenchmarkS3Gateway(b *testing.B) {
+	for _, method := range []string{http.MethodGet, http.MethodPut} {
+		for _, size := range []int{4 << 10, 64 << 10} {
+			b.Run(fmt.Sprintf("%s/%dKiB", strings.ToLower(method), size>>10), func(b *testing.B) {
+				store := blob.New(cluster.New(cluster.Config{Nodes: 9, Seed: 1}),
+					blob.Config{ChunkSize: 64 << 10, Replication: 3})
+				gw := s3gw.New(store)
+				payload := make([]byte, size)
+				var body bytes.Reader
+				req := &http.Request{URL: &url.URL{Path: "/obj"}, Header: http.Header{}, Body: io.NopCloser(&body)}
+				w := discardWriter{hdr: http.Header{}}
+				serve := func(method string) {
+					req.Method = method
+					body.Reset(payload)
+					w.reset()
+					gw.ServeHTTP(&w, req)
+					if w.status != http.StatusOK || (method == http.MethodGet && w.n != size) {
+						b.Fatalf("%s: status %d, %d bytes", method, w.status, w.n)
+					}
+				}
+				serve(http.MethodPut)
+				// One warm compaction window, as in BenchmarkHotPathWrite.
+				for i := 0; i < bench.CompactEvery; i++ {
+					serve(method)
+				}
+				store.CheckpointAll()
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if method == http.MethodPut && i%bench.CompactEvery == bench.CompactEvery-1 {
+						b.StopTimer()
+						store.CheckpointAll()
+						b.StartTimer()
+					}
+					serve(method)
+				}
+			})
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the status and the body
+// length.
+type discardWriter struct {
+	hdr    http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.hdr }
+func (w *discardWriter) WriteHeader(s int)           { w.status = s }
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+func (w *discardWriter) reset() {
+	clear(w.hdr)
+	w.status, w.n = 0, 0
 }
 
 // reportVirtual attaches the simulated-cluster time per operation.

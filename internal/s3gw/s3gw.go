@@ -14,6 +14,20 @@
 // Every request runs on a forked virtual clock; the accumulated gateway
 // time is visible via TotalVirtualTime, so the gateway's cost shows up in
 // experiments like every other access layer.
+//
+// # Buffers
+//
+// PUT reads its body, and GET its response, into a byte slice taken from a
+// package-level pool and returned on every exit, so a warm gateway allocates
+// no per-request buffer. Each request is still exactly one WriteBlob or
+// ReadBlob: the pool relies on storage.BlobStore's promises that WriteBlob
+// does not retain p after it returns and that a successful ReadBlob writes
+// every byte of p[:n]. Bodies are not streamed chunk by chunk on purpose: a
+// multi-chunk PUT would become several writes, so a failure partway would
+// leave old and new chunks mixed, and a chunked GET would lose the one-latch
+// snapshot a single ReadBlob gives. A request's Content-Length is only a
+// capacity hint, capped at maxPooledBuf, and a buffer that grew past that
+// cap is dropped rather than pooled, so one huge object cannot pin memory.
 package s3gw
 
 import (
@@ -22,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,6 +44,45 @@ import (
 
 	"repro/internal/storage"
 )
+
+// maxPooledBuf caps both the capacity a Content-Length hint may reserve up
+// front and the capacity of a buffer put back in bufPool.
+const maxPooledBuf = 1 << 20
+
+// bufPool holds request buffers. It stores *[]byte so a Put does not
+// allocate.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putBuf empties *bp and pools it, unless its capacity is over maxPooledBuf.
+func putBuf(bp *[]byte) {
+	if cap(*bp) > maxPooledBuf {
+		return
+	}
+	*bp = (*bp)[:0]
+	bufPool.Put(bp)
+}
+
+// readBody reads r's body into the empty buf until EOF: io.ReadAll's loop,
+// over a pooled buffer. It trusts the bytes, not the header: Content-Length
+// only pre-sizes buf, never past maxPooledBuf.
+func readBody(buf []byte, r *http.Request) ([]byte, error) {
+	if hint := min(r.ContentLength, maxPooledBuf); hint > int64(cap(buf)) {
+		buf = make([]byte, 0, hint)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
 
 // Gateway is an http.Handler over a blob store.
 type Gateway struct {
@@ -85,7 +139,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) put(ctx *storage.Context, w http.ResponseWriter, r *http.Request, key string) {
-	body, err := io.ReadAll(r.Body)
+	bp := bufPool.Get().(*[]byte)
+	defer putBuf(bp)
+	body, err := readBody(*bp, r)
+	*bp = body
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -158,7 +215,10 @@ func (g *Gateway) get(ctx *storage.Context, w http.ResponseWriter, r *http.Reque
 		status = http.StatusPartialContent
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
 	}
-	buf := make([]byte, length)
+	bp := bufPool.Get().(*[]byte)
+	defer putBuf(bp)
+	buf := slices.Grow(*bp, int(length))[:length]
+	*bp = buf
 	n, err := g.store.ReadBlob(ctx, key, off, buf)
 	if err != nil {
 		httpStoreError(w, err)

@@ -74,8 +74,11 @@ type BlobStore interface {
 	DeleteBlob(ctx *Context, key string) error
 	// ReadBlob reads up to len(p) bytes at off, returning the count read.
 	// Reading at or past EOF returns 0, nil (size is exposed separately).
+	// A successful ReadBlob writes every byte of p[:n], holes as zeros, so
+	// callers may pass a reused buffer without clearing it.
 	ReadBlob(ctx *Context, key string, off int64, p []byte) (int, error)
-	// WriteBlob writes p at off, extending the blob as needed.
+	// WriteBlob writes p at off, extending the blob as needed. It does not
+	// retain p after it returns, so callers may reuse the buffer.
 	WriteBlob(ctx *Context, key string, off int64, p []byte) (int, error)
 	// TruncateBlob sets the blob size, zero-filling on extension.
 	TruncateBlob(ctx *Context, key string, size int64) error
