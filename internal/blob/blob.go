@@ -61,8 +61,11 @@
 //     clock semantics bit-for-bit. See dispatch.go for the concurrency
 //     contract.
 //
-// The log is the history (ARIES redo), so the store is observed where the log
-// is written: Store.Observe installs one subscriber that walAppendLane and
+// The log is the history (ARIES redo). Recover redoes a server's records into
+// emptied tables through the mutators the live ops call, and CheckInvariants
+// redoes every live server's log the same way to check that it reproduces
+// that server's memory exactly. The store is observed where the log is
+// written: Store.Observe installs one subscriber that walAppendLane and
 // walAppendBatch, the only two data-plane appenders, call once per append,
 // and that a migration sweep calls at every batch boundary. The crash sweeps
 // take their crash points from it; nothing in the store depends on it.
@@ -516,14 +519,6 @@ func (sv *server) chunkVer(h uint64, id chunkID) uint64 {
 	return st.ver[id]
 }
 
-func (sv *server) setChunk(h uint64, id chunkID, data []byte, ver uint64) {
-	st := sv.stripe(h)
-	st.mu.Lock()
-	st.m[id] = data
-	st.ver[id] = ver
-	st.mu.Unlock()
-}
-
 // setDebtLocked installs the debt mask for id, maintaining the store-wide
 // pending counter. The caller must hold st's write lock.
 func (sv *server) setDebtLocked(st *chunkStripe, id chunkID, mask uint64) {
@@ -540,9 +535,9 @@ func (sv *server) setDebtLocked(st *chunkStripe, id chunkID, mask uint64) {
 	st.debt[id] = mask
 }
 
-// deleteChunk applies a RecChunkDelete at ver to memory, as replay does: ver 0
-// removes the copy outright (a stray's drop), any other ver leaves a tombstone
-// at that version. Debt goes either way.
+// deleteChunk applies a RecChunkDelete at ver to memory, live and at redo: ver
+// 0 removes the copy outright (a stray's drop), any other ver leaves a
+// tombstone at that version. Debt goes either way.
 func (sv *server) deleteChunk(h uint64, id chunkID, ver uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
@@ -561,7 +556,7 @@ func (sv *server) deleteChunkLocked(st *chunkStripe, id chunkID, ver uint64) {
 	sv.setDebtLocked(st, id, 0)
 }
 
-// trimChunk applies a RecChunkTruncate to memory, as replay does: a held
+// trimChunk applies a RecChunkTruncate to memory, live and at redo: a held
 // chunk is cut to keep bytes and raised to ver.
 func (sv *server) trimChunk(h uint64, id chunkID, keep int64, ver uint64) {
 	st := sv.stripe(h)
@@ -611,18 +606,17 @@ func (sv *server) forEachDebt(fn func(id chunkID, mask uint64)) {
 	}
 }
 
-// resetChunks drops every chunk replica and the version/debt tables
-// (crash / drain), releasing the dropped debt from the pending counter.
-func (sv *server) resetChunks() {
+// reset empties sv's descriptor, chunk, version and debt tables (new server,
+// crash, drain), releasing the dropped debt from the pending counter.
+func (sv *server) reset() {
+	sv.mu.Lock()
+	sv.blobs = make(map[string]*descriptor)
+	sv.mu.Unlock()
 	for i := range sv.stripes {
 		st := &sv.stripes[i]
 		st.mu.Lock()
-		st.m = make(map[chunkID][]byte)
-		st.ver = make(map[chunkID]uint64)
-		if n := len(st.debt); n > 0 {
-			sv.repairPending.Add(-int64(n))
-			st.debt = make(map[chunkID]uint64)
-		}
+		sv.repairPending.Add(-int64(len(st.debt)))
+		st.m, st.ver, st.debt = make(map[chunkID][]byte), make(map[chunkID]uint64), make(map[chunkID]uint64)
 		st.mu.Unlock()
 	}
 }
@@ -631,6 +625,10 @@ func (sv *server) resetChunks() {
 // blob's primary descriptor server; replicas hold copies.
 type descriptor struct {
 	size int64
+	// dead is set under the latch by the delete that removed the blob: an op
+	// that resolved the descriptor first and latched it after finds the blob
+	// gone (latchDesc).
+	dead bool
 	// latch serializes writes and makes multi-chunk commits atomically
 	// visible. Only the primary's latch is used.
 	latch sync.RWMutex
@@ -668,16 +666,11 @@ func NewOnNodes(c *cluster.Cluster, cfg Config, serving []cluster.NodeID) *Store
 	for _, n := range c.Nodes() {
 		sv := &server{
 			node:          n.ID,
-			blobs:         make(map[string]*descriptor),
 			wal:           wal.NewMultiLog(cfg.WALLanes),
 			repairPending: &s.repairPending,
 			migIntent:     &s.migIntent,
 		}
-		for i := range sv.stripes {
-			sv.stripes[i].m = make(map[chunkID][]byte)
-			sv.stripes[i].ver = make(map[chunkID]uint64)
-			sv.stripes[i].debt = make(map[chunkID]uint64)
-		}
+		sv.reset()
 		s.servers = append(s.servers, sv)
 		if inRing[n.ID] {
 			s.ring.Add(int(n.ID))
@@ -785,6 +778,39 @@ func (s *Store) primaryDesc(key string) (*server, *descriptor, error) {
 		return nil, nil, fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
 	}
 	return sv, d, nil
+}
+
+// latchDesc is how an op reaches a blob: it resolves the live descriptor
+// (primaryDesc) and takes its latch, exclusively when write is set. A write
+// is refused while the descriptor primary is down; meta charges the size
+// lookup, one metadata op on the primary, before the latch. A descriptor
+// that a delete removed while this op waited for the latch answers
+// storage.ErrNotFound, with the latch released.
+func (s *Store) latchDesc(ctx *storage.Context, key string, write, meta bool) (*server, *descriptor, error) {
+	primary, d, err := s.primaryDesc(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	if write && primary.isDown() {
+		return nil, nil, fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
+	}
+	if meta {
+		s.cluster.MetaOp(ctx.Clock, primary.node, 1)
+	}
+	if write {
+		d.latch.Lock()
+	} else {
+		d.latch.RLock()
+	}
+	if !d.dead {
+		return primary, d, nil
+	}
+	if write {
+		d.latch.Unlock()
+	} else {
+		d.latch.RUnlock()
+	}
+	return nil, nil, fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
 }
 
 // canonicalDesc returns the canonical copy of a descriptor during a
@@ -928,24 +954,28 @@ func (s *Store) createBlob(ctx *storage.Context, key string) error {
 	primary.blobs[key] = &descriptor{}
 	primary.mu.Unlock()
 	cg := s.directCharge(ctx)
-	s.walAppendMeta(&cg, primary, wal.RecCreate, key, 0)
+	s.walAppendMeta(&cg, primary, wal.RecMeta, key, 0)
 
 	// Synchronous descriptor replication, replicas updated in parallel.
-	s.replicateDesc(ctx, key, owners[1:], 0)
+	s.replicateDesc(ctx, key, nil, 0)
 	return nil
 }
 
-// replicateDesc copies the descriptor (with the given size) to replicas,
-// charging parallel RPC+WAL costs.
-func (s *Store) replicateDesc(ctx *storage.Context, key string, replicas []int, size int64) {
+// replicateDesc pushes the descriptor's size to its replicas in parallel,
+// each a metadata op and a RecMeta append. d is nil for a create, which
+// upserts: the replica may not hold the descriptor yet. Otherwise the caller
+// holds d, the primary's object, under its latch: after a migration's
+// handover a replica may map the key to that very object (pointer-shared
+// canonical descriptor), and the task must then skip its store — the size is
+// already in place, and two replica tasks writing the shared field would race.
+func (s *Store) replicateDesc(ctx *storage.Context, key string, d *descriptor, size int64) {
 	fan := s.newFan()
-	for _, r := range replicas {
+	for _, o := range s.descOwners(key)[1:] {
 		t := fan.task(taskDescReplicate)
-		t.sv = s.servers[r]
+		t.sv = s.servers[o]
 		t.key = key
 		t.size = size
-		t.rec = wal.RecCreate
-		t.meta = true // upsert: the replica may not hold the descriptor yet
+		t.desc = d
 		fan.spawn(t)
 	}
 	fan.join(ctx)
@@ -957,22 +987,20 @@ func (s *Store) replicateDesc(ctx *storage.Context, key string, replicas []int, 
 func (s *Store) DeleteBlob(ctx *storage.Context, key string) error {
 	s.member.RLock()
 	defer s.member.RUnlock()
-	primary, d, err := s.primaryDesc(key)
+	primary, d, err := s.latchDesc(ctx, key, true, false)
 	if err != nil {
 		return err
 	}
-	if primary.isDown() {
-		return fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
-	}
-	d.latch.Lock()
 	defer d.latch.Unlock()
 	return s.deleteLocked(ctx, key, primary, d)
 }
 
-// deleteLocked performs the deletion with the descriptor latch already held.
-// RenameBlob (rename.go) calls it while also holding the target blob's
-// latch: RenameBlob latches both descriptors in key order.
+// deleteLocked performs the deletion with the descriptor latch already held,
+// and marks the descriptor dead for whoever waits on that latch. RenameBlob
+// (rename.go) calls it while also holding the target blob's latch:
+// RenameBlob latches both descriptors in key order.
 func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, d *descriptor) error {
+	d.dead = true
 	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
 	size := d.size
 	nChunks := (size + int64(s.cfg.ChunkSize) - 1) / int64(s.cfg.ChunkSize)
@@ -1017,12 +1045,10 @@ func (s *Store) tombstoneChunks(batch *walBatch, key string, from, to int64) {
 func (s *Store) BlobSize(ctx *storage.Context, key string) (int64, error) {
 	s.member.RLock()
 	defer s.member.RUnlock()
-	primary, d, err := s.primaryDesc(key)
+	_, d, err := s.latchDesc(ctx, key, false, true)
 	if err != nil {
 		return 0, err
 	}
-	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
-	d.latch.RLock()
 	defer d.latch.RUnlock()
 	return d.size, nil
 }

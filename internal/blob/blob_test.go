@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -64,7 +66,7 @@ func TestObserveSeesEveryAppend(t *testing.T) {
 		write("kept", 1, 8*32), write("kept", 3, 16), s.TruncateBlob(ctx, "gone", 40), s.DeleteBlob(ctx, "gone")); err != nil {
 		t.Fatal(err)
 	}
-	for _, rt := range []wal.RecordType{wal.RecCreate, wal.RecWrite, wal.RecPrepWrite, wal.RecTruncate, wal.RecDelete} {
+	for _, rt := range []wal.RecordType{wal.RecMeta, wal.RecWrite, wal.RecPrepWrite, wal.RecChunkDelete, wal.RecDelete} {
 		if types[rt] == 0 {
 			t.Errorf("no %v append: %v", rt, types)
 		}
@@ -321,6 +323,75 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	}
 	if total != 0 {
 		t.Fatalf("delete left %d descriptors/chunks behind", total)
+	}
+}
+
+// TestOpsOnDeletedBlobSeeNotFound: an op that resolved a blob's descriptor
+// before a concurrent delete took the latch, and got the latch after the
+// delete released it, answers ErrNotFound. It must not act on the removed
+// object: a write would leave an orphan chunk and, past the old size, log a
+// size that brings the blob back once every node recovers; a read would
+// return zeros. The delete's first append is held for 20 ms, latch taken and
+// descriptor still mapped, while the op resolves the blob and queues.
+func TestOpsOnDeletedBlobSeeNotFound(t *testing.T) {
+	late, buf := []byte("late"), make([]byte, 100)
+	arms := []struct {
+		name string
+		op   func(s *Store, ctx *storage.Context) error
+	}{
+		{"write", func(s *Store, ctx *storage.Context) error { _, err := s.WriteBlob(ctx, "k", 0, late); return err }},
+		{"read", func(s *Store, ctx *storage.Context) error { _, err := s.ReadBlob(ctx, "k", 0, buf); return err }},
+		{"write past the end", func(s *Store, ctx *storage.Context) error { _, err := s.WriteBlob(ctx, "k", 120, late); return err }},
+		{"truncate", func(s *Store, ctx *storage.Context) error { return s.TruncateBlob(ctx, "k", 10) }},
+		{"size", func(s *Store, ctx *storage.Context) error { _, err := s.BlobSize(ctx, "k"); return err }},
+		{"delete", func(s *Store, ctx *storage.Context) error { return s.DeleteBlob(ctx, "k") }},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			s := newStore(t, 4, Config{ChunkSize: 64, Replication: 2})
+			ctx := storage.NewContext()
+			if err := s.CreateBlob(ctx, "k"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.WriteBlob(ctx, "k", 0, pattern(1, 100)); err != nil {
+				t.Fatal(err)
+			}
+			var armed atomic.Bool
+			armed.Store(true)
+			done := make(chan error, 1)
+			s.Observe(func(Event) {
+				if armed.CompareAndSwap(true, false) {
+					go func() { done <- arm.op(s, storage.NewContext()) }()
+					//blobvet:allow virtualtime test-only real-time pacing lets the op reach the latch; the assertions are outcome-based
+					time.Sleep(20 * time.Millisecond)
+				}
+			})
+			if err := s.DeleteBlob(ctx, "k"); err != nil {
+				t.Fatal(err)
+			}
+			err := <-done
+			s.Observe(nil)
+			if !errors.Is(err, storage.ErrNotFound) {
+				t.Errorf("%s racing the delete: %v, want ErrNotFound", arm.name, err)
+			}
+			if msg := s.CheckInvariants(); msg != "" {
+				t.Errorf("invariants: %s", msg)
+			}
+			for n := range s.servers {
+				s.Crash(cluster.NodeID(n))
+			}
+			for n := range s.servers {
+				if err := s.Recover(cluster.NodeID(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if size, err := s.BlobSize(ctx, "k"); !errors.Is(err, storage.ErrNotFound) {
+				t.Errorf("after every node recovered: size %d, %v; want ErrNotFound", size, err)
+			}
+			if msg := s.CheckInvariants(); msg != "" {
+				t.Errorf("invariants after every node recovered: %s", msg)
+			}
+		})
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 //	meta  record: u16 keyLen | key | i64 size               (descriptor state)
 //	chunk record: u16 keyLen | key | i64 idx | i64 within | u64 ver | data
 //
-// Meta and chunk payloads are distinguished by record type (RecCreate /
-// RecDelete / RecTruncate / RecMeta carry meta payloads; RecWrite /
-// RecPrepWrite / RecChunkDelete / RecChunkTruncate and the 2PC marker
-// RecChunkCommit carry chunk payloads), so chunk addressing never
+// Meta and chunk payloads are distinguished by record type (RecMeta, which
+// creates or resizes, and RecDelete carry meta payloads; RecWrite /
+// RecPrepWrite / RecChunkDelete / RecChunkTruncate / RecRepairNeeded and the
+// 2PC marker RecChunkCommit carry chunk payloads), so chunk addressing never
 // round-trips through a combined string key. RecChunkCommit drives the
-// prepared-write buffer (recovery.go).
+// prepared-write buffer (recovery.go's redo).
 // All encoders are append-style into caller-provided buffers.
 //
 // A chunk record's payload is the addressing header (appendChunkHeader)

@@ -74,10 +74,9 @@
 //     bounded batch from a private medium snapshot and signals a
 //     capacity-1 channel that is empty by protocol (one job in flight per
 //     lane). Only the merge — the recovery caller, never a worker — waits
-//     on those channels, and it must therefore hold no latch-class lock
-//     while merging: Recover builds into local maps and takes sv.mu only
-//     to install them (and, as before, never holds sv.mu across the
-//     chunk-scatter parallelDo).
+//     on those channels, and it must therefore hold no lock across a wait:
+//     redo takes the short-hold sv.mu and stripe locks per record and
+//     releases them before the merge asks a feed for the next one.
 //     (enforced: blobvet/workerlatch — laneFeed.run is a task root and
 //     laneFeed.Next is a pool wait)
 //   - Per-lane checkpoint jobs append only to their own lane's private
@@ -135,7 +134,7 @@
 //     the latch to exclude a racing DeleteBlob). Chunk-batch tasks
 //     therefore never need — and must never take — a descriptor latch;
 //     like repair tasks they touch only stripe locks, server maps, and WAL
-//     lanes (installChunk and dropChunk on the chunk's natural lane, through
+//     lanes (installChunk and dropStrays on the chunk's natural lane, through
 //     the accounted append path).
 //     (enforced: blobvet/workerlatch — migrateChunk is in the
 //     task-reachable graph, where latch takes are flagged; blobvet/walappend
@@ -221,8 +220,8 @@ func offerHelp(t runnable) bool {
 
 // parallelDo runs fn(0..n-1) and waits for all of them: the caller pulls
 // indices off a shared cursor and idle pool workers pull from the same one.
-// It is for clock-free bulk state manipulation (recovery chunk reinsertion,
-// checkpoint sweeps); fan tasks with cost accounting go through ctxFan.
+// It is for clock-free bulk work (checkpoint lane jobs); fan tasks with
+// cost accounting go through ctxFan.
 // Must not be called from a worker (it blocks).
 func parallelDo(n int, fn func(int)) {
 	if n <= 0 {
@@ -390,9 +389,8 @@ type fanTask struct {
 	sv     *server
 	rec    wal.RecordType
 	key    string
-	desc   *descriptor // taskDescReplicate: the primary's object, to skip pointer-shared stores
+	desc   *descriptor // taskDescReplicate: the primary's object, to skip pointer-shared stores; nil upserts
 	lane   int         // taskWalFlush: the target log lane of the spec batch
-	meta   bool        // taskDescReplicate: upsert
 	specs  []wal.AppendVSpec
 	fn     func(cg *charge) error
 }
@@ -466,7 +464,7 @@ func (t *fanTask) run() {
 		cg.metaOp(t.sv.node, 1)
 		t.sv.mu.Lock()
 		d, ok := t.sv.blobs[t.key]
-		if !ok && t.meta {
+		if !ok && t.desc == nil { // a create upserts
 			d = &descriptor{}
 			t.sv.blobs[t.key] = d
 			ok = true
@@ -479,7 +477,7 @@ func (t *fanTask) run() {
 			d.size = t.size
 		}
 		t.sv.mu.Unlock()
-		s.walAppendMeta(cg, t.sv, t.rec, t.key, t.size)
+		s.walAppendMeta(cg, t.sv, wal.RecMeta, t.key, t.size)
 	}
 }
 
@@ -565,7 +563,6 @@ func (t *fanTask) release() {
 	t.key = ""
 	t.desc = nil
 	t.lane = 0
-	t.meta = false
 	t.specs = nil
 	t.fn = nil
 	taskPool.Put(t)

@@ -435,12 +435,13 @@ func TestTraceOffAllocatesNothing(t *testing.T) {
 	h := id.ringHash()
 	data := pattern(3, 32)
 	ver := uint64(1 << 20)
+	stray := chunkSurvey{reps: []replica{{sv: sv}}}
 	step := func() {
 		ver++
 		s.installChunk(&cg, sv, h, id, data, ver)
 		s.recordDebt(&cg, sv, h, id, 2)
 		s.clearDebt(&cg, sv, h, id, 2, ver)
-		s.dropChunk(&cg, sv, h, id, ver)
+		s.dropStrays(&cg, &stray, h, id, ver)
 	}
 	for i := 0; i < 64; i++ {
 		step() // warm the header pool, the stripe maps and the lane's slab
@@ -458,7 +459,7 @@ func TestTraceOffAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestStripeLockedAppendsShareOneLane: installChunk and dropChunk append
+// TestStripeLockedAppendsShareOneLane: installChunk and dropStrays append
 // while holding the chunk's stripe lock, so writers of distinct chunks that
 // share a stripe AND a lane contend on both locks in that order. They must
 // all finish, and the lane must replay to exactly what memory held.
@@ -484,12 +485,13 @@ func TestStripeLockedAppendsShareOneLane(t *testing.T) {
 			defer wg.Done()
 			cg := s.directCharge(storage.NewContext())
 			h := id.ringHash()
+			stray := chunkSurvey{reps: []replica{{sv: sv}}}
 			for r := 1; r <= rounds; r++ {
 				// Lengths go up and down: a shrinking install is a two-record
 				// AppendNV batch, a growing one a single AppendV.
 				s.installChunk(&cg, sv, h, id, pattern(w*rounds+r, 1+(r*7+w)%64), uint64(r))
 				if (r+w)%5 == 0 {
-					s.dropChunk(&cg, sv, h, id, uint64(r))
+					s.dropStrays(&cg, &stray, h, id, uint64(r))
 				}
 			}
 		}(w, id)

@@ -228,7 +228,7 @@ func TestReadAndRenameShareFreshnessRule(t *testing.T) {
 				cg := s.directCharge(ctx)
 				for _, st := range r.states(owners, other) {
 					sv := s.servers[st.node]
-					sv.setChunk(h, id, bytesOf(st.ver), st.ver)
+					applyChunk(sv, h, id, 0, bytesOf(st.ver), st.ver)
 					if st.debt != 0 {
 						s.recordDebt(&cg, sv, h, id, st.debt)
 					}

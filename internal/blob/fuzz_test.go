@@ -11,8 +11,9 @@ import (
 // FuzzRecoverParallel is the end-to-end crash battery for the parallel
 // recovery pipeline: a store workload derived deterministically from the
 // fuzz input (creates, single- and multi-chunk 2PC writes, truncates,
-// deletes, checkpoints), arbitrary lane tears on fuzzer-chosen servers,
-// and an optional byte flip — then the whole cluster is crashed and
+// deletes, checkpoints) that must pass CheckInvariants, every log redoing to
+// its server's memory included; then arbitrary lane tears on fuzzer-chosen
+// servers and an optional byte flip — then the whole cluster is crashed and
 // recovered twice from identical media, once through the pool-prefetched
 // lane-decode pipeline and once through the serial oracle
 // (Config.SerialRecovery). The contract is total equivalence: same error
@@ -95,6 +96,10 @@ func FuzzRecoverParallel(f *testing.F) {
 			case 5:
 				s.CheckpointAll()
 			}
+		}
+		// Before any damage, every server's log must redo to its memory.
+		if msg := s.CheckInvariants(); msg != "" {
+			t.Fatalf("before the crash: %s", msg)
 		}
 
 		// Crash damage: two fuzzer-positioned lane tears and an optional

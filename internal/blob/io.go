@@ -19,14 +19,11 @@ func (s *Store) ReadBlob(ctx *storage.Context, key string, off int64, p []byte) 
 	}
 	s.member.RLock()
 	defer s.member.RUnlock()
-	primary, d, err := s.primaryDesc(key)
+	// Size lookup: one flat-namespace metadata op on the descriptor primary.
+	_, d, err := s.latchDesc(ctx, key, false, true)
 	if err != nil {
 		return 0, err
 	}
-	// Size lookup: one flat-namespace metadata op on the descriptor primary.
-	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
-
-	d.latch.RLock()
 	defer d.latch.RUnlock()
 	size := d.size
 	if off >= size {
@@ -104,23 +101,19 @@ func (s *Store) WriteBlob(ctx *storage.Context, key string, off int64, p []byte)
 	}
 	s.member.RLock()
 	defer s.member.RUnlock()
-	primary, d, err := s.primaryDesc(key)
-	if err != nil {
-		return 0, err
-	}
-	if primary.isDown() {
-		return 0, fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
 	// No descriptor round trip here: placement is client-side (the hash
 	// ring), so a write contacts only the chunk servers it touches. The
 	// descriptor primary is involved only for multi-chunk transactions and
 	// size extensions below — the flat-namespace advantage the paper's
 	// future-work experiment measures.
-	d.latch.Lock()
+	primary, d, err := s.latchDesc(ctx, key, true, false)
+	if err != nil {
+		return 0, err
+	}
 	defer d.latch.Unlock()
+	if len(p) == 0 {
+		return 0, nil
+	}
 	return s.writeLocked(ctx, key, primary, d, off, p, false)
 }
 
@@ -286,7 +279,7 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d
 		s.cluster.MetaOp(ctx.Clock, primary.node, 1)
 		cg := s.directCharge(ctx)
 		s.walAppendMeta(&cg, primary, wal.RecMeta, key, d.size)
-		s.replicateDescSize(ctx, key, d, d.size)
+		s.replicateDesc(ctx, key, d, d.size)
 	}
 
 	// Degraded-write epilogue: drain the debt owed to any excluded owner that
@@ -487,16 +480,10 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 	}
 	s.member.RLock()
 	defer s.member.RUnlock()
-	primary, d, err := s.primaryDesc(key)
+	primary, d, err := s.latchDesc(ctx, key, true, true)
 	if err != nil {
 		return err
 	}
-	if primary.isDown() {
-		return fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
-	}
-	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
-
-	d.latch.Lock()
 	defer d.latch.Unlock()
 
 	if size == d.size {
@@ -530,28 +517,7 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 	}
 	d.size = size
 	cg := s.directCharge(ctx)
-	s.walAppendMeta(&cg, primary, wal.RecTruncate, key, size)
-	s.replicateDescSize(ctx, key, d, size)
+	s.walAppendMeta(&cg, primary, wal.RecMeta, key, size)
+	s.replicateDesc(ctx, key, d, size)
 	return nil
-}
-
-// replicateDescSize pushes the new size to descriptor replicas in parallel.
-// Caller holds the primary descriptor latch. d is the primary's descriptor
-// object: after a migration's handover a replica may map the key to that
-// very object (pointer-shared canonical descriptor), and the task must then
-// skip its store — the size is already in place, and two replica tasks
-// writing the shared field would race.
-func (s *Store) replicateDescSize(ctx *storage.Context, key string, d *descriptor, size int64) {
-	owners := s.descOwners(key)
-	fan := s.newFan()
-	for _, o := range owners[1:] {
-		t := fan.task(taskDescReplicate)
-		t.sv = s.servers[o]
-		t.key = key
-		t.size = size
-		t.rec = wal.RecMeta
-		t.desc = d
-		fan.spawn(t)
-	}
-	fan.join(ctx)
 }

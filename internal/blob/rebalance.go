@@ -173,10 +173,7 @@ func (s *Store) finishMigration(ctx *storage.Context, intent *migrationIntent) {
 	if intent.op == migOpRemove && !s.serving(int(intent.node)) {
 		skip = int(intent.node)
 		sv := s.servers[skip]
-		sv.mu.Lock()
-		sv.blobs = make(map[string]*descriptor)
-		sv.mu.Unlock()
-		sv.resetChunks()
+		sv.reset()
 		// Reset the drained node's log lanes along with its memory: a
 		// populated log would let a later Recover or rejoin resurrect
 		// pre-drain descriptors and chunks the survivors now own.
@@ -271,18 +268,12 @@ func (s *Store) migrateDescriptors(cg *charge) {
 		if d == nil {
 			continue
 		}
+		// A delete that took the latch between probe and lock marked the
+		// descriptor dead: there is nothing to hand over (a recreated blob
+		// was placed natively at the current epoch), only old copies to drop.
 		d.latch.RLock()
-		// Re-resolve under the latch: DeleteBlob holds it exclusively for
-		// the whole drop, so a pointer mismatch here means the blob was
-		// deleted (or deleted and recreated, in which case the new copy was
-		// placed natively at the current epoch) between probe and lock.
-		if _, cur := s.canonicalDesc(key, owners); cur != d {
-			d.latch.RUnlock()
-			continue
-		}
-		size := d.size
-		for _, o := range owners {
-			sv := s.servers[o]
+		for i := 0; i < len(owners) && !d.dead; i++ {
+			sv := s.servers[owners[i]]
 			sv.mu.Lock()
 			_, held := sv.blobs[key]
 			if !held {
@@ -295,7 +286,7 @@ func (s *Store) migrateDescriptors(cg *charge) {
 				// the latch exclusively to change the size, so the size
 				// recorded here cannot interleave with a newer RecMeta on
 				// this server's lane in the wrong order.
-				s.walAppendMeta(cg, sv, wal.RecCreate, key, size)
+				s.walAppendMeta(cg, sv, wal.RecMeta, key, d.size)
 			}
 		}
 		d.latch.RUnlock()
@@ -448,9 +439,7 @@ func (s *Store) migrateChunk(cg *charge, mv migMove) {
 	}
 	// Holders outside the replica set drop their copy — but never the last
 	// copy of a version no owner holds yet.
-	for i := range sy.reps {
-		if r := &sy.reps[i]; !r.owner && reached && r.ver <= srcVer {
-			s.dropChunk(cg, r.sv, h, id, srcVer)
-		}
+	if reached {
+		s.dropStrays(cg, &sy, h, id, srcVer)
 	}
 }

@@ -169,6 +169,100 @@ func TestJoinMovesMinority(t *testing.T) {
 	}
 }
 
+// TestLeftoverStrayNeverOutranksRecreatedBlob: a join whose install onto the
+// new owner faults leaves the old holder's copy in place, a stray. The repair
+// that later catches the owner up must drop it, and until one does, the
+// stray's debt entry must stay. Otherwise, once the blob is
+// deleted and a clean checkpoint has forgotten the owner's tombstone, the
+// stray's version 2 outranks the recreated blob's first write: a read during
+// the next migration serves the old bytes, and the sweep installs them over
+// the acknowledged write.
+func TestLeftoverStrayNeverOutranksRecreatedBlob(t *testing.T) {
+	const holder, joined = 0, 3
+	cfg := Config{ChunkSize: 64, Replication: 1}
+	s := NewOnNodes(cluster.New(cluster.Config{Nodes: 4, Seed: 1}), cfg, []cluster.NodeID{0, 1, 2})
+	after := New(cluster.New(cluster.Config{Nodes: 4, Seed: 1}), cfg) // the ring once node 3 has joined
+	key := ""
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("stray-%d", i)
+		if s.chunkOwners(chunkID{k, 0})[0] == holder && after.chunkOwners(chunkID{k, 0})[0] == joined {
+			key = k
+		}
+	}
+	removed := 1 // uninvolved: neither copy's holder nor the descriptor's
+	if after.descOwners(key)[0] == removed {
+		removed = 2
+	}
+	id := chunkID{key, 0}
+	ctx := storage.NewContext()
+	write := func(data string) {
+		t.Helper()
+		if _, err := s.WriteBlob(ctx, key, 0, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(when string) {
+		t.Helper()
+		got := make([]byte, 10)
+		if n, err := s.ReadBlob(storage.NewContext(), key, 0, got); err != nil || string(got[:n]) != "NEWNEWNEW!" {
+			t.Errorf("%s: read (%q, %v), want the acknowledged NEWNEWNEW!", when, got[:n], err)
+		}
+	}
+	if err := s.CreateBlob(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	write("aaaaaaaaaa")
+	write("bbbbbbbbbb") // version 2
+
+	s.cluster.SetFaultInjector(cluster.NewFaultPlan(1, []cluster.FaultRule{
+		{Node: joined, Kind: cluster.FaultDiskWrite, Prob: 1, Fault: cluster.Fault{Err: errors.New("injected: disk write refused")}},
+	}))
+	if err := s.AddServer(ctx, joined); err != nil {
+		t.Fatal(err)
+	}
+	s.cluster.SetFaultInjector(nil)
+	// A writer's own drain during a migration catches the owner up but leaves
+	// strays to the sweep, so the debt entry the stray holds must stay too.
+	s.migrating.Add(1)
+	s.repairDrain(ctx, joined)
+	s.migrating.Add(-1)
+	if s.RepairPending() == 0 {
+		t.Errorf("a writer's drain during a migration cleared the debt that names the leftover stray")
+	}
+	s.Repair(ctx)
+	if ver := s.servers[joined].chunkVer(id.ringHash(), id); ver != 2 {
+		t.Fatalf("repair left the joined owner at v%d, want v2", ver)
+	}
+	if _, ver, held := s.servers[holder].copyChunk(id.ringHash(), id); held {
+		t.Errorf("node %d kept its v%d copy after repair caught the owner up", holder, ver)
+	}
+
+	if err := s.DeleteBlob(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	s.CheckpointAll() // clean: the tombstone is forgotten
+	if err := s.CreateBlob(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	write("NEWNEWNEW!")
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Errorf("after the recreated blob's write: %s", msg)
+	}
+	s.Observe(func(ev Event) {
+		if ev.Kind == EventBatch {
+			read(fmt.Sprintf("RemoveServer(%d) at batch %d", removed, ev.Batch))
+		}
+	})
+	if err := s.RemoveServer(ctx, cluster.NodeID(removed)); err != nil {
+		t.Fatal(err)
+	}
+	s.Observe(nil)
+	read(fmt.Sprintf("after RemoveServer(%d)", removed))
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Errorf("after RemoveServer(%d): %s", removed, msg)
+	}
+}
+
 func TestJoinThenDrainRoundTrip(t *testing.T) {
 	c := cluster.New(cluster.Config{Nodes: 6, Seed: 4})
 	s := NewOnNodes(c, Config{ChunkSize: 64, Replication: 2},

@@ -2,7 +2,10 @@ package blob
 
 import (
 	"fmt"
+	"hash/crc32"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
@@ -35,11 +38,10 @@ func (s *Store) LogRecords(node cluster.NodeID) ([]wal.Record, error) {
 func (s *Store) Crash(node cluster.NodeID) {
 	sv := s.servers[int(node)]
 	sv.mu.Lock()
-	sv.blobs = make(map[string]*descriptor)
 	sv.down = true
 	sv.wiped = true
 	sv.mu.Unlock()
-	sv.resetChunks()
+	sv.reset()
 }
 
 // prepWrite is the buffered 2PC chunk write awaiting its commit record
@@ -54,29 +56,95 @@ type prepWrite struct {
 	data   []byte
 }
 
-// applyRecovered merges one chunk write into the replayed chunk table and
-// installs the write's persisted version.
-func applyRecovered(chunks map[chunkID][]byte, vers map[chunkID]uint64, id chunkID, within int64, ver uint64, data []byte) {
-	chunk := chunks[id]
-	need := within + int64(len(data))
-	if int64(len(chunk)) < need {
-		grown := make([]byte, need)
-		copy(grown, chunk)
-		chunk = grown
-	}
-	copy(chunk[within:], data)
-	chunks[id] = chunk
-	if ver > vers[id] {
-		vers[id] = ver
-	}
+// redo replays log records into one server's tables through the mutators
+// live ops use (applyChunk, deleteChunk, trimChunk, setDebtLocked and one
+// descriptor upsert), so what a record does is written down once. Recover
+// runs it on the recovering server, CheckInvariants on a scratch one.
+type redo struct {
+	sv      *server
+	pending map[chunkID]prepWrite
+	// intent is the open migration intent, a Begin without its End; maxSeq
+	// is the highest migration sequence number seen.
+	intent *migrationIntent
+	maxSeq uint64
 }
 
-// Recover rebuilds a server's volatile state by replaying its write-ahead
-// log, then marks the server up again. Every mutation path appends a
-// self-describing record (codec.go) whose payload shape is determined by
-// its type — meta records carry (key, size), chunk records carry
-// (chunkID, within, data) — so replay reconstructs descriptors and chunk
-// bytes exactly without parsing string keys.
+func (r *redo) record(rec wal.Record) error {
+	sv := r.sv
+	switch rec.Type {
+	case wal.RecMeta, wal.RecDelete:
+		key, size, err := decMeta(rec.Payload)
+		if err != nil {
+			return err
+		}
+		sv.mu.Lock()
+		if rec.Type == wal.RecDelete {
+			delete(sv.blobs, key)
+		} else if d := sv.blobs[key]; d != nil {
+			d.size = size
+		} else {
+			sv.blobs[key] = &descriptor{size: size}
+		}
+		sv.mu.Unlock()
+	case wal.RecMigrateBegin, wal.RecMigrateEnd:
+		seq, op, node, err := decMigrateIntent(rec.Payload)
+		if err != nil {
+			return err
+		}
+		r.maxSeq = max(r.maxSeq, seq)
+		if rec.Type == wal.RecMigrateBegin {
+			r.intent = &migrationIntent{seq: seq, op: op, node: node}
+		} else if r.intent != nil && r.intent.seq == seq {
+			r.intent = nil
+		}
+	case wal.RecWrite, wal.RecPrepWrite, wal.RecChunkCommit, wal.RecChunkDelete, wal.RecChunkTruncate, wal.RecRepairNeeded:
+		id, within, ver, data, err := decChunkPayload(rec.Payload)
+		if err != nil {
+			return err
+		}
+		h := id.ringHash()
+		switch rec.Type {
+		case wal.RecWrite:
+			applyChunk(sv, h, id, within, data, ver)
+		case wal.RecPrepWrite:
+			// rec.Payload is a fresh per-record buffer, so data may be kept.
+			// Overwrite, never accumulate: only the latest prepare belongs
+			// to the transaction whose commit may follow.
+			if r.pending == nil {
+				r.pending = make(map[chunkID]prepWrite)
+			}
+			r.pending[id] = prepWrite{within: within, ver: ver, data: data}
+		case wal.RecChunkCommit:
+			if p, ok := r.pending[id]; ok {
+				applyChunk(sv, h, id, p.within, p.data, p.ver)
+				delete(r.pending, id)
+			}
+		case wal.RecChunkDelete:
+			sv.deleteChunk(h, id, ver)
+		case wal.RecChunkTruncate:
+			sv.trimChunk(h, id, within, ver)
+		case wal.RecRepairNeeded:
+			// The full debt mask rides in the version slot, so the last
+			// record wins; mask 0 clears the entry.
+			st := sv.stripe(h)
+			st.mu.Lock()
+			sv.setDebtLocked(st, id, ver)
+			st.mu.Unlock()
+		}
+	default:
+		return fmt.Errorf("unknown record type %v", rec.Type)
+	}
+	return nil
+}
+
+// Recover rebuilds a server's volatile state by redoing its write-ahead log
+// into emptied tables, then marks the server up again. Every mutation path
+// appends a self-describing record (codec.go) whose payload shape is
+// determined by its type — meta records carry (key, size), chunk records
+// carry (chunkID, within, ver, data) — and redo applies each one through the
+// same mutator the live op used, so replay reconstructs descriptors, chunk
+// bytes and versions, tombstones and debt exactly. A failed replay leaves
+// the server crashed.
 //
 // Multi-chunk (2PC) writes replay all-or-nothing: RecPrepWrite records are
 // buffered per chunk and materialize only when that chunk's RecChunkCommit
@@ -107,192 +175,32 @@ func applyRecovered(chunks map[chunkID][]byte, vers map[chunkID]uint64, id chunk
 // the equivalence tests pin the pipeline against, byte for byte.
 func (s *Store) Recover(node cluster.NodeID) error {
 	sv := s.servers[int(node)]
-	// The replay below builds into local maps and — on the parallel path —
-	// waits on pool-executed decode jobs, so no latch-class lock may be
-	// held across it (dispatch.go contract); recovery's quiescence
-	// requirement is what makes the lock-free read of the lane media safe.
-	// sv.mu is taken only to install the rebuilt tables.
-	blobs := make(map[string]*descriptor)
-	chunks := make(map[chunkID][]byte)
-	vers := make(map[chunkID]uint64)
-	debt := make(map[chunkID]uint64)
-	var pending map[chunkID]prepWrite
-	// The open migration intent (a Begin without a matching End) is published
-	// after replay so Recover can roll the migration forward.
-	var openIntent *migrationIntent
-	var maxMigSeq uint64
-	replay := func(fn func(wal.Record) error) error {
-		if s.cfg.SerialRecovery {
-			return sv.wal.RecoverMerged(fn)
-		}
-		return sv.wal.RecoverMergedFeeds(newRecoveryFeeds(sv.wal), fn)
+	// Redo starts from empty tables on a server nobody consults (wiped). It
+	// takes sv.mu and stripe locks per record and holds none across the
+	// merge's wait on a decode job (dispatch.go contract); recovery's
+	// quiescence requirement is what makes the lock-free read of the lane
+	// media safe.
+	s.Crash(node)
+	r := redo{sv: sv}
+	var err error
+	if s.cfg.SerialRecovery {
+		err = sv.wal.RecoverMerged(r.record)
+	} else {
+		err = sv.wal.RecoverMergedFeeds(newRecoveryFeeds(sv.wal), r.record)
 	}
-	err := replay(func(rec wal.Record) error {
-		switch rec.Type {
-		case wal.RecCreate, wal.RecMeta:
-			key, size, err := decMeta(rec.Payload)
-			if err != nil {
-				return err
-			}
-			d, ok := blobs[key]
-			if !ok {
-				d = &descriptor{}
-				blobs[key] = d
-			}
-			d.size = size
-			return nil
-		case wal.RecWrite:
-			id, within, ver, data, err := decChunkPayload(rec.Payload)
-			if err != nil {
-				return err
-			}
-			applyRecovered(chunks, vers, id, within, ver, data)
-			return nil
-		case wal.RecPrepWrite:
-			id, within, ver, data, err := decChunkPayload(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if pending == nil {
-				pending = make(map[chunkID]prepWrite)
-			}
-			// rec.Payload is a fresh per-record buffer; retaining data is
-			// safe. Overwrite, never accumulate: only the latest prepare
-			// belongs to the transaction whose commit may follow.
-			pending[id] = prepWrite{within: within, ver: ver, data: data}
-			return nil
-		case wal.RecChunkCommit:
-			id, _, _, _, err := decChunkPayload(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if p, ok := pending[id]; ok {
-				applyRecovered(chunks, vers, id, p.within, p.ver, p.data)
-				delete(pending, id)
-			}
-			return nil
-		case wal.RecRepairNeeded:
-			// Overwrite semantics: the record carries the chunk's full debt
-			// mask (in the version slot) as of its append, so the last
-			// record in logical order wins — a zero mask clears the entry.
-			id, _, mask, _, err := decChunkPayload(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if mask == 0 {
-				delete(debt, id)
-			} else {
-				debt[id] = mask
-			}
-			return nil
-		case wal.RecDelete:
-			key, _, err := decMeta(rec.Payload)
-			if err != nil {
-				return err
-			}
-			delete(blobs, key)
-			return nil
-		case wal.RecChunkDelete:
-			// As server.deleteChunk: version 0 is a stray's drop, anything
-			// else a tombstone.
-			id, _, ver, _, err := decChunkPayload(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if ver == 0 {
-				delete(chunks, id)
-				delete(vers, id)
-			} else {
-				chunks[id] = nil
-				vers[id] = max(vers[id], ver)
-			}
-			delete(debt, id)
-			return nil
-		case wal.RecTruncate:
-			key, size, err := decMeta(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if d, ok := blobs[key]; ok {
-				d.size = size
-			}
-			return nil
-		case wal.RecChunkTruncate:
-			id, keep, ver, _, err := decChunkPayload(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if c, ok := chunks[id]; ok {
-				chunks[id] = c[:min(int64(len(c)), keep)]
-				vers[id] = max(vers[id], ver)
-			}
-			return nil
-		case wal.RecMigrateBegin:
-			seq, op, mnode, err := decMigrateIntent(rec.Payload)
-			if err != nil {
-				return err
-			}
-			openIntent = &migrationIntent{seq: seq, op: op, node: mnode}
-			if seq > maxMigSeq {
-				maxMigSeq = seq
-			}
-			return nil
-		case wal.RecMigrateEnd:
-			seq, _, _, err := decMigrateIntent(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if seq > maxMigSeq {
-				maxMigSeq = seq
-			}
-			if openIntent != nil && openIntent.seq == seq {
-				openIntent = nil
-			}
-			return nil
-		default:
-			return fmt.Errorf("blob: recover node %d: unknown record type %v", node, rec.Type)
-		}
-	})
 	if err != nil {
+		s.Crash(node) // nothing half-replayed stays behind, its debt included
 		return fmt.Errorf("blob: recover node %d: %w", node, err)
 	}
 	// Keep the migration sequence monotonic past everything the log has
 	// seen, and publish a replayed open intent store-wide (monotonically:
 	// several recovering servers may each replay one). Recovery requires
 	// store quiescence, so no live migration races these.
-	if maxMigSeq > s.migSeq {
-		s.migSeq = maxMigSeq
-	}
-	if openIntent != nil {
-		if cur := s.migIntent.Load(); cur == nil || cur.seq < openIntent.seq {
-			s.migIntent.Store(openIntent)
+	s.migSeq = max(s.migSeq, r.maxSeq)
+	if r.intent != nil {
+		if cur := s.migIntent.Load(); cur == nil || cur.seq < r.intent.seq {
+			s.migIntent.Store(r.intent)
 		}
-	}
-	sv.mu.Lock()
-	sv.blobs = blobs
-	sv.mu.Unlock()
-	// Scatter the rebuilt chunks across the worker pool; insertions into
-	// distinct lock stripes proceed in parallel and the map is read-only
-	// here, so order does not matter. sv.mu is deliberately NOT held
-	// across this wait: a worker must never block on a lock whose holder
-	// is waiting on the pool (see the dispatch.go contract).
-	sv.resetChunks()
-	ids := make([]chunkID, 0, len(chunks))
-	for id := range chunks {
-		//blobvet:allow virtualtime chunk installs commute: distinct stripes, read-only source map, no observable order after the join
-		ids = append(ids, id)
-	}
-	parallelDo(len(ids), func(i int) {
-		id := ids[i]
-		sv.setChunk(id.ringHash(), id, chunks[id], vers[id])
-	})
-	// Install surviving repair debt serially: a crash leaves a handful of
-	// debt entries at most, not a chunk table's worth.
-	for id, mask := range debt {
-		st := sv.stripe(id.ringHash())
-		st.mu.Lock()
-		sv.setDebtLocked(st, id, mask)
-		st.mu.Unlock()
 	}
 	// The replayed tables are in place: sv's memory is authoritative again
 	// (though possibly behind), so the resync below may consult it — and
@@ -467,7 +375,7 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 	}
 	for _, m := range plan.metas {
 		*bp = appendMetaPayload((*bp)[:0], m.key, m.size)
-		appendOne(wal.RecCreate, nil)
+		appendOne(wal.RecMeta, nil)
 	}
 	for _, c := range plan.chunks {
 		*bp = appendChunkHeader((*bp)[:0], c.id, 0, c.ver)
@@ -559,10 +467,15 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 //     included, a tombstone counting as a version) hold identical bytes;
 //  4. work-list completeness: an owner may sit behind that maximum — a
 //     tombstone's too — only while some repair-debt entry names it: a behind
-//     owner nobody lists would look clean to the read path.
+//     owner nobody lists would look clean to the read path;
+//  5. the log is the state: each server's lanes, redone as Recover redoes
+//     them but without damage, reproduce exactly its memory — descriptor
+//     sizes, every chunk's version and bytes (tombstones included) and the
+//     debt masks — so a crash at this instant loses nothing.
 //
 // Crash-wiped servers are skipped: nothing can be said about them until they
-// recover. It returns a description of the first violation found, or "".
+// recover. The store must be quiescent. It returns a description of the
+// first violation found, or "".
 // After every node has rejoined and repair drained (RepairPending() == 0),
 // rule 4 has no exemption left and every owner must hold the maximum.
 func (s *Store) CheckInvariants() string {
@@ -660,5 +573,69 @@ func (s *Store) CheckInvariants() string {
 			}
 		}
 	}
+	for _, sv := range s.servers {
+		if sv.isWiped() {
+			continue
+		}
+		if sv.wal.Size() >= replayGCBytes {
+			runtime.GC()
+		}
+		if msg := sv.replayDiff(); msg != "" {
+			return msg
+		}
+	}
 	return ""
+}
+
+// replayGCBytes is the log size from which rule 5 collects before redoing a
+// server. The lane snapshots, decoded records and scratch tables it
+// allocates come to about three times the log; left to the GC's pacing, that
+// volume over every server of a large store lifts the heap to its goal,
+// about twice the live data and far above what the store's own work peaks at.
+// Collected per server, the check costs the heap one server's replay.
+const replayGCBytes = 1 << 20
+
+// replayDiff redoes sv's lanes into a scratch server, with its own debt
+// counter, and returns the first line on which that server's tables and sv's
+// differ, or "".
+func (sv *server) replayDiff() string {
+	scratch := &server{node: sv.node, repairPending: new(atomic.Int64)}
+	scratch.reset()
+	r := redo{sv: scratch}
+	if err := sv.wal.ReplayMerged(r.record); err != nil {
+		return fmt.Sprintf("node %d: log does not replay: %v", sv.node, err)
+	}
+	got, want := scratch.tables(), sv.tables()
+	for i := range max(len(got), len(want)) {
+		g, w := "nothing", "nothing"
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			return fmt.Sprintf("node %d: its log replays to %s where its memory holds %s", sv.node, g, w)
+		}
+	}
+	return ""
+}
+
+// tables renders sv's descriptors, chunks and debt masks as sorted lines, a
+// chunk's bytes as their length and CRC (a tombstone has none).
+func (sv *server) tables() []string {
+	var out []string
+	sv.mu.RLock()
+	for key, d := range sv.blobs {
+		out = append(out, fmt.Sprintf("descriptor %q size %d", key, d.size))
+	}
+	sv.mu.RUnlock()
+	sv.forEachChunk(func(id chunkID, data []byte, ver uint64) {
+		out = append(out, fmt.Sprintf("chunk %d of %q v%d %d bytes crc %08x", id.idx, id.key, ver, len(data), crc32.ChecksumIEEE(data)))
+	})
+	sv.forEachDebt(func(id chunkID, mask uint64) {
+		out = append(out, fmt.Sprintf("chunk %d of %q debt %b", id.idx, id.key, mask))
+	})
+	sort.Strings(out)
+	return out
 }

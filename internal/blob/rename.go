@@ -59,20 +59,18 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	second.latch.Lock()
 	defer second.latch.Unlock()
 
-	// A concurrent delete may have won the race before the latches landed;
-	// re-validate the source under its latch.
-	oldPrimary.mu.RLock()
-	_, live := oldPrimary.blobs[oldKey]
-	oldPrimary.mu.RUnlock()
-	if !live {
-		_ = s.deleteLocked(ctx, newKey, newPrimary, newD)
-		return fmt.Errorf("blob %q: %w", oldKey, storage.ErrNotFound)
+	// A concurrent delete of either key may have won the race before the
+	// latches landed (latchDesc's test).
+	if newD.dead {
+		return fmt.Errorf("blob %q: %w", newKey, storage.ErrNotFound)
 	}
-
 	fail := func(err error) error {
 		// Best-effort rollback: a failed rename leaves only the source.
 		_ = s.deleteLocked(ctx, newKey, newPrimary, newD)
 		return err
+	}
+	if oldD.dead {
+		return fail(fmt.Errorf("blob %q: %w", oldKey, storage.ErrNotFound))
 	}
 
 	size := oldD.size
@@ -146,7 +144,7 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 		s.cluster.MetaOp(ctx.Clock, newPrimary.node, 1)
 		mcg := s.directCharge(ctx)
 		s.walAppendMeta(&mcg, newPrimary, wal.RecMeta, newKey, size)
-		s.replicateDescSize(ctx, newKey, newD, size)
+		s.replicateDesc(ctx, newKey, newD, size)
 	}
 	return s.deleteLocked(ctx, oldKey, oldPrimary, oldD)
 }

@@ -51,7 +51,9 @@ func (s *Store) Repair(ctx *storage.Context) int {
 // ending early if that node goes down again. Each round fans the collected
 // items across the worker pool and re-collects; it terminates when a round
 // finds no debt or clears nothing (progress is required so an unreachable
-// target cannot spin the loop).
+// target cannot spin the loop). A writer's drain during a migration leaves
+// strays to the sweep, which drops them itself, so the write pays only for
+// its own catch-up; every other drain drops them.
 func (s *Store) repairDrain(ctx *storage.Context, only cluster.NodeID) int {
 	total := 0
 	for {
@@ -62,13 +64,14 @@ func (s *Store) repairDrain(ctx *storage.Context, only cluster.NodeID) int {
 		if len(work) == 0 {
 			return total
 		}
+		drop := only < 0 || s.migrating.Load() == 0
 		var progressed atomic.Int64
 		fan := s.newFan()
 		for _, w := range work {
 			w := w
 			t := fan.task(taskFunc)
 			t.fn = func(cg *charge) error {
-				if s.repairChunk(cg, w.id, w.mask) {
+				if s.repairChunk(cg, w.id, w.mask, drop) {
 					progressed.Add(1)
 				}
 				return nil
@@ -108,14 +111,20 @@ func (s *Store) collectDebt(only cluster.NodeID) []repairItem {
 }
 
 // repairChunk services one chunk's owed targets: pull the best live copy
-// onto each live owner named, then clear its bit on every holder it caught
-// up with. A bit naming a non-owner was orphaned by a membership change —
-// that node will never serve the chunk — and clears outright. Owners are
-// resolved here, at execution time, so a membership change between collection
-// and this task needs no other coordination. Reports whether anything
-// changed; a target whose only newer source is down makes no progress, which
-// is what stops the drain loop.
-func (s *Store) repairChunk(cg *charge, id chunkID, owed uint64) bool {
+// onto each live owner named, then clear its bit on every owner it caught up
+// with. A bit naming a non-owner was orphaned by a membership change — that
+// node will never serve the chunk — and clears outright. Owners are resolved
+// here, at execution time, so a membership change between collection and
+// this task needs no other coordination. Reports whether anything changed; a
+// target whose only newer source is down makes no progress, which is what
+// stops the drain loop.
+//
+// With drop set, the owner's catch-up also drops every stray at or below it
+// (dropStrays). A leftover stray would outrank the blob's next incarnation
+// once a clean checkpoint has forgotten the tombstones above it, so a stray's
+// entry goes only with its copy: cleared alone, it would let the store look
+// clean around the stray.
+func (s *Store) repairChunk(cg *charge, id chunkID, owed uint64, drop bool) bool {
 	h := id.ringHash()
 	sy := s.surveyChunk(h, id, nil)
 	progress := false
@@ -133,8 +142,14 @@ func (s *Store) repairChunk(cg *charge, id chunkID, owed uint64) bool {
 			if upTo, installed = s.pullChunk(cg, &sy, t, h, id, "blob.repair"); installed {
 				progress = true
 			}
+			if drop {
+				s.dropStrays(cg, &sy, h, id, upTo)
+			}
 		}
 		for _, holder := range s.servers {
+			if r := sy.find(holder); upTo != anyVer && r != nil && !r.owner {
+				continue
+			}
 			if s.clearDebt(cg, holder, h, id, bit, upTo) {
 				progress = true
 			}

@@ -221,17 +221,24 @@ func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, d
 	return ver, true
 }
 
-// dropChunk removes sv's copy of the chunk, leaving no tombstone, memory and
-// log together under the stripe lock like installChunk — unless the copy has
-// moved past upTo, the version the caller saw replace it (a truncate
-// re-versions a stray at the maximum).
-func (s *Store) dropChunk(cg *charge, sv *server, h uint64, id chunkID, upTo uint64) {
-	st := sv.stripe(h)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.ver[id] > upTo {
-		return
+// dropStrays removes every surveyed copy held outside the replica set,
+// leaving no tombstone, memory and log together under each stripe lock like
+// installChunk — unless the copy has moved past upTo, a version an owner
+// holds (a truncate re-versions a stray at the maximum). Callers drop only
+// after that owner's install has returned, so neither a racing survey nor a
+// crash loses sight of the version.
+func (s *Store) dropStrays(cg *charge, sy *chunkSurvey, h uint64, id chunkID, upTo uint64) {
+	for i := range sy.reps {
+		sv := sy.reps[i].sv
+		if sy.reps[i].owner {
+			continue
+		}
+		st := sv.stripe(h)
+		st.mu.Lock()
+		if _, held := st.m[id]; held && st.ver[id] <= upTo {
+			sv.deleteChunkLocked(st, id, 0)
+			s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil)
+		}
+		st.mu.Unlock()
 	}
-	sv.deleteChunkLocked(st, id, 0)
-	s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil)
 }

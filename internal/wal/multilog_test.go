@@ -291,14 +291,14 @@ func TestMultiLogResetAllRestartsKeys(t *testing.T) {
 	if m.Size() != 0 || m.NextKey() != 1 {
 		t.Fatalf("after ResetAll: size=%d nextKey=%d", m.Size(), m.NextKey())
 	}
-	key, _, err := m.AppendV(2, RecCreate, nil, []byte("snapshot"))
+	key, _, err := m.AppendV(2, RecMeta, nil, []byte("snapshot"))
 	if err != nil || key != 1 {
 		t.Fatalf("first post-reset append: key=%d err=%v", key, err)
 	}
 	count := 0
 	if err := m.ReplayMerged(func(rec Record) error {
 		count++
-		if rec.LSN != 1 || rec.Type != RecCreate {
+		if rec.LSN != 1 || rec.Type != RecMeta {
 			return fmt.Errorf("unexpected record %v key %d", rec.Type, rec.LSN)
 		}
 		return nil

@@ -49,15 +49,16 @@ import (
 type RecordType uint8
 
 // Record types used by the blob server. The values are positional: deleting a
-// type renumbers those after it (RecMeta…RecMigrateEnd are 6…13 since the abort
-// marker went), which is safe only because no log outlives the process that
-// wrote it and nothing stores a type number.
+// type renumbers those after it (RecDelete…RecMigrateEnd are 1…11 since the
+// create and truncate records folded into RecMeta), which is safe only because
+// no log outlives the process that wrote it and nothing stores a type number.
 const (
-	RecCreate RecordType = iota + 1
-	RecDelete
+	RecDelete RecordType = iota + 1
 	RecWrite
-	RecTruncate
 	RecCommit
+	// RecMeta sets a descriptor's size, creating the descriptor if the
+	// server holds none: create, size extension, truncate, replication and
+	// checkpoint all log it.
 	RecMeta
 	RecChunkDelete
 	RecChunkTruncate
@@ -96,14 +97,10 @@ const (
 // String names the record type.
 func (t RecordType) String() string {
 	switch t {
-	case RecCreate:
-		return "create"
 	case RecDelete:
 		return "delete"
 	case RecWrite:
 		return "write"
-	case RecTruncate:
-		return "truncate"
 	case RecCommit:
 		return "commit"
 	case RecMeta:

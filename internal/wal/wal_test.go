@@ -13,7 +13,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	var b Buffer
 	l := New(&b)
 	payloads := [][]byte{[]byte("alpha"), []byte(""), []byte("gamma-longer-payload")}
-	types := []RecordType{RecCreate, RecWrite, RecCommit}
+	types := []RecordType{RecMeta, RecWrite, RecCommit}
 	for i := range payloads {
 		lsn, n, err := l.Append(types[i], payloads[i])
 		if err != nil {
@@ -66,7 +66,7 @@ func TestNextLSNAndSize(t *testing.T) {
 func TestReplayStopsAtCorruption(t *testing.T) {
 	var b Buffer
 	l := New(&b)
-	_, n1, _ := l.Append(RecCreate, []byte("one"))
+	_, n1, _ := l.Append(RecMeta, []byte("one"))
 	l.Append(RecWrite, []byte("two"))
 	l.Append(RecCommit, []byte("three"))
 	// Corrupt a byte inside the second record's payload region: record 2
@@ -87,7 +87,7 @@ func TestReplayStopsAtCorruption(t *testing.T) {
 func TestReplayTornTailIsClean(t *testing.T) {
 	var b Buffer
 	l := New(&b)
-	l.Append(RecCreate, []byte("first"))
+	l.Append(RecMeta, []byte("first"))
 	l.Append(RecWrite, []byte("second-record-payload"))
 	full := b.Len()
 	for _, cut := range []int{full - 1, full - 5, full - 20} {
@@ -116,7 +116,7 @@ func readerBytes(t *testing.T, b *Buffer) []byte {
 func TestReplayHandlerErrorPropagates(t *testing.T) {
 	var b Buffer
 	l := New(&b)
-	l.Append(RecCreate, nil)
+	l.Append(RecMeta, nil)
 	want := errors.New("handler boom")
 	err := Replay(b.Reader(), func(Record) error { return want })
 	if !errors.Is(err, want) {
@@ -140,8 +140,8 @@ func TestBufferCorruptBounds(t *testing.T) {
 
 func TestRecordTypeString(t *testing.T) {
 	cases := map[RecordType]string{
-		RecCreate: "create", RecDelete: "delete", RecWrite: "write",
-		RecTruncate: "truncate", RecCommit: "commit", RecMeta: "meta",
+		RecDelete: "delete", RecWrite: "write", RecCommit: "commit", RecMeta: "meta",
+		RecChunkTruncate: "chunk-truncate", RecMigrateEnd: "migrate-end",
 		RecordType(99): "RecordType(99)",
 	}
 	for tt, want := range cases {
@@ -326,7 +326,7 @@ func TestAppendNVMatchesSequentialAppendV(t *testing.T) {
 	ops := []vOp{
 		{T: uint8(RecWrite), Header: []byte("hh"), Payload: []byte("payload-one")},
 		{T: uint8(RecCommit)},
-		{T: uint8(RecCreate), Header: []byte("k1")},
+		{T: uint8(RecMeta), Header: []byte("k1")},
 		{T: uint8(RecDelete), Payload: []byte("k2")},
 	}
 	if !f(ops) {
@@ -337,7 +337,7 @@ func TestAppendNVMatchesSequentialAppendV(t *testing.T) {
 	k1, n1, err1 := l.AppendV(RecWrite, ops[0].Header, ops[0].Payload)
 	k2, n2, err2 := l.AppendV(RecCommit, nil, nil)
 	k3, n3, err3 := l.AppendNV([]AppendVSpec{
-		{Type: RecCreate, Header: ops[2].Header},
+		{Type: RecMeta, Header: ops[2].Header},
 		{Type: RecDelete, Payload: ops[3].Payload},
 	})
 	if err1 != nil || err2 != nil || err3 != nil {
