@@ -460,6 +460,40 @@ func BenchmarkS3Gateway(b *testing.B) {
 	}
 }
 
+// --- Prefix listing: one Scan of a ten-key prefix on s3-smallobj's store
+// shape and object count, the blob-layer half of an S3 LIST. -cpuprofile
+// entry point; the flat-scan charge is pinned by internal/blob's
+// TestScanChargeCountsEveryDescriptor. ---
+
+func BenchmarkScanPrefix(b *testing.B) {
+	const objects, span = 16384, 10
+	store := blob.New(cluster.New(cluster.Config{Nodes: 9, Seed: 1}),
+		blob.Config{ChunkSize: 64 << 10, Replication: 3})
+	ctx := storage.NewContext()
+	for i := 0; i < objects; i++ {
+		if err := store.CreateBlob(ctx, fmt.Sprintf("o/%05d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i % (objects / span)
+		infos, err := store.Scan(ctx, fmt.Sprintf("o/%04d", p))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(infos) != span {
+			b.Fatalf("prefix o/%04d: %d keys, want %d", p, len(infos), span)
+		}
+		for j, info := range infos {
+			if want := fmt.Sprintf("o/%05d", p*span+j); info.Key != want {
+				b.Fatalf("prefix o/%04d: key %d is %q, want %q", p, j, info.Key, want)
+			}
+		}
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps only the status and the body
 // length.
 type discardWriter struct {

@@ -194,7 +194,6 @@ package blob
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -458,8 +457,9 @@ type chunkStripe struct {
 type server struct {
 	node cluster.NodeID
 	mu   sync.RWMutex
-	// blobs maps key -> descriptor for descriptors replicated here.
-	blobs map[string]*descriptor
+	// blobs holds the descriptors replicated here, primary copies or not,
+	// keyed and in key order (desctable.go), under mu.
+	blobs descTable
 	// stripes hold the chunk replicas placed on this server, sharded so
 	// that concurrent access to different chunks does not contend.
 	stripes [chunkStripes]chunkStripe
@@ -610,7 +610,7 @@ func (sv *server) forEachDebt(fn func(id chunkID, mask uint64)) {
 // crash, drain), releasing the dropped debt from the pending counter.
 func (sv *server) reset() {
 	sv.mu.Lock()
-	sv.blobs = make(map[string]*descriptor)
+	sv.blobs = descTable{}
 	sv.mu.Unlock()
 	for i := range sv.stripes {
 		st := &sv.stripes[i]
@@ -619,6 +619,15 @@ func (sv *server) reset() {
 		st.m, st.ver, st.debt = make(map[chunkID][]byte), make(map[chunkID]uint64), make(map[chunkID]uint64)
 		st.mu.Unlock()
 	}
+}
+
+// keys returns the keys of every descriptor sv holds, in ascending order.
+func (sv *server) keys() []string {
+	sv.mu.RLock()
+	defer sv.mu.RUnlock()
+	keys := make([]string, 0, sv.blobs.len())
+	sv.blobs.ascend("", func(key string, _ *descriptor) { keys = append(keys, key) })
+	return keys
 }
 
 // descriptor is a blob's metadata. The authoritative copy lives on the
@@ -767,7 +776,7 @@ func (s *Store) primaryDesc(key string) (*server, *descriptor, error) {
 	}
 	sv := s.servers[owners[0]]
 	sv.mu.RLock()
-	d, ok := sv.blobs[key]
+	d, ok := sv.blobs.get(key)
 	sv.mu.RUnlock()
 	if !ok {
 		if s.migrating.Load() != 0 {
@@ -823,7 +832,7 @@ func (s *Store) canonicalDesc(key string, owners []int) (*server, *descriptor) {
 	for _, o := range owners {
 		sv := s.servers[o]
 		sv.mu.RLock()
-		d, ok := sv.blobs[key]
+		d, ok := sv.blobs.get(key)
 		sv.mu.RUnlock()
 		if ok {
 			return sv, d
@@ -834,7 +843,7 @@ func (s *Store) canonicalDesc(key string, owners []int) (*server, *descriptor) {
 			continue
 		}
 		sv.mu.RLock()
-		d, ok := sv.blobs[key]
+		d, ok := sv.blobs.get(key)
 		sv.mu.RUnlock()
 		if ok {
 			return sv, d
@@ -947,11 +956,11 @@ func (s *Store) createBlob(ctx *storage.Context, key string) error {
 	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
 
 	primary.mu.Lock()
-	if _, exists := primary.blobs[key]; exists {
+	if _, exists := primary.blobs.get(key); exists {
 		primary.mu.Unlock()
 		return fmt.Errorf("blob %q: %w", key, storage.ErrExists)
 	}
-	primary.blobs[key] = &descriptor{}
+	primary.blobs.put(key, &descriptor{})
 	primary.mu.Unlock()
 	cg := s.directCharge(ctx)
 	s.walAppendMeta(&cg, primary, wal.RecMeta, key, 0)
@@ -1015,7 +1024,7 @@ func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, 
 	for _, o := range s.descOwners(key) {
 		sv := s.servers[o]
 		sv.mu.Lock()
-		delete(sv.blobs, key)
+		sv.blobs.del(key)
 		sv.mu.Unlock()
 		s.walAppendMeta(&cg, sv, wal.RecDelete, key, 0)
 	}
@@ -1054,44 +1063,36 @@ func (s *Store) BlobSize(ctx *storage.Context, key string) (int64, error) {
 }
 
 // Scan lists blobs with the given key prefix in key order. The request is
-// broadcast to every server's descriptor table (the flat namespace has no
-// index), mirroring the paper's note that scan-based emulation is
-// "far from optimized".
+// broadcast to every server's descriptor table, and the simulated cost is the
+// paper's flat scan: each server is charged for examining every descriptor it
+// holds, whatever the prefix, the reason the paper calls scan-based
+// namespace emulation "far from optimized". The wall-clock path walks only
+// the prefix, because each table keeps its keys in order (desctable.go).
+//
+// A key is listed exactly when BlobSize would find it: every key a table
+// holds, primary copy or not, resolves through primaryDesc, so a blob whose
+// new primary has not received its descriptor yet during a live join or drain
+// is still listed, and a deleted one is not.
 func (s *Store) Scan(ctx *storage.Context, prefix string) ([]storage.BlobInfo, error) {
-	// Per-server hit slices: each key is reported only by its primary, so
-	// the slices are disjoint and merge without deduplication. Tasks only
-	// collect descriptor pointers — a worker must never block on the
-	// descriptor latch (writers hold it across their own fan joins, see
-	// the dispatch.go contract); sizes are read on the caller after join.
-	type hit struct {
-		key string
-		d   *descriptor
-	}
-	results := make([][]hit, len(s.servers))
+	s.member.RLock()
+	defer s.member.RUnlock()
+	// Tasks collect keys only: a worker must never block on the descriptor
+	// latch (writers hold it across their own fan joins, see the dispatch.go
+	// contract), so sizes are read on the caller after the join.
+	results := make([][]string, len(s.servers))
 	fan := s.newFan()
 	for i, sv := range s.servers {
-		i, sv := i, sv
 		t := fan.task(taskFunc)
 		t.fn = func(cg *charge) error {
 			cg.metaOp(sv.node, 1)
 			sv.mu.RLock()
-			examined := len(sv.blobs)
-			for key, d := range sv.blobs {
-				if !strings.HasPrefix(key, prefix) {
-					continue
-				}
-				// Only the primary's answer is authoritative for size.
-				if owners := s.descOwners(key); len(owners) > 0 && owners[0] == i {
-					//blobvet:allow virtualtime per-server hit slices are disjoint scratch; the merged result is sorted by key after the join
-					results[i] = append(results[i], hit{key, d})
-				}
-			}
+			examined := sv.blobs.len()
+			sv.blobs.ascend(prefix, func(key string, _ *descriptor) {
+				results[i] = append(results[i], key)
+			})
 			sv.mu.RUnlock()
-			// The flat namespace has no index: every descriptor on the
-			// server is examined regardless of the prefix — the reason the
-			// paper calls scan-based directory emulation "far from
-			// optimized". One metadata unit per four descriptors examined
-			// approximates RADOS-style pool listing cost.
+			// One metadata unit per four descriptors examined approximates
+			// RADOS-style pool listing cost.
 			cg.localCompute(s.cluster.Cost().MetaTime(1 + examined/4))
 			return nil
 		}
@@ -1101,18 +1102,21 @@ func (s *Store) Scan(ctx *storage.Context, prefix string) ([]storage.BlobInfo, e
 		return nil, err
 	}
 	var out []storage.BlobInfo
-	for _, part := range results {
-		for _, h := range part {
-			// The latch is the writers' lock for primary descriptor sizes;
-			// taking it here, on the caller with no other lock held, cannot
-			// deadlock against a writer's fan.
-			h.d.latch.RLock()
-			size := h.d.size
-			h.d.latch.RUnlock()
-			out = append(out, storage.BlobInfo{Key: h.key, Size: size})
+	for _, key := range mergeKeys(results) {
+		_, d, err := s.primaryDesc(key)
+		if err != nil {
+			continue
+		}
+		// The latch is the writers' lock for primary descriptor sizes;
+		// taking it here, on the caller with no other lock held, cannot
+		// deadlock against a writer's fan.
+		d.latch.RLock()
+		size, dead := d.size, d.dead
+		d.latch.RUnlock()
+		if !dead {
+			out = append(out, storage.BlobInfo{Key: key, Size: size})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
 	return out, nil
 }
 

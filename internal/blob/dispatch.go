@@ -463,10 +463,10 @@ func (t *fanTask) run() {
 	case taskDescReplicate:
 		cg.metaOp(t.sv.node, 1)
 		t.sv.mu.Lock()
-		d, ok := t.sv.blobs[t.key]
+		d, ok := t.sv.blobs.get(t.key)
 		if !ok && t.desc == nil { // a create upserts
 			d = &descriptor{}
-			t.sv.blobs[t.key] = d
+			t.sv.blobs.put(t.key, d)
 			ok = true
 		}
 		// Skip the store when the replica maps the key to the primary's own

@@ -243,23 +243,13 @@ func (s *Store) runMigration(ctx *storage.Context) {
 // serializes on one latch per blob across the handover; holders outside the
 // replica set drop their copy only after every owner holds one.
 func (s *Store) migrateDescriptors(cg *charge) {
-	seen := make(map[string]bool)
-	for _, sv := range s.servers {
-		if sv.isWiped() {
-			continue
+	lists := make([][]string, len(s.servers))
+	for i, sv := range s.servers {
+		if !sv.isWiped() {
+			lists[i] = sv.keys()
 		}
-		sv.mu.RLock()
-		for key := range sv.blobs {
-			seen[key] = true
-		}
-		sv.mu.RUnlock()
 	}
-	keys := make([]string, 0, len(seen))
-	for key := range seen {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range mergeKeys(lists) {
 		owners := s.descOwners(key)
 		if len(owners) == 0 {
 			continue
@@ -275,9 +265,9 @@ func (s *Store) migrateDescriptors(cg *charge) {
 		for i := 0; i < len(owners) && !d.dead; i++ {
 			sv := s.servers[owners[i]]
 			sv.mu.Lock()
-			_, held := sv.blobs[key]
+			_, held := sv.blobs.get(key)
 			if !held {
-				sv.blobs[key] = d
+				sv.blobs.put(key, d)
 			}
 			sv.mu.Unlock()
 			if !held {
@@ -295,8 +285,7 @@ func (s *Store) migrateDescriptors(cg *charge) {
 				continue
 			}
 			sv.mu.Lock()
-			_, held := sv.blobs[key]
-			delete(sv.blobs, key)
+			held := sv.blobs.del(key)
 			sv.mu.Unlock()
 			if held {
 				s.walAppendMeta(cg, sv, wal.RecDelete, key, 0)

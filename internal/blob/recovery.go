@@ -79,11 +79,11 @@ func (r *redo) record(rec wal.Record) error {
 		}
 		sv.mu.Lock()
 		if rec.Type == wal.RecDelete {
-			delete(sv.blobs, key)
-		} else if d := sv.blobs[key]; d != nil {
+			sv.blobs.del(key)
+		} else if d, ok := sv.blobs.get(key); ok {
 			d.size = size
 		} else {
-			sv.blobs[key] = &descriptor{size: size}
+			sv.blobs.put(key, &descriptor{size: size})
 		}
 		sv.mu.Unlock()
 	case wal.RecMigrateBegin, wal.RecMigrateEnd:
@@ -300,18 +300,12 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 		return nil
 	}
 	plan := make([]ckptLane, sv.wal.Lanes())
-	// Iterate descriptors in sorted key order: checkpoint records are an
-	// ordered WAL history, so letting map order pick the record sequence
-	// would make two runs of one seed write different logs.
-	keys := make([]string, 0, len(sv.blobs))
-	for key := range sv.blobs {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	// Descriptors go in key order: checkpoint records are an ordered WAL
+	// history, so two runs of one seed must write the same logs.
+	sv.blobs.ascend("", func(key string, d *descriptor) {
 		lane := sv.metaLane(key)
-		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, sv.blobs[key].size})
-	}
+		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, d.size})
+	})
 	sv.mu.Unlock()
 	for i := range sv.stripes {
 		st := &sv.stripes[i]
@@ -441,7 +435,7 @@ func (s *Store) DescriptorCount(node cluster.NodeID) int {
 	sv := s.servers[int(node)]
 	sv.mu.RLock()
 	defer sv.mu.RUnlock()
-	return len(sv.blobs)
+	return sv.blobs.len()
 }
 
 // ChunkCount reports how many chunk replicas the server currently holds.
@@ -480,37 +474,34 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 // rule 4 has no exemption left and every owner must hold the maximum.
 func (s *Store) CheckInvariants() string {
 	for i, sv := range s.servers {
+		// Key order, so "first violation found" names the same violation
+		// on every run of one seed.
+		var descs []ckptMeta
 		sv.mu.RLock()
-		keys := make([]string, 0, len(sv.blobs))
-		sizes := make(map[string]int64, len(sv.blobs))
-		for k, d := range sv.blobs {
-			keys = append(keys, k)
-			sizes[k] = d.size
-		}
+		sv.blobs.ascend("", func(key string, d *descriptor) {
+			descs = append(descs, ckptMeta{key, d.size})
+		})
 		sv.mu.RUnlock()
-		// "First violation found" should name the same violation on
-		// every run of one seed.
-		sort.Strings(keys)
-		for _, key := range keys {
-			owners := s.descOwners(key)
+		for _, m := range descs {
+			owners := s.descOwners(m.key)
 			if owners[0] != i {
 				continue // only validate from the primary's view
 			}
 			for _, o := range owners[1:] {
 				rs := s.servers[o]
 				rs.mu.RLock()
-				rd, ok := rs.blobs[key]
+				rd, ok := rs.blobs.get(m.key)
 				var rsize int64
 				if ok {
 					rsize = rd.size
 				}
 				rs.mu.RUnlock()
 				if !ok {
-					return fmt.Sprintf("descriptor %q missing on replica node %d", key, o)
+					return fmt.Sprintf("descriptor %q missing on replica node %d", m.key, o)
 				}
-				if rsize != sizes[key] {
+				if rsize != m.size {
 					return fmt.Sprintf("descriptor %q size mismatch: primary %d, replica node %d has %d",
-						key, sizes[key], o, rsize)
+						m.key, m.size, o, rsize)
 				}
 			}
 		}
@@ -622,13 +613,15 @@ func (sv *server) replayDiff() string {
 }
 
 // tables renders sv's descriptors, chunks and debt masks as sorted lines, a
-// chunk's bytes as their length and CRC (a tombstone has none).
+// chunk's bytes as their length and CRC (a tombstone has none). Descriptors
+// render through the table's order, so a key the order lacks shows up as a
+// difference.
 func (sv *server) tables() []string {
 	var out []string
 	sv.mu.RLock()
-	for key, d := range sv.blobs {
+	sv.blobs.ascend("", func(key string, d *descriptor) {
 		out = append(out, fmt.Sprintf("descriptor %q size %d", key, d.size))
-	}
+	})
 	sv.mu.RUnlock()
 	sv.forEachChunk(func(id chunkID, data []byte, ver uint64) {
 		out = append(out, fmt.Sprintf("chunk %d of %q v%d %d bytes crc %08x", id.idx, id.key, ver, len(data), crc32.ChecksumIEEE(data)))

@@ -76,9 +76,7 @@ func captureNode(sv *server) nodeState {
 		chunks: make(map[chunkID]string),
 	}
 	sv.mu.RLock()
-	for k, d := range sv.blobs {
-		st.descs[k] = d.size
-	}
+	sv.blobs.ascend("", func(k string, d *descriptor) { st.descs[k] = d.size })
 	sv.mu.RUnlock()
 	sv.forEachChunk(func(id chunkID, data []byte, _ uint64) {
 		st.chunks[id] = string(data)

@@ -108,10 +108,8 @@ func TestRecoveredStateIdenticalToLive(t *testing.T) {
 	// Snapshot live state of node 2, crash+recover, compare.
 	sv := s.servers[2]
 	sv.mu.RLock()
-	liveDesc := make(map[string]int64, len(sv.blobs))
-	for k, d := range sv.blobs {
-		liveDesc[k] = d.size
-	}
+	liveDesc := make(map[string]int64, sv.blobs.len())
+	sv.blobs.ascend("", func(k string, d *descriptor) { liveDesc[k] = d.size })
 	sv.mu.RUnlock()
 	liveChunks := make(map[chunkID]string)
 	sv.forEachChunk(func(id chunkID, c []byte, _ uint64) {
@@ -124,11 +122,11 @@ func TestRecoveredStateIdenticalToLive(t *testing.T) {
 	}
 
 	sv.mu.RLock()
-	if len(sv.blobs) != len(liveDesc) {
-		t.Fatalf("descriptor count after recovery = %d, want %d", len(sv.blobs), len(liveDesc))
+	if sv.blobs.len() != len(liveDesc) {
+		t.Fatalf("descriptor count after recovery = %d, want %d", sv.blobs.len(), len(liveDesc))
 	}
 	for k, size := range liveDesc {
-		d, ok := sv.blobs[k]
+		d, ok := sv.blobs.get(k)
 		if !ok || d.size != size {
 			t.Fatalf("descriptor %q diverges after recovery", k)
 		}

@@ -293,24 +293,14 @@ func (s *Store) resyncNode(sv *server) {
 // desc-owner peer authoritative. The adopted size is re-logged (RecMeta
 // upserts at replay) so a later crash rebuilds it from sv's own log.
 func (s *Store) resyncDescriptors(sv *server, cg *charge) {
-	keys := make(map[string]bool)
-	for _, peer := range s.servers {
-		if peer == sv || peer.isDown() {
-			continue
+	lists := make([][]string, len(s.servers))
+	for i, peer := range s.servers {
+		if peer != sv && !peer.isDown() {
+			lists[i] = peer.keys()
 		}
-		peer.mu.RLock()
-		for key := range peer.blobs {
-			keys[key] = true
-		}
-		peer.mu.RUnlock()
 	}
-	sorted := make([]string, 0, len(keys))
-	for key := range keys {
-		sorted = append(sorted, key)
-	}
-	sort.Strings(sorted)
 	mine := int(sv.node)
-	for _, key := range sorted {
+	for _, key := range mergeKeys(lists) {
 		owners := s.descOwners(key)
 		member := false
 		var peer *server
@@ -325,7 +315,7 @@ func (s *Store) resyncDescriptors(sv *server, cg *charge) {
 			continue
 		}
 		peer.mu.RLock()
-		pd, ok := peer.blobs[key]
+		pd, ok := peer.blobs.get(key)
 		peer.mu.RUnlock()
 		if !ok {
 			continue
@@ -334,10 +324,10 @@ func (s *Store) resyncDescriptors(sv *server, cg *charge) {
 		size := pd.size
 		pd.latch.RUnlock()
 		sv.mu.Lock()
-		d, have := sv.blobs[key]
+		d, have := sv.blobs.get(key)
 		if !have {
 			d = &descriptor{}
-			sv.blobs[key] = d
+			sv.blobs.put(key, d)
 		}
 		changed := !have || d.size != size
 		d.size = size
