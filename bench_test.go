@@ -494,6 +494,43 @@ func BenchmarkScanPrefix(b *testing.B) {
 	}
 }
 
+// --- Log compaction: CheckpointAll on hpc-ckpt's store shape (9 nodes, R 3,
+// 64 KiB chunks, 128 MiB live, written in 1 MiB 2PC slabs). -cpuprofile entry
+// point; after the loop one node's Crash + Recover must leave CheckInvariants
+// clean. ---
+
+func BenchmarkCheckpointAll(b *testing.B) {
+	const live, slab = 128 << 20, 1 << 20
+	store := blob.New(cluster.New(cluster.Config{Nodes: 9, Seed: 1}),
+		blob.Config{ChunkSize: 64 << 10, Replication: 3})
+	ctx := storage.NewContext()
+	if err := store.CreateBlob(ctx, "ckpt"); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, slab)
+	for off := 0; off < live; off += slab {
+		for i := range buf {
+			buf[i] = byte(off>>20 + i*7)
+		}
+		if _, err := store.WriteBlob(ctx, "ckpt", int64(off), buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(live)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store.CheckpointAll()
+	}
+	b.StopTimer()
+	store.Crash(0)
+	if err := store.Recover(0); err != nil {
+		b.Fatal(err)
+	}
+	if msg := store.CheckInvariants(); msg != "" {
+		b.Fatal(msg)
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps only the status and the body
 // length.
 type discardWriter struct {

@@ -48,9 +48,12 @@
 //     server-scoped order key stamped into every record lets recovery merge
 //     the lanes back into exact logical order
 //     (wal.MultiLog.RecoverMerged). Records append vectored
-//     (AppendV/AppendNV): only the small addressing header is staged in a
+//     (AppendVSum/AppendNV): only the small addressing header is staged in a
 //     pooled scratch buffer, while chunk data streams from the caller's
-//     buffer to the log medium in exactly one copy.
+//     buffer to the log medium in exactly one copy. A write checksums its
+//     payload once (writeChunk) and every replica's record folds that sum
+//     in; a chunk whose bytes are exactly one summed payload keeps the sum
+//     (chunkStripe), so CheckpointAll re-logs it without reading it again.
 //     Multi-record operations batch same-(server,lane) records through
 //     AppendNV.
 //   - goroutine fan-out: per-chunk work runs on the goroutine that joins
@@ -436,8 +439,15 @@ const vnodes = 64
 // chunkStripe is one lock-striped shard of a server's chunk table.
 type chunkStripe struct {
 	mu sync.RWMutex
-	// m holds the chunk bytes; an entry with none is a tombstone.
-	m map[chunkID][]byte
+	// m holds the chunk bytes; an entry with none is a tombstone. An entry
+	// also remembers the CRC32C of its bytes when they are exactly one
+	// payload whose sum the write path already had: a whole-chunk write
+	// (applyChunk at offset 0 covering the old length) or an install, which
+	// carries its source's sum. A partial overwrite, a trim, a delete and
+	// every replayed record forget it; the zero value means "unknown".
+	// CheckpointAll re-logs a remembered sum without reading the bytes again,
+	// and CheckInvariants rule 6 checks it against them.
+	m map[chunkID]chunkBytes
 	// ver holds the replica-comparable version of each chunk this server
 	// stores: assigned by a write, delete or truncate as one more than the
 	// highest version any server held, installed identically on every
@@ -449,6 +459,24 @@ type chunkStripe struct {
 	// mirrored by a RecRepairNeeded record carrying the full new mask, so
 	// the list survives crashes.
 	debt map[chunkID]uint64
+}
+
+// chunkBytes is a chunk's bytes and, when summed, their CRC32C
+// (wal.Checksum): a chunk-table entry, or a write's payload with the sum its
+// writer computed.
+type chunkBytes struct {
+	b      []byte
+	sum    uint32
+	summed bool
+}
+
+// checksum returns the bytes' CRC32C, reading them only when it is not
+// remembered.
+func (c chunkBytes) checksum() uint32 {
+	if c.summed {
+		return c.sum
+	}
+	return wal.Checksum(c.b)
 }
 
 // server is the per-node state: the descriptors this node owns as primary
@@ -501,14 +529,22 @@ func (sv *server) stripe(h uint64) *chunkStripe {
 // while holding the stripe lock, so callers can use them without racing
 // concurrent writers that mutate the live slice in place.
 func (sv *server) copyChunk(h uint64, id chunkID) ([]byte, uint64, bool) {
+	c, ver, ok := sv.copyEntry(h, id)
+	return c.b, ver, ok
+}
+
+// copyEntry is copyChunk keeping the entry's remembered sum with the copied
+// bytes, for the copies between replicas (installChunk).
+func (sv *server) copyEntry(h uint64, id chunkID) (chunkBytes, uint64, bool) {
 	st := sv.stripe(h)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	data, ok := st.m[id]
+	c, ok := st.m[id]
 	if !ok {
-		return nil, 0, false
+		return chunkBytes{}, 0, false
 	}
-	return append([]byte(nil), data...), st.ver[id], true
+	c.b = append([]byte(nil), c.b...)
+	return c, st.ver[id], true
 }
 
 // chunkVer reads the chunk's version (0 when the server does not hold it).
@@ -550,19 +586,19 @@ func (sv *server) deleteChunkLocked(st *chunkStripe, id chunkID, ver uint64) {
 		delete(st.m, id)
 		delete(st.ver, id)
 	} else {
-		st.m[id] = nil
+		st.m[id] = chunkBytes{}
 		st.ver[id] = max(st.ver[id], ver)
 	}
 	sv.setDebtLocked(st, id, 0)
 }
 
 // trimChunk applies a RecChunkTruncate to memory, live and at redo: a held
-// chunk is cut to keep bytes and raised to ver.
+// chunk is cut to keep bytes and raised to ver, forgetting its sum.
 func (sv *server) trimChunk(h uint64, id chunkID, keep int64, ver uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
 	if c, ok := st.m[id]; ok {
-		st.m[id] = c[:min(int64(len(c)), keep)]
+		st.m[id] = chunkBytes{b: c.b[:min(int64(len(c.b)), keep)]}
 		st.ver[id] = max(st.ver[id], ver)
 	}
 	st.mu.Unlock()
@@ -586,8 +622,8 @@ func (sv *server) forEachChunk(fn func(id chunkID, data []byte, ver uint64)) {
 	for i := range sv.stripes {
 		st := &sv.stripes[i]
 		st.mu.RLock()
-		for id, data := range st.m {
-			fn(id, data, st.ver[id])
+		for id, c := range st.m {
+			fn(id, c.b, st.ver[id])
 		}
 		st.mu.RUnlock()
 	}
@@ -616,7 +652,7 @@ func (sv *server) reset() {
 		st := &sv.stripes[i]
 		st.mu.Lock()
 		sv.repairPending.Add(-int64(len(st.debt)))
-		st.m, st.ver, st.debt = make(map[chunkID][]byte), make(map[chunkID]uint64), make(map[chunkID]uint64)
+		st.m, st.ver, st.debt = make(map[chunkID]chunkBytes), make(map[chunkID]uint64), make(map[chunkID]uint64)
 		st.mu.Unlock()
 	}
 }
@@ -896,10 +932,12 @@ func (s *Store) Observe(fn func(Event)) { s.observe = fn }
 
 // walAppendLane records a durable mutation on one of sv's log lanes — the
 // record payload being header||data, appended vectored so data is copied
-// exactly once — and charges the log persistence on sv's disk through cg
-// (directly on the caller's clock, or into a fan task's ledger).
-func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType, header, data []byte) {
-	key, n, err := sv.wal.AppendV(lane, t, header, data)
+// exactly once, with sum = wal.Checksum(data) (0 for no data) folded into
+// the record CRC instead of reading data again — and charges the log
+// persistence on sv's disk through cg (directly on the caller's clock, or
+// into a fan task's ledger).
+func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType, header, data []byte, sum uint32) {
+	key, n, err := sv.wal.AppendVSum(lane, t, header, data, sum)
 	if err != nil {
 		// The in-memory buffer cannot fail; a failure here is a bug.
 		panic(fmt.Sprintf("blob: wal append: %v", err))
@@ -914,11 +952,11 @@ func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType
 // header is staged in a pooled buffer, the chunk bytes stream through the
 // vectored append. h is the chunk's placement hash, which callers on the
 // hot path have already computed — it selects the lane exactly as it
-// selects the lock stripe.
-func (s *Store) walAppendChunk(cg *charge, sv *server, t wal.RecordType, h uint64, id chunkID, within int64, ver uint64, data []byte) {
+// selects the lock stripe. sum is wal.Checksum(data), 0 for no data.
+func (s *Store) walAppendChunk(cg *charge, sv *server, t wal.RecordType, h uint64, id chunkID, within int64, ver uint64, data []byte, sum uint32) {
 	bp := hdrPool.Get().(*[]byte)
 	*bp = appendChunkHeader((*bp)[:0], id, within, ver)
-	s.walAppendLane(cg, sv, sv.chunkLane(h), t, *bp, data)
+	s.walAppendLane(cg, sv, sv.chunkLane(h), t, *bp, data, sum)
 	hdrPool.Put(bp)
 }
 
@@ -927,7 +965,7 @@ func (s *Store) walAppendChunk(cg *charge, sv *server, t wal.RecordType, h uint6
 func (s *Store) walAppendMeta(cg *charge, sv *server, t wal.RecordType, key string, size int64) {
 	bp := hdrPool.Get().(*[]byte)
 	*bp = appendMetaPayload((*bp)[:0], key, size)
-	s.walAppendLane(cg, sv, sv.metaLane(key), t, *bp, nil)
+	s.walAppendLane(cg, sv, sv.metaLane(key), t, *bp, nil, 0)
 	hdrPool.Put(bp)
 }
 

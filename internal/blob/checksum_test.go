@@ -1,0 +1,142 @@
+package blob
+
+import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/storage"
+)
+
+// TestLogBytesPinned pins the log's bytes: a fixed InlineFanout script —
+// create, a multi-chunk 2PC write, a direct single-chunk write, a partial
+// overwrite, a shrinking truncate, a delete, and a degraded write during a
+// flap whose rejoin repair installs the missed copy — must leave every
+// (node, lane) medium with exactly the SHA-256 below. A change to how records
+// are framed or checksummed that should not move a byte fails here; one that
+// moves them on purpose re-pins the table and says why. CheckpointAll is left
+// out: its lane jobs run concurrently and draw order keys from one per-server
+// counter, so the keys its records get depend on the schedule.
+func TestLogBytesPinned(t *testing.T) {
+	pinned := []string{
+		"node 0 lane 0 277a2d79e55dbce7917e37ac3fe3fcebed9cca4ce19c220161ab9096839c6bd9",
+		"node 0 lane 1 f1f3266e962cb8c3f1b9e344c9104bb870c7445555dffc2e519bd0a0a753ba51",
+		"node 1 lane 0 6671c73643cdedc326c19a8dd2a74279d96ccfee044b7be1390a392d626e1fef",
+		"node 1 lane 1 4bfb975f34d8258f4f85f6fbb3ee55324613c2a4ffd6f8f61cf6fd9ae841ba75",
+		"node 2 lane 0 0806dc9fcf841b86bd79e34158376d19ac75d4c997ddb4e684de0328a1959dfa",
+		"node 2 lane 1 b83f50cd654c8460442f28b2ffb825445494b03109838b60ea82fbdcf1d47550",
+	}
+	s := New(cluster.New(cluster.Config{Nodes: 3, Seed: 5}),
+		Config{ChunkSize: 32, Replication: 2, WALLanes: 2, InlineFanout: true})
+	ctx := storage.NewContext()
+	write := func(key string, off int64, tag, n int) error {
+		_, err := s.WriteBlob(ctx, key, off, pattern(tag, n))
+		return err
+	}
+	if err := errors.Join(
+		s.CreateBlob(ctx, "a"), s.CreateBlob(ctx, "b"), s.CreateBlob(ctx, "c"),
+		write("a", 0, 1, 4*32), // 2PC over four chunks
+		write("c", 0, 5, 3*32),
+		write("b", 0, 2, 20), // direct, one chunk
+		write("a", 40, 3, 8), // partial overwrite of chunk 1
+		s.TruncateBlob(ctx, "a", 70),
+		s.DeleteBlob(ctx, "b"),
+	); err != nil {
+		t.Fatal(err)
+	}
+	// A flap: the write misses one owner of chunk 0, and the rejoin repair
+	// installs the copy it missed.
+	flapped := cluster.NodeID(s.chunkOwners(chunkID{"a", 0})[1])
+	s.SetDown(flapped, true)
+	if err := write("a", 0, 4, 64); err != nil || s.RepairPending() == 0 {
+		t.Fatalf("write during the flap: %v with %d debt entries, want a degraded write", err, s.RepairPending())
+	}
+	s.SetDown(flapped, false)
+	if s.RepairPending() != 0 {
+		t.Fatalf("%d debt entries after the rejoin", s.RepairPending())
+	}
+
+	var got []string
+	for i, sv := range s.servers {
+		for l := 0; l < sv.wal.Lanes(); l++ {
+			h := sha256.New()
+			if _, err := io.Copy(h, sv.wal.LaneBuffer(l).Reader()); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("node %d lane %d %x", i, l, h.Sum(nil)))
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(pinned) {
+		for _, line := range got {
+			t.Logf("%q,", line)
+		}
+		t.Fatal("lane media moved (got above, one per (node, lane))")
+	}
+}
+
+// TestRememberedSumsFollowTheBytes pins when a chunk entry remembers its
+// CRC32C, and that CheckInvariants rule 6 names one that lies. Whole-chunk
+// writes, 2PC and direct, and a repair install remember on every copy they
+// land on; a partial overwrite, a trim and a replay forget.
+func TestRememberedSumsFollowTheBytes(t *testing.T) {
+	s := New(cluster.New(cluster.Config{Nodes: 3, Seed: 5}),
+		Config{ChunkSize: 32, Replication: 2, WALLanes: 2, InlineFanout: true})
+	ctx := storage.NewContext()
+	entry := func(node int, id chunkID) chunkBytes {
+		st := s.servers[node].stripe(id.ringHash())
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+		return st.m[id]
+	}
+	step := func(what string, err error, id chunkID, want int) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if msg := s.CheckInvariants(); msg != "" {
+			t.Fatalf("%s: %s", what, msg)
+		}
+		got := 0
+		for _, o := range s.chunkOwners(id) {
+			if entry(o, id).summed {
+				got++
+			}
+		}
+		if got != want {
+			t.Fatalf("%s: %d owners of chunk %d remember a sum, want %d", what, got, id.idx, want)
+		}
+	}
+	write := func(off int64, tag, n int) error {
+		_, err := s.WriteBlob(ctx, "k", off, pattern(tag, n))
+		return err
+	}
+	c0, c1 := chunkID{"k", 0}, chunkID{"k", 1}
+	step("create", s.CreateBlob(ctx, "k"), c0, 0)
+	step("2PC write of chunks 0-1", write(0, 1, 64), c1, 2)
+	step("partial overwrite of chunk 0", write(8, 2, 4), c0, 0)
+	step("direct write of all of chunk 1", write(32, 3, 32), c1, 2)
+	step("trim of chunk 1", s.TruncateBlob(ctx, "k", 40), c1, 0)
+	step("direct write of all of chunk 0", write(0, 4, 32), c0, 2)
+
+	owners := s.chunkOwners(c0)
+	s.Crash(cluster.NodeID(owners[1]))
+	step("replay", s.Recover(cluster.NodeID(owners[1])), c0, 1)
+	s.SetDown(cluster.NodeID(owners[1]), true)
+	step("degraded write", write(0, 5, 32), c0, 1)
+	s.SetDown(cluster.NodeID(owners[1]), false)
+	step("rejoin repair", nil, c0, 2)
+
+	st := s.servers[owners[0]].stripe(c0.ringHash())
+	st.mu.Lock()
+	e := st.m[c0]
+	e.sum ^= 1
+	st.m[c0] = e
+	st.mu.Unlock()
+	want := fmt.Sprintf("node %d: chunk 0 of %q remembers a checksum its bytes do not have", owners[0], "k")
+	if msg := s.CheckInvariants(); msg != want {
+		t.Fatalf("a wrong remembered sum: CheckInvariants says %q, want %q", msg, want)
+	}
+}

@@ -432,7 +432,7 @@ func (t *fanTask) run() {
 			if t.pl.excl&(1<<uint(o)) != 0 {
 				continue
 			}
-			applyChunk(s.servers[o], t.pl.h, t.pl.id, t.within, t.data, t.pl.ver)
+			applyChunk(s.servers[o], t.pl.h, t.pl.id, t.within, chunkBytes{b: t.data, sum: t.pl.sum, summed: true}, t.pl.ver)
 			if t.pl.excl != 0 {
 				s.recordDebt(cg, s.servers[o], t.pl.h, t.pl.id, t.pl.excl)
 			}

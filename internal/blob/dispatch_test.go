@@ -438,7 +438,7 @@ func TestTraceOffAllocatesNothing(t *testing.T) {
 	stray := chunkSurvey{reps: []replica{{sv: sv}}}
 	step := func() {
 		ver++
-		s.installChunk(&cg, sv, h, id, data, ver)
+		s.installChunk(&cg, sv, h, id, chunkBytes{b: data}, ver)
 		s.recordDebt(&cg, sv, h, id, 2)
 		s.clearDebt(&cg, sv, h, id, 2, ver)
 		s.dropStrays(&cg, &stray, h, id, ver)
@@ -489,7 +489,7 @@ func TestStripeLockedAppendsShareOneLane(t *testing.T) {
 			for r := 1; r <= rounds; r++ {
 				// Lengths go up and down: a shrinking install is a two-record
 				// AppendNV batch, a growing one a single AppendV.
-				s.installChunk(&cg, sv, h, id, pattern(w*rounds+r, 1+(r*7+w)%64), uint64(r))
+				s.installChunk(&cg, sv, h, id, chunkBytes{b: pattern(w*rounds+r, 1+(r*7+w)%64)}, uint64(r))
 				if (r+w)%5 == 0 {
 					s.dropStrays(&cg, &stray, h, id, uint64(r))
 				}

@@ -228,7 +228,7 @@ func TestReadAndRenameShareFreshnessRule(t *testing.T) {
 				cg := s.directCharge(ctx)
 				for _, st := range r.states(owners, other) {
 					sv := s.servers[st.node]
-					applyChunk(sv, h, id, 0, bytesOf(st.ver), st.ver)
+					applyChunk(sv, h, id, 0, chunkBytes{b: bytesOf(st.ver)}, st.ver)
 					if st.debt != 0 {
 						s.recordDebt(&cg, sv, h, id, st.debt)
 					}
@@ -403,7 +403,7 @@ func TestShrinkingInstallReplaysExactly(t *testing.T) {
 	t.Run("direct", func(t *testing.T) {
 		s, ctx, _, target, id := setup(t)
 		cg := s.directCharge(ctx)
-		if _, ok := s.installChunk(&cg, target, id.ringHash(), id, pattern(9, 10), 9); !ok {
+		if _, ok := s.installChunk(&cg, target, id.ringHash(), id, chunkBytes{b: pattern(9, 10)}, 9); !ok {
 			t.Fatal("install refused")
 		}
 		crashAlone(t, s, target, id)

@@ -79,8 +79,8 @@ func (s *Store) readReplica(cg *charge, sv *server, h uint64, id chunkID, within
 		st.mu.RUnlock()
 		return false
 	}
-	if data, ok := st.m[id]; ok && within < int64(len(data)) {
-		copied = copy(dst, data[within:])
+	if c, ok := st.m[id]; ok && within < int64(len(c.b)) {
+		copied = copy(dst, c.b[within:])
 	}
 	st.mu.RUnlock()
 	// Sparse tail: anything the replica did not cover reads as zeros.
@@ -134,6 +134,9 @@ type chunkPlace struct {
 	// highest version holds every acknowledged byte" true; the excluded
 	// owners become the write's repair debt.
 	excl uint64
+	// sum is the CRC32C of this write's bytes for the chunk, computed once by
+	// the data phase (writeChunk) for every replica's record and apply.
+	sum uint32
 }
 
 // placePool recycles the per-write placement scratch.
@@ -344,13 +347,17 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 	// commit phase, so a transaction that dies mid-data-phase leaves live
 	// replicas exactly as consistent as crash-recovered ones. The log
 	// append is vectored: data streams from the caller's buffer to the log
-	// medium in one copy, with only the chunk-addressing header staged.
+	// medium in one copy, with only the chunk-addressing header staged. The
+	// payload is checksummed once, here: every replica's record folds this
+	// sum in, and the commit-phase apply reads it from the shared placement.
+	pl.sum = wal.Checksum(data)
+	t.plp.sum = pl.sum
 	apply := rec == wal.RecWrite
 	cg.rpc(primary.node, len(data), 64, 0)
 	if apply {
-		applyChunk(primary, pl.h, pl.id, within, data, pl.ver)
+		applyChunk(primary, pl.h, pl.id, within, chunkBytes{b: data, sum: pl.sum, summed: true}, pl.ver)
 	}
-	s.walAppendChunk(cg, primary, rec, pl.h, pl.id, within, pl.ver, data)
+	s.walAppendChunk(cg, primary, rec, pl.h, pl.id, within, pl.ver, data, pl.sum)
 	cg.diskWrite(primary.node, len(data))
 	// Exclusion debt rides with the APPLY, never ahead of it: the direct
 	// path records it here, the prepared path at commit materialization
@@ -418,9 +425,9 @@ func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPl
 	}
 	cg.rpc(sv.node, len(data), 64, 0)
 	if rec == wal.RecWrite {
-		applyChunk(sv, pl.h, pl.id, within, data, pl.ver)
+		applyChunk(sv, pl.h, pl.id, within, chunkBytes{b: data, sum: pl.sum, summed: true}, pl.ver)
 	}
-	s.walAppendChunk(cg, sv, rec, pl.h, pl.id, within, pl.ver, data)
+	s.walAppendChunk(cg, sv, rec, pl.h, pl.id, within, pl.ver, data, pl.sum)
 	cg.diskWrite(sv.node, len(data))
 	// Same apply-before-record rule as the primary: prepared writes defer
 	// the exclusion debt to the commit apply.
@@ -430,15 +437,20 @@ func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPl
 	return nil
 }
 
-// applyChunk writes data into sv's copy of the chunk, growing it as
-// needed, and installs the write's version. Growth doubles capacity so
-// sequential small appends stay amortized O(1) instead of quadratic.
-func applyChunk(sv *server, h uint64, id chunkID, within int64, data []byte, ver uint64) {
+// applyChunk writes p's bytes into sv's copy of the chunk at within, growing
+// it as needed, and installs the write's version. Growth doubles capacity so
+// sequential small appends stay amortized O(1) instead of quadratic. The copy
+// remembers p's sum only when its bytes end up exactly p's — a write at 0
+// covering the old length; a partial overwrite forgets it.
+func applyChunk(sv *server, h uint64, id chunkID, within int64, p chunkBytes, ver uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	chunk := st.m[id]
+	chunk, data := st.m[id].b, p.b
 	need := within + int64(len(data))
+	if within != 0 || int64(len(chunk)) > need {
+		p.sum, p.summed = 0, false // a partial overwrite
+	}
 	switch {
 	case int64(len(chunk)) >= need:
 		// In-place overwrite, no growth.
@@ -463,7 +475,8 @@ func applyChunk(sv *server, h uint64, id chunkID, within int64, data []byte, ver
 		chunk = grown
 	}
 	copy(chunk[within:], data)
-	st.m[id] = chunk
+	p.b = chunk
+	st.m[id] = p
 	if ver > st.ver[id] {
 		st.ver[id] = ver
 	}

@@ -198,7 +198,7 @@ func (s *Store) logIntent(cg *charge, t wal.RecordType, intent *migrationIntent,
 		if i == skip || sv.isWiped() {
 			continue
 		}
-		s.walAppendLane(cg, sv, migLane, t, *bp, nil)
+		s.walAppendLane(cg, sv, migLane, t, *bp, nil, 0)
 	}
 	hdrPool.Put(bp)
 }
@@ -400,12 +400,12 @@ func (s *Store) migrateChunk(cg *charge, mv migMove) {
 	if src == nil || s.faultCheck(cg, src.sv.node, cluster.FaultDiskRead) != nil {
 		return // nothing readable this round: every copy stays put
 	}
-	data, srcVer, ok := src.sv.copyChunk(h, id)
+	c, srcVer, ok := src.sv.copyEntry(h, id)
 	if !ok {
 		return // the source lost its copy meanwhile
 	}
 	// One source read serves every destination.
-	cg.diskRead(src.sv.node, len(data))
+	cg.diskRead(src.sv.node, len(c.b))
 	reached := false
 	for i := range sy.reps {
 		r := &sy.reps[i]
@@ -423,7 +423,9 @@ func (s *Store) migrateChunk(cg *charge, mv migMove) {
 			continue
 		}
 		// Each target owns its slice: applyChunk writes in place.
-		s.installChunk(cg, r.sv, h, id, append([]byte(nil), data...), srcVer)
+		own := c
+		own.b = append([]byte(nil), c.b...)
+		s.installChunk(cg, r.sv, h, id, own, srcVer)
 		reached = true
 	}
 	// Holders outside the replica set drop their copy — but never the last

@@ -105,7 +105,7 @@ func (r *redo) record(rec wal.Record) error {
 		h := id.ringHash()
 		switch rec.Type {
 		case wal.RecWrite:
-			applyChunk(sv, h, id, within, data, ver)
+			applyChunk(sv, h, id, within, chunkBytes{b: data}, ver)
 		case wal.RecPrepWrite:
 			// rec.Payload is a fresh per-record buffer, so data may be kept.
 			// Overwrite, never accumulate: only the latest prepare belongs
@@ -116,7 +116,7 @@ func (r *redo) record(rec wal.Record) error {
 			r.pending[id] = prepWrite{within: within, ver: ver, data: data}
 		case wal.RecChunkCommit:
 			if p, ok := r.pending[id]; ok {
-				applyChunk(sv, h, id, p.within, p.data, p.ver)
+				applyChunk(sv, h, id, p.within, chunkBytes{b: p.data}, p.ver)
 				delete(r.pending, id)
 			}
 		case wal.RecChunkDelete:
@@ -272,7 +272,7 @@ type ckptMeta struct {
 type ckptChunk struct {
 	id   chunkID
 	ver  uint64
-	data []byte
+	data chunkBytes
 }
 
 type ckptDebt struct {
@@ -310,14 +310,14 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 	for i := range sv.stripes {
 		st := &sv.stripes[i]
 		st.mu.Lock()
-		for id, data := range st.m {
-			if forget && len(data) == 0 {
+		for id, c := range st.m {
+			if forget && len(c.b) == 0 {
 				sv.deleteChunkLocked(st, id, 0)
 				continue
 			}
 			lane := sv.chunkLane(id.ringHash())
 			//blobvet:allow virtualtime each lane's chunk list is sorted by chunk ID below, before any record streams
-			plan[lane].chunks = append(plan[lane].chunks, ckptChunk{id, st.ver[id], data})
+			plan[lane].chunks = append(plan[lane].chunks, ckptChunk{id, st.ver[id], c})
 		}
 		st.mu.Unlock()
 	}
@@ -353,11 +353,13 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 // nothing — and because every lane appends to a private Log/Buffer, lane
 // jobs run concurrently without sharing a single lock or medium
 // (dispatch contract: the job takes no latch-class lock and never waits
-// on the pool).
+// on the pool). A chunk whose sum its entry remembers is re-logged without
+// reading its bytes for the record CRC; only the copy to the medium reads
+// them.
 func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 	bp := hdrPool.Get().(*[]byte)
-	appendOne := func(t wal.RecordType, data []byte) {
-		if _, _, err := sv.wal.AppendV(lane, t, *bp, data); err != nil {
+	appendOne := func(t wal.RecordType, data []byte, sum uint32) {
+		if _, _, err := sv.wal.AppendVSum(lane, t, *bp, data, sum); err != nil {
 			panic(fmt.Sprintf("blob: checkpoint node %d: %v", sv.node, err))
 		}
 	}
@@ -365,18 +367,18 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		// First record of the compacted migration lane, so replay reopens
 		// the intent before anything else.
 		*bp = appendMigrateIntent((*bp)[:0], plan.intent.seq, plan.intent.op, plan.intent.node)
-		appendOne(wal.RecMigrateBegin, nil)
+		appendOne(wal.RecMigrateBegin, nil, 0)
 	}
 	for _, m := range plan.metas {
 		*bp = appendMetaPayload((*bp)[:0], m.key, m.size)
-		appendOne(wal.RecMeta, nil)
+		appendOne(wal.RecMeta, nil, 0)
 	}
 	for _, c := range plan.chunks {
 		*bp = appendChunkHeader((*bp)[:0], c.id, 0, c.ver)
-		if len(c.data) == 0 {
-			appendOne(wal.RecChunkDelete, nil) // a tombstone
+		if len(c.data.b) == 0 {
+			appendOne(wal.RecChunkDelete, nil, 0) // a tombstone
 		} else {
-			appendOne(wal.RecWrite, c.data)
+			appendOne(wal.RecWrite, c.data.b, c.data.checksum())
 		}
 	}
 	for _, d := range plan.debts {
@@ -384,7 +386,7 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		// version slot (codec.go); overwrite-replay makes one record per
 		// chunk sufficient.
 		*bp = appendChunkHeader((*bp)[:0], d.id, 0, d.mask)
-		appendOne(wal.RecRepairNeeded, nil)
+		appendOne(wal.RecRepairNeeded, nil, 0)
 	}
 	hdrPool.Put(bp)
 }
@@ -465,7 +467,10 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 //  5. the log is the state: each server's lanes, redone as Recover redoes
 //     them but without damage, reproduce exactly its memory — descriptor
 //     sizes, every chunk's version and bytes (tombstones included) and the
-//     debt masks — so a crash at this instant loses nothing.
+//     debt masks — so a crash at this instant loses nothing;
+//  6. remembered sums are honest: every chunk entry that remembers the
+//     CRC32C of its bytes (so CheckpointAll can re-log it unread) holds
+//     bytes with exactly that CRC32C.
 //
 // Crash-wiped servers are skipped: nothing can be said about them until they
 // recover. The store must be quiescent. It returns a description of the
@@ -568,6 +573,9 @@ func (s *Store) CheckInvariants() string {
 		if sv.isWiped() {
 			continue
 		}
+		if msg := sv.sumDiff(); msg != "" {
+			return msg
+		}
 		if sv.wal.Size() >= replayGCBytes {
 			runtime.GC()
 		}
@@ -585,6 +593,27 @@ func (s *Store) CheckInvariants() string {
 // about twice the live data and far above what the store's own work peaks at.
 // Collected per server, the check costs the heap one server's replay.
 const replayGCBytes = 1 << 20
+
+// sumDiff names the lowest chunk on sv whose remembered sum is not the CRC32C
+// of its bytes (rule 6), or returns "".
+func (sv *server) sumDiff() string {
+	var bad chunkID
+	found := false
+	for i := range sv.stripes {
+		st := &sv.stripes[i]
+		st.mu.RLock()
+		for id, c := range st.m {
+			if c.summed && c.sum != wal.Checksum(c.b) && (!found || id.less(bad)) {
+				bad, found = id, true
+			}
+		}
+		st.mu.RUnlock()
+	}
+	if !found {
+		return ""
+	}
+	return fmt.Sprintf("node %d: chunk %d of %q remembers a checksum its bytes do not have", sv.node, bad.idx, bad.key)
+}
 
 // replayDiff redoes sv's lanes into a scratch server, with its own debt
 // counter, and returns the first line on which that server's tables and sv's

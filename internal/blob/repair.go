@@ -171,15 +171,15 @@ func (s *Store) pullChunk(cg *charge, sy *chunkSurvey, me *replica, h uint64, id
 		s.faultCheck(cg, me.sv.node, cluster.FaultDiskWrite) != nil {
 		return me.ver, false
 	}
-	data, ver, ok := src.sv.copyChunk(h, id)
+	c, ver, ok := src.sv.copyEntry(h, id)
 	if !ok {
 		return me.ver, false
 	}
-	cg.diskRead(src.sv.node, len(data))
+	cg.diskRead(src.sv.node, len(c.b))
 	var installed bool
-	if me.ver, installed = s.installChunk(cg, me.sv, h, id, data, ver); installed {
+	if me.ver, installed = s.installChunk(cg, me.sv, h, id, c, ver); installed {
 		s.metrics.Counter(kind + ".chunks").Inc()
-		s.metrics.Counter(kind + ".bytes").Add(int64(len(data)))
+		s.metrics.Counter(kind + ".bytes").Add(int64(len(c.b)))
 	}
 	src.ver = max(src.ver, ver)
 	sy.max = max(sy.max, ver)
@@ -196,7 +196,7 @@ func (s *Store) recordDebt(cg *charge, sv *server, h uint64, id chunkID, owed ui
 	st.mu.Lock()
 	mask := st.debt[id] | owed
 	sv.setDebtLocked(st, id, mask)
-	s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil)
+	s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil, 0)
 	st.mu.Unlock()
 }
 
@@ -211,7 +211,7 @@ func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bit, upT
 	if mask, ok := st.debt[id]; ok && mask&bit != 0 && st.ver[id] <= upTo {
 		mask &^= bit
 		sv.setDebtLocked(st, id, mask)
-		s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil)
+		s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil, 0)
 		cleared = true
 	}
 	st.mu.Unlock()

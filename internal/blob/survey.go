@@ -191,9 +191,11 @@ func (s *Store) serveChunk(cg *charge, id chunkID, serve func(sv *server, h, wan
 // the order memory changed and replay needs no guard of its own. RecWrite
 // replays as a grow-only merge, so a copy shorter than what target held logs
 // the cut with it as ONE lane append: a crash can tear that write but never
-// falls between the two. Returns target's version afterwards and whether
-// data went in.
-func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, data []byte, ver uint64) (uint64, bool) {
+// falls between the two. The copy keeps the source's remembered sum, or is
+// summed here once for its record, and target remembers it either way.
+// Returns target's version afterwards and whether data went in.
+func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, c chunkBytes, ver uint64) (uint64, bool) {
+	data := c.b
 	cg.rpc(target.node, len(data), 64, 0)
 	st := target.stripe(h)
 	st.mu.Lock()
@@ -201,8 +203,9 @@ func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, d
 	if have := st.ver[id]; have >= ver {
 		return have, false
 	}
-	shrinks := len(st.m[id]) > len(data)
-	st.m[id] = data
+	c.sum, c.summed = c.checksum(), true
+	shrinks := len(st.m[id].b) > len(data)
+	st.m[id] = c
 	st.ver[id] = ver
 	if shrinks {
 		bp := hdrPool.Get().(*[]byte)
@@ -211,11 +214,11 @@ func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, d
 		*bp = appendChunkHeader(*bp, id, 0, ver)
 		s.walAppendBatch(cg, target, target.chunkLane(h), []wal.AppendVSpec{
 			{Type: wal.RecChunkTruncate, Header: (*bp)[:cut]},
-			{Type: wal.RecWrite, Header: (*bp)[cut:], Payload: data},
+			{Type: wal.RecWrite, Header: (*bp)[cut:], Payload: data, Sum: c.sum},
 		})
 		hdrPool.Put(bp)
 	} else {
-		s.walAppendChunk(cg, target, wal.RecWrite, h, id, 0, ver, data)
+		s.walAppendChunk(cg, target, wal.RecWrite, h, id, 0, ver, data, c.sum)
 	}
 	cg.diskWrite(target.node, len(data))
 	return ver, true
@@ -237,7 +240,7 @@ func (s *Store) dropStrays(cg *charge, sy *chunkSurvey, h uint64, id chunkID, up
 		st.mu.Lock()
 		if _, held := st.m[id]; held && st.ver[id] <= upTo {
 			sv.deleteChunkLocked(st, id, 0)
-			s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil)
+			s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil, 0)
 		}
 		st.mu.Unlock()
 	}

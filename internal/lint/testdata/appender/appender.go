@@ -31,6 +31,11 @@ func rogueAppend(sv *server) {
 	sv.wal.AppendV(0, 0, nil, nil) // want `direct wal AppendV call outside the sanctioned append path`
 }
 
+// rogueSum carries the payload's checksum but still bypasses the path.
+func rogueSum(sv *server, data []byte, sum uint32) {
+	sv.wal.AppendVSum(0, 0, nil, data, sum) // want `direct wal AppendVSum call outside the sanctioned append path`
+}
+
 func rogueBatch(sv *server, specs []wal.AppendVSpec) {
 	sv.wal.AppendNV(0, specs) // want `direct wal AppendNV call outside the sanctioned append path`
 }

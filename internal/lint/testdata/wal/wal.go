@@ -23,6 +23,10 @@ func (m *MultiLog) AppendV(lane int, t RecordType, header, data []byte) (int64, 
 	return m.lanes[lane].Append(t, header)
 }
 
+func (m *MultiLog) AppendVSum(lane int, t RecordType, header, data []byte, sum uint32) (int64, int, error) {
+	return m.lanes[lane].Append(t, header)
+}
+
 func (m *MultiLog) AppendNV(lane int, specs []AppendVSpec) (int64, int, error) {
 	var last int64
 	for _, sp := range specs {

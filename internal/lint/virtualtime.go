@@ -33,7 +33,7 @@ var forbiddenTimeFuncs = map[string]bool{
 var orderedSinkFuncs = map[string]bool{
 	"parallelDo": true, "spawn": true,
 	"walAppendLane": true, "walAppendChunk": true, "walAppendMeta": true, "walAppendBatch": true,
-	"Append": true, "AppendV": true, "AppendNV": true,
+	"Append": true, "AppendV": true, "AppendVSum": true, "AppendNV": true,
 }
 
 var virtualTimeAnalyzer = &Analyzer{

@@ -21,7 +21,7 @@ var sanctionedAppenders = map[string]bool{
 }
 
 // walAppendMethods are the raw append entry points on wal types.
-var walAppendMethods = map[string]bool{"Append": true, "AppendV": true, "AppendNV": true}
+var walAppendMethods = map[string]bool{"Append": true, "AppendV": true, "AppendVSum": true, "AppendNV": true}
 
 var walAppendAnalyzer = &Analyzer{
 	Name: "walappend",

@@ -117,6 +117,12 @@ func (m *MultiLog) AppendV(lane int, t RecordType, header, payload []byte) (key 
 	return m.lanes[lane].log.AppendV(t, header, payload)
 }
 
+// AppendVSum is AppendV for a caller that already holds sum =
+// Checksum(payload) (Log.AppendVSum).
+func (m *MultiLog) AppendVSum(lane int, t RecordType, header, payload []byte, sum uint32) (key uint64, n int, err error) {
+	return m.lanes[lane].log.AppendVSum(t, header, payload, sum)
+}
+
 // AppendNV appends a batch of records to the lane atomically (contiguous
 // on the medium, consecutive order keys). Returns the first record's key
 // and the total encoded size. specs and the segments they reference must

@@ -14,10 +14,17 @@
 // header (chunk addressing, descriptor metadata) and a large data segment
 // (the chunk bytes). AppendV and AppendNV accept the pieces separately and
 // stream prefix, header, and payload to the medium as one vectored write —
-// the data segment is copied exactly once, caller buffer to log medium,
-// with the CRC computed incrementally over the segments. The encoding is
-// bit-identical to the single-buffer appendRecord form, so logs written by
-// any mix of Append/AppendV/AppendNV replay interchangeably.
+// the data segment is copied exactly once, caller buffer to log medium.
+//
+// The record CRC covers type, LSN, header and payload, but the payload's
+// share enters as the payload's own CRC32C, folded into the CRC of the rest
+// by ChecksumCombine (crc.go) without reading the payload again. AppendV
+// computes that sum itself; AppendVSum and AppendVSpec.Sum take one the
+// caller already holds, so a payload logged on R replicas is checksummed
+// once, not R times. The stored CRC is the number one pass over the record
+// gives, so the encoding is bit-identical to the single-buffer appendRecord
+// form and logs written by any mix of Append/AppendV/AppendVSum/AppendNV
+// replay interchangeably.
 //
 // # Sharded lanes
 //
@@ -187,8 +194,16 @@ func (l *Log) Append(t RecordType, payload []byte) (lsn uint64, n int, err error
 // and payload, without ever staging the payload segment: the prefix,
 // header, and payload stream to the medium as one vectored write (payload
 // bytes are copied exactly once). Either segment may be nil. The encoded
-// byte stream is bit-identical to Append(t, header||payload).
+// byte stream is bit-identical to Append(t, header||payload). It is
+// AppendVSum with the payload's sum computed here.
 func (l *Log) AppendV(t RecordType, header, payload []byte) (lsn uint64, n int, err error) {
+	return l.AppendVSum(t, header, payload, Checksum(payload))
+}
+
+// AppendVSum is AppendV for a caller that already holds sum =
+// Checksum(payload): the record CRC folds sum in instead of reading the
+// payload again. A wrong sum writes a record replay rejects as ErrCorrupt.
+func (l *Log) AppendVSum(t RecordType, header, payload []byte, sum uint32) (lsn uint64, n int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	lsn = l.nextLSN
@@ -199,7 +214,7 @@ func (l *Log) AppendV(t RecordType, header, payload []byte) (lsn uint64, n int, 
 		l.hdrs = make([]byte, 0, 16*recPrefixLen)
 	}
 	l.hdrs = l.hdrs[:recPrefixLen]
-	l.stagePrefix(0, t, lsn, header, payload)
+	l.stagePrefix(0, t, lsn, header, len(payload), sum)
 	l.segs = append(l.segs[:0], l.hdrs[0:recPrefixLen], header, payload)
 	n, err = l.w.WriteV(l.segs)
 	l.clearSegs()
@@ -217,6 +232,9 @@ type AppendVSpec struct {
 	Type    RecordType
 	Header  []byte
 	Payload []byte
+	// Sum is Checksum(Payload) when the caller already holds it. Zero makes
+	// AppendNV compute it, which is also right for a payload whose sum is 0.
+	Sum uint32
 }
 
 // AppendNV is the vectored batch append: the records land atomically with
@@ -241,7 +259,11 @@ func (l *Log) AppendNV(specs []AppendVSpec) (firstLSN uint64, n int, err error) 
 	}
 	l.hdrs = l.hdrs[:k*recPrefixLen]
 	for i, sp := range specs {
-		l.stagePrefix(i*recPrefixLen, sp.Type, firstLSN+uint64(i), sp.Header, sp.Payload)
+		sum := sp.Sum
+		if sum == 0 {
+			sum = Checksum(sp.Payload)
+		}
+		l.stagePrefix(i*recPrefixLen, sp.Type, firstLSN+uint64(i), sp.Header, len(sp.Payload), sum)
 	}
 	l.segs = l.segs[:0]
 	for i, sp := range specs {
@@ -268,18 +290,19 @@ func (l *Log) clearSegs() {
 }
 
 // stagePrefix encodes one record's 17-byte framing block at offset off in
-// l.hdrs (which the caller has already sized to cover it), computing the
-// CRC incrementally over the type/LSN header and both payload segments.
-// Staging in the log-owned buffer — not a stack array — keeps the block
-// from escaping to a per-append heap allocation in the checksum call.
-func (l *Log) stagePrefix(off int, t RecordType, lsn uint64, header, payload []byte) {
+// l.hdrs (which the caller has already sized to cover it). The CRC runs over
+// the type/LSN header and the header segment, then folds in paySum, the
+// Checksum of the payLen payload bytes, without reading them. Staging in the
+// log-owned buffer — not a stack array — keeps the block from escaping to a
+// per-append heap allocation in the checksum call.
+func (l *Log) stagePrefix(off int, t RecordType, lsn uint64, header []byte, payLen int, paySum uint32) {
 	b := l.hdrs[off : off+recPrefixLen]
 	b[8] = byte(t)
 	binary.LittleEndian.PutUint64(b[9:17], lsn)
 	sum := crc32.Update(0, castagnoli, b[8:17])
 	sum = crc32.Update(sum, castagnoli, header)
-	sum = crc32.Update(sum, castagnoli, payload)
-	binary.LittleEndian.PutUint32(b[0:4], uint32(9+len(header)+len(payload)))
+	sum = ChecksumCombine(sum, paySum, payLen)
+	binary.LittleEndian.PutUint32(b[0:4], uint32(9+len(header)+payLen))
 	binary.LittleEndian.PutUint32(b[4:8], sum)
 }
 
@@ -328,6 +351,12 @@ func (l *Log) SetSize(n int64) {
 // back-to-back segments, header then data; the framing and crc treat them
 // as one region, so the on-medium stream does not record — and replay
 // cannot observe — which append form produced a record.
+//
+// The appenders never run the crc over the payload segment: they take the
+// payload's own crc32c (the caller's, via AppendVSum or AppendVSpec.Sum, or
+// one computed by AppendV) and fold it into the crc of type, lsn and header
+// with ChecksumCombine, crc(A‖B) from crc(A), crc(B) and len(B). The stored
+// crc is the number a single pass over the region gives.
 //
 // appendRecord appends the encoded record to dst without any intermediate
 // buffer: the checksum is computed incrementally over the type/LSN header

@@ -219,22 +219,22 @@ func checkAccounting(t *testing.T, l *Log, lsn uint64, wantLSN uint64, n, wantN 
 }
 
 // TestAppendVMatchesAppendRecord pins the vectored encode paths —
-// AppendV and AppendNV — byte-for-byte against the legacy appendRecord
-// encoding across randomized type/header/payload shapes, including
-// LSN/Size accounting equality.
+// AppendV, AppendVSum, and AppendNV with and without caller sums —
+// byte-for-byte against the legacy appendRecord encoding across randomized
+// type/header/payload shapes, including LSN/Size accounting equality.
 func TestAppendVMatchesAppendRecord(t *testing.T) {
 	f := func(ops []vOp) bool {
 		want := legacyStream(ops)
 
-		// AppendV.
-		var vb Buffer
-		vl := New(&vb)
-		// AppendNV, one atomic batch.
-		var nb Buffer
-		nl := New(&nb)
+		// AppendV, and AppendVSum with the payload summed by the caller.
+		var vb, sb Buffer
+		vl, sl := New(&vb), New(&sb)
+		// AppendNV, one atomic batch, without and with caller sums.
+		var nb, nsb Buffer
+		nl, nsl := New(&nb), New(&nsb)
 		specs := make([]AppendVSpec, 0, len(ops))
+		summed := make([]AppendVSpec, 0, len(ops))
 
-		off := 0
 		for i, op := range ops {
 			recLen := recPrefixLen + len(op.Header) + len(op.Payload)
 			lsn, n, err := vl.AppendV(RecordType(op.T), op.Header, op.Payload)
@@ -242,23 +242,33 @@ func TestAppendVMatchesAppendRecord(t *testing.T) {
 				return false
 			}
 			checkAccounting(t, vl, lsn, uint64(i+1), n, recLen)
-			specs = append(specs, AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload})
-			off += recLen
-		}
-		if len(specs) > 0 {
-			first, n, err := nl.AppendNV(specs)
-			if err != nil || first != 1 || n != len(want) {
+			lsn, n, err = sl.AppendVSum(RecordType(op.T), op.Header, op.Payload, Checksum(op.Payload))
+			if err != nil {
 				return false
 			}
+			checkAccounting(t, sl, lsn, uint64(i+1), n, recLen)
+			specs = append(specs, AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload})
+			summed = append(summed, AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload, Sum: Checksum(op.Payload)})
 		}
-		for name, b := range map[string]*Buffer{"AppendV": &vb, "AppendNV": &nb} {
+		if len(specs) > 0 {
+			for _, batch := range []struct {
+				l     *Log
+				specs []AppendVSpec
+			}{{nl, specs}, {nsl, summed}} {
+				first, n, err := batch.l.AppendNV(batch.specs)
+				if err != nil || first != 1 || n != len(want) {
+					return false
+				}
+			}
+		}
+		for name, b := range map[string]*Buffer{"AppendV": &vb, "AppendVSum": &sb, "AppendNV": &nb, "AppendNV with sums": &nsb} {
 			if got := readerBytes(t, b); !bytes.Equal(got, want) {
 				t.Logf("%s stream diverges from appendRecord (%d vs %d bytes)", name, len(got), len(want))
 				return false
 			}
 		}
 		// Size/NextLSN accounting must agree with the reference stream.
-		for _, l := range []*Log{vl, nl} {
+		for _, l := range []*Log{vl, sl, nl, nsl} {
 			if l.Size() != int64(len(want)) || l.NextLSN() != uint64(len(ops)+1) {
 				return false
 			}
@@ -293,29 +303,42 @@ func TestAppendVEquivalentToAppend(t *testing.T) {
 }
 
 // TestAppendNVMatchesSequentialAppendV: one atomic batch equals the record
-// sequence appended one at a time, including the total-size return.
+// sequence appended one at a time, including the total-size return, and
+// carrying each payload's sum changes neither side's bytes.
 func TestAppendNVMatchesSequentialAppendV(t *testing.T) {
 	f := func(ops []vOp) bool {
 		if len(ops) == 0 {
 			return true
 		}
-		var sb, nb Buffer
-		sl, nl := New(&sb), New(&nb)
+		var sb, ssb, nb, nsb Buffer
+		sl, ssl, nl, nsl := New(&sb), New(&ssb), New(&nb), New(&nsb)
 		total := 0
 		specs := make([]AppendVSpec, len(ops))
+		summed := make([]AppendVSpec, len(ops))
 		for i, op := range ops {
 			_, n, err := sl.AppendV(RecordType(op.T), op.Header, op.Payload)
 			if err != nil {
 				return false
 			}
+			sum := Checksum(op.Payload)
+			if _, sn, err := ssl.AppendVSum(RecordType(op.T), op.Header, op.Payload, sum); err != nil || sn != n {
+				return false
+			}
 			total += n
 			specs[i] = AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload}
+			summed[i] = AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload, Sum: sum}
 		}
-		first, n, err := nl.AppendNV(specs)
-		if err != nil || first != 1 || n != total {
-			return false
+		for _, batch := range []struct {
+			l     *Log
+			specs []AppendVSpec
+		}{{nl, specs}, {nsl, summed}} {
+			first, n, err := batch.l.AppendNV(batch.specs)
+			if err != nil || first != 1 || n != total {
+				return false
+			}
 		}
-		return bytes.Equal(readerBytes(t, &sb), readerBytes(t, &nb))
+		want := readerBytes(t, &sb)
+		return bytes.Equal(readerBytes(t, &ssb), want) && bytes.Equal(readerBytes(t, &nb), want) && bytes.Equal(readerBytes(t, &nsb), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
