@@ -184,8 +184,9 @@
 // soft-down owner receives it like a foreground write; a crash-wiped one
 // resyncs at its own Recover) and deletes a stray only once an owner holds
 // its bytes.
-// Descriptors move by sharing the canonical *descriptor pointer with
-// gained owners under the blob's latch, so writers racing the handover
+// A descriptor moves under the blob's read latch: the canonical object, the
+// one ops latch while the new primary holds no copy, moves to that primary,
+// and every other owner holds its own copy, so writers racing the handover
 // still serialize on a single latch and log sizes in a replayable order.
 //
 // Draining a node resets its logs. RemoveServer clears the drained node's
@@ -666,8 +667,43 @@ func (sv *server) keys() []string {
 	return keys
 }
 
-// descriptor is a blob's metadata. The authoritative copy lives on the
-// blob's primary descriptor server; replicas hold copies.
+// desc returns sv's copy of key's descriptor, or nil.
+func (sv *server) desc(key string) *descriptor {
+	sv.mu.RLock()
+	defer sv.mu.RUnlock()
+	d, _ := sv.blobs.get(key)
+	return d
+}
+
+// putDesc sets sv's copy of key's descriptor to size, adding one if sv holds
+// none, and reports whether sv's table changed. It is the one write to a
+// replica's copy, the same live and at redo: replication (setSize), resync,
+// the migration handover and redo all go through it.
+func (sv *server) putDesc(key string, size int64) bool {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	d, ok := sv.blobs.get(key)
+	if !ok {
+		sv.blobs.put(key, &descriptor{size: size})
+		return true
+	}
+	changed := d.size != size
+	d.size = size
+	return changed
+}
+
+// dropDesc removes sv's copy of key's descriptor and reports whether it held
+// one.
+func (sv *server) dropDesc(key string) bool {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	return sv.blobs.del(key)
+}
+
+// descriptor is a blob's metadata. Every descriptor owner holds its own
+// object — no two servers' tables share one — and the primary's is the
+// canonical copy: the one whose latch ops take and whose size setSize changes
+// first. A replica's object is written only through putDesc.
 type descriptor struct {
 	size int64
 	// dead is set under the latch by the delete that removed the blob: an op
@@ -675,7 +711,7 @@ type descriptor struct {
 	// gone (latchDesc).
 	dead bool
 	// latch serializes writes and makes multi-chunk commits atomically
-	// visible. Only the primary's latch is used.
+	// visible. Only the canonical object's latch is used.
 	latch sync.RWMutex
 }
 
@@ -800,26 +836,22 @@ func (s *Store) chunkOwners(id chunkID) []int {
 // for key, or storage.ErrNotFound.
 //
 // While a migration is in flight the new primary may not have received its
-// descriptor copy yet; the lookup then falls back to the canonical holder
+// descriptor yet; the lookup then falls back to the canonical holder
 // (canonicalDesc) instead of failing, so foreground ops keep succeeding
-// throughout a live join/leave. The fallback resolves to the same
-// *descriptor object the migration sweep installs onto gained owners, so
-// every op serializes on one latch per blob even mid-handover.
+// throughout a live join/leave. The fallback resolves to the very object the
+// handover later moves to the new primary, so every op serializes on one
+// latch per blob even mid-handover.
 func (s *Store) primaryDesc(key string) (*server, *descriptor, error) {
 	owners := s.descOwners(key)
 	if len(owners) == 0 {
 		return nil, nil, storage.ErrNotFound
 	}
 	sv := s.servers[owners[0]]
-	sv.mu.RLock()
-	d, ok := sv.blobs.get(key)
-	sv.mu.RUnlock()
-	if !ok {
-		if s.migrating.Load() != 0 {
-			if sv, d := s.canonicalDesc(key, owners); d != nil {
-				return sv, d, nil
-			}
-		}
+	d := sv.desc(key)
+	if d == nil && s.migrating.Load() != 0 {
+		sv, d = s.canonicalDesc(key, owners)
+	}
+	if d == nil {
 		return nil, nil, fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
 	}
 	return sv, d, nil
@@ -830,7 +862,10 @@ func (s *Store) primaryDesc(key string) (*server, *descriptor, error) {
 // is refused while the descriptor primary is down; meta charges the size
 // lookup, one metadata op on the primary, before the latch. A descriptor
 // that a delete removed while this op waited for the latch answers
-// storage.ErrNotFound, with the latch released.
+// storage.ErrNotFound, with the latch released. Mid-migration the handover
+// may move the descriptor, or swap a holder's object for a copy, between the
+// lookup and the latch, so the op keeps the latch only if a second lookup
+// under it resolves the same server and object, and resolves again if not.
 func (s *Store) latchDesc(ctx *storage.Context, key string, write, meta bool) (*server, *descriptor, error) {
 	primary, d, err := s.primaryDesc(key)
 	if err != nil {
@@ -842,46 +877,43 @@ func (s *Store) latchDesc(ctx *storage.Context, key string, write, meta bool) (*
 	if meta {
 		s.cluster.MetaOp(ctx.Clock, primary.node, 1)
 	}
-	if write {
-		d.latch.Lock()
-	} else {
-		d.latch.RLock()
+	for {
+		if write {
+			d.latch.Lock()
+		} else {
+			d.latch.RLock()
+		}
+		sv, cur, err := s.primaryDesc(key)
+		if d.dead {
+			err = fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
+		} else if sv == primary && cur == d {
+			return primary, d, nil
+		}
+		if write {
+			d.latch.Unlock()
+		} else {
+			d.latch.RUnlock()
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		primary, d = sv, cur
 	}
-	if !d.dead {
-		return primary, d, nil
-	}
-	if write {
-		d.latch.Unlock()
-	} else {
-		d.latch.RUnlock()
-	}
-	return nil, nil, fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
 }
 
 // canonicalDesc returns the canonical copy of a descriptor during a
-// migration: the first current owner holding it, else the first holder in
-// node order. Deterministic — concurrent callers resolve the same object,
-// and the migration desc sweep installs exactly this object's pointer onto
-// gained owners (install before delete, per key), so the canonical object
-// is stable across the whole handover.
+// migration: the first current owner holding it, else the first non-wiped
+// holder in node order. Deterministic — concurrent callers resolve the same
+// object, and the handover (migrateDescriptors) moves exactly this object to
+// the primary before any other owner swaps it for a copy or gains one.
 func (s *Store) canonicalDesc(key string, owners []int) (*server, *descriptor) {
 	for _, o := range owners {
-		sv := s.servers[o]
-		sv.mu.RLock()
-		d, ok := sv.blobs.get(key)
-		sv.mu.RUnlock()
-		if ok {
-			return sv, d
+		if d := s.servers[o].desc(key); d != nil {
+			return s.servers[o], d
 		}
 	}
 	for _, sv := range s.servers {
-		if sv.isWiped() {
-			continue
-		}
-		sv.mu.RLock()
-		d, ok := sv.blobs.get(key)
-		sv.mu.RUnlock()
-		if ok {
+		if d := sv.desc(key); d != nil && !sv.isWiped() {
 			return sv, d
 		}
 	}
@@ -970,7 +1002,9 @@ func (s *Store) walAppendMeta(cg *charge, sv *server, t wal.RecordType, key stri
 }
 
 // CreateBlob registers a new, empty blob. The descriptor is written to its
-// primary and replicated synchronously.
+// primary and replicated synchronously, and the blob is visible only once
+// every replica holds it: the primary's copy is published latched, so an op
+// that finds the key waits until the replication is done.
 func (s *Store) CreateBlob(ctx *storage.Context, key string) error {
 	s.member.RLock()
 	defer s.member.RUnlock()
@@ -992,37 +1026,40 @@ func (s *Store) createBlob(ctx *storage.Context, key string) error {
 	// One metadata RPC to the primary: flat-namespace single lookup — this
 	// is the cost asymmetry against hierarchical path resolution.
 	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
+	// A lookup, because mid-migration the key may still live only on its old
+	// holders; the check under the primary's lock settles racing creates.
+	if _, _, err := s.primaryDesc(key); err == nil {
+		return fmt.Errorf("blob %q: %w", key, storage.ErrExists)
+	}
 
+	d := &descriptor{}
+	d.latch.Lock()
+	defer d.latch.Unlock()
 	primary.mu.Lock()
 	if _, exists := primary.blobs.get(key); exists {
 		primary.mu.Unlock()
 		return fmt.Errorf("blob %q: %w", key, storage.ErrExists)
 	}
-	primary.blobs.put(key, &descriptor{})
+	primary.blobs.put(key, d)
 	primary.mu.Unlock()
-	cg := s.directCharge(ctx)
-	s.walAppendMeta(&cg, primary, wal.RecMeta, key, 0)
-
-	// Synchronous descriptor replication, replicas updated in parallel.
-	s.replicateDesc(ctx, key, nil, 0)
+	s.setSize(ctx, key, primary, d, 0)
 	return nil
 }
 
-// replicateDesc pushes the descriptor's size to its replicas in parallel,
-// each a metadata op and a RecMeta append. d is nil for a create, which
-// upserts: the replica may not hold the descriptor yet. Otherwise the caller
-// holds d, the primary's object, under its latch: after a migration's
-// handover a replica may map the key to that very object (pointer-shared
-// canonical descriptor), and the task must then skip its store — the size is
-// already in place, and two replica tasks writing the shared field would race.
-func (s *Store) replicateDesc(ctx *storage.Context, key string, d *descriptor, size int64) {
+// setSize is the one way a blob's size changes, with d, the primary's object,
+// latched by the caller: it sets d, logs the size on the primary, then
+// upserts it on every replica in parallel (putDesc plus a metadata op and a
+// RecMeta each).
+func (s *Store) setSize(ctx *storage.Context, key string, primary *server, d *descriptor, size int64) {
+	d.size = size
+	cg := s.directCharge(ctx)
+	s.walAppendMeta(&cg, primary, wal.RecMeta, key, size)
 	fan := s.newFan()
 	for _, o := range s.descOwners(key)[1:] {
 		t := fan.task(taskDescReplicate)
 		t.sv = s.servers[o]
 		t.key = key
 		t.size = size
-		t.desc = d
 		fan.spawn(t)
 	}
 	fan.join(ctx)
@@ -1057,14 +1094,21 @@ func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, 
 	batch := newWalBatch(s)
 	s.tombstoneChunks(batch, key, 0, nChunks)
 	batch.flush(ctx)
-	// Drop descriptor replicas, then the primary copy.
+	// Drop the copies in the reverse of the order lookups walk them
+	// (canonicalDesc), so until the canonical object, the one this delete
+	// latched and marked dead, goes, a lookup finds it and no live copy.
+	// Mid-migration that includes old holders outside the replica set, or
+	// the handover would find one and bring the blob back.
 	cg := s.directCharge(ctx)
-	for _, o := range s.descOwners(key) {
-		sv := s.servers[o]
-		sv.mu.Lock()
-		sv.blobs.del(key)
-		sv.mu.Unlock()
-		s.walAppendMeta(&cg, sv, wal.RecDelete, key, 0)
+	owners := s.descOwners(key)
+	for i := len(s.servers) - 1; i >= 0; i-- {
+		if s.migrating.Load() != 0 && !containsNode(owners, i) && s.servers[i].dropDesc(key) {
+			s.walAppendMeta(&cg, s.servers[i], wal.RecDelete, key, 0)
+		}
+	}
+	for i := len(owners) - 1; i >= 0; i-- {
+		s.servers[owners[i]].dropDesc(key)
+		s.walAppendMeta(&cg, s.servers[owners[i]], wal.RecDelete, key, 0)
 	}
 	return nil
 }

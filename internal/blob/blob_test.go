@@ -395,6 +395,79 @@ func TestOpsOnDeletedBlobSeeNotFound(t *testing.T) {
 	}
 }
 
+// TestOpsRacingCreate: an op that finds a blob while its create is still
+// replicating the descriptor waits until every replica holds it. Unlatched,
+// the op reached replicas that did not hold the key yet, so the create's
+// replication then brought back a deleted blob, or reset an acknowledged
+// size to 0 on the replicas, and the descriptor primary's recovery adopted
+// that from them. The create's first append on the descriptor primary is held
+// for 20 ms while the op runs; then only that node crashes and recovers,
+// since recovering every node can hide the loss.
+func TestOpsRacingCreate(t *testing.T) {
+	ten := pattern(1, 10)
+	arms := []struct {
+		name string
+		size int64 // -1: the blob must be gone
+		op   func(s *Store, ctx *storage.Context) error
+	}{
+		{"delete", -1, func(s *Store, ctx *storage.Context) error { return s.DeleteBlob(ctx, "k") }},
+		{"write", 10, func(s *Store, ctx *storage.Context) error { _, err := s.WriteBlob(ctx, "k", 0, ten); return err }},
+		{"truncate", 10, func(s *Store, ctx *storage.Context) error { return s.TruncateBlob(ctx, "k", 10) }},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			s := newStore(t, 4, Config{ChunkSize: 64, Replication: 3})
+			ctx := storage.NewContext()
+			primary := cluster.NodeID(s.descOwners("k")[0])
+			var armed atomic.Bool
+			armed.Store(true)
+			done := make(chan error, 1)
+			s.Observe(func(ev Event) {
+				if ev.Type == wal.RecMeta && ev.Node == primary && armed.CompareAndSwap(true, false) {
+					go func() { done <- arm.op(s, storage.NewContext()) }()
+					//blobvet:allow virtualtime test-only real-time pacing lets the op find the key; the assertions are outcome-based
+					time.Sleep(20 * time.Millisecond)
+				}
+			})
+			if err := s.CreateBlob(ctx, "k"); err != nil {
+				t.Fatal(err)
+			}
+			err := <-done
+			s.Observe(nil)
+			if err != nil {
+				t.Fatalf("%s racing the create: %v", arm.name, err)
+			}
+			check := func(when string) {
+				t.Helper()
+				size, err := s.BlobSize(ctx, "k")
+				infos, _ := s.Scan(ctx, "")
+				switch {
+				case arm.size < 0 && (!errors.Is(err, storage.ErrNotFound) || len(infos) != 0):
+					t.Errorf("%s: size %d, %v, scan %v; want ErrNotFound and nothing listed", when, size, err, infos)
+				case arm.size >= 0 && (err != nil || size != arm.size):
+					t.Errorf("%s: size %d, %v; want %d", when, size, err, arm.size)
+				}
+				if msg := s.CheckInvariants(); msg != "" {
+					t.Errorf("invariants %s: %s", when, msg)
+				}
+			}
+			check("after the race")
+			s.Crash(primary)
+			if err := s.Recover(primary); err != nil {
+				t.Fatal(err)
+			}
+			check("after the descriptor primary recovered")
+			if arm.size < 0 {
+				for n := range s.servers {
+					if c := s.DescriptorCount(cluster.NodeID(n)); c != 0 {
+						t.Errorf("node %d still holds %d descriptors", n, c)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestScanPrefixAndOrder(t *testing.T) {
 	s := newStore(t, 4, Config{})
 	ctx := storage.NewContext()

@@ -129,13 +129,13 @@
 // three rules:
 //
 //   - The descriptor handover sweep is caller-only and runs BEFORE any
-//     chunk batch: it installs the canonical descriptor pointer on gained
-//     owners under that blob's latch (held in read mode, re-resolving under
-//     the latch to exclude a racing DeleteBlob). Chunk-batch tasks
-//     therefore never need — and must never take — a descriptor latch;
-//     like repair tasks they touch only stripe locks, server maps, and WAL
-//     lanes (installChunk and dropStrays on the chunk's natural lane, through
-//     the accounted append path).
+//     chunk batch: under that blob's latch (held in read mode, a dead
+//     descriptor excluding a racing DeleteBlob) it moves the canonical
+//     object to the new primary and gives every other owner its own copy
+//     through putDesc. Chunk-batch tasks therefore never need — and must
+//     never take — a descriptor latch; like repair tasks they touch only
+//     stripe locks, server maps, and WAL lanes (installChunk and dropStrays
+//     on the chunk's natural lane, through the accounted append path).
 //     (enforced: blobvet/workerlatch — migrateChunk is in the
 //     task-reachable graph, where latch takes are flagged; blobvet/walappend
 //     keeps walAppendLane and checkpointLane the only direct lane writers)
@@ -389,8 +389,7 @@ type fanTask struct {
 	sv     *server
 	rec    wal.RecordType
 	key    string
-	desc   *descriptor // taskDescReplicate: the primary's object, to skip pointer-shared stores; nil upserts
-	lane   int         // taskWalFlush: the target log lane of the spec batch
+	lane   int // taskWalFlush: the target log lane of the spec batch
 	specs  []wal.AppendVSpec
 	fn     func(cg *charge) error
 }
@@ -462,21 +461,7 @@ func (t *fanTask) run() {
 		s.walAppendBatch(cg, t.sv, t.lane, t.specs)
 	case taskDescReplicate:
 		cg.metaOp(t.sv.node, 1)
-		t.sv.mu.Lock()
-		d, ok := t.sv.blobs.get(t.key)
-		if !ok && t.desc == nil { // a create upserts
-			d = &descriptor{}
-			t.sv.blobs.put(t.key, d)
-			ok = true
-		}
-		// Skip the store when the replica maps the key to the primary's own
-		// descriptor object (pointer-shared by the migration handover): the
-		// caller already set the size under the latch, and two replica
-		// tasks storing the shared field would race.
-		if ok && d != t.desc {
-			d.size = t.size
-		}
-		t.sv.mu.Unlock()
+		t.sv.putDesc(t.key, t.size)
 		s.walAppendMeta(cg, t.sv, wal.RecMeta, t.key, t.size)
 	}
 }
@@ -561,7 +546,6 @@ func (t *fanTask) release() {
 	t.sv = nil
 	t.rec = 0
 	t.key = ""
-	t.desc = nil
 	t.lane = 0
 	t.specs = nil
 	t.fn = nil

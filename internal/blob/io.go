@@ -277,12 +277,9 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d
 	}
 
 	// Descriptor update: extend size if needed, replicate.
-	if off+int64(len(p)) > d.size {
-		d.size = off + int64(len(p))
+	if end := off + int64(len(p)); end > d.size {
 		s.cluster.MetaOp(ctx.Clock, primary.node, 1)
-		cg := s.directCharge(ctx)
-		s.walAppendMeta(&cg, primary, wal.RecMeta, key, d.size)
-		s.replicateDesc(ctx, key, d, d.size)
+		s.setSize(ctx, key, primary, d, end)
 	}
 
 	// Degraded-write epilogue: drain the debt owed to any excluded owner that
@@ -528,9 +525,6 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 		}
 		batch.flush(ctx)
 	}
-	d.size = size
-	cg := s.directCharge(ctx)
-	s.walAppendMeta(&cg, primary, wal.RecMeta, key, size)
-	s.replicateDesc(ctx, key, d, size)
+	s.setSize(ctx, key, primary, d, size)
 	return nil
 }

@@ -238,9 +238,13 @@ func (s *Store) runMigration(ctx *storage.Context) {
 }
 
 // migrateDescriptors reconciles descriptor placement against the current
-// ring. Gained owners receive the canonical descriptor OBJECT (pointer
-// shared, not a copy) under its read latch, so every op past and future
-// serializes on one latch per blob across the handover; holders outside the
+// ring, under each blob's read latch, so a size logged here cannot land on a
+// lane after a newer RecMeta: a writer needs the latch exclusively. The
+// canonical object moves to a primary that holds no copy, so ops that latched
+// it during the window still serialize with those that find it on the
+// primary after. An owner that held it swaps it for a copy, which needs no
+// record because the size is the same; every other owner gets the size
+// through putDesc, logged where that changed its table. Holders outside the
 // replica set drop their copy only after every owner holds one.
 func (s *Store) migrateDescriptors(cg *charge) {
 	lists := make([][]string, len(s.servers))
@@ -265,29 +269,22 @@ func (s *Store) migrateDescriptors(cg *charge) {
 		for i := 0; i < len(owners) && !d.dead; i++ {
 			sv := s.servers[owners[i]]
 			sv.mu.Lock()
-			_, held := sv.blobs.get(key)
-			if !held {
+			cur, held := sv.blobs.get(key)
+			moved := i == 0 && !held
+			if moved {
 				sv.blobs.put(key, d)
+			} else if i > 0 && cur == d {
+				sv.blobs.put(key, &descriptor{size: d.size})
 			}
 			sv.mu.Unlock()
-			if !held {
+			if moved || i > 0 && cur != d && sv.putDesc(key, d.size) {
 				cg.metaOp(sv.node, 1)
-				// Logged under the read latch: a concurrent writer needs
-				// the latch exclusively to change the size, so the size
-				// recorded here cannot interleave with a newer RecMeta on
-				// this server's lane in the wrong order.
 				s.walAppendMeta(cg, sv, wal.RecMeta, key, d.size)
 			}
 		}
 		d.latch.RUnlock()
 		for i, sv := range s.servers {
-			if sv.isWiped() || containsNode(owners, i) {
-				continue
-			}
-			sv.mu.Lock()
-			held := sv.blobs.del(key)
-			sv.mu.Unlock()
-			if held {
+			if !sv.isWiped() && !containsNode(owners, i) && sv.dropDesc(key) {
 				s.walAppendMeta(cg, sv, wal.RecDelete, key, 0)
 			}
 		}

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // seedBlobs writes a spread of blobs and returns the expected contents.
@@ -286,4 +289,165 @@ func TestJoinThenDrainRoundTrip(t *testing.T) {
 	}
 	expect["data/blob-000"] = append([]byte("post-churn"), expect["data/blob-000"][10:]...)
 	verifyBlobs(t, s, ctx, expect)
+}
+
+// joinStoreWithBlob returns a store serving nodes 0–2 of four, R 2, holding
+// one 10-byte blob whose descriptor primary becomes node 3 when it joins:
+// until the join's handover reaches the blob, ops find its descriptor only on
+// its old holders.
+func joinStoreWithBlob(t *testing.T) (*Store, string) {
+	t.Helper()
+	build := func() *Store {
+		return NewOnNodes(cluster.New(cluster.Config{Nodes: 4, Seed: 1}), Config{ChunkSize: 64, Replication: 2}, []cluster.NodeID{0, 1, 2})
+	}
+	probe := build()
+	if err := probe.AddServer(storage.NewContext(), 3); err != nil {
+		t.Fatal(err)
+	}
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("data/k%d", i); probe.descOwners(k)[0] == 3 {
+			key = k
+		}
+	}
+	s, ctx := build(), storage.NewContext()
+	if err := s.CreateBlob(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WriteBlob(ctx, key, 0, pattern(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	return s, key
+}
+
+// TestCreateAndDeleteBeforeHandover: during a join, before the handover
+// reaches a blob whose new primary holds no copy yet, a create of its key
+// answers ErrExists and leaves it whole, and a delete removes it for good.
+// The create used to succeed and reset the blob's size to 0; the delete
+// dropped only the new owners' copies, and the handover then moved an old
+// holder's copy to the new primary, so the deleted blob came back.
+func TestCreateAndDeleteBeforeHandover(t *testing.T) {
+	for _, arm := range []struct {
+		name string
+		op   func(s *Store, ctx *storage.Context, key string) error
+		want error
+	}{
+		{"create", func(s *Store, ctx *storage.Context, key string) error { return s.CreateBlob(ctx, key) }, storage.ErrExists},
+		{"delete", func(s *Store, ctx *storage.Context, key string) error { return s.DeleteBlob(ctx, key) }, nil},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			s, key := joinStoreWithBlob(t)
+			ctx := storage.NewContext()
+			var err error
+			s.Observe(func(ev Event) {
+				if ev.Kind == EventBatch && ev.Batch == -1 {
+					err = arm.op(s, storage.NewContext(), key)
+				}
+			})
+			if err := s.AddServer(ctx, 3); err != nil {
+				t.Fatal(err)
+			}
+			s.Observe(nil)
+			if !errors.Is(err, arm.want) {
+				t.Fatalf("%s before the handover: %v, want %v", arm.name, err, arm.want)
+			}
+			if arm.want != nil {
+				verifyBlobs(t, s, ctx, map[string][]byte{key: pattern(1, 10)})
+				return
+			}
+			if size, err := s.BlobSize(ctx, key); !errors.Is(err, storage.ErrNotFound) {
+				t.Errorf("deleted blob after the join: size %d, %v; want ErrNotFound", size, err)
+			}
+			verifyBlobs(t, s, ctx, nil)
+		})
+	}
+}
+
+// TestWriteLatchedAcrossHandoverLogsOnNewPrimary: a write that resolved a
+// blob through the migration fallback, while its new primary held no copy,
+// and was granted the latch only after the handover moved the descriptor
+// there, logs its size on the new primary. It used to log on the old holder,
+// so the new primary's memory held a size its log did not (rule 5). Write A
+// holds the latch while write B resolves and queues; the handover's read
+// latch is granted before B's.
+func TestWriteLatchedAcrossHandoverLogsOnNewPrimary(t *testing.T) {
+	s, key := joinStoreWithBlob(t)
+	ctx := storage.NewContext()
+	write := func(off int64, done chan<- error) {
+		_, err := s.WriteBlob(storage.NewContext(), key, off, pattern(int(off), 10))
+		done <- err
+	}
+	var step atomic.Int32
+	doneA, doneB := make(chan error, 1), make(chan error, 1)
+	s.Observe(func(ev Event) {
+		switch {
+		case ev.Kind == EventBatch && ev.Batch == -1 && step.CompareAndSwap(0, 1):
+			go write(10, doneA)
+			//blobvet:allow virtualtime test-only real-time pacing: A latches, then the handover queues on the latch; the assertions are outcome-based
+			time.Sleep(20 * time.Millisecond)
+		case ev.Kind == EventAppend && step.CompareAndSwap(1, 2):
+			go write(20, doneB)
+			//blobvet:allow virtualtime test-only real-time pacing: A holds the latch while B resolves and queues; the assertions are outcome-based
+			time.Sleep(40 * time.Millisecond)
+		}
+	})
+	if err := s.AddServer(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	errA, errB := <-doneA, <-doneB
+	s.Observe(nil)
+	if errA != nil || errB != nil {
+		t.Fatalf("writes during the handover: %v, %v", errA, errB)
+	}
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Errorf("invariants: %s", msg)
+	}
+	s.Crash(3)
+	if err := s.Recover(3); err != nil {
+		t.Fatal(err)
+	}
+	if size, err := s.BlobSize(ctx, key); err != nil || size != 30 {
+		t.Errorf("after the new primary recovered: size %d, %v; want 30", size, err)
+	}
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Errorf("invariants after the new primary recovered: %s", msg)
+	}
+}
+
+// TestWriteRacingDeleteAfterHandover: mid-migration, after the handover gave
+// a blob's new primary the canonical descriptor and every other owner its own
+// copy, a write that looks the blob up while a delete is dropping those
+// copies finds the dead canonical object, never a live copy: the delete drops
+// the primary's last. Acting on a copy, the write would leave a chunk behind
+// the deleted blob.
+func TestWriteRacingDeleteAfterHandover(t *testing.T) {
+	s, key := joinStoreWithBlob(t)
+	ctx := storage.NewContext()
+	seedBlobs(t, s, ctx, 20) // chunks for the join to move, so batch events fire
+	var step atomic.Int32
+	var errDel error
+	done := make(chan error, 1)
+	s.Observe(func(ev Event) {
+		switch {
+		case ev.Kind == EventBatch && ev.Batch == 0 && step.CompareAndSwap(0, 1):
+			errDel = s.DeleteBlob(storage.NewContext(), key)
+		case ev.Kind == EventAppend && ev.Type == wal.RecDelete && step.CompareAndSwap(1, 2):
+			go func() { _, err := s.WriteBlob(storage.NewContext(), key, 0, pattern(2, 10)); done <- err }()
+			//blobvet:allow virtualtime test-only real-time pacing lets the write look the blob up mid-delete; the assertions are outcome-based
+			time.Sleep(20 * time.Millisecond)
+		}
+	})
+	if err := s.AddServer(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	s.Observe(nil)
+	if errDel != nil {
+		t.Fatal(errDel)
+	}
+	if err := <-done; !errors.Is(err, storage.ErrNotFound) {
+		t.Errorf("write racing the delete: %v, want ErrNotFound", err)
+	}
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Errorf("invariants: %s", msg)
+	}
 }

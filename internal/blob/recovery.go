@@ -57,8 +57,8 @@ type prepWrite struct {
 }
 
 // redo replays log records into one server's tables through the mutators
-// live ops use (applyChunk, deleteChunk, trimChunk, setDebtLocked and one
-// descriptor upsert), so what a record does is written down once. Recover
+// live ops use (applyChunk, deleteChunk, trimChunk, setDebtLocked, putDesc
+// and dropDesc), so what a record does is written down once. Recover
 // runs it on the recovering server, CheckInvariants on a scratch one.
 type redo struct {
 	sv      *server
@@ -77,15 +77,11 @@ func (r *redo) record(rec wal.Record) error {
 		if err != nil {
 			return err
 		}
-		sv.mu.Lock()
 		if rec.Type == wal.RecDelete {
-			sv.blobs.del(key)
-		} else if d, ok := sv.blobs.get(key); ok {
-			d.size = size
+			sv.dropDesc(key)
 		} else {
-			sv.blobs.put(key, &descriptor{size: size})
+			sv.putDesc(key, size)
 		}
-		sv.mu.Unlock()
 	case wal.RecMigrateBegin, wal.RecMigrateEnd:
 		seq, op, node, err := decMigrateIntent(rec.Payload)
 		if err != nil {
@@ -455,7 +451,9 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 // CheckInvariants validates cross-server consistency:
 //
 //  1. every descriptor on a primary is present on all of its replicas with
-//     the same size;
+//     the same size, and a replica's copy has one on its primary (unless
+//     the primary is wiped); no two servers' tables hold one descriptor
+//     object;
 //  2. every chunk an owner holds belongs to a live blob and lies within its
 //     size, unless the chunk's maximum version is a tombstone, which has no
 //     extent;
@@ -478,35 +476,40 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 // After every node has rejoined and repair drained (RepairPending() == 0),
 // rule 4 has no exemption left and every owner must hold the maximum.
 func (s *Store) CheckInvariants() string {
+	holder := make(map[*descriptor]int)
 	for i, sv := range s.servers {
 		// Key order, so "first violation found" names the same violation
 		// on every run of one seed.
 		var descs []ckptMeta
+		shared := ""
 		sv.mu.RLock()
 		sv.blobs.ascend("", func(key string, d *descriptor) {
 			descs = append(descs, ckptMeta{key, d.size})
+			if j, ok := holder[d]; ok && shared == "" {
+				shared = fmt.Sprintf("descriptor %q: nodes %d and %d hold one object", key, j, i)
+			}
+			holder[d] = i
 		})
 		sv.mu.RUnlock()
+		if shared != "" {
+			return shared
+		}
 		for _, m := range descs {
 			owners := s.descOwners(m.key)
-			if owners[0] != i {
-				continue // only validate from the primary's view
+			if primary := s.servers[owners[0]]; owners[0] != i {
+				if containsNode(owners, i) && !primary.isWiped() && primary.desc(m.key) == nil {
+					return fmt.Sprintf("descriptor %q on replica node %d but not on its primary node %d", m.key, i, owners[0])
+				}
+				continue
 			}
 			for _, o := range owners[1:] {
-				rs := s.servers[o]
-				rs.mu.RLock()
-				rd, ok := rs.blobs.get(m.key)
-				var rsize int64
-				if ok {
-					rsize = rd.size
-				}
-				rs.mu.RUnlock()
-				if !ok {
+				rd := s.servers[o].desc(m.key)
+				if rd == nil {
 					return fmt.Sprintf("descriptor %q missing on replica node %d", m.key, o)
 				}
-				if rsize != m.size {
+				if rd.size != m.size {
 					return fmt.Sprintf("descriptor %q size mismatch: primary %d, replica node %d has %d",
-						m.key, m.size, o, rsize)
+						m.key, m.size, o, rd.size)
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // RenameBlob moves a blob to a new key server-side, implementing the
@@ -39,10 +38,11 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	if oldPrimary.isDown() {
 		return fmt.Errorf("blob %q: primary down: %w", oldKey, storage.ErrUnavailable)
 	}
-	// Register the target first (no latch is needed to create), then latch
-	// both descriptors in key order so a concurrent reverse rename cannot
-	// deadlock against this one. The ungated createBlob: this op already
-	// holds the member gate, and RLock does not nest.
+	// Register the target first (createBlob releases its latch once every
+	// replica holds the descriptor), then latch both descriptors in key
+	// order so a concurrent reverse rename cannot deadlock against this one.
+	// The ungated createBlob: this op already holds the member gate, and
+	// RLock does not nest.
 	if err := s.createBlob(ctx, newKey); err != nil {
 		return err
 	}
@@ -140,11 +140,8 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	// the logical size; install it explicitly with the same descriptor
 	// protocol writeLocked uses for size extension.
 	if newD.size != size {
-		newD.size = size
 		s.cluster.MetaOp(ctx.Clock, newPrimary.node, 1)
-		mcg := s.directCharge(ctx)
-		s.walAppendMeta(&mcg, newPrimary, wal.RecMeta, newKey, size)
-		s.replicateDesc(ctx, newKey, newD, size)
+		s.setSize(ctx, newKey, newPrimary, newD, size)
 	}
 	return s.deleteLocked(ctx, oldKey, oldPrimary, oldD)
 }

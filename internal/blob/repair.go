@@ -285,13 +285,15 @@ func (s *Store) resyncNode(sv *server) {
 
 // resyncDescriptors adopts, onto the still-down sv, the descriptor sizes its
 // live desc-owner peers hold. Size changes flow through the descriptor
-// primary and replicate synchronously to EVERY owner (down owners keep their
-// retained memory current), so all live peers agree on a blob's size; the
-// only way sv's copy can lag is a torn meta-lane tail discarding RecMeta
-// records at replay. Version comparison cannot find those (descriptor
-// versions are per-copy), but agreement among the peers makes any live
-// desc-owner peer authoritative. The adopted size is re-logged (RecMeta
-// upserts at replay) so a later crash rebuilds it from sv's own log.
+// primary and replicate synchronously to EVERY owner (setSize; down owners
+// keep their retained memory current), and no op reaches a blob before its
+// create has put it on every owner — CreateBlob holds the new descriptor's
+// latch until then — so all live peers agree on a blob's size; the only way
+// sv's copy can lag is a torn meta-lane tail discarding RecMeta records at
+// replay. Version comparison cannot find those (descriptors carry no
+// version), but agreement among the peers makes any live desc-owner peer
+// authoritative. The adopted size is re-logged through putDesc, the same
+// upsert redo applies, so a later crash rebuilds it from sv's own log.
 func (s *Store) resyncDescriptors(sv *server, cg *charge) {
 	lists := make([][]string, len(s.servers))
 	for i, peer := range s.servers {
@@ -314,25 +316,14 @@ func (s *Store) resyncDescriptors(sv *server, cg *charge) {
 		if !member || peer == nil {
 			continue
 		}
-		peer.mu.RLock()
-		pd, ok := peer.blobs.get(key)
-		peer.mu.RUnlock()
-		if !ok {
+		pd := peer.desc(key)
+		if pd == nil {
 			continue
 		}
 		pd.latch.RLock()
 		size := pd.size
 		pd.latch.RUnlock()
-		sv.mu.Lock()
-		d, have := sv.blobs.get(key)
-		if !have {
-			d = &descriptor{}
-			sv.blobs.put(key, d)
-		}
-		changed := !have || d.size != size
-		d.size = size
-		sv.mu.Unlock()
-		if changed {
+		if sv.putDesc(key, size) {
 			cg.metaOp(sv.node, 1)
 			s.walAppendMeta(cg, sv, wal.RecMeta, key, size)
 		}

@@ -93,6 +93,9 @@ go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog' ./internal/wal
 go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend' ./internal/blob
 # An op that resolved a blob before a concurrent delete latched it must answer ErrNotFound, never act on the removed object.
 go test -race -count=10 -cpu 1,2,4 -run TestOpsOnDeletedBlobSeeNotFound ./internal/blob
+# An op that finds a blob while its create still replicates waits until every replica holds it; around a descriptor handover
+# a write latched across it logs on the new primary, and one racing a delete finds the dead canonical descriptor.
+go test -race -count=10 -cpu 1,2,4 -run 'TestOpsRacingCreate|TestWriteLatchedAcrossHandoverLogsOnNewPrimary|TestWriteRacingDeleteAfterHandover' ./internal/blob
 # A Scan racing creates and deletes of interleaved keys lists every stable key, once, in order.
 go test -race -count=10 -cpu 1,2,4 -run TestScanUnderConcurrentCreateDelete ./internal/blob
 # The gateway's pooled buffers pass between concurrent requests; no body may show another request's bytes.
