@@ -531,6 +531,52 @@ func BenchmarkCheckpointAll(b *testing.B) {
 	}
 }
 
+// --- Crash recovery: one node's Crash + Recover on fault-drill's store shape
+// (9 nodes, R 3, 64 KiB chunks, 256 × 1 MiB blobs, checkpointed, then one
+// 256 KiB overwrite each, about 120 MB of log on node 0). -cpuprofile entry
+// point; MB/s is over node 0's WALSize, and CheckInvariants must be clean
+// after the loop. ---
+
+func BenchmarkRecover(b *testing.B) {
+	const blobs, size, over = 256, 1 << 20, 256 << 10
+	store := blob.New(cluster.New(cluster.Config{Nodes: 9, Seed: 1}),
+		blob.Config{ChunkSize: 64 << 10, Replication: 3})
+	ctx := storage.NewContext()
+	buf := make([]byte, size)
+	for i := 0; i < blobs; i++ {
+		key := fmt.Sprintf("f/%03d", i)
+		if err := store.CreateBlob(ctx, key); err != nil {
+			b.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = byte(i + j*7)
+		}
+		if _, err := store.WriteBlob(ctx, key, 0, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	store.CheckpointAll()
+	for i := 0; i < blobs; i++ {
+		off := int64(i%(size/over)) * over
+		if _, err := store.WriteBlob(ctx, fmt.Sprintf("f/%03d", i), off, buf[:over]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(store.WALSize(0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store.Crash(0)
+		if err := store.Recover(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if msg := store.CheckInvariants(); msg != "" {
+		b.Fatal(msg)
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps only the status and the body
 // length.
 type discardWriter struct {

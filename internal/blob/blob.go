@@ -440,14 +440,17 @@ const vnodes = 64
 // chunkStripe is one lock-striped shard of a server's chunk table.
 type chunkStripe struct {
 	mu sync.RWMutex
-	// m holds the chunk bytes; an entry with none is a tombstone. An entry
-	// also remembers the CRC32C of its bytes when they are exactly one
-	// payload whose sum the write path already had: a whole-chunk write
-	// (applyChunk at offset 0 covering the old length) or an install, which
-	// carries its source's sum. A partial overwrite, a trim, a delete and
-	// every replayed record forget it; the zero value means "unknown".
-	// CheckpointAll re-logs a remembered sum without reading the bytes again,
-	// and CheckInvariants rule 6 checks it against them.
+	// m holds the chunk bytes; an entry with none is a tombstone. Each entry
+	// owns its slice: a write copies the caller's buffer, an install takes
+	// a copy of the source, and redo keeps a replayed whole-chunk payload,
+	// a fresh record body (wal.Decoder). An entry also remembers the CRC32C
+	// of its bytes when they are exactly one payload whose sum the write
+	// path already had: a whole-chunk write (applyChunk at offset 0 covering
+	// the old length) or an install, which carries its source's sum. A
+	// partial overwrite, a trim, a delete and every replayed record forget
+	// it; the zero value means "unknown". CheckpointAll re-logs a remembered
+	// sum without reading the bytes again, and CheckInvariants rule 6 checks
+	// it against them.
 	m map[chunkID]chunkBytes
 	// ver holds the replica-comparable version of each chunk this server
 	// stores: assigned by a write, delete or truncate as one more than the
@@ -464,11 +467,14 @@ type chunkStripe struct {
 
 // chunkBytes is a chunk's bytes and, when summed, their CRC32C
 // (wal.Checksum): a chunk-table entry, or a write's payload with the sum its
-// writer computed.
+// writer computed. A payload with owned set is handed over by its caller
+// (redo's freshly decoded record bodies): applyChunk may keep b itself as
+// the chunk's bytes instead of copying it. A table entry never has it set.
 type chunkBytes struct {
 	b      []byte
 	sum    uint32
 	summed bool
+	owned  bool
 }
 
 // checksum returns the bytes' CRC32C, reading them only when it is not

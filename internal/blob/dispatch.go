@@ -71,14 +71,15 @@
 // with three stage-specific latch obligations:
 //
 //   - Lane-decode jobs are one-shot and non-blocking: each decodes a
-//     bounded batch from a private medium snapshot and signals a
+//     bounded batch from its lane's medium, read in place, and signals a
 //     capacity-1 channel that is empty by protocol (one job in flight per
-//     lane). Only the merge — the recovery caller, never a worker — waits
-//     on those channels, and it must therefore hold no lock across a wait:
+//     lane). Only the recovery caller — the merge and the drain after it,
+//     never a worker — waits on those channels, and it must therefore hold
+//     no lock across a wait:
 //     redo takes the short-hold sv.mu and stripe locks per record and
 //     releases them before the merge asks a feed for the next one.
 //     (enforced: blobvet/workerlatch — laneFeed.run is a task root and
-//     laneFeed.Next is a pool wait)
+//     laneFeed.Next and laneFeed.drain are pool waits)
 //   - Per-lane checkpoint jobs append only to their own lane's private
 //     Log/Buffer through the pooled header staging; they take no
 //     latch-class lock and never wait on the pool. The state snapshot

@@ -438,17 +438,22 @@ func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPl
 // it as needed, and installs the write's version. Growth doubles capacity so
 // sequential small appends stay amortized O(1) instead of quadratic. The copy
 // remembers p's sum only when its bytes end up exactly p's — a write at 0
-// covering the old length; a partial overwrite forgets it.
+// covering the old length; a partial overwrite forgets it. Such a whole-chunk
+// write of an owned payload keeps the payload itself instead of copying it.
 func applyChunk(sv *server, h uint64, id chunkID, within int64, p chunkBytes, ver uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	chunk, data := st.m[id].b, p.b
 	need := within + int64(len(data))
-	if within != 0 || int64(len(chunk)) > need {
+	whole := within == 0 && int64(len(chunk)) <= need
+	if !whole {
 		p.sum, p.summed = 0, false // a partial overwrite
 	}
+	adopt := whole && p.owned
 	switch {
+	case adopt:
+		chunk = data
 	case int64(len(chunk)) >= need:
 		// In-place overwrite, no growth.
 	case int64(cap(chunk)) >= need:
@@ -471,8 +476,10 @@ func applyChunk(sv *server, h uint64, id chunkID, within int64, p chunkBytes, ve
 		copy(grown, chunk)
 		chunk = grown
 	}
-	copy(chunk[within:], data)
-	p.b = chunk
+	if !adopt {
+		copy(chunk[within:], data)
+	}
+	p.b, p.owned = chunk, false
 	st.m[id] = p
 	if ver > st.ver[id] {
 		st.ver[id] = ver

@@ -389,7 +389,9 @@ func (s *Store) runBatch(ctx *storage.Context, cg *charge, moves []migMove) {
 // those bytes — installs before drops, in memory and in the logs, so a racing
 // survey never loses sight of the maximum and neither does a crash. A copy
 // taken before a concurrent delete or truncate is older than the version that
-// op stamps, so the install guard refuses it.
+// op stamps, so the install guard refuses it. The source is read once: every
+// target but the last takes its own copy of that read, and the last, like
+// pullChunk's one target, takes the read itself.
 func (s *Store) migrateChunk(cg *charge, mv migMove) {
 	h, id := mv.h, mv.id
 	sy := s.surveyChunk(h, id, nil)
@@ -403,6 +405,12 @@ func (s *Store) migrateChunk(cg *charge, mv migMove) {
 	}
 	// One source read serves every destination.
 	cg.diskRead(src.sv.node, len(c.b))
+	last := -1
+	for i := range sy.reps {
+		if r := &sy.reps[i]; r.owner && r.ver < srcVer && !r.wiped {
+			last = i
+		}
+	}
 	reached := false
 	for i := range sy.reps {
 		r := &sy.reps[i]
@@ -419,9 +427,12 @@ func (s *Store) migrateChunk(cg *charge, mv migMove) {
 		if r.wiped || s.faultCheck(cg, r.sv.node, cluster.FaultDiskWrite) != nil {
 			continue
 		}
-		// Each target owns its slice: applyChunk writes in place.
+		// Each target owns its slice, since applyChunk writes in place; the
+		// last one takes the source read itself.
 		own := c
-		own.b = append([]byte(nil), c.b...)
+		if i != last {
+			own.b = append([]byte(nil), c.b...)
+		}
 		s.installChunk(cg, r.sv, h, id, own, srcVer)
 		reached = true
 	}

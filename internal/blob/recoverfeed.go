@@ -14,13 +14,13 @@
 //
 // The dispatch contract (dispatch.go) is preserved by construction:
 //
-//   - a decode job never blocks — it decodes a fixed-size batch from a
-//     stable medium snapshot (Buffer.Reader) and signals a capacity-1
-//     channel that is empty by protocol (one job in flight per feed, the
-//     consumer drains the signal before kicking the next);
-//   - only the merge — running on the recovery caller, never on a pool
-//     worker — waits on that channel, the same caller-waits-on-workers
-//     class as ctxFan.join;
+//   - a decode job never blocks — it decodes a fixed-size batch from its
+//     lane's medium, read in place (Buffer.Reader), and signals a
+//     capacity-1 channel that is empty by protocol (one job in flight per
+//     feed, the consumer drains the signal before kicking the next);
+//   - only the recovery caller — the merge, then the drain after it, never
+//     a pool worker — waits on that channel, the same
+//     caller-waits-on-workers class as ctxFan.join;
 //   - a kick that finds the pool queue full decodes inline on the caller,
 //     exactly like ctxFan.dispatch's fallback, so a saturated pool
 //     degrades to the serial path instead of deadlocking.
@@ -30,6 +30,13 @@
 // bit-for-bit with the serial path (Config.SerialRecovery); a feed only
 // re-stages the decode, which is why parallel recovery cannot diverge
 // from the single-threaded oracle.
+//
+// The media are read in place, so no lane byte a job may still read can be
+// rewritten before the job is done. Recovery's quiescence gives that
+// everywhere but one window: when the merge stops at a key gap, other
+// lanes can still have a prefetch in flight, and Recover's resync then
+// appends at the repair truncation point, over bytes that job may be
+// reading. recoverLanes closes it by draining every feed before it returns.
 package blob
 
 import "repro/internal/wal"
@@ -62,13 +69,13 @@ type laneFeed struct {
 	ready chan struct{} // job -> merge completion signal, capacity 1
 }
 
-// newRecoveryFeeds builds one prefetching feed per lane of m and kicks
-// every lane's first batch onto the worker pool, so all lanes decode
-// concurrently while the caller enters the merge. Each feed decodes from a
-// stable snapshot of its lane's medium (wal.Buffer.Reader), so in-flight
-// jobs are unaffected by the repair truncation that follows the merge.
-func newRecoveryFeeds(m *wal.MultiLog) []wal.LaneFeed {
-	feeds := make([]wal.LaneFeed, m.Lanes())
+// recoverLanes is m.RecoverMergedFeeds over one prefetching feed per lane,
+// every lane's first batch kicked onto the worker pool so all lanes decode
+// concurrently while the caller enters the merge. It returns, on error too,
+// only once no decode job is in flight (see the package doc).
+func recoverLanes(m *wal.MultiLog, fn func(wal.Record) error) error {
+	feeds := make([]*laneFeed, m.Lanes())
+	lfs := make([]wal.LaneFeed, len(feeds))
 	for lane := range feeds {
 		f := &laneFeed{
 			dec:   wal.NewDecoder(m.LaneBuffer(lane).Reader()),
@@ -79,9 +86,13 @@ func newRecoveryFeeds(m *wal.MultiLog) []wal.LaneFeed {
 		f.next.recs = make([]wal.Record, 0, recoveryBatchRecs)
 		f.next.frames = make([]int64, 0, recoveryBatchRecs)
 		f.kick()
-		feeds[lane] = f
+		feeds[lane], lfs[lane] = f, f
 	}
-	return feeds
+	err := m.RecoverMergedFeeds(lfs, fn)
+	for _, f := range feeds {
+		f.drain()
+	}
+	return err
 }
 
 // kick submits the next-batch decode to the worker pool, or runs it inline
@@ -135,5 +146,16 @@ func (f *laneFeed) Next() (wal.Record, int64, bool, error) {
 		if !f.cur.done && f.cur.err == nil {
 			f.kick()
 		}
+	}
+}
+
+// drain waits for the feed's in-flight decode job, if any, and ends the
+// feed. A job is in flight exactly while the current batch is not the
+// lane's last: Next kicks the following batch whenever it swaps in one
+// that is not.
+func (f *laneFeed) drain() {
+	if !f.cur.done && f.cur.err == nil {
+		<-f.ready
+		f.cur = laneBatch{done: true}
 	}
 }

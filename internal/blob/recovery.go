@@ -20,10 +20,7 @@ func (s *Store) LogRecords(node cluster.NodeID) ([]wal.Record, error) {
 	sv := s.servers[int(node)]
 	var recs []wal.Record
 	err := sv.wal.ReplayMerged(func(rec wal.Record) error {
-		p := make([]byte, len(rec.Payload))
-		copy(p, rec.Payload)
-		rec.Payload = p
-		recs = append(recs, rec)
+		recs = append(recs, rec) // each payload is fresh (wal.Decoder)
 		return nil
 	})
 	if err != nil {
@@ -101,9 +98,11 @@ func (r *redo) record(rec wal.Record) error {
 		h := id.ringHash()
 		switch rec.Type {
 		case wal.RecWrite:
-			applyChunk(sv, h, id, within, chunkBytes{b: data}, ver)
+			// rec.Payload is a fresh per-record buffer (wal.Decoder), so a
+			// whole-chunk payload becomes the chunk's bytes uncopied.
+			applyChunk(sv, h, id, within, chunkBytes{b: data, owned: true}, ver)
 		case wal.RecPrepWrite:
-			// rec.Payload is a fresh per-record buffer, so data may be kept.
+			// The fresh buffer may be kept until the commit, too.
 			// Overwrite, never accumulate: only the latest prepare belongs
 			// to the transaction whose commit may follow.
 			if r.pending == nil {
@@ -112,7 +111,7 @@ func (r *redo) record(rec wal.Record) error {
 			r.pending[id] = prepWrite{within: within, ver: ver, data: data}
 		case wal.RecChunkCommit:
 			if p, ok := r.pending[id]; ok {
-				applyChunk(sv, h, id, p.within, chunkBytes{b: p.data}, p.ver)
+				applyChunk(sv, h, id, p.within, chunkBytes{b: p.data, owned: true}, p.ver)
 				delete(r.pending, id)
 			}
 		case wal.RecChunkDelete:
@@ -182,7 +181,7 @@ func (s *Store) Recover(node cluster.NodeID) error {
 	if s.cfg.SerialRecovery {
 		err = sv.wal.RecoverMerged(r.record)
 	} else {
-		err = sv.wal.RecoverMergedFeeds(newRecoveryFeeds(sv.wal), r.record)
+		err = recoverLanes(sv.wal, r.record)
 	}
 	if err != nil {
 		s.Crash(node) // nothing half-replayed stays behind, its debt included
@@ -590,11 +589,12 @@ func (s *Store) CheckInvariants() string {
 }
 
 // replayGCBytes is the log size from which rule 5 collects before redoing a
-// server. The lane snapshots, decoded records and scratch tables it
-// allocates come to about three times the log; left to the GC's pacing, that
-// volume over every server of a large store lifts the heap to its goal,
-// about twice the live data and far above what the store's own work peaks at.
-// Collected per server, the check costs the heap one server's replay.
+// server. The replay reads the lanes in place, but the decoded record bodies
+// it allocates, kept as the scratch server's chunks, still come to about the
+// log's size; left to the GC's pacing, that volume over every server of a
+// large store lifts the heap to its goal, about twice the live data and far
+// above what the store's own work peaks at. Collected per server, the check
+// costs the heap one server's replay.
 const replayGCBytes = 1 << 20
 
 // sumDiff names the lowest chunk on sv whose remembered sum is not the CRC32C

@@ -3,6 +3,7 @@ package blob
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -564,5 +565,79 @@ func TestSetDownCannotReviveWipedServer(t *testing.T) {
 	}
 	if n, err := s.ReadBlob(ctx, key, 0, got); err != nil || n != 8 || string(got) != "ABCDefgh" {
 		t.Fatalf("read after Recover = (%d, %v, %q)", n, err, got)
+	}
+}
+
+// TestRecoverTornLaneThenResync tears node 0's lane 0 early, so the merge
+// stops at a key gap while the other lanes still decode ahead of it, and
+// Recover's resync then appends at the repair truncation points, over lane
+// bytes those decodes read in place. Recovery must wait for them first
+// (recoverLanes' drain): -race reports the overlap otherwise.
+func TestRecoverTornLaneThenResync(t *testing.T) {
+	s := newStore(t, 3, Config{ChunkSize: 4 << 10, Replication: 2})
+	ctx := storage.NewContext()
+	data := make([]byte, 64<<10)
+	want := make(map[string][]byte)
+	for i := range 64 {
+		key := fmt.Sprintf("b%02d", i)
+		if err := s.CreateBlob(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+		for w := range 4 {
+			for j := range data {
+				data[j] = byte(i + w + j*7)
+			}
+			if _, err := s.WriteBlob(ctx, key, 0, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want[key] = append([]byte(nil), data...)
+	}
+	s.servers[0].wal.LaneBuffer(0).Truncate(300)
+	s.Crash(0)
+	if err := s.Recover(0); err != nil {
+		t.Fatal(err)
+	}
+	verifyAll(t, s, ctx, want)
+}
+
+// TestRecoverAllocatesAboutItsLog pins recovery's copies: the lanes are read
+// in place and a replayed whole chunk keeps the record body it was decoded
+// into, so Recover of a node holding W bytes of log allocates little more
+// than the W of decoded bodies, on both decode paths. Copying the lanes
+// first and then each chunk's payload again came to about 3.1 W at this shape.
+func TestRecoverAllocatesAboutItsLog(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		s := newStore(t, 3, Config{ChunkSize: 64 << 10, Replication: 2, SerialRecovery: serial})
+		ctx := storage.NewContext()
+		data := make([]byte, 1<<20)
+		for i := range 16 {
+			key := fmt.Sprintf("b%02d", i)
+			if err := s.CreateBlob(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+			for j := range data {
+				data[j] = byte(i + j*7)
+			}
+			if _, err := s.WriteBlob(ctx, key, 0, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := s.WALSize(0)
+		s.Crash(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.Recover(0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if msg := s.CheckInvariants(); msg != "" {
+			t.Fatalf("serial %v: invariants after Recover: %s", serial, msg)
+		}
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(w)
+		t.Logf("serial %v: Recover of a %d-byte log allocated %.2f× its size", serial, w, ratio)
+		if ratio > 1.5 {
+			t.Errorf("serial %v: Recover allocated %.2f× its log, want at most 1.5×", serial, ratio)
+		}
 	}
 }

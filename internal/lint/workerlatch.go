@@ -5,7 +5,7 @@ package lint
 // (a helper draining a fan it was offered), closures passed to parallelDo,
 // and anything assigned to a task's fn field —
 // must never acquire a per-blob descriptor latch and must never wait on
-// the pool (parallelDo, ctxFan.join, laneFeed.Next, repairDrain).
+// the pool (parallelDo, ctxFan.join, laneFeed.Next and drain, repairDrain).
 // Either one re-enters the dispatch pool from inside it: a writer holds
 // the latch across its own fan join — and runs the fan's tasks on its own
 // goroutine there — so a task blocking on the latch (or a worker parked
@@ -29,7 +29,7 @@ var taskRootRecv = map[string]bool{"fanTask": true, "funcJob": true, "laneFeed":
 var poolWaits = map[string]map[string]bool{
 	"":         {"parallelDo": true},
 	"ctxFan":   {"join": true},
-	"laneFeed": {"Next": true},
+	"laneFeed": {"Next": true, "drain": true},
 	"Store":    {"repairDrain": true},
 }
 

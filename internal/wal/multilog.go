@@ -170,8 +170,8 @@ func (m *MultiLog) ReplayMergedFeeds(feeds []LaneFeed, fn func(Record) error) er
 	return err
 }
 
-// laneFeeds returns the serial decode feeds: one Decoder per lane over a
-// snapshot of that lane's medium.
+// laneFeeds returns the serial decode feeds: one Decoder per lane over that
+// lane's medium, read in place (Buffer.Reader).
 func (m *MultiLog) laneFeeds() []LaneFeed {
 	feeds := make([]LaneFeed, len(m.lanes))
 	for i := range m.lanes {

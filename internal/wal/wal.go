@@ -41,12 +41,12 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -395,8 +395,10 @@ const replayBodyStep = 1 << 20
 // engine shared by ReplayValid (a single stream walked to its end) and
 // MultiLog's merged replay, which holds one decoded head record per lane
 // and advances lanes one record at a time as the order-key merge consumes
-// them. Each record's body is a fresh allocation, so a held head stays
-// valid while other lanes advance.
+// them. Each record's body is a fresh allocation that nothing else
+// references, and that is a contract: a held head stays valid while other
+// lanes advance, and a caller may keep a payload as its own memory (crash
+// recovery keeps chunk payloads as the chunks' bytes) without copying it.
 type decoder struct {
 	r io.Reader
 }
@@ -459,15 +461,16 @@ func (d *decoder) next() (rec Record, frame int64, done bool, err error) {
 // (the blob store's parallel recovery pipeline) wrap one Decoder per lane
 // and batch its output, and the merge cannot tell the difference because
 // both shapes produce exactly this decode sequence. Each yielded record's
-// payload is a fresh allocation, so records stay valid after the decoder
-// advances.
+// payload is a fresh allocation nothing else references, so records stay
+// valid after the decoder advances and the caller may keep a payload as
+// its own memory.
 type Decoder struct {
 	d decoder
 }
 
 // NewDecoder returns a decoder streaming records from r, which must read a
-// single log medium from its start (Buffer.Reader provides a stable
-// snapshot).
+// single log medium from its start. Buffer.Reader reads the medium in
+// place, so its contract holds for as long as the decoder is in use.
 func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{d: decoder{r: r}}
 }
@@ -509,12 +512,7 @@ func ReplayValid(r io.Reader, fn func(Record) error) (valid int64, err error) {
 func ReplayAll(r io.Reader) ([]Record, error) {
 	var recs []Record
 	err := Replay(r, func(rec Record) error {
-		// Copy the payload: Replay reuses nothing today, but callers must
-		// not depend on that.
-		p := make([]byte, len(rec.Payload))
-		copy(p, rec.Payload)
-		rec.Payload = p
-		recs = append(recs, rec)
+		recs = append(recs, rec) // each payload is fresh (decoder)
 		return nil
 	})
 	return recs, err
@@ -594,16 +592,38 @@ func (b *Buffer) WriteV(segs [][]byte) (int, error) {
 	return n, nil
 }
 
-// Reader returns a reader over a snapshot of the current contents.
+// Reader returns a reader over the slabs themselves, up to the length
+// present at the call; it copies nothing until Read. Bytes below that length
+// must not be rewritten while the reader is in use: appends past it are
+// fine, but Truncate followed by a write, or Reset followed by a write, is
+// not. Crash recovery reads its lanes this way while the server is
+// quiescent.
 func (b *Buffer) Reader() io.Reader {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	snap := make([]byte, b.n)
 	ss := b.slabSize()
-	for i := 0; i < len(b.slabs) && i*ss < b.n; i++ {
-		copy(snap[i*ss:], b.slabs[i][:min(ss, b.n-i*ss)])
+	return &slabReader{slabs: slices.Clone(b.slabs[:(b.n+ss-1)/ss]), ss: ss, n: b.n}
+}
+
+// slabReader reads a Buffer's slabs in place over [0, n).
+type slabReader struct {
+	slabs  [][]byte
+	ss     int
+	n, off int
+}
+
+func (r *slabReader) Read(p []byte) (int, error) {
+	if r.off >= r.n {
+		return 0, io.EOF
 	}
-	return bytes.NewReader(snap)
+	read := 0
+	for read < len(p) && r.off < r.n {
+		si := r.off / r.ss
+		c := copy(p[read:], r.slabs[si][r.off-si*r.ss:min(r.ss, r.n-si*r.ss)])
+		read += c
+		r.off += c
+	}
+	return read, nil
 }
 
 // Len returns the current content length.

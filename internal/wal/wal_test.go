@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -424,6 +426,72 @@ func TestBufferSlabbed(t *testing.T) {
 	b.Write([]byte("fresh"))
 	if got := readerBytes(t, b); !bytes.Equal(got, []byte("fresh")) {
 		t.Fatalf("after Reset+Write: %q", got)
+	}
+}
+
+// TestBufferReaderInPlace pins the in-place lane reader: over records that
+// straddle 64-byte slabs, reads of any size return exactly the encoded
+// stream; a reader taken before further appends stops at the length it saw;
+// and reading a 1 MiB buffer through it costs no copy of the buffer.
+func TestBufferReaderInPlace(t *testing.T) {
+	b := &Buffer{SlabSize: 64}
+	l := New(b)
+	var want []byte
+	for i := 0; i < 40; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, (i*37)%150)
+		if _, _, err := l.Append(RecWrite, p); err != nil {
+			t.Fatal(err)
+		}
+		want = appendRecord(want, RecWrite, uint64(i+1), p)
+	}
+	if b.Slabs() < 10 {
+		t.Fatalf("only %d slabs; the stream must straddle many", b.Slabs())
+	}
+	readAll := func(r io.Reader, step int) []byte {
+		var got []byte
+		p := make([]byte, step)
+		for {
+			n, err := r.Read(p)
+			got = append(got, p[:n]...)
+			if err == io.EOF {
+				return got
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, step := range []int{1, 7, 64, 1000} {
+		if got := readAll(b.Reader(), step); !bytes.Equal(got, want) {
+			t.Fatalf("reads of %d bytes: got %d bytes, diverging from the %d-byte stream", step, len(got), len(want))
+		}
+	}
+
+	r := b.Reader()
+	if _, _, err := l.Append(RecMeta, []byte("after the reader")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(r, 7); !bytes.Equal(got, want) {
+		t.Fatalf("a reader taken before an append read %d bytes, want the %d it saw", len(got), len(want))
+	}
+
+	big := &Buffer{}
+	big.Write(make([]byte, 1<<20))
+	p := make([]byte, 64<<10)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		r := big.Reader()
+		for {
+			if _, err := r.Read(p); err == io.EOF {
+				break
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+		t.Fatalf("reading a 1 MiB buffer allocated %d B, want under 4 KiB", per)
 	}
 }
 

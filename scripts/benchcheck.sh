@@ -98,6 +98,8 @@ go test -race -count=10 -cpu 1,2,4 -run TestOpsOnDeletedBlobSeeNotFound ./intern
 go test -race -count=10 -cpu 1,2,4 -run 'TestOpsRacingCreate|TestWriteLatchedAcrossHandoverLogsOnNewPrimary|TestWriteRacingDeleteAfterHandover' ./internal/blob
 # A Scan racing creates and deletes of interleaved keys lists every stable key, once, in order.
 go test -race -count=10 -cpu 1,2,4 -run TestScanUnderConcurrentCreateDelete ./internal/blob
+# Recovery reads the lanes in place: after a merge stopped by a torn lane, every lane's in-flight decode must finish before resync appends.
+go test -race -count=10 -cpu 1,2,4 -run TestRecoverTornLaneThenResync ./internal/blob
 # The gateway's pooled buffers pass between concurrent requests; no body may show another request's bytes.
 go test -race -count=10 -cpu 1,2,4 -run TestPooledBuffersNeverLeakBytes ./internal/s3gw
 (cd benchmark && go test ./...)
