@@ -50,10 +50,13 @@
 //     (wal.MultiLog.RecoverMerged). Records append vectored
 //     (AppendVSum/AppendNV): only the small addressing header is staged in a
 //     pooled scratch buffer, while chunk data streams from the caller's
-//     buffer to the log medium in exactly one copy. A write checksums its
-//     payload once (writeChunk) and every replica's record folds that sum
-//     in; a chunk whose bytes are exactly one summed payload keeps the sum
-//     (chunkStripe), so CheckpointAll re-logs it without reading it again.
+//     buffer to the log medium in exactly one copy, and the chunk entry
+//     keeps a view of that copy (chunkStripe): a replica copies a write's
+//     bytes once, not once into its log and again into its table. A write
+//     checksums its payload once (writeChunk) and every replica's record
+//     folds that sum in; a chunk whose bytes are exactly one summed payload
+//     keeps the sum (chunkStripe), so CheckpointAll re-logs it without
+//     reading it again.
 //     Multi-record operations batch same-(server,lane) records through
 //     AppendNV.
 //   - goroutine fan-out: per-chunk work runs on the goroutine that joins
@@ -440,17 +443,23 @@ const vnodes = 64
 // chunkStripe is one lock-striped shard of a server's chunk table.
 type chunkStripe struct {
 	mu sync.RWMutex
-	// m holds the chunk bytes; an entry with none is a tombstone. Each entry
-	// owns its slice: a write copies the caller's buffer, an install takes
-	// a copy of the source, and redo keeps a replayed whole-chunk payload,
-	// a fresh record body (wal.Decoder). An entry also remembers the CRC32C
-	// of its bytes when they are exactly one payload whose sum the write
-	// path already had: a whole-chunk write (applyChunk at offset 0 covering
-	// the old length) or an install, which carries its source's sum. A
-	// partial overwrite, a trim, a delete and every replayed record forget
-	// it; the zero value means "unknown". CheckpointAll re-logs a remembered
-	// sum without reading the bytes again, and CheckInvariants rule 6 checks
-	// it against them.
+	// m holds the chunk bytes; an entry with none is a tombstone. An
+	// entry's bytes are immutable — nothing writes into them, a change
+	// replaces the entry — and they are one of three things: a view of the
+	// payload this server's own log lane stored for a whole-chunk write,
+	// install or checkpoint record (wal.MultiLog.AppendVSum); a merged slice
+	// built for a partial write; or a redo body, a fresh record body
+	// (wal.Decoder) that the next checkpoint re-points at its new record. A
+	// trim keeps a prefix of any of them. So each replica copies a write's
+	// bytes once, into its log, and a reader may use an entry's bytes after
+	// dropping the stripe lock. An entry also remembers the CRC32C of its
+	// bytes when they are exactly one payload whose sum the write path
+	// already had: a whole-chunk write (applyChunk at offset 0 covering the
+	// old length), an install, which carries its source's sum, or a
+	// checkpoint record. A partial overwrite, a trim, a delete and every
+	// replayed record forget it; the zero value means "unknown".
+	// CheckpointAll re-logs a remembered sum without reading the bytes
+	// again, and CheckInvariants rule 6 checks it against them.
 	m map[chunkID]chunkBytes
 	// ver holds the replica-comparable version of each chunk this server
 	// stores: assigned by a write, delete or truncate as one more than the
@@ -467,14 +476,12 @@ type chunkStripe struct {
 
 // chunkBytes is a chunk's bytes and, when summed, their CRC32C
 // (wal.Checksum): a chunk-table entry, or a write's payload with the sum its
-// writer computed. A payload with owned set is handed over by its caller
-// (redo's freshly decoded record bodies): applyChunk may keep b itself as
-// the chunk's bytes instead of copying it. A table entry never has it set.
+// writer computed. Its bytes are immutable (chunkStripe.m): applyChunk keeps
+// a whole-chunk payload itself as the chunk's bytes.
 type chunkBytes struct {
 	b      []byte
 	sum    uint32
 	summed bool
-	owned  bool
 }
 
 // checksum returns the bytes' CRC32C, reading them only when it is not
@@ -532,26 +539,16 @@ func (sv *server) stripe(h uint64) *chunkStripe {
 	return &sv.stripes[(h>>32)&(chunkStripes-1)]
 }
 
-// copyChunk returns a copy of the chunk's bytes and its version, made
-// while holding the stripe lock, so callers can use them without racing
-// concurrent writers that mutate the live slice in place.
-func (sv *server) copyChunk(h uint64, id chunkID) ([]byte, uint64, bool) {
-	c, ver, ok := sv.copyEntry(h, id)
-	return c.b, ver, ok
-}
-
-// copyEntry is copyChunk keeping the entry's remembered sum with the copied
-// bytes, for the copies between replicas (installChunk).
-func (sv *server) copyEntry(h uint64, id chunkID) (chunkBytes, uint64, bool) {
+// chunkEntry returns the chunk's entry, bytes and remembered sum, and its
+// version, read together under the stripe RLock. The bytes are immutable, so
+// the caller may read them after the lock is gone without a copy; an install
+// copies them once, into the target's log (installChunk).
+func (sv *server) chunkEntry(h uint64, id chunkID) (chunkBytes, uint64, bool) {
 	st := sv.stripe(h)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	c, ok := st.m[id]
-	if !ok {
-		return chunkBytes{}, 0, false
-	}
-	c.b = append([]byte(nil), c.b...)
-	return c, st.ver[id], true
+	return c, st.ver[id], ok
 }
 
 // chunkVer reads the chunk's version (0 when the server does not hold it).
@@ -973,9 +970,9 @@ func (s *Store) Observe(fn func(Event)) { s.observe = fn }
 // exactly once, with sum = wal.Checksum(data) (0 for no data) folded into
 // the record CRC instead of reading data again — and charges the log
 // persistence on sv's disk through cg (directly on the caller's clock, or
-// into a fan task's ledger).
-func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType, header, data []byte, sum uint32) {
-	key, n, err := sv.wal.AppendVSum(lane, t, header, data, sum)
+// into a fan task's ledger). It returns data as the lane stored it.
+func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType, header, data []byte, sum uint32) []byte {
+	key, n, stored, err := sv.wal.AppendVSum(lane, t, header, data, sum)
 	if err != nil {
 		// The in-memory buffer cannot fail; a failure here is a bug.
 		panic(fmt.Sprintf("blob: wal append: %v", err))
@@ -984,18 +981,21 @@ func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType
 	if s.observe != nil {
 		s.observe(Event{Kind: EventAppend, Node: sv.node, Lane: lane, Type: t, Key: key, Records: 1, Bytes: n})
 	}
+	return stored
 }
 
 // walAppendChunk logs a chunk mutation on the chunk's lane: the addressing
 // header is staged in a pooled buffer, the chunk bytes stream through the
 // vectored append. h is the chunk's placement hash, which callers on the
 // hot path have already computed — it selects the lane exactly as it
-// selects the lock stripe. sum is wal.Checksum(data), 0 for no data.
-func (s *Store) walAppendChunk(cg *charge, sv *server, t wal.RecordType, h uint64, id chunkID, within int64, ver uint64, data []byte, sum uint32) {
+// selects the lock stripe. sum is wal.Checksum(data), 0 for no data. It
+// returns data as the lane stored it, the view a chunk entry keeps.
+func (s *Store) walAppendChunk(cg *charge, sv *server, t wal.RecordType, h uint64, id chunkID, within int64, ver uint64, data []byte, sum uint32) []byte {
 	bp := hdrPool.Get().(*[]byte)
 	*bp = appendChunkHeader((*bp)[:0], id, within, ver)
-	s.walAppendLane(cg, sv, sv.chunkLane(h), t, *bp, data, sum)
+	stored := s.walAppendLane(cg, sv, sv.chunkLane(h), t, *bp, data, sum)
 	hdrPool.Put(bp)
+	return stored
 }
 
 // walAppendMeta logs a descriptor mutation on the descriptor's lane through

@@ -574,8 +574,8 @@ func TestDegradedWriteWhenReplicaDown(t *testing.T) {
 		t.Fatalf("repair debt outstanding after rejoin: %d", n)
 	}
 	h := id.ringHash()
-	a, av, _ := s.servers[owners[0]].copyChunk(h, id)
-	b, bv, _ := s.servers[owners[1]].copyChunk(h, id)
+	a, av, _ := s.servers[owners[0]].chunkData(h, id)
+	b, bv, _ := s.servers[owners[1]].chunkData(h, id)
 	if !bytes.Equal(a, b) || av != bv {
 		t.Fatalf("replicas diverge after repair: %q(v%d) vs %q(v%d)", a, av, b, bv)
 	}

@@ -315,7 +315,7 @@ func dumpChunkState(t *testing.T, s *Store, key string, got, want []byte) {
 					mask = m
 				}
 			})
-			data, ver, ok := sv.copyChunk(h, id)
+			data, ver, ok := sv.chunkData(h, id)
 			if sv.isWiped() || !ok && mask == 0 && !containsNode(owners, i) {
 				continue
 			}

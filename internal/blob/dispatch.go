@@ -103,12 +103,14 @@
 // per-chunk repairChunk tasks through this pool round by round; resyncNode
 // runs inline on the Recover caller. Two lock rules:
 //
-//   - A replica copy touches only short-hold locks: the source chunk is
-//     copied out under its stripe RLock, installChunk takes the TARGET's
-//     stripe lock, and the two are never held together (the copy is a
-//     snapshot; the version guard at install, not lock coverage, is what
-//     keeps a racing writer's newer data from being clobbered). Debt clears
-//     are version-guarded under the holder's stripe lock the same way.
+//   - A replica copy touches only short-hold locks: the source chunk's
+//     entry is read under its stripe RLock (its bytes are immutable, so
+//     nothing is copied there), installChunk takes the TARGET's stripe lock
+//     and copies the bytes once, into the target's log, and the two locks
+//     are never held together (the read is a snapshot; the version guard at
+//     install, not lock coverage, is what keeps a racing writer's newer data
+//     from being clobbered). Debt clears are version-guarded under the
+//     holder's stripe lock the same way.
 //     (enforced: blobvet/stripelock — holding two chunk-stripe locks at
 //     once is flagged, including through callbacks run under a stripe)
 //   - Repair never acquires the per-blob descriptor latch and never waits
@@ -428,11 +430,13 @@ func (t *fanTask) run() {
 		// repair of the excluded owner could erase the entry the commit is
 		// about to depend on. (Aborted transactions also stop leaving
 		// spurious debt behind.)
-		for _, o := range t.pl.owners {
+		//
+		// Each owner keeps the payload its own prepare stored (t.pl.stored).
+		for i, o := range t.pl.owners {
 			if t.pl.excl&(1<<uint(o)) != 0 {
 				continue
 			}
-			applyChunk(s.servers[o], t.pl.h, t.pl.id, t.within, chunkBytes{b: t.data, sum: t.pl.sum, summed: true}, t.pl.ver)
+			applyChunk(s.servers[o], t.pl.h, t.pl.id, t.within, chunkBytes{b: t.pl.stored[i], sum: t.pl.sum, summed: true}, t.pl.ver)
 			if t.pl.excl != 0 {
 				s.recordDebt(cg, s.servers[o], t.pl.h, t.pl.id, t.pl.excl)
 			}

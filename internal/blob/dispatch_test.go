@@ -344,7 +344,7 @@ func TestNestedFanRunByHelper(t *testing.T) {
 		t.Fatalf("R=3 single-chunk write took %d virtual ns against %d for one copy: not primary-then-parallel-replicas", got, one)
 	}
 	for _, o := range s.chunkOwners(id) {
-		if held, _, ok := s.servers[o].copyChunk(id.ringHash(), id); !ok || !bytes.Equal(held, data) {
+		if held, _, ok := s.servers[o].chunkData(id.ringHash(), id); !ok || !bytes.Equal(held, data) {
 			t.Fatalf("replica %d holds %q after the helper-run write", o, held)
 		}
 	}
@@ -506,7 +506,7 @@ func TestStripeLockedAppendsShareOneLane(t *testing.T) {
 	snapshot := func() []held {
 		out := make([]held, len(ids))
 		for i, id := range ids {
-			data, ver, ok := sv.copyChunk(id.ringHash(), id)
+			data, ver, ok := sv.chunkData(id.ringHash(), id)
 			out[i] = held{string(data), ver, ok}
 		}
 		return out
@@ -733,8 +733,8 @@ func TestSingleChunkWriteDegradedOnReplicaDown(t *testing.T) {
 	}
 	id := chunkID{"single", 0}
 	h := id.ringHash()
-	a, av, _ := s.servers[owners[0]].copyChunk(h, id)
-	b, bv, _ := s.servers[owners[1]].copyChunk(h, id)
+	a, av, _ := s.servers[owners[0]].chunkData(h, id)
+	b, bv, _ := s.servers[owners[1]].chunkData(h, id)
 	if !bytes.Equal(a, b) || av != bv {
 		t.Fatalf("replicas diverge after repair: v%d vs v%d", av, bv)
 	}

@@ -378,7 +378,7 @@ func TestShrinkingInstallReplaysExactly(t *testing.T) {
 	// requires its copy to come back exactly as memory held it.
 	crashAlone := func(t *testing.T, s *Store, target *server, id chunkID) {
 		t.Helper()
-		want, ver, _ := target.copyChunk(id.ringHash(), id)
+		want, ver, _ := target.chunkData(id.ringHash(), id)
 		for _, sv := range s.servers {
 			if sv != target {
 				s.SetDown(sv.node, true)
@@ -388,7 +388,7 @@ func TestShrinkingInstallReplaysExactly(t *testing.T) {
 		if err := s.Recover(target.node); err != nil {
 			t.Fatal(err)
 		}
-		got, gotVer, _ := target.copyChunk(id.ringHash(), id)
+		got, gotVer, _ := target.chunkData(id.ringHash(), id)
 		if gotVer != ver || !bytes.Equal(got, want) {
 			t.Fatalf("replayed %d bytes at v%d, memory held %d bytes at v%d", len(got), gotVer, len(want), ver)
 		}

@@ -2,6 +2,7 @@ package blob
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -137,13 +138,23 @@ type chunkPlace struct {
 	// sum is the CRC32C of this write's bytes for the chunk, computed once by
 	// the data phase (writeChunk) for every replica's record and apply.
 	sum uint32
+	// stored, for a multi-chunk write, holds per owner (indexed like owners)
+	// the payload that owner's prepare stored in its log; the commit apply
+	// keeps it as the owner's chunk bytes (taskApplyChunk).
+	stored [][]byte
+}
+
+// writeScratch is one write's pooled placement scratch: the participant
+// chunks, and the views every chunkPlace.stored slices.
+type writeScratch struct {
+	places []chunkPlace
+	views  [][]byte
 }
 
 // placePool recycles the per-write placement scratch.
 var placePool = sync.Pool{
 	New: func() any {
-		s := make([]chunkPlace, 0, 8)
-		return &s
+		return &writeScratch{places: make([]chunkPlace, 0, 8)}
 	},
 }
 
@@ -177,11 +188,12 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d
 	// Resolve every participant chunk's placement once; the prepare, data,
 	// and commit phases all dispatch from this scratch instead of
 	// re-hashing and re-probing per phase.
-	pp := placePool.Get().(*[]chunkPlace)
-	places := (*pp)[:0]
+	ws := placePool.Get().(*writeScratch)
+	places := ws.places[:0]
 	defer func() {
-		*pp = places[:0]
-		placePool.Put(pp)
+		clear(ws.views) // drop the views of the owners' log lanes
+		ws.places, ws.views = places[:0], ws.views[:0]
+		placePool.Put(ws)
 	}()
 	for idx := firstChunk; idx <= lastChunk; idx++ {
 		id := chunkID{key, idx}
@@ -199,6 +211,17 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d
 	recType := wal.RecWrite
 	if multi {
 		recType = wal.RecPrepWrite
+		n := 0
+		for i := range places {
+			n += len(places[i].owners)
+		}
+		ws.views = slices.Grow(ws.views[:0], n)[:n]
+		n = 0
+		for i := range places {
+			k := len(places[i].owners)
+			places[i].stored = ws.views[n : n+k : n+k]
+			n += k
+		}
 
 		// Prepare phase: one metadata round trip per participant chunk
 		// primary, charged in parallel.
@@ -344,17 +367,16 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 	// commit phase, so a transaction that dies mid-data-phase leaves live
 	// replicas exactly as consistent as crash-recovered ones. The log
 	// append is vectored: data streams from the caller's buffer to the log
-	// medium in one copy, with only the chunk-addressing header staged. The
-	// payload is checksummed once, here: every replica's record folds this
-	// sum in, and the commit-phase apply reads it from the shared placement.
+	// medium in one copy, with only the chunk-addressing header staged, and
+	// the chunk keeps that copy (keepLogged). The payload is checksummed
+	// once, here: every replica's record folds this sum in, and the
+	// commit-phase apply reads it from the shared placement.
 	pl.sum = wal.Checksum(data)
 	t.plp.sum = pl.sum
 	apply := rec == wal.RecWrite
 	cg.rpc(primary.node, len(data), 64, 0)
-	if apply {
-		applyChunk(primary, pl.h, pl.id, within, chunkBytes{b: data, sum: pl.sum, summed: true}, pl.ver)
-	}
-	s.walAppendChunk(cg, primary, rec, pl.h, pl.id, within, pl.ver, data, pl.sum)
+	stored := s.walAppendChunk(cg, primary, rec, pl.h, pl.id, within, pl.ver, data, pl.sum)
+	keepLogged(primary, pl, within, stored, rec)
 	cg.diskWrite(primary.node, len(data))
 	// Exclusion debt rides with the APPLY, never ahead of it: the direct
 	// path records it here, the prepared path at commit materialization
@@ -421,10 +443,8 @@ func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPl
 		return nil
 	}
 	cg.rpc(sv.node, len(data), 64, 0)
-	if rec == wal.RecWrite {
-		applyChunk(sv, pl.h, pl.id, within, chunkBytes{b: data, sum: pl.sum, summed: true}, pl.ver)
-	}
-	s.walAppendChunk(cg, sv, rec, pl.h, pl.id, within, pl.ver, data, pl.sum)
+	stored := s.walAppendChunk(cg, sv, rec, pl.h, pl.id, within, pl.ver, data, pl.sum)
+	keepLogged(sv, pl, within, stored, rec)
 	cg.diskWrite(sv.node, len(data))
 	// Same apply-before-record rule as the primary: prepared writes defer
 	// the exclusion debt to the commit apply.
@@ -434,52 +454,41 @@ func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPl
 	return nil
 }
 
-// applyChunk writes p's bytes into sv's copy of the chunk at within, growing
-// it as needed, and installs the write's version. Growth doubles capacity so
-// sequential small appends stay amortized O(1) instead of quadratic. The copy
-// remembers p's sum only when its bytes end up exactly p's — a write at 0
-// covering the old length; a partial overwrite forgets it. Such a whole-chunk
-// write of an owned payload keeps the payload itself instead of copying it.
+// keepLogged finishes one replica's share of a chunk write once its log
+// append has returned stored, the payload as sv's own lane holds it: a direct
+// write applies it now, a prepared one leaves it in the shared placement for
+// the commit apply.
+//
+// Append first, then apply, with no lock held between: an included owner
+// holds the survey's maximum, ver−1, so the only install that can land in
+// between carries the write's own version, pulled from a replica that
+// already applied it, with identical bytes. Its record follows this write's
+// on the lane, and the apply below leaves memory as that install did.
+func keepLogged(sv *server, pl chunkPlace, within int64, stored []byte, rec wal.RecordType) {
+	if rec != wal.RecWrite {
+		pl.stored[slices.Index(pl.owners, int(sv.node))] = stored
+		return
+	}
+	applyChunk(sv, pl.h, pl.id, within, chunkBytes{b: stored, sum: pl.sum, summed: true}, pl.ver)
+}
+
+// applyChunk puts p's bytes into sv's copy of the chunk at within and
+// installs the write's version. It never writes into an entry's bytes: a
+// whole-chunk write — at 0, covering the old length — keeps p itself, sum
+// and all; a partial write builds a merged slice, zero-filling any gap
+// (sparse semantics), and forgets the sum. p's bytes must not change after
+// the call: the payload sv's own log stored, or a redo body.
 func applyChunk(sv *server, h uint64, id chunkID, within int64, p chunkBytes, ver uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	chunk, data := st.m[id].b, p.b
-	need := within + int64(len(data))
-	whole := within == 0 && int64(len(chunk)) <= need
-	if !whole {
-		p.sum, p.summed = 0, false // a partial overwrite
+	old := st.m[id].b
+	if need := within + int64(len(p.b)); within > 0 || int64(len(old)) > need {
+		merged := make([]byte, max(int64(len(old)), need))
+		copy(merged, old)
+		copy(merged[within:], p.b)
+		p = chunkBytes{b: merged}
 	}
-	adopt := whole && p.owned
-	switch {
-	case adopt:
-		chunk = data
-	case int64(len(chunk)) >= need:
-		// In-place overwrite, no growth.
-	case int64(cap(chunk)) >= need:
-		// Reused capacity may hold stale bytes from an earlier truncate;
-		// the gap before the write must read as zeros (sparse semantics).
-		old := int64(len(chunk))
-		chunk = chunk[:need]
-		if old < within {
-			clear(chunk[old:within])
-		}
-	default:
-		newCap := int64(cap(chunk))
-		if newCap < 1024 {
-			newCap = 1024
-		}
-		for newCap < need {
-			newCap *= 2
-		}
-		grown := make([]byte, need, newCap)
-		copy(grown, chunk)
-		chunk = grown
-	}
-	if !adopt {
-		copy(chunk[within:], data)
-	}
-	p.b, p.owned = chunk, false
 	st.m[id] = p
 	if ver > st.ver[id] {
 		st.ver[id] = ver

@@ -389,9 +389,8 @@ func (s *Store) runBatch(ctx *storage.Context, cg *charge, moves []migMove) {
 // those bytes — installs before drops, in memory and in the logs, so a racing
 // survey never loses sight of the maximum and neither does a crash. A copy
 // taken before a concurrent delete or truncate is older than the version that
-// op stamps, so the install guard refuses it. The source is read once: every
-// target but the last takes its own copy of that read, and the last, like
-// pullChunk's one target, takes the read itself.
+// op stamps, so the install guard refuses it. The source is read once, and
+// every target copies that read into its own log (installChunk).
 func (s *Store) migrateChunk(cg *charge, mv migMove) {
 	h, id := mv.h, mv.id
 	sy := s.surveyChunk(h, id, nil)
@@ -399,18 +398,12 @@ func (s *Store) migrateChunk(cg *charge, mv migMove) {
 	if src == nil || s.faultCheck(cg, src.sv.node, cluster.FaultDiskRead) != nil {
 		return // nothing readable this round: every copy stays put
 	}
-	c, srcVer, ok := src.sv.copyEntry(h, id)
+	c, srcVer, ok := src.sv.chunkEntry(h, id)
 	if !ok {
 		return // the source lost its copy meanwhile
 	}
 	// One source read serves every destination.
 	cg.diskRead(src.sv.node, len(c.b))
-	last := -1
-	for i := range sy.reps {
-		if r := &sy.reps[i]; r.owner && r.ver < srcVer && !r.wiped {
-			last = i
-		}
-	}
 	reached := false
 	for i := range sy.reps {
 		r := &sy.reps[i]
@@ -427,13 +420,7 @@ func (s *Store) migrateChunk(cg *charge, mv migMove) {
 		if r.wiped || s.faultCheck(cg, r.sv.node, cluster.FaultDiskWrite) != nil {
 			continue
 		}
-		// Each target owns its slice, since applyChunk writes in place; the
-		// last one takes the source read itself.
-		own := c
-		if i != last {
-			own.b = append([]byte(nil), c.b...)
-		}
-		s.installChunk(cg, r.sv, h, id, own, srcVer)
+		s.installChunk(cg, r.sv, h, id, c, srcVer)
 		reached = true
 	}
 	// Holders outside the replica set drop their copy — but never the last

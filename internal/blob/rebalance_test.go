@@ -236,7 +236,7 @@ func TestLeftoverStrayNeverOutranksRecreatedBlob(t *testing.T) {
 	if ver := s.servers[joined].chunkVer(id.ringHash(), id); ver != 2 {
 		t.Fatalf("repair left the joined owner at v%d, want v2", ver)
 	}
-	if _, ver, held := s.servers[holder].copyChunk(id.ringHash(), id); held {
+	if _, ver, held := s.servers[holder].chunkData(id.ringHash(), id); held {
 		t.Errorf("node %d kept its v%d copy after repair caught the owner up", holder, ver)
 	}
 

@@ -100,7 +100,7 @@ func (r *redo) record(rec wal.Record) error {
 		case wal.RecWrite:
 			// rec.Payload is a fresh per-record buffer (wal.Decoder), so a
 			// whole-chunk payload becomes the chunk's bytes uncopied.
-			applyChunk(sv, h, id, within, chunkBytes{b: data, owned: true}, ver)
+			applyChunk(sv, h, id, within, chunkBytes{b: data}, ver)
 		case wal.RecPrepWrite:
 			// The fresh buffer may be kept until the commit, too.
 			// Overwrite, never accumulate: only the latest prepare belongs
@@ -111,7 +111,7 @@ func (r *redo) record(rec wal.Record) error {
 			r.pending[id] = prepWrite{within: within, ver: ver, data: data}
 		case wal.RecChunkCommit:
 			if p, ok := r.pending[id]; ok {
-				applyChunk(sv, h, id, p.within, chunkBytes{b: p.data, owned: true}, p.ver)
+				applyChunk(sv, h, id, p.within, chunkBytes{b: p.data}, p.ver)
 				delete(r.pending, id)
 			}
 		case wal.RecChunkDelete:
@@ -266,6 +266,7 @@ type ckptMeta struct {
 
 type ckptChunk struct {
 	id   chunkID
+	h    uint64 // placement hash
 	ver  uint64
 	data chunkBytes
 }
@@ -283,11 +284,12 @@ type ckptDebt struct {
 // is the only recovery source — checkpointing it would snapshot nothing
 // and discard that source, silent data loss.
 //
-// The plan holds live chunk slices by reference; the quiescence the
-// checkpoint requires (no concurrent mutations, the Crash/Recover
-// discipline) is what keeps them stable until the lane writers have
-// streamed them out. With forget set, tombstones leave memory instead of
-// entering the plan.
+// The plan holds the entries' immutable bytes by reference — views of the
+// lanes ResetAll just retired, which stay valid until checkpointLane has
+// re-pointed the entries and recycles them; the quiescence the checkpoint
+// requires (no concurrent mutations, the Crash/Recover discipline) keeps the
+// entries themselves stable until then. With forget set, tombstones leave
+// memory instead of entering the plan.
 func (sv *server) checkpointPlan(forget bool) []ckptLane {
 	sv.mu.Lock()
 	if sv.down {
@@ -310,9 +312,10 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 				sv.deleteChunkLocked(st, id, 0)
 				continue
 			}
-			lane := sv.chunkLane(id.ringHash())
+			h := id.ringHash()
+			lane := sv.chunkLane(h)
 			//blobvet:allow virtualtime each lane's chunk list is sorted by chunk ID below, before any record streams
-			plan[lane].chunks = append(plan[lane].chunks, ckptChunk{id, st.ver[id], c})
+			plan[lane].chunks = append(plan[lane].chunks, ckptChunk{id, h, st.ver[id], c})
 		}
 		st.mu.Unlock()
 	}
@@ -342,21 +345,26 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 // checkpointLane re-encodes one lane's surviving records against that
 // lane's own medium. Records go through the vectored append: only the
 // few-dozen-byte header is staged (in a pooled buffer private to this
-// lane job), and each chunk's bytes stream from the live chunk slice to
-// the compacted lane in one copy. The lane's slab-backed Buffer reuses
-// the slabs ResetAll just freed, so a steady checkpoint cycle allocates
-// nothing — and because every lane appends to a private Log/Buffer, lane
-// jobs run concurrently without sharing a single lock or medium
-// (dispatch contract: the job takes no latch-class lock and never waits
-// on the pool). A chunk whose sum its entry remembers is re-logged without
-// reading its bytes for the record CRC; only the copy to the medium reads
-// them.
+// lane job), and each chunk's bytes stream from its entry to the
+// compacted lane in one copy. Each chunk entry is then pointed at its new
+// record, under its stripe lock, so no entry is left in the lane's old
+// backing, and the job hands that backing to the free list all lanes of the
+// server share (wal.MultiLog.Recycle): a steady checkpoint cycle allocates
+// nothing, and the lanes re-logged later refill from those re-logged
+// earlier instead of each holding an old and a new copy of the snapshot.
+// Every lane appends to a private Log/Buffer, so lane jobs run concurrently
+// without sharing a single lock or medium (dispatch contract: the job takes
+// no latch-class lock and never waits on the pool). A chunk whose sum its
+// entry remembers is re-logged without reading its bytes for the record
+// CRC; only the copy to the medium reads them.
 func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 	bp := hdrPool.Get().(*[]byte)
-	appendOne := func(t wal.RecordType, data []byte, sum uint32) {
-		if _, _, err := sv.wal.AppendVSum(lane, t, *bp, data, sum); err != nil {
+	appendOne := func(t wal.RecordType, data []byte, sum uint32) []byte {
+		_, _, stored, err := sv.wal.AppendVSum(lane, t, *bp, data, sum)
+		if err != nil {
 			panic(fmt.Sprintf("blob: checkpoint node %d: %v", sv.node, err))
 		}
+		return stored
 	}
 	if plan.intent != nil {
 		// First record of the compacted migration lane, so replay reopens
@@ -372,9 +380,14 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		*bp = appendChunkHeader((*bp)[:0], c.id, 0, c.ver)
 		if len(c.data.b) == 0 {
 			appendOne(wal.RecChunkDelete, nil, 0) // a tombstone
-		} else {
-			appendOne(wal.RecWrite, c.data.b, c.data.checksum())
+			continue
 		}
+		sum := c.data.checksum()
+		stored := appendOne(wal.RecWrite, c.data.b, sum)
+		st := sv.stripe(c.h)
+		st.mu.Lock()
+		st.m[c.id] = chunkBytes{b: stored, sum: sum, summed: true}
+		st.mu.Unlock()
 	}
 	for _, d := range plan.debts {
 		// RecRepairNeeded reuses the chunk header with the mask in the
@@ -384,6 +397,7 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		appendOne(wal.RecRepairNeeded, nil, 0)
 	}
 	hdrPool.Put(bp)
+	sv.wal.Recycle(lane)
 }
 
 // CheckpointAll rewrites every live server's write-ahead log as a snapshot of
@@ -416,6 +430,7 @@ func (s *Store) CheckpointAll() {
 		plan := sv.checkpointPlan(forget)
 		for lane := range plan {
 			if plan[lane].empty() {
+				sv.wal.Recycle(lane) // no entry is a view of this lane
 				continue
 			}
 			jobs = append(jobs, laneJob{sv, &plan[lane], lane})
@@ -537,7 +552,8 @@ func (s *Store) CheckInvariants() string {
 			if sv.isWiped() {
 				continue
 			}
-			data, ver, ok := sv.copyChunk(h, id)
+			c, ver, ok := sv.chunkEntry(h, id)
+			data := c.b
 			ownerHeld = ownerHeld || ok && containsNode(owners, i)
 			if ok && (ref == nil || ver > maxVer) {
 				maxVer, ref, refData = ver, sv, data

@@ -139,7 +139,7 @@ func TestRecoveredStateIdenticalToLive(t *testing.T) {
 		t.Fatalf("chunk count after recovery = %d, want %d", got, len(liveChunks))
 	}
 	for id, c := range liveChunks {
-		got, _, ok := sv.copyChunk(id.ringHash(), id)
+		got, _, ok := sv.chunkData(id.ringHash(), id)
 		if !ok || string(got) != c {
 			t.Fatalf("chunk %v diverges after recovery", id)
 		}

@@ -160,10 +160,12 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 // client-side copy loop it replaces: R+1 data transfers per chunk become R.
 func (s *Store) snapshotChunk(cg *charge, id chunkID) (data []byte, ok bool, err error) {
 	err = s.serveChunk(cg, id, func(sv *server, h, want uint64) bool {
+		var c chunkBytes
 		var ver uint64
-		if data, ver, ok = sv.copyChunk(h, id); want != anyVer && ver != want {
+		if c, ver, ok = sv.chunkEntry(h, id); want != anyVer && ver != want {
 			return false
 		}
+		data = c.b
 		cg.diskRead(sv.node, len(data))
 		return true
 	})

@@ -90,7 +90,7 @@ func TestRenameBlobSparse(t *testing.T) {
 		id := chunkID{"moved", idx}
 		h := id.ringHash()
 		for _, o := range s.ownersForHash(h) {
-			if _, _, ok := s.servers[o].copyChunk(h, id); ok {
+			if _, _, ok := s.servers[o].chunkData(h, id); ok {
 				t.Fatalf("hole chunk %d materialized on node %d", idx, o)
 			}
 		}

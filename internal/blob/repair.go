@@ -171,7 +171,7 @@ func (s *Store) pullChunk(cg *charge, sy *chunkSurvey, me *replica, h uint64, id
 		s.faultCheck(cg, me.sv.node, cluster.FaultDiskWrite) != nil {
 		return me.ver, false
 	}
-	c, ver, ok := src.sv.copyEntry(h, id)
+	c, ver, ok := src.sv.chunkEntry(h, id)
 	if !ok {
 		return me.ver, false
 	}

@@ -193,6 +193,8 @@ func (s *Store) serveChunk(cg *charge, id chunkID, serve func(sv *server, h, wan
 // the cut with it as ONE lane append: a crash can tear that write but never
 // falls between the two. The copy keeps the source's remembered sum, or is
 // summed here once for its record, and target remembers it either way.
+// c's bytes are read, never kept: target keeps the payload its own append
+// stored, so the one copy an install makes is the one into target's log.
 // Returns target's version afterwards and whether data went in.
 func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, c chunkBytes, ver uint64) (uint64, bool) {
 	data := c.b
@@ -203,23 +205,25 @@ func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, c
 	if have := st.ver[id]; have >= ver {
 		return have, false
 	}
-	c.sum, c.summed = c.checksum(), true
-	shrinks := len(st.m[id].b) > len(data)
-	st.m[id] = c
-	st.ver[id] = ver
-	if shrinks {
+	sum := c.checksum()
+	var stored []byte
+	if len(st.m[id].b) > len(data) {
 		bp := hdrPool.Get().(*[]byte)
 		*bp = appendChunkHeader((*bp)[:0], id, int64(len(data)), 0)
 		cut := len(*bp)
 		*bp = appendChunkHeader(*bp, id, 0, ver)
-		s.walAppendBatch(cg, target, target.chunkLane(h), []wal.AppendVSpec{
+		specs := []wal.AppendVSpec{
 			{Type: wal.RecChunkTruncate, Header: (*bp)[:cut]},
-			{Type: wal.RecWrite, Header: (*bp)[cut:], Payload: data, Sum: c.sum},
-		})
+			{Type: wal.RecWrite, Header: (*bp)[cut:], Payload: data, Sum: sum},
+		}
+		s.walAppendBatch(cg, target, target.chunkLane(h), specs)
+		stored = specs[1].Stored
 		hdrPool.Put(bp)
 	} else {
-		s.walAppendChunk(cg, target, wal.RecWrite, h, id, 0, ver, data, c.sum)
+		stored = s.walAppendChunk(cg, target, wal.RecWrite, h, id, 0, ver, data, sum)
 	}
+	st.m[id] = chunkBytes{b: stored, sum: sum, summed: true}
+	st.ver[id] = ver
 	cg.diskWrite(target.node, len(data))
 	return ver, true
 }

@@ -37,7 +37,7 @@ func TestFixtures(t *testing.T) {
 	}{
 		{"workerlatch", "workerlatch", []string{"fixture/workerlatch"}, nil},
 		{"walappend", "walappend", []string{"fixture/wal", "fixture/appender"}, nil},
-		{"virtualtime", "virtualtime", []string{"fixture/cluster", "fixture/notvirtual"}, nil},
+		{"virtualtime", "virtualtime", []string{"fixture/cluster", "fixture/notvirtual", "fixture/wal"}, nil},
 		{"directives", "virtualtime", []string{"fixture/sim"}, []string{"needs a reason"}},
 		{"sentinelerr", "sentinelerr", []string{"fixture/storage", "fixture/app"}, nil},
 		{"stripelock", "stripelock", []string{"fixture/stripe"}, nil},

@@ -29,7 +29,8 @@ var forbiddenTimeFuncs = map[string]bool{
 
 // orderedSinkFuncs are calls that serialize their invocation order:
 // task spawns and WAL appends. Reaching one from inside a map range
-// makes map order observable.
+// makes map order observable. Every exported Append* method of wal.Log and
+// wal.MultiLog must be listed (reportUnlistedAppends).
 var orderedSinkFuncs = map[string]bool{
 	"parallelDo": true, "spawn": true,
 	"walAppendLane": true, "walAppendChunk": true, "walAppendMeta": true, "walAppendBatch": true,
@@ -72,6 +73,8 @@ func runVirtualTime(pass *Pass) {
 			return true
 		})
 	}
+
+	reportUnlistedAppends(pass, orderedSinkFuncs)
 
 	g := buildCallGraph(pkg)
 	for _, n := range g.nodes {

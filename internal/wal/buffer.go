@@ -1,0 +1,358 @@
+package wal
+
+import (
+	"fmt"
+	"io"
+	"slices"
+	"sync"
+	"unsafe"
+)
+
+// DefaultSlabSize is Buffer's backing-slab granularity when SlabSize is 0.
+const DefaultSlabSize = 64 << 10
+
+// payloadAlign is the boundary every stored payload starts on. A chunk
+// copied out of a payload at an odd offset moves at a third of the speed of
+// one copied from a cache-line boundary.
+const payloadAlign = 64
+
+// Buffer is the in-memory log medium, and the replay source. It keeps the
+// stream as a list of segments over pooled backing:
+//
+//   - framing, record headers and payloads under half a slab pack into
+//     SlabSize slabs, and a payload starts at the next 64-byte boundary of
+//     its slab (the pad is not part of the stream, so Len and every log byte
+//     are what one contiguous buffer would hold);
+//   - a payload of at least half a slab gets an exact-size buffer of its own.
+//
+// A stored byte is never rewritten. Truncate seals the buffer, so the next
+// write starts on fresh backing, and Corrupt flips a byte in a private copy
+// of its segment. So the payload view an append returns (Log.AppendVSum,
+// AppendVSpec.Stored) stays valid after any later append, Truncate or
+// Corrupt. Reset retires the backing: views stay valid, and the backing is
+// reused only once Recycle hands it to the free list, which the caller does
+// when it no longer holds a view into it. The blob store keeps such views as
+// its chunks' bytes.
+type Buffer struct {
+	// SlabSize overrides the backing-slab size in bytes (for tests that
+	// want to cross slab boundaries cheaply). Zero means DefaultSlabSize.
+	// Must not change once the buffer holds data.
+	SlabSize int
+
+	mu   sync.Mutex
+	segs [][]byte // the stream, in order
+	n    int      // total stream length
+	slab []byte   // the slab packed writes go to; nil when sealed
+	off  int      // next free byte of slab
+	// open says the last segment ends at slab[off], so a packed write
+	// extends it instead of starting a segment.
+	open    bool
+	backing [][]byte // every buffer segs point into: slabs and payload buffers
+	retired [][]byte // backing Reset took out of use, kept until Recycle
+	pool    *pool    // free list; a MultiLog's lanes share one
+	writes  int      // Write/WriteV calls since creation (not reset by Reset)
+}
+
+func (b *Buffer) slabSize() int {
+	if b.SlabSize > 0 {
+		return b.SlabSize
+	}
+	return DefaultSlabSize
+}
+
+// free returns the buffer's free list; a Buffer outside a MultiLog gets a
+// private one.
+func (b *Buffer) free() *pool {
+	if b.pool == nil {
+		b.pool = new(pool)
+	}
+	return b.pool
+}
+
+// take returns n bytes of fresh backing, from the free list when it holds
+// a buffer of that size, and keeps it as backing.
+func (b *Buffer) take(n int) []byte {
+	buf := b.free().get(n)
+	b.backing = append(b.backing, buf)
+	return buf
+}
+
+// pack copies p into slabs at the stream's end.
+func (b *Buffer) pack(p []byte) {
+	for len(p) > 0 {
+		if b.slab == nil || b.off == len(b.slab) {
+			b.slab, b.off, b.open = b.take(b.slabSize()), 0, false
+		}
+		c := copy(b.slab[b.off:], p)
+		b.extend(b.off, c)
+		p = p[c:]
+	}
+}
+
+// extend adds slab[at:at+c], already written, to the stream's end.
+func (b *Buffer) extend(at, c int) {
+	if b.open && at == b.off {
+		last := &b.segs[len(b.segs)-1]
+		*last = (*last)[:len(*last)+c]
+	} else {
+		b.segs = append(b.segs, b.slab[at:at+c])
+	}
+	b.off, b.open, b.n = at+c, true, b.n+c
+}
+
+// store appends payload p to the stream where a view of it stays valid and
+// starts on a 64-byte boundary, and returns that view.
+func (b *Buffer) store(p []byte) []byte {
+	if len(p) == 0 {
+		return nil
+	}
+	ss := b.slabSize()
+	if 2*len(p) >= ss {
+		buf := b.take(len(p))
+		copy(buf, p)
+		b.segs = append(b.segs, buf)
+		b.open, b.n = false, b.n+len(p)
+		return buf
+	}
+	at := (b.off + payloadAlign - 1) &^ (payloadAlign - 1)
+	if b.slab == nil || at+len(p) > len(b.slab) {
+		b.slab, b.off, b.open, at = b.take(ss), 0, false, 0
+	}
+	copy(b.slab[at:], p)
+	b.extend(at, len(p))
+	return b.slab[at : at+len(p) : at+len(p)]
+}
+
+// Write implements io.Writer.
+func (b *Buffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.writes++
+	b.pack(p)
+	return len(p), nil
+}
+
+// WriteV implements RecordWriter: the segments land back-to-back under one
+// lock acquisition, so a vectored record append is as atomic with respect
+// to concurrent appenders and readers as a single Write.
+func (b *Buffer) WriteV(segs [][]byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.writes++
+	n := 0
+	for _, p := range segs {
+		b.pack(p)
+		n += len(p)
+	}
+	return n, nil
+}
+
+// writeRecords is WriteV over the Log's record layout — framing, header and
+// payload segments per record — that stores each payload where a view of
+// it stays valid and puts that view in the payload's slot of segs.
+func (b *Buffer) writeRecords(segs [][]byte) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.writes++
+	n := 0
+	for i, p := range segs {
+		if i%3 == 2 {
+			segs[i] = b.store(p)
+		} else {
+			b.pack(p)
+		}
+		n += len(p)
+	}
+	return n
+}
+
+// Reader returns a reader over the stream present at the call, reading the
+// backing in place; it copies nothing until Read. Stored bytes are never
+// rewritten, so later appends, Truncate, Corrupt and Reset do not disturb it;
+// only Recycle may hand its backing to new writes. Crash recovery reads its
+// lanes this way.
+func (b *Buffer) Reader() io.Reader {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return &segReader{segs: slices.Clone(b.segs)}
+}
+
+// segReader reads a list of segments in order.
+type segReader struct {
+	segs   [][]byte
+	i, off int // next byte: segs[i][off]
+}
+
+func (r *segReader) Read(p []byte) (int, error) {
+	if r.i == len(r.segs) {
+		return 0, io.EOF
+	}
+	read := 0
+	for read < len(p) && r.i < len(r.segs) {
+		c := copy(p[read:], r.segs[r.i][r.off:])
+		read += c
+		if r.off += c; r.off == len(r.segs[r.i]) {
+			r.i, r.off = r.i+1, 0
+		}
+	}
+	return read, nil
+}
+
+// Holds reports whether p, non-empty, lies wholly inside one segment of the
+// stream: a view of bytes this buffer stored and still holds. Tests use it
+// to check where a caller's view points.
+func (b *Buffer) Holds(p []byte) bool {
+	if len(p) == 0 {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	start, end := addr(p), addr(p)+uintptr(len(p))
+	for _, seg := range b.segs {
+		if s := addr(seg); start >= s && end <= s+uintptr(len(seg)) {
+			return true
+		}
+	}
+	return false
+}
+
+// Len returns the current content length.
+func (b *Buffer) Len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.n
+}
+
+// Writes reports how many Write/WriteV calls have landed since creation
+// (Reset does not zero it): one per Append/AppendV call, one per AppendNV
+// batch however many records it carries.
+func (b *Buffer) Writes() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.writes
+}
+
+// Slabs reports how many backing buffers — slabs and payload buffers — the
+// buffer has taken since it was created or last Reset. Tests use it to prove
+// a log actually spans a segmented backing.
+func (b *Buffer) Slabs() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.backing)
+}
+
+// Reset discards all content and retires the backing: views into it stay
+// valid, and it is kept out of reuse until Recycle. Backing an earlier Reset
+// retired and nobody recycled is left to the garbage collector. Checkpointing
+// resets a log whose prefix a freshly written snapshot has made redundant.
+func (b *Buffer) Reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	clear(b.retired)
+	b.retired, b.backing = b.backing, b.retired[:0]
+	clear(b.segs)
+	b.segs = b.segs[:0]
+	b.slab, b.off, b.open, b.n = nil, 0, false, 0
+}
+
+// Recycle hands the backing the last Reset retired to the free list, so
+// later writes reuse it. The caller must hold no view into it any more.
+func (b *Buffer) Recycle() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.free().put(b.retired)
+	clear(b.retired)
+	b.retired = b.retired[:0]
+}
+
+// Corrupt flips one byte at off, for crash/corruption injection in tests.
+// The flip lands in a private copy of the byte's segment, so views of the
+// stored bytes keep what was written.
+func (b *Buffer) Corrupt(off int) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if off < 0 || off >= b.n {
+		return fmt.Errorf("wal: corrupt offset %d out of range %d", off, b.n)
+	}
+	i := 0
+	for ; off >= len(b.segs[i]); i++ {
+		off -= len(b.segs[i])
+	}
+	seg := slices.Clone(b.segs[i])
+	seg[off] ^= 0xff
+	b.segs[i] = seg
+	if i == len(b.segs)-1 {
+		b.open = false
+	}
+	return nil
+}
+
+// Truncate drops all content after n bytes, simulating a torn write. It
+// seals the buffer: the bytes past the cut stay as they are, and the next
+// write starts on fresh backing.
+func (b *Buffer) Truncate(n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n = max(n, 0)
+	if n >= b.n {
+		return
+	}
+	keep, i := n, 0
+	for ; keep >= len(b.segs[i]); i++ {
+		keep -= len(b.segs[i])
+	}
+	if keep > 0 {
+		b.segs[i] = b.segs[i][:keep]
+		i++
+	}
+	clear(b.segs[i:])
+	b.segs = b.segs[:i]
+	b.slab, b.off, b.open, b.n = nil, 0, false, n
+}
+
+// pool is a free list of recycled backing, by size: slabs and payload
+// buffers alike. A MultiLog's lanes share one, so a checkpoint's lane jobs
+// refill from the lanes re-logged before them instead of each holding its
+// own old and new copy of the snapshot.
+type pool struct {
+	mu   sync.Mutex
+	free map[int][][]byte
+}
+
+// get returns a buffer of n bytes starting on a payloadAlign boundary.
+func (p *pool) get(n int) []byte {
+	p.mu.Lock()
+	if l := p.free[n]; len(l) > 0 {
+		buf := l[len(l)-1]
+		l[len(l)-1] = nil
+		p.free[n] = l[:len(l)-1]
+		p.mu.Unlock()
+		return buf
+	}
+	p.mu.Unlock()
+	return alignedBytes(n)
+}
+
+func (p *pool) put(bufs [][]byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.free == nil {
+		p.free = make(map[int][][]byte)
+	}
+	for _, buf := range bufs {
+		p.free[len(buf)] = append(p.free[len(buf)], buf)
+	}
+}
+
+// alignedBytes allocates n bytes starting on a payloadAlign boundary.
+func alignedBytes(n int) []byte {
+	buf := make([]byte, n)
+	if addr(buf)%payloadAlign == 0 {
+		return buf
+	}
+	buf = make([]byte, n+payloadAlign-1)
+	at := int(-addr(buf) & (payloadAlign - 1))
+	return buf[at : at+n : at+n]
+}
+
+func addr(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }

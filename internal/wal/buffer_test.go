@@ -1,0 +1,206 @@
+package wal
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+)
+
+// slabSizes are the Buffer geometries the buffer tests run under: 64-byte
+// slabs, so every record straddles or fills several, and the default.
+var slabSizes = []int{64, 0}
+
+// viewPayload is the i-th test payload: sizes from empty through sub-slab,
+// half-slab and a whole default slab, so both storage classes appear under
+// either geometry.
+func viewPayload(i int) []byte {
+	sizes := []int{0, 1, 17, 31, 32, 63, 64, 100, 1000, 4096, 40000, 64 << 10}
+	p := make([]byte, sizes[i%len(sizes)])
+	for j := range p {
+		p[j] = byte(i*31 + j*7 + 1)
+	}
+	return p
+}
+
+// checkViews fails unless every view still holds its payload.
+func checkViews(t *testing.T, when string, views, want [][]byte) {
+	t.Helper()
+	for i := range views {
+		if !bytes.Equal(views[i], want[i]) {
+			t.Fatalf("%s: view %d (%d bytes) no longer holds its payload", when, i, len(want[i]))
+		}
+	}
+}
+
+// TestBufferStoresAlignedViews: the payload an append returns equals its
+// input and starts on a 64-byte boundary, through AppendVSum and AppendNV
+// alike, and the stream is still exactly appendRecord's encoding.
+func TestBufferStoresAlignedViews(t *testing.T) {
+	for _, ss := range slabSizes {
+		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
+			b := &Buffer{SlabSize: ss}
+			l := New(b)
+			var want []byte
+			check := func(i int, p, stored []byte) {
+				if !bytes.Equal(stored, p) {
+					t.Fatalf("record %d: stored view differs from its %d-byte payload", i, len(p))
+				}
+				if len(p) > 0 && addr(stored)%payloadAlign != 0 {
+					t.Fatalf("record %d: %d-byte payload stored at offset %d from a 64-byte boundary", i, len(p), addr(stored)%payloadAlign)
+				}
+			}
+			hdr := []byte("hdr")
+			for i := 0; i < 36; i++ {
+				p := viewPayload(i)
+				lsn, _, stored, err := l.AppendVSum(RecWrite, hdr, p, Checksum(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(i, p, stored)
+				want = appendRecord(want, RecWrite, lsn, append(append([]byte(nil), hdr...), p...))
+			}
+			specs := make([]AppendVSpec, 12)
+			for i := range specs {
+				specs[i] = AppendVSpec{Type: RecPrepWrite, Header: hdr, Payload: viewPayload(i + 5)}
+			}
+			first, _, err := l.AppendNV(specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sp := range specs {
+				check(100+i, sp.Payload, sp.Stored)
+				want = appendRecord(want, RecPrepWrite, first+uint64(i), append(append([]byte(nil), hdr...), sp.Payload...))
+			}
+			if b.Len() != len(want) {
+				t.Fatalf("Len = %d, want %d: alignment pads leaked into the stream", b.Len(), len(want))
+			}
+			if !bytes.Equal(readerBytes(t, b), want) {
+				t.Fatal("stream diverges from appendRecord's encoding")
+			}
+		})
+	}
+}
+
+// TestBufferViewsOutliveDamageAndRetire: stored bytes are never rewritten,
+// so views stay intact across later appends, Truncate plus appends, Corrupt,
+// and a Reset followed by appends; only the stream sees the damage.
+func TestBufferViewsOutliveDamageAndRetire(t *testing.T) {
+	for _, ss := range slabSizes {
+		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
+			b := &Buffer{SlabSize: ss}
+			l := New(b)
+			var views, want [][]byte
+			appendSome := func(from, n int) {
+				for i := from; i < from+n; i++ {
+					p := viewPayload(i)
+					_, _, stored, err := l.AppendVSum(RecWrite, nil, p, Checksum(p))
+					if err != nil {
+						t.Fatal(err)
+					}
+					views, want = append(views, stored), append(want, p)
+				}
+			}
+			appendSome(0, 24)
+			appendSome(24, 24)
+			checkViews(t, "after later appends", views, want)
+
+			// Tear inside the last record, then append over the cut.
+			b.Truncate(b.Len() - 3)
+			appendSome(48, 24)
+			checkViews(t, "after Truncate and appends", views, want)
+
+			// Flip every 97th byte of the stream.
+			stream := readerBytes(t, b)
+			for off := 0; off < len(stream); off += 97 {
+				if err := b.Corrupt(off); err != nil {
+					t.Fatal(err)
+				}
+				stream[off] ^= 0xff
+			}
+			if !bytes.Equal(readerBytes(t, b), stream) {
+				t.Fatal("Corrupt did not flip the stream's bytes")
+			}
+			appendSome(72, 12)
+			checkViews(t, "after Corrupt and appends", views, want)
+
+			// Retire, then fill the buffer again.
+			b.Reset()
+			appendSome(84, 48)
+			checkViews(t, "after Reset and appends", views, want)
+		})
+	}
+}
+
+// TestBufferRecycleReuses: Recycle hands the retired backing to the free
+// list, and appends of the same sizes then store into it instead of
+// allocating; before Recycle, they do not.
+func TestBufferRecycleReuses(t *testing.T) {
+	for _, ss := range slabSizes {
+		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
+			b := &Buffer{SlabSize: ss}
+			l := New(b)
+			fill := func() (starts map[uintptr]bool) {
+				starts = make(map[uintptr]bool)
+				for i := 0; i < 24; i++ {
+					p := viewPayload(i)
+					_, _, stored, err := l.AppendVSum(RecWrite, nil, p, Checksum(p))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(stored) > 0 {
+						starts[addr(stored)] = true
+					}
+				}
+				return starts
+			}
+			reused := func(old, now map[uintptr]bool) int {
+				n := 0
+				for a := range now {
+					if old[a] {
+						n++
+					}
+				}
+				return n
+			}
+			first := fill()
+			b.Reset()
+			second := fill()
+			if n := reused(first, second); n != 0 {
+				t.Fatalf("%d payloads stored into retired backing before Recycle", n)
+			}
+			b.Reset()
+			b.Recycle()
+			if n := reused(second, fill()); n == 0 {
+				t.Fatal("no payload stored into recycled backing")
+			}
+		})
+	}
+}
+
+// TestMultiLogRecycleCycleAllocFree: a warm append → retire → recycle cycle
+// over two lanes of one MultiLog allocates nothing — the lanes refill from
+// the free list they share.
+func TestMultiLogRecycleCycleAllocFree(t *testing.T) {
+	m := NewMultiLog(2)
+	hdr := []byte("chunk-header")
+	payloads := make([][]byte, 24)
+	for i := range payloads {
+		payloads[i] = viewPayload(i)
+	}
+	cycle := func() {
+		for i, p := range payloads {
+			if _, _, _, err := m.AppendVSum(i%2, RecWrite, hdr, p, Checksum(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.ResetAll()
+		m.Recycle(0)
+		m.Recycle(1)
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(20, cycle); a != 0 {
+		t.Fatalf("warm append/retire/recycle cycle: %v allocs, want 0", a)
+	}
+}

@@ -68,7 +68,7 @@ func TestWrongSumIsCorrupt(t *testing.T) {
 		appendBad func(l *Log) error
 	}{
 		{"AppendVSum", func(l *Log) error {
-			_, _, err := l.AppendVSum(RecWrite, []byte("hdr"), payload, good^1)
+			_, _, _, err := l.AppendVSum(RecWrite, []byte("hdr"), payload, good^1)
 			return err
 		}},
 		{"AppendNV", func(l *Log) error {
@@ -79,7 +79,7 @@ func TestWrongSumIsCorrupt(t *testing.T) {
 		name, appendBad := form.name, form.appendBad
 		var b Buffer
 		l := New(&b)
-		if _, _, err := l.AppendVSum(RecWrite, []byte("hdr"), payload, good); err != nil {
+		if _, _, _, err := l.AppendVSum(RecWrite, []byte("hdr"), payload, good); err != nil {
 			t.Fatal(err)
 		}
 		if err := appendBad(l); err != nil {

@@ -44,7 +44,8 @@ import (
 
 // MultiLog is a sharded write-ahead log: N lanes with independent mutexes
 // and media, totally ordered by a shared order-key counter stamped into
-// each record's LSN field. A lane append is the lane Log's append under
+// each record's LSN field. The lanes' media draw their backing from one
+// shared free list. A lane append is the lane Log's append under
 // that Log's own mutex — the key is drawn under it, so each lane's keys are
 // strictly increasing and an AppendNV batch is contiguous with consecutive
 // keys. Safe for concurrent appends; replay and recovery require quiescence
@@ -68,8 +69,9 @@ func NewMultiLog(lanes int) *MultiLog {
 		lanes = 1
 	}
 	m := &MultiLog{lanes: make([]mlane, lanes)}
+	free := new(pool)
 	for i := range m.lanes {
-		buf := &Buffer{}
+		buf := &Buffer{pool: free}
 		l := New(buf)
 		l.src = &m.seq
 		m.lanes[i].log = l
@@ -118,15 +120,16 @@ func (m *MultiLog) AppendV(lane int, t RecordType, header, payload []byte) (key 
 }
 
 // AppendVSum is AppendV for a caller that already holds sum =
-// Checksum(payload) (Log.AppendVSum).
-func (m *MultiLog) AppendVSum(lane int, t RecordType, header, payload []byte, sum uint32) (key uint64, n int, err error) {
+// Checksum(payload), returning the payload the lane stored, which stays
+// valid until the lane's backing is reset and recycled (Log.AppendVSum).
+func (m *MultiLog) AppendVSum(lane int, t RecordType, header, payload []byte, sum uint32) (key uint64, n int, stored []byte, err error) {
 	return m.lanes[lane].log.AppendVSum(t, header, payload, sum)
 }
 
 // AppendNV appends a batch of records to the lane atomically (contiguous
 // on the medium, consecutive order keys). Returns the first record's key
-// and the total encoded size. specs and the segments they reference must
-// stay unchanged until the call returns.
+// and the total encoded size, and sets each spec's Stored. specs and the
+// segments they reference must stay unchanged until the call returns.
 func (m *MultiLog) AppendNV(lane int, specs []AppendVSpec) (firstKey uint64, n int, err error) {
 	return m.lanes[lane].log.AppendNV(specs)
 }
@@ -291,7 +294,9 @@ func (m *MultiLog) recoverFeeds(feeds []LaneFeed, fn func(Record) error) error {
 // (checkpoint compaction: the snapshot that follows is a fresh logical
 // history). Unlike Log.ResetSize, keys deliberately do NOT stay monotonic
 // across a reset — merged replay's start-at-1 invariant is what detects a
-// lane whose entire content was torn away. Requires quiescence.
+// lane whose entire content was torn away. Each lane's backing is retired,
+// not reused (Buffer.Reset): payloads stored before the reset stay valid
+// until Recycle. Requires quiescence.
 func (m *MultiLog) ResetAll() {
 	for i := range m.lanes {
 		m.lanes[i].buf.Reset()
@@ -299,3 +304,8 @@ func (m *MultiLog) ResetAll() {
 	}
 	m.seq.Store(0)
 }
+
+// Recycle hands the backing ResetAll retired from one lane to the free list
+// all lanes share, once the caller holds no view into it (Buffer.Recycle).
+// Safe to run concurrently with appends to other lanes.
+func (m *MultiLog) Recycle(lane int) { m.lanes[lane].buf.Recycle() }

@@ -26,6 +26,17 @@
 // form and logs written by any mix of Append/AppendV/AppendVSum/AppendNV
 // replay interchangeably.
 //
+// # Stored payloads
+//
+// The medium never rewrites a byte it stored (Buffer, buffer.go): it keeps
+// the stream as segments over pooled backing, a payload starts on a 64-byte
+// boundary of its own, and Truncate and Corrupt leave stored bytes alone. So
+// an append can hand the payload back as stored — AppendVSum's stored
+// result, AppendVSpec.Stored — and the caller can keep that view as its one
+// copy of the bytes instead of copying them a second time. A view stays
+// valid until the backing is retired (Buffer.Reset, MultiLog.ResetAll) and
+// then recycled (Recycle), which the caller does once it has let go of it.
+//
 // # Sharded lanes
 //
 // A single Log serializes every appender on one mutex — the write-scaling
@@ -46,7 +57,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -197,13 +207,18 @@ func (l *Log) Append(t RecordType, payload []byte) (lsn uint64, n int, err error
 // byte stream is bit-identical to Append(t, header||payload). It is
 // AppendVSum with the payload's sum computed here.
 func (l *Log) AppendV(t RecordType, header, payload []byte) (lsn uint64, n int, err error) {
-	return l.AppendVSum(t, header, payload, Checksum(payload))
+	lsn, n, _, err = l.AppendVSum(t, header, payload, Checksum(payload))
+	return lsn, n, err
 }
 
 // AppendVSum is AppendV for a caller that already holds sum =
 // Checksum(payload): the record CRC folds sum in instead of reading the
 // payload again. A wrong sum writes a record replay rejects as ErrCorrupt.
-func (l *Log) AppendVSum(t RecordType, header, payload []byte, sum uint32) (lsn uint64, n int, err error) {
+// stored is the payload as the medium holds it, when the medium is a
+// Buffer (nil otherwise, or for an empty payload): it stays valid until the
+// Buffer's backing is retired and recycled (see Buffer), so a caller may
+// keep it as its own copy of the bytes.
+func (l *Log) AppendVSum(t RecordType, header, payload []byte, sum uint32) (lsn uint64, n int, stored []byte, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	lsn = l.nextLSN
@@ -216,14 +231,15 @@ func (l *Log) AppendVSum(t RecordType, header, payload []byte, sum uint32) (lsn 
 	l.hdrs = l.hdrs[:recPrefixLen]
 	l.stagePrefix(0, t, lsn, header, len(payload), sum)
 	l.segs = append(l.segs[:0], l.hdrs[0:recPrefixLen], header, payload)
-	n, err = l.w.WriteV(l.segs)
+	n, err = l.write()
+	stored = l.segs[2]
 	l.clearSegs()
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: append: %w", err)
+		return 0, 0, nil, fmt.Errorf("wal: append: %w", err)
 	}
 	l.nextLSN = lsn + 1
 	l.bytes += int64(n)
-	return lsn, n, nil
+	return lsn, n, stored, nil
 }
 
 // AppendVSpec is one record of a batched AppendNV: the record's payload is
@@ -235,6 +251,9 @@ type AppendVSpec struct {
 	// Sum is Checksum(Payload) when the caller already holds it. Zero makes
 	// AppendNV compute it, which is also right for a payload whose sum is 0.
 	Sum uint32
+	// Stored is set by AppendNV: the payload as the medium holds it, under
+	// AppendVSum's rules for its stored result.
+	Stored []byte
 }
 
 // AppendNV is the vectored batch append: the records land atomically with
@@ -269,7 +288,10 @@ func (l *Log) AppendNV(specs []AppendVSpec) (firstLSN uint64, n int, err error) 
 	for i, sp := range specs {
 		l.segs = append(l.segs, l.hdrs[i*recPrefixLen:(i+1)*recPrefixLen], sp.Header, sp.Payload)
 	}
-	n, err = l.w.WriteV(l.segs)
+	n, err = l.write()
+	for i := range specs {
+		specs[i].Stored = l.segs[3*i+2]
+	}
 	l.clearSegs()
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: append batch: %w", err)
@@ -277,6 +299,21 @@ func (l *Log) AppendNV(specs []AppendVSpec) (firstLSN uint64, n int, err error) 
 	l.nextLSN = firstLSN + uint64(k)
 	l.bytes += int64(n)
 	return firstLSN, n, nil
+}
+
+// write hands l.segs, framing, header and payload per record, to the
+// medium. A Buffer stores each payload where a view of it stays valid and
+// leaves that view in the payload's slot; any other medium keeps no view, so
+// the slot is cleared.
+func (l *Log) write() (int, error) {
+	if b, ok := l.w.(*Buffer); ok {
+		return b.writeRecords(l.segs), nil
+	}
+	n, err := l.w.WriteV(l.segs)
+	for i := 2; i < len(l.segs); i += 3 {
+		l.segs[i] = nil
+	}
+	return n, err
 }
 
 // clearSegs drops the segment references once WriteV has copied them out,
@@ -516,174 +553,4 @@ func ReplayAll(r io.Reader) ([]Record, error) {
 		return nil
 	})
 	return recs, err
-}
-
-// DefaultSlabSize is Buffer's backing-slab granularity when SlabSize is 0.
-const DefaultSlabSize = 64 << 10
-
-// Buffer is a convenience in-memory log target that also serves as the
-// replay source. It implements RecordWriter over fixed-size slabs: the
-// backing never regrows geometrically (no growSlice copy-and-discard of a
-// giant contiguous slice), appends past the current slab simply start a new
-// one, and Reset retains the slabs on a free list, so a steady
-// append/compact cycle allocates nothing once the high-water mark is
-// reached.
-type Buffer struct {
-	// SlabSize overrides the backing-slab size in bytes (for tests that
-	// want to cross slab boundaries cheaply). Zero means DefaultSlabSize.
-	// Must not change once the buffer holds data.
-	SlabSize int
-
-	mu     sync.Mutex
-	slabs  [][]byte // each of slabSize() capacity; bytes [0,n) are live
-	n      int      // total content length
-	free   [][]byte // slabs retained by Reset for reuse
-	writes int      // Write/WriteV calls since creation (not reset by Reset)
-}
-
-func (b *Buffer) slabSize() int {
-	if b.SlabSize > 0 {
-		return b.SlabSize
-	}
-	return DefaultSlabSize
-}
-
-// writeLocked copies p into the slab sequence at the current end.
-func (b *Buffer) writeLocked(p []byte) {
-	ss := b.slabSize()
-	for len(p) > 0 {
-		si, off := b.n/ss, b.n%ss
-		if si == len(b.slabs) {
-			if k := len(b.free); k > 0 {
-				b.slabs = append(b.slabs, b.free[k-1])
-				b.free[k-1] = nil
-				b.free = b.free[:k-1]
-			} else {
-				b.slabs = append(b.slabs, make([]byte, ss))
-			}
-		}
-		c := copy(b.slabs[si][off:], p)
-		b.n += c
-		p = p[c:]
-	}
-}
-
-// Write implements io.Writer.
-func (b *Buffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.writes++
-	b.writeLocked(p)
-	return len(p), nil
-}
-
-// WriteV implements RecordWriter: the segments land back-to-back under one
-// lock acquisition, so a vectored record append is as atomic with respect
-// to concurrent appenders and readers as a single Write.
-func (b *Buffer) WriteV(segs [][]byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.writes++
-	n := 0
-	for _, p := range segs {
-		b.writeLocked(p)
-		n += len(p)
-	}
-	return n, nil
-}
-
-// Reader returns a reader over the slabs themselves, up to the length
-// present at the call; it copies nothing until Read. Bytes below that length
-// must not be rewritten while the reader is in use: appends past it are
-// fine, but Truncate followed by a write, or Reset followed by a write, is
-// not. Crash recovery reads its lanes this way while the server is
-// quiescent.
-func (b *Buffer) Reader() io.Reader {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ss := b.slabSize()
-	return &slabReader{slabs: slices.Clone(b.slabs[:(b.n+ss-1)/ss]), ss: ss, n: b.n}
-}
-
-// slabReader reads a Buffer's slabs in place over [0, n).
-type slabReader struct {
-	slabs  [][]byte
-	ss     int
-	n, off int
-}
-
-func (r *slabReader) Read(p []byte) (int, error) {
-	if r.off >= r.n {
-		return 0, io.EOF
-	}
-	read := 0
-	for read < len(p) && r.off < r.n {
-		si := r.off / r.ss
-		c := copy(p[read:], r.slabs[si][r.off-si*r.ss:min(r.ss, r.n-si*r.ss)])
-		read += c
-		r.off += c
-	}
-	return read, nil
-}
-
-// Len returns the current content length.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
-}
-
-// Writes reports how many Write/WriteV calls have landed since creation
-// (Reset does not zero it): one per Append/AppendV call, one per AppendNV
-// batch however many records it carries.
-func (b *Buffer) Writes() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.writes
-}
-
-// Slabs reports how many backing slabs currently hold content. Tests use
-// it to prove a log actually spans a segmented backing.
-func (b *Buffer) Slabs() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ss := b.slabSize()
-	return (b.n + ss - 1) / ss
-}
-
-// Reset discards all buffered content. Checkpointing uses it to drop a log
-// prefix that a freshly written snapshot has made redundant. The slabs move
-// to a free list, so refilling after a reset reuses them instead of
-// re-allocating the first window.
-func (b *Buffer) Reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.free = append(b.free, b.slabs...)
-	b.slabs = b.slabs[:0]
-	b.n = 0
-}
-
-// Corrupt flips one byte at off, for crash/corruption injection in tests.
-func (b *Buffer) Corrupt(off int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if off < 0 || off >= b.n {
-		return fmt.Errorf("wal: corrupt offset %d out of range %d", off, b.n)
-	}
-	ss := b.slabSize()
-	b.slabs[off/ss][off%ss] ^= 0xff
-	return nil
-}
-
-// Truncate drops all content after n bytes, simulating a torn write. Slabs
-// past the cut stay allocated and are overwritten by subsequent appends.
-func (b *Buffer) Truncate(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	if n < b.n {
-		b.n = n
-	}
 }

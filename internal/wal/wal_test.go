@@ -244,7 +244,7 @@ func TestAppendVMatchesAppendRecord(t *testing.T) {
 				return false
 			}
 			checkAccounting(t, vl, lsn, uint64(i+1), n, recLen)
-			lsn, n, err = sl.AppendVSum(RecordType(op.T), op.Header, op.Payload, Checksum(op.Payload))
+			lsn, n, _, err = sl.AppendVSum(RecordType(op.T), op.Header, op.Payload, Checksum(op.Payload))
 			if err != nil {
 				return false
 			}
@@ -323,7 +323,7 @@ func TestAppendNVMatchesSequentialAppendV(t *testing.T) {
 				return false
 			}
 			sum := Checksum(op.Payload)
-			if _, sn, err := ssl.AppendVSum(RecordType(op.T), op.Header, op.Payload, sum); err != nil || sn != n {
+			if _, sn, _, err := ssl.AppendVSum(RecordType(op.T), op.Header, op.Payload, sum); err != nil || sn != n {
 				return false
 			}
 			total += n

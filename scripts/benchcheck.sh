@@ -100,6 +100,8 @@ go test -race -count=10 -cpu 1,2,4 -run 'TestOpsRacingCreate|TestWriteLatchedAcr
 go test -race -count=10 -cpu 1,2,4 -run TestScanUnderConcurrentCreateDelete ./internal/blob
 # Recovery reads the lanes in place: after a merge stopped by a torn lane, every lane's in-flight decode must finish before resync appends.
 go test -race -count=10 -cpu 1,2,4 -run TestRecoverTornLaneThenResync ./internal/blob
+# A chunk entry's bytes are a view of the payload its own server's log lane stored, on a 64-byte boundary, after every path that writes one.
+go test -race -count=10 -cpu 1,2,4 -run TestChunkBytesAreOwnLog ./internal/blob
 # The gateway's pooled buffers pass between concurrent requests; no body may show another request's bytes.
 go test -race -count=10 -cpu 1,2,4 -run TestPooledBuffersNeverLeakBytes ./internal/s3gw
 (cd benchmark && go test ./...)
