@@ -15,9 +15,14 @@
 //
 // Correctness (read-your-writes, atomic multi-chunk visibility, scan
 // completeness) is implemented for real on in-memory data; only durations
-// are simulated. A per-blob latch provides the atomic visibility the real
-// system gets from versioned chunk sets, while the two-phase commit cost is
-// charged explicitly, so benchmarks still see the protocol's latency.
+// are simulated. A key latch provides the atomic visibility the real system
+// gets from versioned chunk sets, while the two-phase commit cost is charged
+// explicitly, so benchmarks still see the protocol's latency. The latches are
+// a fixed store-level table indexed by the key's descriptor hash (lockKey), as
+// RADOS serializes an object's ops on the placement group its name hashes to:
+// an op latches its key first and only then looks the descriptor up, so what
+// it finds stays current while it holds the latch. Server tables hold
+// descriptors by value.
 //
 // # Data-plane architecture
 //
@@ -38,8 +43,8 @@
 //   - striped server state: each server's chunk table is split across
 //     chunkStripes lock-striped shards selected by the chunk's placement
 //     hash, so concurrent readers and writers of different chunks do not
-//     contend on one RWMutex. The per-blob descriptor latch remains the
-//     atomic-visibility point for multi-chunk commits.
+//     contend on one RWMutex. The key latch remains the atomic-visibility
+//     point for multi-chunk commits.
 //   - sharded WAL lanes: each server's write-ahead log is a wal.MultiLog —
 //     Config.WALLanes lanes (default: the chunk-stripe count), a chunk's
 //     lane derived from the same placement-hash bits as its lock stripe,
@@ -187,10 +192,9 @@
 // soft-down owner receives it like a foreground write; a crash-wiped one
 // resyncs at its own Recover) and deletes a stray only once an owner holds
 // its bytes.
-// A descriptor moves under the blob's read latch: the canonical object, the
-// one ops latch while the new primary holds no copy, moves to that primary,
-// and every other owner holds its own copy, so writers racing the handover
-// still serialize on a single latch and log sizes in a replayable order.
+// A descriptor moves under its key's read latch: every new owner gets the
+// size through putDesc, so a writer, which needs the latch exclusively, logs
+// its sizes before or after the handover's, never between.
 //
 // Draining a node resets its logs. RemoveServer clears the drained node's
 // memory AND its WAL lanes (ResetAll) once the sweep completes, so a later
@@ -422,6 +426,40 @@ type Store struct {
 	migIntent atomic.Pointer[migrationIntent]
 	// observe is the one event subscriber (Observe), nil by default.
 	observe func(Event)
+	// latch is the key latch table (lockKey): an op holds its key's latch,
+	// exclusively to mutate the blob, for as long as it uses the descriptor.
+	latch [keyLatches]sync.RWMutex
+}
+
+// keyLatches is the size of the key latch table: keys whose descriptor
+// hashes share their top keyLatchBits bits share a latch.
+const (
+	keyLatchBits = 12
+	keyLatches   = 1 << keyLatchBits
+)
+
+// latchOf returns the index of key's latch in the table.
+func latchOf(key string) int {
+	return int(descRingHash(key) >> (64 - keyLatchBits))
+}
+
+// lockKey takes key's latch, exclusively when write is set. It is the one
+// latch take: an op latches its key before it resolves the descriptor.
+func (s *Store) lockKey(key string, write bool) {
+	if write {
+		s.latch[latchOf(key)].Lock()
+	} else {
+		s.latch[latchOf(key)].RLock()
+	}
+}
+
+// unlockKey releases what lockKey took.
+func (s *Store) unlockKey(key string, write bool) {
+	if write {
+		s.latch[latchOf(key)].Unlock()
+	} else {
+		s.latch[latchOf(key)].RUnlock()
+	}
 }
 
 // migrationIntent is the in-memory form of a RecMigrateBegin record: one
@@ -666,33 +704,29 @@ func (sv *server) keys() []string {
 	sv.mu.RLock()
 	defer sv.mu.RUnlock()
 	keys := make([]string, 0, sv.blobs.len())
-	sv.blobs.ascend("", func(key string, _ *descriptor) { keys = append(keys, key) })
+	sv.blobs.ascend("", func(key string, _ descriptor) { keys = append(keys, key) })
 	return keys
 }
 
-// desc returns sv's copy of key's descriptor, or nil.
-func (sv *server) desc(key string) *descriptor {
+// desc returns sv's copy of key's descriptor and whether sv holds one.
+func (sv *server) desc(key string) (descriptor, bool) {
 	sv.mu.RLock()
 	defer sv.mu.RUnlock()
-	d, _ := sv.blobs.get(key)
-	return d
+	return sv.blobs.get(key)
 }
 
 // putDesc sets sv's copy of key's descriptor to size, adding one if sv holds
-// none, and reports whether sv's table changed. It is the one write to a
-// replica's copy, the same live and at redo: replication (setSize), resync,
-// the migration handover and redo all go through it.
+// none, and reports whether sv's table changed. With dropDesc it is the one
+// table write, the same live and at redo: create and size changes (setSize),
+// resync, the migration handover and redo all go through it.
 func (sv *server) putDesc(key string, size int64) bool {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	d, ok := sv.blobs.get(key)
-	if !ok {
-		sv.blobs.put(key, &descriptor{size: size})
-		return true
+	if d, ok := sv.blobs.get(key); ok && d.size == size {
+		return false
 	}
-	changed := d.size != size
-	d.size = size
-	return changed
+	sv.blobs.put(key, descriptor{size: size})
+	return true
 }
 
 // dropDesc removes sv's copy of key's descriptor and reports whether it held
@@ -703,19 +737,9 @@ func (sv *server) dropDesc(key string) bool {
 	return sv.blobs.del(key)
 }
 
-// descriptor is a blob's metadata. Every descriptor owner holds its own
-// object — no two servers' tables share one — and the primary's is the
-// canonical copy: the one whose latch ops take and whose size setSize changes
-// first. A replica's object is written only through putDesc.
+// descriptor is a blob's metadata, held by value in every owner's table.
 type descriptor struct {
 	size int64
-	// dead is set under the latch by the delete that removed the blob: an op
-	// that resolved the descriptor first and latched it after finds the blob
-	// gone (latchDesc).
-	dead bool
-	// latch serializes writes and makes multi-chunk commits atomically
-	// visible. Only the canonical object's latch is used.
-	latch sync.RWMutex
 }
 
 // New builds a blob store spanning every node of the cluster.
@@ -835,92 +859,67 @@ func (s *Store) chunkOwners(id chunkID) []int {
 	return s.ownersForHash(id.ringHash())
 }
 
-// primaryDesc returns the primary descriptor server and the live descriptor
-// for key, or storage.ErrNotFound.
+// primaryDesc returns the primary descriptor server and its descriptor for
+// key, or storage.ErrNotFound. Called under key's latch, what it returns stays
+// current until the latch is released.
 //
 // While a migration is in flight the new primary may not have received its
-// descriptor yet; the lookup then falls back to the canonical holder
-// (canonicalDesc) instead of failing, so foreground ops keep succeeding
-// throughout a live join/leave. The fallback resolves to the very object the
-// handover later moves to the new primary, so every op serializes on one
-// latch per blob even mid-handover.
-func (s *Store) primaryDesc(key string) (*server, *descriptor, error) {
+// descriptor yet; the lookup then falls back to the first holder in a fixed
+// order (canonicalDesc) instead of failing, so foreground ops keep succeeding
+// throughout a live join/leave.
+func (s *Store) primaryDesc(key string) (*server, descriptor, error) {
 	owners := s.descOwners(key)
 	if len(owners) == 0 {
-		return nil, nil, storage.ErrNotFound
+		return nil, descriptor{}, storage.ErrNotFound
 	}
 	sv := s.servers[owners[0]]
-	d := sv.desc(key)
-	if d == nil && s.migrating.Load() != 0 {
+	d, ok := sv.desc(key)
+	if !ok && s.migrating.Load() != 0 {
 		sv, d = s.canonicalDesc(key, owners)
+		ok = sv != nil
 	}
-	if d == nil {
-		return nil, nil, fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
+	if !ok {
+		return nil, descriptor{}, fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
 	}
 	return sv, d, nil
 }
 
-// latchDesc is how an op reaches a blob: it resolves the live descriptor
-// (primaryDesc) and takes its latch, exclusively when write is set. A write
-// is refused while the descriptor primary is down; meta charges the size
-// lookup, one metadata op on the primary, before the latch. A descriptor
-// that a delete removed while this op waited for the latch answers
-// storage.ErrNotFound, with the latch released. Mid-migration the handover
-// may move the descriptor, or swap a holder's object for a copy, between the
-// lookup and the latch, so the op keeps the latch only if a second lookup
-// under it resolves the same server and object, and resolves again if not.
-func (s *Store) latchDesc(ctx *storage.Context, key string, write, meta bool) (*server, *descriptor, error) {
+// latchDesc is how an op reaches a blob: it takes key's latch, exclusively
+// when write is set, and resolves the descriptor (primaryDesc). A write is
+// refused while the descriptor primary is down; meta charges the size lookup,
+// one metadata op on the primary. On success the caller holds the latch and
+// releases it with unlockKey; on an error it is released.
+func (s *Store) latchDesc(ctx *storage.Context, key string, write, meta bool) (*server, descriptor, error) {
+	s.lockKey(key, write)
 	primary, d, err := s.primaryDesc(key)
-	if err != nil {
-		return nil, nil, err
+	if err == nil && write && primary.isDown() {
+		err = fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
 	}
-	if write && primary.isDown() {
-		return nil, nil, fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
+	if err != nil {
+		s.unlockKey(key, write)
+		return nil, descriptor{}, err
 	}
 	if meta {
 		s.cluster.MetaOp(ctx.Clock, primary.node, 1)
 	}
-	for {
-		if write {
-			d.latch.Lock()
-		} else {
-			d.latch.RLock()
-		}
-		sv, cur, err := s.primaryDesc(key)
-		if d.dead {
-			err = fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
-		} else if sv == primary && cur == d {
-			return primary, d, nil
-		}
-		if write {
-			d.latch.Unlock()
-		} else {
-			d.latch.RUnlock()
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		primary, d = sv, cur
-	}
+	return primary, d, nil
 }
 
-// canonicalDesc returns the canonical copy of a descriptor during a
-// migration: the first current owner holding it, else the first non-wiped
-// holder in node order. Deterministic — concurrent callers resolve the same
-// object, and the handover (migrateDescriptors) moves exactly this object to
-// the primary before any other owner swaps it for a copy or gains one.
-func (s *Store) canonicalDesc(key string, owners []int) (*server, *descriptor) {
+// canonicalDesc returns a current copy of a descriptor during a migration:
+// the first current owner holding it, else the first non-wiped holder in node
+// order, or a nil server.
+func (s *Store) canonicalDesc(key string, owners []int) (*server, descriptor) {
 	for _, o := range owners {
-		if d := s.servers[o].desc(key); d != nil {
+		if d, ok := s.servers[o].desc(key); ok {
 			return s.servers[o], d
 		}
 	}
 	for _, sv := range s.servers {
-		if d := sv.desc(key); d != nil && !sv.isWiped() {
+		if d, ok := sv.desc(key); ok && !sv.isWiped() {
 			return sv, d
 		}
 	}
-	return nil, nil
+	return nil, descriptor{}
 }
 
 // hdrPool stages the small record headers of vectored WAL appends (chunk
@@ -959,7 +958,7 @@ type Event struct {
 
 // Observe installs fn (nil: none) as the one event subscriber; call it while
 // the store is quiescent. An append event fires on the appending goroutine,
-// possibly under a stripe lock or the descriptor latch, so fn must not call
+// possibly under a stripe lock or a key latch, so fn must not call
 // into the Store there. A batch event fires on the migration caller with no
 // data-plane lock held, so fn may run foreground ops there, whose appends it
 // sees too. Checkpoint rewrites are not reported.
@@ -1008,56 +1007,44 @@ func (s *Store) walAppendMeta(cg *charge, sv *server, t wal.RecordType, key stri
 }
 
 // CreateBlob registers a new, empty blob. The descriptor is written to its
-// primary and replicated synchronously, and the blob is visible only once
-// every replica holds it: the primary's copy is published latched, so an op
-// that finds the key waits until the replication is done.
+// primary and replicated synchronously under the key's latch, so an op that
+// finds the key waits until every replica holds it.
 func (s *Store) CreateBlob(ctx *storage.Context, key string) error {
-	s.member.RLock()
-	defer s.member.RUnlock()
-	return s.createBlob(ctx, key)
-}
-
-// createBlob is CreateBlob without the member gate, for callers already
-// holding it (RenameBlob): RLock does not nest — a writer queued between
-// two read acquisitions deadlocks both.
-func (s *Store) createBlob(ctx *storage.Context, key string) error {
 	if key == "" || strings.ContainsRune(key, '\x00') {
 		return fmt.Errorf("blob key %q: %w", key, storage.ErrInvalidArg)
 	}
-	owners := s.descOwners(key)
-	primary := s.servers[owners[0]]
+	s.member.RLock()
+	defer s.member.RUnlock()
+	s.lockKey(key, true)
+	defer s.unlockKey(key, true)
+	_, err := s.createLocked(ctx, key)
+	return err
+}
+
+// createLocked creates key with its latch held exclusively and returns the
+// descriptor primary. RenameBlob calls it while holding both keys' latches.
+func (s *Store) createLocked(ctx *storage.Context, key string) (*server, error) {
+	primary := s.servers[s.descOwners(key)[0]]
 	if primary.isDown() {
-		return fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
+		return nil, fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
 	}
 	// One metadata RPC to the primary: flat-namespace single lookup — this
 	// is the cost asymmetry against hierarchical path resolution.
 	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
 	// A lookup, because mid-migration the key may still live only on its old
-	// holders; the check under the primary's lock settles racing creates.
+	// holders.
 	if _, _, err := s.primaryDesc(key); err == nil {
-		return fmt.Errorf("blob %q: %w", key, storage.ErrExists)
+		return nil, fmt.Errorf("blob %q: %w", key, storage.ErrExists)
 	}
-
-	d := &descriptor{}
-	d.latch.Lock()
-	defer d.latch.Unlock()
-	primary.mu.Lock()
-	if _, exists := primary.blobs.get(key); exists {
-		primary.mu.Unlock()
-		return fmt.Errorf("blob %q: %w", key, storage.ErrExists)
-	}
-	primary.blobs.put(key, d)
-	primary.mu.Unlock()
-	s.setSize(ctx, key, primary, d, 0)
-	return nil
+	s.setSize(ctx, key, primary, 0)
+	return primary, nil
 }
 
-// setSize is the one way a blob's size changes, with d, the primary's object,
-// latched by the caller: it sets d, logs the size on the primary, then
-// upserts it on every replica in parallel (putDesc plus a metadata op and a
-// RecMeta each).
-func (s *Store) setSize(ctx *storage.Context, key string, primary *server, d *descriptor, size int64) {
-	d.size = size
+// setSize is the one way a blob's size changes, with key latched exclusively
+// by the caller: it sets and logs the size on the primary, then upserts it on
+// every replica in parallel (putDesc plus a metadata op and a RecMeta each).
+func (s *Store) setSize(ctx *storage.Context, key string, primary *server, size int64) {
+	primary.putDesc(key, size)
 	cg := s.directCharge(ctx)
 	s.walAppendMeta(&cg, primary, wal.RecMeta, key, size)
 	fan := s.newFan()
@@ -1081,18 +1068,16 @@ func (s *Store) DeleteBlob(ctx *storage.Context, key string) error {
 	if err != nil {
 		return err
 	}
-	defer d.latch.Unlock()
-	return s.deleteLocked(ctx, key, primary, d)
+	defer s.unlockKey(key, true)
+	s.deleteLocked(ctx, key, primary, d.size)
+	return nil
 }
 
-// deleteLocked performs the deletion with the descriptor latch already held,
-// and marks the descriptor dead for whoever waits on that latch. RenameBlob
-// (rename.go) calls it while also holding the target blob's latch:
-// RenameBlob latches both descriptors in key order.
-func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, d *descriptor) error {
-	d.dead = true
+// deleteLocked performs the deletion of a blob of the given size with its
+// key latched exclusively. RenameBlob calls it while also holding the other
+// key's latch.
+func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, size int64) {
 	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
-	size := d.size
 	nChunks := (size + int64(s.cfg.ChunkSize) - 1) / int64(s.cfg.ChunkSize)
 
 	// Drop chunk replicas, recording each removal durably; records are
@@ -1100,9 +1085,7 @@ func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, 
 	batch := newWalBatch(s)
 	s.tombstoneChunks(batch, key, 0, nChunks)
 	batch.flush(ctx)
-	// Drop the copies in the reverse of the order lookups walk them
-	// (canonicalDesc), so until the canonical object, the one this delete
-	// latched and marked dead, goes, a lookup finds it and no live copy.
+	// Drop every copy, in a fixed order so one seed writes one log.
 	// Mid-migration that includes old holders outside the replica set, or
 	// the handover would find one and bring the blob back.
 	cg := s.directCharge(ctx)
@@ -1116,7 +1099,6 @@ func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, 
 		s.servers[owners[i]].dropDesc(key)
 		s.walAppendMeta(&cg, s.servers[owners[i]], wal.RecDelete, key, 0)
 	}
-	return nil
 }
 
 // tombstoneChunks drops chunks [from, to) of key on every owner, staging the
@@ -1146,7 +1128,7 @@ func (s *Store) BlobSize(ctx *storage.Context, key string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer d.latch.RUnlock()
+	s.unlockKey(key, false)
 	return d.size, nil
 }
 
@@ -1158,15 +1140,15 @@ func (s *Store) BlobSize(ctx *storage.Context, key string) (int64, error) {
 // the prefix, because each table keeps its keys in order (desctable.go).
 //
 // A key is listed exactly when BlobSize would find it: every key a table
-// holds, primary copy or not, resolves through primaryDesc, so a blob whose
-// new primary has not received its descriptor yet during a live join or drain
-// is still listed, and a deleted one is not.
+// holds, primary copy or not, resolves through primaryDesc under its latch, so
+// a blob whose new primary has not received its descriptor yet during a live
+// join or drain is still listed, and a deleted one is not.
 func (s *Store) Scan(ctx *storage.Context, prefix string) ([]storage.BlobInfo, error) {
 	s.member.RLock()
 	defer s.member.RUnlock()
-	// Tasks collect keys only: a worker must never block on the descriptor
-	// latch (writers hold it across their own fan joins, see the dispatch.go
-	// contract), so sizes are read on the caller after the join.
+	// Tasks collect keys only: a worker must never block on a key latch
+	// (writers hold it across their own fan joins, see the dispatch.go
+	// contract), so keys are resolved on the caller after the join.
 	results := make([][]string, len(s.servers))
 	fan := s.newFan()
 	for i, sv := range s.servers {
@@ -1175,7 +1157,7 @@ func (s *Store) Scan(ctx *storage.Context, prefix string) ([]storage.BlobInfo, e
 			cg.metaOp(sv.node, 1)
 			sv.mu.RLock()
 			examined := sv.blobs.len()
-			sv.blobs.ascend(prefix, func(key string, _ *descriptor) {
+			sv.blobs.ascend(prefix, func(key string, _ descriptor) {
 				results[i] = append(results[i], key)
 			})
 			sv.mu.RUnlock()
@@ -1191,18 +1173,13 @@ func (s *Store) Scan(ctx *storage.Context, prefix string) ([]storage.BlobInfo, e
 	}
 	var out []storage.BlobInfo
 	for _, key := range mergeKeys(results) {
+		// On the caller with no other latch held, so it cannot deadlock
+		// against a writer's fan.
+		s.lockKey(key, false)
 		_, d, err := s.primaryDesc(key)
-		if err != nil {
-			continue
-		}
-		// The latch is the writers' lock for primary descriptor sizes;
-		// taking it here, on the caller with no other lock held, cannot
-		// deadlock against a writer's fan.
-		d.latch.RLock()
-		size, dead := d.size, d.dead
-		d.latch.RUnlock()
-		if !dead {
-			out = append(out, storage.BlobInfo{Key: key, Size: size})
+		s.unlockKey(key, false)
+		if err == nil {
+			out = append(out, storage.BlobInfo{Key: key, Size: d.size})
 		}
 	}
 	return out, nil

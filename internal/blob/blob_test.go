@@ -326,13 +326,14 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	}
 }
 
-// TestOpsOnDeletedBlobSeeNotFound: an op that resolved a blob's descriptor
-// before a concurrent delete took the latch, and got the latch after the
-// delete released it, answers ErrNotFound. It must not act on the removed
-// object: a write would leave an orphan chunk and, past the old size, log a
+// TestOpsOnDeletedBlobSeeNotFound: an op on a blob that a concurrent delete
+// has latched answers ErrNotFound once the delete releases the latch, and
+// after every node recovers nothing is listed. It must not act on the removed
+// blob: a write would leave an orphan chunk and, past the old size, log a
 // size that brings the blob back once every node recovers; a read would
-// return zeros. The delete's first append is held for 20 ms, latch taken and
-// descriptor still mapped, while the op resolves the blob and queues.
+// return zeros; a rename would leave its target behind. The delete's first
+// append is held for 20 ms, latch taken and descriptor still mapped, while
+// the op queues on the latch.
 func TestOpsOnDeletedBlobSeeNotFound(t *testing.T) {
 	late, buf := []byte("late"), make([]byte, 100)
 	arms := []struct {
@@ -345,6 +346,7 @@ func TestOpsOnDeletedBlobSeeNotFound(t *testing.T) {
 		{"truncate", func(s *Store, ctx *storage.Context) error { return s.TruncateBlob(ctx, "k", 10) }},
 		{"size", func(s *Store, ctx *storage.Context) error { _, err := s.BlobSize(ctx, "k"); return err }},
 		{"delete", func(s *Store, ctx *storage.Context) error { return s.DeleteBlob(ctx, "k") }},
+		{"rename", func(s *Store, ctx *storage.Context) error { return s.RenameBlob(ctx, "k", "k2") }},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -387,6 +389,9 @@ func TestOpsOnDeletedBlobSeeNotFound(t *testing.T) {
 			}
 			if size, err := s.BlobSize(ctx, "k"); !errors.Is(err, storage.ErrNotFound) {
 				t.Errorf("after every node recovered: size %d, %v; want ErrNotFound", size, err)
+			}
+			if infos, err := s.Scan(ctx, ""); err != nil || len(infos) != 0 {
+				t.Errorf("after every node recovered: scan %v, %v; want nothing listed", infos, err)
 			}
 			if msg := s.CheckInvariants(); msg != "" {
 				t.Errorf("invariants after every node recovered: %s", msg)

@@ -17,13 +17,13 @@ const descBlock = 128
 // mutation goes through put and del, so the two can never disagree. The zero
 // value is an empty table. The caller synchronizes (server.mu).
 type descTable struct {
-	m map[string]*descriptor
+	m map[string]descriptor
 	// blocks are non-empty, each sorted, and every key of a block sorts
 	// before every key of the next.
 	blocks [][]string
 }
 
-func (t *descTable) get(key string) (*descriptor, bool) {
+func (t *descTable) get(key string) (descriptor, bool) {
 	d, ok := t.m[key]
 	return d, ok
 }
@@ -31,13 +31,13 @@ func (t *descTable) get(key string) (*descriptor, bool) {
 func (t *descTable) len() int { return len(t.m) }
 
 // put maps key to d, inserting key into the order if it is new.
-func (t *descTable) put(key string, d *descriptor) {
+func (t *descTable) put(key string, d descriptor) {
 	if _, ok := t.m[key]; ok {
 		t.m[key] = d
 		return
 	}
 	if t.m == nil {
-		t.m = make(map[string]*descriptor)
+		t.m = make(map[string]descriptor)
 	}
 	t.m[key] = d
 	if len(t.blocks) == 0 {
@@ -92,7 +92,7 @@ func (t *descTable) block(key string) int {
 // visits the whole table). The keys with a prefix are contiguous in the
 // order, starting at the first key not below it, so the walk starts there
 // and stops at the first key without it. fn must not mutate the table.
-func (t *descTable) ascend(prefix string, fn func(key string, d *descriptor)) {
+func (t *descTable) ascend(prefix string, fn func(key string, d descriptor)) {
 	bi := t.block(prefix)
 	if bi == len(t.blocks) {
 		return

@@ -31,13 +31,13 @@ func TestDescTableMatchesModel(t *testing.T) {
 			return string(k)
 		}
 		var tbl descTable
-		model := map[string]*descriptor{}
+		model := map[string]descriptor{}
 		var sorted []string // the model's keys, ascending
 		check := func(prefix string) {
 			t.Helper()
 			var got []string
-			tbl.ascend(prefix, func(key string, d *descriptor) {
-				if model[key] != d {
+			tbl.ascend(prefix, func(key string, d descriptor) {
+				if want, ok := model[key]; !ok || want != d {
 					t.Fatalf("seed %d: ascend(%q) gives %q a descriptor the model does not", seed, prefix, key)
 				}
 				got = append(got, key)
@@ -76,7 +76,7 @@ func TestDescTableMatchesModel(t *testing.T) {
 				i, held := slices.BinarySearch(sorted, key)
 				// Puts outnumber deletes 3:2 while growing, 2:3 while shrinking.
 				if put := rng.Intn(5) < 3; put == grow {
-					d := &descriptor{size: int64(step)}
+					d := descriptor{size: int64(step)}
 					tbl.put(key, d)
 					model[key] = d
 					if !held {
@@ -91,7 +91,8 @@ func TestDescTableMatchesModel(t *testing.T) {
 						sorted = slices.Delete(sorted, i, i+1)
 					}
 				}
-				if d, ok := tbl.get(key); ok != (model[key] != nil) || d != model[key] {
+				want, inModel := model[key]
+				if d, ok := tbl.get(key); ok != inModel || d != want {
 					t.Fatalf("seed %d: get(%q) disagrees with the model", seed, key)
 				}
 				maxBlocks = max(maxBlocks, len(tbl.blocks))
@@ -112,7 +113,7 @@ func TestDescTableMatchesModel(t *testing.T) {
 				for _, key := range slices.Clone(sorted) {
 					tbl.del(key)
 				}
-				sorted, model = nil, map[string]*descriptor{}
+				sorted, model = nil, map[string]descriptor{}
 				if len(tbl.blocks) != 0 || tbl.len() != 0 {
 					t.Fatalf("seed %d: emptied table keeps %d blocks, %d keys", seed, len(tbl.blocks), tbl.len())
 				}

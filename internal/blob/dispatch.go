@@ -53,13 +53,13 @@
 //     TestFanoutDeterministicVirtualTime pins).
 //     (enforced: manual: pinned by TestFanoutDeterministicVirtualTime)
 //   - A task must never block on a lock that can be held across a pool
-//     wait (ctxFan.join, parallelDo). Concretely: the per-blob descriptor
-//     latch is held across writers' joins — which run the fan's tasks on the
-//     writer's own goroutine — so tasks may not acquire it; they collect
-//     descriptor pointers and let the caller read under the latch after
-//     join (see Scan). The short-hold locks — chunk stripes, server maps,
-//     the WAL, the placement cache — are fine; their holders never wait on
-//     the pool.
+//     wait (ctxFan.join, parallelDo). Concretely: a key latch (lockKey) is
+//     held across writers' joins — which run the fan's tasks on the
+//     writer's own goroutine — so tasks may not acquire one; they collect
+//     keys and let the caller resolve them under the latch after join (see
+//     Scan). The short-hold locks — chunk stripes, server maps, the WAL,
+//     the placement cache — are fine; their holders never wait on the
+//     pool.
 //     (enforced: blobvet/workerlatch — latch takes and pool waits are
 //     flagged in the whole call graph reachable from task bodies and from
 //     a helper's ctxFan.run)
@@ -113,8 +113,8 @@
 //     holder's stripe lock the same way.
 //     (enforced: blobvet/stripelock — holding two chunk-stripe locks at
 //     once is flagged, including through callbacks run under a stripe)
-//   - Repair never acquires the per-blob descriptor latch and never waits
-//     on the pool from inside a task. The first is what makes the
+//   - Repair never acquires a key latch and never waits on the pool from
+//     inside a task. The first is what makes the
 //     degraded-write epilogue sound: writeLocked invokes repairDrain WHILE
 //     holding the written blob's latch (the writer is a caller, allowed to
 //     hold it across its own join). The second makes repairDrain, which
@@ -132,13 +132,13 @@
 // three rules:
 //
 //   - The descriptor handover sweep is caller-only and runs BEFORE any
-//     chunk batch: under that blob's latch (held in read mode, a dead
-//     descriptor excluding a racing DeleteBlob) it moves the canonical
-//     object to the new primary and gives every other owner its own copy
-//     through putDesc. Chunk-batch tasks therefore never need — and must
-//     never take — a descriptor latch; like repair tasks they touch only
-//     stripe locks, server maps, and WAL lanes (installChunk and dropStrays
-//     on the chunk's natural lane, through the accounted append path).
+//     chunk batch: under each key's latch, held in read mode, it looks the
+//     descriptor up and gives every owner the size through putDesc; a key
+//     a racing DeleteBlob removed is not found. Chunk-batch tasks therefore
+//     never need — and must never take — a key latch; like repair tasks
+//     they touch only stripe locks, server maps, and WAL lanes (installChunk
+//     and dropStrays on the chunk's natural lane, through the accounted
+//     append path).
 //     (enforced: blobvet/workerlatch — migrateChunk is in the
 //     task-reachable graph, where latch takes are flagged; blobvet/walappend
 //     keeps walAppendLane and checkpointLane the only direct lane writers)

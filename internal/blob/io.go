@@ -25,7 +25,7 @@ func (s *Store) ReadBlob(ctx *storage.Context, key string, off int64, p []byte) 
 	if err != nil {
 		return 0, err
 	}
-	defer d.latch.RUnlock()
+	defer s.unlockKey(key, false)
 	size := d.size
 	if off >= size {
 		return 0, nil
@@ -111,17 +111,17 @@ func (s *Store) WriteBlob(ctx *storage.Context, key string, off int64, p []byte)
 	if err != nil {
 		return 0, err
 	}
-	defer d.latch.Unlock()
+	defer s.unlockKey(key, true)
 	if len(p) == 0 {
 		return 0, nil
 	}
-	return s.writeLocked(ctx, key, primary, d, off, p, false)
+	return s.writeLocked(ctx, key, primary, d.size, off, p, false)
 }
 
 // chunkPlace is one participant chunk's resolved placement, computed once
 // per write and shared by the prepare, data, and commit phases. ver is the
 // version this write installs on every replica it reaches: assigned by the
-// caller under the descriptor latch (one more than the highest version any
+// caller under the key latch (one more than the highest version any
 // owner holds), so all replicas of the chunk stay version-comparable.
 type chunkPlace struct {
 	id     chunkID
@@ -158,8 +158,9 @@ var placePool = sync.Pool{
 	},
 }
 
-// writeLocked performs the write with the descriptor latch already held.
-// WriteBlob calls it with direct=false, RenameBlob with direct=true.
+// writeLocked performs the write with key latched exclusively, onto a blob
+// of the given size. WriteBlob calls it with direct=false, RenameBlob with
+// direct=true.
 //
 // Multi-chunk writes log 2PC-style: the data phase appends RecPrepWrite to
 // every replica of every participant, the commit phase appends
@@ -172,14 +173,14 @@ var placePool = sync.Pool{
 // direct=true commits every chunk with RecWrite and skips the prepare and
 // commit phases even for a multi-chunk span. That is sound ONLY when the
 // caller needs no write-level crash atomicity: RenameBlob's copy-in
-// qualifies — the target key is freshly created and both descriptor
-// latches are held (no reader or writer can observe a partial span), and
+// qualifies — the target key is freshly created and both keys' latches
+// are held (no reader or writer can observe a partial span), and
 // the rename's own crash story is "never acked, source intact until the
 // final logged delete", not chunk-transactionality (a sparse rename
 // flushes multiple spans, so 2PC per span never provided rename-level
 // atomicity anyway). Per-chunk RecWrite records replay independently,
 // exactly like ordinary single-chunk writes.
-func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d *descriptor, off int64, p []byte, direct bool) (int, error) {
+func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, size, off int64, p []byte, direct bool) (int, error) {
 	cs := int64(s.cfg.ChunkSize)
 	firstChunk := off / cs
 	lastChunk := (off + int64(len(p)) - 1) / cs
@@ -267,7 +268,7 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d
 		// would corrupt their version history — repair re-installs them
 		// whole instead). Pure memory work (no charges fold), deferred to
 		// here so an aborted data phase leaves live replicas untouched.
-		// Readers cannot observe the window: the descriptor latch is held
+		// Readers cannot observe the window: the key latch is held
 		// until the write returns.
 		applyFan := s.newFan()
 		forEachSpan(off, int64(len(p)), cs, func(idx, within, start, take int64) {
@@ -300,9 +301,9 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, d
 	}
 
 	// Descriptor update: extend size if needed, replicate.
-	if end := off + int64(len(p)); end > d.size {
+	if end := off + int64(len(p)); end > size {
 		s.cluster.MetaOp(ctx.Clock, primary.node, 1)
-		s.setSize(ctx, key, primary, d, end)
+		s.setSize(ctx, key, primary, end)
 	}
 
 	// Degraded-write epilogue: drain the debt owed to any excluded owner that
@@ -510,7 +511,7 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 	if err != nil {
 		return err
 	}
-	defer d.latch.Unlock()
+	defer s.unlockKey(key, true)
 
 	if size == d.size {
 		return nil
@@ -541,6 +542,6 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 		}
 		batch.flush(ctx)
 	}
-	s.setSize(ctx, key, primary, d, size)
+	s.setSize(ctx, key, primary, size)
 	return nil
 }

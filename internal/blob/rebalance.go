@@ -238,14 +238,12 @@ func (s *Store) runMigration(ctx *storage.Context) {
 }
 
 // migrateDescriptors reconciles descriptor placement against the current
-// ring, under each blob's read latch, so a size logged here cannot land on a
-// lane after a newer RecMeta: a writer needs the latch exclusively. The
-// canonical object moves to a primary that holds no copy, so ops that latched
-// it during the window still serialize with those that find it on the
-// primary after. An owner that held it swaps it for a copy, which needs no
-// record because the size is the same; every other owner gets the size
-// through putDesc, logged where that changed its table. Holders outside the
-// replica set drop their copy only after every owner holds one.
+// ring, each key under its read latch, so a size logged here cannot land on a
+// lane after a newer RecMeta: a writer needs the latch exclusively. Under the
+// latch a current copy (canonicalDesc) goes to every owner through putDesc,
+// logged where that changed its table; a key a delete removed is simply not
+// found. Holders outside the replica set drop their copy only after every
+// owner holds one.
 func (s *Store) migrateDescriptors(cg *charge) {
 	lists := make([][]string, len(s.servers))
 	for i, sv := range s.servers {
@@ -258,31 +256,16 @@ func (s *Store) migrateDescriptors(cg *charge) {
 		if len(owners) == 0 {
 			continue
 		}
-		_, d := s.canonicalDesc(key, owners)
-		if d == nil {
-			continue
-		}
-		// A delete that took the latch between probe and lock marked the
-		// descriptor dead: there is nothing to hand over (a recreated blob
-		// was placed natively at the current epoch), only old copies to drop.
-		d.latch.RLock()
-		for i := 0; i < len(owners) && !d.dead; i++ {
-			sv := s.servers[owners[i]]
-			sv.mu.Lock()
-			cur, held := sv.blobs.get(key)
-			moved := i == 0 && !held
-			if moved {
-				sv.blobs.put(key, d)
-			} else if i > 0 && cur == d {
-				sv.blobs.put(key, &descriptor{size: d.size})
-			}
-			sv.mu.Unlock()
-			if moved || i > 0 && cur != d && sv.putDesc(key, d.size) {
-				cg.metaOp(sv.node, 1)
-				s.walAppendMeta(cg, sv, wal.RecMeta, key, d.size)
+		s.lockKey(key, false)
+		if src, d := s.canonicalDesc(key, owners); src != nil {
+			for _, o := range owners {
+				if sv := s.servers[o]; sv.putDesc(key, d.size) {
+					cg.metaOp(sv.node, 1)
+					s.walAppendMeta(cg, sv, wal.RecMeta, key, d.size)
+				}
 			}
 		}
-		d.latch.RUnlock()
+		s.unlockKey(key, false)
 		for i, sv := range s.servers {
 			if !sv.isWiped() && !containsNode(owners, i) && sv.dropDesc(key) {
 				s.walAppendMeta(cg, sv, wal.RecDelete, key, 0)

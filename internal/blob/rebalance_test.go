@@ -322,18 +322,24 @@ func joinStoreWithBlob(t *testing.T) (*Store, string) {
 
 // TestCreateAndDeleteBeforeHandover: during a join, before the handover
 // reaches a blob whose new primary holds no copy yet, a create of its key
-// answers ErrExists and leaves it whole, and a delete removes it for good.
-// The create used to succeed and reset the blob's size to 0; the delete
-// dropped only the new owners' copies, and the handover then moved an old
-// holder's copy to the new primary, so the deleted blob came back.
+// answers ErrExists and leaves it whole, a delete removes it for good, and a
+// rename moves it; each outcome survives node 3, the new primary, crashing
+// and recovering. The create used to succeed and reset the blob's size to 0;
+// the delete dropped only the new owners' copies, and the handover then moved
+// an old holder's copy to the new primary, so the deleted blob came back.
 func TestCreateAndDeleteBeforeHandover(t *testing.T) {
 	for _, arm := range []struct {
 		name string
 		op   func(s *Store, ctx *storage.Context, key string) error
 		want error
+		left func(key string) map[string][]byte // the blobs the join leaves
 	}{
-		{"create", func(s *Store, ctx *storage.Context, key string) error { return s.CreateBlob(ctx, key) }, storage.ErrExists},
-		{"delete", func(s *Store, ctx *storage.Context, key string) error { return s.DeleteBlob(ctx, key) }, nil},
+		{"create", func(s *Store, ctx *storage.Context, key string) error { return s.CreateBlob(ctx, key) }, storage.ErrExists,
+			func(key string) map[string][]byte { return map[string][]byte{key: pattern(1, 10)} }},
+		{"delete", func(s *Store, ctx *storage.Context, key string) error { return s.DeleteBlob(ctx, key) }, nil,
+			func(string) map[string][]byte { return nil }},
+		{"rename", func(s *Store, ctx *storage.Context, key string) error { return s.RenameBlob(ctx, key, key+"-renamed") }, nil,
+			func(key string) map[string][]byte { return map[string][]byte{key + "-renamed": pattern(1, 10)} }},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			s, key := joinStoreWithBlob(t)
@@ -351,14 +357,22 @@ func TestCreateAndDeleteBeforeHandover(t *testing.T) {
 			if !errors.Is(err, arm.want) {
 				t.Fatalf("%s before the handover: %v, want %v", arm.name, err, arm.want)
 			}
-			if arm.want != nil {
-				verifyBlobs(t, s, ctx, map[string][]byte{key: pattern(1, 10)})
-				return
+			left := arm.left(key)
+			check := func(when string) {
+				t.Helper()
+				if _, kept := left[key]; !kept {
+					if size, err := s.BlobSize(ctx, key); !errors.Is(err, storage.ErrNotFound) {
+						t.Errorf("%s: %s has size %d, %v; want ErrNotFound", when, key, size, err)
+					}
+				}
+				verifyBlobs(t, s, ctx, left)
 			}
-			if size, err := s.BlobSize(ctx, key); !errors.Is(err, storage.ErrNotFound) {
-				t.Errorf("deleted blob after the join: size %d, %v; want ErrNotFound", size, err)
+			check("after the join")
+			s.Crash(3)
+			if err := s.Recover(3); err != nil {
+				t.Fatal(err)
 			}
-			verifyBlobs(t, s, ctx, nil)
+			check("after node 3 recovered")
 		})
 	}
 }
@@ -415,11 +429,10 @@ func TestWriteLatchedAcrossHandoverLogsOnNewPrimary(t *testing.T) {
 }
 
 // TestWriteRacingDeleteAfterHandover: mid-migration, after the handover gave
-// a blob's new primary the canonical descriptor and every other owner its own
-// copy, a write that looks the blob up while a delete is dropping those
-// copies finds the dead canonical object, never a live copy: the delete drops
-// the primary's last. Acting on a copy, the write would leave a chunk behind
-// the deleted blob.
+// every owner of a blob its descriptor, a write that reaches the blob while a
+// delete is dropping those copies waits for the key's latch and then finds
+// nothing. Acting on a copy the delete had not dropped yet, the write would
+// leave a chunk behind the deleted blob.
 func TestWriteRacingDeleteAfterHandover(t *testing.T) {
 	s, key := joinStoreWithBlob(t)
 	ctx := storage.NewContext()

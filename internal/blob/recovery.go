@@ -42,7 +42,7 @@ func (s *Store) Crash(node cluster.NodeID) {
 }
 
 // prepWrite is the buffered 2PC chunk write awaiting its commit record
-// during replay. At most one is pending per chunk: the per-blob latch
+// during replay. At most one is pending per chunk: the key latch
 // serializes transactions and each transaction prepares a chunk exactly
 // once, so a newer prepare supersedes any dangling one a torn transaction
 // left behind — which is also what keeps a later commit from resurrecting
@@ -299,7 +299,7 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 	plan := make([]ckptLane, sv.wal.Lanes())
 	// Descriptors go in key order: checkpoint records are an ordered WAL
 	// history, so two runs of one seed must write the same logs.
-	sv.blobs.ascend("", func(key string, d *descriptor) {
+	sv.blobs.ascend("", func(key string, d descriptor) {
 		lane := sv.metaLane(key)
 		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, d.size})
 	})
@@ -466,8 +466,7 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 //
 //  1. every descriptor on a primary is present on all of its replicas with
 //     the same size, and a replica's copy has one on its primary (unless
-//     the primary is wiped); no two servers' tables hold one descriptor
-//     object;
+//     the primary is wiped);
 //  2. every chunk an owner holds belongs to a live blob and lies within its
 //     size, unless the chunk's maximum version is a tombstone, which has no
 //     extent;
@@ -490,35 +489,26 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 // After every node has rejoined and repair drained (RepairPending() == 0),
 // rule 4 has no exemption left and every owner must hold the maximum.
 func (s *Store) CheckInvariants() string {
-	holder := make(map[*descriptor]int)
 	for i, sv := range s.servers {
 		// Key order, so "first violation found" names the same violation
 		// on every run of one seed.
 		var descs []ckptMeta
-		shared := ""
 		sv.mu.RLock()
-		sv.blobs.ascend("", func(key string, d *descriptor) {
+		sv.blobs.ascend("", func(key string, d descriptor) {
 			descs = append(descs, ckptMeta{key, d.size})
-			if j, ok := holder[d]; ok && shared == "" {
-				shared = fmt.Sprintf("descriptor %q: nodes %d and %d hold one object", key, j, i)
-			}
-			holder[d] = i
 		})
 		sv.mu.RUnlock()
-		if shared != "" {
-			return shared
-		}
 		for _, m := range descs {
 			owners := s.descOwners(m.key)
 			if primary := s.servers[owners[0]]; owners[0] != i {
-				if containsNode(owners, i) && !primary.isWiped() && primary.desc(m.key) == nil {
+				if _, ok := primary.desc(m.key); containsNode(owners, i) && !primary.isWiped() && !ok {
 					return fmt.Sprintf("descriptor %q on replica node %d but not on its primary node %d", m.key, i, owners[0])
 				}
 				continue
 			}
 			for _, o := range owners[1:] {
-				rd := s.servers[o].desc(m.key)
-				if rd == nil {
+				rd, ok := s.servers[o].desc(m.key)
+				if !ok {
 					return fmt.Sprintf("descriptor %q missing on replica node %d", m.key, o)
 				}
 				if rd.size != m.size {
@@ -569,11 +559,8 @@ func (s *Store) CheckInvariants() string {
 			if err != nil {
 				return fmt.Sprintf("chunk %d of %q has no live blob", id.idx, id.key)
 			}
-			d.latch.RLock()
-			size := d.size
-			d.latch.RUnlock()
-			if id.idx*int64(s.cfg.ChunkSize) >= size {
-				return fmt.Sprintf("chunk %d of %q lies beyond blob size %d", id.idx, id.key, size)
+			if id.idx*int64(s.cfg.ChunkSize) >= d.size {
+				return fmt.Sprintf("chunk %d of %q lies beyond blob size %d", id.idx, id.key, d.size)
 			}
 		}
 		for _, o := range owners {
@@ -667,7 +654,7 @@ func (sv *server) replayDiff() string {
 func (sv *server) tables() []string {
 	var out []string
 	sv.mu.RLock()
-	sv.blobs.ascend("", func(key string, d *descriptor) {
+	sv.blobs.ascend("", func(key string, d descriptor) {
 		out = append(out, fmt.Sprintf("descriptor %q size %d", key, d.size))
 	})
 	sv.mu.RUnlock()

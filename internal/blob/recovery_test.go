@@ -110,7 +110,7 @@ func TestRecoveredStateIdenticalToLive(t *testing.T) {
 	sv := s.servers[2]
 	sv.mu.RLock()
 	liveDesc := make(map[string]int64, sv.blobs.len())
-	sv.blobs.ascend("", func(k string, d *descriptor) { liveDesc[k] = d.size })
+	sv.blobs.ascend("", func(k string, d descriptor) { liveDesc[k] = d.size })
 	sv.mu.RUnlock()
 	liveChunks := make(map[chunkID]string)
 	sv.forEachChunk(func(id chunkID, c []byte, _ uint64) {

@@ -17,62 +17,43 @@ import (
 // than materialized, and the target size is set explicitly at the end.
 //
 // The target key must not exist (storage.ErrExists otherwise), matching
-// the blobfs adapter's rename contract. Both descriptor latches are held
-// for the duration, acquired in sorted key order, so the rename is atomic
-// against concurrent writers and a reader never observes a half-copied
-// target.
+// the blobfs adapter's rename contract. Both keys' latches are held for the
+// duration, taken in latch-index order (once when the keys share one), so the
+// rename is atomic against concurrent writers, a reverse rename cannot
+// deadlock against it, and a reader never observes a half-copied target.
 func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	if newKey == "" || strings.ContainsRune(newKey, '\x00') {
 		return fmt.Errorf("blob key %q: %w", newKey, storage.ErrInvalidArg)
 	}
 	s.member.RLock()
 	defer s.member.RUnlock()
-	if oldKey == newKey {
-		_, _, err := s.primaryDesc(oldKey)
-		return err
+	first, second := oldKey, newKey
+	if latchOf(newKey) < latchOf(oldKey) {
+		first, second = newKey, oldKey
+	}
+	s.lockKey(first, true)
+	defer s.unlockKey(first, true)
+	if latchOf(second) != latchOf(first) {
+		s.lockKey(second, true)
+		defer s.unlockKey(second, true)
 	}
 	oldPrimary, oldD, err := s.primaryDesc(oldKey)
-	if err != nil {
+	if err != nil || oldKey == newKey {
 		return err
 	}
 	if oldPrimary.isDown() {
 		return fmt.Errorf("blob %q: primary down: %w", oldKey, storage.ErrUnavailable)
 	}
-	// Register the target first (createBlob releases its latch once every
-	// replica holds the descriptor), then latch both descriptors in key
-	// order so a concurrent reverse rename cannot deadlock against this one.
-	// The ungated createBlob: this op already holds the member gate, and
-	// RLock does not nest.
-	if err := s.createBlob(ctx, newKey); err != nil {
-		return err
-	}
-	newPrimary, newD, err := s.primaryDesc(newKey)
+	newPrimary, err := s.createLocked(ctx, newKey)
 	if err != nil {
 		return err
 	}
-	first, second := oldD, newD
-	if newKey < oldKey {
-		first, second = newD, oldD
-	}
-	first.latch.Lock()
-	defer first.latch.Unlock()
-	second.latch.Lock()
-	defer second.latch.Unlock()
-
-	// A concurrent delete of either key may have won the race before the
-	// latches landed (latchDesc's test).
-	if newD.dead {
-		return fmt.Errorf("blob %q: %w", newKey, storage.ErrNotFound)
-	}
+	var newSize int64 // the target's size, as this rename has set it
 	fail := func(err error) error {
 		// Best-effort rollback: a failed rename leaves only the source.
-		_ = s.deleteLocked(ctx, newKey, newPrimary, newD)
+		s.deleteLocked(ctx, newKey, newPrimary, newSize)
 		return err
 	}
-	if oldD.dead {
-		return fail(fmt.Errorf("blob %q: %w", oldKey, storage.ErrNotFound))
-	}
-
 	size := oldD.size
 	cs := int64(s.cfg.ChunkSize)
 	nChunks := (size + cs - 1) / cs
@@ -101,7 +82,7 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	// they replace (the rename bound of internal/bench's
 	// TestVirtualTwinsPinned caught exactly that). The run
 	// commits direct (RecWrite, no 2PC prepare/commit rounds): the target
-	// is freshly created and doubly latched, so no observer exists to
+	// is freshly created and its key latched, so no observer exists to
 	// need transactional isolation — see writeLocked. A hole, a short
 	// chunk, or the run cap flushes.
 	const maxRunChunks = 64
@@ -111,7 +92,10 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 		if len(run) == 0 {
 			return nil
 		}
-		_, err := s.writeLocked(ctx, newKey, newPrimary, newD, runStart*cs, run, true)
+		_, err := s.writeLocked(ctx, newKey, newPrimary, newSize, runStart*cs, run, true)
+		if err == nil {
+			newSize = max(newSize, runStart*cs+int64(len(run)))
+		}
 		run = nil
 		return err
 	}
@@ -139,11 +123,12 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	// Sparse tails (and wholly-empty blobs) leave the copied size short of
 	// the logical size; install it explicitly with the same descriptor
 	// protocol writeLocked uses for size extension.
-	if newD.size != size {
+	if newSize != size {
 		s.cluster.MetaOp(ctx.Clock, newPrimary.node, 1)
-		s.setSize(ctx, newKey, newPrimary, newD, size)
+		s.setSize(ctx, newKey, newPrimary, size)
 	}
-	return s.deleteLocked(ctx, oldKey, oldPrimary, oldD)
+	s.deleteLocked(ctx, oldKey, oldPrimary, size)
+	return nil
 }
 
 // snapshotChunk reads one chunk's stored bytes for the rename copy off the

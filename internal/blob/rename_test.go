@@ -3,7 +3,9 @@ package blob
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
@@ -173,6 +175,51 @@ func TestRenameBlobDegraded(t *testing.T) {
 	}
 	if _, err := s.ReadBlob(ctx, "deg2", 0, got); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("post-repair read = (%v, %x)", err, got)
+	}
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Fatalf("invariants: %s", msg)
+	}
+}
+
+// TestRenameBetweenKeysSharingALatch: a rename between two keys whose
+// descriptor hashes pick the same key latch takes that latch once. Taking it
+// a second time would deadlock the rename against itself.
+func TestRenameBetweenKeysSharingALatch(t *testing.T) {
+	first := map[int]string{}
+	var oldKey, newKey string
+	for i := 0; newKey == ""; i++ {
+		k := fmt.Sprintf("data/k%d", i)
+		if o, ok := first[latchOf(k)]; ok {
+			oldKey, newKey = o, k
+		}
+		first[latchOf(k)] = k
+	}
+	s := newStore(t, 4, Config{ChunkSize: 16, Replication: 2})
+	ctx := storage.NewContext()
+	data := renamePattern(40)
+	if err := s.CreateBlob(ctx, oldKey); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WriteBlob(ctx, oldKey, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.RenameBlob(storage.NewContext(), oldKey, newKey) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("rename %s -> %s: %v", oldKey, newKey, err)
+		}
+	//blobvet:allow virtualtime test-only real-time bound: a rename that latches its shared latch twice never returns
+	case <-time.After(5 * time.Second):
+		t.Fatalf("rename %s -> %s, which share latch %d, did not return in 5 s", oldKey, newKey, latchOf(oldKey))
+	}
+	got := make([]byte, len(data))
+	if n, err := s.ReadBlob(ctx, newKey, 0, got); err != nil || n != len(data) || !bytes.Equal(got, data) {
+		t.Fatalf("renamed blob = (%d, %v), match=%v", n, err, bytes.Equal(got, data))
+	}
+	if _, err := s.BlobSize(ctx, oldKey); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("source after the rename: %v, want ErrNotFound", err)
 	}
 	if msg := s.CheckInvariants(); msg != "" {
 		t.Fatalf("invariants: %s", msg)

@@ -27,9 +27,10 @@ import (
 //     an older version than their tombstone, so it simply pulls the tombstone.
 //   - the ring diff (rebalance.go), which throttles its installs in batches.
 //
-// All run on the dispatch pool as ordinary fan tasks and obey the dispatch.go
-// contract: stripe locks and WAL appends only (short-hold / bounded-wait),
-// never the per-blob descriptor latch, never a nested pool wait.
+// Repair and the sweep's chunk batches run on the dispatch pool as ordinary
+// fan tasks and obey the dispatch.go contract: stripe locks and WAL appends
+// only (short-hold / bounded-wait), never a key latch, never a nested pool
+// wait. Resync runs on the Recover caller; only its descriptor pass latches.
 
 // repairItem is one chunk's outstanding debt restricted to the targets a
 // repair round will service.
@@ -287,13 +288,14 @@ func (s *Store) resyncNode(sv *server) {
 // live desc-owner peers hold. Size changes flow through the descriptor
 // primary and replicate synchronously to EVERY owner (setSize; down owners
 // keep their retained memory current), and no op reaches a blob before its
-// create has put it on every owner — CreateBlob holds the new descriptor's
-// latch until then — so all live peers agree on a blob's size; the only way
-// sv's copy can lag is a torn meta-lane tail discarding RecMeta records at
-// replay. Version comparison cannot find those (descriptors carry no
-// version), but agreement among the peers makes any live desc-owner peer
-// authoritative. The adopted size is re-logged through putDesc, the same
-// upsert redo applies, so a later crash rebuilds it from sv's own log.
+// create has put it on every owner — CreateBlob holds the key's latch until
+// then — so all live peers agree on a blob's size; the only way sv's copy can
+// lag is a torn meta-lane tail discarding RecMeta records at replay. Version
+// comparison cannot find those (descriptors carry no version), but agreement
+// among the peers makes any live desc-owner peer authoritative. Each key is
+// read and adopted under its read latch, so no size change lands between the
+// two. The adopted size is re-logged through putDesc, the same upsert redo
+// applies, so a later crash rebuilds it from sv's own log.
 func (s *Store) resyncDescriptors(sv *server, cg *charge) {
 	lists := make([][]string, len(s.servers))
 	for i, peer := range s.servers {
@@ -316,16 +318,11 @@ func (s *Store) resyncDescriptors(sv *server, cg *charge) {
 		if !member || peer == nil {
 			continue
 		}
-		pd := peer.desc(key)
-		if pd == nil {
-			continue
-		}
-		pd.latch.RLock()
-		size := pd.size
-		pd.latch.RUnlock()
-		if sv.putDesc(key, size) {
+		s.lockKey(key, false)
+		if pd, ok := peer.desc(key); ok && sv.putDesc(key, pd.size) {
 			cg.metaOp(sv.node, 1)
-			s.walAppendMeta(cg, sv, wal.RecMeta, key, size)
+			s.walAppendMeta(cg, sv, wal.RecMeta, key, pd.size)
 		}
+		s.unlockKey(key, false)
 	}
 }

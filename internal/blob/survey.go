@@ -10,7 +10,7 @@ import (
 
 // survey.go — the one freshness rule. Chunk versions order every mutation,
 // deletes included: a write, delete or shrinking truncate assigns max+1 under
-// the blob's latch — a dropped chunk keeps that version as a tombstone, no
+// the key's latch — a dropped chunk keeps that version as a tombstone, no
 // bytes — and every other install is a whole-chunk replace at its source's
 // version. So versions never go backwards, and "which replica may serve or
 // seed a copy?" has one answer everywhere: a holder at the highest version

@@ -240,8 +240,8 @@ func (fs *FS) Truncate(ctx *storage.Context, path string, size int64) error {
 
 // Rename moves a file or directory subtree. When the store implements
 // storage.BlobRenamer (internal/blob does), each blob moves server-side
-// through the fast data plane — WAL-durable chunk rewrites under both
-// descriptor latches, no bytes through the client; otherwise the adapter
+// through the fast data plane — WAL-durable chunk rewrites under both keys'
+// latches, no bytes through the client; otherwise the adapter
 // falls back to the honest copy-then-delete emulation the paper describes,
 // visible in the ablation benchmarks. The target must not exist (blobfs
 // rename is HDFS-style non-replacing; the fstest matrix pins it).

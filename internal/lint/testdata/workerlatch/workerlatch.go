@@ -1,7 +1,8 @@
 // Package workerlatch exercises the workerlatch analyzer: miniature
 // replicas of the dispatch-pool shapes (fanTask/funcJob/laneFeed,
-// parallelDo, ctxFan and its helper entry, the descriptor latch) with positive cases the
-// analyzer must flag and sanctioned caller-side patterns it must not.
+// parallelDo, ctxFan and its helper entry, a latch field and the store's key
+// latch table) with positive cases the analyzer must flag and sanctioned
+// caller-side patterns it must not.
 package workerlatch
 
 import "sync"
@@ -34,7 +35,7 @@ func (t *fanTask) run(cg *charge)    { t.err = t.fn(cg) }
 func (f *ctxFan) run(d *descriptor) { helperOnlyLatch(d) }
 
 func helperOnlyLatch(d *descriptor) {
-	d.latch.Lock() // want `descriptor latch acquired on a pool worker`
+	d.latch.Lock() // want `key latch acquired on a pool worker`
 	d.latch.Unlock()
 }
 
@@ -55,12 +56,12 @@ func (f *laneFeed) run(sibling *laneFeed) {
 
 func (f *laneFeed) Next() bool { <-f.ready; return true }
 
-// taskTakesLatch: a pool task body acquiring the descriptor latch is the
+// taskTakesLatch: a pool task body acquiring a latch is the
 // canonical deadlock (writers hold it across their own joins).
 func taskTakesLatch(f *ctxFan, d *descriptor) {
 	t := f.task()
 	t.fn = func(cg *charge) error {
-		d.latch.RLock() // want `descriptor latch acquired on a pool worker`
+		d.latch.RLock() // want `key latch acquired on a pool worker`
 		defer d.latch.RUnlock()
 		return nil
 	}
@@ -70,7 +71,7 @@ func taskTakesLatch(f *ctxFan, d *descriptor) {
 // helperTakesLatch is only a violation because taskViaHelper makes it
 // reachable from a task body: the whole call graph is checked.
 func helperTakesLatch(d *descriptor) int64 {
-	d.latch.RLock() // want `descriptor latch acquired on a pool worker`
+	d.latch.RLock() // want `key latch acquired on a pool worker`
 	defer d.latch.RUnlock()
 	return d.size
 }
@@ -79,6 +80,29 @@ func taskViaHelper(f *ctxFan, d *descriptor) {
 	t := f.task()
 	t.fn = func(cg *charge) error {
 		helperTakesLatch(d)
+		return nil
+	}
+	f.spawn(t)
+}
+
+// store mirrors the key latch table, whose one take is lockKey.
+type store struct {
+	latch [8]sync.RWMutex
+}
+
+func (s *store) lockKey(key string) {
+	s.latch[len(key)%8].RLock() // want `key latch acquired on a pool worker`
+}
+
+func (s *store) unlockKey(key string) { s.latch[len(key)%8].RUnlock() }
+
+// taskViaLockKey: a task that reaches the latch table through its helper is
+// reported inside the helper.
+func taskViaLockKey(f *ctxFan, s *store) {
+	t := f.task()
+	t.fn = func(cg *charge) error {
+		s.lockKey("k")
+		s.unlockKey("k")
 		return nil
 	}
 	f.spawn(t)
@@ -108,7 +132,7 @@ func taskNestedJoin(f *ctxFan) {
 // parallelArgTakesLatch: closures handed to parallelDo are task bodies.
 func parallelArgTakesLatch(d *descriptor) {
 	parallelDo(4, func(i int) {
-		d.latch.Lock() // want `descriptor latch acquired on a pool worker`
+		d.latch.Lock() // want `key latch acquired on a pool worker`
 		d.latch.Unlock()
 	})
 }

@@ -4,8 +4,9 @@ package lint
 // runs on a pool worker — fanTask/funcJob/laneFeed run bodies, ctxFan.run
 // (a helper draining a fan it was offered), closures passed to parallelDo,
 // and anything assigned to a task's fn field —
-// must never acquire a per-blob descriptor latch and must never wait on
-// the pool (parallelDo, ctxFan.join, laneFeed.Next and drain, repairDrain).
+// must never acquire a key latch (an element of the store's latch table,
+// taken through lockKey) and must never wait on the pool (parallelDo,
+// ctxFan.join, laneFeed.Next and drain, repairDrain).
 // Either one re-enters the dispatch pool from inside it: a writer holds
 // the latch across its own fan join — and runs the fan's tasks on its own
 // goroutine there — so a task blocking on the latch (or a worker parked
@@ -35,7 +36,7 @@ var poolWaits = map[string]map[string]bool{
 
 var workerLatchAnalyzer = &Analyzer{
 	Name: "workerlatch",
-	Doc:  "pool task bodies must not take descriptor latches or wait on the pool",
+	Doc:  "pool task bodies must not take key latches or wait on the pool",
 	Run:  runWorkerLatch,
 }
 
@@ -57,7 +58,7 @@ func runWorkerLatch(pass *Pass) {
 			}
 			if isLatchAcquire(pkg, call) {
 				pass.Reportf(call.Pos(),
-					"descriptor latch acquired on a pool worker (in %s); writers hold the latch across fan joins, so a worker blocking here deadlocks the pool", n.name())
+					"key latch acquired on a pool worker (in %s); writers hold the latch across fan joins, so a worker blocking here deadlocks the pool", n.name())
 			}
 			if name, ok := isPoolWait(pkg, call); ok {
 				pass.Reportf(call.Pos(),
@@ -153,18 +154,23 @@ func (g *callGraph) funcValueNode(e ast.Expr) *funcNode {
 	return nil
 }
 
-// isLatchAcquire matches x.latch.Lock() / x.latch.RLock() where latch
-// is a sync mutex field — the per-blob descriptor latch by contract.
+// isLatchAcquire matches x.latch.Lock() / x.latch.RLock(), and the same on
+// an element, x.latch[i], where the receiver is a sync mutex — a key latch by
+// contract.
 func isLatchAcquire(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
 		return false
 	}
-	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	x := ast.Unparen(sel.X)
+	if ix, ok := x.(*ast.IndexExpr); ok {
+		x = ast.Unparen(ix.X)
+	}
+	field, ok := x.(*ast.SelectorExpr)
 	if !ok || field.Sel.Name != "latch" {
 		return false
 	}
-	return isSyncMutex(pkg, field)
+	return isSyncMutex(pkg, sel.X)
 }
 
 func isSyncMutex(pkg *Package, e ast.Expr) bool {

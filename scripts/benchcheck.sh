@@ -91,13 +91,9 @@ go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDo
 go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog' ./internal/wal
 # The one migration test whose outcome depends on interleaving, and the observer it drives from live appends.
 go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend' ./internal/blob
-# An op that resolved a blob before a concurrent delete latched it must answer ErrNotFound, never act on the removed object.
-go test -race -count=10 -cpu 1,2,4 -run TestOpsOnDeletedBlobSeeNotFound ./internal/blob
-# An op that finds a blob while its create still replicates waits until every replica holds it; around a descriptor handover
-# a write latched across it logs on the new primary, and one racing a delete finds the dead canonical descriptor.
-go test -race -count=10 -cpu 1,2,4 -run 'TestOpsRacingCreate|TestWriteLatchedAcrossHandoverLogsOnNewPrimary|TestWriteRacingDeleteAfterHandover' ./internal/blob
-# A Scan racing creates and deletes of interleaved keys lists every stable key, once, in order.
-go test -race -count=10 -cpu 1,2,4 -run TestScanUnderConcurrentCreateDelete ./internal/blob
+# Descriptor races. An op latches its key, then looks the descriptor up, so it acts only on what is there while it holds
+# the latch: ops racing a delete, a create or a handover, and a Scan racing creates and deletes.
+go test -race -count=10 -cpu 1,2,4 -run 'TestOpsOnDeletedBlobSeeNotFound|TestOpsRacingCreate|TestWriteLatchedAcrossHandoverLogsOnNewPrimary|TestWriteRacingDeleteAfterHandover|TestScanUnderConcurrentCreateDelete' ./internal/blob
 # Recovery reads the lanes in place: after a merge stopped by a torn lane, every lane's in-flight decode must finish before resync appends.
 go test -race -count=10 -cpu 1,2,4 -run TestRecoverTornLaneThenResync ./internal/blob
 # A chunk entry's bytes are a view of the payload its own server's log lane stored, on a 64-byte boundary, after every path that writes one.
