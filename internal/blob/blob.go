@@ -116,15 +116,21 @@
 // Repair debt is only a work list. Every replica that applied a degraded
 // write durably logs a RecRepairNeeded record naming the excluded owners
 // (full-mask overwrite semantics in the record's version slot; mask 0
-// deletes the entry); rejoin resync and the migration sweep list the owners
-// they leave behind the same way. An entry for target T on holder H clears
-// once ver(T) ≥ ver(H) — a stale or vacuous entry costs one no-op repair and
-// can hide nothing. The store-wide entry count (RepairPending) and the
-// migrating flag are the "not known clean" gate: while both are zero every
-// owner of every chunk holds its maximum, and reads take the first live
-// owner with no probing at all. SetDown(node, false), Recover, the writer's
-// own epilogue (an excluded owner that flapped back up mid-write) and the
-// end of a migration drain the list (repair.go).
+// deletes the entry); every chunk move lists the owners it leaves behind the
+// same way. An entry for target T on holder H clears once ver(T) ≥ ver(H) —
+// a stale or vacuous entry costs one no-op repair and can hide nothing. The
+// store-wide entry count (RepairPending) and an open migration intent are
+// the "not known clean" gate: with no entry and no intent every owner of
+// every chunk holds its maximum, and reads take the first live owner with no
+// probing at all. SetDown(node, false), Recover, the writer's own epilogue
+// (an excluded owner that flapped back up mid-write) and the end of a
+// migration drain the list (repair.go).
+//
+// One chunk move. Repair, rejoin resync and the migration sweep all move a
+// chunk through reconcileChunk: survey once, install the freshest live copy
+// on each owner in scope behind it, drop the strays an owner's version
+// covers, clear the debt that was paid and list whoever is still behind.
+// The three differ only in which owners are in scope.
 //
 // Rejoin resync. Recover additionally version-syncs the replayed state
 // against live peers BEFORE rejoining (resyncNode): a torn lane tail can
@@ -153,14 +159,15 @@
 //
 // Intent before mutation. The membership change appends a durable
 // RecMigrateBegin to every live server's log BEFORE the ring mutates, and
-// a RecMigrateEnd once the sweep completes. A crash anywhere between the
-// two recovers with the intent open; the last Recover that leaves no
-// server wiped rolls the migration forward (resumeMigration) by
-// reconciling every held chunk and descriptor against the current ring —
-// copy to owners missing a replica, delete from holders that lost
-// ownership — so recovery always lands on a placement the system could
-// have reached, never a half-remembered sweep position. Checkpoints re-log
-// an open intent before resetting the lanes, so compaction cannot lose it.
+// a RecMigrateEnd once the sweep completes and a drained node holds
+// nothing. A crash anywhere between the two recovers with the intent open;
+// the last Recover that leaves no server wiped rolls the migration forward
+// (resumeMigration) by reconciling every held chunk and descriptor against
+// the current ring — copy to owners missing a replica, delete from holders
+// that lost ownership — so recovery always lands on a placement the system
+// could have reached, never a half-remembered sweep position. Checkpoints
+// re-log an open intent before resetting the lanes, so compaction cannot
+// lose it.
 //
 // The epoch flip is atomic with respect to foreground ops. Ops hold
 // Store.member shared for their duration; the ring mutation takes it
@@ -170,36 +177,38 @@
 // acknowledged write on a replica the sweep then deletes.
 //
 // Every record is self-contained; batches only throttle. The sweep moves a
-// chunk the way repair does: the freshest copy goes onto each owner behind it
-// through installChunk — memory and one RecWrite together under the target's
-// stripe lock — and a holder outside the replica set logs its RecChunkDelete
-// only after an owner's install has returned. A crash after any record
-// therefore leaves every chunk on some server, and the roll-forward sweep
-// redoes what is missing. A batch (Config.MigrationBatchChunks, at most 1 MiB
+// chunk the way repair does (reconcileChunk): the freshest copy goes onto
+// each owner behind it through installChunk — memory and one RecWrite
+// together under the target's stripe lock — and a holder outside the replica
+// set logs its RecChunkDelete only after an owner's install has returned. A
+// crash after any record therefore leaves every chunk on some server, and
+// the roll-forward sweep redoes what is missing. A batch (Config.MigrationBatchChunks, at most 1 MiB
 // of payload) is the dispatch and throttle quantum: a token bucket
 // (Config.MigrationRateBytes per virtual-time tick) debits each batch's bytes
 // before dispatch, charging deficits to the migration caller's clock, and at
 // most one batch is in flight on the pool.
 //
-// Live traffic during the sweep. While Store.migrating is nonzero the store
-// is not clean, so reads and writes survey versions (survey.go) with the
-// scope widened from the current owners to every non-wiped server: a
-// chunk's freshest copy may still sit on the drained node or a stray holder
-// the sweep has not reached, while a gained owner holds nothing yet. The
-// same rule as under failures then applies unchanged — reads serve a live
-// holder of the maximum, writes skip owners still behind it and list them.
-// The sweep copies the maximum to every reachable owner behind it (a
-// soft-down owner receives it like a foreground write; a crash-wiped one
-// resyncs at its own Recover) and deletes a stray only once an owner holds
-// its bytes.
+// Live traffic during the sweep. While the intent is open the store is not
+// clean, so reads and writes survey versions (survey.go) with the scope
+// widened from the current owners to every non-wiped server: a chunk's
+// freshest copy may still sit on the drained node or a stray holder the
+// sweep has not reached, while a gained owner holds nothing yet. The same
+// rule as under failures then applies unchanged — reads serve a live holder
+// of the maximum, writes skip owners still behind it and list them. The
+// sweep copies the freshest live copy to every up owner behind it, lists
+// those it cannot reach (down, faulted, or behind a source that is down) and
+// deletes a stray only once an owner holds its bytes.
 // A descriptor moves under its key's read latch: every new owner gets the
 // size through putDesc, so a writer, which needs the latch exclusively, logs
 // its sizes before or after the handover's, never between.
 //
-// Draining a node resets its logs. RemoveServer clears the drained node's
-// memory AND its WAL lanes (ResetAll) once the sweep completes, so a later
-// Crash/Recover of that node — or a rejoin via AddServer — cannot
-// resurrect pre-drain state from stale records.
+// A drained node is just a holder outside the ring. Its descriptors and
+// chunks leave through the sweep's logged drops, like any stray's, so its
+// log always replays to what it holds; its WAL lanes are reset (ResetAll)
+// once it holds nothing, and the intent closes then. A copy no owner can
+// take yet keeps the node's state and the intent until Recover or
+// SetDown(_, false) rolls it forward, so a drain never resets the last copy
+// of a version or the debt naming its owners.
 package blob
 
 import (
@@ -382,8 +391,9 @@ type Store struct {
 	servers   []*server
 	placement placementCache
 	// repairPending counts debt entries (chunks owing repair to at least
-	// one replica) across every server. While it and migrating are zero —
-	// the steady state — reads take the fast path with no version probing.
+	// one replica) across every server. While it is zero and no migration
+	// intent is open — the steady state — reads take the fast path with no
+	// version probing.
 	repairPending atomic.Int64
 	// metrics counts failure-domain events: degraded writes, transient
 	// retries, repaired chunks/bytes. Only event paths touch it, so the
@@ -415,14 +425,12 @@ type Store struct {
 	// migSeq numbers migrations (under migrateMu) so intent records are
 	// totally ordered per store lifetime.
 	migSeq uint64
-	// migrating is nonzero while a migration sweep (or crash roll-forward)
-	// is in flight: the store is then not clean, and chunk surveys widen
-	// to every non-wiped server (survey.go).
-	migrating atomic.Int64
-	// migIntent publishes the open migration intent (live, or replayed
-	// from a RecMigrateBegin without a matching End) so checkpoints can
-	// re-log it and Recover can roll the migration forward once no server
-	// is left wiped.
+	// migIntent publishes the open migration intent (live, replayed from a
+	// RecMigrateBegin without a matching End, or left by a drain whose node
+	// still holds a copy) so checkpoints can re-log it and Recover or
+	// SetDown can roll the migration forward once no server is left wiped.
+	// While it is set the store is not clean, and chunk surveys widen to
+	// every non-wiped server (survey.go).
 	migIntent atomic.Pointer[migrationIntent]
 	// observe is the one event subscriber (Observe), nil by default.
 	observe func(Event)
@@ -684,8 +692,20 @@ func (sv *server) forEachDebt(fn func(id chunkID, mask uint64)) {
 	}
 }
 
+// holdsNothing reports whether sv is neither crash-wiped nor holding a
+// descriptor, chunk, tombstone or debt entry: a drained node's log may be
+// reset only then.
+func (sv *server) holdsNothing() bool {
+	n := 0
+	sv.forEachChunk(func(chunkID, []byte, uint64) { n++ })
+	sv.forEachDebt(func(chunkID, uint64) { n++ })
+	sv.mu.RLock()
+	defer sv.mu.RUnlock()
+	return n == 0 && sv.blobs.len() == 0 && !sv.wiped
+}
+
 // reset empties sv's descriptor, chunk, version and debt tables (new server,
-// crash, drain), releasing the dropped debt from the pending counter.
+// crash), releasing the dropped debt from the pending counter.
 func (sv *server) reset() {
 	sv.mu.Lock()
 	sv.blobs = descTable{}
@@ -811,8 +831,10 @@ func (s *Store) RepairPending() int64 { return s.repairPending.Load() }
 // proceed degraded on the owners that are left. Flipping a server back up
 // runs the repair work list: the node is both a target (the writes it
 // missed) and a source (writes only it holds, owed to peers that rejoined
-// while it was away). Until a chunk's copy catches up, reads keep passing it
-// over by version, so rejoin never serves stale bytes.
+// while it was away), then rolls forward an open migration intent — a drain
+// that had to wait for the node's copies or for it as a target. Until a
+// chunk's copy catches up, reads keep passing it over by version, so rejoin
+// never serves stale bytes.
 //
 // An up-flip of a crash-wiped server is ignored: it stays down until Recover,
 // the only thing that can make its emptied tables authoritative again (the
@@ -829,7 +851,9 @@ func (s *Store) SetDown(node cluster.NodeID, down bool) {
 	if was && !down {
 		// Mark up first so racing writes stop excluding this node, then
 		// drain what accumulated.
-		s.Repair(storage.NewContext())
+		ctx := storage.NewContext()
+		s.Repair(ctx)
+		s.resumeMigration(ctx)
 	}
 }
 
@@ -874,7 +898,7 @@ func (s *Store) primaryDesc(key string) (*server, descriptor, error) {
 	}
 	sv := s.servers[owners[0]]
 	d, ok := sv.desc(key)
-	if !ok && s.migrating.Load() != 0 {
+	if !ok && s.migIntent.Load() != nil {
 		sv, d = s.canonicalDesc(key, owners)
 		ok = sv != nil
 	}
@@ -1091,7 +1115,7 @@ func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, 
 	cg := s.directCharge(ctx)
 	owners := s.descOwners(key)
 	for i := len(s.servers) - 1; i >= 0; i-- {
-		if s.migrating.Load() != 0 && !containsNode(owners, i) && s.servers[i].dropDesc(key) {
+		if s.migIntent.Load() != nil && !containsNode(owners, i) && s.servers[i].dropDesc(key) {
 			s.walAppendMeta(&cg, s.servers[i], wal.RecDelete, key, 0)
 		}
 	}

@@ -293,7 +293,7 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 func dumpChunkState(t *testing.T, s *Store, key string, got, want []byte) {
 	t.Helper()
 	cs := int64(s.cfg.ChunkSize)
-	t.Logf("repairPending=%d migrating=%d", s.RepairPending(), s.migrating.Load())
+	t.Logf("repairPending=%d intent=%+v", s.RepairPending(), s.migIntent.Load())
 	for idx := int64(0); idx*cs < int64(len(want)); idx++ {
 		lo := idx * cs
 		hi := lo + cs

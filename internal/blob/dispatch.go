@@ -97,11 +97,12 @@
 //
 // # Repair and resync stages
 //
-// Debt-driven repair, rejoin resync and the migration sweep are work-list
-// generators over one copy (survey.go, repair.go: surveyChunk picks the
-// source by version, installChunk replaces the target whole). Repair fans
-// per-chunk repairChunk tasks through this pool round by round; resyncNode
-// runs inline on the Recover caller. Two lock rules:
+// Debt-driven repair, rejoin resync and the migration sweep are work
+// sources for one chunk move, reconcileChunk (repair.go: surveyChunk picks
+// the source by version, installChunk replaces the target whole, dropStrays
+// removes covered strays). Repair fans per-chunk reconcileChunk tasks
+// through this pool round by round; resyncNode runs it inline on the Recover
+// caller. Two lock rules:
 //
 //   - A replica copy touches only short-hold locks: the source chunk's
 //     entry is read under its stripe RLock (its bytes are immutable, so
@@ -121,15 +122,15 @@
 //     joins a fan per round, caller-only; its rounds require progress (a
 //     chunk installed or a bit cleared) to continue, so a target whose only
 //     newer source is down ends the loop instead of spinning it.
-//     (enforced: blobvet/workerlatch — repairChunk runs in the
+//     (enforced: blobvet/workerlatch — reconcileChunk runs in the
 //     task-reachable graph, where latch takes are flagged, and repairDrain
 //     is itself a flagged pool wait)
 //
 // # Migration stages
 //
-// Membership changes (rebalance.go) run the reconcile sweep's per-chunk
-// migrateChunk tasks through this pool, one batch in flight at a time, under
-// three rules:
+// Membership changes (rebalance.go) run the sweep's per-chunk reconcileChunk
+// tasks through this pool, one batch in flight at a time, under three
+// rules:
 //
 //   - The descriptor handover sweep is caller-only and runs BEFORE any
 //     chunk batch: under each key's latch, held in read mode, it looks the
@@ -139,7 +140,7 @@
 //     they touch only stripe locks, server maps, and WAL lanes (installChunk
 //     and dropStrays on the chunk's natural lane, through the accounted
 //     append path).
-//     (enforced: blobvet/workerlatch — migrateChunk is in the
+//     (enforced: blobvet/workerlatch — reconcileChunk is in the
 //     task-reachable graph, where latch takes are flagged; blobvet/walappend
 //     keeps walAppendLane and checkpointLane the only direct lane writers)
 //   - Sweep iteration is determinism-critical: the descriptor sweep and the

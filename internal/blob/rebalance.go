@@ -26,15 +26,17 @@ import (
 //  2. The ring mutates under the member gate, so the epoch flip is atomic
 //     with respect to in-flight foreground ops.
 //  3. A reconcile sweep moves chunks in bounded, throttled batches on the
-//     dispatch pool. Every copy ends in installChunk, the same logged
-//     install repair and resync use, and a stray holder drops its copy
-//     (RecChunkDelete) only after an owner's install has returned — so each
-//     record is self-contained and a crash after ANY of them leaves every
-//     chunk on some server.
-//  4. RecMigrateEnd closes the intent. A crash before the End record
-//     replays an open intent and resumeMigration re-runs the reconcile
-//     sweep, which is idempotent: placement already consistent means an
-//     empty plan.
+//     dispatch pool. Every chunk goes through reconcileChunk, the same move
+//     repair and resync use: the freshest live copy is installed on each
+//     owner behind it, and a holder outside the replica set — the drained
+//     node included — drops its copy (RecChunkDelete) only after an owner's
+//     install has returned, so each record is self-contained and a crash
+//     after ANY of them leaves every chunk on some server.
+//  4. RecMigrateEnd closes the intent once a drained node holds nothing; its
+//     lanes are reset then, and not before. Until then the intent stays open
+//     and Recover or SetDown(_, false) re-runs the sweep (resumeMigration),
+//     which is idempotent: placement already consistent means an empty
+//     plan.
 //
 // The sweep is formulated as reconciliation against the CURRENT ring (owners
 // missing or behind the freshest surviving copy receive it; holders outside
@@ -77,11 +79,13 @@ func (s *Store) AddServer(ctx *storage.Context, node cluster.NodeID) error {
 	return s.runMembershipChange(ctx, migOpAdd, node)
 }
 
-// RemoveServer drains a server: its ring membership is dropped, all data it
-// held primary-or-replica responsibility for is re-replicated onto the
-// surviving owners in throttled, crash-safe batches, and its local state —
-// memory AND log lanes — is cleared, so a later Recover or rejoin cannot
-// resurrect pre-drain placement.
+// RemoveServer drains a server: its ring membership is dropped and every
+// descriptor and chunk it held is re-replicated onto the surviving owners in
+// throttled, crash-safe batches, while its own copies go through the same
+// logged drops as any stray's. Once it holds nothing its log lanes are reset,
+// so a later Recover or rejoin finds nothing to resurrect; a copy no owner
+// can take yet (every owner faulted or down, or the node crashed) keeps the
+// migration intent open until Recover or SetDown(_, false) finishes it.
 func (s *Store) RemoveServer(ctx *storage.Context, node cluster.NodeID) error {
 	if int(node) < 0 || int(node) >= len(s.servers) {
 		return fmt.Errorf("blob: no node %d: %w", node, storage.ErrInvalidArg)
@@ -98,14 +102,7 @@ func (s *Store) RemoveServer(ctx *storage.Context, node cluster.NodeID) error {
 }
 
 // serving reports whether node is currently in the ring.
-func (s *Store) serving(node int) bool {
-	for _, m := range s.ring.Members() {
-		if m == node {
-			return true
-		}
-	}
-	return false
-}
+func (s *Store) serving(node int) bool { return containsNode(s.ring.Members(), node) }
 
 // ServingNodes returns the nodes currently in the ring, ascending.
 func (s *Store) ServingNodes() []cluster.NodeID {
@@ -127,8 +124,6 @@ func (s *Store) runMembershipChange(ctx *storage.Context, op uint8, node cluster
 	// replays an open RecMigrateBegin and rolls the migration forward.
 	s.logIntent(&cg, wal.RecMigrateBegin, intent, -1)
 	s.migIntent.Store(intent)
-	s.migrating.Add(1)
-	defer s.migrating.Add(-1)
 	// The epoch flip: exclusive on the member gate for an instant, so every
 	// foreground op lands entirely on the old owner sets or entirely on the
 	// new — never half and half.
@@ -144,46 +139,54 @@ func (s *Store) runMembershipChange(ctx *storage.Context, op uint8, node cluster
 	return nil
 }
 
-// resumeMigration rolls an interrupted migration forward: Recover calls it
-// once every server has been recovered and an open intent was replayed. If
-// the crash preceded the epoch bump the reconcile sweep finds placement
-// already consistent and the intent is simply closed; the drain of a
-// removed node is likewise skipped when the ring still contains it.
+// resumeMigration rolls an open intent forward: an interrupted migration
+// replayed by Recover, or a drain whose node still held a copy. It runs once
+// no server is wiped — its unreplayed state must not be reconciled around —
+// and not while a membership change runs: that one closes the intent itself
+// or leaves it to the next Recover or up-flip.
+// If the crash preceded the epoch bump the reconcile sweep finds placement
+// already consistent and the intent is simply closed; the drain of a removed
+// node is likewise skipped when the ring still contains it.
 func (s *Store) resumeMigration(ctx *storage.Context) {
-	s.migrateMu.Lock()
+	for _, sv := range s.servers {
+		if sv.isWiped() {
+			return
+		}
+	}
+	if s.migIntent.Load() == nil || !s.migrateMu.TryLock() {
+		return
+	}
 	defer s.migrateMu.Unlock()
 	intent := s.migIntent.Load()
 	if intent == nil {
 		return
 	}
-	if intent.seq > s.migSeq {
-		s.migSeq = intent.seq
-	}
-	s.migrating.Add(1)
-	defer s.migrating.Add(-1)
+	s.migSeq = max(s.migSeq, intent.seq)
 	s.runMigration(ctx)
 	s.finishMigration(ctx, intent)
 }
 
-// finishMigration drains a removed node, works off the repair debt listed
-// during the sweep, and durably closes the intent.
+// finishMigration works off the repair debt listed during the sweep, then
+// durably closes the intent — unless a drained node still holds an entry or
+// is crash-wiped. Its lanes are reset only once it holds nothing, so a reset
+// can never take the last copy of a version or the debt that names its
+// owners; until then the intent stays open for resumeMigration.
 func (s *Store) finishMigration(ctx *storage.Context, intent *migrationIntent) {
-	cg := s.directCharge(ctx)
-	skip := -1
-	if intent.op == migOpRemove && !s.serving(int(intent.node)) {
-		skip = int(intent.node)
-		sv := s.servers[skip]
-		sv.reset()
-		// Reset the drained node's log lanes along with its memory: a
-		// populated log would let a later Recover or rejoin resurrect
-		// pre-drain descriptors and chunks the survivors now own.
-		sv.wal.ResetAll()
-	}
 	// Drain the debt the sweep listed for owners it left behind (fault-failed
 	// installs, a source that was down) and the bits the membership change
 	// orphaned. Targets still unreachable stay listed and converge when they
 	// come back (Recover / SetDown(false)).
 	s.Repair(ctx)
+	skip := -1
+	if intent.op == migOpRemove && !s.serving(int(intent.node)) {
+		skip = int(intent.node)
+		sv := s.servers[skip]
+		if !sv.holdsNothing() {
+			return
+		}
+		sv.wal.ResetAll()
+	}
+	cg := s.directCharge(ctx)
 	s.logIntent(&cg, wal.RecMigrateEnd, intent, skip)
 	s.migIntent.Store(nil)
 }
@@ -229,7 +232,19 @@ func (s *Store) runMigration(ctx *storage.Context) {
 			budget += s.cfg.MigrationRateBytes
 		}
 		budget -= bytes
-		s.runBatch(ctx, &cg, moves[:n])
+		// A batch is what the throttle debits and a batch event reports,
+		// nothing more: every record a task appends is durable and
+		// self-contained, and each task lists whoever it left behind.
+		fan := s.newFan()
+		for _, mv := range moves[:n] {
+			t := fan.task(taskFunc)
+			t.fn = func(tcg *charge) error {
+				s.reconcileChunk(tcg, mv.h, mv.id, scope{owed: ^uint64(0), drop: true})
+				return nil
+			}
+			fan.spawn(t)
+		}
+		fan.join(ctx)
 		if s.observe != nil {
 			s.observe(Event{Kind: EventBatch, Batch: batch})
 		}
@@ -247,9 +262,7 @@ func (s *Store) runMigration(ctx *storage.Context) {
 func (s *Store) migrateDescriptors(cg *charge) {
 	lists := make([][]string, len(s.servers))
 	for i, sv := range s.servers {
-		if !sv.isWiped() {
-			lists[i] = sv.keys()
-		}
+		lists[i] = sv.keys() // a crash-wiped server holds only what handovers put
 	}
 	for _, key := range mergeKeys(lists) {
 		owners := s.descOwners(key)
@@ -267,7 +280,7 @@ func (s *Store) migrateDescriptors(cg *charge) {
 		}
 		s.unlockKey(key, false)
 		for i, sv := range s.servers {
-			if !sv.isWiped() && !containsNode(owners, i) && sv.dropDesc(key) {
+			if !containsNode(owners, i) && sv.dropDesc(key) {
 				s.walAppendMeta(cg, sv, wal.RecDelete, key, 0)
 			}
 		}
@@ -290,31 +303,41 @@ type migMove struct {
 	bytes int
 }
 
-// migrationPlan scans every surviving server's chunk table and returns, in
-// sorted order, the chunks whose placement disagrees with the current ring:
-// an owner missing the chunk or holding a version behind the freshest
+// migrationPlan returns the chunks whose placement disagrees with the current
+// ring: an owner missing the chunk or holding a version behind the freshest
 // surviving copy, or a holder outside the replica set. The plan carries no
-// placement snapshot — each batch task re-surveys at execution time, so the
-// same plan formulation serves fresh migrations and crash roll-forward alike.
+// placement snapshot — each batch task surveys at execution time, so the same
+// plan formulation serves fresh migrations and crash roll-forward alike.
 func (s *Store) migrationPlan() []migMove {
+	return s.chunkPlan(func(id chunkID, h, holders, maxVer uint64) bool {
+		for _, o := range s.ownersForHash(h) {
+			if s.servers[o].chunkVer(h, id) < maxVer {
+				return true
+			}
+			holders &^= 1 << uint(o)
+		}
+		return holders != 0
+	})
+}
+
+// chunkPlan returns, sorted, a move for every chunk some server holds that
+// keep selects, given its placement hash, its holders' bitmask and their
+// highest version; a move carries its largest copy's size for the throttle.
+// A crash-wiped server holds nothing.
+func (s *Store) chunkPlan(keep func(id chunkID, h, holders, maxVer uint64) bool) []migMove {
 	type chunkInfo struct {
-		holders uint64
-		maxVer  uint64
-		bytes   int
+		holders, maxVer uint64
+		bytes           int
 	}
 	infos := make(map[chunkID]*chunkInfo)
 	for i, sv := range s.servers {
-		if sv.isWiped() {
-			continue
-		}
-		bit := uint64(1) << uint(i)
 		sv.forEachChunk(func(id chunkID, data []byte, ver uint64) {
 			ci := infos[id]
 			if ci == nil {
 				ci = &chunkInfo{}
 				infos[id] = ci
 			}
-			ci.holders |= bit
+			ci.holders |= 1 << uint(i)
 			ci.maxVer = max(ci.maxVer, ver)
 			ci.bytes = max(ci.bytes, len(data))
 		})
@@ -327,88 +350,9 @@ func (s *Store) migrationPlan() []migMove {
 	var moves []migMove
 	for _, id := range ids {
 		ci := infos[id]
-		h := id.ringHash()
-		var ownerBits uint64
-		need := false
-		for _, o := range s.ownersForHash(h) {
-			ownerBits |= 1 << uint(o)
-			if s.servers[o].chunkVer(h, id) < ci.maxVer {
-				need = true
-			}
-		}
-		if need || ci.holders&^ownerBits != 0 {
+		if h := id.ringHash(); keep(id, h, ci.holders, ci.maxVer) {
 			moves = append(moves, migMove{id: id, h: h, bytes: ci.bytes})
 		}
 	}
 	return moves
-}
-
-// runBatch moves one bounded batch of chunks: a batch is what the throttle
-// debits and a batch event reports, nothing more — every record a task
-// appends is durable and self-contained on its own.
-func (s *Store) runBatch(ctx *storage.Context, cg *charge, moves []migMove) {
-	fan := s.newFan()
-	for _, mv := range moves {
-		t := fan.task(taskFunc)
-		t.fn = func(tcg *charge) error {
-			s.migrateChunk(tcg, mv)
-			return nil
-		}
-		fan.spawn(t)
-	}
-	fan.join(ctx)
-	// Whoever the batch left behind (a faulted or wiped-then-recovered target,
-	// a source that was down) goes on the work list; a dropped stray's own
-	// entries went with its copy and are re-derived here from versions.
-	for _, mv := range moves {
-		sy := s.surveyChunk(mv.h, mv.id, nil)
-		s.oweBehind(cg, mv.h, mv.id, &sy)
-	}
-}
-
-// migrateChunk reconciles one chunk's replica set as a fan task: the
-// highest-version surviving copy is installed on every reachable owner behind
-// it, and holders outside the replica set drop theirs once an owner holds
-// those bytes — installs before drops, in memory and in the logs, so a racing
-// survey never loses sight of the maximum and neither does a crash. A copy
-// taken before a concurrent delete or truncate is older than the version that
-// op stamps, so the install guard refuses it. The source is read once, and
-// every target copies that read into its own log (installChunk).
-func (s *Store) migrateChunk(cg *charge, mv migMove) {
-	h, id := mv.h, mv.id
-	sy := s.surveyChunk(h, id, nil)
-	src := sy.source(nil, true)
-	if src == nil || s.faultCheck(cg, src.sv.node, cluster.FaultDiskRead) != nil {
-		return // nothing readable this round: every copy stays put
-	}
-	c, srcVer, ok := src.sv.chunkEntry(h, id)
-	if !ok {
-		return // the source lost its copy meanwhile
-	}
-	// One source read serves every destination.
-	cg.diskRead(src.sv.node, len(c.b))
-	reached := false
-	for i := range sy.reps {
-		r := &sy.reps[i]
-		if !r.owner {
-			continue
-		}
-		if r.ver >= srcVer {
-			reached = true
-			continue
-		}
-		// A crash-wiped owner cannot take the copy (its own Recover resyncs
-		// it); a soft-DOWN one receives it exactly as it receives a
-		// foreground write after the placement survey.
-		if r.wiped || s.faultCheck(cg, r.sv.node, cluster.FaultDiskWrite) != nil {
-			continue
-		}
-		s.installChunk(cg, r.sv, h, id, c, srcVer)
-		reached = true
-	}
-	// Holders outside the replica set drop their copy — but never the last
-	// copy of a version no owner holds yet.
-	if reached {
-		s.dropStrays(cg, &sy, h, id, srcVer)
-	}
 }

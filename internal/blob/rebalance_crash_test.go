@@ -14,9 +14,10 @@
 //     quiescent gap between two batches) and crashes after: the compacted
 //     logs must still replay an open RecMigrateBegin — the planner re-logs
 //     it ahead of the snapshot — and roll forward.
-//   - TestRemoveServerResetsWAL is the satellite regression: a drained
-//     node's lanes are reset with its memory, so a later crash/recover
-//     cycle cannot resurrect pre-drain state.
+//   - TestRemoveServerResetsWAL: a drained node's lanes are reset once it
+//     holds nothing, so a later crash/recover cycle cannot resurrect
+//     pre-drain state; a node still holding a copy no owner can take keeps
+//     its log and the open intent until the owners come back.
 //   - TestMigrationThrottle pins the token bucket in virtual time.
 //   - TestMigrationUnderLiveTraffic runs concurrent foreground readers and
 //     writers (plain and 2PC) across a live join and drain, requiring every
@@ -278,31 +279,70 @@ func TestMigrationCheckpointCarriesIntent(t *testing.T) {
 
 // TestRemoveServerResetsWAL pins the drain-the-logs fix: after RemoveServer
 // the drained node's lanes are empty, and a crash/recover cycle of the whole
-// cluster resurrects none of its pre-drain state.
+// cluster resurrects none of its pre-drain state. In "only-copy-blocked" the
+// drained node holds a copy no owner can take — each is faulted, two are down
+// — so the node keeps its copy, its log and the open intent until the owners
+// come back up, and only then is reset.
 func TestRemoveServerResetsWAL(t *testing.T) {
-	c := cluster.New(cluster.Config{Nodes: 4, Seed: 6})
-	s := New(c, Config{ChunkSize: 64, Replication: 2, WALLanes: 4, InlineFanout: true})
-	ctx := storage.NewContext()
-	expect := seedBlobs(t, s, ctx, 20)
-
-	if err := s.RemoveServer(ctx, 1); err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		name string
+		// drain builds a store and drains one node; heal, when set, is what
+		// the drain waits for before it can finish.
+		drain func(t *testing.T) (s *Store, node cluster.NodeID, verify func())
+		heal  func(s *Store)
+	}{
+		{"fault-free", func(t *testing.T) (*Store, cluster.NodeID, func()) {
+			c := cluster.New(cluster.Config{Nodes: 4, Seed: 6})
+			s := New(c, Config{ChunkSize: 64, Replication: 2, WALLanes: 4, InlineFanout: true})
+			ctx := storage.NewContext()
+			expect := seedBlobs(t, s, ctx, 20)
+			if err := s.RemoveServer(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			return s, 1, func() { verifyBlobs(t, s, ctx, expect) }
+		}, nil},
+		{"only-copy-blocked", func(t *testing.T) (*Store, cluster.NodeID, func()) {
+			s, data := onlyCopyOnNode4(t)
+			faultK3Owners(s)
+			if err := s.RemoveServer(storage.NewContext(), 4); err != nil {
+				t.Fatal(err)
+			}
+			return s, 4, func() { readsK3(t, s, data) }
+		}, func(s *Store) {
+			s.cluster.SetFaultInjector(nil)
+			s.SetDown(1, false)
+			s.SetDown(0, false)
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s, node, verify := row.drain(t)
+			if row.heal != nil {
+				if recs, err := s.LogRecords(node); err != nil || len(recs) == 0 || s.migIntent.Load() == nil {
+					t.Fatalf("drain with its only copy blocked: %d log records (%v), intent %v; want the log and the intent kept",
+						len(recs), err, s.migIntent.Load())
+				}
+				row.heal(s)
+				if s.migIntent.Load() != nil {
+					t.Fatal("the drain's intent is still open after the owners came back")
+				}
+			}
+			recs, err := s.LogRecords(node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 0 {
+				t.Fatalf("drained node's WAL still holds %d records (first: %v)", len(recs), recs[0].Type)
+			}
+			crashRecoverAll(t, s, false)
+			if got := s.DescriptorCount(node) + s.ChunkCount(node); got != 0 {
+				t.Fatalf("crash/recover resurrected %d objects on the drained node", got)
+			}
+			if len(s.ServingNodes()) != len(s.servers)-1 {
+				t.Fatalf("serving nodes = %v", s.ServingNodes())
+			}
+			verify()
+		})
 	}
-	recs, err := s.LogRecords(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("drained node's WAL still holds %d records (first: %v)", len(recs), recs[0].Type)
-	}
-	crashRecoverAll(t, s, false)
-	if got := s.DescriptorCount(1) + s.ChunkCount(1); got != 0 {
-		t.Fatalf("crash/recover resurrected %d objects on the drained node", got)
-	}
-	if len(s.ServingNodes()) != 3 {
-		t.Fatalf("serving nodes = %v", s.ServingNodes())
-	}
-	verifyBlobs(t, s, ctx, expect)
 }
 
 // TestMigrationThrottle pins the token bucket: the same join under a tight

@@ -108,6 +108,111 @@ func TestRemoveServerDrains(t *testing.T) {
 	verifyBlobs(t, s, ctx, expect)
 }
 
+// onlyCopyOnNode4 builds the shape the drain regressions share: 5 nodes,
+// seed 1, ChunkSize 16, R 3, and blob k3, whose chunk 0 is owned by [1 0 4]
+// and by [1 0 3] once node 4 leaves. With nodes 1 and 0 down, its 16-byte
+// write lands on node 4 alone, which lists them as repair debt.
+func onlyCopyOnNode4(t *testing.T) (*Store, []byte) {
+	t.Helper()
+	cfg := Config{ChunkSize: 16, Replication: 3}
+	s := New(cluster.New(cluster.Config{Nodes: 5, Seed: 1}), cfg)
+	after := NewOnNodes(cluster.New(cluster.Config{Nodes: 5, Seed: 1}), cfg, []cluster.NodeID{0, 1, 2, 3})
+	id := chunkID{"k3", 0}
+	if got := fmt.Sprint(s.chunkOwners(id), after.chunkOwners(id)); got != "[1 0 4] [1 0 3]" {
+		t.Fatalf("chunk 0 of k3 owned by %s before and after the drain, want [1 0 4] [1 0 3]", got)
+	}
+	ctx := storage.NewContext()
+	if err := s.CreateBlob(ctx, "k3"); err != nil {
+		t.Fatal(err)
+	}
+	s.SetDown(1, true)
+	s.SetDown(0, true)
+	data := pattern(3, 16)
+	if _, err := s.WriteBlob(ctx, "k3", 0, data); err != nil {
+		t.Fatal(err)
+	}
+	return s, data
+}
+
+// faultK3Owners fails every disk write on nodes 1, 0 and 3, the owners of
+// k3's chunk 0 once node 4 has left.
+func faultK3Owners(s *Store) {
+	var rules []cluster.FaultRule
+	for _, n := range []cluster.NodeID{1, 0, 3} {
+		rules = append(rules, cluster.FaultRule{Node: n, Kind: cluster.FaultDiskWrite, Prob: 1,
+			Fault: cluster.Fault{Err: errors.New("injected: disk write refused")}})
+	}
+	s.cluster.SetFaultInjector(cluster.NewFaultPlan(1, rules))
+}
+
+// readsK3 requires k3 to read back data and the store's invariants to hold.
+func readsK3(t *testing.T, s *Store, data []byte) {
+	t.Helper()
+	got := make([]byte, len(data))
+	if n, err := s.ReadBlob(storage.NewContext(), "k3", 0, got); err != nil || !bytes.Equal(got[:n], data) {
+		t.Fatalf("read k3 = (%x, %v), want the acknowledged %x", got[:n], err, data)
+	}
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// TestDrainKeepsOnlyCopy: a drain must not lose an acknowledged write whose
+// only copy sits on the drained node. In "faulted-owners" every owner refuses
+// the sweep's install until batch 0 has ended, so the copy and the debt that
+// names the owners are still node 4's when the sweep is done; resetting the
+// node then, or dropping the copy together with that debt once one owner has
+// caught up, leaves the others behind with nothing naming them. In "wiped"
+// node 4 has crashed before the drain, so its log is the copy's only home
+// until Recover replays it; resetting that log loses it.
+func TestDrainKeepsOnlyCopy(t *testing.T) {
+	for _, arm := range []struct {
+		name  string
+		drain func(t *testing.T, s *Store)
+	}{
+		{"faulted-owners", func(t *testing.T, s *Store) {
+			faultK3Owners(s)
+			s.Observe(func(ev Event) {
+				if ev.Kind == EventBatch && ev.Batch == 0 {
+					s.cluster.SetFaultInjector(nil)
+				}
+			})
+			if err := s.RemoveServer(storage.NewContext(), 4); err != nil {
+				t.Fatal(err)
+			}
+			s.Observe(nil)
+			s.SetDown(1, false)
+			s.SetDown(0, false)
+		}},
+		{"wiped", func(t *testing.T, s *Store) {
+			s.Crash(4)
+			if err := s.RemoveServer(storage.NewContext(), 4); err != nil {
+				t.Fatal(err)
+			}
+			s.SetDown(1, false)
+			s.SetDown(0, false)
+			if err := s.Recover(4); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			s, data := onlyCopyOnNode4(t)
+			arm.drain(t, s)
+			readsK3(t, s, data)
+			if s.migIntent.Load() != nil {
+				t.Fatal("the drain's intent is still open")
+			}
+			if n := s.ChunkCount(4) + s.DescriptorCount(4); n != 0 {
+				t.Fatalf("drained node 4 still holds %d entries", n)
+			}
+			if recs, err := s.LogRecords(4); err != nil || len(recs) != 0 {
+				t.Fatalf("drained node 4's log holds %d records (%v)", len(recs), err)
+			}
+		})
+	}
+}
+
 func TestRemoveServerValidation(t *testing.T) {
 	c := cluster.New(cluster.Config{Nodes: 2, Seed: 1})
 	s := NewOnNodes(c, Config{Replication: 1}, []cluster.NodeID{0})
@@ -226,9 +331,9 @@ func TestLeftoverStrayNeverOutranksRecreatedBlob(t *testing.T) {
 	s.cluster.SetFaultInjector(nil)
 	// A writer's own drain during a migration catches the owner up but leaves
 	// strays to the sweep, so the debt entry the stray holds must stay too.
-	s.migrating.Add(1)
+	s.migIntent.Store(&migrationIntent{})
 	s.repairDrain(ctx, joined)
-	s.migrating.Add(-1)
+	s.migIntent.Store(nil)
 	if s.RepairPending() == 0 {
 		t.Errorf("a writer's drain during a migration cleared the debt that names the leftover stray")
 	}

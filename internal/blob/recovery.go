@@ -218,26 +218,14 @@ func (s *Store) Recover(node cluster.NodeID) error {
 	// sweep may just have recorded debt naming LIVE peers that missed
 	// writes this node's replayed log proves were acknowledged.
 	s.Repair(storage.NewContext())
-	// Roll an interrupted migration forward once the whole store is back:
-	// the reconcile sweep re-runs from the replayed intent (idempotent —
+	// Roll an open intent forward once the whole store is back: the
+	// reconcile sweep re-runs from the replayed intent (idempotent —
 	// placement already consistent means an empty plan) and the intent is
 	// durably closed. While any server is still wiped, its unreplayed state
 	// must not be reconciled around, so the roll-forward waits for the last
 	// Recover of the crash.
-	if s.migIntent.Load() != nil && !s.anyWiped() {
-		s.resumeMigration(storage.NewContext())
-	}
+	s.resumeMigration(storage.NewContext())
 	return nil
-}
-
-// anyWiped reports whether any server is crashed-but-not-yet-recovered.
-func (s *Store) anyWiped() bool {
-	for _, sv := range s.servers {
-		if sv.isWiped() {
-			return true
-		}
-	}
-	return false
 }
 
 // ckptLane is one lane's share of a checkpoint snapshot: the descriptor
@@ -421,7 +409,7 @@ func (s *Store) CheckpointAll() {
 		plan *ckptLane
 		lane int
 	}
-	forget := s.clean() && s.migIntent.Load() == nil
+	forget := s.clean()
 	for _, sv := range s.servers {
 		forget = forget && !sv.isDown()
 	}

@@ -9,23 +9,29 @@ import (
 	"repro/internal/wal"
 )
 
-// repair.go — the repair work list. Debt entries (RecRepairNeeded, a per-chunk
-// bitmask of owners on each holder) name the replicas known to be behind; they
-// decide nothing about freshness (survey.go does, from versions alone) and
-// exist so the store knows it is not clean and where the work is. Three
-// generators feed the same pull (pullChunk: survey, snapshot the best live
-// source, version-guarded installChunk):
+// repair.go — the one chunk move and its work list. reconcileChunk is the
+// only way a chunk's bytes go from one replica to another: it surveys once,
+// reads the freshest live copy once for every reachable owner in scope that
+// sits behind it (installChunk), drops the strays an owner's version now
+// covers (dropStrays), clears the debt that was paid and lists whoever is
+// still behind (oweBehind). Debt entries (RecRepairNeeded, a per-chunk
+// bitmask of owners on each holder) name the replicas known to be behind;
+// they decide nothing about freshness (survey.go does, from versions alone)
+// and exist so the store knows it is not clean and where the work is. Three
+// work sources feed the reconcile and differ only in its scope:
 //
-//   - debt entries (Repair): a degraded write lists, on every
-//     owner that applied it, the owners it excluded. An entry for target T on
-//     holder H clears once ver(T) ≥ ver(H).
-//   - the rejoin sweep (resyncNode): a crash can tear a WAL lane tail and drop
-//     acknowledged writes, deletes and truncates — and the debt records
+//   - the debt list (Repair): a degraded write lists, on every owner that
+//     applied it, the owners it excluded; an entry for target T on holder H
+//     clears once ver(T) ≥ ver(H).
+//   - the rejoin candidates (resyncNode): a crash can tear a WAL lane tail and
+//     drop acknowledged writes, deletes and truncates — and the debt records
 //     naming them — so Recover compares versions with the live peers BEFORE
-//     marking the node up, pulls what is newer, and lists whoever is left
-//     behind (oweBehind). A node that replays a chunk its peers dropped holds
-//     an older version than their tombstone, so it simply pulls the tombstone.
-//   - the ring diff (rebalance.go), which throttles its installs in batches.
+//     marking the node up, pulls what is newer and lists whoever is left
+//     behind. A node that replays a chunk its peers dropped holds an older
+//     version than their tombstone, so it simply pulls the tombstone.
+//   - the ring diff (rebalance.go), which throttles its chunks in batches. A
+//     drained node is just a holder outside the ring: its copies go through
+//     the same logged drops as any stray's.
 //
 // Repair and the sweep's chunk batches run on the dispatch pool as ordinary
 // fan tasks and obey the dispatch.go contract: stripe locks and WAL appends
@@ -48,31 +54,28 @@ func (s *Store) Repair(ctx *storage.Context) int {
 }
 
 // repairDrain is the drain loop. only < 0 services every owed node; otherwise
-// only that node's bit (a writer whose excluded owner rejoined mid-write),
-// ending early if that node goes down again. Each round fans the collected
-// items across the worker pool and re-collects; it terminates when a round
-// finds no debt or clears nothing (progress is required so an unreachable
-// target cannot spin the loop). A writer's drain during a migration leaves
-// strays to the sweep, which drops them itself, so the write pays only for
-// its own catch-up; every other drain drops them.
+// only that node's bit (a writer whose excluded owner rejoined mid-write).
+// Each round fans the collected items across the worker pool and re-collects;
+// it terminates when a round finds no debt or clears nothing (progress is
+// required so an unreachable target — down again, faulted, or behind a
+// source that is down — cannot spin the loop). A writer's drain during a
+// migration leaves strays to the sweep, which drops them itself, so the
+// write pays only for its own catch-up; every other drain drops them.
 func (s *Store) repairDrain(ctx *storage.Context, only cluster.NodeID) int {
 	total := 0
 	for {
-		if only >= 0 && s.servers[int(only)].isDown() {
-			return total
-		}
 		work := s.collectDebt(only)
 		if len(work) == 0 {
 			return total
 		}
-		drop := only < 0 || s.migrating.Load() == 0
+		drop := only < 0 || s.migIntent.Load() == nil
 		var progressed atomic.Int64
 		fan := s.newFan()
 		for _, w := range work {
 			w := w
 			t := fan.task(taskFunc)
 			t.fn = func(cg *charge) error {
-				if s.repairChunk(cg, w.id, w.mask, drop) {
+				if s.reconcileChunk(cg, w.id.ringHash(), w.id, scope{owed: w.mask, drop: drop, count: "blob.repair"}) {
 					progressed.Add(1)
 				}
 				return nil
@@ -111,80 +114,93 @@ func (s *Store) collectDebt(only cluster.NodeID) []repairItem {
 	return items
 }
 
-// repairChunk services one chunk's owed targets: pull the best live copy
-// onto each live owner named, then clear its bit on every owner it caught up
-// with. A bit naming a non-owner was orphaned by a membership change — that
-// node will never serve the chunk — and clears outright. Owners are resolved
-// here, at execution time, so a membership change between collection and
-// this task needs no other coordination. Reports whether anything changed; a
-// target whose only newer source is down makes no progress, which is what
-// stops the drain loop.
-//
-// With drop set, the owner's catch-up also drops every stray at or below it
-// (dropStrays). A leftover stray would outrank the blob's next incarnation
-// once a clean checkpoint has forgotten the tombstones above it, so a stray's
-// entry goes only with its copy: cleared alone, it would let the store look
-// clean around the stray.
-func (s *Store) repairChunk(cg *charge, id chunkID, owed uint64, drop bool) bool {
-	h := id.ringHash()
-	sy := s.surveyChunk(h, id, nil)
-	progress := false
-	for node, sv := range s.servers {
-		bit := uint64(1) << uint(node)
-		if owed&bit == 0 {
-			continue
-		}
-		upTo := anyVer // a non-owner's bit clears whatever the holder's version
-		if t := sy.find(sv); t != nil && t.owner {
-			if !t.live {
-				continue
-			}
-			var installed bool
-			if upTo, installed = s.pullChunk(cg, &sy, t, h, id, "blob.repair"); installed {
-				progress = true
-			}
-			if drop {
-				s.dropStrays(cg, &sy, h, id, upTo)
-			}
-		}
-		for _, holder := range s.servers {
-			if r := sy.find(holder); upTo != anyVer && r != nil && !r.owner {
-				continue
-			}
-			if s.clearDebt(cg, holder, h, id, bit, upTo) {
-				progress = true
-			}
-		}
-	}
-	return progress
+// scope is what one reconcileChunk may do; the work sources differ only here.
+type scope struct {
+	// owed names the owners to bring up and whose debt bits to clear. A bit
+	// naming a non-owner was orphaned by a membership change and clears
+	// outright. The sweep passes every bit.
+	owed uint64
+	// down lets a soft-down owner take the copy: the rejoining node, which
+	// Recover marks up only after its resync.
+	down  bool
+	drop  bool   // drop the strays an owner's version covers
+	count string // counter prefix for installs (kind.chunks/.bytes), "" for none
 }
 
-// pullChunk brings the surveyed replica me up to the best live copy the
-// survey found: the source is snapshotted under its stripe RLock, installed
-// under the target's stripe lock, and the two are never held together — the
-// version guard at install, not lock coverage, keeps a racing writer's newer
-// data. The survey is updated with what the copy saw. Returns me's version
-// afterwards and whether bytes went in (counted under kind.chunks/.bytes).
-func (s *Store) pullChunk(cg *charge, sy *chunkSurvey, me *replica, h uint64, id chunkID, kind string) (uint64, bool) {
-	src := sy.source(me.sv, false)
-	if src == nil || src.ver <= me.ver ||
-		s.faultCheck(cg, src.sv.node, cluster.FaultDiskRead) != nil ||
-		s.faultCheck(cg, me.sv.node, cluster.FaultDiskWrite) != nil {
-		return me.ver, false
+// reconcileChunk is the one chunk move. From one survey it
+//
+//  1. reads the freshest live copy once and installs it on every owner in
+//     scope behind it that can take it — not crash-wiped, not write-faulted,
+//     up unless the scope says otherwise;
+//  2. then drops every stray at or below the highest version an owner holds;
+//  3. clears each owed bit on every owner holder its target caught up with —
+//     a stray's entries go only with its copy: a leftover stray would outrank
+//     the blob's next incarnation once a clean checkpoint has forgotten the
+//     tombstones above it, so its entry alone must not make the store look
+//     clean;
+//  4. lists every owner still behind (oweBehind), re-deriving the debt a
+//     dropped stray took with it.
+//
+// The source is snapshotted under its stripe RLock and installed under each
+// target's, never both at once: the version guard at install keeps a racing
+// writer's newer data, and a copy taken before a concurrent delete or
+// truncate is older than the version that op stamps. Owners are resolved at
+// execution time, so a membership change between a work source's listing and
+// this call needs no other coordination. Reports whether anything was
+// installed or cleared.
+func (s *Store) reconcileChunk(cg *charge, h uint64, id chunkID, sc scope) bool {
+	var buf [8]replica
+	sy := s.surveyChunk(h, id, buf[:])
+	progress := false
+	if src := sy.source(); src != nil && s.faultCheck(cg, src.sv.node, cluster.FaultDiskRead) == nil {
+		if c, ver, ok := src.sv.chunkEntry(h, id); ok {
+			read := false
+			for i := range sy.reps {
+				r := &sy.reps[i]
+				if !r.owner || sc.owed&r.bit() == 0 || r.ver >= ver || r.wiped || !r.live && !sc.down ||
+					s.faultCheck(cg, r.sv.node, cluster.FaultDiskWrite) != nil {
+					continue
+				}
+				if !read {
+					cg.diskRead(src.sv.node, len(c.b)) // one read serves every target
+					read = true
+				}
+				var installed bool
+				if r.ver, installed = s.installChunk(cg, r.sv, h, id, c, ver); installed {
+					progress = true
+					if sc.count != "" {
+						s.metrics.Counter(sc.count + ".chunks").Inc()
+						s.metrics.Counter(sc.count + ".bytes").Add(int64(len(c.b)))
+					}
+				}
+			}
+			src.ver = max(src.ver, ver) // a racing write may have moved it since the survey
+			sy.max = max(sy.max, ver)
+		}
 	}
-	c, ver, ok := src.sv.chunkEntry(h, id)
-	if !ok {
-		return me.ver, false
+	var reached, owners uint64
+	for i := range sy.reps {
+		if r := &sy.reps[i]; r.owner {
+			reached, owners = max(reached, r.ver), owners|r.bit()
+		}
 	}
-	cg.diskRead(src.sv.node, len(c.b))
-	var installed bool
-	if me.ver, installed = s.installChunk(cg, me.sv, h, id, c, ver); installed {
-		s.metrics.Counter(kind + ".chunks").Inc()
-		s.metrics.Counter(kind + ".bytes").Add(int64(len(c.b)))
+	if sc.drop {
+		s.dropStrays(cg, &sy, h, id, reached)
 	}
-	src.ver = max(src.ver, ver)
-	sy.max = max(sy.max, ver)
-	return me.ver, installed
+	for i := range sy.reps {
+		holder := &sy.reps[i]
+		paid := sc.owed &^ owners
+		for j := range sy.reps {
+			if t := &sy.reps[j]; holder.owner && t.owner && t.ver >= holder.ver {
+				paid |= sc.owed & t.bit()
+			}
+		}
+		if holder.ver > 0 && paid != 0 && s.clearDebt(cg, holder.sv, h, id, paid, holder.ver) {
+			progress = true
+		}
+	}
+	s.oweBehind(cg, h, id, &sy)
+	return progress
 }
 
 // recordDebt merges owed into the chunk's debt mask on sv and logs the
@@ -201,16 +217,17 @@ func (s *Store) recordDebt(cg *charge, sv *server, h uint64, id chunkID, owed ui
 	st.mu.Unlock()
 }
 
-// clearDebt removes bit from the chunk's debt mask on sv and logs the
+// clearDebt removes bits from the chunk's debt mask on sv and logs the
 // reduced mask, but only while sv holds nothing newer than upTo, the version
-// the named target reached: a holder past it recorded (or is about to record,
-// under this same stripe lock's ordering) a write the target still misses.
-func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bit, upTo uint64) bool {
+// at which its targets were seen to catch up with it: a holder past it
+// recorded (or is about to record, under this same stripe lock's ordering) a
+// write a target still misses.
+func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bits, upTo uint64) bool {
 	st := sv.stripe(h)
 	st.mu.Lock()
 	cleared := false
-	if mask, ok := st.debt[id]; ok && mask&bit != 0 && st.ver[id] <= upTo {
-		mask &^= bit
+	if mask, ok := st.debt[id]; ok && mask&bits != 0 && st.ver[id] <= upTo {
+		mask &^= bits
 		sv.setDebtLocked(st, id, mask)
 		s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil, 0)
 		cleared = true
@@ -223,8 +240,8 @@ func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bit, upT
 // maximum as repair debt on every holder of that maximum (soft-down holders
 // included: retained memory and log stay mutable). This is work-list
 // completeness — a replica that may not serve is named by some entry, so the
-// store never looks clean around it. A concurrent writer can make a peer look
-// transiently behind; the spurious bit clears at the next repair pass.
+// store never looks clean around it. A concurrent writer can make a peer
+// look transiently behind; the spurious bit clears at the next repair pass.
 func (s *Store) oweBehind(cg *charge, h uint64, id chunkID, sy *chunkSurvey) {
 	behind, _ := sy.behind()
 	if behind == 0 {
@@ -238,49 +255,25 @@ func (s *Store) oweBehind(cg *charge, h uint64, id chunkID, sy *chunkSurvey) {
 }
 
 // resyncNode converges the still-down sv with its peers, descriptors first,
-// then chunk by chunk: pull what a live peer holds newer, list whoever is then
-// behind. Recover runs this after replaying sv's log and BEFORE marking sv up:
-// the merged-replay prefix contract discards everything behind a torn lane
-// tail, including acknowledged writes and drops together with the debt records
-// that named them, and version comparison is the only witness left. It runs
-// both ways — sv's replayed version is authoritative for what it holds (a
-// record is only logged for an applied mutation), so a peer behind it missed
-// mutations even if the record saying so was torn off.
+// then every chunk it owns that any server holds, through reconcileChunk
+// scoped to sv: pull what a live peer holds newer, list whoever is then
+// behind. Recover runs this after replaying sv's log and BEFORE marking sv
+// up: the merged-replay prefix contract discards everything behind a torn
+// lane tail, including acknowledged writes and drops together with the debt
+// records that named them, and version comparison is the only witness left.
+// It runs both ways — sv's replayed version is authoritative for what it
+// holds (a record is only logged for an applied mutation), so a peer behind
+// it missed mutations even if the record saying so was torn off.
 //
 // Quiescence is NOT required: sv is still down, so writers neither read nor
 // update its copies beyond the retained-memory applies, and those only move
 // versions forward — the same monotonic guard the install uses.
 func (s *Store) resyncNode(sv *server) {
-	// Candidates: everything the live peers hold (what sv might have to
-	// pull) plus everything sv itself replayed (chunks the peers might be
-	// missing outright).
-	candidates := make(map[chunkID]bool)
-	for _, peer := range s.servers {
-		if peer != sv && peer.isDown() {
-			continue
-		}
-		peer.forEachChunk(func(id chunkID, _ []byte, _ uint64) {
-			candidates[id] = true
-		})
-	}
-	ids := make([]chunkID, 0, len(candidates))
-	for id := range candidates {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].less(ids[j]) })
-	ctx := storage.NewContext()
-	cg := s.directCharge(ctx)
+	cg := s.directCharge(storage.NewContext())
 	s.resyncDescriptors(sv, &cg)
-	for _, id := range ids {
-		h := id.ringHash()
-		if !containsNode(s.ownersForHash(h), int(sv.node)) {
-			continue
-		}
-		sy := s.surveyChunk(h, id, nil)
-		if me := sy.find(sv); me != nil {
-			s.pullChunk(&cg, &sy, me, h, id, "blob.resync")
-		}
-		s.oweBehind(&cg, h, id, &sy)
+	me := int(sv.node)
+	for _, mv := range s.chunkPlan(func(id chunkID, h, _, _ uint64) bool { return containsNode(s.ownersForHash(h), me) }) {
+		s.reconcileChunk(&cg, mv.h, mv.id, scope{owed: 1 << uint(me), down: true, drop: true, count: "blob.resync"})
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 // version. So versions never go backwards, and "which replica may serve or
 // seed a copy?" has one answer everywhere: a holder at the highest version
 // any non-wiped server holds. surveyChunk collects those versions, serveChunk
-// applies the rule to reads and rename snapshots, installChunk is the only
-// way a replica changes outside a foreground op. Repair debt plays no part
-// in the decision — it is the work list repair.go drains, and its store-wide
-// count (with Store.migrating) is only the "not known clean" gate that keeps
-// the healthy path probe-free.
+// applies the rule to reads and rename snapshots, and outside a foreground op
+// a replica changes only through reconcileChunk's installChunk and
+// dropStrays. Repair debt plays no part in the decision — it is the work list
+// repair.go drains, and its store-wide count (with an open migration intent)
+// is only the "not known clean" gate that keeps the healthy path probe-free.
 
 // maxServers bounds the cluster width: repair-debt masks address nodes by bit.
 const maxServers = 64
@@ -46,9 +46,9 @@ type chunkSurvey struct {
 }
 
 // clean reports the healthy steady state: no repair debt anywhere, no
-// migration in flight. Then every owner of every chunk holds its maximum.
+// migration intent open. Then every owner of every chunk holds its maximum.
 func (s *Store) clean() bool {
-	return s.repairPending.Load() == 0 && s.migrating.Load() == 0
+	return s.repairPending.Load() == 0 && s.migIntent.Load() == nil
 }
 
 // surveyChunk probes each candidate server once, down/wiped flag and version
@@ -92,16 +92,6 @@ func (sy *chunkSurvey) probe(sv *server, h uint64, id chunkID) replica {
 	return r
 }
 
-// find returns sv's entry, or nil when the survey did not keep one.
-func (sy *chunkSurvey) find(sv *server) *replica {
-	for i := range sy.reps {
-		if sy.reps[i].sv == sv {
-			return &sy.reps[i]
-		}
-	}
-	return nil
-}
-
 // behind masks the owners holding less than the maximum, down the owners not
 // up at the probe. Crash-wiped owners are only ever down: nothing can be said
 // about their version until their own Recover resyncs them.
@@ -121,19 +111,14 @@ func (sy *chunkSurvey) behind() (behind, down uint64) {
 	return behind, down
 }
 
-// source returns the highest-version replica other than skip that may seed a
-// copy, owners first among equals. Only live replicas qualify unless retained
-// is set: the migration sweep also reads a soft-down server's retained memory
-// (live ones preferred among equals), so a chunk's only fresh bytes are never
-// stranded on a node it is about to wipe.
-func (sy *chunkSurvey) source(skip *server, retained bool) *replica {
+// source returns the highest-version live replica, owners first among
+// equals: the one copy a reconcile reads. A soft-down holder's bytes stay
+// where they are until it is back up; its version still counts toward the
+// maximum, so whoever is behind it stays listed.
+func (sy *chunkSurvey) source() *replica {
 	var best *replica
 	for i := range sy.reps {
-		r := &sy.reps[i]
-		if r.sv == skip || r.ver == 0 || r.wiped || !(r.live || retained) {
-			continue
-		}
-		if best == nil || r.ver > best.ver || r.ver == best.ver && r.live && !best.live {
+		if r := &sy.reps[i]; r.live && r.ver > 0 && (best == nil || r.ver > best.ver) {
 			best = r
 		}
 	}
@@ -183,7 +168,7 @@ func (s *Store) serveChunk(cg *charge, id chunkID, serve func(sv *server, h, wan
 }
 
 // installChunk is the version-guarded whole-chunk replace every copy between
-// replicas ends in (repair, resync, migration): target takes data at ver
+// replicas ends in (reconcileChunk): target takes data at ver
 // unless it already holds that version or newer — a concurrent writer or a
 // racing install won. target owns data from here on. Memory and log change
 // together under the stripe lock (the recordDebt pattern: the lane log's
@@ -233,18 +218,20 @@ func (s *Store) installChunk(cg *charge, target *server, h uint64, id chunkID, c
 // installChunk — unless the copy has moved past upTo, a version an owner
 // holds (a truncate re-versions a stray at the maximum). Callers drop only
 // after that owner's install has returned, so neither a racing survey nor a
-// crash loses sight of the version.
+// crash loses sight of the version. A dropped copy reads as version 0 in the
+// survey afterwards.
 func (s *Store) dropStrays(cg *charge, sy *chunkSurvey, h uint64, id chunkID, upTo uint64) {
 	for i := range sy.reps {
-		sv := sy.reps[i].sv
-		if sy.reps[i].owner {
+		r := &sy.reps[i]
+		if r.owner {
 			continue
 		}
-		st := sv.stripe(h)
+		st := r.sv.stripe(h)
 		st.mu.Lock()
 		if _, held := st.m[id]; held && st.ver[id] <= upTo {
-			sv.deleteChunkLocked(st, id, 0)
-			s.walAppendChunk(cg, sv, wal.RecChunkDelete, h, id, 0, 0, nil, 0)
+			r.sv.deleteChunkLocked(st, id, 0)
+			s.walAppendChunk(cg, r.sv, wal.RecChunkDelete, h, id, 0, 0, nil, 0)
+			r.ver = 0
 		}
 		st.mu.Unlock()
 	}

@@ -90,7 +90,8 @@ go test -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlap
 go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog' ./internal/wal
 # The one migration test whose outcome depends on interleaving, and the observer it drives from live appends.
-go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend' ./internal/blob
+# A drained node is reset only once it holds nothing: the drain tests keep its only copy and its open intent until then.
+go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend|TestDrainKeepsOnlyCopy|TestRemoveServerResetsWAL' ./internal/blob
 # Descriptor races. An op latches its key, then looks the descriptor up, so it acts only on what is there while it holds
 # the latch: ops racing a delete, a create or a handover, and a Scan racing creates and deletes.
 go test -race -count=10 -cpu 1,2,4 -run 'TestOpsOnDeletedBlobSeeNotFound|TestOpsRacingCreate|TestWriteLatchedAcrossHandoverLogsOnNewPrimary|TestWriteRacingDeleteAfterHandover|TestScanUnderConcurrentCreateDelete' ./internal/blob
