@@ -26,12 +26,12 @@ func TestVirtualTwinsPinned(t *testing.T) {
 	}{
 		{"write/healthy", must(VirtualWriteCost(false)), 6152376},
 		{"write/degraded", must(VirtualWriteCost(true)), 7025811},
-		{"rename/fastpath", must(VirtualRenameCost(true)), 20253338},
-		{"rename/copy", must(VirtualRenameCost(false)), 21619715},
-		{"s3/request", must(VirtualS3RequestCost()), 5101780},
+		{"rename/fastpath", must(VirtualRenameCost(true)), 20253614},
+		{"rename/copy", must(VirtualRenameCost(false)), 21619991},
+		{"s3/request", must(VirtualS3RequestCost()), 5102135},
 		{"rebalance/quiesced", must(quiesced, err), 889837},
-		{"rebalance/join", join, 2236936},
-		{"rebalance/leave", leave, 1833881},
+		{"rebalance/join", join, 2237576},
+		{"rebalance/leave", leave, 1834361},
 	}
 	// Each bound sits between today's deterministic ratio and the failure it
 	// exists to catch.

@@ -98,7 +98,12 @@
 // servers keep their memory (the stand-in for monitor-layer peering
 // metadata) and count toward the maximum, crash-wiped ones do not; a read
 // with no live holder at the maximum fails with storage.ErrUnavailable
-// rather than return older bytes.
+// rather than return older bytes. Descriptors follow the same rule: a create,
+// size change or delete stamps one past the highest version any non-wiped
+// server holds and, like a write, leaves crash-wiped owners out (Recover
+// catches them up); a delete leaves a tombstone on every other owner, and
+// every other descriptor change copies the freshest copy, tombstones included
+// (reconcileDesc).
 //
 // Degraded writes. An owner that is down, or behind, at the write's placement
 // survey is EXCLUDED from the write, never partially applied to: its version
@@ -133,15 +138,16 @@
 // The three differ only in which owners are in scope.
 //
 // Rejoin resync. Recover additionally version-syncs the replayed state
-// against live peers BEFORE rejoining (resyncNode): a torn lane tail can
-// discard acknowledged writes, deletes and truncates together with the very
-// debt records that named them, so version comparison is the only witness
-// left. It pulls what peers hold newer — a tombstone like any copy — and
-// lists peers behind the replayed log.
+// against its peers BEFORE rejoining (resyncNode): a torn lane tail can
+// discard acknowledged mutations together with the very debt records that
+// named them, so version comparison is the only witness left. It pulls what
+// peers hold newer — a tombstone like any copy — and lists peers behind the
+// replayed log.
 //
-// Tombstones live until a CheckpointAll finds every server up and the store
-// clean with no migration intent open: that run rewrites every log without
-// the older incarnations a tombstone exists to outrank, so it forgets them.
+// Tombstones, a chunk's and a descriptor's, live until a CheckpointAll finds
+// every server up and the store clean with no migration intent open: that
+// run rewrites every log without the older incarnations a tombstone exists
+// to outrank, so it forgets them.
 //
 // Fault injection enters at two layers: wal.FaultMedium injects clean
 // errors, torn writes, and slow writes under the log (WAL-layer tests),
@@ -198,9 +204,9 @@
 // sweep copies the freshest live copy to every up owner behind it, lists
 // those it cannot reach (down, faulted, or behind a source that is down) and
 // deletes a stray only once an owner holds its bytes.
-// A descriptor moves under its key's read latch: every new owner gets the
-// size through putDesc, so a writer, which needs the latch exclusively, logs
-// its sizes before or after the handover's, never between.
+// A descriptor moves like a chunk, but under its key's read latch
+// (reconcileDesc), so a writer, which needs the latch exclusively, logs its
+// versions before or after the handover's, never between.
 //
 // A drained node is just a holder outside the ring. Its descriptors and
 // chunks leave through the sweep's logged drops, like any stray's, so its
@@ -214,6 +220,7 @@ package blob
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -545,9 +552,11 @@ func (c chunkBytes) checksum() uint32 {
 type server struct {
 	node cluster.NodeID
 	mu   sync.RWMutex
-	// blobs holds the descriptors replicated here, primary copies or not,
-	// keyed and in key order (desctable.go), under mu.
+	// blobs holds the live descriptors replicated here, primary copies or
+	// not, keyed and in key order (desctable.go), and gone the version of
+	// each tombstone a delete left, under mu. A key is in one or neither.
 	blobs descTable
+	gone  map[string]uint64
 	// stripes hold the chunk replicas placed on this server, sharded so
 	// that concurrent access to different chunks does not contend.
 	stripes [chunkStripes]chunkStripe
@@ -701,14 +710,14 @@ func (sv *server) holdsNothing() bool {
 	sv.forEachDebt(func(chunkID, uint64) { n++ })
 	sv.mu.RLock()
 	defer sv.mu.RUnlock()
-	return n == 0 && sv.blobs.len() == 0 && !sv.wiped
+	return n == 0 && sv.blobs.len() == 0 && len(sv.gone) == 0 && !sv.wiped
 }
 
 // reset empties sv's descriptor, chunk, version and debt tables (new server,
 // crash), releasing the dropped debt from the pending counter.
 func (sv *server) reset() {
 	sv.mu.Lock()
-	sv.blobs = descTable{}
+	sv.blobs, sv.gone = descTable{}, make(map[string]uint64)
 	sv.mu.Unlock()
 	for i := range sv.stripes {
 		st := &sv.stripes[i]
@@ -719,47 +728,80 @@ func (sv *server) reset() {
 	}
 }
 
-// keys returns the keys of every descriptor sv holds, in ascending order.
+// keys returns the keys of every descriptor copy sv holds, tombstones
+// included, in ascending order.
 func (sv *server) keys() []string {
 	sv.mu.RLock()
 	defer sv.mu.RUnlock()
-	keys := make([]string, 0, sv.blobs.len())
+	keys := make([]string, 0, sv.blobs.len()+len(sv.gone))
 	sv.blobs.ascend("", func(key string, _ descriptor) { keys = append(keys, key) })
+	for key := range sv.gone {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
 	return keys
 }
 
-// desc returns sv's copy of key's descriptor and whether sv holds one.
-func (sv *server) desc(key string) (descriptor, bool) {
+// descCopy returns sv's copy of key's descriptor, a tombstone included, and
+// whether a non-wiped sv holds one. A live copy costs one map probe.
+func (sv *server) descCopy(key string) (descriptor, bool) {
 	sv.mu.RLock()
 	defer sv.mu.RUnlock()
-	return sv.blobs.get(key)
+	if sv.wiped {
+		return descriptor{}, false
+	}
+	if d, ok := sv.blobs.get(key); ok {
+		return d, true
+	}
+	ver, ok := sv.gone[key]
+	return descriptor{ver: ver, dead: true}, ok
 }
 
-// putDesc sets sv's copy of key's descriptor to size, adding one if sv holds
-// none, and reports whether sv's table changed. With dropDesc it is the one
-// table write, the same live and at redo: create and size changes (setSize),
-// resync, the migration handover and redo all go through it.
-func (sv *server) putDesc(key string, size int64) bool {
+// putDesc installs d as sv's copy of key's descriptor, a tombstone when d is
+// dead, unless sv holds that version or a newer one, and reports whether it
+// did. With dropDesc it is the one table write, the same live and at redo.
+func (sv *server) putDesc(key string, d descriptor) bool {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	if d, ok := sv.blobs.get(key); ok && d.size == size {
+	if cur, ok := sv.blobs.get(key); ok && cur.ver >= d.ver || sv.gone[key] >= d.ver {
 		return false
 	}
-	sv.blobs.put(key, descriptor{size: size})
+	if d.dead {
+		sv.blobs.del(key)
+		sv.gone[key] = d.ver
+	} else {
+		delete(sv.gone, key)
+		sv.blobs.put(key, d)
+	}
 	return true
 }
 
-// dropDesc removes sv's copy of key's descriptor and reports whether it held
-// one.
+// dropDesc removes sv's copy of key's descriptor, leaving no tombstone (a
+// stray's drop), and reports whether it held one.
 func (sv *server) dropDesc(key string) bool {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	return sv.blobs.del(key)
+	_, dead := sv.gone[key]
+	delete(sv.gone, key)
+	return sv.blobs.del(key) || dead
 }
 
-// descriptor is a blob's metadata, held by value in every owner's table.
+// descriptor is a blob's metadata, held by value in every owner's table. Its
+// version orders every create, size change and delete of the key the way a
+// chunk's orders its mutations; a dead one is a delete's tombstone.
 type descriptor struct {
 	size int64
+	ver  uint64
+	dead bool
+}
+
+// recType is the record that logs d: RecMeta for a live copy, RecDelete for
+// a tombstone or, at version 0, a stray's drop.
+func (d descriptor) recType() wal.RecordType {
+	if d.dead || d.ver == 0 {
+		return wal.RecDelete
+	}
+	return wal.RecMeta
 }
 
 // New builds a blob store spanning every node of the cluster.
@@ -888,21 +930,16 @@ func (s *Store) chunkOwners(id chunkID) []int {
 // current until the latch is released.
 //
 // While a migration is in flight the new primary may not have received its
-// descriptor yet; the lookup then falls back to the first holder in a fixed
-// order (canonicalDesc) instead of failing, so foreground ops keep succeeding
-// throughout a live join/leave.
+// descriptor yet; the lookup then reads the freshest copy (freshestDesc)
+// instead of failing, so foreground ops keep succeeding throughout a live
+// join/leave.
 func (s *Store) primaryDesc(key string) (*server, descriptor, error) {
-	owners := s.descOwners(key)
-	if len(owners) == 0 {
-		return nil, descriptor{}, storage.ErrNotFound
-	}
-	sv := s.servers[owners[0]]
-	d, ok := sv.desc(key)
+	sv := s.servers[s.descOwners(key)[0]]
+	d, ok := sv.descCopy(key)
 	if !ok && s.migIntent.Load() != nil {
-		sv, d = s.canonicalDesc(key, owners)
-		ok = sv != nil
+		d, ok = s.freshestDesc(key)
 	}
-	if !ok {
+	if !ok || d.dead {
 		return nil, descriptor{}, fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
 	}
 	return sv, d, nil
@@ -929,21 +966,22 @@ func (s *Store) latchDesc(ctx *storage.Context, key string, write, meta bool) (*
 	return primary, d, nil
 }
 
-// canonicalDesc returns a current copy of a descriptor during a migration:
-// the first current owner holding it, else the first non-wiped holder in node
-// order, or a nil server.
-func (s *Store) canonicalDesc(key string, owners []int) (*server, descriptor) {
-	for _, o := range owners {
-		if d, ok := s.servers[o].desc(key); ok {
-			return s.servers[o], d
+// freshestDesc returns the freshest copy of key's descriptor, the highest
+// version any non-wiped server holds, tombstones and soft-down tables
+// included, and whether one exists. The scope is surveyChunk's: the owners
+// while the store is clean, every server otherwise.
+func (s *Store) freshestDesc(key string) (descriptor, bool) {
+	var best descriptor
+	owners, clean := s.descOwners(key), s.clean()
+	for i, sv := range s.servers {
+		if clean && !containsNode(owners, i) {
+			continue
+		}
+		if d, ok := sv.descCopy(key); ok && d.ver > best.ver {
+			best = d
 		}
 	}
-	for _, sv := range s.servers {
-		if d, ok := sv.desc(key); ok && !sv.isWiped() {
-			return sv, d
-		}
-	}
-	return nil, descriptor{}
+	return best, best.ver > 0
 }
 
 // hdrPool stages the small record headers of vectored WAL appends (chunk
@@ -1021,12 +1059,14 @@ func (s *Store) walAppendChunk(cg *charge, sv *server, t wal.RecordType, h uint6
 	return stored
 }
 
-// walAppendMeta logs a descriptor mutation on the descriptor's lane through
-// the same pooled staging (meta payloads are all header, no data segment).
-func (s *Store) walAppendMeta(cg *charge, sv *server, t wal.RecordType, key string, size int64) {
+// walAppendMeta logs d as sv's copy of key's descriptor on the descriptor's
+// lane through the same pooled staging (meta payloads are all header, no data
+// segment): a RecMeta for a live copy, a RecDelete for a tombstone, and a
+// RecDelete at version 0 for a stray's drop (the zero descriptor).
+func (s *Store) walAppendMeta(cg *charge, sv *server, key string, d descriptor) {
 	bp := hdrPool.Get().(*[]byte)
-	*bp = appendMetaPayload((*bp)[:0], key, size)
-	s.walAppendLane(cg, sv, sv.metaLane(key), t, *bp, nil, 0)
+	*bp = appendMetaPayload((*bp)[:0], key, d.size, d.ver)
+	s.walAppendLane(cg, sv, sv.metaLane(key), d.recType(), *bp, nil, 0)
 	hdrPool.Put(bp)
 }
 
@@ -1065,18 +1105,25 @@ func (s *Store) createLocked(ctx *storage.Context, key string) (*server, error) 
 }
 
 // setSize is the one way a blob's size changes, with key latched exclusively
-// by the caller: it sets and logs the size on the primary, then upserts it on
-// every replica in parallel (putDesc plus a metadata op and a RecMeta each).
+// by the caller: it stamps the size one version past the freshest copy, sets
+// and logs it on the primary, then on every replica in parallel (putDesc plus
+// a metadata op and a RecMeta each) but a crash-wiped one, which Recover
+// catches up: no log may carry a version stamped without seeing it.
 func (s *Store) setSize(ctx *storage.Context, key string, primary *server, size int64) {
-	primary.putDesc(key, size)
+	d, _ := s.freshestDesc(key)
+	d = descriptor{size: size, ver: d.ver + 1}
+	primary.putDesc(key, d)
 	cg := s.directCharge(ctx)
-	s.walAppendMeta(&cg, primary, wal.RecMeta, key, size)
+	s.walAppendMeta(&cg, primary, key, d)
 	fan := s.newFan()
 	for _, o := range s.descOwners(key)[1:] {
+		if s.servers[o].isWiped() {
+			continue
+		}
 		t := fan.task(taskDescReplicate)
 		t.sv = s.servers[o]
 		t.key = key
-		t.size = size
+		t.desc = d
 		fan.spawn(t)
 	}
 	fan.join(ctx)
@@ -1109,19 +1156,18 @@ func (s *Store) deleteLocked(ctx *storage.Context, key string, primary *server, 
 	batch := newWalBatch(s)
 	s.tombstoneChunks(batch, key, 0, nChunks)
 	batch.flush(ctx)
-	// Drop every copy, in a fixed order so one seed writes one log.
-	// Mid-migration that includes old holders outside the replica set, or
-	// the handover would find one and bring the blob back.
+	// Every owner keeps a tombstone one version past the freshest copy, so a
+	// copy a torn log replays, or a stray the handover has not reached yet,
+	// is older. A crash-wiped owner is left out, as setSize leaves it out.
+	d, _ := s.freshestDesc(key)
+	d = descriptor{ver: d.ver + 1, dead: true}
 	cg := s.directCharge(ctx)
 	owners := s.descOwners(key)
-	for i := len(s.servers) - 1; i >= 0; i-- {
-		if s.migIntent.Load() != nil && !containsNode(owners, i) && s.servers[i].dropDesc(key) {
-			s.walAppendMeta(&cg, s.servers[i], wal.RecDelete, key, 0)
-		}
-	}
 	for i := len(owners) - 1; i >= 0; i-- {
-		s.servers[owners[i]].dropDesc(key)
-		s.walAppendMeta(&cg, s.servers[owners[i]], wal.RecDelete, key, 0)
+		if sv := s.servers[owners[i]]; !sv.isWiped() {
+			sv.putDesc(key, d)
+			s.walAppendMeta(&cg, sv, key, d)
+		}
 	}
 }
 

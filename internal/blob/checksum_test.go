@@ -22,11 +22,11 @@ import (
 // counter, so the keys its records get depend on the schedule.
 func TestLogBytesPinned(t *testing.T) {
 	pinned := []string{
-		"node 0 lane 0 277a2d79e55dbce7917e37ac3fe3fcebed9cca4ce19c220161ab9096839c6bd9",
-		"node 0 lane 1 f1f3266e962cb8c3f1b9e344c9104bb870c7445555dffc2e519bd0a0a753ba51",
-		"node 1 lane 0 6671c73643cdedc326c19a8dd2a74279d96ccfee044b7be1390a392d626e1fef",
-		"node 1 lane 1 4bfb975f34d8258f4f85f6fbb3ee55324613c2a4ffd6f8f61cf6fd9ae841ba75",
-		"node 2 lane 0 0806dc9fcf841b86bd79e34158376d19ac75d4c997ddb4e684de0328a1959dfa",
+		"node 0 lane 0 7fc377d23a7a94da1592c229de1f1056d7ee3adf22ea6716ae27a44164293653",
+		"node 0 lane 1 ebae31435f18168d7e22b74ad37389577fbf0949f4c16bd0cc1371a87f4c2858",
+		"node 1 lane 0 69519b60273d1a484043e894c0119aeda222c24c49298b21ada7bad4387080e1",
+		"node 1 lane 1 6d9cbc434163661345d60d0b9393ce5c14165c53f05c7f04695158b2ca91f2ce",
+		"node 2 lane 0 7d4c7817a3bc5f9164dd898a20ce60ca7164e84cf1f9df23ee4ee072853d611c",
 		"node 2 lane 1 b83f50cd654c8460442f28b2ffb825445494b03109838b60ea82fbdcf1d47550",
 	}
 	s := New(cluster.New(cluster.Config{Nodes: 3, Seed: 5}),

@@ -8,11 +8,13 @@ import (
 // WAL payload codecs. Every record carries enough to rebuild the server's
 // state on replay:
 //
-//	meta  record: u16 keyLen | key | i64 size               (descriptor state)
+//	meta  record: u16 keyLen | key | i64 size | u64 ver     (descriptor state)
 //	chunk record: u16 keyLen | key | i64 idx | i64 within | u64 ver | data
 //
 // Meta and chunk payloads are distinguished by record type (RecMeta, which
-// creates or resizes, and RecDelete carry meta payloads; RecWrite /
+// creates or resizes, and RecDelete carry meta payloads — a RecDelete's ver
+// is its tombstone's, and 0 there is a stray's drop that leaves none, its
+// size unused; RecWrite /
 // RecPrepWrite / RecChunkDelete / RecChunkTruncate / RecRepairNeeded and the
 // 2PC marker RecChunkCommit carry chunk payloads), so chunk addressing never
 // round-trips through a combined string key. RecChunkCommit drives the
@@ -25,27 +27,29 @@ import (
 // segments (wal.AppendV), so the data bytes are never staged — the log
 // medium receives them straight from the caller's buffer.
 
-func appendMetaPayload(dst []byte, key string, size int64) []byte {
+func appendMetaPayload(dst []byte, key string, size int64, ver uint64) []byte {
 	var u16 [2]byte
 	binary.LittleEndian.PutUint16(u16[:], uint16(len(key)))
 	dst = append(dst, u16[:]...)
 	dst = append(dst, key...)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(size))
+	var u64 [16]byte
+	binary.LittleEndian.PutUint64(u64[0:8], uint64(size))
+	binary.LittleEndian.PutUint64(u64[8:16], ver)
 	return append(dst, u64[:]...)
 }
 
-func decMeta(p []byte) (key string, size int64, err error) {
+func decMeta(p []byte) (key string, size int64, ver uint64, err error) {
 	if len(p) < 2 {
-		return "", 0, fmt.Errorf("blob: meta record too short (%d bytes)", len(p))
+		return "", 0, 0, fmt.Errorf("blob: meta record too short (%d bytes)", len(p))
 	}
 	kl := int(binary.LittleEndian.Uint16(p[0:2]))
-	if len(p) < 2+kl+8 {
-		return "", 0, fmt.Errorf("blob: meta record truncated (%d bytes, key %d)", len(p), kl)
+	if len(p) < 2+kl+16 {
+		return "", 0, 0, fmt.Errorf("blob: meta record truncated (%d bytes, key %d)", len(p), kl)
 	}
 	key = string(p[2 : 2+kl])
 	size = int64(binary.LittleEndian.Uint64(p[2+kl:]))
-	return key, size, nil
+	ver = binary.LittleEndian.Uint64(p[2+kl+8:])
+	return key, size, ver, nil
 }
 
 // appendChunkHeader encodes the addressing header of a chunk record: the

@@ -133,13 +133,14 @@
 // rules:
 //
 //   - The descriptor handover sweep is caller-only and runs BEFORE any
-//     chunk batch: under each key's latch, held in read mode, it looks the
-//     descriptor up and gives every owner the size through putDesc; a key
-//     a racing DeleteBlob removed is not found. Chunk-batch tasks therefore
-//     never need — and must never take — a key latch; like repair tasks
-//     they touch only stripe locks, server maps, and WAL lanes (installChunk
-//     and dropStrays on the chunk's natural lane, through the accounted
-//     append path).
+//     chunk batch: under each key's latch, held in read mode,
+//     reconcileDesc gives every owner the freshest copy through putDesc's
+//     version guard and drops the copies outside the owner set; a key a
+//     racing DeleteBlob removed moves as its tombstone. Chunk-batch tasks
+//     therefore never need — and must never take — a key latch; like
+//     repair tasks they touch only stripe locks, server maps, and WAL lanes
+//     (installChunk and dropStrays on the chunk's natural lane, through the
+//     accounted append path).
 //     (enforced: blobvet/workerlatch — reconcileChunk is in the
 //     task-reachable graph, where latch takes are flagged; blobvet/walappend
 //     keeps walAppendLane and checkpointLane the only direct lane writers)
@@ -387,8 +388,8 @@ type fanTask struct {
 	pl     chunkPlace
 	plp    *chunkPlace // taskWriteChunk/taskReplicaWrite: the shared placement, for a faulted replica to join excl
 	within int64
-	size   int64
-	mask   uint64 // taskReplicaWrite: debt mask owed by the write's down owners
+	desc   descriptor // taskDescReplicate
+	mask   uint64     // taskReplicaWrite: debt mask owed by the write's down owners
 	data   []byte
 	sv     *server
 	rec    wal.RecordType
@@ -467,8 +468,8 @@ func (t *fanTask) run() {
 		s.walAppendBatch(cg, t.sv, t.lane, t.specs)
 	case taskDescReplicate:
 		cg.metaOp(t.sv.node, 1)
-		t.sv.putDesc(t.key, t.size)
-		s.walAppendMeta(cg, t.sv, wal.RecMeta, t.key, t.size)
+		t.sv.putDesc(t.key, t.desc)
+		s.walAppendMeta(cg, t.sv, t.key, t.desc)
 	}
 }
 
@@ -546,7 +547,7 @@ func (t *fanTask) release() {
 	t.pl = chunkPlace{}
 	t.plp = nil
 	t.within = 0
-	t.size = 0
+	t.desc = descriptor{}
 	t.mask = 0
 	t.data = nil
 	t.sv = nil

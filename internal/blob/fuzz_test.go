@@ -2,6 +2,8 @@ package blob
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -20,8 +22,9 @@ import (
 // class (nil or ErrCorrupt, never a panic), same descriptors, same chunk
 // bytes, same repaired lane media. When the damage lands on one server, the
 // other replica of every chunk (Replication 2) is intact, so every live blob
-// must also read back exactly as the reference model says: no acknowledged
-// write may be lost.
+// must also read back exactly as the reference model says, every deleted one
+// stay gone, and Scan list exactly the model's keys and sizes: no
+// acknowledged write, size change or delete may be lost.
 func FuzzRecoverParallel(f *testing.F) {
 	// Script grammar (see below): each op consumes 3 bytes — op selector,
 	// key selector, size/offset argument.
@@ -134,17 +137,36 @@ func FuzzRecoverParallel(f *testing.F) {
 		if several {
 			return
 		}
+		// The namespace too: every key whose descriptor primary recovered is
+		// listed and read as the model holds it, and a deleted one is gone.
+		recovered := func(key string) bool { return !s.servers[s.descOwners(key)[0]].isDown() }
+		var want []storage.BlobInfo
 		for _, key := range keys {
 			ref := model[key]
-			if ref == nil || s.servers[s.descOwners(key)[0]].isDown() {
-				continue // deleted, or its descriptor primary did not recover
+			if !recovered(key) {
+				continue
 			}
+			if ref == nil {
+				if size, err := s.BlobSize(ctx, key); !errors.Is(err, storage.ErrNotFound) {
+					t.Fatalf("blob %q after recovering node %d: size (%d, %v), want it deleted", key, victim, size, err)
+				}
+				continue
+			}
+			want = append(want, storage.BlobInfo{Key: key, Size: int64(len(ref.data))})
 			got := make([]byte, len(ref.data)+1)
 			n, err := s.ReadBlob(ctx, key, 0, got)
 			if err != nil || !bytes.Equal(got[:n], ref.data) {
 				t.Fatalf("blob %q after recovering node %d: read (%d, %v), want the %d bytes the model holds",
 					key, victim, n, err, len(ref.data))
 			}
+		}
+		infos, err := s.Scan(ctx, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos = slices.DeleteFunc(infos, func(bi storage.BlobInfo) bool { return !recovered(bi.Key) })
+		if !slices.Equal(infos, want) {
+			t.Fatalf("after recovering node %d: Scan lists %v, want %v", victim, infos, want)
 		}
 	})
 }

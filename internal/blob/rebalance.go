@@ -217,7 +217,7 @@ func (s *Store) runMigration(ctx *storage.Context) {
 		s.observe(Event{Kind: EventBatch, Batch: -1})
 	}
 	cg := s.directCharge(ctx)
-	s.migrateDescriptors(&cg)
+	s.reconcileDescs(&cg, nil)
 	moves := s.migrationPlan()
 	budget := s.cfg.MigrationRateBytes
 	for batch := 0; len(moves) > 0; batch++ {
@@ -249,41 +249,6 @@ func (s *Store) runMigration(ctx *storage.Context) {
 			s.observe(Event{Kind: EventBatch, Batch: batch})
 		}
 		moves = moves[n:]
-	}
-}
-
-// migrateDescriptors reconciles descriptor placement against the current
-// ring, each key under its read latch, so a size logged here cannot land on a
-// lane after a newer RecMeta: a writer needs the latch exclusively. Under the
-// latch a current copy (canonicalDesc) goes to every owner through putDesc,
-// logged where that changed its table; a key a delete removed is simply not
-// found. Holders outside the replica set drop their copy only after every
-// owner holds one.
-func (s *Store) migrateDescriptors(cg *charge) {
-	lists := make([][]string, len(s.servers))
-	for i, sv := range s.servers {
-		lists[i] = sv.keys() // a crash-wiped server holds only what handovers put
-	}
-	for _, key := range mergeKeys(lists) {
-		owners := s.descOwners(key)
-		if len(owners) == 0 {
-			continue
-		}
-		s.lockKey(key, false)
-		if src, d := s.canonicalDesc(key, owners); src != nil {
-			for _, o := range owners {
-				if sv := s.servers[o]; sv.putDesc(key, d.size) {
-					cg.metaOp(sv.node, 1)
-					s.walAppendMeta(cg, sv, wal.RecMeta, key, d.size)
-				}
-			}
-		}
-		s.unlockKey(key, false)
-		for i, sv := range s.servers {
-			if !containsNode(owners, i) && sv.dropDesc(key) {
-				s.walAppendMeta(cg, sv, wal.RecDelete, key, 0)
-			}
-		}
 	}
 }
 

@@ -70,14 +70,14 @@ func (r *redo) record(rec wal.Record) error {
 	sv := r.sv
 	switch rec.Type {
 	case wal.RecMeta, wal.RecDelete:
-		key, size, err := decMeta(rec.Payload)
+		key, size, ver, err := decMeta(rec.Payload)
 		if err != nil {
 			return err
 		}
-		if rec.Type == wal.RecDelete {
+		if rec.Type == wal.RecDelete && ver == 0 {
 			sv.dropDesc(key)
 		} else {
-			sv.putDesc(key, size)
+			sv.putDesc(key, descriptor{size: size, ver: ver, dead: rec.Type == wal.RecDelete})
 		}
 	case wal.RecMigrateBegin, wal.RecMigrateEnd:
 		seq, op, node, err := decMigrateIntent(rec.Payload)
@@ -248,8 +248,8 @@ func (l *ckptLane) empty() bool {
 }
 
 type ckptMeta struct {
-	key  string
-	size int64
+	key string
+	d   descriptor
 }
 
 type ckptChunk struct {
@@ -285,12 +285,18 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 		return nil
 	}
 	plan := make([]ckptLane, sv.wal.Lanes())
-	// Descriptors go in key order: checkpoint records are an ordered WAL
-	// history, so two runs of one seed must write the same logs.
 	sv.blobs.ascend("", func(key string, d descriptor) {
 		lane := sv.metaLane(key)
-		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, d.size})
+		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, d})
 	})
+	if forget {
+		clear(sv.gone)
+	}
+	for key, ver := range sv.gone {
+		lane := sv.metaLane(key)
+		//blobvet:allow virtualtime each lane's descriptor list is sorted by key below, before any record streams
+		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, descriptor{ver: ver, dead: true}})
+	}
 	sv.mu.Unlock()
 	for i := range sv.stripes {
 		st := &sv.stripes[i]
@@ -319,10 +325,11 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 	if intent := sv.migIntent.Load(); intent != nil {
 		plan[migLane].intent = intent
 	}
-	// The stripe walks above run in map order; restore a total order so
-	// the streamed lane records are byte-identical across runs.
+	// The tombstone and stripe walks above run in map order; restore a total
+	// order so the streamed lane records are byte-identical across runs.
 	for i := range plan {
 		l := &plan[i]
+		sort.Slice(l.metas, func(a, b int) bool { return l.metas[a].key < l.metas[b].key })
 		sort.Slice(l.chunks, func(a, b int) bool { return l.chunks[a].id.less(l.chunks[b].id) })
 		sort.Slice(l.debts, func(a, b int) bool { return l.debts[a].id.less(l.debts[b].id) })
 	}
@@ -361,8 +368,8 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		appendOne(wal.RecMigrateBegin, nil, 0)
 	}
 	for _, m := range plan.metas {
-		*bp = appendMetaPayload((*bp)[:0], m.key, m.size)
-		appendOne(wal.RecMeta, nil, 0)
+		*bp = appendMetaPayload((*bp)[:0], m.key, m.d.size, m.d.ver)
+		appendOne(m.d.recType(), nil, 0)
 	}
 	for _, c := range plan.chunks {
 		*bp = appendChunkHeader((*bp)[:0], c.id, 0, c.ver)
@@ -429,8 +436,8 @@ func (s *Store) CheckpointAll() {
 	})
 }
 
-// DescriptorCount reports how many blob descriptors (primary or replica
-// copies) the server currently holds.
+// DescriptorCount reports how many live blob descriptors (primary or replica
+// copies) the server currently holds; tombstones do not count.
 func (s *Store) DescriptorCount(node cluster.NodeID) int {
 	sv := s.servers[int(node)]
 	sv.mu.RLock()
@@ -452,9 +459,8 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 
 // CheckInvariants validates cross-server consistency:
 //
-//  1. every descriptor on a primary is present on all of its replicas with
-//     the same size, and a replica's copy has one on its primary (unless
-//     the primary is wiped);
+//  1. every owner of a key holds its freshest descriptor copy, the highest
+//     version any server holds, a tombstone like any copy;
 //  2. every chunk an owner holds belongs to a live blob and lies within its
 //     size, unless the chunk's maximum version is a tombstone, which has no
 //     extent;
@@ -465,8 +471,9 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 //     owner nobody lists would look clean to the read path;
 //  5. the log is the state: each server's lanes, redone as Recover redoes
 //     them but without damage, reproduce exactly its memory — descriptor
-//     sizes, every chunk's version and bytes (tombstones included) and the
-//     debt masks — so a crash at this instant loses nothing;
+//     versions and sizes, every chunk's version and bytes (tombstones of
+//     both included) and the debt masks — so a crash at this instant loses
+//     nothing;
 //  6. remembered sums are honest: every chunk entry that remembers the
 //     CRC32C of its bytes (so CheckpointAll can re-log it unread) holds
 //     bytes with exactly that CRC32C.
@@ -477,32 +484,25 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 // After every node has rejoined and repair drained (RepairPending() == 0),
 // rule 4 has no exemption left and every owner must hold the maximum.
 func (s *Store) CheckInvariants() string {
+	// Key order, so "first violation found" names the same violation on
+	// every run of one seed.
+	lists := make([][]string, len(s.servers))
 	for i, sv := range s.servers {
-		// Key order, so "first violation found" names the same violation
-		// on every run of one seed.
-		var descs []ckptMeta
-		sv.mu.RLock()
-		sv.blobs.ascend("", func(key string, d descriptor) {
-			descs = append(descs, ckptMeta{key, d.size})
-		})
-		sv.mu.RUnlock()
-		for _, m := range descs {
-			owners := s.descOwners(m.key)
-			if primary := s.servers[owners[0]]; owners[0] != i {
-				if _, ok := primary.desc(m.key); containsNode(owners, i) && !primary.isWiped() && !ok {
-					return fmt.Sprintf("descriptor %q on replica node %d but not on its primary node %d", m.key, i, owners[0])
-				}
-				continue
+		if !sv.isWiped() {
+			lists[i] = sv.keys()
+		}
+	}
+	for _, key := range mergeKeys(lists) {
+		var fresh descriptor
+		at := 0
+		for i, sv := range s.servers {
+			if d, ok := sv.descCopy(key); ok && d.ver > fresh.ver {
+				fresh, at = d, i
 			}
-			for _, o := range owners[1:] {
-				rd, ok := s.servers[o].desc(m.key)
-				if !ok {
-					return fmt.Sprintf("descriptor %q missing on replica node %d", m.key, o)
-				}
-				if rd.size != m.size {
-					return fmt.Sprintf("descriptor %q size mismatch: primary %d, replica node %d has %d",
-						m.key, m.size, o, rd.size)
-				}
+		}
+		for _, o := range s.descOwners(key) {
+			if d, _ := s.servers[o].descCopy(key); !s.servers[o].isWiped() && d != fresh {
+				return fmt.Sprintf("descriptor %q: owner node %d holds %+v where node %d holds %+v", key, o, d, at, fresh)
 			}
 		}
 	}
@@ -635,17 +635,16 @@ func (sv *server) replayDiff() string {
 	return ""
 }
 
-// tables renders sv's descriptors, chunks and debt masks as sorted lines, a
-// chunk's bytes as their length and CRC (a tombstone has none). Descriptors
-// render through the table's order, so a key the order lacks shows up as a
-// difference.
+// tables renders sv's descriptors with their versions, chunks and debt
+// masks as sorted lines, a chunk's bytes as their length and CRC (a tombstone
+// has none). Descriptors render through the table's order, so a key the
+// order lacks shows up as a difference.
 func (sv *server) tables() []string {
 	var out []string
-	sv.mu.RLock()
-	sv.blobs.ascend("", func(key string, d descriptor) {
-		out = append(out, fmt.Sprintf("descriptor %q size %d", key, d.size))
-	})
-	sv.mu.RUnlock()
+	for _, key := range sv.keys() {
+		d, _ := sv.descCopy(key)
+		out = append(out, fmt.Sprintf("descriptor %q %+v", key, d))
+	}
 	sv.forEachChunk(func(id chunkID, data []byte, ver uint64) {
 		out = append(out, fmt.Sprintf("chunk %d of %q v%d %d bytes crc %08x", id.idx, id.key, ver, len(data), crc32.ChecksumIEEE(data)))
 	})

@@ -63,21 +63,22 @@ func restoreLanes(sv *server, raw [][]byte) {
 }
 
 // nodeState is one server's complete recovered footprint: descriptor
-// sizes, chunk bytes, and the repaired lane media.
+// copies (versions, sizes and tombstones), chunk bytes, and the repaired lane
+// media.
 type nodeState struct {
-	descs  map[string]int64
+	descs  map[string]descriptor
 	chunks map[chunkID]string
 	lanes  []string
 }
 
 func captureNode(sv *server) nodeState {
 	st := nodeState{
-		descs:  make(map[string]int64),
+		descs:  make(map[string]descriptor),
 		chunks: make(map[chunkID]string),
 	}
-	sv.mu.RLock()
-	sv.blobs.ascend("", func(k string, d descriptor) { st.descs[k] = d.size })
-	sv.mu.RUnlock()
+	for _, k := range sv.keys() {
+		st.descs[k], _ = sv.descCopy(k)
+	}
 	sv.forEachChunk(func(id chunkID, data []byte, _ uint64) {
 		st.chunks[id] = string(data)
 	})

@@ -9,7 +9,8 @@ import (
 	"repro/internal/wal"
 )
 
-// repair.go — the one chunk move and its work list. reconcileChunk is the
+// repair.go — the one chunk move and its work list, and the one descriptor
+// move (reconcileDesc), which needs no list. reconcileChunk is the
 // only way a chunk's bytes go from one replica to another: it surveys once,
 // reads the freshest live copy once for every reachable owner in scope that
 // sits behind it (installChunk), drops the strays an owner's version now
@@ -36,7 +37,8 @@ import (
 // Repair and the sweep's chunk batches run on the dispatch pool as ordinary
 // fan tasks and obey the dispatch.go contract: stripe locks and WAL appends
 // only (short-hold / bounded-wait), never a key latch, never a nested pool
-// wait. Resync runs on the Recover caller; only its descriptor pass latches.
+// wait. Resync and the handover run on their caller; only their descriptor
+// pass, reconcileDesc, latches.
 
 // repairItem is one chunk's outstanding debt restricted to the targets a
 // repair round will service.
@@ -254,68 +256,70 @@ func (s *Store) oweBehind(cg *charge, h uint64, id chunkID, sy *chunkSurvey) {
 	}
 }
 
-// resyncNode converges the still-down sv with its peers, descriptors first,
-// then every chunk it owns that any server holds, through reconcileChunk
-// scoped to sv: pull what a live peer holds newer, list whoever is then
-// behind. Recover runs this after replaying sv's log and BEFORE marking sv
-// up: the merged-replay prefix contract discards everything behind a torn
-// lane tail, including acknowledged writes and drops together with the debt
-// records that named them, and version comparison is the only witness left.
-// It runs both ways — sv's replayed version is authoritative for what it
-// holds (a record is only logged for an applied mutation), so a peer behind
-// it missed mutations even if the record saying so was torn off.
+// resyncNode converges the still-down sv with its peers, descriptors first
+// (reconcileDescs scoped to sv), then every chunk it owns that any server
+// holds, through reconcileChunk scoped to sv: pull what a peer holds newer,
+// list whoever is then behind. Recover runs this after replaying sv's log and
+// BEFORE marking sv up: the merged-replay prefix contract discards everything
+// behind a torn lane tail, including acknowledged writes, size changes and
+// deletes together with the debt records that named them, and version
+// comparison is the only witness left. It runs both ways — sv's replayed
+// version is authoritative for what it holds (a record is only logged for an
+// applied mutation), so a peer behind it missed mutations even if the record
+// saying so was torn off.
 //
 // Quiescence is NOT required: sv is still down, so writers neither read nor
 // update its copies beyond the retained-memory applies, and those only move
 // versions forward — the same monotonic guard the install uses.
 func (s *Store) resyncNode(sv *server) {
 	cg := s.directCharge(storage.NewContext())
-	s.resyncDescriptors(sv, &cg)
+	s.reconcileDescs(&cg, sv)
 	me := int(sv.node)
 	for _, mv := range s.chunkPlan(func(id chunkID, h, _, _ uint64) bool { return containsNode(s.ownersForHash(h), me) }) {
 		s.reconcileChunk(&cg, mv.h, mv.id, scope{owed: 1 << uint(me), down: true, drop: true, count: "blob.resync"})
 	}
 }
 
-// resyncDescriptors adopts, onto the still-down sv, the descriptor sizes its
-// live desc-owner peers hold. Size changes flow through the descriptor
-// primary and replicate synchronously to EVERY owner (setSize; down owners
-// keep their retained memory current), and no op reaches a blob before its
-// create has put it on every owner — CreateBlob holds the key's latch until
-// then — so all live peers agree on a blob's size; the only way sv's copy can
-// lag is a torn meta-lane tail discarding RecMeta records at replay. Version
-// comparison cannot find those (descriptors carry no version), but agreement
-// among the peers makes any live desc-owner peer authoritative. Each key is
-// read and adopted under its read latch, so no size change lands between the
-// two. The adopted size is re-logged through putDesc, the same upsert redo
-// applies, so a later crash rebuilds it from sv's own log.
-func (s *Store) resyncDescriptors(sv *server, cg *charge) {
+// reconcileDescs runs reconcileDesc, in key order, over every key any server
+// holds a descriptor copy of, a tombstone included: for the handover (to nil)
+// every key, for the rejoin of to only the keys it owns.
+func (s *Store) reconcileDescs(cg *charge, to *server) {
 	lists := make([][]string, len(s.servers))
-	for i, peer := range s.servers {
-		if peer != sv && !peer.isDown() {
-			lists[i] = peer.keys()
+	for i, sv := range s.servers {
+		lists[i] = sv.keys()
+	}
+	for _, key := range mergeKeys(lists) {
+		if to == nil || containsNode(s.descOwners(key), int(to.node)) {
+			s.reconcileDesc(cg, key, to)
 		}
 	}
-	mine := int(sv.node)
-	for _, key := range mergeKeys(lists) {
-		owners := s.descOwners(key)
-		member := false
-		var peer *server
-		for _, o := range owners {
-			if o == mine {
-				member = true
-			} else if peer == nil && !s.servers[o].isDown() {
-				peer = s.servers[o]
-			}
-		}
-		if !member || peer == nil {
-			continue
-		}
-		s.lockKey(key, false)
-		if pd, ok := peer.desc(key); ok && sv.putDesc(key, pd.size) {
+}
+
+// reconcileDesc is the one descriptor move, reconcileChunk's counterpart.
+// Under key's read latch, so no create, size change or delete lands in
+// between, it takes the freshest copy (freshestDesc; there is no descriptor
+// debt list to wait on, so a soft-down holder's counts as a source) and puts
+// it, through putDesc's version guard, on every owner behind it: for the
+// handover every owner, crash-wiped ones included, whose logs then carry it;
+// for the rejoin of to, to and the owners not wiped. The handover then drops
+// the copies outside the owner set, which every owner has covered.
+func (s *Store) reconcileDesc(cg *charge, key string, to *server) {
+	s.lockKey(key, false)
+	defer s.unlockKey(key, false)
+	d, ok := s.freshestDesc(key)
+	if !ok {
+		return
+	}
+	owners := s.descOwners(key)
+	for _, o := range owners {
+		if sv := s.servers[o]; (to == nil || sv == to || !sv.isWiped()) && sv.putDesc(key, d) {
 			cg.metaOp(sv.node, 1)
-			s.walAppendMeta(cg, sv, wal.RecMeta, key, pd.size)
+			s.walAppendMeta(cg, sv, key, d)
 		}
-		s.unlockKey(key, false)
+	}
+	for i, sv := range s.servers {
+		if to == nil && !containsNode(owners, i) && sv.dropDesc(key) {
+			s.walAppendMeta(cg, sv, key, descriptor{})
+		}
 	}
 }

@@ -195,8 +195,8 @@ func TestCollectiveSelfScriptCostPinned(t *testing.T) {
 		walBytes += store.WALSize(n.ID)
 	}
 	const (
-		wantClock = 3793214 * time.Nanosecond
-		wantWAL   = int64(3130)
+		wantClock = 3793454 * time.Nanosecond
+		wantWAL   = int64(3178)
 	)
 	if got := ctx.Clock.Now(); got != wantClock || walBytes != wantWAL {
 		t.Fatalf("virtual clock = %d ns, WAL = %d bytes; pinned %d ns, %d bytes", got, walBytes, wantClock, wantWAL)

@@ -93,8 +93,9 @@ go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog' ./internal/wal
 # A drained node is reset only once it holds nothing: the drain tests keep its only copy and its open intent until then.
 go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend|TestDrainKeepsOnlyCopy|TestRemoveServerResetsWAL' ./internal/blob
 # Descriptor races. An op latches its key, then looks the descriptor up, so it acts only on what is there while it holds
-# the latch: ops racing a delete, a create or a handover, and a Scan racing creates and deletes.
-go test -race -count=10 -cpu 1,2,4 -run 'TestOpsOnDeletedBlobSeeNotFound|TestOpsRacingCreate|TestWriteLatchedAcrossHandoverLogsOnNewPrimary|TestWriteRacingDeleteAfterHandover|TestScanUnderConcurrentCreateDelete' ./internal/blob
+# the latch: ops racing a delete, a create or a handover, and a Scan racing creates and deletes. A descriptor's highest
+# version wins, a tombstone like any copy: a torn delete, and a torn size change with the replica soft-down or crashed.
+go test -race -count=10 -cpu 1,2,4 -run 'TestOpsOnDeletedBlobSeeNotFound|TestOpsRacingCreate|TestWriteLatchedAcrossHandoverLogsOnNewPrimary|TestWriteRacingDeleteAfterHandover|TestScanUnderConcurrentCreateDelete|TestVersionsNeverGoBackwards|TestTornSizeChangeReplicaDown' ./internal/blob
 # Recovery reads the lanes in place: after a merge stopped by a torn lane, every lane's in-flight decode must finish before resync appends.
 go test -race -count=10 -cpu 1,2,4 -run TestRecoverTornLaneThenResync ./internal/blob
 # A chunk entry's bytes are a view of the payload its own server's log lane stored, on a 64-byte boundary, after every path that writes one.
