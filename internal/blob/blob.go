@@ -60,8 +60,8 @@
 //     bytes once, not once into its log and again into its table. A write
 //     checksums its payload once (writeChunk) and every replica's record
 //     folds that sum in; a chunk whose bytes are exactly one summed payload
-//     keeps the sum (chunkStripe), so CheckpointAll re-logs it without
-//     reading it again.
+//     keeps the sum (chunkStripe), so CheckpointAll re-logs it unread, and
+//     a whole chunk's log buffer is relinked, not copied (wal.Buffer).
 //     Multi-record operations batch same-(server,lane) records through
 //     AppendNV.
 //   - goroutine fan-out: per-chunk work runs on the goroutine that joins

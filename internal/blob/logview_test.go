@@ -56,12 +56,28 @@ func checkOwnLogViews(t *testing.T, s *Store, when string) []int {
 	return held
 }
 
+// wholeChunkAddrs maps every entry holding a whole chunk of cs bytes, by
+// node and chunk, to the address its bytes start at.
+func wholeChunkAddrs(s *Store, cs int) map[string]uintptr {
+	at := map[string]uintptr{}
+	for i, sv := range s.servers {
+		sv.forEachChunk(func(id chunkID, data []byte, _ uint64) {
+			if len(data) == cs {
+				at[fmt.Sprintf("node %d's chunk %d of %q", i, id.idx, id.key)] = uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+			}
+		})
+	}
+	return at
+}
+
 // TestChunkBytesAreOwnLog pins the aliasing rule: a chunk entry's bytes are
 // the payload its own server's log stored — after a direct write, a 2PC
 // write, a degraded write and its repair, a join and a drain, and after a
 // checkpoint has re-logged every lane — never a private copy and never
 // another server's bytes. Both payload classes are covered: chunks that pack
-// into the log's slabs and chunks that get a buffer of their own.
+// into the log's slabs and chunks that get a buffer of their own. A
+// checkpoint relinks a chunk's own buffer instead of copying it, so with
+// 64 KiB chunks every entry keeps its address across two checkpoints.
 func TestChunkBytesAreOwnLog(t *testing.T) {
 	for _, cs := range []int{1 << 10, 64 << 10} {
 		t.Run(fmt.Sprintf("chunk%d", cs), func(t *testing.T) {
@@ -114,8 +130,23 @@ func TestChunkBytesAreOwnLog(t *testing.T) {
 			if held := checkOwnLogViews(t, s, "before the checkpoint"); held[5] == 0 {
 				t.Fatal("the join installed nothing on node 5")
 			}
-			s.CheckpointAll()
-			checkOwnLogViews(t, s, "after CheckpointAll")
+			before := wholeChunkAddrs(s, cs)
+			for _, when := range []string{"after CheckpointAll", "after a second CheckpointAll"} {
+				s.CheckpointAll()
+				checkOwnLogViews(t, s, when)
+				if cs != 64<<10 {
+					continue // chunks packed into slabs are copied
+				}
+				after := wholeChunkAddrs(s, cs)
+				if len(after) != len(before) {
+					t.Fatalf("%s: %d whole-chunk entries, %d before", when, len(after), len(before))
+				}
+				for entry, at := range before {
+					if after[entry] != at {
+						t.Fatalf("%s: %s moved: the checkpoint copied it instead of relinking its log buffer", when, entry)
+					}
+				}
+			}
 			verifyAll(t, s, ctx, want)
 			if msg := s.CheckInvariants(); msg != "" {
 				t.Fatal(msg)

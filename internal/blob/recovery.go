@@ -338,20 +338,20 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 }
 
 // checkpointLane re-encodes one lane's surviving records against that
-// lane's own medium. Records go through the vectored append: only the
-// few-dozen-byte header is staged (in a pooled buffer private to this
-// lane job), and each chunk's bytes stream from its entry to the
-// compacted lane in one copy. Each chunk entry is then pointed at its new
-// record, under its stripe lock, so no entry is left in the lane's old
-// backing, and the job hands that backing to the free list all lanes of the
-// server share (wal.MultiLog.Recycle): a steady checkpoint cycle allocates
-// nothing, and the lanes re-logged later refill from those re-logged
-// earlier instead of each holding an old and a new copy of the snapshot.
-// Every lane appends to a private Log/Buffer, so lane jobs run concurrently
-// without sharing a single lock or medium (dispatch contract: the job takes
-// no latch-class lock and never waits on the pool). A chunk whose sum its
-// entry remembers is re-logged without reading its bytes for the record
-// CRC; only the copy to the medium reads them.
+// lane's own medium through the vectored append, staging only the header
+// (in a pooled buffer private to this lane job). A whole chunk's entry is a
+// buffer of its own the lane's reset retired, and the append relinks it as
+// the new record's payload (wal.Buffer); slab-packed chunks, merged partial
+// writes and recovered chunks are copied once. Each entry is then pointed at
+// its new record, under its stripe lock, and the job hands the rest of the
+// old backing to the free list all lanes of the server share
+// (wal.MultiLog.Recycle): a steady checkpoint cycle allocates nothing, and
+// lanes re-logged later refill from those re-logged earlier. Every lane
+// appends to a private Log/Buffer, so lane jobs run concurrently without
+// sharing a single lock or medium (dispatch contract: the job takes no
+// latch-class lock and never waits on the pool). A chunk whose sum its
+// entry remembers is re-logged without reading its bytes; a relinked
+// chunk's are not even copied.
 func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 	bp := hdrPool.Get().(*[]byte)
 	appendOne := func(t wal.RecordType, data []byte, sum uint32) []byte {
@@ -401,10 +401,10 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 // stores compact their journals; recovery replays the snapshot exactly. Down
 // servers are skipped (their WAL is their only state). The store must be
 // quiescent, the discipline Crash and Recover require. Each lane's records
-// are re-encoded against that lane's own medium, and the fan-out is flat —
-// every (server, lane) pair is one pool job — rather than nesting per-server
-// parallelDo calls inside pool workers, which the dispatch contract forbids
-// (a worker blocking on a nested pool wait can deadlock a saturated pool).
+// are re-encoded against its own medium, a whole chunk's log buffer relinked,
+// not copied. The fan-out is flat, one pool job per (server, lane) pair, not
+// per-server parallelDo calls nested in pool workers, which the dispatch
+// contract forbids (a worker waiting on a nested pool can deadlock it).
 //
 // A tombstone exists to outrank older copies of its chunk, in memory or in a
 // log. When every server is up, the store is clean and no migration intent is

@@ -32,7 +32,10 @@ const payloadAlign = 64
 // Corrupt. Reset retires the backing: views stay valid, and the backing is
 // reused only once Recycle hands it to the free list, which the caller does
 // when it no longer holds a view into it. The blob store keeps such views as
-// its chunks' bytes.
+// its chunks' bytes. A payload that is exactly a buffer of its own the last
+// Reset retired is relinked, not copied: the buffer rejoins the stream as the
+// payload's segment, and Recycle leaves it out. So a checkpoint that re-logs
+// its chunks from their views copies no whole-chunk byte.
 type Buffer struct {
 	// SlabSize overrides the backing-slab size in bytes (for tests that
 	// want to cross slab boundaries cheaply). Zero means DefaultSlabSize.
@@ -48,9 +51,14 @@ type Buffer struct {
 	// extends it instead of starting a segment.
 	open    bool
 	backing [][]byte // every buffer segs point into: slabs and payload buffers
+	taken   int      // how many of backing came from take, not relink
 	retired [][]byte // backing Reset took out of use, kept until Recycle
-	pool    *pool    // free list; a MultiLog's lanes share one
-	writes  int      // Write/WriteV calls since creation (not reset by Reset)
+	// whole indexes the retired buffers of at least half a slab by start
+	// address, as positions in retired, for relink. It keeps its storage
+	// across cycles, so a warm cycle allocates nothing.
+	whole  map[uintptr]int
+	pool   *pool // free list; a MultiLog's lanes share one
+	writes int   // Write/WriteV calls since creation (not reset by Reset)
 }
 
 func (b *Buffer) slabSize() int {
@@ -73,6 +81,21 @@ func (b *Buffer) free() *pool {
 // a buffer of that size, and keeps it as backing.
 func (b *Buffer) take(n int) []byte {
 	buf := b.free().get(n)
+	b.backing = append(b.backing, buf)
+	b.taken++
+	return buf
+}
+
+// relink returns the retired buffer p covers exactly, if the last Reset
+// retired one, and makes it backing again. Its slot in retired becomes nil,
+// so Recycle leaves it out and a second relink finds no buffer there.
+func (b *Buffer) relink(p []byte) []byte {
+	i, ok := b.whole[addr(p)]
+	if !ok || len(b.retired[i]) != len(p) {
+		return nil
+	}
+	buf := b.retired[i]
+	b.retired[i] = nil
 	b.backing = append(b.backing, buf)
 	return buf
 }
@@ -108,8 +131,11 @@ func (b *Buffer) store(p []byte) []byte {
 	}
 	ss := b.slabSize()
 	if 2*len(p) >= ss {
-		buf := b.take(len(p))
-		copy(buf, p)
+		buf := b.relink(p)
+		if buf == nil {
+			buf = b.take(len(p))
+			copy(buf, p)
+		}
 		b.segs = append(b.segs, buf)
 		b.open, b.n = false, b.n+len(p)
 		return buf
@@ -233,33 +259,46 @@ func (b *Buffer) Writes() int {
 }
 
 // Slabs reports how many backing buffers — slabs and payload buffers — the
-// buffer has taken since it was created or last Reset. Tests use it to prove
-// a log actually spans a segmented backing.
+// buffer has taken since it was created or last Reset; a relinked buffer is
+// not taken. Tests use it to prove a log actually spans a segmented backing.
 func (b *Buffer) Slabs() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.backing)
+	return b.taken
 }
 
 // Reset discards all content and retires the backing: views into it stay
-// valid, and it is kept out of reuse until Recycle. Backing an earlier Reset
-// retired and nobody recycled is left to the garbage collector. Checkpointing
-// resets a log whose prefix a freshly written snapshot has made redundant.
+// valid, and it is kept out of reuse until Recycle. Until then, storing a
+// payload that is exactly a retired buffer of its own relinks that buffer
+// instead of copying it. Backing an earlier Reset retired and nobody recycled
+// is left to the garbage collector. Checkpointing resets a log whose prefix a
+// freshly written snapshot has made redundant.
 func (b *Buffer) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	clear(b.retired)
-	b.retired, b.backing = b.backing, b.retired[:0]
+	b.retired, b.backing, b.taken = b.backing, b.retired[:0], 0
+	if b.whole == nil {
+		b.whole = make(map[uintptr]int)
+	}
+	clear(b.whole)
+	for i, buf := range b.retired {
+		if 2*len(buf) >= b.slabSize() {
+			b.whole[addr(buf)] = i
+		}
+	}
 	clear(b.segs)
 	b.segs = b.segs[:0]
 	b.slab, b.off, b.open, b.n = nil, 0, false, 0
 }
 
 // Recycle hands the backing the last Reset retired to the free list, so
-// later writes reuse it. The caller must hold no view into it any more.
+// later writes reuse it, all but the buffers relinked since. The caller must
+// hold no view into it any more.
 func (b *Buffer) Recycle() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	clear(b.whole)
 	b.free().put(b.retired)
 	clear(b.retired)
 	b.retired = b.retired[:0]
@@ -340,6 +379,9 @@ func (p *pool) put(bufs [][]byte) {
 		p.free = make(map[int][][]byte)
 	}
 	for _, buf := range bufs {
+		if buf == nil {
+			continue // relinked
+		}
 		p.free[len(buf)] = append(p.free[len(buf)], buf)
 	}
 }

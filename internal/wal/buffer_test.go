@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -202,5 +203,158 @@ func TestMultiLogRecycleCycleAllocFree(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, cycle); a != 0 {
 		t.Fatalf("warm append/retire/recycle cycle: %v allocs, want 0", a)
+	}
+}
+
+// TestBufferRelinksRetiredPayload: storing a payload that is exactly a
+// buffer of its own the last Reset retired relinks that buffer — no new
+// backing, the same address — and Recycle keeps it off the free list, while
+// Corrupt and Truncate on it still leave its bytes alone. Every other view
+// is copied: a sub-slice of such a buffer, one retired two Resets ago, a
+// live one (relinked, in recycled backing, or fresh), one from another lane,
+// and a slab-packed payload. Last, lane jobs run as a checkpoint runs them:
+// each lane relinks its views and recycles while its siblings recycle into
+// the free list they share, and no relinked view loses a byte.
+func TestBufferRelinksRetiredPayload(t *testing.T) {
+	for _, ss := range slabSizes {
+		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
+			// Neither size is a slab's, so no retired slab shares a free-list
+			// size class with the relinked buffer.
+			whole, small := 40000, 1000
+			if ss == 64 {
+				whole, small = 48, 17
+			}
+			fill := func(n, tag int) []byte {
+				p := make([]byte, n)
+				for j := range p {
+					p[j] = byte(tag*31 + j*7 + 1)
+				}
+				return p
+			}
+			newLog := func() (*Buffer, *Log) {
+				b := &Buffer{SlabSize: ss}
+				return b, New(b)
+			}
+			store := func(l *Log, p []byte) []byte {
+				t.Helper()
+				want := bytes.Clone(p)
+				_, _, stored, err := l.AppendVSum(RecWrite, nil, p, Checksum(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(stored, want) {
+					t.Fatalf("stored view differs from its %d-byte payload", len(p))
+				}
+				return stored
+			}
+			copied := func(arm string, l *Log, view []byte) {
+				t.Helper()
+				if got := store(l, view); addr(got) == addr(view) {
+					t.Fatalf("%s was relinked, not copied", arm)
+				}
+			}
+
+			b, l := newLog()
+			want := fill(whole, 1)
+			view := store(l, want)
+			store(l, fill(whole, 9)) // its buffer is recycled, then taken again
+			b.Reset()
+			if got := store(l, view); addr(got) != addr(view) {
+				t.Fatal("a retired whole buffer was copied, not relinked")
+			}
+			if b.Slabs() != 1 {
+				t.Fatalf("relinking took %d backing buffers, want only the framing slab", b.Slabs())
+			}
+			if !b.Holds(view) {
+				t.Fatal("the relinked view is not in the stream")
+			}
+			copied("a relinked view", l, view)
+			// Flip the relinked payload's first byte, tear inside it, and
+			// append past the seal.
+			if err := b.Corrupt(recPrefixLen); err != nil {
+				t.Fatal(err)
+			}
+			b.Truncate(recPrefixLen + whole/2)
+			store(l, fill(small, 2))
+			if !bytes.Equal(view, want) {
+				t.Fatal("Corrupt or Truncate rewrote the relinked bytes")
+			}
+			b.Recycle()
+			got := store(l, fill(whole, 3))
+			if addr(got) == addr(view) {
+				t.Fatal("Recycle handed the relinked buffer to the free list")
+			}
+			copied("a live view in recycled backing", l, got)
+			if !bytes.Equal(view, want) {
+				t.Fatal("a write after Recycle rewrote the relinked bytes")
+			}
+
+			b, l = newLog()
+			view = store(l, fill(whole, 4))
+			b.Reset()
+			copied("a sub-slice of a retired buffer", l, view[:len(view)-8])
+
+			b, l = newLog()
+			view = store(l, fill(whole, 5))
+			b.Reset()
+			b.Reset()
+			copied("a view retired two Resets ago", l, view)
+
+			_, l = newLog()
+			copied("a live view", l, store(l, fill(whole, 6)))
+
+			b, l = newLog()
+			view = store(l, fill(small, 7))
+			b.Reset()
+			copied("a slab-packed payload", l, view)
+
+			m := NewMultiLog(2)
+			for lane := range 2 {
+				m.LaneBuffer(lane).SlabSize = ss
+			}
+			p := fill(whole, 8)
+			_, _, view, err := m.AppendVSum(0, RecWrite, nil, p, Checksum(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.ResetAll()
+			copied("a view from another lane", m.lanes[1].log, view)
+
+			const lanes, per = 4, 8
+			m = NewMultiLog(lanes)
+			for lane := range lanes {
+				m.LaneBuffer(lane).SlabSize = ss
+			}
+			views, wants := make([][]byte, lanes*per), make([][]byte, lanes*per)
+			for i := range views {
+				wants[i] = fill(whole, 10+i)
+				if _, _, views[i], err = m.AppendVSum(i%lanes, RecWrite, nil, wants[i], Checksum(wants[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.ResetAll()
+			var wg sync.WaitGroup
+			for lane := range lanes {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := lane; i < len(views); i += lanes {
+						_, _, got, err := m.AppendVSum(lane, RecWrite, nil, views[i], Checksum(views[i]))
+						if err != nil || addr(got) != addr(views[i]) {
+							t.Errorf("lane %d copied view %d instead of relinking it (%v)", lane, i, err)
+						}
+					}
+					m.Recycle(lane)
+					for i := range per {
+						p := fill(whole, 100+i)
+						if _, _, _, err := m.AppendVSum(lane, RecWrite, nil, p, Checksum(p)); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			checkViews(t, "after concurrent relinks and recycles", views, wants)
+		})
 	}
 }

@@ -201,11 +201,14 @@ func readerRaw(b *Buffer) []byte {
 //     resurrected past a gap;
 //   - after a clean merge, RecoverMerged repairs the media so the same
 //     prefix replays again cleanly, and a post-recovery append lands at
-//     the next key and replays with the prefix.
+//     the next key and replays with the prefix;
+//   - every payload view the log handed back for a live record still holds
+//     that record's bytes, through checkpoints, tears, flips and appends.
 func FuzzReplayMerged(f *testing.F) {
 	// Spec grammar (see buildMultiLog): each record consumes 4 spec bytes —
 	// lane selector, type, encode-path selector, payload length; a lane
-	// byte of 255 is a checkpoint (ResetAll: lanes dropped, keys restarted).
+	// byte of 255 is a checkpoint (ResetAll, the live records re-logged from
+	// their stored views, every lane recycled).
 	f.Add([]byte{}, uint16(0), uint16(0), false, uint16(0))                                                         // empty log
 	f.Add([]byte{0, 1, 0, 8, 1, 2, 1, 8, 2, 3, 2, 8, 3, 4, 3, 8}, uint16(0xffff), uint16(0xffff), false, uint16(0)) // all lanes, untouched
 	f.Add([]byte{0, 1, 0, 200, 0, 2, 0, 200}, uint16(30), uint16(0xffff), false, uint16(0))                         // one lane torn mid-record
@@ -221,7 +224,18 @@ func FuzzReplayMerged(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec []byte, cutA, cutB uint16, flip bool, flipAt uint16) {
 		const lanes = 4
 		m := NewMultiLog(lanes)
+		for lane := range lanes {
+			m.LaneBuffer(lane).SlabSize = 1 << 10
+		}
 		appended := buildMultiLog(t, m, spec)
+		checkKept := func(when string) {
+			t.Helper()
+			for i, r := range appended {
+				if !bytes.Equal(r.stored, r.Payload[r.split:]) {
+					t.Fatalf("%s: record %d's stored view no longer holds its payload", when, i)
+				}
+			}
+		}
 
 		// Tear two lanes at arbitrary offsets (a cut past the end is the
 		// "crash after the last append persisted" no-op case).
@@ -237,6 +251,7 @@ func FuzzReplayMerged(f *testing.F) {
 				}
 			}
 		}
+		checkKept("after tears and flips")
 
 		var got []Record
 		collect := func(rec Record) error {
@@ -289,21 +304,36 @@ func FuzzReplayMerged(f *testing.F) {
 		if len(got) != prefix+1 || string(got[prefix].Payload) != "post-recovery" {
 			t.Fatalf("post-recovery append did not survive replay: %d records", len(got))
 		}
+		checkKept("after recovery and an append")
 	})
+}
+
+// mlRecord is a record buildMultiLog appended: what replay must yield, the
+// lane it went to, the length of its header segment, and the payload
+// segment as the lane stored it.
+type mlRecord struct {
+	Record
+	lane   int
+	split  int
+	stored []byte
 }
 
 // buildMultiLog appends records derived from spec across the lanes and
 // returns them in logical (order-key) order. Each record consumes 4 spec
-// bytes: (lane, type, path, length); the path byte routes through AppendV,
-// a single-spec AppendNV, or a two-record AppendNV batch that also
-// consumes the next record's spec for the same lane. A lane byte of 255 is
-// a checkpoint instead of a record: ResetAll drops every lane and restarts
-// the order keys at 1, and the expected sequence restarts with them — the
-// checkpoint-then-append shape whose replay must see ONLY the fresh
-// history.
-func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []Record {
+// bytes: (lane, type, path, length); the path byte routes through
+// AppendVSum, a single-spec AppendNV, or a two-record AppendNV batch that
+// also consumes the next record's spec for the same lane. A length above 200
+// makes a 1 KiB record whose payload segment gets a buffer of its own under
+// 1 KiB slabs. A lane byte of 255 is a checkpoint instead of a record, as
+// the blob store takes one: ResetAll drops every lane and restarts the order
+// keys at 1, each live record is re-appended to its lane from its stored
+// view, and every lane is recycled. The expected sequence restarts with the
+// re-logged records, so replay must see only the snapshot and what follows
+// it. A payload segment with a buffer of its own must come back relinked, at
+// the same address.
+func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []mlRecord {
 	t.Helper()
-	var appended []Record
+	var appended []mlRecord
 	mk := func(i, plen int) []byte {
 		if plen > 200 {
 			plen = 1 << 10
@@ -317,7 +347,20 @@ func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []Record {
 	for i := 0; i+4 <= len(spec); i += 4 {
 		if spec[i] == 0xff {
 			m.ResetAll()
-			appended = appended[:0]
+			for j := range appended {
+				r := &appended[j]
+				_, _, stored, err := m.AppendVSum(r.lane, r.Type, r.Payload[:r.split], r.stored, Checksum(r.stored))
+				if err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+				if 2*len(stored) >= m.LaneBuffer(r.lane).SlabSize && addr(stored) != addr(r.stored) {
+					t.Fatalf("checkpoint copied record %d's %d-byte payload instead of relinking it", j, len(stored))
+				}
+				r.stored = stored
+			}
+			for lane := range m.Lanes() {
+				m.Recycle(lane)
+			}
 			continue
 		}
 		lane := int(spec[i]) % m.Lanes()
@@ -327,15 +370,17 @@ func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []Record {
 		split := len(payload) / 2
 		switch path {
 		case 0:
-			if _, _, err := m.AppendV(lane, rt, payload[:split], payload[split:]); err != nil {
-				t.Fatalf("appendv: %v", err)
+			_, _, stored, err := m.AppendVSum(lane, rt, payload[:split], payload[split:], Checksum(payload[split:]))
+			if err != nil {
+				t.Fatalf("appendvsum: %v", err)
 			}
-			appended = append(appended, Record{Type: rt, Payload: payload})
+			appended = append(appended, mlRecord{Record{Type: rt, Payload: payload}, lane, split, stored})
 		case 1:
-			if _, _, err := m.AppendNV(lane, []AppendVSpec{{Type: rt, Header: payload[:split], Payload: payload[split:]}}); err != nil {
+			specs := []AppendVSpec{{Type: rt, Header: payload[:split], Payload: payload[split:]}}
+			if _, _, err := m.AppendNV(lane, specs); err != nil {
 				t.Fatalf("appendnv: %v", err)
 			}
-			appended = append(appended, Record{Type: rt, Payload: payload})
+			appended = append(appended, mlRecord{Record{Type: rt, Payload: payload}, lane, split, specs[0].Stored})
 		default:
 			// Two-record atomic batch; the second record reuses this spec
 			// quad with a different fill so batches cross record shapes.
@@ -348,8 +393,8 @@ func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []Record {
 				t.Fatalf("appendnv batch: %v", err)
 			}
 			appended = append(appended,
-				Record{Type: rt, Payload: payload},
-				Record{Type: specs[1].Type, Payload: second})
+				mlRecord{Record{Type: rt, Payload: payload}, lane, split, specs[0].Stored},
+				mlRecord{Record{Type: specs[1].Type, Payload: second}, lane, 0, specs[1].Stored})
 		}
 	}
 	for i := range appended {

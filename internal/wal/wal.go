@@ -36,6 +36,9 @@
 // copy of the bytes instead of copying them a second time. A view stays
 // valid until the backing is retired (Buffer.Reset, MultiLog.ResetAll) and
 // then recycled (Recycle), which the caller does once it has let go of it.
+// In between, a payload that is exactly a retired buffer of its own is
+// relinked, not copied, so a checkpoint re-logging whole chunks from their
+// views copies none of their bytes.
 //
 // # Sharded lanes
 //

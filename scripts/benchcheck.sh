@@ -88,7 +88,8 @@ for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
 done
 go test -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
-go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog' ./internal/wal
+# Lane appends race under their own mutexes; a lane's checkpoint job relinks its retired buffers while sibling lanes recycle into the shared free list.
+go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog|TestBufferRelinksRetiredPayload' ./internal/wal
 # The one migration test whose outcome depends on interleaving, and the observer it drives from live appends.
 # A drained node is reset only once it holds nothing: the drain tests keep its only copy and its open intent until then.
 go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend|TestDrainKeepsOnlyCopy|TestRemoveServerResetsWAL' ./internal/blob
@@ -98,7 +99,8 @@ go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObser
 go test -race -count=10 -cpu 1,2,4 -run 'TestOpsOnDeletedBlobSeeNotFound|TestOpsRacingCreate|TestWriteLatchedAcrossHandoverLogsOnNewPrimary|TestWriteRacingDeleteAfterHandover|TestScanUnderConcurrentCreateDelete|TestVersionsNeverGoBackwards|TestTornSizeChangeReplicaDown' ./internal/blob
 # Recovery reads the lanes in place: after a merge stopped by a torn lane, every lane's in-flight decode must finish before resync appends.
 go test -race -count=10 -cpu 1,2,4 -run TestRecoverTornLaneThenResync ./internal/blob
-# A chunk entry's bytes are a view of the payload its own server's log lane stored, on a 64-byte boundary, after every path that writes one.
+# A chunk entry's bytes are a view of the payload its own server's log lane stored, on a 64-byte boundary, after every path that writes one,
+# and a checkpoint relinks a whole-chunk buffer instead of copying it.
 go test -race -count=10 -cpu 1,2,4 -run TestChunkBytesAreOwnLog ./internal/blob
 # The gateway's pooled buffers pass between concurrent requests; no body may show another request's bytes.
 go test -race -count=10 -cpu 1,2,4 -run TestPooledBuffersNeverLeakBytes ./internal/s3gw
