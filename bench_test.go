@@ -577,6 +577,47 @@ func BenchmarkRecover(b *testing.B) {
 	}
 }
 
+// --- Small appends: 4 KiB sequential writes at the default ChunkSize, R 3, on
+// 5 nodes. One op creates a one-chunk blob and writes it front to back; the
+// blob's delete and a CheckpointAll run untimed after it, so the store stays
+// one blob big. MB/s is over the user bytes written, copyB/B the store's
+// blob.copy.bytes over them, all R replicas together: every 4 KiB write
+// merges the chunk so far into a fresh copy on each replica. -cpuprofile
+// entry point and the baseline for storing partial writes as extents. ---
+
+func BenchmarkAppendSmall(b *testing.B) {
+	const step = 4 << 10
+	store := blob.New(cluster.New(cluster.Config{Nodes: 5, Seed: 1}), blob.Config{Replication: 3})
+	size := store.ChunkSize()
+	copies := store.Metrics().Counter("blob.copy.bytes")
+	ctx := storage.NewContext()
+	buf := make([]byte, step)
+	var copied int64
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := fmt.Sprintf("a/%d", i)
+		if err := store.CreateBlob(ctx, key); err != nil {
+			b.Fatal(err)
+		}
+		before := copies.Value()
+		for off := 0; off < size; off += step {
+			buf[0] = byte(off / step)
+			if _, err := store.WriteBlob(ctx, key, int64(off), buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		copied += copies.Value() - before
+		b.StopTimer()
+		if err := store.DeleteBlob(ctx, key); err != nil {
+			b.Fatal(err)
+		}
+		store.CheckpointAll()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(copied)/float64(b.N*size), "copyB/B")
+}
+
 // discardWriter is a ResponseWriter that keeps only the status and the body
 // length.
 type discardWriter struct {

@@ -62,8 +62,12 @@
 //     folds that sum in; a chunk whose bytes are exactly one summed payload
 //     keeps the sum (chunkStripe), so CheckpointAll re-logs it unread, and
 //     a whole chunk's log buffer is relinked, not copied (wal.Buffer).
-//     Multi-record operations batch same-(server,lane) records through
-//     AppendNV.
+//     Recover installs the same views and sums from its replay, so a
+//     recovered server's memory is laid out as a live one's. The bytes the
+//     store does copy into chunk memory — a partial write's merge, a
+//     checkpoint's copy of what it cannot relink — are counted in
+//     blob.copy.bytes. Multi-record operations batch same-(server,lane)
+//     records through AppendNV.
 //   - goroutine fan-out: per-chunk work runs on the goroutine that joins
 //     the fan, with idle workers of a bounded pool stealing its tail
 //     (dispatch.go), and with resource charges recorded into per-task ledgers
@@ -211,7 +215,8 @@
 // A drained node is just a holder outside the ring. Its descriptors and
 // chunks leave through the sweep's logged drops, like any stray's, so its
 // log always replays to what it holds; its WAL lanes are reset (ResetAll)
-// once it holds nothing, and the intent closes then. A copy no owner can
+// and their backing recycled once it holds nothing, and the intent closes
+// then. A copy no owner can
 // take yet keeps the node's state and the intent until Recover or
 // SetDown(_, false) rolls it forward, so a drain never resets the last copy
 // of a version or the debt naming its owners.
@@ -404,7 +409,8 @@ type Store struct {
 	repairPending atomic.Int64
 	// metrics counts failure-domain events: degraded writes, transient
 	// retries, repaired chunks/bytes. Only event paths touch it, so the
-	// healthy hot path pays nothing.
+	// healthy hot path pays nothing, except blob.copy.bytes, which a partial
+	// write adds to through the counter each server caches (server.copied).
 	metrics *metrics.Registry
 	// helpers caps the help tokens one fan posts: GOMAXPROCS, cached because
 	// reading it takes the scheduler lock. One more than can run beside the
@@ -498,19 +504,20 @@ type chunkStripe struct {
 	mu sync.RWMutex
 	// m holds the chunk bytes; an entry with none is a tombstone. An
 	// entry's bytes are immutable — nothing writes into them, a change
-	// replaces the entry — and they are one of three things: a view of the
+	// replaces the entry — and they are one of two things: a view of the
 	// payload this server's own log lane stored for a whole-chunk write,
-	// install or checkpoint record (wal.MultiLog.AppendVSum); a merged slice
-	// built for a partial write; or a redo body, a fresh record body
-	// (wal.Decoder) that the next checkpoint re-points at its new record. A
-	// trim keeps a prefix of any of them. So each replica copies a write's
-	// bytes once, into its log, and a reader may use an entry's bytes after
-	// dropping the stripe lock. An entry also remembers the CRC32C of its
-	// bytes when they are exactly one payload whose sum the write path
-	// already had: a whole-chunk write (applyChunk at offset 0 covering the
-	// old length), an install, which carries its source's sum, or a
-	// checkpoint record. A partial overwrite, a trim, a delete and every
-	// replayed record forget it; the zero value means "unknown".
+	// install or checkpoint record (wal.MultiLog.AppendVSum), which Recover
+	// finds again as the replayed record's view (wal.Record.Data); or a
+	// merged slice built for a partial write. A trim keeps a prefix of
+	// either. So each replica copies a write's bytes once, into its log, and
+	// a reader may use an entry's bytes after dropping the stripe lock. An
+	// entry also remembers the CRC32C of its bytes when they are exactly one
+	// payload whose sum the write path already had: a whole-chunk write
+	// (applyChunk at offset 0 covering the old length), an install, which
+	// carries its source's sum, a checkpoint record, or the replay of any of
+	// them, whose decoder summed the payload checking its record. A partial
+	// overwrite, a trim and a delete forget it; the zero value means
+	// "unknown".
 	// CheckpointAll re-logs a remembered sum without reading the bytes
 	// again, and CheckInvariants rule 6 checks it against them.
 	m map[chunkID]chunkBytes
@@ -579,6 +586,18 @@ type server struct {
 	// checkpoint planner (which only sees the server) can re-log an open
 	// RecMigrateBegin before ResetAll drops it from the lanes.
 	migIntent *atomic.Pointer[migrationIntent]
+	// copyBytes is the store's blob.copy.bytes counter (copied), cached so
+	// no op looks it up.
+	copyBytes *metrics.Counter
+}
+
+// copied counts n bytes the store copied into chunk memory: a partial
+// write's merge, a replayed payload the decoder copied, a checkpoint's copy
+// of an entry it could not relink.
+func (sv *server) copied(n int) {
+	if n > 0 {
+		sv.copyBytes.Add(int64(n))
+	}
 }
 
 // chunkLane selects the log lane for a chunk placement hash.
@@ -839,6 +858,7 @@ func NewOnNodes(c *cluster.Cluster, cfg Config, serving []cluster.NodeID) *Store
 			wal:           wal.NewMultiLog(cfg.WALLanes),
 			repairPending: &s.repairPending,
 			migIntent:     &s.migIntent,
+			copyBytes:     s.metrics.Counter("blob.copy.bytes"),
 		}
 		sv.reset()
 		s.servers = append(s.servers, sv)
@@ -861,7 +881,8 @@ func (s *Store) ChunkSize() int { return s.cfg.ChunkSize }
 func (s *Store) Cluster() *cluster.Cluster { return s.cluster }
 
 // Metrics returns the store's failure-domain event counters (degraded
-// writes, transient retries, repair traffic).
+// writes, transient retries, repair traffic) and blob.copy.bytes, the bytes
+// the store copied into chunk memory.
 func (s *Store) Metrics() *metrics.Registry { return s.metrics }
 
 // RepairPending reports how many chunk debt entries currently await repair

@@ -323,7 +323,7 @@ func dumpChunkState(t *testing.T, s *Store, key string, got, want []byte) {
 				i, containsNode(owners, i), sv.isDown(), ver, mask, ok, data)
 			var hist []string
 			sv.wal.ReplayMerged(func(rec wal.Record) error {
-				rid, within, rver, rdata, err := decChunkPayload(rec.Payload)
+				rid, within, rver, rdata, err := decChunkPayload(rec.Bytes())
 				if err != nil || rid != id {
 					return nil
 				}

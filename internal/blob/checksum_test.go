@@ -79,8 +79,9 @@ func TestLogBytesPinned(t *testing.T) {
 
 // TestRememberedSumsFollowTheBytes pins when a chunk entry remembers its
 // CRC32C, and that CheckInvariants rule 6 names one that lies. Whole-chunk
-// writes, 2PC and direct, and a repair install remember on every copy they
-// land on; a partial overwrite, a trim and a replay forget.
+// writes, 2PC and direct, a repair install and a replay of a whole-chunk
+// record remember on every copy they land on; a partial overwrite and a trim
+// forget.
 func TestRememberedSumsFollowTheBytes(t *testing.T) {
 	s := New(cluster.New(cluster.Config{Nodes: 3, Seed: 5}),
 		Config{ChunkSize: 32, Replication: 2, WALLanes: 2, InlineFanout: true})
@@ -123,9 +124,9 @@ func TestRememberedSumsFollowTheBytes(t *testing.T) {
 
 	owners := s.chunkOwners(c0)
 	s.Crash(cluster.NodeID(owners[1]))
-	step("replay", s.Recover(cluster.NodeID(owners[1])), c0, 1)
+	step("replay", s.Recover(cluster.NodeID(owners[1])), c0, 2)
 	s.SetDown(cluster.NodeID(owners[1]), true)
-	step("degraded write", write(0, 5, 32), c0, 1)
+	step("degraded write", write(0, 5, 32), c0, 2)
 	s.SetDown(cluster.NodeID(owners[1]), false)
 	step("rejoin repair", nil, c0, 2)
 

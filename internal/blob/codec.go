@@ -3,6 +3,8 @@ package blob
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/wal"
 )
 
 // WAL payload codecs. Every record carries enough to rebuild the server's
@@ -85,6 +87,33 @@ func decChunkPayload(p []byte) (id chunkID, within int64, ver uint64, data []byt
 	ver = binary.LittleEndian.Uint64(p[2+kl+16 : 2+kl+24])
 	data = p[2+kl+24:]
 	return id, within, ver, data, nil
+}
+
+// chunkRec is a replayed chunk record: its addressing, version and data, and
+// how many of the data's bytes decoding it copied out of the log.
+type chunkRec struct {
+	id     chunkID
+	within int64
+	ver    uint64
+	data   chunkBytes
+	copied int
+}
+
+// decChunkRecord decodes a replayed chunk record. When the header is all of
+// rec.Payload, as for every vectored append a wal.Buffer replays
+// (wal.Record), the data is rec.Data: a view of the log, with its sum.
+// Otherwise the data comes from the whole payload, a copy unless the decoder
+// left all of it in the view.
+func decChunkRecord(rec wal.Record) (chunkRec, error) {
+	if id, within, ver, rest, err := decChunkPayload(rec.Payload); err == nil && len(rest) == 0 {
+		return chunkRec{id, within, ver, chunkBytes{b: rec.Data, sum: rec.DataSum, summed: true}, 0}, nil
+	}
+	id, within, ver, data, err := decChunkPayload(rec.Bytes())
+	c := chunkRec{id: id, within: within, ver: ver, data: chunkBytes{b: data}}
+	if len(rec.Payload) > 0 {
+		c.copied = len(data)
+	}
+	return c, err
 }
 
 // Migration payload codec (rebalance.go, recovery.go): the intent, opened by

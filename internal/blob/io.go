@@ -478,7 +478,7 @@ func keepLogged(sv *server, pl chunkPlace, within int64, stored []byte, rec wal.
 // whole-chunk write — at 0, covering the old length — keeps p itself, sum
 // and all; a partial write builds a merged slice, zero-filling any gap
 // (sparse semantics), and forgets the sum. p's bytes must not change after
-// the call: the payload sv's own log stored, or a redo body.
+// the call: the payload sv's own log stored, live or replayed.
 func applyChunk(sv *server, h uint64, id chunkID, within int64, p chunkBytes, ver uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
@@ -489,6 +489,7 @@ func applyChunk(sv *server, h uint64, id chunkID, within int64, p chunkBytes, ve
 		copy(merged, old)
 		copy(merged[within:], p.b)
 		p = chunkBytes{b: merged}
+		sv.copied(len(merged))
 	}
 	st.m[id] = p
 	if ver > st.ver[id] {

@@ -72,12 +72,14 @@ func wholeChunkAddrs(s *Store, cs int) map[string]uintptr {
 
 // TestChunkBytesAreOwnLog pins the aliasing rule: a chunk entry's bytes are
 // the payload its own server's log stored — after a direct write, a 2PC
-// write, a degraded write and its repair, a join and a drain, and after a
-// checkpoint has re-logged every lane — never a private copy and never
-// another server's bytes. Both payload classes are covered: chunks that pack
-// into the log's slabs and chunks that get a buffer of their own. A
-// checkpoint relinks a chunk's own buffer instead of copying it, so with
-// 64 KiB chunks every entry keeps its address across two checkpoints.
+// write, a degraded write and its repair, a join and a drain, after a
+// checkpoint has re-logged every lane, and after a crashed node has replayed
+// its log — never a private copy and never another server's bytes. Both
+// payload classes are covered: chunks that pack into the log's slabs and
+// chunks that get a buffer of their own. A checkpoint relinks a chunk's own
+// buffer instead of copying it, so with 64 KiB chunks every entry keeps its
+// address across two checkpoints, and across the checkpoint after a
+// Crash + Recover too.
 func TestChunkBytesAreOwnLog(t *testing.T) {
 	for _, cs := range []int{1 << 10, 64 << 10} {
 		t.Run(fmt.Sprintf("chunk%d", cs), func(t *testing.T) {
@@ -130,12 +132,13 @@ func TestChunkBytesAreOwnLog(t *testing.T) {
 			if held := checkOwnLogViews(t, s, "before the checkpoint"); held[5] == 0 {
 				t.Fatal("the join installed nothing on node 5")
 			}
-			before := wholeChunkAddrs(s, cs)
-			for _, when := range []string{"after CheckpointAll", "after a second CheckpointAll"} {
+			checkpoint := func(when string) {
+				t.Helper()
+				before := wholeChunkAddrs(s, cs)
 				s.CheckpointAll()
 				checkOwnLogViews(t, s, when)
 				if cs != 64<<10 {
-					continue // chunks packed into slabs are copied
+					return // chunks packed into slabs are copied
 				}
 				after := wholeChunkAddrs(s, cs)
 				if len(after) != len(before) {
@@ -147,6 +150,20 @@ func TestChunkBytesAreOwnLog(t *testing.T) {
 					}
 				}
 			}
+			checkpoint("after CheckpointAll")
+			checkpoint("after a second CheckpointAll")
+
+			// Recovered: the replayed entries are views of the node's own
+			// lanes, exact log buffers with their sums, so the next
+			// checkpoint relinks them like any other.
+			s.Crash(1)
+			if err := s.Recover(1); err != nil {
+				t.Fatal(err)
+			}
+			if held := checkOwnLogViews(t, s, "after Crash + Recover"); held[1] == 0 {
+				t.Fatal("node 1 recovered no chunk")
+			}
+			checkpoint("after the CheckpointAll that follows Recover")
 			verifyAll(t, s, ctx, want)
 			if msg := s.CheckInvariants(); msg != "" {
 				t.Fatal(msg)
@@ -243,4 +260,111 @@ func TestLaneDamageLeavesLiveChunks(t *testing.T) {
 		t.Fatal(msg)
 	}
 	readFromNode0(t, s, ctx, want, "after Recover")
+}
+
+// copyBytes reads the store's blob.copy.bytes counter.
+func copyBytes(s *Store) int64 { return s.Metrics().Counter("blob.copy.bytes").Value() }
+
+// TestCopyBytesCounted pins blob.copy.bytes, the bytes the store copies into
+// chunk memory, at exact values: whole-chunk writes, 2PC and direct, copy
+// nothing, and neither does a Crash + Recover + CheckpointAll at 64 KiB
+// chunks, where every recovered entry is its own log buffer; a partial write
+// copies its merged chunk on each of its R replicas, and the next checkpoint
+// copies that merged entry once more on each.
+func TestCopyBytesCounted(t *testing.T) {
+	const cs, r = 64 << 10, 3
+	s := NewOnNodes(cluster.New(cluster.Config{Nodes: 5, Seed: 4}),
+		Config{ChunkSize: cs, Replication: r, WALLanes: 4}, nil)
+	ctx := storage.NewContext()
+	step := func(what string, err error, want int64) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := copyBytes(s); got != want {
+			t.Fatalf("%s: blob.copy.bytes is %d, want %d", what, got, want)
+		}
+	}
+	write := func(key string, off int64, tag, n int) error {
+		_, err := s.WriteBlob(ctx, key, off, pattern(tag, n))
+		return err
+	}
+	for i := range 4 {
+		key := fmt.Sprintf("b%d", i)
+		step("create", s.CreateBlob(ctx, key), 0)
+		step("2PC write of three whole chunks", write(key, 0, i, 3*cs), 0)
+		step("direct write of a whole chunk", write(key, cs, 10+i, cs), 0)
+	}
+	s.Crash(2)
+	step("Crash + Recover", s.Recover(2), 0)
+	s.CheckpointAll()
+	step("the CheckpointAll after Recover", nil, 0)
+
+	step("partial write inside a whole chunk", write("b0", 100, 20, 10), r*cs)
+	step("partial write past the end", write("b0", 3*cs+5, 21, 7), r*cs+r*12)
+	s.CheckpointAll()
+	step("the CheckpointAll after the partial writes", nil, 2*(r*cs+r*12))
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// TestDrainRecyclesItsLog: a drained node holds nothing once its drain ends,
+// so its retired log backing goes back to its free list, and the join that
+// brings it back reuses those buffers instead of allocating fresh ones. The
+// 48 KiB chunks get log buffers of their own in a size class no slab shares,
+// and each is written once, so the node's buffers of that size are exactly
+// its chunk entries: every chunk the join installs must land in one of them.
+func TestDrainRecyclesItsLog(t *testing.T) {
+	const cs = 48 << 10
+	s := NewOnNodes(cluster.New(cluster.Config{Nodes: 5, Seed: 3}),
+		Config{ChunkSize: cs, Replication: 3, WALLanes: 4}, nil)
+	ctx := storage.NewContext()
+	for i := range 8 {
+		key := fmt.Sprintf("b%d", i)
+		if err := s.CreateBlob(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WriteBlob(ctx, key, 0, pattern(i, 3*cs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := func() map[uintptr]bool {
+		at := map[uintptr]bool{}
+		s.servers[0].forEachChunk(func(_ chunkID, data []byte, _ uint64) {
+			if len(data) == cs {
+				at[uintptr(unsafe.Pointer(unsafe.SliceData(data)))] = true
+			}
+		})
+		return at
+	}
+	held := entries()
+	if len(held) == 0 {
+		t.Fatal("node 0 holds no chunk")
+	}
+	if err := s.RemoveServer(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.ChunkCount(0) != 0 || s.migIntent.Load() != nil {
+		t.Fatal("the drain of node 0 did not finish")
+	}
+	if err := s.AddServer(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	back := entries()
+	if len(back) != len(held) {
+		t.Fatalf("the join installed %d chunks on node 0, it held %d before the drain", len(back), len(held))
+	}
+	reused := 0
+	for at := range back {
+		if held[at] {
+			reused++
+		}
+	}
+	if reused != len(back) {
+		t.Fatalf("the join reused %d of node 0's %d retired chunk buffers: the drain did not recycle its log", reused, len(back))
+	}
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
 }

@@ -184,7 +184,12 @@ func (s *Store) finishMigration(ctx *storage.Context, intent *migrationIntent) {
 		if !sv.holdsNothing() {
 			return
 		}
+		// No entry is left to view the retired backing: it goes back to
+		// the node's free list for the next join to reuse.
 		sv.wal.ResetAll()
+		for lane := range sv.wal.Lanes() {
+			sv.wal.Recycle(lane)
+		}
 	}
 	cg := s.directCharge(ctx)
 	s.logIntent(&cg, wal.RecMigrateEnd, intent, skip)

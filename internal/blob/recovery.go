@@ -3,11 +3,11 @@ package blob
 import (
 	"fmt"
 	"hash/crc32"
-	"runtime"
 	"sort"
 	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -15,12 +15,13 @@ import (
 // LogRecords replays a server's write-ahead log — all lanes, merged into
 // logical append order by the records' order keys — and returns its
 // records. Tests use this to assert that every namespace mutation was made
-// durable before being acknowledged.
+// durable before being acknowledged. A record's Data is a view of its lane
+// (wal.Record), valid until a CheckpointAll recycles the lane.
 func (s *Store) LogRecords(node cluster.NodeID) ([]wal.Record, error) {
 	sv := s.servers[int(node)]
 	var recs []wal.Record
 	err := sv.wal.ReplayMerged(func(rec wal.Record) error {
-		recs = append(recs, rec) // each payload is fresh (wal.Decoder)
+		recs = append(recs, rec)
 		return nil
 	})
 	if err != nil {
@@ -41,25 +42,19 @@ func (s *Store) Crash(node cluster.NodeID) {
 	sv.reset()
 }
 
-// prepWrite is the buffered 2PC chunk write awaiting its commit record
-// during replay. At most one is pending per chunk: the key latch
-// serializes transactions and each transaction prepares a chunk exactly
-// once, so a newer prepare supersedes any dangling one a torn transaction
-// left behind — which is also what keeps a later commit from resurrecting
-// stale prepared bytes.
-type prepWrite struct {
-	within int64
-	ver    uint64
-	data   []byte
-}
-
 // redo replays log records into one server's tables through the mutators
 // live ops use (applyChunk, deleteChunk, trimChunk, setDebtLocked, putDesc
 // and dropDesc), so what a record does is written down once. Recover
 // runs it on the recovering server, CheckInvariants on a scratch one.
 type redo struct {
-	sv      *server
-	pending map[chunkID]prepWrite
+	sv *server
+	// pending holds each chunk's buffered 2PC prepare awaiting its commit
+	// record. At most one is pending per chunk: the key latch serializes
+	// transactions and each transaction prepares a chunk exactly once, so a
+	// newer prepare supersedes any dangling one a torn transaction left
+	// behind — which is also what keeps a later commit from resurrecting
+	// stale prepared bytes.
+	pending map[chunkID]chunkRec
 	// intent is the open migration intent, a Begin without its End; maxSeq
 	// is the highest migration sequence number seen.
 	intent *migrationIntent
@@ -70,7 +65,7 @@ func (r *redo) record(rec wal.Record) error {
 	sv := r.sv
 	switch rec.Type {
 	case wal.RecMeta, wal.RecDelete:
-		key, size, ver, err := decMeta(rec.Payload)
+		key, size, ver, err := decMeta(rec.Bytes())
 		if err != nil {
 			return err
 		}
@@ -80,7 +75,7 @@ func (r *redo) record(rec wal.Record) error {
 			sv.putDesc(key, descriptor{size: size, ver: ver, dead: rec.Type == wal.RecDelete})
 		}
 	case wal.RecMigrateBegin, wal.RecMigrateEnd:
-		seq, op, node, err := decMigrateIntent(rec.Payload)
+		seq, op, node, err := decMigrateIntent(rec.Bytes())
 		if err != nil {
 			return err
 		}
@@ -91,39 +86,42 @@ func (r *redo) record(rec wal.Record) error {
 			r.intent = nil
 		}
 	case wal.RecWrite, wal.RecPrepWrite, wal.RecChunkCommit, wal.RecChunkDelete, wal.RecChunkTruncate, wal.RecRepairNeeded:
-		id, within, ver, data, err := decChunkPayload(rec.Payload)
+		c, err := decChunkRecord(rec)
 		if err != nil {
 			return err
 		}
-		h := id.ringHash()
+		id, h := c.id, c.id.ringHash()
 		switch rec.Type {
 		case wal.RecWrite:
-			// rec.Payload is a fresh per-record buffer (wal.Decoder), so a
-			// whole-chunk payload becomes the chunk's bytes uncopied.
-			applyChunk(sv, h, id, within, chunkBytes{b: data}, ver)
+			// c.data is a view of the lane, with its sum (decChunkRecord),
+			// so a whole-chunk payload becomes the chunk's bytes uncopied,
+			// as a live write's does.
+			sv.copied(c.copied)
+			applyChunk(sv, h, id, c.within, c.data, c.ver)
 		case wal.RecPrepWrite:
-			// The fresh buffer may be kept until the commit, too.
-			// Overwrite, never accumulate: only the latest prepare belongs
-			// to the transaction whose commit may follow.
+			// The view may be kept until the commit, too. Overwrite, never
+			// accumulate: only the latest prepare belongs to the
+			// transaction whose commit may follow.
 			if r.pending == nil {
-				r.pending = make(map[chunkID]prepWrite)
+				r.pending = make(map[chunkID]chunkRec)
 			}
-			r.pending[id] = prepWrite{within: within, ver: ver, data: data}
+			r.pending[id] = c
 		case wal.RecChunkCommit:
 			if p, ok := r.pending[id]; ok {
-				applyChunk(sv, h, id, p.within, chunkBytes{b: p.data}, p.ver)
+				sv.copied(p.copied)
+				applyChunk(sv, h, id, p.within, p.data, p.ver)
 				delete(r.pending, id)
 			}
 		case wal.RecChunkDelete:
-			sv.deleteChunk(h, id, ver)
+			sv.deleteChunk(h, id, c.ver)
 		case wal.RecChunkTruncate:
-			sv.trimChunk(h, id, within, ver)
+			sv.trimChunk(h, id, c.within, c.ver)
 		case wal.RecRepairNeeded:
 			// The full debt mask rides in the version slot, so the last
 			// record wins; mask 0 clears the entry.
 			st := sv.stripe(h)
 			st.mu.Lock()
-			sv.setDebtLocked(st, id, ver)
+			sv.setDebtLocked(st, id, c.ver)
 			st.mu.Unlock()
 		}
 	default:
@@ -161,6 +159,12 @@ func (r *redo) record(rec wal.Record) error {
 // AND clean-but-after-gap records — and re-bases the order-key counter, so
 // appends accepted after recovery extend the prefix instead of hiding
 // behind bytes a later replay would trip over or stop before.
+//
+// Replay copies no logged chunk byte: the lanes are read in place, and a
+// replayed whole-chunk payload is installed as the view of its own lane the
+// decoder yields, with the sum it computed checking the record
+// (decChunkRecord). Memory after Recover is therefore laid out as after the
+// live ops, and the next checkpoint relinks it.
 //
 // By default the lanes are DECODED in parallel: one prefetching feed per
 // lane rides the worker pool (recoverfeed.go) while this goroutine runs
@@ -340,9 +344,10 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 // checkpointLane re-encodes one lane's surviving records against that
 // lane's own medium through the vectored append, staging only the header
 // (in a pooled buffer private to this lane job). A whole chunk's entry is a
-// buffer of its own the lane's reset retired, and the append relinks it as
-// the new record's payload (wal.Buffer); slab-packed chunks, merged partial
-// writes and recovered chunks are copied once. Each entry is then pointed at
+// buffer of its own the lane's reset retired — after a live write or its
+// replay alike — and the append relinks it as the new record's payload
+// (wal.Buffer); slab-packed chunks and merged partial writes are copied
+// once, and counted (blob.copy.bytes). Each entry is then pointed at
 // its new record, under its stripe lock, and the job hands the rest of the
 // old backing to the free list all lanes of the server share
 // (wal.MultiLog.Recycle): a steady checkpoint cycle allocates nothing, and
@@ -371,6 +376,7 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		*bp = appendMetaPayload((*bp)[:0], m.key, m.d.size, m.d.ver)
 		appendOne(m.d.recType(), nil, 0)
 	}
+	copied := 0
 	for _, c := range plan.chunks {
 		*bp = appendChunkHeader((*bp)[:0], c.id, 0, c.ver)
 		if len(c.data.b) == 0 {
@@ -379,6 +385,9 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		}
 		sum := c.data.checksum()
 		stored := appendOne(wal.RecWrite, c.data.b, sum)
+		if &stored[0] != &c.data.b[0] {
+			copied += len(stored) // not relinked
+		}
 		st := sv.stripe(c.h)
 		st.mu.Lock()
 		st.m[c.id] = chunkBytes{b: stored, sum: sum, summed: true}
@@ -392,6 +401,7 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		appendOne(wal.RecRepairNeeded, nil, 0)
 	}
 	hdrPool.Put(bp)
+	sv.copied(copied)
 	sv.wal.Recycle(lane)
 }
 
@@ -402,7 +412,7 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 // servers are skipped (their WAL is their only state). The store must be
 // quiescent, the discipline Crash and Recover require. Each lane's records
 // are re-encoded against its own medium, a whole chunk's log buffer relinked,
-// not copied. The fan-out is flat, one pool job per (server, lane) pair, not
+// not copied, whether a live write or a Recover left it there. The fan-out is flat, one pool job per (server, lane) pair, not
 // per-server parallelDo calls nested in pool workers, which the dispatch
 // contract forbids (a worker waiting on a nested pool can deadlock it).
 //
@@ -569,24 +579,12 @@ func (s *Store) CheckInvariants() string {
 		if msg := sv.sumDiff(); msg != "" {
 			return msg
 		}
-		if sv.wal.Size() >= replayGCBytes {
-			runtime.GC()
-		}
 		if msg := sv.replayDiff(); msg != "" {
 			return msg
 		}
 	}
 	return ""
 }
-
-// replayGCBytes is the log size from which rule 5 collects before redoing a
-// server. The replay reads the lanes in place, but the decoded record bodies
-// it allocates, kept as the scratch server's chunks, still come to about the
-// log's size; left to the GC's pacing, that volume over every server of a
-// large store lifts the heap to its goal, about twice the live data and far
-// above what the store's own work peaks at. Collected per server, the check
-// costs the heap one server's replay.
-const replayGCBytes = 1 << 20
 
 // sumDiff names the lowest chunk on sv whose remembered sum is not the CRC32C
 // of its bytes (rule 6), or returns "".
@@ -609,11 +607,12 @@ func (sv *server) sumDiff() string {
 	return fmt.Sprintf("node %d: chunk %d of %q remembers a checksum its bytes do not have", sv.node, bad.idx, bad.key)
 }
 
-// replayDiff redoes sv's lanes into a scratch server, with its own debt
-// counter, and returns the first line on which that server's tables and sv's
-// differ, or "".
+// replayDiff redoes sv's lanes into a scratch server, with its own debt and
+// copy counters, and returns the first line on which that server's tables and sv's
+// differ, or "". The redo reads the lanes in place and the scratch server's
+// whole chunks are views of them, so the check copies no logged byte.
 func (sv *server) replayDiff() string {
-	scratch := &server{node: sv.node, repairPending: new(atomic.Int64)}
+	scratch := &server{node: sv.node, repairPending: new(atomic.Int64), copyBytes: new(metrics.Counter)}
 	scratch.reset()
 	r := redo{sv: scratch}
 	if err := sv.wal.ReplayMerged(r.record); err != nil {

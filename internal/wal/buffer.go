@@ -145,6 +145,7 @@ func (b *Buffer) store(p []byte) []byte {
 		b.slab, b.off, b.open, at = b.take(ss), 0, false, 0
 	}
 	copy(b.slab[at:], p)
+	b.open = false // a payload starts a segment, so a decoder finds it whole
 	b.extend(at, len(p))
 	return b.slab[at : at+len(p) : at+len(p)]
 }
@@ -203,10 +204,30 @@ func (b *Buffer) Reader() io.Reader {
 	return &segReader{segs: slices.Clone(b.segs)}
 }
 
-// segReader reads a list of segments in order.
+// segReader reads a list of segments in order. The decoder also takes
+// record bodies from it in place, as views (views).
 type segReader struct {
 	segs   [][]byte
 	i, off int // next byte: segs[i][off]
+}
+
+// views appends the next n bytes of the stream to dst as views of the
+// segments, one per segment they span, each capped at its length, and
+// advances past them. ok is false when fewer than n bytes remain.
+func (r *segReader) views(n int, dst [][]byte) (_ [][]byte, ok bool) {
+	for n > 0 {
+		if r.i == len(r.segs) {
+			return dst, false
+		}
+		p := r.segs[r.i][r.off:]
+		p = p[:min(n, len(p)):min(n, len(p))]
+		dst = append(dst, p)
+		n -= len(p)
+		if r.off += len(p); r.off == len(r.segs[r.i]) {
+			r.i, r.off = r.i+1, 0
+		}
+	}
+	return dst, true
 }
 
 func (r *segReader) Read(p []byte) (int, error) {

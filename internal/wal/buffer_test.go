@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 )
@@ -355,6 +356,69 @@ func TestBufferRelinksRetiredPayload(t *testing.T) {
 			}
 			wg.Wait()
 			checkViews(t, "after concurrent relinks and recycles", views, wants)
+		})
+	}
+}
+
+// TestDecoderYieldsStoredViews: a decoder reading a Buffer yields each
+// vectored record's payload segment as Data, the very view the append
+// returned, with its CRC32C, and copies only the header in front of it into
+// Payload; a record with no payload segment comes back whole through Bytes.
+// Over a plain reader the same records come back whole in Payload.
+func TestDecoderYieldsStoredViews(t *testing.T) {
+	for _, ss := range slabSizes {
+		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
+			b := &Buffer{SlabSize: ss}
+			l := New(b)
+			type rec struct{ hdr, p, stored []byte }
+			var recs []rec
+			for i := 0; i < 36; i++ {
+				hdr, p := []byte(fmt.Sprintf("header-%d", i)), viewPayload(i)
+				var stored []byte
+				var err error
+				switch i % 3 {
+				case 0:
+					_, _, stored, err = l.AppendVSum(RecWrite, hdr, p, Checksum(p))
+				case 1:
+					specs := []AppendVSpec{{Type: RecWrite, Header: hdr, Payload: p}}
+					_, _, err = l.AppendNV(specs)
+					stored = specs[0].Stored
+				default:
+					hdr = append(hdr, p...) // one segment: no payload view
+					_, _, err = l.Append(RecWrite, hdr)
+					p = nil
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs = append(recs, rec{hdr, p, stored})
+			}
+			for _, r := range []io.Reader{b.Reader(), bytes.NewReader(readerBytes(t, b))} {
+				_, plain := r.(*bytes.Reader)
+				dec := NewDecoder(r)
+				for i, want := range recs {
+					got, _, done, err := dec.Next()
+					if done || err != nil {
+						t.Fatalf("record %d: done %v, err %v", i, done, err)
+					}
+					whole := append(append([]byte(nil), want.hdr...), want.p...)
+					if !bytes.Equal(got.Bytes(), whole) {
+						t.Fatalf("record %d: payload diverges", i)
+					}
+					if plain || len(want.p) == 0 {
+						continue
+					}
+					if !bytes.Equal(got.Payload, want.hdr) || addr(got.Data) != addr(want.stored) || len(got.Data) != len(want.stored) {
+						t.Fatalf("record %d: Data is not the %d-byte payload the append stored", i, len(want.p))
+					}
+					if got.DataSum != Checksum(want.p) {
+						t.Fatalf("record %d: DataSum %08x, want %08x", i, got.DataSum, Checksum(want.p))
+					}
+				}
+				if _, _, done, err := dec.Next(); !done || err != nil {
+					t.Fatalf("after the last record: done %v, err %v", done, err)
+				}
+			}
 		})
 	}
 }

@@ -121,8 +121,8 @@ func runFaultSchedule(t *testing.T, seed uint64, errProb, tearProb float64, n in
 		t.Fatalf("seed %d: replay yields %d records, %d were acknowledged", seed, len(recs), len(acked))
 	}
 	for i, rec := range recs {
-		if !bytes.Equal(rec.Payload, acked[i]) {
-			t.Fatalf("seed %d: record %d payload %q, want %q", seed, i, rec.Payload, acked[i])
+		if !bytes.Equal(rec.Bytes(), acked[i]) {
+			t.Fatalf("seed %d: record %d payload %q, want %q", seed, i, rec.Bytes(), acked[i])
 		}
 		if rec.LSN != uint64(i+1) {
 			t.Fatalf("seed %d: record %d has LSN %d, want %d (failed appends must not burn LSNs)",

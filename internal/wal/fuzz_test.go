@@ -49,7 +49,7 @@ func FuzzReplay(f *testing.F) {
 
 		var got []Record
 		valid, err := ReplayValid(b.Reader(), func(rec Record) error {
-			p := append([]byte(nil), rec.Payload...)
+			p := append([]byte(nil), rec.Bytes()...)
 			got = append(got, Record{Type: rec.Type, LSN: rec.LSN, Payload: p})
 			return nil
 		})
@@ -168,14 +168,31 @@ func FuzzReplayRaw(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		var plain []Record
 		err := Replay(bytes.NewReader(raw), func(rec Record) error {
 			if len(rec.Payload) > len(raw) {
 				t.Fatalf("record payload %d bytes exceeds the %d-byte input", len(rec.Payload), len(raw))
 			}
+			plain = append(plain, rec)
 			return nil
 		})
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("replay returned a non-corruption error: %v", err)
+		}
+		// The same bytes in 64-byte slabs decode through the Buffer's
+		// views, bodies spanning many segments, to the same records.
+		b := Buffer{SlabSize: 64}
+		b.Write(raw)
+		n := 0
+		verr := Replay(b.Reader(), func(rec Record) error {
+			if n >= len(plain) || rec.Type != plain[n].Type || rec.LSN != plain[n].LSN || !bytes.Equal(rec.Bytes(), plain[n].Payload) {
+				t.Fatalf("record %d decodes differently from a Buffer than from a plain reader", n)
+			}
+			n++
+			return nil
+		})
+		if n != len(plain) || (verr == nil) != (err == nil) || errors.Is(verr, ErrCorrupt) != errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a Buffer replays %d records (%v), a plain reader %d (%v)", n, verr, len(plain), err)
 		}
 	})
 }
@@ -203,7 +220,9 @@ func readerRaw(b *Buffer) []byte {
 //     prefix replays again cleanly, and a post-recovery append lands at
 //     the next key and replays with the prefix;
 //   - every payload view the log handed back for a live record still holds
-//     that record's bytes, through checkpoints, tears, flips and appends.
+//     that record's bytes, through checkpoints, tears, flips and appends;
+//   - every Data view a replay yielded is capped at its length and keeps its
+//     bytes through later tears, flips, appends and ResetAll, until Recycle.
 func FuzzReplayMerged(f *testing.F) {
 	// Spec grammar (see buildMultiLog): each record consumes 4 spec bytes —
 	// lane selector, type, encode-path selector, payload length; a lane
@@ -254,11 +273,41 @@ func FuzzReplayMerged(f *testing.F) {
 		checkKept("after tears and flips")
 
 		var got []Record
+		type view struct{ data, was []byte }
+		var views []view
 		collect := func(rec Record) error {
-			p := append([]byte(nil), rec.Payload...)
+			p := append([]byte(nil), rec.Bytes()...)
 			got = append(got, Record{Type: rec.Type, LSN: rec.LSN, Payload: p})
+			if cap(rec.Data) != len(rec.Data) {
+				t.Fatalf("record %d's Data view reaches %d bytes past its end", rec.LSN, cap(rec.Data)-len(rec.Data))
+			}
+			if len(rec.Data) > 0 {
+				views = append(views, view{rec.Data, bytes.Clone(rec.Data)})
+			}
 			return nil
 		}
+		// Damage after the replays: a tear, a flip, a reset and appends
+		// after it must leave every view the replays yielded as it was.
+		defer func() {
+			lb := m.LaneBuffer(int(flipAt) % lanes)
+			lb.Truncate(lb.Len() / 2)
+			if lb.Len() > 0 {
+				if err := lb.Corrupt(int(flipAt) % lb.Len()); err != nil {
+					t.Fatalf("corrupt: %v", err)
+				}
+			}
+			m.ResetAll()
+			for lane := range lanes {
+				if _, _, err := m.AppendV(lane, RecWrite, []byte("late"), make([]byte, 600)); err != nil {
+					t.Fatalf("late append: %v", err)
+				}
+			}
+			for i, v := range views {
+				if !bytes.Equal(v.data, v.was) {
+					t.Fatalf("view %d yielded by a replay changed before Recycle", i)
+				}
+			}
+		}()
 		err := m.ReplayMerged(collect)
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("merged replay returned a non-corruption error: %v", err)

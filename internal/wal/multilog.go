@@ -140,7 +140,8 @@ func (m *MultiLog) AppendNV(lane int, specs []AppendVSpec) (firstKey uint64, n i
 // an error (ErrCorrupt for checksum/framing failures). The merge consumes
 // feeds one record at a time in exact order-key sequence, holding at most
 // one head record per lane, so a feed's records must stay valid after it
-// advances (Decoder's fresh-allocation contract).
+// advances, as Decoder's do: a Data view of the medium is never rewritten,
+// and the bytes in front of it are a fresh copy.
 //
 // Feed i must stream exactly what lane i's medium holds — the frame
 // lengths are summed into the lane's repair truncation point, so a feed
@@ -152,11 +153,12 @@ type LaneFeed interface {
 	Next() (rec Record, frame int64, done bool, err error)
 }
 
-// ReplayMerged decodes every lane and yields records in logical append
-// order — ascending order key, required to be exactly consecutive from 1.
-// It stops cleanly at the first missing key (a torn lane tail tears away
-// everything logically after it, on every lane) and returns ErrCorrupt if
-// any lane's decode hit a checksum failure while the merge still wanted
+// ReplayMerged decodes every lane in place (Decoder over Buffer.Reader, so
+// each record's Data is a view of its lane) and yields records in logical
+// append order — ascending order key, required to be exactly consecutive
+// from 1. It stops cleanly at the first missing key (a torn lane tail tears
+// away everything logically after it, on every lane) and returns ErrCorrupt
+// if any lane's decode hit a checksum failure while the merge still wanted
 // records from it. If fn returns an error, replay stops and returns it.
 // Requires quiescence.
 func (m *MultiLog) ReplayMerged(fn func(Record) error) error {

@@ -181,9 +181,9 @@ func testMergedOrderConcurrent(t *testing.T, lanes int) {
 		}
 		want, ok := byKey[rec.LSN]
 		joined := append(append([]byte(nil), want.Header...), want.Payload...)
-		if !ok || rec.Type != want.Type || !bytes.Equal(rec.Payload, joined) {
+		if !ok || rec.Type != want.Type || !bytes.Equal(rec.Bytes(), joined) {
 			return fmt.Errorf("key %d: record %v %q diverges from appended %v %q",
-				rec.LSN, rec.Type, rec.Payload, want.Type, joined)
+				rec.LSN, rec.Type, rec.Bytes(), want.Type, joined)
 		}
 		next++
 		return nil
@@ -413,7 +413,7 @@ func TestMergedFeedsMatchSerial(t *testing.T) {
 
 			collect := func(dst *[]Record) func(Record) error {
 				return func(rec Record) error {
-					p := append([]byte(nil), rec.Payload...)
+					p := append([]byte(nil), rec.Bytes()...)
 					*dst = append(*dst, Record{Type: rec.Type, LSN: rec.LSN, Payload: p})
 					return nil
 				}

@@ -40,6 +40,15 @@
 // relinked, not copied, so a checkpoint re-logging whole chunks from their
 // views copies none of their bytes.
 //
+// Replay finds the same views again. A decoder reading a Buffer yields each
+// record's last contiguous piece as Record.Data, a view of the medium with
+// its CRC32C, and copies only the framing and headers in front of it: a
+// vectored record's payload segment starts a segment of its own, so its Data
+// is exactly the view its append returned. The record CRC is checked in one
+// pass, Data's sum folded into the CRC of the rest by ChecksumCombine, so a
+// caller keeping Data as its memory — crash recovery keeps chunk payloads as
+// the chunks' bytes — holds what the live append left, sum included.
+//
 // # Sharded lanes
 //
 // A single Log serializes every appender on one mutex — the write-scaling
@@ -144,11 +153,33 @@ func (t RecordType) String() string {
 	}
 }
 
-// Record is one durable log entry.
+// Record is one durable log entry. Its payload is Payload ‖ Data (Bytes).
 type Record struct {
-	Type    RecordType
-	LSN     uint64 // assigned by the log at append time
+	Type RecordType
+	LSN  uint64 // assigned by the log at append time
+	// Payload is the whole payload, or, when a decoder reading a Buffer
+	// split it, the part in front of Data, copied out of the medium.
 	Payload []byte
+	// Data, set only by a decoder reading a Buffer, is the payload's last
+	// contiguous piece as the Buffer stores it: a view that stays valid
+	// under the Buffer's rules, until its backing is retired and recycled.
+	// DataSum is its CRC32C. For a record appended vectored with a
+	// non-empty payload segment (AppendV, AppendVSum, AppendNV), Data is
+	// exactly that segment as stored and Payload its header.
+	Data    []byte
+	DataSum uint32
+}
+
+// Bytes returns the whole payload, Payload ‖ Data. It allocates only when
+// both parts are non-empty.
+func (r Record) Bytes() []byte {
+	switch {
+	case len(r.Data) == 0:
+		return r.Payload
+	case len(r.Payload) == 0:
+		return r.Data
+	}
+	return append(append(make([]byte, 0, len(r.Payload)+len(r.Data)), r.Payload...), r.Data...)
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -435,12 +466,28 @@ const replayBodyStep = 1 << 20
 // engine shared by ReplayValid (a single stream walked to its end) and
 // MultiLog's merged replay, which holds one decoded head record per lane
 // and advances lanes one record at a time as the order-key merge consumes
-// them. Each record's body is a fresh allocation that nothing else
-// references, and that is a contract: a held head stays valid while other
-// lanes advance, and a caller may keep a payload as its own memory (crash
-// recovery keeps chunk payloads as the chunks' bytes) without copying it.
+// them. Reading a Buffer (Buffer.Reader), it copies only what lies in front
+// of each record body's last contiguous piece — framing and headers, tens of
+// bytes — and yields that piece as the record's Data, a view of the medium;
+// over any other reader each body is a fresh allocation. Either way a
+// yielded record belongs to the caller and stays valid as the decoder
+// advances: a held head stays valid while other lanes advance, and a caller
+// may keep Data as its own memory (crash recovery keeps chunk payloads as the
+// chunks' bytes) until it recycles the Buffer's backing.
 type decoder struct {
-	r io.Reader
+	r   io.Reader
+	seg *segReader // r, when it reads a Buffer
+	// pieces is the reused list of views one record body spans; pre and tl
+	// stage its framing and its type and LSN. They are decoder-owned, so the
+	// read and checksum calls move no stack array to the heap per record.
+	pieces [][]byte
+	pre    [8]byte
+	tl     [9]byte
+}
+
+func newDecoder(r io.Reader) decoder {
+	seg, _ := r.(*segReader)
+	return decoder{r: r, seg: seg}
 }
 
 // next decodes one record. done=true reports a clean stop — EOF or a torn
@@ -450,8 +497,8 @@ type decoder struct {
 // length (framing prefix plus body), the datum valid-prefix accounting and
 // crash repair sum up.
 func (d *decoder) next() (rec Record, frame int64, done bool, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
+	hdr := d.pre[:]
+	if _, err := io.ReadFull(d.r, hdr); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return Record{}, 0, true, nil // torn header: clean stop
 		}
@@ -462,13 +509,73 @@ func (d *decoder) next() (rec Record, frame int64, done bool, err error) {
 	if length < 9 || length > 1<<30 {
 		return Record{}, 0, false, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, length)
 	}
+	if d.seg != nil {
+		rec, done, err = d.view(int(length), sum)
+	} else {
+		rec, done, err = d.read(int(length), sum)
+	}
+	if done || err != nil {
+		return Record{}, 0, done, err
+	}
+	return rec, int64(len(hdr)) + int64(length), false, nil
+}
+
+// view decodes a body of n bytes from a Buffer's segments without copying
+// its last contiguous piece: the type and LSN are decoded, the payload bytes
+// in front of that piece are copied into Payload, and the piece is Data. One
+// pass over the bytes checks the record CRC: Data is summed once, and its
+// sum is folded into the CRC of the rest (ChecksumCombine).
+func (d *decoder) view(n int, sum uint32) (rec Record, done bool, err error) {
+	var ok bool
+	d.pieces, ok = d.seg.views(n, d.pieces[:0])
+	if !ok {
+		return Record{}, true, nil // torn body: clean stop
+	}
+	last := d.pieces[len(d.pieces)-1]
+	at := max(n-len(last), 9) // where Data starts in the body
+	tl := gather(d.tl[:0], d.pieces, 0, 9)
+	crc := crc32.Update(0, castagnoli, tl)
+	if at > 9 {
+		rec.Payload = gather(make([]byte, 0, at-9), d.pieces, 9, at)
+		crc = crc32.Update(crc, castagnoli, rec.Payload)
+	}
+	if at < n {
+		rec.Data = last[len(last)-(n-at):]
+	}
+	rec.DataSum = Checksum(rec.Data)
+	clear(d.pieces)
+	if ChecksumCombine(crc, rec.DataSum, len(rec.Data)) != sum {
+		return Record{}, false, ErrCorrupt
+	}
+	rec.Type = RecordType(tl[0])
+	rec.LSN = binary.LittleEndian.Uint64(tl[1:9])
+	return rec, false, nil
+}
+
+// gather appends bytes [from, to) of the concatenated pieces to dst.
+func gather(dst []byte, pieces [][]byte, from, to int) []byte {
+	for _, p := range pieces {
+		if to <= 0 {
+			break
+		}
+		if from < len(p) {
+			dst = append(dst, p[max(from, 0):min(to, len(p))]...)
+		}
+		from, to = from-len(p), to-len(p)
+	}
+	return dst
+}
+
+// read decodes a body of n bytes from a plain reader into a fresh
+// allocation, the whole payload in Payload.
+func (d *decoder) read(n int, sum uint32) (rec Record, done bool, err error) {
 	// Read the body in bounded steps: the length field is untrusted
 	// (corruption, torn prefix), so the buffer grows only as bytes
 	// actually arrive instead of eagerly allocating up to 1 GiB for a
 	// record the medium cannot deliver.
-	body := make([]byte, 0, min(int(length), replayBodyStep))
-	for len(body) < int(length) {
-		grow := min(int(length)-len(body), replayBodyStep)
+	body := make([]byte, 0, min(n, replayBodyStep))
+	for len(body) < n {
+		grow := min(n-len(body), replayBodyStep)
 		off := len(body)
 		if off+grow <= cap(body) {
 			body = body[:off+grow] // records <= one step extend in place
@@ -477,20 +584,19 @@ func (d *decoder) next() (rec Record, frame int64, done bool, err error) {
 		}
 		if _, err := io.ReadFull(d.r, body[off:]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return Record{}, 0, true, nil // torn body: clean stop
+				return Record{}, true, nil // torn body: clean stop
 			}
-			return Record{}, 0, false, fmt.Errorf("wal: replay body: %w", err)
+			return Record{}, false, fmt.Errorf("wal: replay body: %w", err)
 		}
 	}
 	if crc32.Checksum(body, castagnoli) != sum {
-		return Record{}, 0, false, ErrCorrupt
+		return Record{}, false, ErrCorrupt
 	}
-	rec = Record{
+	return Record{
 		Type:    RecordType(body[0]),
 		LSN:     binary.LittleEndian.Uint64(body[1:9]),
 		Payload: body[9:],
-	}
-	return rec, int64(len(hdr)) + int64(length), false, nil
+	}, false, nil
 }
 
 // Decoder is the exported face of the streaming record decoder: it walks
@@ -500,10 +606,12 @@ func (d *decoder) next() (rec Record, frame int64, done bool, err error) {
 // is the canonical feed — callers that pre-decode lanes concurrently
 // (the blob store's parallel recovery pipeline) wrap one Decoder per lane
 // and batch its output, and the merge cannot tell the difference because
-// both shapes produce exactly this decode sequence. Each yielded record's
-// payload is a fresh allocation nothing else references, so records stay
-// valid after the decoder advances and the caller may keep a payload as
-// its own memory.
+// both shapes produce exactly this decode sequence. Over Buffer.Reader a
+// yielded record's Data is a view of the medium and only the bytes in front
+// of it are copied (see decoder); over any other reader its payload is a
+// fresh allocation. Either way records stay valid after the decoder
+// advances and the caller may keep a payload as its own memory, a Data view
+// until it recycles the Buffer's backing.
 type Decoder struct {
 	d decoder
 }
@@ -512,7 +620,7 @@ type Decoder struct {
 // single log medium from its start. Buffer.Reader reads the medium in
 // place, so its contract holds for as long as the decoder is in use.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{d: decoder{r: r}}
+	return &Decoder{d: newDecoder(r)}
 }
 
 // Next decodes one record. done=true reports a clean stop — EOF or a torn
@@ -534,7 +642,7 @@ func (d *Decoder) Next() (rec Record, frame int64, done bool, err error) {
 // replay swallow the new record's first bytes and fail the torn record's
 // checksum — ErrCorrupt and silent loss of everything appended since.
 func ReplayValid(r io.Reader, fn func(Record) error) (valid int64, err error) {
-	d := decoder{r: r}
+	d := newDecoder(r)
 	for {
 		rec, frame, done, err := d.next()
 		if done || err != nil {
@@ -548,11 +656,12 @@ func ReplayValid(r io.Reader, fn func(Record) error) (valid int64, err error) {
 }
 
 // ReplayAll collects every record from r into a slice; see Replay for
-// termination semantics.
+// termination semantics. Records read from a Buffer keep their Data views of
+// it (see decoder), so the slice pins no copy of the log.
 func ReplayAll(r io.Reader) ([]Record, error) {
 	var recs []Record
 	err := Replay(r, func(rec Record) error {
-		recs = append(recs, rec) // each payload is fresh (decoder)
+		recs = append(recs, rec) // records stay valid (decoder)
 		return nil
 	})
 	return recs, err

@@ -36,7 +36,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records, want 3", len(recs))
 	}
 	for i, r := range recs {
-		if r.Type != types[i] || r.LSN != uint64(i+1) || !bytes.Equal(r.Payload, payloads[i]) {
+		if r.Type != types[i] || r.LSN != uint64(i+1) || !bytes.Equal(r.Bytes(), payloads[i]) {
 			t.Fatalf("record %d mismatch: %+v", i, r)
 		}
 	}
@@ -511,7 +511,7 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for i, r := range recs {
-			if !bytes.Equal(r.Payload, payloads[i]) || r.LSN != uint64(i+1) {
+			if !bytes.Equal(r.Bytes(), payloads[i]) || r.LSN != uint64(i+1) {
 				return false
 			}
 		}

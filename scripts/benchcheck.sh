@@ -89,10 +89,12 @@ done
 go test -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 # Lane appends race under their own mutexes; a lane's checkpoint job relinks its retired buffers while sibling lanes recycle into the shared free list.
-go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog|TestBufferRelinksRetiredPayload' ./internal/wal
+# A decoder reading a Buffer yields each vectored record's payload as the view its append stored.
+go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog|TestBufferRelinksRetiredPayload|TestDecoderYieldsStoredViews' ./internal/wal
 # The one migration test whose outcome depends on interleaving, and the observer it drives from live appends.
-# A drained node is reset only once it holds nothing: the drain tests keep its only copy and its open intent until then.
-go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend|TestDrainKeepsOnlyCopy|TestRemoveServerResetsWAL' ./internal/blob
+# A drained node is reset only once it holds nothing: the drain tests keep its only copy and its open intent until then,
+# and its retired log backing is recycled for the next join to reuse.
+go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend|TestDrainKeepsOnlyCopy|TestRemoveServerResetsWAL|TestDrainRecyclesItsLog' ./internal/blob
 # Descriptor races. An op latches its key, then looks the descriptor up, so it acts only on what is there while it holds
 # the latch: ops racing a delete, a create or a handover, and a Scan racing creates and deletes. A descriptor's highest
 # version wins, a tombstone like any copy: a torn delete, and a torn size change with the replica soft-down or crashed.
@@ -100,8 +102,8 @@ go test -race -count=10 -cpu 1,2,4 -run 'TestOpsOnDeletedBlobSeeNotFound|TestOps
 # Recovery reads the lanes in place: after a merge stopped by a torn lane, every lane's in-flight decode must finish before resync appends.
 go test -race -count=10 -cpu 1,2,4 -run TestRecoverTornLaneThenResync ./internal/blob
 # A chunk entry's bytes are a view of the payload its own server's log lane stored, on a 64-byte boundary, after every path that writes one,
-# and a checkpoint relinks a whole-chunk buffer instead of copying it.
-go test -race -count=10 -cpu 1,2,4 -run TestChunkBytesAreOwnLog ./internal/blob
+# Recover's replay included, and a checkpoint relinks a whole-chunk buffer instead of copying it; blob.copy.bytes counts what it copies.
+go test -race -count=10 -cpu 1,2,4 -run 'TestChunkBytesAreOwnLog|TestCopyBytesCounted' ./internal/blob
 # The gateway's pooled buffers pass between concurrent requests; no body may show another request's bytes.
 go test -race -count=10 -cpu 1,2,4 -run TestPooledBuffersNeverLeakBytes ./internal/s3gw
 (cd benchmark && go test ./...)
