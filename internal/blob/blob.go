@@ -62,6 +62,10 @@
 //     folds that sum in; a chunk whose bytes are exactly one summed payload
 //     keeps the sum (chunkStripe), so CheckpointAll re-logs it unread, and
 //     a whole chunk's log buffer is relinked, not copied (wal.Buffer).
+//     CheckpointAll plans every server in one parallel fan-out and sorts
+//     and re-logs every lane in a second, into plan lists each server
+//     keeps across checkpoints, so a warm one allocates a fixed handful
+//     whatever the store holds.
 //     Recover installs the same views and sums from its replay, so a
 //     recovered server's memory is laid out as a live one's. The bytes the
 //     store does copy into chunk memory — a partial write's merge, a
@@ -223,6 +227,7 @@
 package blob
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -310,10 +315,13 @@ type chunkID struct {
 	idx int64
 }
 
-// less orders chunk IDs by (key, idx) — the total order checkpoint
+// cmp orders chunk IDs by (key, idx) — the total order checkpoint
 // streaming uses so one seed always writes one log.
-func (c chunkID) less(o chunkID) bool {
-	return c.key < o.key || (c.key == o.key && c.idx < o.idx)
+func (c chunkID) cmp(o chunkID) int {
+	if r := strings.Compare(c.key, o.key); r != 0 {
+		return r
+	}
+	return cmp.Compare(c.idx, o.idx)
 }
 
 // ringHash returns the chunk's placement hash, streamed through the ring's
@@ -589,6 +597,9 @@ type server struct {
 	// copyBytes is the store's blob.copy.bytes counter (copied), cached so
 	// no op looks it up.
 	copyBytes *metrics.Counter
+	// ckpt is the checkpoint plan, one list set per lane, kept across
+	// checkpoints so a warm one allocates none (checkpointPlan).
+	ckpt []ckptLane
 }
 
 // copied counts n bytes the store copied into chunk memory: a partial

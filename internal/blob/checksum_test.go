@@ -2,6 +2,7 @@ package blob
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // TestLogBytesPinned pins the log's bytes: a fixed InlineFanout script —
@@ -74,6 +76,104 @@ func TestLogBytesPinned(t *testing.T) {
 			t.Logf("%q,", line)
 		}
 		t.Fatal("lane media moved (got above, one per (node, lane))")
+	}
+}
+
+// TestCheckpointRecordsPinned pins what CheckpointAll streams, the part of the
+// log TestLogBytesPinned leaves out. A fixed InlineFanout script — creates,
+// 2PC and direct writes, a partial overwrite, a shrinking truncate and a
+// delete, then a write while one owner is soft-down — is checkpointed twice:
+// once with that owner still down, so the tombstones and the debt entries are
+// re-logged, and once after its rejoin, when the store is clean and the
+// tombstones are forgotten. After each, every (node, lane) medium must decode
+// to records whose types and payloads hash to the SHA-256 below. The order
+// keys are left out: the lane jobs run concurrently and draw them from one
+// per-server counter, so they depend on the schedule.
+func TestCheckpointRecordsPinned(t *testing.T) {
+	pinned := []string{
+		"down node 0 lane 0 2 records 534fd1608d3c3968d214dc38efc827e49bcf9318802b0ae5d08b2f4420b5249e",
+		"down node 0 lane 1 4 records 4ae214e09eb7a83fc7c14b9ebec6561bc478c2a81cae6746bc84c48866e71b89",
+		"down node 0 lane 2 1 records 17a2c7dede270e8bfa0fcfe870f90efe4064e7519f1105ef5b6eeee8e464d871",
+		"down node 0 lane 3 5 records d24bdf866faa39088bcaeb3d37f067c706817274ad020d0e99ccbe5d0fc792a9",
+		"down node 1 lane 0 6 records 3519c11dccb5382930d43bf66a574d21218901376993c8518430b30cacc0203e",
+		"down node 1 lane 1 4 records cb92ce15977e2ffd8217c7346d68b8578ca255b53b548bb574aa0242bf471ea7",
+		"down node 1 lane 2 0 records e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"down node 1 lane 3 13 records bdb65ed2be49a9219ca9bbaecb58380f00c970a64103619be33692fd587fbf48",
+		"down node 2 lane 0 0 records e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"down node 2 lane 1 4 records 5d116aa8650e321c72efd386724c0ab420c8c7f5d61c24693e18c23c36fb3440",
+		"down node 2 lane 2 1 records 17a2c7dede270e8bfa0fcfe870f90efe4064e7519f1105ef5b6eeee8e464d871",
+		"down node 2 lane 3 5 records 28d79bf5a9b3d1869a0ccc3e6e24361b7e368282081bb352d8d3c7a87bac0fa3",
+		"clean node 0 lane 0 1 records e9c4362692b1a29edfe1e081e9e5321a925373c196fff2f53f05a4f2466bd194",
+		"clean node 0 lane 1 2 records dd9506e2d5b86ccee883d8ca67008f9627d84fc89a52aa80d364bb925b3c42e4",
+		"clean node 0 lane 2 1 records 17a2c7dede270e8bfa0fcfe870f90efe4064e7519f1105ef5b6eeee8e464d871",
+		"clean node 0 lane 3 3 records 125739d8613ac7481546784b8e0613eb0d03a350f8bcc1f8c998d01d287fcc95",
+		"clean node 1 lane 0 1 records e9c4362692b1a29edfe1e081e9e5321a925373c196fff2f53f05a4f2466bd194",
+		"clean node 1 lane 1 2 records d79cd5871ac3e3de9363418c33cfea1d134ac832004c673a50700a647e548893",
+		"clean node 1 lane 2 0 records e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"clean node 1 lane 3 3 records 8ecd5cdd49c2a7f0100c4812b3e68c441c5381d05cdd7f8d205fb5e2b29369b8",
+		"clean node 2 lane 0 0 records e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"clean node 2 lane 1 2 records a3f988a34948fbe0f3b2f3ae15861a3c9a28a8f8edf83440d1ce06d51825ca1c",
+		"clean node 2 lane 2 1 records 17a2c7dede270e8bfa0fcfe870f90efe4064e7519f1105ef5b6eeee8e464d871",
+		"clean node 2 lane 3 4 records f6b9916533c9f756ecc6d8f3da7ed97dc4ccb36c1fca5c6508e916532d346ae7",
+	}
+	s := New(cluster.New(cluster.Config{Nodes: 3, Seed: 7}),
+		Config{ChunkSize: 32, Replication: 2, WALLanes: 4, InlineFanout: true})
+	ctx := storage.NewContext()
+	write := func(key string, off int64, tag, n int) error {
+		_, err := s.WriteBlob(ctx, key, off, pattern(tag, n))
+		return err
+	}
+	if err := errors.Join(
+		s.CreateBlob(ctx, "a"), s.CreateBlob(ctx, "b"), s.CreateBlob(ctx, "c"), s.CreateBlob(ctx, "d"),
+		write("a", 0, 1, 6*32), // 2PC over six chunks
+		write("c", 0, 5, 3*32),
+		write("b", 0, 2, 20), // direct, one chunk
+		write("d", 32, 6, 32),
+		write("a", 40, 3, 8), // partial overwrite of chunk 1
+		s.TruncateBlob(ctx, "a", 70),
+		s.DeleteBlob(ctx, "b"),
+	); err != nil {
+		t.Fatal(err)
+	}
+	flapped := cluster.NodeID(s.chunkOwners(chunkID{"c", 0})[1])
+	s.SetDown(flapped, true)
+	if err := write("c", 0, 4, 64); err != nil || s.RepairPending() == 0 {
+		t.Fatalf("write during the flap: %v with %d debt entries, want a degraded write", err, s.RepairPending())
+	}
+	var got []string
+	media := func(when string) {
+		for i, sv := range s.servers {
+			for l := 0; l < sv.wal.Lanes(); l++ {
+				recs, err := wal.ReplayAll(sv.wal.LaneBuffer(l).Reader())
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				for _, rec := range recs {
+					p := rec.Bytes()
+					h.Write(binary.LittleEndian.AppendUint32([]byte{byte(rec.Type)}, uint32(len(p))))
+					h.Write(p)
+				}
+				got = append(got, fmt.Sprintf("%s node %d lane %d %d records %x", when, i, l, len(recs), h.Sum(nil)))
+			}
+		}
+	}
+	s.CheckpointAll()
+	media("down")
+	s.SetDown(flapped, false)
+	if s.RepairPending() != 0 {
+		t.Fatalf("%d debt entries after the rejoin", s.RepairPending())
+	}
+	s.CheckpointAll()
+	media("clean")
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(pinned) {
+		for _, line := range got {
+			t.Logf("%q,", line)
+		}
+		t.Fatal("checkpoint records moved (got above, one per checkpoint, node and lane)")
 	}
 }
 

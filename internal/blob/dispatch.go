@@ -84,14 +84,16 @@
 //     Log/Buffer through the pooled header staging; they take no
 //     latch-class lock and never wait on the pool. The state snapshot
 //     (descriptor sizes under sv.mu, chunk slices under the stripe locks)
-//     is taken by the caller BEFORE the jobs are spawned.
+//     is taken by one plan job per server, in a fan-out that joins BEFORE
+//     the lane jobs are spawned; a plan job touches only its own server's
+//     short-hold locks and log.
 //     (enforced: blobvet/workerlatch for the latch and wait half;
 //     blobvet/walappend keeps checkpointLane the only direct lane writer)
 //   - parallelDo must not be called from a worker, so multi-stage sweeps
-//     fan out FLAT: CheckpointAll expands to (server, lane) jobs at the
-//     caller instead of nesting a per-server parallelDo inside a pool
-//     task, where every worker parked in a nested wait is a helper lost to
-//     every other fan.
+//     fan out FLAT: CheckpointAll runs its per-server plans and then its
+//     (server, lane) jobs as two fan-outs from the caller instead of
+//     nesting a per-server parallelDo inside a pool task, where every
+//     worker parked in a nested wait is a helper lost to every other fan.
 //     (enforced: blobvet/workerlatch — parallelDo is a flagged pool wait
 //     inside the task-reachable graph)
 //
@@ -225,8 +227,8 @@ func offerHelp(t runnable) bool {
 
 // parallelDo runs fn(0..n-1) and waits for all of them: the caller pulls
 // indices off a shared cursor and idle pool workers pull from the same one.
-// It is for clock-free bulk work (checkpoint lane jobs); fan tasks with
-// cost accounting go through ctxFan.
+// It is for clock-free bulk work (checkpoint plans and lane jobs); fan tasks
+// with cost accounting go through ctxFan.
 // Must not be called from a worker (it blocks).
 func parallelDo(n int, fn func(int)) {
 	if n <= 0 {

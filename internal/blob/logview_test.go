@@ -3,6 +3,7 @@ package blob
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -366,5 +367,48 @@ func TestDrainRecyclesItsLog(t *testing.T) {
 	}
 	if msg := s.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
+	}
+}
+
+// TestCheckpointAllocsFlat: a warm CheckpointAll allocates a small fixed
+// count, however many objects the store holds. Its plan lists are kept on
+// each server across checkpoints and the relogged records land in recycled
+// log buffers, so 4096 small objects cost the allocations 1024 do. The count
+// is the least of ten runs: now and then a run allocates a few more, as a
+// lane's bookkeeping in wal.Buffer grows past its last high-water mark, but an
+// allocation per object shows in every run.
+func TestCheckpointAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const maxAllocs = 32
+	var allocs []float64
+	for _, objects := range []int{1024, 4096} {
+		s := mkStore(9, Config{ChunkSize: 64 << 10, Replication: 3}, false)
+		ctx := storage.NewContext()
+		payload := pattern(1, 4<<10)
+		for i := range objects {
+			key := fmt.Sprintf("o/%05d", i)
+			if err := s.CreateBlob(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.WriteBlob(ctx, key, 0, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.CheckpointAll() // the lists and the log buffers reach their size
+		a := math.Inf(1)
+		for range 10 {
+			a = min(a, testing.AllocsPerRun(1, s.CheckpointAll))
+		}
+		if msg := s.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
+		allocs = append(allocs, a)
+	}
+	t.Logf("a warm CheckpointAll: %v allocations at 1024 objects, %v at 4096", allocs[0], allocs[1])
+	if allocs[0] != allocs[1] || allocs[1] > maxAllocs {
+		t.Fatalf("a warm CheckpointAll allocates %v times at 1024 objects and %v at 4096, want the same and at most %d",
+			allocs[0], allocs[1], maxAllocs)
 	}
 }

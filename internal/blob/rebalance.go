@@ -2,7 +2,7 @@ package blob
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -316,7 +316,7 @@ func (s *Store) chunkPlan(keep func(id chunkID, h, holders, maxVer uint64) bool)
 	for id := range infos {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].less(ids[j]) })
+	slices.SortFunc(ids, chunkID.cmp)
 	var moves []migMove
 	for _, id := range ids {
 		ci := infos[id]

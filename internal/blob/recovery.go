@@ -3,7 +3,9 @@ package blob
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -276,6 +278,12 @@ type ckptDebt struct {
 // is the only recovery source — checkpointing it would snapshot nothing
 // and discard that source, silent data loss.
 //
+// The lists come out in map order; checkpointLane sorts each before it
+// streams a record. They live in sv.ckpt, truncated here and kept across
+// checkpoints, so a warm plan reuses the storage the last one grew. It
+// touches only sv's own state, so the plans of different servers run
+// concurrently.
+//
 // The plan holds the entries' immutable bytes by reference — views of the
 // lanes ResetAll just retired, which stay valid until checkpointLane has
 // re-pointed the entries and recycles them; the quiescence the checkpoint
@@ -288,7 +296,14 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 		sv.mu.Unlock()
 		return nil
 	}
-	plan := make([]ckptLane, sv.wal.Lanes())
+	if sv.ckpt == nil {
+		sv.ckpt = make([]ckptLane, sv.wal.Lanes())
+	}
+	plan := sv.ckpt
+	for i := range plan {
+		l := &plan[i]
+		l.metas, l.chunks, l.debts, l.intent = l.metas[:0], l.chunks[:0], l.debts[:0], nil
+	}
 	sv.blobs.ascend("", func(key string, d descriptor) {
 		lane := sv.metaLane(key)
 		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, d})
@@ -298,7 +313,7 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 	}
 	for key, ver := range sv.gone {
 		lane := sv.metaLane(key)
-		//blobvet:allow virtualtime each lane's descriptor list is sorted by key below, before any record streams
+		//blobvet:allow virtualtime checkpointLane sorts each lane's descriptor list by key before any record streams
 		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, descriptor{ver: ver, dead: true}})
 	}
 	sv.mu.Unlock()
@@ -312,7 +327,7 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 			}
 			h := id.ringHash()
 			lane := sv.chunkLane(h)
-			//blobvet:allow virtualtime each lane's chunk list is sorted by chunk ID below, before any record streams
+			//blobvet:allow virtualtime checkpointLane sorts each lane's chunk list by chunk ID before any record streams
 			plan[lane].chunks = append(plan[lane].chunks, ckptChunk{id, h, st.ver[id], c})
 		}
 		st.mu.Unlock()
@@ -329,23 +344,17 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 	if intent := sv.migIntent.Load(); intent != nil {
 		plan[migLane].intent = intent
 	}
-	// The tombstone and stripe walks above run in map order; restore a total
-	// order so the streamed lane records are byte-identical across runs.
-	for i := range plan {
-		l := &plan[i]
-		sort.Slice(l.metas, func(a, b int) bool { return l.metas[a].key < l.metas[b].key })
-		sort.Slice(l.chunks, func(a, b int) bool { return l.chunks[a].id.less(l.chunks[b].id) })
-		sort.Slice(l.debts, func(a, b int) bool { return l.debts[a].id.less(l.debts[b].id) })
-	}
 	sv.wal.ResetAll()
 	return plan
 }
 
-// checkpointLane re-encodes one lane's surviving records against that
-// lane's own medium through the vectored append, staging only the header
-// (in a pooled buffer private to this lane job). A whole chunk's entry is a
-// buffer of its own the lane's reset retired — after a live write or its
-// replay alike — and the append relinks it as the new record's payload
+// checkpointLane sorts one lane's surviving records back into the total
+// order the plan's map walks lost — descriptors by key, chunks and debts by
+// chunk ID — so every run streams the same records, then re-encodes them
+// against that lane's own medium through the vectored append, staging only
+// the header (in a pooled buffer private to this lane job). A whole chunk's
+// entry is a buffer of its own the lane's reset retired — after a live write
+// or its replay alike — and the append relinks it as the new record's payload
 // (wal.Buffer); slab-packed chunks and merged partial writes are copied
 // once, and counted (blob.copy.bytes). Each entry is then pointed at
 // its new record, under its stripe lock, and the job hands the rest of the
@@ -356,8 +365,12 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 // sharing a single lock or medium (dispatch contract: the job takes no
 // latch-class lock and never waits on the pool). A chunk whose sum its
 // entry remembers is re-logged without reading its bytes; a relinked
-// chunk's are not even copied.
+// chunk's are not even copied. Last, the job clears its chunk list, so the
+// plan storage kept for the next checkpoint pins no retired lane view.
 func (sv *server) checkpointLane(lane int, plan *ckptLane) {
+	slices.SortFunc(plan.metas, func(a, b ckptMeta) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(plan.chunks, func(a, b ckptChunk) int { return a.id.cmp(b.id) })
+	slices.SortFunc(plan.debts, func(a, b ckptDebt) int { return a.id.cmp(b.id) })
 	bp := hdrPool.Get().(*[]byte)
 	appendOne := func(t wal.RecordType, data []byte, sum uint32) []byte {
 		_, _, stored, err := sv.wal.AppendVSum(lane, t, *bp, data, sum)
@@ -402,6 +415,7 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 	}
 	hdrPool.Put(bp)
 	sv.copied(copied)
+	clear(plan.chunks)
 	sv.wal.Recycle(lane)
 }
 
@@ -412,37 +426,38 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 // servers are skipped (their WAL is their only state). The store must be
 // quiescent, the discipline Crash and Recover require. Each lane's records
 // are re-encoded against its own medium, a whole chunk's log buffer relinked,
-// not copied, whether a live write or a Recover left it there. The fan-out is flat, one pool job per (server, lane) pair, not
-// per-server parallelDo calls nested in pool workers, which the dispatch
-// contract forbids (a worker waiting on a nested pool can deadlock it).
+// not copied, whether a live write or a Recover left it there.
+//
+// It runs as two flat fan-outs from the caller, with nothing serial between
+// them: one pool job per server plans that server's snapshot
+// (checkpointPlan), then one per (server, lane) pair sorts and re-logs that
+// lane (checkpointLane). Neither nests a parallelDo in a pool worker, which
+// the dispatch contract forbids (a worker waiting on a nested pool can
+// deadlock it).
 //
 // A tombstone exists to outrank older copies of its chunk, in memory or in a
 // log. When every server is up, the store is clean and no migration intent is
 // open, every owner holds the tombstone and this run rewrites every log
 // without the older copies, so the tombstones are forgotten, not re-logged.
 func (s *Store) CheckpointAll() {
-	type laneJob struct {
-		sv   *server
-		plan *ckptLane
-		lane int
-	}
 	forget := s.clean()
 	for _, sv := range s.servers {
 		forget = forget && !sv.isDown()
 	}
-	var jobs []laneJob
-	for _, sv := range s.servers {
-		plan := sv.checkpointPlan(forget)
-		for lane := range plan {
-			if plan[lane].empty() {
-				sv.wal.Recycle(lane) // no entry is a view of this lane
-				continue
-			}
-			jobs = append(jobs, laneJob{sv, &plan[lane], lane})
+	plans := make([][]ckptLane, len(s.servers))
+	parallelDo(len(s.servers), func(i int) {
+		plans[i] = s.servers[i].checkpointPlan(forget)
+	})
+	lanes := s.cfg.WALLanes
+	parallelDo(len(s.servers)*lanes, func(i int) {
+		sv, plan, lane := s.servers[i/lanes], plans[i/lanes], i%lanes
+		switch {
+		case plan == nil: // down: its log was left as it is
+		case plan[lane].empty():
+			sv.wal.Recycle(lane) // no entry is a view of this lane
+		default:
+			sv.checkpointLane(lane, &plan[lane])
 		}
-	}
-	parallelDo(len(jobs), func(i int) {
-		jobs[i].sv.checkpointLane(jobs[i].lane, jobs[i].plan)
 	})
 }
 
@@ -528,7 +543,7 @@ func (s *Store) CheckInvariants() string {
 	for id := range held {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].less(ids[j]) })
+	slices.SortFunc(ids, chunkID.cmp)
 	for _, id := range ids {
 		h := id.ringHash()
 		owners := s.ownersForHash(h)
@@ -595,7 +610,7 @@ func (sv *server) sumDiff() string {
 		st := &sv.stripes[i]
 		st.mu.RLock()
 		for id, c := range st.m {
-			if c.summed && c.sum != wal.Checksum(c.b) && (!found || id.less(bad)) {
+			if c.summed && c.sum != wal.Checksum(c.b) && (!found || id.cmp(bad) < 0) {
 				bad, found = id, true
 			}
 		}

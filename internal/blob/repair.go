@@ -1,7 +1,7 @@
 package blob
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -112,7 +112,7 @@ func (s *Store) collectDebt(only cluster.NodeID) []repairItem {
 			items = append(items, repairItem{id: id, mask: mask})
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].id.less(items[j].id) })
+	slices.SortFunc(items, func(a, b repairItem) int { return a.id.cmp(b.id) })
 	return items
 }
 
