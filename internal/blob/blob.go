@@ -61,11 +61,13 @@
 //     checksums its payload once (writeChunk) and every replica's record
 //     folds that sum in; a chunk whose bytes are exactly one summed payload
 //     keeps the sum (chunkStripe), so CheckpointAll re-logs it unread, and
-//     a whole chunk's log buffer is relinked, not copied (wal.Buffer).
+//     relinks instead of copying a whole chunk's log buffer and a small
+//     chunk's slab while the lane's chunks fill at least half of it; it
+//     copies only the small chunks of sparser slabs (wal.Buffer).
 //     CheckpointAll plans every server in one parallel fan-out and sorts
-//     and re-logs every lane in a second, into plan lists each server
-//     keeps across checkpoints, so a warm one allocates a fixed handful
-//     whatever the store holds.
+//     and re-logs every lane in a second, each lane as one AppendNV, into
+//     plan lists and batches each server keeps across checkpoints, so a
+//     warm one allocates a fixed handful whatever the store holds.
 //     Recover installs the same views and sums from its replay, so a
 //     recovered server's memory is laid out as a live one's. The bytes the
 //     store does copy into chunk memory — a partial write's merge, a
@@ -691,6 +693,18 @@ func (sv *server) trimChunk(h uint64, id chunkID, keep int64, ver uint64) {
 		st.ver[id] = max(st.ver[id], ver)
 	}
 	st.mu.Unlock()
+}
+
+// entryCount sums the chunk entries, tombstones included.
+func (sv *server) entryCount() int {
+	n := 0
+	for i := range sv.stripes {
+		st := &sv.stripes[i]
+		st.mu.RLock()
+		n += len(st.m)
+		st.mu.RUnlock()
+	}
+	return n
 }
 
 // chunkCount sums the chunks holding bytes; tombstones do not count.

@@ -3,7 +3,7 @@ package blob
 import (
 	"bytes"
 	"fmt"
-	"math"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -271,7 +271,10 @@ func copyBytes(s *Store) int64 { return s.Metrics().Counter("blob.copy.bytes").V
 // nothing, and neither does a Crash + Recover + CheckpointAll at 64 KiB
 // chunks, where every recovered entry is its own log buffer; a partial write
 // copies its merged chunk on each of its R replicas, and the next checkpoint
-// copies that merged entry once more on each.
+// copies that merged entry once more on each. The small-object arm packs
+// three 20 KiB objects to a 64 KiB slab: checkpoints copy nothing while every
+// slab is dense, and once two of a slab's three objects are overwritten, the
+// checkpoint copies exactly the survivor, on each replica.
 func TestCopyBytesCounted(t *testing.T) {
 	const cs, r = 64 << 10, 3
 	s := NewOnNodes(cluster.New(cluster.Config{Nodes: 5, Seed: 4}),
@@ -305,6 +308,27 @@ func TestCopyBytesCounted(t *testing.T) {
 	step("partial write past the end", write("b0", 3*cs+5, 21, 7), r*cs+r*12)
 	s.CheckpointAll()
 	step("the CheckpointAll after the partial writes", nil, 2*(r*cs+r*12))
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+
+	// Small objects: one lane per server, every server an owner of all.
+	const obj = 20 << 10
+	s = NewOnNodes(cluster.New(cluster.Config{Nodes: r, Seed: 4}),
+		Config{ChunkSize: cs, Replication: r, WALLanes: 1}, nil)
+	for i := range 6 {
+		key := fmt.Sprintf("s%d", i)
+		step("create", s.CreateBlob(ctx, key), 0)
+		step("whole write of a small object", write(key, 0, 30+i, obj), 0)
+	}
+	s.CheckpointAll()
+	step("a CheckpointAll over dense slabs", nil, 0)
+	s.CheckpointAll()
+	step("a second CheckpointAll over dense slabs", nil, 0)
+	step("overwrite of the first object", write("s0", 0, 40, obj), 0)
+	step("overwrite of the second object", write("s1", 0, 41, obj), 0)
+	s.CheckpointAll()
+	step("the CheckpointAll after two of a slab's three objects moved", nil, r*obj)
 	if msg := s.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
@@ -371,12 +395,15 @@ func TestDrainRecyclesItsLog(t *testing.T) {
 }
 
 // TestCheckpointAllocsFlat: a warm CheckpointAll allocates a small fixed
-// count, however many objects the store holds. Its plan lists are kept on
-// each server across checkpoints and the relogged records land in recycled
-// log buffers, so 4096 small objects cost the allocations 1024 do. The count
-// is the least of ten runs: now and then a run allocates a few more, as a
-// lane's bookkeeping in wal.Buffer grows past its last high-water mark, but an
-// allocation per object shows in every run.
+// count, however many objects the store holds. Its plan lists and its
+// AppendNV batches are kept on each server across checkpoints, the relogged
+// records land in recycled or relinked log buffers, and wal.Buffer keeps the
+// storage of its own bookkeeping, so 4096 small objects cost the allocations
+// 1024 do. After three warm-up checkpoints the count is the largest of ten
+// runs: every run must stay at the floor, not just the best one. The runs
+// take one P: with more, on a busy host, the runtime now and then allocates
+// a semaphore waiter (a sudog) for parallelDo's WaitGroup.Wait, which is
+// the scheduler's allocation, not the checkpoint's.
 func TestCheckpointAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -396,11 +423,15 @@ func TestCheckpointAllocsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.CheckpointAll() // the lists and the log buffers reach their size
-		a := math.Inf(1)
-		for range 10 {
-			a = min(a, testing.AllocsPerRun(1, s.CheckpointAll))
+		for range 3 {
+			s.CheckpointAll() // the lists and the log buffers reach their size
 		}
+		a := 0.0
+		procs := runtime.GOMAXPROCS(1)
+		for range 10 {
+			a = max(a, testing.AllocsPerRun(1, s.CheckpointAll))
+		}
+		runtime.GOMAXPROCS(procs)
 		if msg := s.CheckInvariants(); msg != "" {
 			t.Fatal(msg)
 		}

@@ -294,35 +294,44 @@ func (s *Store) migrationPlan() []migMove {
 // keep selects, given its placement hash, its holders' bitmask and their
 // highest version; a move carries its largest copy's size for the throttle.
 // A crash-wiped server holds nothing.
+//
+// It lists every replica in one slice sized up front, sorts it by chunk ID
+// and folds each chunk's run into its first slot, so its allocations do not
+// grow with the chunk count: no map (Go's allocates a table per thousand
+// entries) and no record per chunk.
 func (s *Store) chunkPlan(keep func(id chunkID, h, holders, maxVer uint64) bool) []migMove {
-	type chunkInfo struct {
+	type replica struct {
+		id              chunkID
 		holders, maxVer uint64
 		bytes           int
 	}
-	infos := make(map[chunkID]*chunkInfo)
+	n := 0
+	for _, sv := range s.servers {
+		n += sv.entryCount()
+	}
+	reps := make([]replica, 0, n)
 	for i, sv := range s.servers {
 		sv.forEachChunk(func(id chunkID, data []byte, ver uint64) {
-			ci := infos[id]
-			if ci == nil {
-				ci = &chunkInfo{}
-				infos[id] = ci
-			}
-			ci.holders |= 1 << uint(i)
-			ci.maxVer = max(ci.maxVer, ver)
-			ci.bytes = max(ci.bytes, len(data))
+			reps = append(reps, replica{id, 1 << uint(i), ver, len(data)})
 		})
 	}
-	ids := make([]chunkID, 0, len(infos))
-	for id := range infos {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, chunkID.cmp)
-	var moves []migMove
-	for _, id := range ids {
-		ci := infos[id]
-		if h := id.ringHash(); keep(id, h, ci.holders, ci.maxVer) {
-			moves = append(moves, migMove{id: id, h: h, bytes: ci.bytes})
+	slices.SortFunc(reps, func(a, b replica) int { return a.id.cmp(b.id) })
+	kept := 0
+	for i := 0; i < len(reps); {
+		c := reps[i]
+		for i++; i < len(reps) && reps[i].id == c.id; i++ {
+			c.holders |= reps[i].holders
+			c.maxVer = max(c.maxVer, reps[i].maxVer)
+			c.bytes = max(c.bytes, reps[i].bytes)
 		}
+		if keep(c.id, c.id.ringHash(), c.holders, c.maxVer) {
+			reps[kept] = c
+			kept++
+		}
+	}
+	moves := make([]migMove, kept)
+	for i, c := range reps[:kept] {
+		moves[i] = migMove{id: c.id, h: c.id.ringHash(), bytes: c.bytes}
 	}
 	return moves
 }

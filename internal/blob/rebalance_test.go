@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -567,5 +568,36 @@ func TestWriteRacingDeleteAfterHandover(t *testing.T) {
 	}
 	if msg := s.CheckInvariants(); msg != "" {
 		t.Errorf("invariants: %s", msg)
+	}
+}
+
+// TestChunkPlanAllocsFlat: chunkPlan allocates the same few times whatever
+// the chunk count — one slice of replicas and one of moves — so a
+// membership change on a big store does not allocate a record per chunk.
+func TestChunkPlanAllocsFlat(t *testing.T) {
+	var allocs []float64
+	for _, chunks := range []int{1024, 4096} {
+		s := mkStore(5, Config{ChunkSize: 1 << 10, Replication: 3}, false)
+		ctx := storage.NewContext()
+		payload := pattern(1, 1<<10)
+		for i := range chunks {
+			key := fmt.Sprintf("c/%05d", i)
+			if err := s.CreateBlob(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.WriteBlob(ctx, key, 0, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var moves []migMove
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			moves = s.chunkPlan(func(chunkID, uint64, uint64, uint64) bool { return true })
+		}))
+		if len(moves) != chunks || !slices.IsSortedFunc(moves, func(a, b migMove) int { return a.id.cmp(b.id) }) {
+			t.Fatalf("%d chunks: the plan holds %d moves, want every chunk once in ID order", chunks, len(moves))
+		}
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("chunkPlan allocates %v times over 1024 chunks and %v over 4096, want the same", allocs[0], allocs[1])
 	}
 }

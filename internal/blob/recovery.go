@@ -237,11 +237,14 @@ func (s *Store) Recover(node cluster.NodeID) error {
 // ckptLane is one lane's share of a checkpoint snapshot: the descriptor
 // and chunk records whose natural lane (descriptor ring hash, chunk
 // placement hash) is this lane, collected so the lane can be re-encoded
-// against its own medium independently of every other lane.
+// against its own medium independently of every other lane. hdr and specs
+// are the lane's one AppendNV batch, its record headers back to back.
 type ckptLane struct {
 	metas  []ckptMeta
 	chunks []ckptChunk
 	debts  []ckptDebt
+	hdr    []byte
+	specs  []wal.AppendVSpec
 	// intent, set only on the migration lane, re-logs an open migration
 	// intent: the checkpoint's ResetAll would otherwise drop the
 	// RecMigrateBegin record, and a crash after the checkpoint could no
@@ -350,72 +353,91 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 
 // checkpointLane sorts one lane's surviving records back into the total
 // order the plan's map walks lost — descriptors by key, chunks and debts by
-// chunk ID — so every run streams the same records, then re-encodes them
-// against that lane's own medium through the vectored append, staging only
-// the header (in a pooled buffer private to this lane job). A whole chunk's
-// entry is a buffer of its own the lane's reset retired — after a live write
-// or its replay alike — and the append relinks it as the new record's payload
-// (wal.Buffer); slab-packed chunks and merged partial writes are copied
-// once, and counted (blob.copy.bytes). Each entry is then pointed at
-// its new record, under its stripe lock, and the job hands the rest of the
-// old backing to the free list all lanes of the server share
+// chunk ID — so every run streams the same records, then re-logs them to
+// that lane's own medium in one AppendNV: the intent, the descriptors, the
+// chunks and the debts, in that order, under one lock pair and one range of
+// order keys. The headers are encoded back to back into the plan's hdr and
+// the batch built in its specs, both kept across checkpoints. The medium
+// relinks what it can (wal.Buffer): a whole chunk's entry is a buffer of its
+// own the lane's reset retired — after a live write or its replay alike —
+// and a small chunk lies in a retired slab the batch keeps when its chunks
+// still cover half of it. The chunks it copies instead — those of sparser
+// slabs and merged partial writes — are counted (blob.copy.bytes). Each entry
+// is then pointed at its new record, under its stripe lock, and the job hands
+// the rest of the old backing to the free list all lanes of the server share
 // (wal.MultiLog.Recycle): a steady checkpoint cycle allocates nothing, and
 // lanes re-logged later refill from those re-logged earlier. Every lane
 // appends to a private Log/Buffer, so lane jobs run concurrently without
 // sharing a single lock or medium (dispatch contract: the job takes no
-// latch-class lock and never waits on the pool). A chunk whose sum its
-// entry remembers is re-logged without reading its bytes; a relinked
-// chunk's are not even copied. Last, the job clears its chunk list, so the
-// plan storage kept for the next checkpoint pins no retired lane view.
+// latch-class lock and never waits on the pool). A chunk whose sum its entry
+// remembers is re-logged without reading its bytes. Last, the job clears its
+// chunk list and batch, so the plan storage kept for the next checkpoint
+// pins no retired lane view.
 func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 	slices.SortFunc(plan.metas, func(a, b ckptMeta) int { return strings.Compare(a.key, b.key) })
 	slices.SortFunc(plan.chunks, func(a, b ckptChunk) int { return a.id.cmp(b.id) })
 	slices.SortFunc(plan.debts, func(a, b ckptDebt) int { return a.id.cmp(b.id) })
-	bp := hdrPool.Get().(*[]byte)
-	appendOne := func(t wal.RecordType, data []byte, sum uint32) []byte {
-		_, _, stored, err := sv.wal.AppendVSum(lane, t, *bp, data, sum)
-		if err != nil {
-			panic(fmt.Sprintf("blob: checkpoint node %d: %v", sv.node, err))
-		}
-		return stored
+	hdr, specs, end := plan.hdr[:0], plan.specs[:0], 0
+	// add appends the spec of the record whose header was appended to hdr
+	// last; its Header points into hdr as it grew so far and is re-pointed
+	// at the final hdr below.
+	add := func(t wal.RecordType, data []byte, sum uint32) {
+		specs = append(specs, wal.AppendVSpec{Type: t, Header: hdr[end:], Payload: data, Sum: sum})
+		end = len(hdr)
 	}
 	if plan.intent != nil {
 		// First record of the compacted migration lane, so replay reopens
 		// the intent before anything else.
-		*bp = appendMigrateIntent((*bp)[:0], plan.intent.seq, plan.intent.op, plan.intent.node)
-		appendOne(wal.RecMigrateBegin, nil, 0)
+		hdr = appendMigrateIntent(hdr, plan.intent.seq, plan.intent.op, plan.intent.node)
+		add(wal.RecMigrateBegin, nil, 0)
 	}
 	for _, m := range plan.metas {
-		*bp = appendMetaPayload((*bp)[:0], m.key, m.d.size, m.d.ver)
-		appendOne(m.d.recType(), nil, 0)
+		hdr = appendMetaPayload(hdr, m.key, m.d.size, m.d.ver)
+		add(m.d.recType(), nil, 0)
 	}
-	copied := 0
+	first := len(specs)
 	for _, c := range plan.chunks {
-		*bp = appendChunkHeader((*bp)[:0], c.id, 0, c.ver)
+		hdr = appendChunkHeader(hdr, c.id, 0, c.ver)
 		if len(c.data.b) == 0 {
-			appendOne(wal.RecChunkDelete, nil, 0) // a tombstone
-			continue
+			add(wal.RecChunkDelete, nil, 0) // a tombstone
+		} else {
+			add(wal.RecWrite, c.data.b, c.data.checksum())
 		}
-		sum := c.data.checksum()
-		stored := appendOne(wal.RecWrite, c.data.b, sum)
-		if &stored[0] != &c.data.b[0] {
-			copied += len(stored) // not relinked
-		}
-		st := sv.stripe(c.h)
-		st.mu.Lock()
-		st.m[c.id] = chunkBytes{b: stored, sum: sum, summed: true}
-		st.mu.Unlock()
 	}
 	for _, d := range plan.debts {
 		// RecRepairNeeded reuses the chunk header with the mask in the
 		// version slot (codec.go); overwrite-replay makes one record per
 		// chunk sufficient.
-		*bp = appendChunkHeader((*bp)[:0], d.id, 0, d.mask)
-		appendOne(wal.RecRepairNeeded, nil, 0)
+		hdr = appendChunkHeader(hdr, d.id, 0, d.mask)
+		add(wal.RecRepairNeeded, nil, 0)
 	}
-	hdrPool.Put(bp)
+	at := 0
+	for i := range specs {
+		n := len(specs[i].Header)
+		specs[i].Header = hdr[at : at+n : at+n]
+		at += n
+	}
+	if _, _, err := sv.wal.AppendNV(lane, specs); err != nil {
+		panic(fmt.Sprintf("blob: checkpoint node %d: %v", sv.node, err))
+	}
+	copied := 0
+	for k, c := range plan.chunks {
+		sp := &specs[first+k]
+		if len(sp.Stored) == 0 {
+			continue // a tombstone
+		}
+		if &sp.Stored[0] != &c.data.b[0] {
+			copied += len(sp.Stored) // not relinked
+		}
+		st := sv.stripe(c.h)
+		st.mu.Lock()
+		st.m[c.id] = chunkBytes{b: sp.Stored, sum: sp.Sum, summed: true}
+		st.mu.Unlock()
+	}
 	sv.copied(copied)
 	clear(plan.chunks)
+	clear(specs)
+	plan.hdr, plan.specs = hdr[:0], specs[:0]
 	sv.wal.Recycle(lane)
 }
 
@@ -425,8 +447,11 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 // stores compact their journals; recovery replays the snapshot exactly. Down
 // servers are skipped (their WAL is their only state). The store must be
 // quiescent, the discipline Crash and Recover require. Each lane's records
-// are re-encoded against its own medium, a whole chunk's log buffer relinked,
-// not copied, whether a live write or a Recover left it there.
+// are re-encoded against its own medium in one vectored append, a whole
+// chunk's log buffer relinked, not copied, whether a live write or a Recover
+// left it there, and so is a small chunk whose slab the lane's chunks still
+// fill at least half; only the chunks of sparser slabs are copied, compacted
+// into fresh ones.
 //
 // It runs as two flat fan-outs from the caller, with nothing serial between
 // them: one pool job per server plans that server's snapshot

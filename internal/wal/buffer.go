@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -32,10 +33,21 @@ const payloadAlign = 64
 // Corrupt. Reset retires the backing: views stay valid, and the backing is
 // reused only once Recycle hands it to the free list, which the caller does
 // when it no longer holds a view into it. The blob store keeps such views as
-// its chunks' bytes. A payload that is exactly a buffer of its own the last
-// Reset retired is relinked, not copied: the buffer rejoins the stream as the
-// payload's segment, and Recycle leaves it out. So a checkpoint that re-logs
-// its chunks from their views copies no whole-chunk byte.
+// its chunks' bytes.
+//
+// Until that Recycle, a payload that lies in a retired buffer is relinked,
+// not copied, when keeping the buffer is worth it: the payload view becomes
+// its own segment of the stream, the buffer rejoins the backing, and Recycle
+// leaves it out. A payload of at least half a slab is relinked when it is
+// exactly a buffer of its own (whole, one map probe). A smaller one is
+// relinked when it lies in a packing slab and the payloads re-stored from
+// that slab since the Reset — those of the batch storing it included — cover
+// at least half of it (index, a binary search); a sparser slab's payloads
+// are copied, compacted into fresh slabs, and the slab is recycled. This is
+// the log-structured file system cleaner's rule: keep the dense segments,
+// compact the sparse ones. So a checkpoint that re-logs its chunks from
+// their views copies no whole chunk, and of the small ones only those whose
+// slab lost more than half its payload bytes.
 type Buffer struct {
 	// SlabSize overrides the backing-slab size in bytes (for tests that
 	// want to cross slab boundaries cheaply). Zero means DefaultSlabSize.
@@ -49,14 +61,28 @@ type Buffer struct {
 	off  int      // next free byte of slab
 	// open says the last segment ends at slab[off], so a packed write
 	// extends it instead of starting a segment.
-	open    bool
-	backing [][]byte // every buffer segs point into: slabs and payload buffers
-	taken   int      // how many of backing came from take, not relink
-	retired [][]byte // backing Reset took out of use, kept until Recycle
+	open      bool
+	backing   [][]byte // every buffer segs point into: slabs and payload buffers
+	taken     int      // how many of backing came from take, not relink
+	tookSlabs int      // how many of those were slab-sized
+	retired   [][]byte // backing Reset took out of use, kept until Recycle
+	// spare holds slab-sized buffers Recycle kept back for this buffer, as
+	// many as it took since the Reset, and take draws on it before the shared
+	// free list. So a lane in a steady checkpoint cycle refills from its own
+	// last cycle, whatever its siblings on the free list do meanwhile.
+	spare [][]byte
 	// whole indexes the retired buffers of at least half a slab by start
 	// address, as positions in retired, for relink. It keeps its storage
 	// across cycles, so a warm cycle allocates nothing.
-	whole  map[uintptr]int
+	whole map[uintptr]int
+	// packed holds the positions in backing of its packing slabs, the only
+	// buffers a payload under half a slab is stored in.
+	packed []int
+	// index holds the retired packing slabs by start address, sorted, with
+	// the payload bytes re-stored from each since the Reset, for relinking
+	// payloads under half a slab (relinkSmall). Reset builds it and Recycle
+	// empties it, so outside a checkpoint no store searches it.
+	index  []retiredBuf
 	pool   *pool // free list; a MultiLog's lanes share one
 	writes int   // Write/WriteV calls since creation (not reset by Reset)
 }
@@ -77,34 +103,98 @@ func (b *Buffer) free() *pool {
 	return b.pool
 }
 
-// take returns n bytes of fresh backing, from the free list when it holds
-// a buffer of that size, and keeps it as backing.
+// take returns n bytes of fresh backing, from spare or the free list when
+// either holds a buffer of that size, and keeps it as backing.
 func (b *Buffer) take(n int) []byte {
-	buf := b.free().get(n)
+	var buf []byte
+	if k := len(b.spare) - 1; k >= 0 && n == len(b.spare[k]) {
+		buf, b.spare[k], b.spare = b.spare[k], nil, b.spare[:k]
+	} else {
+		buf = b.free().get(n)
+	}
 	b.backing = append(b.backing, buf)
 	b.taken++
+	if n == b.slabSize() {
+		b.tookSlabs++
+	}
 	return buf
 }
 
+// retiredBuf is one slab the last Reset retired, as index holds it: its
+// start address and length, its position in retired, and the payload bytes
+// re-stored from it since the Reset.
+type retiredBuf struct {
+	at      uintptr
+	n, i    int
+	restore int
+}
+
 // relink returns the retired buffer p covers exactly, if the last Reset
-// retired one, and makes it backing again. Its slot in retired becomes nil,
-// so Recycle leaves it out and a second relink finds no buffer there.
+// retired one, and makes it backing again (keep).
 func (b *Buffer) relink(p []byte) []byte {
 	i, ok := b.whole[addr(p)]
 	if !ok || len(b.retired[i]) != len(p) {
 		return nil
 	}
 	buf := b.retired[i]
-	b.retired[i] = nil
-	b.backing = append(b.backing, buf)
+	b.keep(i, false)
 	return buf
+}
+
+// keep makes retired[i], a packing slab when slab is set, backing again,
+// unless an earlier relink did. Its slot in retired becomes nil, so Recycle
+// leaves it out.
+func (b *Buffer) keep(i int, slab bool) {
+	if buf := b.retired[i]; buf != nil {
+		if slab {
+			b.packed = append(b.packed, len(b.backing))
+		}
+		b.retired[i] = nil
+		b.backing = append(b.backing, buf)
+	}
+}
+
+// retiredOf returns the position in index of the retired slab that holds
+// p, a payload under half a slab, or -1 when none does.
+func (b *Buffer) retiredOf(p []byte) int {
+	if len(b.index) == 0 || len(p) == 0 || 2*len(p) >= b.slabSize() {
+		return -1
+	}
+	start := addr(p)
+	j, found := slices.BinarySearchFunc(b.index, start, func(r retiredBuf, at uintptr) int { return cmp.Compare(r.at, at) })
+	if !found {
+		j-- // the last buffer starting below p
+	}
+	if j < 0 || start+uintptr(len(p)) > b.index[j].at+uintptr(b.index[j].n) {
+		return -1
+	}
+	return j
+}
+
+// relinkSmall returns p, a payload under half a slab, relinked in place when
+// the retired slab holding it is dense: the payloads re-stored from it since
+// the Reset cover at least half of it (writeRecords counts a batch's before
+// storing any). It returns nil when p must be copied.
+func (b *Buffer) relinkSmall(p []byte) []byte {
+	j := b.retiredOf(p)
+	if j < 0 || 2*b.index[j].restore < b.index[j].n {
+		return nil
+	}
+	b.keep(b.index[j].i, true)
+	return p[:len(p):len(p)]
+}
+
+// newSlab starts packing into a fresh slab.
+func (b *Buffer) newSlab() {
+	b.packed = append(b.packed, len(b.backing))
+	b.slab, b.off, b.open = b.take(b.slabSize()), 0, false
 }
 
 // pack copies p into slabs at the stream's end.
 func (b *Buffer) pack(p []byte) {
 	for len(p) > 0 {
 		if b.slab == nil || b.off == len(b.slab) {
-			b.slab, b.off, b.open = b.take(b.slabSize()), 0, false
+			b.newSlab()
 		}
 		c := copy(b.slab[b.off:], p)
 		b.extend(b.off, c)
@@ -136,18 +226,28 @@ func (b *Buffer) store(p []byte) []byte {
 			buf = b.take(len(p))
 			copy(buf, p)
 		}
-		b.segs = append(b.segs, buf)
-		b.open, b.n = false, b.n+len(p)
-		return buf
+		return b.link(buf)
+	}
+	if view := b.relinkSmall(p); view != nil {
+		return b.link(view)
 	}
 	at := (b.off + payloadAlign - 1) &^ (payloadAlign - 1)
 	if b.slab == nil || at+len(p) > len(b.slab) {
-		b.slab, b.off, b.open, at = b.take(ss), 0, false, 0
+		b.newSlab()
+		at = 0
 	}
 	copy(b.slab[at:], p)
 	b.open = false // a payload starts a segment, so a decoder finds it whole
 	b.extend(at, len(p))
 	return b.slab[at : at+len(p) : at+len(p)]
+}
+
+// link adds view, a payload in backing outside the packing slab, to the
+// stream's end as a segment of its own.
+func (b *Buffer) link(view []byte) []byte {
+	b.segs = append(b.segs, view)
+	b.open, b.n = false, b.n+len(view)
+	return view
 }
 
 // Write implements io.Writer.
@@ -176,11 +276,21 @@ func (b *Buffer) WriteV(segs [][]byte) (int, error) {
 
 // writeRecords is WriteV over the Log's record layout — framing, header and
 // payload segments per record — that stores each payload where a view of
-// it stays valid and puts that view in the payload's slot of segs.
+// it stays valid and puts that view in the payload's slot of segs. While a
+// Reset's buffers await Recycle, it first adds each payload under half a
+// slab to the bytes re-stored from the retired buffer holding it, so the
+// whole batch counts towards relinking that buffer (relinkSmall).
 func (b *Buffer) writeRecords(segs [][]byte) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.writes++
+	if len(b.index) > 0 {
+		for i := 2; i < len(segs); i += 3 {
+			if j := b.retiredOf(segs[i]); j >= 0 {
+				b.index[j].restore += len(segs[i])
+			}
+		}
+	}
 	n := 0
 	for i, p := range segs {
 		if i%3 == 2 {
@@ -290,15 +400,19 @@ func (b *Buffer) Slabs() int {
 
 // Reset discards all content and retires the backing: views into it stay
 // valid, and it is kept out of reuse until Recycle. Until then, storing a
-// payload that is exactly a retired buffer of its own relinks that buffer
-// instead of copying it. Backing an earlier Reset retired and nobody recycled
-// is left to the garbage collector. Checkpointing resets a log whose prefix a
-// freshly written snapshot has made redundant.
+// payload that lies in a retired buffer relinks it instead of copying it
+// when the rule in the Buffer doc says so. Backing an earlier Reset retired
+// and nobody recycled is left to the garbage collector. Checkpointing resets
+// a log whose prefix a freshly written snapshot has made redundant. The
+// backing is copied into retired, not swapped with it, so each list keeps
+// the storage it grew and a warm cycle allocates nothing.
 func (b *Buffer) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	clear(b.retired)
-	b.retired, b.backing, b.taken = b.backing, b.retired[:0], 0
+	b.retired = append(b.retired[:0], b.backing...)
+	clear(b.backing)
+	b.backing, b.taken, b.tookSlabs = b.backing[:0], 0, 0
 	if b.whole == nil {
 		b.whole = make(map[uintptr]int)
 	}
@@ -308,18 +422,39 @@ func (b *Buffer) Reset() {
 			b.whole[addr(buf)] = i
 		}
 	}
+	b.index = b.index[:0]
+	for _, i := range b.packed {
+		b.index = append(b.index, retiredBuf{at: addr(b.retired[i]), n: len(b.retired[i]), i: i})
+	}
+	b.packed = b.packed[:0]
+	slices.SortFunc(b.index, func(x, y retiredBuf) int { return cmp.Compare(x.at, y.at) })
 	clear(b.segs)
 	b.segs = b.segs[:0]
 	b.slab, b.off, b.open, b.n = nil, 0, false, 0
 }
 
 // Recycle hands the backing the last Reset retired to the free list, so
-// later writes reuse it, all but the buffers relinked since. The caller must
-// hold no view into it any more.
+// later writes reuse it, all but the buffers relinked since and the slabs it
+// keeps back as spare. The caller must hold no view into it any more.
 func (b *Buffer) Recycle() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	clear(b.whole)
+	b.index = b.index[:0]
+	ss := b.slabSize()
+	for i, buf := range b.retired {
+		if len(b.spare) >= b.tookSlabs {
+			break
+		}
+		if len(buf) == ss {
+			b.spare, b.retired[i] = append(b.spare, buf), nil
+		}
+	}
+	if len(b.spare) > b.tookSlabs {
+		b.free().put(b.spare[b.tookSlabs:])
+		clear(b.spare[b.tookSlabs:])
+		b.spare = b.spare[:b.tookSlabs]
+	}
 	b.free().put(b.retired)
 	clear(b.retired)
 	b.retired = b.retired[:0]

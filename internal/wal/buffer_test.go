@@ -211,11 +211,16 @@ func TestMultiLogRecycleCycleAllocFree(t *testing.T) {
 // buffer of its own the last Reset retired relinks that buffer — no new
 // backing, the same address — and Recycle keeps it off the free list, while
 // Corrupt and Truncate on it still leave its bytes alone. Every other view
-// is copied: a sub-slice of such a buffer, one retired two Resets ago, a
-// live one (relinked, in recycled backing, or fresh), one from another lane,
-// and a slab-packed payload. Last, lane jobs run as a checkpoint runs them:
-// each lane relinks its views and recycles while its siblings recycle into
-// the free list they share, and no relinked view loses a byte.
+// of that size is copied: a sub-slice of such a buffer, one retired two
+// Resets ago, a live one (relinked, in recycled backing, or fresh), one from
+// another lane, and a lone payload in a sparse slab. Lane jobs then run as a
+// checkpoint runs them: each lane relinks its views and recycles while its
+// siblings recycle into the free list they share, and no relinked view loses
+// a byte. Last, the slab arms (1 KiB slabs, seven 100-byte payloads to a
+// slab): a batch that re-stores six of them keeps the slab — every view
+// relinked at its address, no slab taken for them, Recycle does not free it,
+// and Corrupt and Truncate leave the views' bytes alone — while a batch that
+// re-stores five copies them and the slab is recycled.
 func TestBufferRelinksRetiredPayload(t *testing.T) {
 	for _, ss := range slabSizes {
 		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
@@ -307,7 +312,7 @@ func TestBufferRelinksRetiredPayload(t *testing.T) {
 			b, l = newLog()
 			view = store(l, fill(small, 7))
 			b.Reset()
-			copied("a slab-packed payload", l, view)
+			copied("a lone payload in a sparse slab", l, view)
 
 			m := NewMultiLog(2)
 			for lane := range 2 {
@@ -357,6 +362,105 @@ func TestBufferRelinksRetiredPayload(t *testing.T) {
 			wg.Wait()
 			checkViews(t, "after concurrent relinks and recycles", views, wants)
 		})
+	}
+	t.Run("slabs", testSlabRelink)
+}
+
+// testSlabRelink is TestBufferRelinksRetiredPayload's slab arms.
+func testSlabRelink(t *testing.T) {
+	const ss, per, size = 1 << 10, 7, 100
+	// fillSlab stores per payloads of size bytes, which fill one slab, and
+	// returns their views.
+	fillSlab := func(l *Log, tag int) (views, want [][]byte) {
+		for i := range per {
+			p := make([]byte, size)
+			for j := range p {
+				p[j] = byte(tag*31 + i*13 + j*7 + 1)
+			}
+			_, _, stored, err := l.AppendVSum(RecWrite, nil, p, Checksum(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			views, want = append(views, stored), append(want, p)
+		}
+		return views, want
+	}
+	// restore re-stores views in one batch and returns what the medium kept.
+	restore := func(l *Log, views [][]byte) [][]byte {
+		specs := make([]AppendVSpec, len(views))
+		for i, v := range views {
+			specs[i] = AppendVSpec{Type: RecWrite, Payload: v, Sum: Checksum(v)}
+		}
+		if _, _, err := l.AppendNV(specs); err != nil {
+			t.Fatal(err)
+		}
+		stored := make([][]byte, len(specs))
+		for i := range specs {
+			stored[i] = specs[i].Stored
+		}
+		return stored
+	}
+	inside := func(p, slab []byte) bool {
+		return addr(p) >= addr(slab) && addr(p)+uintptr(len(p)) <= addr(slab)+uintptr(len(slab))
+	}
+
+	b := &Buffer{SlabSize: ss}
+	l := New(b)
+	views, want := fillSlab(l, 1)
+	if b.Slabs() != 1 {
+		t.Fatalf("%d payloads of %d bytes took %d slabs, want 1", per, size, b.Slabs())
+	}
+	slab := b.backing[0]
+	b.Reset()
+	dense := views[:per-1] // 600 of 1024 bytes
+	for i, got := range restore(l, dense) {
+		if addr(got) != addr(dense[i]) || len(got) != len(dense[i]) || cap(got) != len(got) {
+			t.Fatalf("payload %d of a dense slab was copied, not relinked", i)
+		}
+		if !b.Holds(got) {
+			t.Fatalf("relinked payload %d is not in the stream", i)
+		}
+	}
+	if b.Slabs() != 1 {
+		t.Fatalf("relinking took %d slabs, want only the framing slab", b.Slabs())
+	}
+	checkViews(t, "after relinking", dense, want)
+	// Flip the first relinked payload's first byte, tear inside the second,
+	// and append past the seal.
+	if err := b.Corrupt(recPrefixLen); err != nil {
+		t.Fatal(err)
+	}
+	b.Truncate(2*recPrefixLen + size + size/2)
+	fillSlab(l, 2)
+	checkViews(t, "after Corrupt and Truncate on relinked payloads", dense, want)
+	b.Recycle()
+	more, _ := fillSlab(l, 3)
+	for _, v := range more {
+		if inside(v, slab) {
+			t.Fatal("Recycle handed the relinked slab to the free list")
+		}
+	}
+	checkViews(t, "after Recycle and appends", dense, want)
+
+	b = &Buffer{SlabSize: ss}
+	l = New(b)
+	views, want = fillSlab(l, 4)
+	slab = b.backing[0]
+	b.Reset()
+	sparse := views[:per-2] // 500 of 1024 bytes
+	for i, got := range restore(l, sparse) {
+		if addr(got) == addr(sparse[i]) || inside(got, slab) {
+			t.Fatalf("payload %d of a sparse slab was relinked, not copied", i)
+		}
+	}
+	checkViews(t, "after compacting", sparse, want)
+	b.Recycle()
+	reused := false
+	for _, v := range func() [][]byte { v, _ := fillSlab(l, 5); return v }() {
+		reused = reused || inside(v, slab)
+	}
+	if !reused {
+		t.Fatal("the sparse slab was not recycled")
 	}
 }
 

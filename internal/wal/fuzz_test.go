@@ -221,13 +221,16 @@ func readerRaw(b *Buffer) []byte {
 //     the next key and replays with the prefix;
 //   - every payload view the log handed back for a live record still holds
 //     that record's bytes, through checkpoints, tears, flips and appends;
+//   - a checkpoint relinks exactly the payloads the relink rule names
+//     (checkpointMultiLog);
 //   - every Data view a replay yielded is capped at its length and keeps its
 //     bytes through later tears, flips, appends and ResetAll, until Recycle.
 func FuzzReplayMerged(f *testing.F) {
 	// Spec grammar (see buildMultiLog): each record consumes 4 spec bytes —
 	// lane selector, type, encode-path selector, payload length; a lane
-	// byte of 255 is a checkpoint (ResetAll, the live records re-logged from
-	// their stored views, every lane recycled).
+	// byte of 255 is a checkpoint (checkpointMultiLog: ResetAll, each lane's
+	// live records re-logged from their stored views in one AppendNV, every
+	// lane recycled).
 	f.Add([]byte{}, uint16(0), uint16(0), false, uint16(0))                                                         // empty log
 	f.Add([]byte{0, 1, 0, 8, 1, 2, 1, 8, 2, 3, 2, 8, 3, 4, 3, 8}, uint16(0xffff), uint16(0xffff), false, uint16(0)) // all lanes, untouched
 	f.Add([]byte{0, 1, 0, 200, 0, 2, 0, 200}, uint16(30), uint16(0xffff), false, uint16(0))                         // one lane torn mid-record
@@ -374,12 +377,9 @@ type mlRecord struct {
 // also consumes the next record's spec for the same lane. A length above 200
 // makes a 1 KiB record whose payload segment gets a buffer of its own under
 // 1 KiB slabs. A lane byte of 255 is a checkpoint instead of a record, as
-// the blob store takes one: ResetAll drops every lane and restarts the order
-// keys at 1, each live record is re-appended to its lane from its stored
-// view, and every lane is recycled. The expected sequence restarts with the
-// re-logged records, so replay must see only the snapshot and what follows
-// it. A payload segment with a buffer of its own must come back relinked, at
-// the same address.
+// the blob store takes one (checkpointMultiLog). The expected sequence
+// restarts with the re-logged records, so replay must see only the snapshot
+// and what follows it.
 func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []mlRecord {
 	t.Helper()
 	var appended []mlRecord
@@ -395,21 +395,7 @@ func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []mlRecord {
 	}
 	for i := 0; i+4 <= len(spec); i += 4 {
 		if spec[i] == 0xff {
-			m.ResetAll()
-			for j := range appended {
-				r := &appended[j]
-				_, _, stored, err := m.AppendVSum(r.lane, r.Type, r.Payload[:r.split], r.stored, Checksum(r.stored))
-				if err != nil {
-					t.Fatalf("checkpoint: %v", err)
-				}
-				if 2*len(stored) >= m.LaneBuffer(r.lane).SlabSize && addr(stored) != addr(r.stored) {
-					t.Fatalf("checkpoint copied record %d's %d-byte payload instead of relinking it", j, len(stored))
-				}
-				r.stored = stored
-			}
-			for lane := range m.Lanes() {
-				m.Recycle(lane)
-			}
+			appended = checkpointMultiLog(t, m, appended)
 			continue
 		}
 		lane := int(spec[i]) % m.Lanes()
@@ -450,4 +436,74 @@ func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []mlRecord {
 		appended[i].LSN = uint64(i + 1)
 	}
 	return appended
+}
+
+// checkpointMultiLog checkpoints m as the blob store does: ResetAll drops
+// every lane and restarts the order keys at 1, each lane's live records are
+// re-appended from their stored views in one AppendNV, lane by lane, so each
+// lane takes one range of keys, and every lane is recycled. It returns the
+// records in their new key order. Each payload must follow the relink rule:
+// one of at least half a slab that is exactly a retired buffer comes back at
+// its address; a smaller one does when the batch's payloads inside the
+// retired slab holding it cover at least half of that slab, and is copied
+// otherwise.
+func checkpointMultiLog(t *testing.T, m *MultiLog, appended []mlRecord) []mlRecord {
+	t.Helper()
+	m.ResetAll()
+	var out []mlRecord
+	for lane := range m.Lanes() {
+		b := m.LaneBuffer(lane)
+		var recs []mlRecord
+		for _, r := range appended {
+			if r.lane == lane {
+				recs = append(recs, r)
+			}
+		}
+		// holder is the retired buffer a view lies in, -1 for none (a small
+		// view lies in a slab); restored sums the batch's payload bytes
+		// inside each.
+		holder := func(v []byte) int {
+			for i, buf := range b.retired {
+				if len(v) > 0 && addr(v) >= addr(buf) && addr(v)+uintptr(len(v)) <= addr(buf)+uintptr(len(buf)) {
+					return i
+				}
+			}
+			return -1
+		}
+		restored := make([]int, len(b.retired))
+		specs := make([]AppendVSpec, len(recs))
+		for j, r := range recs {
+			specs[j] = AppendVSpec{Type: r.Type, Header: r.Payload[:r.split], Payload: r.stored, Sum: Checksum(r.stored)}
+			if h := holder(r.stored); h >= 0 && 2*len(r.stored) < b.SlabSize {
+				restored[h] += len(r.stored)
+			}
+		}
+		relinked := make([]bool, len(recs))
+		for j, r := range recs {
+			h := holder(r.stored)
+			switch {
+			case h < 0:
+			case 2*len(r.stored) >= b.SlabSize:
+				relinked[j] = true // a buffer of its own the reset retired
+			default:
+				relinked[j] = 2*restored[h] >= len(b.retired[h])
+			}
+		}
+		if _, _, err := m.AppendNV(lane, specs); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		for j := range recs {
+			got := specs[j].Stored
+			if len(got) > 0 && (addr(got) == addr(recs[j].stored)) != relinked[j] {
+				t.Fatalf("checkpoint of lane %d: record %d's %d-byte payload relinked %v, the rule says %v",
+					lane, j, len(got), !relinked[j], relinked[j])
+			}
+			recs[j].stored = got
+		}
+		out = append(out, recs...)
+	}
+	for lane := range m.Lanes() {
+		m.Recycle(lane)
+	}
+	return out
 }

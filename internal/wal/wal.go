@@ -37,8 +37,10 @@
 // valid until the backing is retired (Buffer.Reset, MultiLog.ResetAll) and
 // then recycled (Recycle), which the caller does once it has let go of it.
 // In between, a payload that is exactly a retired buffer of its own is
-// relinked, not copied, so a checkpoint re-logging whole chunks from their
-// views copies none of their bytes.
+// relinked, not copied, and so is a smaller one whose retired slab the
+// payloads re-stored since the Reset still cover at least half of, so a
+// checkpoint re-logging its chunks from their views copies only the small
+// ones of sparse slabs.
 //
 // Replay finds the same views again. A decoder reading a Buffer yields each
 // record's last contiguous piece as Record.Data, a view of the medium with

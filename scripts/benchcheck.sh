@@ -88,7 +88,8 @@ for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
 done
 go test -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
 go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDownFlapRace' ./internal/blob
-# Lane appends race under their own mutexes; a lane's checkpoint job relinks its retired buffers while sibling lanes recycle into the shared free list.
+# Lane appends race under their own mutexes; a lane's checkpoint job relinks its retired buffers (whole ones, and slabs its
+# batch still fills at least half) while sibling lanes recycle into the shared free list.
 # A decoder reading a Buffer yields each vectored record's payload as the view its append stored.
 go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog|TestBufferRelinksRetiredPayload|TestDecoderYieldsStoredViews' ./internal/wal
 # The one migration test whose outcome depends on interleaving, and the observer it drives from live appends.
@@ -102,10 +103,13 @@ go test -race -count=10 -cpu 1,2,4 -run 'TestOpsOnDeletedBlobSeeNotFound|TestOps
 # Recovery reads the lanes in place: after a merge stopped by a torn lane, every lane's in-flight decode must finish before resync appends.
 go test -race -count=10 -cpu 1,2,4 -run TestRecoverTornLaneThenResync ./internal/blob
 # A chunk entry's bytes are a view of the payload its own server's log lane stored, on a 64-byte boundary, after every path that writes one,
-# Recover's replay included, and a checkpoint relinks a whole-chunk buffer instead of copying it; blob.copy.bytes counts what it copies.
-# A checkpoint plans its servers in parallel and each lane job sorts its own lists: the records it streams must not depend on
-# that schedule, and a warm one allocates the same few times at any store size (that half skips itself under -race).
-go test -race -count=10 -cpu 1,2,4 -run 'TestChunkBytesAreOwnLog|TestCopyBytesCounted|TestCheckpointRecordsPinned|TestCheckpointAllocsFlat' ./internal/blob
+# Recover's replay included, and a checkpoint relinks a whole-chunk buffer and a slab its lane still fills at least half instead
+# of copying them; blob.copy.bytes counts what it copies.
+# A checkpoint plans its servers in parallel and each lane job re-logs its lane in one batch: the records it streams must not
+# depend on that schedule, and a warm one allocates the same few times at any store size, as does a membership change's plan
+# (TestCheckpointAllocsFlat skips itself under -race, so the two allocation tests also run plain).
+go test -race -count=10 -cpu 1,2,4 -run 'TestChunkBytesAreOwnLog|TestCopyBytesCounted|TestCheckpointRecordsPinned|TestCheckpointAllocsFlat|TestChunkPlanAllocsFlat' ./internal/blob
+go test -count=20 -run 'TestCheckpointAllocsFlat|TestChunkPlanAllocsFlat' ./internal/blob
 # The gateway's pooled buffers pass between concurrent requests; no body may show another request's bytes.
 go test -race -count=10 -cpu 1,2,4 -run TestPooledBuffersNeverLeakBytes ./internal/s3gw
 (cd benchmark && go test ./...)
