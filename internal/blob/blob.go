@@ -455,6 +455,8 @@ type Store struct {
 	// While it is set the store is not clean, and chunk surveys widen to
 	// every non-wiped server (survey.go).
 	migIntent atomic.Pointer[migrationIntent]
+	// plan is the reconcile plan's fold storage (chunkPlan).
+	plan chunkPlanner
 	// observe is the one event subscriber (Observe), nil by default.
 	observe func(Event)
 	// latch is the key latch table (lockKey): an op holds its key's latch,
@@ -693,18 +695,6 @@ func (sv *server) trimChunk(h uint64, id chunkID, keep int64, ver uint64) {
 		st.ver[id] = max(st.ver[id], ver)
 	}
 	st.mu.Unlock()
-}
-
-// entryCount sums the chunk entries, tombstones included.
-func (sv *server) entryCount() int {
-	n := 0
-	for i := range sv.stripes {
-		st := &sv.stripes[i]
-		st.mu.RLock()
-		n += len(st.m)
-		st.mu.RUnlock()
-	}
-	return n
 }
 
 // chunkCount sums the chunks holding bytes; tombstones do not count.
@@ -1120,23 +1110,31 @@ func (s *Store) walAppendMeta(cg *charge, sv *server, key string, d descriptor) 
 // primary and replicated synchronously under the key's latch, so an op that
 // finds the key waits until every replica holds it.
 func (s *Store) CreateBlob(ctx *storage.Context, key string) error {
+	_, err := s.CreateBlobVersion(ctx, key)
+	return err
+}
+
+// CreateBlobVersion is CreateBlob that also returns the version it stamped
+// on the descriptor, for DeleteBlobVersion (storage.BlobCreateUndoer).
+func (s *Store) CreateBlobVersion(ctx *storage.Context, key string) (uint64, error) {
 	if key == "" || strings.ContainsRune(key, '\x00') {
-		return fmt.Errorf("blob key %q: %w", key, storage.ErrInvalidArg)
+		return 0, fmt.Errorf("blob key %q: %w", key, storage.ErrInvalidArg)
 	}
 	s.member.RLock()
 	defer s.member.RUnlock()
 	s.lockKey(key, true)
 	defer s.unlockKey(key, true)
-	_, err := s.createLocked(ctx, key)
-	return err
+	_, ver, err := s.createLocked(ctx, key)
+	return ver, err
 }
 
 // createLocked creates key with its latch held exclusively and returns the
-// descriptor primary. RenameBlob calls it while holding both keys' latches.
-func (s *Store) createLocked(ctx *storage.Context, key string) (*server, error) {
+// descriptor primary and the version stamped. RenameBlob calls it while
+// holding both keys' latches.
+func (s *Store) createLocked(ctx *storage.Context, key string) (*server, uint64, error) {
 	primary := s.servers[s.descOwners(key)[0]]
 	if primary.isDown() {
-		return nil, fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
+		return nil, 0, fmt.Errorf("blob %q: primary down: %w", key, storage.ErrUnavailable)
 	}
 	// One metadata RPC to the primary: flat-namespace single lookup — this
 	// is the cost asymmetry against hierarchical path resolution.
@@ -1144,18 +1142,18 @@ func (s *Store) createLocked(ctx *storage.Context, key string) (*server, error) 
 	// A lookup, because mid-migration the key may still live only on its old
 	// holders.
 	if _, _, err := s.primaryDesc(key); err == nil {
-		return nil, fmt.Errorf("blob %q: %w", key, storage.ErrExists)
+		return nil, 0, fmt.Errorf("blob %q: %w", key, storage.ErrExists)
 	}
-	s.setSize(ctx, key, primary, 0)
-	return primary, nil
+	return primary, s.setSize(ctx, key, primary, 0), nil
 }
 
 // setSize is the one way a blob's size changes, with key latched exclusively
 // by the caller: it stamps the size one version past the freshest copy, sets
 // and logs it on the primary, then on every replica in parallel (putDesc plus
 // a metadata op and a RecMeta each) but a crash-wiped one, which Recover
-// catches up: no log may carry a version stamped without seeing it.
-func (s *Store) setSize(ctx *storage.Context, key string, primary *server, size int64) {
+// catches up: no log may carry a version stamped without seeing it. It
+// returns the version stamped.
+func (s *Store) setSize(ctx *storage.Context, key string, primary *server, size int64) uint64 {
 	d, _ := s.freshestDesc(key)
 	d = descriptor{size: size, ver: d.ver + 1}
 	primary.putDesc(key, d)
@@ -1173,6 +1171,7 @@ func (s *Store) setSize(ctx *storage.Context, key string, primary *server, size 
 		fan.spawn(t)
 	}
 	fan.join(ctx)
+	return d.ver
 }
 
 // DeleteBlob removes the blob's descriptor and drops every chunk to a
@@ -1186,6 +1185,24 @@ func (s *Store) DeleteBlob(ctx *storage.Context, key string) error {
 		return err
 	}
 	defer s.unlockKey(key, true)
+	s.deleteLocked(ctx, key, primary, d.size)
+	return nil
+}
+
+// DeleteBlobVersion is DeleteBlob for a blob whose descriptor is still at
+// ver, the one CreateBlobVersion returned; a blob at any other version is
+// left as it is (storage.BlobCreateUndoer).
+func (s *Store) DeleteBlobVersion(ctx *storage.Context, key string, ver uint64) error {
+	s.member.RLock()
+	defer s.member.RUnlock()
+	primary, d, err := s.latchDesc(ctx, key, true, false)
+	if err != nil {
+		return err
+	}
+	defer s.unlockKey(key, true)
+	if d.ver != ver {
+		return fmt.Errorf("blob %q at version %d, not %d: %w", key, d.ver, ver, storage.ErrExists)
+	}
 	s.deleteLocked(ctx, key, primary, d.size)
 	return nil
 }

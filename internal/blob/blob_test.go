@@ -326,6 +326,52 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	}
 }
 
+// TestDeleteBlobVersionOnlyAtItsVersion: DeleteBlobVersion takes back the
+// blob CreateBlobVersion made only while nothing has changed it: a resize or
+// a delete and create in between leave the blob as it is.
+func TestDeleteBlobVersionOnlyAtItsVersion(t *testing.T) {
+	s := newStore(t, 4, Config{ChunkSize: 8})
+	ctx := storage.NewContext()
+	ver, err := s.CreateBlobVersion(ctx, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WriteBlob(ctx, "v", 0, []byte("resized")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteBlobVersion(ctx, "v", ver); !errors.Is(err, storage.ErrExists) {
+		t.Fatalf("delete at the create's version after a resize: %v, want ErrExists", err)
+	}
+	if size, err := s.BlobSize(ctx, "v"); err != nil || size != 7 {
+		t.Fatalf("blob after the refused delete: (%d, %v), want 7 bytes", size, err)
+	}
+	if err := s.DeleteBlob(ctx, "v"); err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.CreateBlobVersion(ctx, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again <= ver {
+		t.Fatalf("the recreated blob's version %d is not above the first's %d", again, ver)
+	}
+	if err := s.DeleteBlobVersion(ctx, "v", ver); !errors.Is(err, storage.ErrExists) {
+		t.Fatalf("delete at the first incarnation's version: %v, want ErrExists", err)
+	}
+	if err := s.DeleteBlobVersion(ctx, "v", again); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.BlobSize(ctx, "v"); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("blob survived its conditional delete: %v", err)
+	}
+	if err := s.DeleteBlobVersion(ctx, "v", again); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("delete of a missing blob: %v, want ErrNotFound", err)
+	}
+	if msg := s.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
 // TestOpsOnDeletedBlobSeeNotFound: an op on a blob that a concurrent delete
 // has latched answers ErrNotFound once the delete releases the latch, and
 // after every node recovers nothing is listed. It must not act on the removed

@@ -94,6 +94,10 @@
 //     (server, lane) jobs as two fan-outs from the caller instead of
 //     nesting a per-server parallelDo inside a pool task, where every
 //     worker parked in a nested wait is a helper lost to every other fan.
+//     The reconcile plan (chunkPlan, behind the migration sweep and
+//     Recover's resync) is one such fan-out from its caller: one job per
+//     chunk stripe folds that stripe of every server, one stripe read lock
+//     at a time, and the caller sorts the kept moves after the join.
 //     (enforced: blobvet/workerlatch — parallelDo is a flagged pool wait
 //     inside the task-reachable graph)
 //
@@ -104,7 +108,7 @@
 // the source by version, installChunk replaces the target whole, dropStrays
 // removes covered strays). Repair fans per-chunk reconcileChunk tasks
 // through this pool round by round; resyncNode runs it inline on the Recover
-// caller. Two lock rules:
+// caller, over the chunks its plan lists. Two lock rules:
 //
 //   - A replica copy touches only short-hold locks: the source chunk's
 //     entry is read under its stripe RLock (its bytes are immutable, so
@@ -227,8 +231,8 @@ func offerHelp(t runnable) bool {
 
 // parallelDo runs fn(0..n-1) and waits for all of them: the caller pulls
 // indices off a shared cursor and idle pool workers pull from the same one.
-// It is for clock-free bulk work (checkpoint plans and lane jobs); fan tasks
-// with cost accounting go through ctxFan.
+// It is for clock-free bulk work (checkpoint plans and lane jobs, reconcile
+// plans); fan tasks with cost accounting go through ctxFan.
 // Must not be called from a worker (it blocks).
 func parallelDo(n int, fn func(int)) {
 	if n <= 0 {

@@ -3,6 +3,7 @@ package blob
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -274,14 +275,16 @@ type migMove struct {
 }
 
 // migrationPlan returns the chunks whose placement disagrees with the current
-// ring: an owner missing the chunk or holding a version behind the freshest
-// surviving copy, or a holder outside the replica set. The plan carries no
-// placement snapshot — each batch task surveys at execution time, so the same
-// plan formulation serves fresh migrations and crash roll-forward alike.
+// ring: an owner missing the chunk or not at its holders' highest version, or
+// a holder outside the replica set. The plan carries no placement snapshot —
+// each batch task surveys at execution time, so the same plan formulation
+// serves fresh migrations and crash roll-forward alike. That survey is also
+// why the versions the fold listed are enough: the plan is advisory, and
+// reconcileChunk decides from what it finds then.
 func (s *Store) migrationPlan() []migMove {
-	return s.chunkPlan(func(id chunkID, h, holders, maxVer uint64) bool {
+	return s.chunkPlan(func(h, holders, atMax uint64) bool {
 		for _, o := range s.ownersForHash(h) {
-			if s.servers[o].chunkVer(h, id) < maxVer {
+			if atMax&(1<<uint(o)) == 0 {
 				return true
 			}
 			holders &^= 1 << uint(o)
@@ -290,48 +293,107 @@ func (s *Store) migrationPlan() []migMove {
 	})
 }
 
-// chunkPlan returns, sorted, a move for every chunk some server holds that
-// keep selects, given its placement hash, its holders' bitmask and their
-// highest version; a move carries its largest copy's size for the throttle.
-// A crash-wiped server holds nothing.
+// chunkPlan returns, sorted by chunk ID, a move for every chunk some server
+// holds that keep selects, given its placement hash, the bitmask of its
+// holders and the bitmask of those at their highest version; a move carries
+// its largest copy's size for the throttle. A crash-wiped server holds
+// nothing.
 //
-// It lists every replica in one slice sized up front, sorts it by chunk ID
-// and folds each chunk's run into its first slot, so its allocations do not
-// grow with the chunk count: no map (Go's allocates a table per thousand
-// entries) and no record per chunk.
-func (s *Store) chunkPlan(keep func(id chunkID, h, holders, maxVer uint64) bool) []migMove {
-	type replica struct {
-		id              chunkID
-		holders, maxVer uint64
-		bytes           int
+// A chunk's replicas sit in the same stripe on every server (the stripe is
+// picked by its placement hash), so the plan is one parallelDo job per
+// stripe, each folding that stripe of every server, one stripe lock at a
+// time, through the stripe's index and fold slice, and running keep once per
+// chunk. Only the kept moves are sorted. The fold storage lives in the
+// planner across plans, so a warm plan allocates its job and its moves and
+// nothing per chunk. Call it from a caller, never a pool task.
+func (s *Store) chunkPlan(keep func(h, holders, atMax uint64) bool) []migMove {
+	p := &s.plan
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.foldFn == nil {
+		p.foldFn = func(j int) { p.stripes[j].fold(s.servers, j, p.keep) }
 	}
+	p.keep = keep
+	parallelDo(chunkStripes, p.foldFn)
+	p.keep = nil
 	n := 0
-	for _, sv := range s.servers {
-		n += sv.entryCount()
+	for j := range p.stripes {
+		n += len(p.stripes[j].kept)
 	}
-	reps := make([]replica, 0, n)
-	for i, sv := range s.servers {
-		sv.forEachChunk(func(id chunkID, data []byte, ver uint64) {
-			reps = append(reps, replica{id, 1 << uint(i), ver, len(data)})
-		})
+	moves := make([]migMove, 0, n)
+	for j := range p.stripes {
+		ps := &p.stripes[j]
+		moves = append(moves, ps.kept...)
+		clear(ps.kept)
+		ps.kept = ps.kept[:0]
 	}
-	slices.SortFunc(reps, func(a, b replica) int { return a.id.cmp(b.id) })
-	kept := 0
-	for i := 0; i < len(reps); {
-		c := reps[i]
-		for i++; i < len(reps) && reps[i].id == c.id; i++ {
-			c.holders |= reps[i].holders
-			c.maxVer = max(c.maxVer, reps[i].maxVer)
-			c.bytes = max(c.bytes, reps[i].bytes)
-		}
-		if keep(c.id, c.id.ringHash(), c.holders, c.maxVer) {
-			reps[kept] = c
-			kept++
-		}
-	}
-	moves := make([]migMove, kept)
-	for i, c := range reps[:kept] {
-		moves[i] = migMove{id: c.id, h: c.id.ringHash(), bytes: c.bytes}
-	}
+	slices.SortFunc(moves, func(a, b migMove) int { return a.id.cmp(b.id) })
 	return moves
+}
+
+// chunkPlanner is chunkPlan's storage, kept across plans. mu serializes the
+// plans: a membership change's (under migrateMu) and Recover's resync.
+type chunkPlanner struct {
+	mu      sync.Mutex
+	keep    func(h, holders, atMax uint64) bool // the running plan's
+	foldFn  func(j int)                         // folds stripe j with keep; built once
+	stripes [chunkStripes]planStripe
+}
+
+// planStripe folds one chunk stripe across the servers: index finds a
+// chunk's fold, folds holds one per chunk and kept the moves keep chose.
+// All three are emptied after each plan and keep their storage.
+type planStripe struct {
+	index map[chunkID]int32
+	folds []chunkFold
+	kept  []migMove
+}
+
+// chunkFold is one chunk folded across its replicas: who holds it, who
+// holds it at the highest version, that version, and its largest size.
+type chunkFold struct {
+	id             chunkID
+	holders, atMax uint64
+	max            uint64
+	bytes          int
+}
+
+// fold folds stripe j of every server, then keeps each chunk keep selects.
+func (ps *planStripe) fold(servers []*server, j int, keep func(h, holders, atMax uint64) bool) {
+	if ps.index == nil {
+		ps.index = make(map[chunkID]int32)
+	}
+	for i, sv := range servers {
+		bit := uint64(1) << uint(i)
+		st := &sv.stripes[j]
+		st.mu.RLock()
+		for id, c := range st.m {
+			k, ok := ps.index[id]
+			if !ok {
+				k = int32(len(ps.folds))
+				ps.index[id] = k
+				//blobvet:allow virtualtime chunkPlan sorts the kept moves by chunk ID before any caller walks them
+				ps.folds = append(ps.folds, chunkFold{id: id})
+			}
+			f := &ps.folds[k]
+			f.holders |= bit
+			switch ver := st.ver[id]; {
+			case ver > f.max:
+				f.max, f.atMax = ver, bit
+			case ver == f.max:
+				f.atMax |= bit
+			}
+			f.bytes = max(f.bytes, len(c.b))
+		}
+		st.mu.RUnlock()
+	}
+	for i := range ps.folds {
+		f := &ps.folds[i]
+		if h := f.id.ringHash(); keep(h, f.holders, f.atMax) {
+			ps.kept = append(ps.kept, migMove{id: f.id, h: h, bytes: f.bytes})
+		}
+	}
+	clear(ps.index)
+	clear(ps.folds)
+	ps.folds = ps.folds[:0]
 }

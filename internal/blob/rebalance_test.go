@@ -591,7 +591,7 @@ func TestChunkPlanAllocsFlat(t *testing.T) {
 		}
 		var moves []migMove
 		allocs = append(allocs, testing.AllocsPerRun(5, func() {
-			moves = s.chunkPlan(func(chunkID, uint64, uint64, uint64) bool { return true })
+			moves = s.chunkPlan(func(uint64, uint64, uint64) bool { return true })
 		}))
 		if len(moves) != chunks || !slices.IsSortedFunc(moves, func(a, b migMove) int { return a.id.cmp(b.id) }) {
 			t.Fatalf("%d chunks: the plan holds %d moves, want every chunk once in ID order", chunks, len(moves))

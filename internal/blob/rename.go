@@ -44,7 +44,7 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 	if oldPrimary.isDown() {
 		return fmt.Errorf("blob %q: primary down: %w", oldKey, storage.ErrUnavailable)
 	}
-	newPrimary, err := s.createLocked(ctx, newKey)
+	newPrimary, _, err := s.createLocked(ctx, newKey)
 	if err != nil {
 		return err
 	}

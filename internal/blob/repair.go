@@ -257,16 +257,16 @@ func (s *Store) oweBehind(cg *charge, h uint64, id chunkID, sy *chunkSurvey) {
 }
 
 // resyncNode converges the still-down sv with its peers, descriptors first
-// (reconcileDescs scoped to sv), then every chunk it owns that any server
-// holds, through reconcileChunk scoped to sv: pull what a peer holds newer,
-// list whoever is then behind. Recover runs this after replaying sv's log and
-// BEFORE marking sv up: the merged-replay prefix contract discards everything
-// behind a torn lane tail, including acknowledged writes, size changes and
-// deletes together with the debt records that named them, and version
-// comparison is the only witness left. It runs both ways — sv's replayed
-// version is authoritative for what it holds (a record is only logged for an
-// applied mutation), so a peer behind it missed mutations even if the record
-// saying so was torn off.
+// (reconcileDescs scoped to sv), then every chunk resyncPlan lists, through
+// reconcileChunk scoped to sv: pull what a peer holds newer, list whoever is
+// then behind. Recover runs this after replaying sv's log and BEFORE marking
+// sv up: the merged-replay prefix contract discards everything behind a torn
+// lane tail, including acknowledged writes, size changes and deletes
+// together with the debt records that named them, and version comparison is
+// the only witness left. It runs both ways — sv's replayed version is
+// authoritative for what it holds (a record is only logged for an applied
+// mutation), so a peer behind it missed mutations even if the record saying
+// so was torn off.
 //
 // Quiescence is NOT required: sv is still down, so writers neither read nor
 // update its copies beyond the retained-memory applies, and those only move
@@ -275,9 +275,16 @@ func (s *Store) resyncNode(sv *server) {
 	cg := s.directCharge(storage.NewContext())
 	s.reconcileDescs(&cg, sv)
 	me := int(sv.node)
-	for _, mv := range s.chunkPlan(func(id chunkID, h, _, _ uint64) bool { return containsNode(s.ownersForHash(h), me) }) {
+	for _, mv := range s.resyncPlan(me) {
 		s.reconcileChunk(&cg, mv.h, mv.id, scope{owed: 1 << uint(me), down: true, drop: true, count: "blob.resync"})
 	}
+}
+
+// resyncPlan lists every chunk node me owns that any server holds. It does
+// not compare versions: each reconcileChunk surveys the chunk when it runs,
+// and the plan, like the sweep's, is only where to look.
+func (s *Store) resyncPlan(me int) []migMove {
+	return s.chunkPlan(func(h, _, _ uint64) bool { return containsNode(s.ownersForHash(h), me) })
 }
 
 // reconcileDescs runs reconcileDesc, in key order, over every key any server

@@ -67,6 +67,37 @@ func TestFailedOverwriteKeepsObject(t *testing.T) {
 	}
 }
 
+// TestFailedPutLeavesNoObject: a PUT of a new key whose write fails answers
+// an error and leaves no object behind, not an empty one that GET, HEAD and
+// LIST would show. The gateway takes its create back with a delete that
+// applies only while the blob is still at the version that create stamped.
+func TestFailedPutLeavesNoObject(t *testing.T) {
+	srv, _, store := newServer(t)
+	c := store.(*blob.Store).Cluster()
+	c.SetFaultInjector(cluster.NewFaultPlan(1, []cluster.FaultRule{
+		{Node: -1, Kind: cluster.FaultDiskWrite, Prob: 1, Fault: cluster.Fault{Err: errors.New("disk gone")}},
+	}))
+	if resp := do(t, http.MethodPut, srv.URL+"/fresh", "never-stored"); resp.StatusCode == http.StatusOK {
+		t.Fatal("PUT succeeded with every disk failing")
+	}
+	c.SetFaultInjector(nil)
+	if resp := do(t, http.MethodHead, srv.URL+"/fresh", ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("HEAD after the failed PUT: status %d, want 404", resp.StatusCode)
+	}
+	resp := do(t, http.MethodGet, srv.URL+"/?prefix=fresh", "")
+	if body, _ := io.ReadAll(resp.Body); strings.Contains(string(body), "<Key>fresh</Key>") {
+		t.Fatalf("LIST after the failed PUT shows the key: %s", body)
+	}
+	// The key is free again: the next PUT creates it.
+	if resp := do(t, http.MethodPut, srv.URL+"/fresh", "stored"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT after the failed one: status %d", resp.StatusCode)
+	}
+	resp = do(t, http.MethodGet, srv.URL+"/fresh", "")
+	if body, _ := io.ReadAll(resp.Body); string(body) != "stored" {
+		t.Fatalf("object = %q, want %q", body, "stored")
+	}
+}
+
 // TestParseRangeEdgeCases pins the single-range parser against the corner
 // specs S3 clients actually send.
 func TestParseRangeEdgeCases(t *testing.T) {

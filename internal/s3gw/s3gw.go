@@ -87,6 +87,9 @@ func readBody(buf []byte, r *http.Request) ([]byte, error) {
 // Gateway is an http.Handler over a blob store.
 type Gateway struct {
 	store storage.BlobStore
+	// undo is the store's storage.BlobCreateUndoer, nil if it has none: a
+	// PUT that created its key takes the create back if its write fails.
+	undo storage.BlobCreateUndoer
 
 	mu      sync.Mutex
 	virtual time.Duration
@@ -94,7 +97,8 @@ type Gateway struct {
 
 // New returns a gateway serving the given store.
 func New(store storage.BlobStore) *Gateway {
-	return &Gateway{store: store}
+	undo, _ := store.(storage.BlobCreateUndoer)
+	return &Gateway{store: store, undo: undo}
 }
 
 // TotalVirtualTime reports the summed virtual time of all requests served.
@@ -147,7 +151,12 @@ func (g *Gateway) put(ctx *storage.Context, w http.ResponseWriter, r *http.Reque
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	err = g.store.CreateBlob(ctx, key)
+	var created uint64 // the version this PUT's create stamped
+	if g.undo != nil {
+		created, err = g.undo.CreateBlobVersion(ctx, key)
+	} else {
+		err = g.store.CreateBlob(ctx, key)
+	}
 	exists := errors.Is(err, storage.ErrExists)
 	if err != nil && !exists {
 		httpStoreError(w, err)
@@ -155,6 +164,11 @@ func (g *Gateway) put(ctx *storage.Context, w http.ResponseWriter, r *http.Reque
 	}
 	if len(body) > 0 {
 		if _, err := g.store.WriteBlob(ctx, key, 0, body); err != nil {
+			// A new key's failed write must not leave an empty object: take
+			// the create back, unless another op has changed the blob since.
+			if !exists && g.undo != nil {
+				_ = g.undo.DeleteBlobVersion(ctx, key, created)
+			}
 			httpStoreError(w, err)
 			return
 		}

@@ -98,6 +98,19 @@ type BlobRenamer interface {
 	RenameBlob(ctx *Context, oldKey, newKey string) error
 }
 
+// BlobCreateUndoer is an optional BlobStore extension that lets a client
+// take back a blob it created, and nothing a later op made of it. Like
+// BlobRenamer, adapters discover it by type assertion.
+type BlobCreateUndoer interface {
+	// CreateBlobVersion is CreateBlob that also returns the version the new
+	// blob's descriptor was stamped with.
+	CreateBlobVersion(ctx *Context, key string) (uint64, error)
+	// DeleteBlobVersion deletes the blob only while its descriptor still
+	// carries ver: a blob another op has since resized, deleted or created
+	// again is left alone (ErrExists if one is there, ErrNotFound if none).
+	DeleteBlobVersion(ctx *Context, key string, ver uint64) error
+}
+
 // ChunkSizer is an optional extension reporting the backend's natural
 // placement granularity in bytes. Clients that partition collective writes
 // (mpiio two-phase I/O) align their shares to it so each aggregated write

@@ -95,7 +95,10 @@ go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog|TestBufferRelinksRetiredPa
 # The one migration test whose outcome depends on interleaving, and the observer it drives from live appends.
 # A drained node is reset only once it holds nothing: the drain tests keep its only copy and its open intent until then,
 # and its retired log backing is recycled for the next join to reuse.
-go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend|TestDrainKeepsOnlyCopy|TestRemoveServerResetsWAL|TestDrainRecyclesItsLog' ./internal/blob
+# The reconcile plan folds each chunk stripe on its own pool job: after every op of a seeded history (strays, faulted
+# appends, down, crashed and removed nodes) it must list exactly the moves the sort-then-probe formulation lists.
+go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend|TestDrainKeepsOnlyCopy|TestRemoveServerResetsWAL|TestDrainRecyclesItsLog|TestChunkPlanMatchesReference' ./internal/blob
+go test -run '^$' -bench BenchmarkMigrationPlan -benchtime 1x ./internal/blob
 # Descriptor races. An op latches its key, then looks the descriptor up, so it acts only on what is there while it holds
 # the latch: ops racing a delete, a create or a handover, and a Scan racing creates and deletes. A descriptor's highest
 # version wins, a tombstone like any copy: a torn delete, and a torn size change with the replica soft-down or crashed.
