@@ -15,8 +15,8 @@ const twinOps = 8
 // (4-chunk, 256 KiB) overwrite, healthy or degraded: every disk, RPC, and
 // compute charge the write folds into its context. The cluster is 3 nodes
 // with 3-way replication so every chunk is owned by every node — downing one
-// makes EVERY chunk write degraded (exclusion + a RecRepairNeeded debt record
-// on the survivors) instead of diluting the comparison across a larger ring.
+// makes EVERY chunk write degraded (exclusion + a repair-debt entry for the
+// down owner) instead of diluting the comparison across a larger ring.
 //
 // The fixture is fresh because the simulator's per-node disk queues carry
 // virtual time forward; one throwaway write syncs the fresh clock with the

@@ -25,12 +25,12 @@ func TestVirtualTwinsPinned(t *testing.T) {
 		got, pinned time.Duration
 	}{
 		{"write/healthy", must(VirtualWriteCost(false)), 6152376},
-		{"write/degraded", must(VirtualWriteCost(true)), 7025811},
+		{"write/degraded", must(VirtualWriteCost(true)), 7023611},
 		{"rename/fastpath", must(VirtualRenameCost(true)), 20253614},
 		{"rename/copy", must(VirtualRenameCost(false)), 21619991},
 		{"s3/request", must(VirtualS3RequestCost()), 5102135},
 		{"rebalance/quiesced", must(quiesced, err), 889837},
-		{"rebalance/join", join, 2237576},
+		{"rebalance/join", join, 2238106},
 		{"rebalance/leave", leave, 1834361},
 	}
 	// Each bound sits between today's deterministic ratio and the failure it
@@ -39,8 +39,8 @@ func TestVirtualTwinsPinned(t *testing.T) {
 		num, den string
 		max      float64
 	}{
-		// ~1.14 today: R-1 disks carry R disks' I/O plus one debt record per
-		// chunk. Synchronous repair sneaking into the write path reads 2x.
+		// ~1.14 today: R-1 disks carry R disks' I/O. Synchronous repair
+		// sneaking into the write path reads 2x.
 		{"write/degraded", "write/healthy", 1.25},
 		// ~0.94 today: the fast path saves the client wire legs and the 2PC
 		// rounds, not the disk work. BlobRenamer routing disengaging reads 1.0.

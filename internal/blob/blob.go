@@ -128,18 +128,21 @@
 // repair debt, no key created — every other key is served degraded as above,
 // and refused keys stay readable (TestDescriptorPrimaryDownRefusalSet).
 //
-// Repair debt is only a work list. Every replica that applied a degraded
-// write durably logs a RecRepairNeeded record naming the excluded owners
-// (full-mask overwrite semantics in the record's version slot; mask 0
-// deletes the entry); every chunk move lists the owners it leaves behind the
-// same way. An entry for target T on holder H clears once ver(T) ≥ ver(H) —
-// a stale or vacuous entry costs one no-op repair and can hide nothing. The
-// store-wide entry count (RepairPending) and an open migration intent are
-// the "not known clean" gate: with no entry and no intent every owner of
-// every chunk holds its maximum, and reads take the first live owner with no
-// probing at all. SetDown(node, false), Recover, the writer's own epilogue
-// (an excluded owner that flapped back up mid-write) and the end of a
-// migration drain the list (repair.go).
+// Repair debt is only a work list, and cluster state, not any server's: one
+// in-memory table on the Store (debt.go), never logged, checkpointed or
+// replayed, so no server's crash takes it along. A degraded write, once the
+// version it stamps exists, records the owners it excluded and that version
+// as the one they need; every chunk move lists the owners it leaves behind
+// the same way. An owner's entry clears once it is seen at that version — a
+// stale or vacuous entry costs one no-op repair and can hide nothing. The
+// entry count (RepairPending) and an open migration intent are the "not
+// known clean" gate: with no entry and no intent every owner of every chunk
+// holds its maximum, and reads take the first live owner with no probing at
+// all. While a crash-wiped server hides the true maximum, a replica the
+// table names below its need neither serves, seeds a copy nor takes a write.
+// SetDown(node, false), Recover, the writer's own epilogue (an excluded
+// owner that flapped back up mid-write) and the end of a migration drain the
+// list (repair.go).
 //
 // One chunk move. Repair, rejoin resync and the migration sweep all move a
 // chunk through reconcileChunk: survey once, install the freshest live copy
@@ -149,10 +152,9 @@
 //
 // Rejoin resync. Recover additionally version-syncs the replayed state
 // against its peers BEFORE rejoining (resyncNode): a torn lane tail can
-// discard acknowledged mutations together with the very debt records that
-// named them, so version comparison is the only witness left. It pulls what
-// peers hold newer — a tombstone like any copy — and lists peers behind the
-// replayed log.
+// discard acknowledged mutations, so version comparison is the only witness
+// left. It pulls what peers hold newer — a tombstone like any copy — and
+// lists peers behind the replayed log.
 //
 // Tombstones, a chunk's and a descriptor's, live until a CheckpointAll finds
 // every server up and the store clean with no migration intent open: that
@@ -225,7 +227,7 @@
 // then. A copy no owner can
 // take yet keeps the node's state and the intent until Recover or
 // SetDown(_, false) rolls it forward, so a drain never resets the last copy
-// of a version or the debt naming its owners.
+// of a version.
 package blob
 
 import (
@@ -412,11 +414,9 @@ type Store struct {
 	ring      *chash.Ring
 	servers   []*server
 	placement placementCache
-	// repairPending counts debt entries (chunks owing repair to at least
-	// one replica) across every server. While it is zero and no migration
-	// intent is open — the steady state — reads take the fast path with no
-	// version probing.
-	repairPending atomic.Int64
+	// debt is the repair work list, one entry per chunk owing repair
+	// (debt.go).
+	debt debtTable
 	// metrics counts failure-domain events: degraded writes, transient
 	// retries, repaired chunks/bytes. Only event paths touch it, so the
 	// healthy hot path pays nothing, except blob.copy.bytes, which a partial
@@ -539,11 +539,6 @@ type chunkStripe struct {
 	// replica that applied it, and persisted in the chunk's WAL records. It
 	// is the one freshness witness (survey.go).
 	ver map[chunkID]uint64
-	// debt maps a chunk to the bitmask of node IDs known to be behind this
-	// holder's copy — the repair work list (repair.go). Every mutation is
-	// mirrored by a RecRepairNeeded record carrying the full new mask, so
-	// the list survives crashes.
-	debt map[chunkID]uint64
 }
 
 // chunkBytes is a chunk's bytes and, when summed, their CRC32C
@@ -587,13 +582,10 @@ type server struct {
 	down bool
 	// wiped marks a crashed-but-not-yet-recovered server: its volatile
 	// state is gone, so — unlike a soft-down (SetDown) server, whose
-	// retained memory stays authoritative — its chunk versions and debt
-	// masks must not be consulted. Crash sets it, Recover clears it once
-	// the replayed tables are installed.
+	// retained memory stays authoritative — its chunk versions must not be
+	// consulted. Crash sets it, Recover clears it once the replayed tables
+	// are installed.
 	wiped bool
-	// repairPending points at the store-wide debt-entry counter so stripe
-	// helpers can maintain it without a back-pointer to the Store.
-	repairPending *atomic.Int64
 	// migIntent points at the store-wide open-migration pointer so the
 	// checkpoint planner (which only sees the server) can re-log an open
 	// RecMigrateBegin before ResetAll drops it from the lanes.
@@ -648,25 +640,9 @@ func (sv *server) chunkVer(h uint64, id chunkID) uint64 {
 	return st.ver[id]
 }
 
-// setDebtLocked installs the debt mask for id, maintaining the store-wide
-// pending counter. The caller must hold st's write lock.
-func (sv *server) setDebtLocked(st *chunkStripe, id chunkID, mask uint64) {
-	if mask == 0 {
-		if _, ok := st.debt[id]; ok {
-			delete(st.debt, id)
-			sv.repairPending.Add(-1)
-		}
-		return
-	}
-	if _, ok := st.debt[id]; !ok {
-		sv.repairPending.Add(1)
-	}
-	st.debt[id] = mask
-}
-
 // deleteChunk applies a RecChunkDelete at ver to memory, live and at redo: ver
 // 0 removes the copy outright (a stray's drop), any other ver leaves a
-// tombstone at that version. Debt goes either way.
+// tombstone at that version.
 func (sv *server) deleteChunk(h uint64, id chunkID, ver uint64) {
 	st := sv.stripe(h)
 	st.mu.Lock()
@@ -682,7 +658,6 @@ func (sv *server) deleteChunkLocked(st *chunkStripe, id chunkID, ver uint64) {
 		st.m[id] = chunkBytes{}
 		st.ver[id] = max(st.ver[id], ver)
 	}
-	sv.setDebtLocked(st, id, 0)
 }
 
 // trimChunk applies a RecChunkTruncate to memory, live and at redo: a held
@@ -722,33 +697,19 @@ func (sv *server) forEachChunk(fn func(id chunkID, data []byte, ver uint64)) {
 	}
 }
 
-// forEachDebt calls fn for every debt entry on the server, under each
-// stripe's read lock; fn must not call back into the stripe.
-func (sv *server) forEachDebt(fn func(id chunkID, mask uint64)) {
-	for i := range sv.stripes {
-		st := &sv.stripes[i]
-		st.mu.RLock()
-		for id, mask := range st.debt {
-			fn(id, mask)
-		}
-		st.mu.RUnlock()
-	}
-}
-
 // holdsNothing reports whether sv is neither crash-wiped nor holding a
-// descriptor, chunk, tombstone or debt entry: a drained node's log may be
-// reset only then.
+// descriptor, chunk or tombstone: a drained node's log may be reset only
+// then.
 func (sv *server) holdsNothing() bool {
 	n := 0
 	sv.forEachChunk(func(chunkID, []byte, uint64) { n++ })
-	sv.forEachDebt(func(chunkID, uint64) { n++ })
 	sv.mu.RLock()
 	defer sv.mu.RUnlock()
 	return n == 0 && sv.blobs.len() == 0 && len(sv.gone) == 0 && !sv.wiped
 }
 
-// reset empties sv's descriptor, chunk, version and debt tables (new server,
-// crash), releasing the dropped debt from the pending counter.
+// reset empties sv's descriptor, chunk and version tables (new server,
+// crash).
 func (sv *server) reset() {
 	sv.mu.Lock()
 	sv.blobs, sv.gone = descTable{}, make(map[string]uint64)
@@ -756,8 +717,7 @@ func (sv *server) reset() {
 	for i := range sv.stripes {
 		st := &sv.stripes[i]
 		st.mu.Lock()
-		sv.repairPending.Add(-int64(len(st.debt)))
-		st.m, st.ver, st.debt = make(map[chunkID]chunkBytes), make(map[chunkID]uint64), make(map[chunkID]uint64)
+		st.m, st.ver = make(map[chunkID]chunkBytes), make(map[chunkID]uint64)
 		st.mu.Unlock()
 	}
 }
@@ -869,11 +829,10 @@ func NewOnNodes(c *cluster.Cluster, cfg Config, serving []cluster.NodeID) *Store
 	s.fanOffered, s.fanHelped = s.metrics.Counter("blob.fan.offered"), s.metrics.Counter("blob.fan.helped")
 	for _, n := range c.Nodes() {
 		sv := &server{
-			node:          n.ID,
-			wal:           wal.NewMultiLog(cfg.WALLanes),
-			repairPending: &s.repairPending,
-			migIntent:     &s.migIntent,
-			copyBytes:     s.metrics.Counter("blob.copy.bytes"),
+			node:      n.ID,
+			wal:       wal.NewMultiLog(cfg.WALLanes),
+			migIntent: &s.migIntent,
+			copyBytes: s.metrics.Counter("blob.copy.bytes"),
 		}
 		sv.reset()
 		s.servers = append(s.servers, sv)
@@ -900,9 +859,10 @@ func (s *Store) Cluster() *cluster.Cluster { return s.cluster }
 // the store copied into chunk memory.
 func (s *Store) Metrics() *metrics.Registry { return s.metrics }
 
-// RepairPending reports how many chunk debt entries currently await repair
-// across the store (0 in the healthy steady state).
-func (s *Store) RepairPending() int64 { return s.repairPending.Load() }
+// RepairPending reports how many chunks currently owe repair to at least one
+// replica (0 in the healthy steady state). The count lives in memory only:
+// no log records it, so a crash of any server leaves it as it was.
+func (s *Store) RepairPending() int64 { return s.debt.n.Load() }
 
 // SetDown marks a server as failed (true) or recovered (false). Reads fall
 // back to replicas of a down server; writes whose replica sets contain it
@@ -962,8 +922,9 @@ func (s *Store) chunkOwners(id chunkID) []int {
 }
 
 // primaryDesc returns the primary descriptor server and its descriptor for
-// key, or storage.ErrNotFound. Called under key's latch, what it returns stays
-// current until the latch is released.
+// key, or storage.ErrNotFound — storage.ErrUnavailable while the primary is
+// crash-wiped, whose table cannot say the key is absent. Called under key's
+// latch, what it returns stays current until the latch is released.
 //
 // While a migration is in flight the new primary may not have received its
 // descriptor yet; the lookup then reads the freshest copy (freshestDesc)
@@ -972,6 +933,9 @@ func (s *Store) chunkOwners(id chunkID) []int {
 func (s *Store) primaryDesc(key string) (*server, descriptor, error) {
 	sv := s.servers[s.descOwners(key)[0]]
 	d, ok := sv.descCopy(key)
+	if !ok && sv.isWiped() {
+		return nil, descriptor{}, fmt.Errorf("blob %q: primary crashed: %w", key, storage.ErrUnavailable)
+	}
 	if !ok && s.migIntent.Load() != nil {
 		d, ok = s.freshestDesc(key)
 	}

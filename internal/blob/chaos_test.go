@@ -287,9 +287,8 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 }
 
 // dumpChunkState prints, for every chunk of key where got and want differ,
-// every non-wiped holder's version, down state, bytes and log history, and
-// every server's debt mask for the chunk (holder or not) — the diagnostic for
-// a stale-read failure.
+// the chunk's repair-debt entry, and every non-wiped holder's version, down
+// state, bytes and log history — the diagnostic for a stale-read failure.
 func dumpChunkState(t *testing.T, s *Store, key string, got, want []byte) {
 	t.Helper()
 	cs := int64(s.cfg.ChunkSize)
@@ -307,20 +306,15 @@ func dumpChunkState(t *testing.T, s *Store, key string, got, want []byte) {
 		id := chunkID{key, idx}
 		h := id.ringHash()
 		owners := s.ownersForHash(h)
-		t.Logf("chunk %d (owners %v): got %x want %x", idx, owners, g, want[lo:hi])
+		e := s.debt.entry(h, id)
+		t.Logf("chunk %d (owners %v, debt %b need v%d): got %x want %x", idx, owners, e.mask, e.need, g, want[lo:hi])
 		for i, sv := range s.servers {
-			var mask uint64
-			sv.forEachDebt(func(did chunkID, m uint64) {
-				if did == id {
-					mask = m
-				}
-			})
 			data, ver, ok := sv.chunkData(h, id)
-			if sv.isWiped() || !ok && mask == 0 && !containsNode(owners, i) {
+			if sv.isWiped() || !ok && !containsNode(owners, i) {
 				continue
 			}
-			t.Logf("  node %d: owner=%v down=%v ver=%d debt=%b present=%v data=%x",
-				i, containsNode(owners, i), sv.isDown(), ver, mask, ok, data)
+			t.Logf("  node %d: owner=%v down=%v ver=%d present=%v data=%x",
+				i, containsNode(owners, i), sv.isDown(), ver, ok, data)
 			var hist []string
 			sv.wal.ReplayMerged(func(rec wal.Record) error {
 				rid, within, rver, rdata, err := decChunkPayload(rec.Bytes())

@@ -25,7 +25,7 @@ import (
 func TestLogBytesPinned(t *testing.T) {
 	pinned := []string{
 		"node 0 lane 0 7fc377d23a7a94da1592c229de1f1056d7ee3adf22ea6716ae27a44164293653",
-		"node 0 lane 1 ebae31435f18168d7e22b74ad37389577fbf0949f4c16bd0cc1371a87f4c2858",
+		"node 0 lane 1 9fd96cfd915724f92f4847618a497068bae8a4b07e0a36e7aa25bcb932561f4f",
 		"node 1 lane 0 69519b60273d1a484043e894c0119aeda222c24c49298b21ada7bad4387080e1",
 		"node 1 lane 1 6d9cbc434163661345d60d0b9393ce5c14165c53f05c7f04695158b2ca91f2ce",
 		"node 2 lane 0 7d4c7817a3bc5f9164dd898a20ce60ca7164e84cf1f9df23ee4ee072853d611c",
@@ -83,8 +83,8 @@ func TestLogBytesPinned(t *testing.T) {
 // log TestLogBytesPinned leaves out. A fixed InlineFanout script — creates,
 // 2PC and direct writes, a partial overwrite, a shrinking truncate and a
 // delete, then a write while one owner is soft-down — is checkpointed twice:
-// once with that owner still down, so the tombstones and the debt entries are
-// re-logged, and once after its rejoin, when the store is clean and the
+// once with that owner still down, so the tombstones are re-logged, and once
+// after its rejoin, when the store is clean and the
 // tombstones are forgotten. After each, every (node, lane) medium must decode
 // to records whose types and payloads hash to the SHA-256 below. The order
 // keys are left out: the lane jobs run concurrently and draw them from one
@@ -92,7 +92,7 @@ func TestLogBytesPinned(t *testing.T) {
 func TestCheckpointRecordsPinned(t *testing.T) {
 	pinned := []string{
 		"down node 0 lane 0 2 records 534fd1608d3c3968d214dc38efc827e49bcf9318802b0ae5d08b2f4420b5249e",
-		"down node 0 lane 1 4 records 4ae214e09eb7a83fc7c14b9ebec6561bc478c2a81cae6746bc84c48866e71b89",
+		"down node 0 lane 1 3 records e5350a35c9481a52110f48658692205e079ad4075e4b853bbaa749111db7256d",
 		"down node 0 lane 2 1 records 17a2c7dede270e8bfa0fcfe870f90efe4064e7519f1105ef5b6eeee8e464d871",
 		"down node 0 lane 3 5 records d24bdf866faa39088bcaeb3d37f067c706817274ad020d0e99ccbe5d0fc792a9",
 		"down node 1 lane 0 6 records 3519c11dccb5382930d43bf66a574d21218901376993c8518430b30cacc0203e",
@@ -100,7 +100,7 @@ func TestCheckpointRecordsPinned(t *testing.T) {
 		"down node 1 lane 2 0 records e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 		"down node 1 lane 3 13 records bdb65ed2be49a9219ca9bbaecb58380f00c970a64103619be33692fd587fbf48",
 		"down node 2 lane 0 0 records e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-		"down node 2 lane 1 4 records 5d116aa8650e321c72efd386724c0ab420c8c7f5d61c24693e18c23c36fb3440",
+		"down node 2 lane 1 3 records 3b0b4203edd8af4be560b6f74b85c824c508d7a4ef83e2e699a11643e3faaa4b",
 		"down node 2 lane 2 1 records 17a2c7dede270e8bfa0fcfe870f90efe4064e7519f1105ef5b6eeee8e464d871",
 		"down node 2 lane 3 5 records 28d79bf5a9b3d1869a0ccc3e6e24361b7e368282081bb352d8d3c7a87bac0fa3",
 		"clean node 0 lane 0 1 records e9c4362692b1a29edfe1e081e9e5321a925373c196fff2f53f05a4f2466bd194",

@@ -17,8 +17,8 @@ import (
 // creates or resizes, and RecDelete carry meta payloads — a RecDelete's ver
 // is its tombstone's, and 0 there is a stray's drop that leaves none, its
 // size unused; RecWrite /
-// RecPrepWrite / RecChunkDelete / RecChunkTruncate / RecRepairNeeded and the
-// 2PC marker RecChunkCommit carry chunk payloads), so chunk addressing never
+// RecPrepWrite / RecChunkDelete / RecChunkTruncate and the 2PC marker
+// RecChunkCommit carry chunk payloads), so chunk addressing never
 // round-trips through a combined string key. RecChunkCommit drives the
 // prepared-write buffer (recovery.go's redo).
 // All encoders are append-style into caller-provided buffers.
@@ -59,8 +59,7 @@ func decMeta(p []byte) (key string, size int64, ver uint64, err error) {
 // as its own segment. ver is the replica-comparable chunk version installed
 // by the mutation — a RecChunkDelete's is its tombstone's, and 0 there is a
 // stray's drop that leaves none; a RecChunkTruncate's is what the trim
-// stamps, 0 when it stamps nothing — and RecRepairNeeded reuses the slot for
-// its debt mask.
+// stamps, 0 when it stamps nothing.
 func appendChunkHeader(dst []byte, id chunkID, within int64, ver uint64) []byte {
 	var u16 [2]byte
 	binary.LittleEndian.PutUint16(u16[:], uint16(len(id.key)))

@@ -116,8 +116,8 @@
 //     and copies the bytes once, into the target's log, and the two locks
 //     are never held together (the read is a snapshot; the version guard at
 //     install, not lock coverage, is what keeps a racing writer's newer data
-//     from being clobbered). Debt clears are version-guarded under the
-//     holder's stripe lock the same way.
+//     from being clobbered). A debt clear is guarded the same way, by the
+//     version its owner was seen at, under the debt table's own leaf lock.
 //     (enforced: blobvet/stripelock — holding two chunk-stripe locks at
 //     once is flagged, including through callbacks run under a stripe)
 //   - Repair never acquires a key latch and never waits on the pool from
@@ -395,7 +395,6 @@ type fanTask struct {
 	plp    *chunkPlace // taskWriteChunk/taskReplicaWrite: the shared placement, for a faulted replica to join excl
 	within int64
 	desc   descriptor // taskDescReplicate
-	mask   uint64     // taskReplicaWrite: debt mask owed by the write's down owners
 	data   []byte
 	sv     *server
 	rec    wal.RecordType
@@ -418,7 +417,7 @@ func (t *fanTask) run() {
 	case taskWriteChunk:
 		t.err = s.writeChunk(t, t.pl, t.within, t.data, t.rec)
 	case taskReplicaWrite:
-		t.err = s.replicaWrite(cg, t.sv, t.plp, t.pl, t.within, t.data, t.rec, t.mask)
+		t.err = s.replicaWrite(cg, t.sv, t.plp, t.pl, t.within, t.data, t.rec)
 	case taskApplyChunk:
 		// Commit-phase memory materialization of a prepared multi-chunk
 		// write: every replica the data phase reached, in parallel across
@@ -431,13 +430,10 @@ func (t *fanTask) run() {
 		// recorded below covers the gap, and a partial apply here would
 		// raise its chunk version past bytes it never received.
 		//
-		// The exclusion debt is recorded HERE, after each included owner's
-		// apply, not in the prepare phase: a debt entry clears once its
-		// target has caught up with THIS holder's version, so a holder must
-		// hold the write before it lists who missed it — else a racing
-		// repair of the excluded owner could erase the entry the commit is
-		// about to depend on. (Aborted transactions also stop leaving
-		// spurious debt behind.)
+		// The exclusion debt is recorded HERE, once per chunk after the
+		// included owners' applies, not in the prepare phase: the entry
+		// names the version this commit makes exist, and an aborted
+		// transaction lists nobody.
 		//
 		// Each owner keeps the payload its own prepare stored (t.pl.stored).
 		for i, o := range t.pl.owners {
@@ -445,10 +441,8 @@ func (t *fanTask) run() {
 				continue
 			}
 			applyChunk(s.servers[o], t.pl.h, t.pl.id, t.within, chunkBytes{b: t.pl.stored[i], sum: t.pl.sum, summed: true}, t.pl.ver)
-			if t.pl.excl != 0 {
-				s.recordDebt(cg, s.servers[o], t.pl.h, t.pl.id, t.pl.excl)
-			}
 		}
+		s.debt.record(t.pl.h, t.pl.id, t.pl.excl, t.pl.ver)
 	case taskPrepare:
 		// One prepare round trip on the participant chunk's primary — the
 		// first owner the placement survey did not exclude, the same
@@ -554,7 +548,6 @@ func (t *fanTask) release() {
 	t.plp = nil
 	t.within = 0
 	t.desc = descriptor{}
-	t.mask = 0
 	t.data = nil
 	t.sv = nil
 	t.rec = 0

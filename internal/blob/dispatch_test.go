@@ -419,11 +419,11 @@ func TestHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestTraceOffAllocatesNothing: the appends of repair, migration and degraded
-// writes — install, record debt, clear debt, drop, each under the stripe
-// lock — allocate nothing, with no observer and with one copying every event
-// into a preallocated slice. The event is a by-value struct, so observing
-// costs the subscriber's own work, not a boxed operand per append.
+// TestTraceOffAllocatesNothing: the appends of repair and migration —
+// install and drop, each under the stripe lock — and the debt record and
+// clear around them allocate nothing, with no observer and with one copying
+// every event into a preallocated slice. The event is a by-value struct, so
+// observing costs the subscriber's own work, not a boxed operand per append.
 func TestTraceOffAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -439,15 +439,15 @@ func TestTraceOffAllocatesNothing(t *testing.T) {
 	step := func() {
 		ver++
 		s.installChunk(&cg, sv, h, id, chunkBytes{b: data}, ver)
-		s.recordDebt(&cg, sv, h, id, 2)
-		s.clearDebt(&cg, sv, h, id, 2, ver)
+		s.debt.record(h, id, 2, ver)
+		s.debt.settle(h, id, &stray, 2)
 		s.dropStrays(&cg, &stray, h, id, ver)
 	}
 	for i := 0; i < 64; i++ {
 		step() // warm the header pool, the stripe maps and the lane's slab
 	}
 	const runs = 100
-	seen := make([]Event, 0, 4*(runs+1))
+	seen := make([]Event, 0, 2*(runs+1))
 	for _, observer := range []func(Event){nil, func(ev Event) { seen = append(seen, ev) }} {
 		s.Observe(observer)
 		if a := testing.AllocsPerRun(runs, step); a != 0 {
@@ -690,9 +690,9 @@ func TestMultiChunkAbortNotReplayed(t *testing.T) {
 
 // TestSingleChunkWriteDegradedOnReplicaDown: the single-chunk direct path
 // with a down replica succeeds degraded — the live primary applies and logs
-// the write plus a RecRepairNeeded debt record, the acknowledged bytes
-// survive a primary crash, reads never observe the stale rejoined replica,
-// and repair converges the set byte-identical.
+// the write and the store records the down replica as repair debt, the
+// acknowledged bytes survive a primary crash, reads never observe the stale
+// rejoined replica, and repair converges the set byte-identical.
 func TestSingleChunkWriteDegradedOnReplicaDown(t *testing.T) {
 	s := mkStore(6, Config{ChunkSize: 64, Replication: 2}, false)
 	ctx := storage.NewContext()
@@ -709,8 +709,8 @@ func TestSingleChunkWriteDegradedOnReplicaDown(t *testing.T) {
 	if _, err := s.WriteBlob(ctx, "single", 0, after); err != nil {
 		t.Fatalf("single-chunk degraded write: err = %v", err)
 	}
-	// The debt record is durable on the primary: both the write and the
-	// RecRepairNeeded mask survive its crash.
+	// The write is durable on the primary, and the debt is no server's
+	// state: both survive its crash.
 	s.Crash(cluster.NodeID(owners[0]))
 	if err := s.Recover(cluster.NodeID(owners[0])); err != nil {
 		t.Fatal(err)

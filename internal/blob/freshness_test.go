@@ -156,7 +156,7 @@ type replicaState struct {
 	node int
 	ver  uint64 // 0: holds nothing
 	down bool
-	debt uint64 // debt mask recorded on this holder
+	debt uint64 // debt mask recorded at this holder's version
 }
 
 // TestReadAndRenameShareFreshnessRule drives ReadBlob and RenameBlob's
@@ -227,13 +227,10 @@ func TestReadAndRenameShareFreshnessRule(t *testing.T) {
 				for _, o := range owners {
 					s.servers[o].deleteChunk(h, id, 0)
 				}
-				cg := s.directCharge(ctx)
 				for _, st := range r.states(owners, other) {
 					sv := s.servers[st.node]
 					applyChunk(sv, h, id, 0, chunkBytes{b: bytesOf(st.ver)}, st.ver)
-					if st.debt != 0 {
-						s.recordDebt(&cg, sv, h, id, st.debt)
-					}
+					s.debt.record(h, id, st.debt, st.ver)
 					sv.mu.Lock()
 					sv.down = st.down // not SetDown: no repair pass may rearrange the row
 					sv.mu.Unlock()

@@ -310,8 +310,8 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, s
 	// is up by now. The rejoin drain (SetDown) may have run BEFORE this write
 	// recorded its debt and found nothing, and nothing else services debt
 	// naming an already-live node. The handoff is race-free because the debt
-	// is durable before this check: a rejoin before it is seen here, a rejoin
-	// after it sees the debt.
+	// is recorded before this check: a rejoin before it is seen here, a
+	// rejoin after it sees the debt.
 	var excl uint64
 	for i := range places {
 		excl |= places[i].excl
@@ -332,13 +332,12 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, s
 // whichever goroutines run the actual copies.
 //
 // Excluded owners (pl.excl) do not fail the write (degraded mode): as long
-// as one owner is left to take it, each included owner applies the write
-// and records the excluded owners as repair debt — a RecRepairNeeded record
-// carrying the full debt mask, logged under the stripe lock so the mask
-// history in the log matches memory. An injected permanent fault at the
-// promoted primary fails the write before anything durable lands
-// (fail-atomic); the same fault at a non-primary live replica degrades
-// instead, with the failed replica added to the debt the survivors record.
+// as one owner is left to take it, each included owner applies the write,
+// and once the primary has, the excluded owners are recorded as repair debt
+// (debt.go). An injected permanent fault at the promoted primary fails the
+// write before anything durable lands (fail-atomic); the same fault at a
+// non-primary live replica degrades instead, the failed replica recorded
+// like an excluded owner.
 func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte, rec wal.RecordType) error {
 	cg := &t.cg
 	downMask := pl.excl
@@ -380,12 +379,11 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 	keepLogged(primary, pl, within, stored, rec)
 	cg.diskWrite(primary.node, len(data))
 	// Exclusion debt rides with the APPLY, never ahead of it: the direct
-	// path records it here, the prepared path at commit materialization
-	// (taskApplyChunk). A holder's version advances before it lists anyone,
-	// so clearDebt's guard (target caught up with THIS holder) cannot erase
-	// an entry the write is about to depend on.
-	if downMask != 0 && apply {
-		s.recordDebt(cg, primary, pl.h, pl.id, downMask)
+	// path records it here, once the version exists, the prepared path at
+	// commit materialization (taskApplyChunk), so an aborted transaction
+	// lists nobody.
+	if apply {
+		s.debt.record(pl.h, pl.id, downMask, pl.ver)
 	}
 
 	// Primary -> the other live owners in parallel; the client waits for
@@ -406,7 +404,6 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 			rt.within = within
 			rt.data = data
 			rt.rec = rec
-			rt.mask = downMask
 			sf.spawn(rt)
 		}
 		t.joinSubs(&sf)
@@ -417,28 +414,21 @@ func (s *Store) writeChunk(t *fanTask, pl chunkPlace, within int64, data []byte,
 	return nil
 }
 
-// replicaWrite is the per-replica body of writeChunk's nested fan. owed is
-// the debt mask of the write's excluded owners, recorded by every included
-// owner alongside its copy. A permanent injected fault here does NOT fail the
-// write: the primary already holds the bytes durably, so the failed replica
-// simply joins the excluded set (plp.excl, shared with the later phases) —
-// RADOS-style "primary acks, marks the peer missing, recovery backfills". A
-// prepared write then skips it at apply and commit, where the survivors list
-// it with the other excluded owners: it logged no prepare, so applying there
-// would leave its log unable to reproduce the version its memory claims. A
-// direct write has no later phase, so the other owners list it right here.
-func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPlace, within int64, data []byte, rec wal.RecordType, owed uint64) error {
+// replicaWrite is the per-replica body of writeChunk's nested fan. A
+// permanent injected fault here does NOT fail the write: the primary already
+// holds the bytes durably, so the failed replica simply joins the excluded
+// set (plp.excl, shared with the later phases) — RADOS-style "primary acks,
+// marks the peer missing, recovery backfills". A prepared write then skips it
+// at apply and commit, where the commit apply lists it with the other
+// excluded owners: it logged no prepare, so applying there would leave its
+// log unable to reproduce the version its memory claims. A direct write has
+// no later phase, and the primary has applied, so it is listed right here.
+func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPlace, within int64, data []byte, rec wal.RecordType) error {
 	if err := s.faultCheck(cg, sv.node, cluster.FaultDiskWrite); err != nil {
 		bit := uint64(1) << uint(sv.node)
 		atomic.OrUint64(&plp.excl, bit)
 		if rec == wal.RecWrite {
-			for _, o := range pl.owners {
-				// Including owners that flapped down meanwhile: retained
-				// memory and log stay mutable.
-				if o != int(sv.node) {
-					s.recordDebt(cg, s.servers[o], pl.h, pl.id, bit)
-				}
-			}
+			s.debt.record(pl.h, pl.id, bit, pl.ver)
 		}
 		s.metrics.Counter("blob.write.replica-faulted").Inc()
 		return nil
@@ -447,11 +437,6 @@ func (s *Store) replicaWrite(cg *charge, sv *server, plp *chunkPlace, pl chunkPl
 	stored := s.walAppendChunk(cg, sv, rec, pl.h, pl.id, within, pl.ver, data, pl.sum)
 	keepLogged(sv, pl, within, stored, rec)
 	cg.diskWrite(sv.node, len(data))
-	// Same apply-before-record rule as the primary: prepared writes defer
-	// the exclusion debt to the commit apply.
-	if owed != 0 && rec == wal.RecWrite {
-		s.recordDebt(cg, sv, pl.h, pl.id, owed)
-	}
 	return nil
 }
 
@@ -535,7 +520,7 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 			var buf [8]replica
 			sy := s.surveyChunk(h, id, buf[:])
 			for _, r := range sy.reps {
-				if !r.wiped && r.ver == sy.max {
+				if !r.wiped && !r.stale && r.ver == sy.max {
 					r.sv.trimChunk(h, id, keep, sy.max+1)
 					batch.addChunk(r.sv, wal.RecChunkTruncate, h, id, keep, sy.max+1, nil)
 				}

@@ -170,8 +170,8 @@ func (s *Store) resumeMigration(ctx *storage.Context) {
 // finishMigration works off the repair debt listed during the sweep, then
 // durably closes the intent — unless a drained node still holds an entry or
 // is crash-wiped. Its lanes are reset only once it holds nothing, so a reset
-// can never take the last copy of a version or the debt that names its
-// owners; until then the intent stays open for resumeMigration.
+// can never take the last copy of a version; until then the intent stays
+// open for resumeMigration.
 func (s *Store) finishMigration(ctx *storage.Context, intent *migrationIntent) {
 	// Drain the debt the sweep listed for owners it left behind (fault-failed
 	// installs, a source that was down) and the bits the membership change

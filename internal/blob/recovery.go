@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -45,9 +44,9 @@ func (s *Store) Crash(node cluster.NodeID) {
 }
 
 // redo replays log records into one server's tables through the mutators
-// live ops use (applyChunk, deleteChunk, trimChunk, setDebtLocked, putDesc
-// and dropDesc), so what a record does is written down once. Recover
-// runs it on the recovering server, CheckInvariants on a scratch one.
+// live ops use (applyChunk, deleteChunk, trimChunk, putDesc and dropDesc), so
+// what a record does is written down once. Recover runs it on the recovering
+// server, CheckInvariants on a scratch one.
 type redo struct {
 	sv *server
 	// pending holds each chunk's buffered 2PC prepare awaiting its commit
@@ -87,7 +86,7 @@ func (r *redo) record(rec wal.Record) error {
 		} else if r.intent != nil && r.intent.seq == seq {
 			r.intent = nil
 		}
-	case wal.RecWrite, wal.RecPrepWrite, wal.RecChunkCommit, wal.RecChunkDelete, wal.RecChunkTruncate, wal.RecRepairNeeded:
+	case wal.RecWrite, wal.RecPrepWrite, wal.RecChunkCommit, wal.RecChunkDelete, wal.RecChunkTruncate:
 		c, err := decChunkRecord(rec)
 		if err != nil {
 			return err
@@ -118,13 +117,6 @@ func (r *redo) record(rec wal.Record) error {
 			sv.deleteChunk(h, id, c.ver)
 		case wal.RecChunkTruncate:
 			sv.trimChunk(h, id, c.within, c.ver)
-		case wal.RecRepairNeeded:
-			// The full debt mask rides in the version slot, so the last
-			// record wins; mask 0 clears the entry.
-			st := sv.stripe(h)
-			st.mu.Lock()
-			sv.setDebtLocked(st, id, c.ver)
-			st.mu.Unlock()
 		}
 	default:
 		return fmt.Errorf("unknown record type %v", rec.Type)
@@ -138,7 +130,7 @@ func (r *redo) record(rec wal.Record) error {
 // determined by its type — meta records carry (key, size), chunk records
 // carry (chunkID, within, ver, data) — and redo applies each one through the
 // same mutator the live op used, so replay reconstructs descriptors, chunk
-// bytes and versions, tombstones and debt exactly. A failed replay leaves
+// bytes and versions and tombstones exactly. A failed replay leaves
 // the server crashed.
 //
 // Multi-chunk (2PC) writes replay all-or-nothing: RecPrepWrite records are
@@ -190,7 +182,7 @@ func (s *Store) Recover(node cluster.NodeID) error {
 		err = recoverLanes(sv.wal, r.record)
 	}
 	if err != nil {
-		s.Crash(node) // nothing half-replayed stays behind, its debt included
+		s.Crash(node) // nothing half-replayed stays behind
 		return fmt.Errorf("blob: recover node %d: %w", node, err)
 	}
 	// Keep the migration sequence monotonic past everything the log has
@@ -210,19 +202,19 @@ func (s *Store) Recover(node cluster.NodeID) error {
 	sv.wiped = false
 	sv.mu.Unlock()
 	// Resync from live peers BEFORE serving: the merged-replay prefix
-	// contract can drop acknowledged writes behind a torn lane tail, and
-	// this node's own debt records only cover what its log survived. A
+	// contract can drop acknowledged writes behind a torn lane tail. A
 	// version sweep against the peers catches both that loss and every
 	// write the node missed while down.
 	s.resyncNode(sv)
 	sv.mu.Lock()
 	sv.down = false
 	sv.mu.Unlock()
-	// Now that the node serves again, drain the debt peers accumulated
-	// against it (and any stale debt record naming an already-fresh copy).
-	// The full drain, not the node-scoped one: the bidirectional resync
-	// sweep may just have recorded debt naming LIVE peers that missed
-	// writes this node's replayed log proves were acknowledged.
+	// Now that the node serves again, drain the debt that names it (and any
+	// stale entry naming an already-fresh copy). The full drain, not the
+	// node-scoped one: the bidirectional resync sweep may just have
+	// recorded debt naming LIVE peers that missed writes this node's
+	// replayed log proves were acknowledged, and entries this node's crash
+	// kept from clearing may now clear.
 	s.Repair(storage.NewContext())
 	// Roll an open intent forward once the whole store is back: the
 	// reconcile sweep re-runs from the replayed intent (idempotent —
@@ -242,7 +234,6 @@ func (s *Store) Recover(node cluster.NodeID) error {
 type ckptLane struct {
 	metas  []ckptMeta
 	chunks []ckptChunk
-	debts  []ckptDebt
 	hdr    []byte
 	specs  []wal.AppendVSpec
 	// intent, set only on the migration lane, re-logs an open migration
@@ -253,7 +244,7 @@ type ckptLane struct {
 }
 
 func (l *ckptLane) empty() bool {
-	return len(l.metas) == 0 && len(l.chunks) == 0 && len(l.debts) == 0 && l.intent == nil
+	return len(l.metas) == 0 && len(l.chunks) == 0 && l.intent == nil
 }
 
 type ckptMeta struct {
@@ -266,11 +257,6 @@ type ckptChunk struct {
 	h    uint64 // placement hash
 	ver  uint64
 	data chunkBytes
-}
-
-type ckptDebt struct {
-	id   chunkID
-	mask uint64
 }
 
 // checkpointPlan snapshots sv's volatile state into per-lane record lists
@@ -305,7 +291,7 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 	plan := sv.ckpt
 	for i := range plan {
 		l := &plan[i]
-		l.metas, l.chunks, l.debts, l.intent = l.metas[:0], l.chunks[:0], l.debts[:0], nil
+		l.metas, l.chunks, l.intent = l.metas[:0], l.chunks[:0], nil
 	}
 	sv.blobs.ascend("", func(key string, d descriptor) {
 		lane := sv.metaLane(key)
@@ -335,13 +321,6 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 		}
 		st.mu.Unlock()
 	}
-	// Outstanding repair debt must survive the compaction: re-log each
-	// chunk's current mask so a crash between checkpoint and repair still
-	// recovers knowing which replicas owe copies.
-	sv.forEachDebt(func(id chunkID, mask uint64) {
-		lane := sv.chunkLane(id.ringHash())
-		plan[lane].debts = append(plan[lane].debts, ckptDebt{id, mask})
-	})
 	// An open migration intent is part of the durable state the snapshot
 	// must carry forward.
 	if intent := sv.migIntent.Load(); intent != nil {
@@ -352,10 +331,10 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 }
 
 // checkpointLane sorts one lane's surviving records back into the total
-// order the plan's map walks lost — descriptors by key, chunks and debts by
-// chunk ID — so every run streams the same records, then re-logs them to
-// that lane's own medium in one AppendNV: the intent, the descriptors, the
-// chunks and the debts, in that order, under one lock pair and one range of
+// order the plan's map walks lost — descriptors by key, chunks by chunk ID —
+// so every run streams the same records, then re-logs them to that lane's
+// own medium in one AppendNV: the intent, the descriptors and the chunks, in
+// that order, under one lock pair and one range of
 // order keys. The headers are encoded back to back into the plan's hdr and
 // the batch built in its specs, both kept across checkpoints. The medium
 // relinks what it can (wal.Buffer): a whole chunk's entry is a buffer of its
@@ -376,7 +355,6 @@ func (sv *server) checkpointPlan(forget bool) []ckptLane {
 func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 	slices.SortFunc(plan.metas, func(a, b ckptMeta) int { return strings.Compare(a.key, b.key) })
 	slices.SortFunc(plan.chunks, func(a, b ckptChunk) int { return a.id.cmp(b.id) })
-	slices.SortFunc(plan.debts, func(a, b ckptDebt) int { return a.id.cmp(b.id) })
 	hdr, specs, end := plan.hdr[:0], plan.specs[:0], 0
 	// add appends the spec of the record whose header was appended to hdr
 	// last; its Header points into hdr as it grew so far and is re-pointed
@@ -403,13 +381,6 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		} else {
 			add(wal.RecWrite, c.data.b, c.data.checksum())
 		}
-	}
-	for _, d := range plan.debts {
-		// RecRepairNeeded reuses the chunk header with the mask in the
-		// version slot (codec.go); overwrite-replay makes one record per
-		// chunk sufficient.
-		hdr = appendChunkHeader(hdr, d.id, 0, d.mask)
-		add(wal.RecRepairNeeded, nil, 0)
 	}
 	at := 0
 	for i := range specs {
@@ -442,8 +413,8 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 }
 
 // CheckpointAll rewrites every live server's write-ahead log as a snapshot of
-// its volatile state — one record per descriptor, chunk replica, tombstone and
-// debt entry — and drops the old content, bounding log growth the way object
+// its volatile state — one record per descriptor, chunk replica and
+// tombstone — and drops the old content, bounding log growth the way object
 // stores compact their journals; recovery replays the snapshot exactly. Down
 // servers are skipped (their WAL is their only state). The store must be
 // quiescent, the discipline Crash and Recover require. Each lane's records
@@ -517,13 +488,13 @@ func (s *Store) WALSize(node cluster.NodeID) int64 {
 //  3. version honesty: all holders of a chunk's maximum version (strays
 //     included, a tombstone counting as a version) hold identical bytes;
 //  4. work-list completeness: an owner may sit behind that maximum — a
-//     tombstone's too — only while some repair-debt entry names it: a behind
-//     owner nobody lists would look clean to the read path;
+//     tombstone's too — only while the store's debt table names it: a
+//     behind owner nobody lists would look clean to the read path;
 //  5. the log is the state: each server's lanes, redone as Recover redoes
 //     them but without damage, reproduce exactly its memory — descriptor
-//     versions and sizes, every chunk's version and bytes (tombstones of
-//     both included) and the debt masks — so a crash at this instant loses
-//     nothing;
+//     versions and sizes, every chunk's version and bytes, tombstones of
+//     both included — so a crash at this instant loses nothing (the debt
+//     table is no server's state and is in no log);
 //  6. remembered sums are honest: every chunk entry that remembers the
 //     CRC32C of its bytes (so CheckpointAll can re-log it unread) holds
 //     bytes with exactly that CRC32C.
@@ -558,10 +529,8 @@ func (s *Store) CheckInvariants() string {
 	}
 
 	// Chunk-level checks, once per chunk any server holds.
-	listed := make(map[chunkID]uint64)
 	held := make(map[chunkID]bool)
 	for _, sv := range s.servers {
-		sv.forEachDebt(func(id chunkID, mask uint64) { listed[id] |= mask })
 		sv.forEachChunk(func(id chunkID, _ []byte, _ uint64) { held[id] = true })
 	}
 	ids := make([]chunkID, 0, len(held))
@@ -603,7 +572,7 @@ func (s *Store) CheckInvariants() string {
 		}
 		for _, o := range owners {
 			sv := s.servers[o]
-			if sv.isWiped() || listed[id]&(1<<uint(o)) != 0 {
+			if sv.isWiped() || s.debt.entry(h, id).mask&(1<<uint(o)) != 0 {
 				continue
 			}
 			if ver := sv.chunkVer(h, id); ver < maxVer {
@@ -647,12 +616,12 @@ func (sv *server) sumDiff() string {
 	return fmt.Sprintf("node %d: chunk %d of %q remembers a checksum its bytes do not have", sv.node, bad.idx, bad.key)
 }
 
-// replayDiff redoes sv's lanes into a scratch server, with its own debt and
-// copy counters, and returns the first line on which that server's tables and sv's
+// replayDiff redoes sv's lanes into a scratch server, with its own copy
+// counter, and returns the first line on which that server's tables and sv's
 // differ, or "". The redo reads the lanes in place and the scratch server's
 // whole chunks are views of them, so the check copies no logged byte.
 func (sv *server) replayDiff() string {
-	scratch := &server{node: sv.node, repairPending: new(atomic.Int64), copyBytes: new(metrics.Counter)}
+	scratch := &server{node: sv.node, copyBytes: new(metrics.Counter)}
 	scratch.reset()
 	r := redo{sv: scratch}
 	if err := sv.wal.ReplayMerged(r.record); err != nil {
@@ -674,8 +643,8 @@ func (sv *server) replayDiff() string {
 	return ""
 }
 
-// tables renders sv's descriptors with their versions, chunks and debt
-// masks as sorted lines, a chunk's bytes as their length and CRC (a tombstone
+// tables renders sv's descriptors with their versions and chunks as sorted
+// lines, a chunk's bytes as their length and CRC (a tombstone
 // has none). Descriptors render through the table's order, so a key the
 // order lacks shows up as a difference.
 func (sv *server) tables() []string {
@@ -686,9 +655,6 @@ func (sv *server) tables() []string {
 	}
 	sv.forEachChunk(func(id chunkID, data []byte, ver uint64) {
 		out = append(out, fmt.Sprintf("chunk %d of %q v%d %d bytes crc %08x", id.idx, id.key, ver, len(data), crc32.ChecksumIEEE(data)))
-	})
-	sv.forEachDebt(func(id chunkID, mask uint64) {
-		out = append(out, fmt.Sprintf("chunk %d of %q debt %b", id.idx, id.key, mask))
 	})
 	sort.Strings(out)
 	return out

@@ -1,12 +1,10 @@
 package blob
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // repair.go — the one chunk move and its work list, and the one descriptor
@@ -15,21 +13,19 @@ import (
 // reads the freshest live copy once for every reachable owner in scope that
 // sits behind it (installChunk), drops the strays an owner's version now
 // covers (dropStrays), clears the debt that was paid and lists whoever is
-// still behind (oweBehind). Debt entries (RecRepairNeeded, a per-chunk
-// bitmask of owners on each holder) name the replicas known to be behind;
-// they decide nothing about freshness (survey.go does, from versions alone)
-// and exist so the store knows it is not clean and where the work is. Three
-// work sources feed the reconcile and differ only in its scope:
+// still behind (oweBehind). The debt table (debt.go) names the replicas
+// known to be behind; it exists so the store knows it is not clean and where
+// the work is. Three work sources feed the reconcile and differ only in its
+// scope:
 //
-//   - the debt list (Repair): a degraded write lists, on every owner that
-//     applied it, the owners it excluded; an entry for target T on holder H
-//     clears once ver(T) ≥ ver(H).
+//   - the debt list (Repair): a degraded write lists the owners it excluded;
+//     an owner's bit clears once it is seen at the version the entry needs.
 //   - the rejoin candidates (resyncNode): a crash can tear a WAL lane tail and
-//     drop acknowledged writes, deletes and truncates — and the debt records
-//     naming them — so Recover compares versions with the live peers BEFORE
-//     marking the node up, pulls what is newer and lists whoever is left
-//     behind. A node that replays a chunk its peers dropped holds an older
-//     version than their tombstone, so it simply pulls the tombstone.
+//     drop acknowledged writes, deletes and truncates, so Recover compares
+//     versions with the live peers BEFORE marking the node up, pulls what is
+//     newer and lists whoever is left behind. A node that replays a chunk its
+//     peers dropped holds an older version than their tombstone, so it
+//     simply pulls the tombstone.
 //   - the ring diff (rebalance.go), which throttles its chunks in batches. A
 //     drained node is just a holder outside the ring: its copies go through
 //     the same logged drops as any stray's.
@@ -66,7 +62,7 @@ func (s *Store) Repair(ctx *storage.Context) int {
 func (s *Store) repairDrain(ctx *storage.Context, only cluster.NodeID) int {
 	total := 0
 	for {
-		work := s.collectDebt(only)
+		work := s.debt.list(only)
 		if len(work) == 0 {
 			return total
 		}
@@ -92,30 +88,6 @@ func (s *Store) repairDrain(ctx *storage.Context, only cluster.NodeID) int {
 	}
 }
 
-// collectDebt unions the per-chunk debt masks across every server (a mask
-// may sit on a drained node or a stray holder), restricts them to the one
-// node asked for, and returns the items sorted for deterministic fan
-// submission.
-func (s *Store) collectDebt(only cluster.NodeID) []repairItem {
-	union := make(map[chunkID]uint64)
-	for _, sv := range s.servers {
-		sv.forEachDebt(func(id chunkID, mask uint64) {
-			union[id] |= mask
-		})
-	}
-	items := make([]repairItem, 0, len(union))
-	for id, mask := range union {
-		if only >= 0 {
-			mask &= 1 << uint(only)
-		}
-		if mask != 0 {
-			items = append(items, repairItem{id: id, mask: mask})
-		}
-	}
-	slices.SortFunc(items, func(a, b repairItem) int { return a.id.cmp(b.id) })
-	return items
-}
-
 // scope is what one reconcileChunk may do; the work sources differ only here.
 type scope struct {
 	// owed names the owners to bring up and whose debt bits to clear. A bit
@@ -135,13 +107,9 @@ type scope struct {
 //     scope behind it that can take it — not crash-wiped, not write-faulted,
 //     up unless the scope says otherwise;
 //  2. then drops every stray at or below the highest version an owner holds;
-//  3. clears each owed bit on every owner holder its target caught up with —
-//     a stray's entries go only with its copy: a leftover stray would outrank
-//     the blob's next incarnation once a clean checkpoint has forgotten the
-//     tombstones above it, so its entry alone must not make the store look
-//     clean;
-//  4. lists every owner still behind (oweBehind), re-deriving the debt a
-//     dropped stray took with it.
+//  3. clears each owed bit the survey shows paid (debtTable.settle) — none
+//     of an owner while a stray copy survives;
+//  4. lists every owner still behind (oweBehind).
 //
 // The source is snapshotted under its stripe RLock and installed under each
 // target's, never both at once: the version guard at install keeps a racing
@@ -180,80 +148,30 @@ func (s *Store) reconcileChunk(cg *charge, h uint64, id chunkID, sc scope) bool 
 			sy.max = max(sy.max, ver)
 		}
 	}
-	var reached, owners uint64
-	for i := range sy.reps {
-		if r := &sy.reps[i]; r.owner {
-			reached, owners = max(reached, r.ver), owners|r.bit()
-		}
-	}
 	if sc.drop {
-		s.dropStrays(cg, &sy, h, id, reached)
-	}
-	for i := range sy.reps {
-		holder := &sy.reps[i]
-		paid := sc.owed &^ owners
-		for j := range sy.reps {
-			if t := &sy.reps[j]; holder.owner && t.owner && t.ver >= holder.ver {
-				paid |= sc.owed & t.bit()
+		var reached uint64
+		for i := range sy.reps {
+			if r := &sy.reps[i]; r.owner {
+				reached = max(reached, r.ver)
 			}
 		}
-		if holder.ver > 0 && paid != 0 && s.clearDebt(cg, holder.sv, h, id, paid, holder.ver) {
-			progress = true
-		}
+		s.dropStrays(cg, &sy, h, id, reached)
 	}
-	s.oweBehind(cg, h, id, &sy)
+	if s.debt.settle(h, id, &sy, sc.owed) {
+		progress = true
+	}
+	s.oweBehind(h, id, &sy)
 	return progress
 }
 
-// recordDebt merges owed into the chunk's debt mask on sv and logs the
-// updated mask durably (RecRepairNeeded, full-mask overwrite semantics).
-// Mask update and log append happen under the stripe lock so the mask
-// history in the log matches the in-memory ordering; the nesting is stripe
-// lock → lane log mutex → buffer mutex, and the log side is a leaf.
-func (s *Store) recordDebt(cg *charge, sv *server, h uint64, id chunkID, owed uint64) {
-	st := sv.stripe(h)
-	st.mu.Lock()
-	mask := st.debt[id] | owed
-	sv.setDebtLocked(st, id, mask)
-	s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil, 0)
-	st.mu.Unlock()
-}
-
-// clearDebt removes bits from the chunk's debt mask on sv and logs the
-// reduced mask, but only while sv holds nothing newer than upTo, the version
-// at which its targets were seen to catch up with it: a holder past it
-// recorded (or is about to record, under this same stripe lock's ordering) a
-// write a target still misses.
-func (s *Store) clearDebt(cg *charge, sv *server, h uint64, id chunkID, bits, upTo uint64) bool {
-	st := sv.stripe(h)
-	st.mu.Lock()
-	cleared := false
-	if mask, ok := st.debt[id]; ok && mask&bits != 0 && st.ver[id] <= upTo {
-		mask &^= bits
-		sv.setDebtLocked(st, id, mask)
-		s.walAppendChunk(cg, sv, wal.RecRepairNeeded, h, id, 0, mask, nil, 0)
-		cleared = true
-	}
-	st.mu.Unlock()
-	return cleared
-}
-
-// oweBehind lists every non-wiped owner the survey found behind the chunk's
-// maximum as repair debt on every holder of that maximum (soft-down holders
-// included: retained memory and log stay mutable). This is work-list
-// completeness — a replica that may not serve is named by some entry, so the
-// store never looks clean around it. A concurrent writer can make a peer
-// look transiently behind; the spurious bit clears at the next repair pass.
-func (s *Store) oweBehind(cg *charge, h uint64, id chunkID, sy *chunkSurvey) {
+// oweBehind lists every non-wiped owner the survey found behind as repair
+// debt at the survey's maximum. This is work-list completeness — a replica
+// that may not serve is named by some entry, so the store never looks clean
+// around it. A concurrent writer can make a peer look transiently behind;
+// the spurious bit clears at the next repair pass.
+func (s *Store) oweBehind(h uint64, id chunkID, sy *chunkSurvey) {
 	behind, _ := sy.behind()
-	if behind == 0 {
-		return
-	}
-	for i := range sy.reps {
-		if r := &sy.reps[i]; !r.wiped && r.ver == sy.max {
-			s.recordDebt(cg, r.sv, h, id, behind)
-		}
-	}
+	s.debt.record(h, id, behind, sy.max)
 }
 
 // resyncNode converges the still-down sv with its peers, descriptors first
@@ -261,12 +179,10 @@ func (s *Store) oweBehind(cg *charge, h uint64, id chunkID, sy *chunkSurvey) {
 // reconcileChunk scoped to sv: pull what a peer holds newer, list whoever is
 // then behind. Recover runs this after replaying sv's log and BEFORE marking
 // sv up: the merged-replay prefix contract discards everything behind a torn
-// lane tail, including acknowledged writes, size changes and deletes
-// together with the debt records that named them, and version comparison is
-// the only witness left. It runs both ways — sv's replayed version is
+// lane tail, including acknowledged writes, size changes and deletes, and
+// version comparison is the only witness left. It runs both ways — sv's replayed version is
 // authoritative for what it holds (a record is only logged for an applied
-// mutation), so a peer behind it missed mutations even if the record saying
-// so was torn off.
+// mutation), so a peer behind it missed mutations.
 //
 // Quiescence is NOT required: sv is still down, so writers neither read nor
 // update its copies beyond the retained-memory applies, and those only move

@@ -17,9 +17,12 @@ import (
 // any non-wiped server holds. surveyChunk collects those versions, serveChunk
 // applies the rule to reads and rename snapshots, and outside a foreground op
 // a replica changes only through reconcileChunk's installChunk and
-// dropStrays. Repair debt plays no part in the decision — it is the work list
-// repair.go drains, and its store-wide count (with an open migration intent)
-// is only the "not known clean" gate that keeps the healthy path probe-free.
+// dropStrays. Repair debt (debt.go) is the work list repair.go drains, and
+// its entry count (with an open migration intent) is the "not known clean"
+// gate that keeps the healthy path probe-free. It decides freshness in one
+// case only: a survey that probed a crash-wiped server cannot know the
+// maximum, so a replica the table names below its need counts as behind
+// there — it neither serves, seeds a copy nor takes a write.
 
 // maxServers bounds the cluster width: repair-debt masks address nodes by bit.
 const maxServers = 64
@@ -35,20 +38,22 @@ type replica struct {
 	live  bool   // up at the probe; a soft-down server still answers the version probe
 	wiped bool
 	owner bool
+	stale bool // blind survey: the debt table names it below its need
 }
 
 func (r *replica) bit() uint64 { return 1 << uint(r.sv.node) }
 
 // chunkSurvey is every candidate replica of one chunk, each probed once.
 type chunkSurvey struct {
-	reps []replica // the owners in ring order, then the non-owner holders in node order
-	max  uint64    // highest version on any non-wiped replica
+	reps  []replica // the owners in ring order, then the non-owner holders in node order
+	max   uint64    // highest version on any non-wiped replica
+	blind bool      // a probed server was crash-wiped: max may be below the true one
 }
 
 // clean reports the healthy steady state: no repair debt anywhere, no
 // migration intent open. Then every owner of every chunk holds its maximum.
 func (s *Store) clean() bool {
-	return s.repairPending.Load() == 0 && s.migIntent.Load() == nil
+	return s.debt.n.Load() == 0 && s.migIntent.Load() == nil
 }
 
 // surveyChunk probes each candidate server once, down/wiped flag and version
@@ -57,7 +62,9 @@ func (s *Store) clean() bool {
 // drained node or a stray holder the sweep has not reached. Strays are probed
 // BEFORE the owners because the sweep deletes a stray only after an owner
 // holds its bytes, so a survey racing a batch sees the maximum on one side or
-// the other and never underestimates it. buf is optional backing for reps.
+// the other and never underestimates it. A blind survey marks the replicas
+// the debt table names below its need stale. buf is optional backing for
+// reps.
 func (s *Store) surveyChunk(h uint64, id chunkID, buf []replica) chunkSurvey {
 	owners := s.ownersForHash(h)
 	sy := chunkSurvey{reps: buf[:0]}
@@ -78,6 +85,13 @@ func (s *Store) surveyChunk(h uint64, id chunkID, buf []replica) chunkSurvey {
 		sy.reps[i] = sy.probe(s.servers[o], h, id)
 		sy.reps[i].owner = true
 	}
+	if sy.blind {
+		e := s.debt.entry(h, id)
+		for i := range sy.reps {
+			r := &sy.reps[i]
+			r.stale = e.mask&r.bit() != 0 && r.ver < e.need
+		}
+	}
 	return sy
 }
 
@@ -85,16 +99,18 @@ func (sy *chunkSurvey) probe(sv *server, h uint64, id chunkID) replica {
 	sv.mu.RLock()
 	r := replica{sv: sv, live: !sv.down, wiped: sv.wiped}
 	sv.mu.RUnlock()
-	if !r.wiped {
+	if r.wiped {
+		sy.blind = true
+	} else {
 		r.ver = sv.chunkVer(h, id)
 		sy.max = max(sy.max, r.ver)
 	}
 	return r
 }
 
-// behind masks the owners holding less than the maximum, down the owners not
-// up at the probe. Crash-wiped owners are only ever down: nothing can be said
-// about their version until their own Recover resyncs them.
+// behind masks the owners holding less than the maximum or stale, down the
+// owners not up at the probe. Crash-wiped owners are only ever down: nothing
+// can be said about their version until their own Recover resyncs them.
 func (sy *chunkSurvey) behind() (behind, down uint64) {
 	for i := range sy.reps {
 		r := &sy.reps[i]
@@ -104,21 +120,21 @@ func (sy *chunkSurvey) behind() (behind, down uint64) {
 		if !r.live {
 			down |= r.bit()
 		}
-		if r.ver < sy.max && !r.wiped {
+		if (r.ver < sy.max || r.stale) && !r.wiped {
 			behind |= r.bit()
 		}
 	}
 	return behind, down
 }
 
-// source returns the highest-version live replica, owners first among
-// equals: the one copy a reconcile reads. A soft-down holder's bytes stay
+// source returns the highest-version live replica that is not stale, owners
+// first among equals: the one copy a reconcile reads. A soft-down holder's bytes stay
 // where they are until it is back up; its version still counts toward the
 // maximum, so whoever is behind it stays listed.
 func (sy *chunkSurvey) source() *replica {
 	var best *replica
 	for i := range sy.reps {
-		if r := &sy.reps[i]; r.live && r.ver > 0 && (best == nil || r.ver > best.ver) {
+		if r := &sy.reps[i]; r.live && !r.stale && r.ver > 0 && (best == nil || r.ver > best.ver) {
 			best = r
 		}
 	}
@@ -127,9 +143,9 @@ func (sy *chunkSurvey) source() *replica {
 
 // serveChunk runs serve against the replica the freshness rule selects: the
 // first live owner while the store is clean (two atomic loads, no probing),
-// otherwise a live holder at the survey maximum — soft-down holders count
-// toward the maximum, so a read whose freshest copy is unreachable reports
-// storage.ErrUnavailable instead of older bytes. serve re-checks the version
+// otherwise a live holder at the survey maximum that is not stale — soft-down
+// holders count toward the maximum, so a read whose freshest copy is
+// unreachable reports storage.ErrUnavailable instead of older bytes. serve re-checks the version
 // under the replica's stripe lock and reports false when the copy moved in
 // between (a racing install or sweep delete); the survey then runs again.
 func (s *Store) serveChunk(cg *charge, id chunkID, serve func(sv *server, h, want uint64) bool) error {
@@ -152,7 +168,7 @@ func (s *Store) serveChunk(cg *charge, id chunkID, serve func(sv *server, h, wan
 		moved := false
 		for i := range sy.reps {
 			r := &sy.reps[i]
-			if !r.live || r.ver != sy.max || s.faultCheck(cg, r.sv.node, cluster.FaultDiskRead) != nil {
+			if !r.live || r.stale || r.ver != sy.max || s.faultCheck(cg, r.sv.node, cluster.FaultDiskRead) != nil {
 				continue
 			}
 			if serve(r.sv, h, sy.max) {
@@ -171,9 +187,9 @@ func (s *Store) serveChunk(cg *charge, id chunkID, serve func(sv *server, h, wan
 // replicas ends in (reconcileChunk): target takes data at ver
 // unless it already holds that version or newer — a concurrent writer or a
 // racing install won. target owns data from here on. Memory and log change
-// together under the stripe lock (the recordDebt pattern: the lane log's
-// mutex nests inside it as a leaf), so the chunk's lane receives records in
-// the order memory changed and replay needs no guard of its own. RecWrite
+// together under the stripe lock (the lane log's mutex nests inside it as a
+// leaf), so the chunk's lane receives records in the order memory changed
+// and replay needs no guard of its own. RecWrite
 // replays as a grow-only merge, so a copy shorter than what target held logs
 // the cut with it as ONE lane append: a crash can tear that write but never
 // falls between the two. The copy keeps the source's remembered sum, or is

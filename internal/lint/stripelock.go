@@ -7,8 +7,8 @@ package lint
 // deadlock. The check is flow-insensitive but call-aware: acquiring a
 // stripe lock (st.mu.Lock/RLock on a chunkStripe) while any stripe lock
 // is held is flagged, as is calling a function that (transitively)
-// acquires one. Callbacks invoked under a stripe lock (forEachChunk,
-// forEachDebt) are analyzed as if they start with the lock held.
+// acquires one. Callbacks invoked under a stripe lock (forEachChunk) are
+// analyzed as if they start with the lock held.
 
 import (
 	"go/ast"

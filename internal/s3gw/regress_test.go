@@ -168,3 +168,38 @@ func TestRangeAtEOFOverHTTP(t *testing.T) {
 		t.Fatalf("GET with malformed range: status %d, want 416", resp.StatusCode)
 	}
 }
+
+// TestGetWithCrashedDescriptorPrimary: while the node holding an object's
+// primary descriptor copy is crashed, GET answers 503, not 404 — the object
+// still exists on the descriptor's other owners. Every other single crash
+// leaves it readable. Each node is crashed and recovered in turn, so exactly
+// one crash is the primary's.
+func TestGetWithCrashedDescriptorPrimary(t *testing.T) {
+	const nodes = 5
+	store := blob.New(cluster.New(cluster.Config{Nodes: nodes, Seed: 1}),
+		blob.Config{ChunkSize: 64, Replication: 3})
+	gw := New(store)
+	if code := serveRecorded(gw, http.MethodPut, "wp", "", strings.NewReader("hello")).Code; code != http.StatusOK {
+		t.Fatalf("PUT status = %d", code)
+	}
+	unavailable := 0
+	for n := cluster.NodeID(0); n < nodes; n++ {
+		store.Crash(n)
+		switch rec := serveRecorded(gw, http.MethodGet, "wp", "", nil); rec.Code {
+		case http.StatusOK:
+			if body := rec.Body.String(); body != "hello" {
+				t.Errorf("GET with node %d crashed: %q, want hello", n, body)
+			}
+		case http.StatusServiceUnavailable:
+			unavailable++
+		default:
+			t.Errorf("GET with node %d crashed: status %d, want 200 or 503", n, rec.Code)
+		}
+		if err := store.Recover(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if unavailable != 1 {
+		t.Errorf("%d single crashes answered 503, want exactly the descriptor primary's", unavailable)
+	}
+}

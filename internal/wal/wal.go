@@ -80,9 +80,10 @@ import (
 type RecordType uint8
 
 // Record types used by the blob server. The values are positional: deleting a
-// type renumbers those after it (RecDelete…RecMigrateEnd are 1…11 since the
-// create and truncate records folded into RecMeta), which is safe only because
-// no log outlives the process that wrote it and nothing stores a type number.
+// type renumbers those after it (RecDelete…RecMigrateEnd are 1…10 since the
+// create and truncate records folded into RecMeta and repair debt left the
+// logs for an in-memory table), which is safe only because no log outlives
+// the process that wrote it and nothing stores a type number.
 const (
 	RecDelete RecordType = iota + 1
 	RecWrite
@@ -102,14 +103,6 @@ const (
 	// (The blob store does not write RecCommit; the type stays because
 	// benchmark/'s small-record probe appends it.)
 	RecChunkCommit
-	// RecRepairNeeded records replication debt for one chunk: a degraded
-	// write succeeded on this replica while peers named in the payload's
-	// mask missed it. The payload reuses the chunk header layout with the
-	// debt mask in the version field and no data. Replay uses overwrite
-	// semantics — the latest record's mask wins — so clearing debt is
-	// logged as a mask with the repaired bits dropped (0 deletes the
-	// entry).
-	RecRepairNeeded
 	// RecMigrateBegin is the durable intent record of a membership change:
 	// AddServer/RemoveServer append it to every live server's log BEFORE the
 	// ring mutates, so a crash mid-rebalance recovers with the intent open
@@ -144,8 +137,6 @@ func (t RecordType) String() string {
 		return "prep-write"
 	case RecChunkCommit:
 		return "chunk-commit"
-	case RecRepairNeeded:
-		return "repair-needed"
 	case RecMigrateBegin:
 		return "migrate-begin"
 	case RecMigrateEnd:

@@ -103,6 +103,10 @@ go test -run '^$' -bench BenchmarkMigrationPlan -benchtime 1x ./internal/blob
 # the latch: ops racing a delete, a create or a handover, and a Scan racing creates and deletes. A descriptor's highest
 # version wins, a tombstone like any copy: a torn delete, and a torn size change with the replica soft-down or crashed.
 go test -race -count=10 -cpu 1,2,4 -run 'TestOpsOnDeletedBlobSeeNotFound|TestOpsRacingCreate|TestWriteLatchedAcrossHandoverLogsOnNewPrimary|TestWriteRacingDeleteAfterHandover|TestScanUnderConcurrentCreateDelete|TestVersionsNeverGoBackwards|TestTornSizeChangeReplicaDown' ./internal/blob
+# Repair debt is one in-memory table on the store, in no log: a crash of the holder of a chunk's newest copy takes none of it
+# along, and while a crash-wiped server hides a chunk's maximum, a replica the table names behind neither serves nor takes a
+# write. A crashed descriptor primary answers unavailable, not not-found.
+go test -race -count=10 -cpu 1,2,4 -run 'TestHolderCrashAfterFaultedRepair|TestHolderCrashBeforeRejoin|TestTornDegradedWriteDoesNotBlockChunk|TestStrayHolderCrashKeepsDebt|TestCrashedDescriptorPrimaryIsUnavailable' ./internal/blob
 # Recovery reads the lanes in place: after a merge stopped by a torn lane, every lane's in-flight decode must finish before resync appends.
 go test -race -count=10 -cpu 1,2,4 -run TestRecoverTornLaneThenResync ./internal/blob
 # A chunk entry's bytes are a view of the payload its own server's log lane stored, on a 64-byte boundary, after every path that writes one,
