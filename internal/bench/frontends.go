@@ -111,13 +111,35 @@ func VirtualRenameCost(fast bool) (time.Duration, error) {
 
 // VirtualS3RequestCost measures the simulated cost of one S3 gateway request:
 // a put/get cycle of s3Objects objects over loopback HTTP against a fresh
-// store, averaged over its 2*s3Objects requests.
+// store, averaged over its 2*s3Objects requests. Every PUT creates its key.
 func VirtualS3RequestCost() (time.Duration, error) {
+	return s3CycleCost(newFrontendStore(), s3Payload(13))
+}
+
+// VirtualS3OverwriteCost is VirtualS3RequestCost's cycle run a second time
+// over the same keys with new bytes of the same size, from an idle cluster:
+// every PUT overwrites an existing object.
+func VirtualS3OverwriteCost() (time.Duration, error) {
+	st := newFrontendStore()
+	if _, err := s3CycleCost(st, s3Payload(13)); err != nil {
+		return 0, err
+	}
+	st.Cluster().ResetStats()
+	return s3CycleCost(st, s3Payload(17))
+}
+
+func s3Payload(mul int) []byte {
 	payload := make([]byte, s3ObjSize)
 	for i := range payload {
-		payload[i] = byte(i * 13)
+		payload[i] = byte(i * mul)
 	}
-	gw := s3gw.New(newFrontendStore())
+	return payload
+}
+
+// s3CycleCost runs one put/get cycle through a new gateway over st and
+// returns its mean virtual time per request.
+func s3CycleCost(st *blob.Store, payload []byte) (time.Duration, error) {
+	gw := s3gw.New(st)
 	srv := httptest.NewServer(gw)
 	err := runS3Cycle(srv.URL, payload)
 	// Close waits for the handlers, which add their virtual time after responding.

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestVirtualTwinsPinned is the repo's one check on simulated cost: the eight
+// TestVirtualTwinsPinned is the repo's one check on simulated cost: the nine
 // deterministic twins are pure functions of the code path (seeded fixtures,
 // virtual clocks), so each is pinned to the nanosecond and any change to a
 // charge, a record or a protocol round fails here by name. A PR that means
@@ -28,7 +28,8 @@ func TestVirtualTwinsPinned(t *testing.T) {
 		{"write/degraded", must(VirtualWriteCost(true)), 7023611},
 		{"rename/fastpath", must(VirtualRenameCost(true)), 20253614},
 		{"rename/copy", must(VirtualRenameCost(false)), 21619991},
-		{"s3/request", must(VirtualS3RequestCost()), 5102135},
+		{"s3/request", must(VirtualS3RequestCost()), 4896210},
+		{"s3/overwrite", must(VirtualS3OverwriteCost()), 3189782},
 		{"rebalance/quiesced", must(quiesced, err), 889837},
 		{"rebalance/join", join, 2238106},
 		{"rebalance/leave", leave, 1834361},

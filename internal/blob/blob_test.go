@@ -255,6 +255,48 @@ func TestReadPastEOF(t *testing.T) {
 	}
 }
 
+// TestShortReadEndsAtEOF pins storage.BlobStore's short-read promise, on
+// which a one-call S3 GET rests: a ReadBlob with a nil error returns fewer
+// bytes than asked only where the blob ends, for reads that cross chunk
+// boundaries, that start or end in a hole, and that end in a sparse tail
+// grown by a truncate.
+func TestShortReadEndsAtEOF(t *testing.T) {
+	s := newStore(t, 4, Config{ChunkSize: 8, Replication: 2})
+	ctx := storage.NewContext()
+	model := make([]byte, 37)
+	if err := s.CreateBlob(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		off  int64
+		data string
+	}{{0, "0123456789abc"}, {19, "hole-before"}} {
+		if _, err := s.WriteBlob(ctx, "k", w.off, []byte(w.data)); err != nil {
+			t.Fatal(err)
+		}
+		copy(model[w.off:], w.data)
+	}
+	if err := s.TruncateBlob(ctx, "k", int64(len(model))); err != nil {
+		t.Fatal(err)
+	}
+	size := len(model)
+	for off := 0; off <= size+2; off++ {
+		for want := 1; want <= size+3; want++ {
+			buf := bytes.Repeat([]byte{0xFF}, want)
+			n, err := s.ReadBlob(ctx, "k", int64(off), buf)
+			if err != nil {
+				t.Fatalf("read [%d,+%d): %v", off, want, err)
+			}
+			if exp := max(0, min(want, size-off)); n != exp {
+				t.Fatalf("read [%d,+%d) of a %d B blob returned %d bytes, want %d", off, want, size, n, exp)
+			}
+			if n > 0 && !bytes.Equal(buf[:n], model[off:off+n]) {
+				t.Fatalf("read [%d,+%d) = %q, want %q", off, want, buf[:n], model[off:off+n])
+			}
+		}
+	}
+}
+
 func TestEmptyWriteNoop(t *testing.T) {
 	s := newStore(t, 3, Config{})
 	ctx := storage.NewContext()

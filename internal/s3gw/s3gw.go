@@ -19,15 +19,31 @@
 //
 // PUT reads its body, and GET its response, into a byte slice taken from a
 // package-level pool and returned on every exit, so a warm gateway allocates
-// no per-request buffer. Each request is still exactly one WriteBlob or
-// ReadBlob: the pool relies on storage.BlobStore's promises that WriteBlob
-// does not retain p after it returns and that a successful ReadBlob writes
-// every byte of p[:n]. Bodies are not streamed chunk by chunk on purpose: a
-// multi-chunk PUT would become several writes, so a failure partway would
-// leave old and new chunks mixed, and a chunked GET would lose the one-latch
-// snapshot a single ReadBlob gives. A request's Content-Length is only a
-// capacity hint, capped at maxPooledBuf, and a buffer that grew past that
-// cap is dropped rather than pooled, so one huge object cannot pin memory.
+// no per-request buffer. The pool relies on storage.BlobStore's promises that
+// WriteBlob does not retain p after it returns and that a successful ReadBlob
+// writes every byte of p[:n]. Bodies are not streamed chunk by chunk on
+// purpose: a multi-chunk PUT would become several writes, so a failure
+// partway would leave old and new chunks mixed, and a chunked GET would lose
+// the one-latch snapshot a single ReadBlob gives. A request's Content-Length
+// is only a capacity hint, capped at maxPooledBuf, and a buffer that grew past
+// that cap is dropped rather than pooled, so one huge object cannot pin memory.
+//
+// A plain GET is one ReadBlob at offset 0 into the buffer's whole capacity:
+// ReadBlob's short read ends at EOF, so the count is the object's size, taken
+// under the same latch as its bytes, and no BlobSize precedes it. The buffer
+// is grown to a floor that holds every one-chunk object (the store's chunk
+// size plus one byte, at most maxPooledBuf). A larger object fills the
+// buffer; the GET then asks BlobSize for a hint, grows the buffer past it and
+// reads again from offset 0 until a read comes back short, so it costs one
+// BlobSize and one more ReadBlob per round, and the body is still the bytes of
+// one ReadBlob. A ranged GET needs the total size for Content-Range, so it
+// keeps BlobSize then ReadBlob.
+//
+// A PUT writes first: an overwrite is WriteBlob then TruncateBlob, which
+// trims the old object's tail and is the one metadata op it pays. Only a
+// write that finds no key creates it and writes again. The overwrite is two
+// latched ops, so a GET between them sees the new body over the old tail when
+// the new body is shorter.
 package s3gw
 
 import (
@@ -40,6 +56,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/storage"
@@ -48,6 +65,10 @@ import (
 // maxPooledBuf caps both the capacity a Content-Length hint may reserve up
 // front and the capacity of a buffer put back in bufPool.
 const maxPooledBuf = 1 << 20
+
+// defaultChunk stands in for the chunk size of a store that does not report
+// one (storage.ChunkSizer) when sizing the GET buffer floor.
+const defaultChunk = 64 << 10
 
 // bufPool holds request buffers. It stores *[]byte so a Put does not
 // allocate.
@@ -90,28 +111,30 @@ type Gateway struct {
 	// undo is the store's storage.BlobCreateUndoer, nil if it has none: a
 	// PUT that created its key takes the create back if its write fails.
 	undo storage.BlobCreateUndoer
+	// getFloor is the least capacity a plain GET reads into: one byte more
+	// than a chunk, so a one-chunk object's read comes back short.
+	getFloor int
 
-	mu      sync.Mutex
-	virtual time.Duration
+	virtual atomic.Int64 // summed request virtual time, in nanoseconds
 }
 
 // New returns a gateway serving the given store.
 func New(store storage.BlobStore) *Gateway {
 	undo, _ := store.(storage.BlobCreateUndoer)
-	return &Gateway{store: store, undo: undo}
+	chunk := defaultChunk
+	if cs, ok := store.(storage.ChunkSizer); ok && cs.ChunkSize() > 0 {
+		chunk = cs.ChunkSize()
+	}
+	return &Gateway{store: store, undo: undo, getFloor: min(chunk+1, maxPooledBuf)}
 }
 
 // TotalVirtualTime reports the summed virtual time of all requests served.
 func (g *Gateway) TotalVirtualTime() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.virtual
+	return time.Duration(g.virtual.Load())
 }
 
 func (g *Gateway) track(ctx *storage.Context) {
-	g.mu.Lock()
-	g.virtual += ctx.Clock.Now()
-	g.mu.Unlock()
+	g.virtual.Add(int64(ctx.Clock.Now()))
 }
 
 // ServeHTTP implements http.Handler.
@@ -151,37 +174,54 @@ func (g *Gateway) put(ctx *storage.Context, w http.ResponseWriter, r *http.Reque
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var created uint64 // the version this PUT's create stamped
-	if g.undo != nil {
-		created, err = g.undo.CreateBlobVersion(ctx, key)
-	} else {
-		err = g.store.CreateBlob(ctx, key)
-	}
-	exists := errors.Is(err, storage.ErrExists)
-	if err != nil && !exists {
+	if err := g.putBody(ctx, key, body); err != nil {
 		httpStoreError(w, err)
 		return
 	}
-	if len(body) > 0 {
-		if _, err := g.store.WriteBlob(ctx, key, 0, body); err != nil {
-			// A new key's failed write must not leave an empty object: take
-			// the create back, unless another op has changed the blob since.
-			if !exists && g.undo != nil {
-				_ = g.undo.DeleteBlobVersion(ctx, key, created)
-			}
-			httpStoreError(w, err)
-			return
-		}
-	}
-	// S3 PUT overwrites: trim the old object's tail only once the new body
-	// is in, so a failed write leaves the old object, not an empty one.
-	if exists {
-		if err := g.store.TruncateBlob(ctx, key, int64(len(body))); err != nil {
-			httpStoreError(w, err)
-			return
-		}
-	}
 	w.WriteHeader(http.StatusOK)
+}
+
+// putBody stores body as key's object: the write, then the trim of an old
+// object's tail, so a failed write leaves the old object, not an empty one. A
+// write that finds no key creates it and writes again.
+func (g *Gateway) putBody(ctx *storage.Context, key string, body []byte) error {
+	for {
+		_, err := g.store.WriteBlob(ctx, key, 0, body)
+		if err == nil {
+			// The body is in: a trim that finds no key lost to a DELETE that
+			// came after this PUT, which is still a PUT that happened.
+			if err := g.store.TruncateBlob(ctx, key, int64(len(body))); err != nil && !errors.Is(err, storage.ErrNotFound) {
+				return err
+			}
+			return nil
+		}
+		if !errors.Is(err, storage.ErrNotFound) {
+			return err
+		}
+		var created uint64 // the version this PUT's create stamped
+		if g.undo != nil {
+			created, err = g.undo.CreateBlobVersion(ctx, key)
+		} else {
+			err = g.store.CreateBlob(ctx, key)
+		}
+		if errors.Is(err, storage.ErrExists) {
+			continue // another PUT created the key meanwhile: overwrite it
+		}
+		if err != nil {
+			return err
+		}
+		if len(body) > 0 {
+			if _, err := g.store.WriteBlob(ctx, key, 0, body); err != nil {
+				// A new key's failed write must not leave an empty object: take
+				// the create back, unless another op has changed the blob since.
+				if g.undo != nil {
+					_ = g.undo.DeleteBlobVersion(ctx, key, created)
+				}
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // parseRange handles the single-range form "bytes=a-b" (and "bytes=a-").
@@ -212,6 +252,18 @@ func parseRange(header string, size int64) (off, length int64, ok bool) {
 }
 
 func (g *Gateway) get(ctx *storage.Context, w http.ResponseWriter, r *http.Request, key string) {
+	bp := bufPool.Get().(*[]byte)
+	defer putBuf(bp)
+	rng := r.Header.Get("Range")
+	if rng == "" {
+		body, err := g.readWhole(ctx, key, bp)
+		if err != nil {
+			httpStoreError(w, err)
+			return
+		}
+		writeBody(w, http.StatusOK, body)
+		return
+	}
 	size, err := g.store.BlobSize(ctx, key)
 	if err != nil {
 		httpStoreError(w, err)
@@ -219,7 +271,7 @@ func (g *Gateway) get(ctx *storage.Context, w http.ResponseWriter, r *http.Reque
 	}
 	off, length := int64(0), size
 	status := http.StatusOK
-	if rng := r.Header.Get("Range"); rng != "" && size > 0 {
+	if size > 0 {
 		var ok bool
 		off, length, ok = parseRange(rng, size)
 		if !ok {
@@ -229,8 +281,6 @@ func (g *Gateway) get(ctx *storage.Context, w http.ResponseWriter, r *http.Reque
 		status = http.StatusPartialContent
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
 	}
-	bp := bufPool.Get().(*[]byte)
-	defer putBuf(bp)
 	buf := slices.Grow(*bp, int(length))[:length]
 	*bp = buf
 	n, err := g.store.ReadBlob(ctx, key, off, buf)
@@ -238,9 +288,38 @@ func (g *Gateway) get(ctx *storage.Context, w http.ResponseWriter, r *http.Reque
 		httpStoreError(w, err)
 		return
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(n))
+	writeBody(w, status, buf[:n])
+}
+
+// readWhole reads key's whole object into *bp, growing it as needed, and
+// returns it. The body is the bytes of one ReadBlob: a read that fills the
+// buffer may have stopped short of the end, so the buffer grows past the
+// size BlobSize hints and the read starts again from offset 0.
+func (g *Gateway) readWhole(ctx *storage.Context, key string, bp *[]byte) ([]byte, error) {
+	buf := slices.Grow((*bp)[:0], g.getFloor)
+	for {
+		buf = buf[:cap(buf)]
+		*bp = buf
+		n, err := g.store.ReadBlob(ctx, key, 0, buf)
+		if err != nil {
+			return nil, err
+		}
+		if n < len(buf) {
+			return buf[:n], nil
+		}
+		size, err := g.store.BlobSize(ctx, key)
+		if err != nil {
+			return nil, err
+		}
+		buf = slices.Grow(buf[:0], int(max(size, int64(len(buf))))+1)
+	}
+}
+
+// writeBody answers status with body and its Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(buf[:n])
+	w.Write(body)
 }
 
 func (g *Gateway) head(ctx *storage.Context, w http.ResponseWriter, key string) {

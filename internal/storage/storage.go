@@ -73,7 +73,8 @@ type BlobStore interface {
 	// DeleteBlob removes the blob and its data.
 	DeleteBlob(ctx *Context, key string) error
 	// ReadBlob reads up to len(p) bytes at off, returning the count read.
-	// Reading at or past EOF returns 0, nil (size is exposed separately).
+	// Reading at or past EOF returns 0, nil (size is exposed separately),
+	// and a short read with a nil error ends at EOF: off+n is the size.
 	// A successful ReadBlob writes every byte of p[:n], holes as zeros, so
 	// callers may pass a reused buffer without clearing it.
 	ReadBlob(ctx *Context, key string, off int64, p []byte) (int, error)
