@@ -87,9 +87,9 @@
 // redoes every live server's log the same way to check that it reproduces
 // that server's memory exactly. The store is observed where the log is
 // written: Store.Observe installs one subscriber that walAppendLane and
-// walAppendBatch, the only two data-plane appenders, call once per append,
-// and that a migration sweep calls at every batch boundary. The crash sweeps
-// take their crash points from it; nothing in the store depends on it.
+// walAppendBatch, the only two data-plane appenders, call per append, a
+// migration sweep per batch and every foreground mutation at its end
+// (Event). The crash sweeps and the tests' model use it; the store does not.
 //
 // # Failure semantics
 //
@@ -133,16 +133,16 @@
 // replayed, so no server's crash takes it along. A degraded write, once the
 // version it stamps exists, records the owners it excluded and that version
 // as the one they need; every chunk move lists the owners it leaves behind
-// the same way. An owner's entry clears once it is seen at that version — a
-// stale or vacuous entry costs one no-op repair and can hide nothing. The
+// the same way. An owner's entry clears once it is seen at that version, or
+// once a survey that is not blind finds no copy at it (a torn log took it) —
+// a stale or vacuous entry costs a no-op repair and can hide nothing. The
 // entry count (RepairPending) and an open migration intent are the "not
-// known clean" gate: with no entry and no intent every owner of every chunk
-// holds its maximum, and reads take the first live owner with no probing at
-// all. While a crash-wiped server hides the true maximum, a replica the
-// table names below its need neither serves, seeds a copy nor takes a write.
-// SetDown(node, false), Recover, the writer's own epilogue (an excluded
-// owner that flapped back up mid-write) and the end of a migration drain the
-// list (repair.go).
+// known clean" gate: with neither, every owner of every chunk holds its
+// maximum and reads take the first live owner, probing nothing. While a
+// survey of a chunk is blind (a crash-wiped server may hold its maximum), a
+// replica the table names below its need serves no read (ErrUnavailable if
+// no other copy is at the maximum), seeds no copy and takes no write. Recover,
+// SetDown(node, false), a writer and a migration's end drain it (repair.go).
 //
 // One chunk move. Repair, rejoin resync and the migration sweep all move a
 // chunk through reconcileChunk: survey once, install the freshest live copy
@@ -995,13 +995,26 @@ var hdrPool = sync.Pool{
 	},
 }
 
-// EventKind says what an Event reports: a WAL append call that returned, or
-// a migration sweep's batch boundary.
+// EventKind says what an Event reports: a WAL append call that returned, a
+// migration batch boundary, a chunk version an op stamped, or an op's end.
 type EventKind uint8
 
 const (
 	EventAppend EventKind = iota
 	EventBatch
+	EventChunk
+	EventOp
+)
+
+// OpKind names the foreground mutation an EventOp reports.
+type OpKind uint8
+
+const (
+	OpCreate OpKind = iota + 1 // CreateBlob, CreateBlobVersion
+	OpWrite
+	OpTruncate
+	OpDelete // DeleteBlob, DeleteBlobVersion
+	OpRename
 )
 
 // Event is one observation, passed by value and built without allocation.
@@ -1009,22 +1022,50 @@ const (
 // of its first record, and how many records (keys Key … Key+Records-1, all on
 // Lane) and encoded bytes it added. An EventBatch carries Batch: -1 once the
 // migration intent is durable and before any batch, then 0, 1, … after each.
+//
+// Every create, write, truncate, delete and rename ends with one EventOp,
+// failed or not, after its last append and under its key latch, so one key's
+// EventOps arrive in effect order: Op, Blob (To: a rename's new key), Err,
+// the input (a write's Off and Data, valid only during the call; a truncate's
+// new size in Off) and the descriptor Ver and Size it left on the primary
+// (To's for a rename). Before it, one EventChunk per chunk stamped gives
+// Blob, the index in Off, Ver, and in Type what it left: RecWrite bytes,
+// RecChunkDelete a tombstone, RecChunkTruncate a trim; a failed op's void.
 type Event struct {
 	Kind                  EventKind
 	Node                  cluster.NodeID
 	Lane                  int
 	Type                  wal.RecordType
-	Key                   uint64
+	Key, Ver              uint64
 	Records, Bytes, Batch int
+	Op                    OpKind
+	Blob, To              string
+	Off, Size             int64
+	Data                  []byte
+	Err                   error
 }
 
 // Observe installs fn (nil: none) as the one event subscriber; call it while
-// the store is quiescent. An append event fires on the appending goroutine,
-// possibly under a stripe lock or a key latch, so fn must not call
+// the store is quiescent. An append, chunk or op event fires on the op's
+// goroutine, possibly under a stripe lock or a key latch, so fn must not call
 // into the Store there. A batch event fires on the migration caller with no
-// data-plane lock held, so fn may run foreground ops there, whose appends it
+// data-plane lock held, so fn may run foreground ops there, whose events it
 // sees too. Checkpoint rewrites are not reported.
 func (s *Store) Observe(fn func(Event)) { s.observe = fn }
+
+// opEnd reports an op's end, *errp its outcome, to a subscriber (EventOp).
+func (s *Store) opEnd(op OpKind, key, to string, off int64, data []byte, errp *error) {
+	if s.observe != nil {
+		d, _ := s.servers[s.descOwners(cmp.Or(to, key))[0]].descCopy(cmp.Or(to, key))
+		s.observe(Event{Kind: EventOp, Op: op, Blob: key, To: to, Off: off, Data: data, Err: *errp, Ver: d.ver, Size: d.size})
+	}
+}
+
+// opFailed reports an op that failed before taking its latch and returns err.
+func (s *Store) opFailed(op OpKind, key, to string, off int64, data []byte, err error) error {
+	s.opEnd(op, key, to, off, data, &err)
+	return err
+}
 
 // walAppendLane records a durable mutation on one of sv's log lanes — the
 // record payload being header||data, appended vectored so data is copied
@@ -1080,15 +1121,16 @@ func (s *Store) CreateBlob(ctx *storage.Context, key string) error {
 
 // CreateBlobVersion is CreateBlob that also returns the version it stamped
 // on the descriptor, for DeleteBlobVersion (storage.BlobCreateUndoer).
-func (s *Store) CreateBlobVersion(ctx *storage.Context, key string) (uint64, error) {
+func (s *Store) CreateBlobVersion(ctx *storage.Context, key string) (ver uint64, err error) {
 	if key == "" || strings.ContainsRune(key, '\x00') {
-		return 0, fmt.Errorf("blob key %q: %w", key, storage.ErrInvalidArg)
+		return 0, s.opFailed(OpCreate, key, "", 0, nil, fmt.Errorf("blob key %q: %w", key, storage.ErrInvalidArg))
 	}
 	s.member.RLock()
 	defer s.member.RUnlock()
 	s.lockKey(key, true)
 	defer s.unlockKey(key, true)
-	_, ver, err := s.createLocked(ctx, key)
+	defer s.opEnd(OpCreate, key, "", 0, nil, &err)
+	_, ver, err = s.createLocked(ctx, key)
 	return ver, err
 }
 
@@ -1142,29 +1184,27 @@ func (s *Store) setSize(ctx *storage.Context, key string, primary *server, size 
 // tombstone. Chunk deletion records bound for the same server are batched
 // into one WAL append.
 func (s *Store) DeleteBlob(ctx *storage.Context, key string) error {
-	s.member.RLock()
-	defer s.member.RUnlock()
-	primary, d, err := s.latchDesc(ctx, key, true, false)
-	if err != nil {
-		return err
-	}
-	defer s.unlockKey(key, true)
-	s.deleteLocked(ctx, key, primary, d.size)
-	return nil
+	return s.deleteVersion(ctx, key, 0, false)
 }
 
 // DeleteBlobVersion is DeleteBlob for a blob whose descriptor is still at
 // ver, the one CreateBlobVersion returned; a blob at any other version is
 // left as it is (storage.BlobCreateUndoer).
 func (s *Store) DeleteBlobVersion(ctx *storage.Context, key string, ver uint64) error {
+	return s.deleteVersion(ctx, key, ver, true)
+}
+
+// deleteVersion deletes key, when match is set only if its descriptor is at ver.
+func (s *Store) deleteVersion(ctx *storage.Context, key string, ver uint64, match bool) (err error) {
 	s.member.RLock()
 	defer s.member.RUnlock()
 	primary, d, err := s.latchDesc(ctx, key, true, false)
 	if err != nil {
-		return err
+		return s.opFailed(OpDelete, key, "", 0, nil, err)
 	}
 	defer s.unlockKey(key, true)
-	if d.ver != ver {
+	defer s.opEnd(OpDelete, key, "", 0, nil, &err)
+	if match && d.ver != ver {
 		return fmt.Errorf("blob %q at version %d, not %d: %w", key, d.ver, ver, storage.ErrExists)
 	}
 	s.deleteLocked(ctx, key, primary, d.size)
@@ -1213,6 +1253,9 @@ func (s *Store) tombstoneChunks(batch *walBatch, key string, from, to int64) {
 			sv := s.servers[o]
 			sv.deleteChunk(h, id, ver)
 			batch.addChunk(sv, wal.RecChunkDelete, h, id, 0, ver, nil)
+		}
+		if s.observe != nil {
+			s.observe(Event{Kind: EventChunk, Type: wal.RecChunkDelete, Blob: key, Off: idx, Ver: ver})
 		}
 	}
 }

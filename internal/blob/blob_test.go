@@ -36,7 +36,10 @@ func TestConfigFieldsRatchet(t *testing.T) {
 // byte each lane grew and for every order key each node drew, exactly once,
 // and the batch events count -1, 0, 1, … in order. An append path that
 // bypasses walAppendLane and walAppendBatch fails it. The events also show
-// each mutation's record type, and a commit for every prepare.
+// each mutation's record type, and a commit for every prepare. Each op ends
+// with exactly one EventOp, after its appends, and the versions its
+// EventChunks report are what the chunks hold at the end (a failed write's
+// EventOp is pinned by TestErrorPathsJoinFanAndCharge).
 func TestObserveSeesEveryAppend(t *testing.T) {
 	// A fresh store: every lane starts empty, every node's order keys at 1.
 	s := NewOnNodes(cluster.New(cluster.Config{Nodes: 4, Seed: 3}),
@@ -45,10 +48,17 @@ func TestObserveSeesEveryAppend(t *testing.T) {
 	type at struct{ node, n int } // a (node, lane) or a (node, order key)
 	grew, reported, types := make(map[at]int), make(map[at]int), make(map[wal.RecordType]int)
 	var batches []int
+	var last Event
+	ends, stamps := 0, make(map[chunkID]uint64)
 	s.Observe(func(ev Event) {
-		if ev.Kind == EventBatch {
+		switch last = ev; ev.Kind {
+		case EventBatch:
 			batches = append(batches, ev.Batch)
 			return
+		case EventOp:
+			ends++
+		case EventChunk:
+			stamps[chunkID{ev.Blob, ev.Off}] = ev.Ver
 		}
 		grew[at{int(ev.Node), ev.Lane}] += ev.Bytes
 		types[ev.Type] += ev.Records // by first type: only a shrinking install mixes two
@@ -56,14 +66,23 @@ func TestObserveSeesEveryAppend(t *testing.T) {
 			reported[at{int(ev.Node), int(k)}]++
 		}
 	})
-	write := func(key string, tag, n int) error {
-		_, err := s.WriteBlob(ctx, key, 0, pattern(tag, n))
+	// op runs f, which must report its end once, last.
+	op := func(f func() error) error {
+		before := ends
+		err := f()
+		if ends != before+1 || last.Kind != EventOp || !errors.Is(last.Err, err) {
+			t.Errorf("op ending %v: %d EventOps, the last event %+v", err, ends-before, last)
+		}
 		return err
+	}
+	write := func(key string, tag, n int) error {
+		return op(func() error { _, err := s.WriteBlob(ctx, key, 0, pattern(tag, n)); return err })
 	}
 	// In argument order: two 8-chunk 2PC writes, a direct one, then a blob
 	// shrinks and goes.
-	if err := errors.Join(s.CreateBlob(ctx, "gone"), s.CreateBlob(ctx, "kept"), write("gone", 1, 8*32),
-		write("kept", 1, 8*32), write("kept", 3, 16), s.TruncateBlob(ctx, "gone", 40), s.DeleteBlob(ctx, "gone")); err != nil {
+	if err := errors.Join(op(func() error { return s.CreateBlob(ctx, "gone") }), op(func() error { return s.CreateBlob(ctx, "kept") }),
+		write("gone", 1, 8*32), write("kept", 1, 8*32), write("kept", 3, 16),
+		op(func() error { return s.TruncateBlob(ctx, "gone", 40) }), op(func() error { return s.DeleteBlob(ctx, "gone") })); err != nil {
 		t.Fatal(err)
 	}
 	for _, rt := range []wal.RecordType{wal.RecMeta, wal.RecWrite, wal.RecPrepWrite, wal.RecChunkDelete, wal.RecDelete} {
@@ -106,6 +125,18 @@ func TestObserveSeesEveryAppend(t *testing.T) {
 	}
 	if len(batches) < 2 {
 		t.Fatalf("batch events %v: the join moved nothing", batches)
+	}
+	if len(stamps) != 16 { // 8 chunks a key
+		t.Errorf("EventChunks stamped %d chunks, want 16", len(stamps))
+	}
+	for id, ver := range stamps {
+		var held uint64
+		for _, sv := range s.servers {
+			held = max(held, sv.chunkVer(id.ringHash(), id))
+		}
+		if held != ver {
+			t.Errorf("chunk %d of %q: last stamped v%d, held at v%d", id.idx, id.key, ver, held)
+		}
 	}
 	for i, b := range batches {
 		if b != i-1 {

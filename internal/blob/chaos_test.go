@@ -23,17 +23,19 @@ import (
 //
 //   - a read that succeeds returns exactly the worker's last acknowledged
 //     content for that key — NEVER stale bytes from a rejoined replica;
-//   - an acknowledged write survives everything the schedule throws at it
-//     (the per-worker oracle is the never-failed reference);
-//   - a failed write changes nothing (write atomicity, all paths);
-//   - after heal + repair, debt is zero, replicas are byte-identical
-//     (CheckInvariants strict mode), every key reads back oracle-equal;
+//   - at every burst's quiescent end (heal, then one node's crash and
+//     recovery), the invariants hold and the durability ledger finds every
+//     acknowledged write (checkDurable against the op-event model), and a
+//     failed write changed nothing;
+//   - after the final heal + repair, debt is zero, replicas are
+//     byte-identical (CheckInvariants strict mode) and the ledger holds;
 //   - a full crash/recover cycle of every node reproduces that state from
 //     the WALs alone, on both the parallel and serial recovery paths
-//     (alternated by seed).
+//     (alternated by seed), and so does a cold restart from the lane bytes
+//     alone (coldCopy).
 //
-// Each worker owns a disjoint key, so its oracle needs no cross-worker
-// ordering assumptions.
+// Each worker owns a disjoint key, so what it reads back is the model's
+// bytes for that key, with no cross-worker ordering assumptions.
 func TestChaosBattery(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -113,7 +115,8 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 		histMu.Unlock()
 	}
 	act := func(format string, args ...any) { record(step{act: fmt.Sprintf(format, args...)}) }
-	s.Observe(func(ev Event) { record(step{ev: ev}) })
+	m := newModel(s)
+	s.Observe(func(ev Event) { m.observe(ev); record(step{ev: ev}) })
 	defer func() {
 		if !t.Failed() {
 			return
@@ -130,7 +133,6 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 	rng := sim.NewRNG(seed*0x9e3779b9 + 1)
 
 	keys := make([]string, workers)
-	oracle := make([][]byte, workers)
 	for w := 0; w < workers; w++ {
 		keys[w] = fmt.Sprintf("chaos-%d", w)
 		if err := s.CreateBlob(ctx, keys[w]); err != nil {
@@ -174,27 +176,26 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 					switch {
 					case wrng.Float64() < 0.55: // write (single- or multi-chunk)
 						off := int64(0)
-						if len(oracle[w]) > 0 {
-							off = int64(wrng.Intn(len(oracle[w]) + 24))
+						if cur, _ := m.data(keys[w]); len(cur) > 0 {
+							off = int64(wrng.Intn(len(cur) + 24))
 						}
 						data := make([]byte, 1+wrng.Intn(40))
 						wrng.Fill(data)
-						if _, err := s.WriteBlob(wctx, keys[w], off, data); err == nil {
-							oracle[w] = applyOracle(oracle[w], off, data)
-						}
+						s.WriteBlob(wctx, keys[w], off, data)
 					default: // verifying read
-						if len(oracle[w]) == 0 {
+						want, _ := m.data(keys[w])
+						if len(want) == 0 {
 							continue
 						}
-						got := make([]byte, len(oracle[w]))
+						got := make([]byte, len(want))
 						n, err := s.ReadBlob(wctx, keys[w], 0, got)
 						if err != nil {
 							continue // unavailability is allowed; staleness is not
 						}
-						if n != len(got) || !bytes.Equal(got, oracle[w]) {
+						if n != len(got) || !bytes.Equal(got, want) {
 							t.Errorf("seed %d worker %d: stale read: got %d bytes %q, want %q",
-								seed, w, n, got, oracle[w])
-							dumpChunkState(t, s, keys[w], got, oracle[w])
+								seed, w, n, got, want)
+							dumpChunkState(t, s, keys[w], got, want)
 							return
 						}
 					}
@@ -245,6 +246,7 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 				t.Fatalf("seed %d: recover node %d: %v", seed, victim, err)
 			}
 		}
+		checkSound(t, s, m)
 	}
 
 	// Re-seat node 4 if the last burst left it drained: the convergence
@@ -258,16 +260,13 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 	}
 
 	// Heal everything, drain every remaining debt entry, and require full
-	// convergence: no debt, byte-identical replicas, oracle-equal content.
+	// convergence: no debt, byte-identical replicas, the model's content.
 	flaps.healAll()
 	s.Repair(ctx)
 	if n := s.RepairPending(); n != 0 {
 		t.Fatalf("seed %d: repair debt outstanding after heal: %d", seed, n)
 	}
-	if msg := s.CheckInvariants(); msg != "" {
-		t.Fatalf("seed %d: invariants after heal: %s", seed, msg)
-	}
-	verifyOracle(t, s, ctx, seed, keys, oracle, "after heal")
+	checkSound(t, s, m)
 
 	// Total power loss: every node rebuilds from its WAL alone and the
 	// converged state must come back exactly (serial recovery on odd seeds).
@@ -280,10 +279,8 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 			t.Fatalf("seed %d: full recover node %d: %v", seed, n, err)
 		}
 	}
-	if msg := s.CheckInvariants(); msg != "" {
-		t.Fatalf("seed %d: invariants after full crash cycle: %s", seed, msg)
-	}
-	verifyOracle(t, s, ctx, seed, keys, oracle, "after full crash cycle")
+	checkSound(t, s, m)
+	checkSound(t, coldCopy(t, s), m)
 }
 
 // dumpChunkState prints, for every chunk of key where got and want differ,
@@ -325,38 +322,6 @@ func dumpChunkState(t *testing.T, s *Store, key string, got, want []byte) {
 				return nil
 			})
 			t.Logf("    log, lane %d, key:record: %v", sv.chunkLane(h), hist)
-		}
-	}
-}
-
-// applyOracle mirrors a successful write into the never-failed reference
-// (sparse growth reads as zeros, exactly like the store).
-func applyOracle(cur []byte, off int64, data []byte) []byte {
-	need := off + int64(len(data))
-	if int64(len(cur)) < need {
-		grown := make([]byte, need)
-		copy(grown, cur)
-		cur = grown
-	}
-	copy(cur[off:], data)
-	return cur
-}
-
-func verifyOracle(t *testing.T, s *Store, ctx *storage.Context, seed uint64, keys []string, oracle [][]byte, stage string) {
-	t.Helper()
-	for w, key := range keys {
-		if len(oracle[w]) == 0 {
-			continue
-		}
-		got := make([]byte, len(oracle[w]))
-		n, err := s.ReadBlob(ctx, key, 0, got)
-		if err != nil || n != len(got) {
-			t.Fatalf("seed %d %s: read %q: (%d, %v)", seed, stage, key, n, err)
-		}
-		if !bytes.Equal(got, oracle[w]) {
-			t.Errorf("seed %d %s: %q diverged from the never-failed oracle", seed, stage, key)
-			dumpChunkState(t, s, key, got, oracle[w])
-			t.FailNow()
 		}
 	}
 }

@@ -34,6 +34,7 @@ import (
 type debtEntry struct {
 	mask uint64 // owners known to be behind, by node bit
 	need uint64 // the highest version a record asked them to reach
+	rec  uint64 // the table's record count at the entry's last record
 }
 
 // debtTable is the store's repair debt, lock-striped like the chunk tables.
@@ -42,7 +43,8 @@ type debtTable struct {
 	stripes [chunkStripes]debtStripe
 	// n counts the entries. While it is zero and no migration intent is
 	// open — the steady state — reads take the fast path with no probing.
-	n atomic.Int64
+	n    atomic.Int64
+	recs atomic.Uint64 // records so far; a survey notes it before its probes
 }
 
 type debtStripe struct {
@@ -68,7 +70,7 @@ func (t *debtTable) record(h uint64, id chunkID, mask, need uint64) {
 		}
 		t.n.Add(1)
 	}
-	st.m[id] = debtEntry{mask: e.mask | mask, need: max(e.need, need)}
+	st.m[id] = debtEntry{mask: e.mask | mask, need: max(e.need, need), rec: t.recs.Add(1)}
 	st.mu.Unlock()
 }
 
@@ -85,7 +87,9 @@ func (t *debtTable) entry(h uint64, id chunkID) debtEntry {
 // while a stray copy survives in sy, or while sy is blind, when a crash-wiped
 // server may hold one. A stray would outrank the blob's next incarnation once
 // a clean checkpoint has forgotten the tombstones above it, so its work must
-// not make the store look clean. Reports whether a bit cleared.
+// not make the store look clean. Otherwise a survey begun after the entry's
+// last record that finds no copy at need shows a torn log took that version:
+// need falls to sy's maximum. Reports whether a bit cleared.
 func (t *debtTable) settle(h uint64, id chunkID, sy *chunkSurvey, owed uint64) bool {
 	var owners uint64
 	keep := sy.blind // a wiped server may hold a stray
@@ -102,6 +106,9 @@ func (t *debtTable) settle(h uint64, id chunkID, sy *chunkSurvey, owed uint64) b
 	e, ok := st.m[id]
 	if !ok {
 		return false
+	}
+	if !keep && e.rec <= sy.recs {
+		e.need = min(e.need, sy.max)
 	}
 	paid := owed &^ owners
 	for i := range sy.reps {

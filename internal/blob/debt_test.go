@@ -16,11 +16,13 @@ import (
 
 // holderCrashStore builds the shape the holder-crash tests use: 4 nodes,
 // cluster seed 1, 64-byte chunks, R 2, and the first key w-N whose chunk-0
-// owners h and x do not include its descriptor primary (w-0: h = node 1,
-// x = node 0). It creates the key and writes v1 to both owners.
-func holderCrashStore(t *testing.T) (s *Store, key string, h, x cluster.NodeID) {
+// owners h and x do not include its descriptor primary (w-0: h = node 0,
+// x = node 1). It subscribes a model, creates the key and writes v1 to both
+// owners.
+func holderCrashStore(t *testing.T) (s *Store, m *refModel, key string, h, x cluster.NodeID) {
 	t.Helper()
 	s = New(cluster.New(cluster.Config{Nodes: 4, Seed: 1}), Config{ChunkSize: 64, Replication: 2})
+	m = newModel(s)
 	for i := 0; key == ""; i++ {
 		k := fmt.Sprintf("w-%d", i)
 		if o := s.chunkOwners(chunkID{k, 0}); !containsNode(o, s.descOwners(k)[0]) {
@@ -34,7 +36,7 @@ func holderCrashStore(t *testing.T) (s *Store, key string, h, x cluster.NodeID) 
 	if _, err := s.WriteBlob(ctx, key, 0, []byte("v1v1v1v1v1")); err != nil {
 		t.Fatal(err)
 	}
-	return s, key, h, x
+	return s, m, key, h, x
 }
 
 // writeDegraded takes x down and writes v2, which only h applies.
@@ -61,16 +63,14 @@ func requireBlind(t *testing.T, s *Store, key string) {
 	}
 }
 
-// requireHealed recovers h and checks that the chunk converged on v2.
-func requireHealed(t *testing.T, s *Store, key string, h cluster.NodeID) {
+// requireHealed recovers h and checks that the store holds every
+// acknowledged write and converged.
+func requireHealed(t *testing.T, s *Store, m *refModel, h cluster.NodeID) {
 	t.Helper()
 	if err := s.Recover(h); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, 10)
-	if n, err := s.ReadBlob(storage.NewContext(), key, 0, got); err != nil || string(got[:n]) != "v2v2v2v2v2" {
-		t.Errorf("read after the holder's recovery: (%q, %v), want v2v2v2v2v2", got[:n], err)
-	}
+	checkDurable(t, s, m)
 	if n, msg := s.RepairPending(), s.CheckInvariants(); n != 0 || msg != "" {
 		t.Errorf("after the holder's recovery: %d chunks owe repair, invariants %q", n, msg)
 	}
@@ -81,7 +81,7 @@ func requireHealed(t *testing.T, s *Store, key string, h cluster.NodeID) {
 // let x serve v1, or take a write stamped v2 that h's recovery then
 // contradicts.
 func TestHolderCrashAfterFaultedRepair(t *testing.T) {
-	s, key, h, x := holderCrashStore(t)
+	s, m, key, h, x := holderCrashStore(t)
 	writeDegraded(t, s, key, x)
 	s.cluster.SetFaultInjector(cluster.NewFaultPlan(1, []cluster.FaultRule{
 		{Node: x, Kind: cluster.FaultDiskWrite, Prob: 1, Fault: cluster.Fault{Err: errors.New("injected: disk write refused")}},
@@ -94,29 +94,51 @@ func TestHolderCrashAfterFaultedRepair(t *testing.T) {
 	}
 	s.Crash(h)
 	requireBlind(t, s, key)
-	requireHealed(t, s, key, h)
+	requireHealed(t, s, m, h)
 }
 
 // TestHolderCrashBeforeRejoin: h crashes while x is still down, then x
-// rejoins. No fault at all, and x must still not serve v1.
+// rejoins. No fault at all, and x must still not serve v1, nor may a repair
+// clear its debt entry while h, which may hold the version it needs, is
+// crashed.
 func TestHolderCrashBeforeRejoin(t *testing.T) {
-	s, key, h, x := holderCrashStore(t)
+	s, m, key, h, x := holderCrashStore(t)
 	writeDegraded(t, s, key, x)
 	s.Crash(h)
 	s.SetDown(x, false)
 	requireBlind(t, s, key)
-	requireHealed(t, s, key, h)
+	if s.Repair(storage.NewContext()); s.RepairPending() != 1 {
+		t.Fatalf("%d chunks owe repair with the holder crashed, want x's entry", s.RepairPending())
+	}
+	requireHealed(t, s, m, h)
+}
+
+// TestColdRestartRederivesDebt: after a degraded write, h holds v2 and x,
+// down, v1, and only the debt table says x is behind. A cold restart from
+// the lanes alone has no table: h recovers first, x last (coldCopy's order),
+// and x's resync must pull v2 from h before the copy serves.
+func TestColdRestartRederivesDebt(t *testing.T) {
+	s, m, key, h, x := holderCrashStore(t)
+	if h > x {
+		t.Fatalf("h = node %d recovers after x = node %d; the pull goes unused", h, x)
+	}
+	writeDegraded(t, s, key, x)
+	c := coldCopy(t, s)
+	checkSound(t, c, m)
+	if n := c.RepairPending(); n != 0 {
+		t.Fatalf("cold restart: %d chunks owe repair", n)
+	}
 }
 
 // TestTornDegradedWriteDoesNotBlockChunk: a degraded write whose only record
 // is torn off before its ack leaves a debt entry whose version no surviving
-// copy holds. Once no server is wiped, the chunk reads and takes writes
-// again, and the entry clears after its next write and a Repair.
+// copy holds. Once no server is wiped, a survey finds no copy at that
+// version, so the entry settles; the chunk reads and takes writes again.
 func TestTornDegradedWriteDoesNotBlockChunk(t *testing.T) {
-	s, key, h, x := holderCrashStore(t)
+	s, _, key, h, x := holderCrashStore(t)
 	lane, at := -1, 0
 	s.Observe(func(ev Event) {
-		if ev.Node == h && lane < 0 {
+		if ev.Kind == EventAppend && ev.Node == h && lane < 0 {
 			lane, at = ev.Lane, s.servers[h].wal.LaneBuffer(ev.Lane).Len()-ev.Bytes
 		}
 	})
@@ -137,8 +159,8 @@ func TestTornDegradedWriteDoesNotBlockChunk(t *testing.T) {
 	if n, err := s.ReadBlob(ctx, key, 0, got); err != nil || string(got[:n]) != "v1v1v1v1v1" {
 		t.Fatalf("read once no server is wiped: (%q, %v), want v1v1v1v1v1", got[:n], err)
 	}
-	if n := s.RepairPending(); n != 1 {
-		t.Fatalf("%d chunks owe repair before the next write, want the torn write's entry", n)
+	if n := s.RepairPending(); n != 0 {
+		t.Fatalf("%d chunks owe repair once no server is wiped, want 0: no copy holds the torn write's version", n)
 	}
 	if _, err := s.WriteBlob(ctx, key, 0, []byte("v3v3v3v3v3")); err != nil {
 		t.Fatalf("write once no server is wiped: %v", err)

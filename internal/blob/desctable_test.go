@@ -2,7 +2,6 @@ package blob
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -230,9 +229,10 @@ func TestScanUnderConcurrentCreateDelete(t *testing.T) {
 }
 
 // TestScanDuringMembershipChange: at every batch boundary of a live join and
-// of a live drain, Scan lists exactly the keys BlobSize finds, with the same
-// sizes, and those are every seeded blob. Before the sweep hands descriptors
-// to their new primaries, a blob's only copies sit on its old owners.
+// of a live drain, the ledger holds: Scan lists exactly the seeded blobs at
+// the sizes BlobSize finds, and each reads back. Before the sweep hands
+// descriptors to their new primaries, a blob's only copies sit on its old
+// owners.
 func TestScanDuringMembershipChange(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -244,44 +244,23 @@ func TestScanDuringMembershipChange(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewOnNodes(cluster.New(cluster.Config{Nodes: 6, Seed: 1}), Config{ChunkSize: 64, Replication: 2}, tc.serving)
-			ctx := storage.NewContext()
-			expect := seedBlobs(t, s, ctx, 40)
-			keys := slices.Sorted(maps.Keys(expect))
+			m := seedBlobs(t, s, 40)
 			var boundaries []int
 			s.Observe(func(ev Event) {
-				if ev.Kind != EventBatch {
-					return
-				}
-				boundaries = append(boundaries, ev.Batch)
-				ctx := storage.NewContext()
-				infos, err := s.Scan(ctx, "data/")
-				if err != nil {
-					t.Fatalf("batch %d: Scan: %v", ev.Batch, err)
-				}
-				listed := make([]string, len(infos))
-				for i, info := range infos {
-					listed[i] = info.Key
-					if size, err := s.BlobSize(ctx, info.Key); err != nil || size != info.Size {
-						t.Errorf("batch %d: Scan lists %q at size %d, BlobSize gives (%d, %v)", ev.Batch, info.Key, info.Size, size, err)
-					}
-				}
-				for _, key := range keys {
-					if size, err := s.BlobSize(ctx, key); err != nil || size != int64(len(expect[key])) {
-						t.Errorf("batch %d: BlobSize(%q) = (%d, %v), want %d", ev.Batch, key, size, err, len(expect[key]))
-					}
-				}
-				if !slices.Equal(listed, keys) {
-					t.Errorf("batch %d: Scan lists %d of the %d blobs BlobSize finds", ev.Batch, len(listed), len(keys))
+				m.observe(ev)
+				if ev.Kind == EventBatch {
+					boundaries = append(boundaries, ev.Batch)
+					checkDurable(t, s, m)
 				}
 			})
-			if err := tc.change(s, ctx); err != nil {
+			if err := tc.change(s, storage.NewContext()); err != nil {
 				t.Fatal(err)
 			}
-			s.Observe(nil)
+			s.Observe(m.observe)
 			if len(boundaries) < 2 || boundaries[0] != -1 {
 				t.Fatalf("batch boundaries %v: the change moved nothing", boundaries)
 			}
-			verifyBlobs(t, s, ctx, expect)
+			checkSound(t, s, m)
 		})
 	}
 }

@@ -242,17 +242,10 @@ func TestStaleHelpTokenHarmless(t *testing.T) {
 	stale.join(ctx) // recycled: the next newFan on this P hands it out again
 
 	const keys = 4
-	model := make([]refBlob, keys)
-	for k := range model {
+	m := newModel(s)
+	for k := range keys {
 		if err := s.CreateBlob(ctx, fmt.Sprintf("stale-%d", k)); err != nil {
 			t.Fatal(err)
-		}
-	}
-	verify := func(i, k int) {
-		want := model[k].data
-		got := make([]byte, len(want))
-		if n, err := s.ReadBlob(ctx, fmt.Sprintf("stale-%d", k), 0, got); err != nil || n != len(want) || !bytes.Equal(got, want) {
-			t.Fatalf("op %d: read of key %d = (%d, %v), diverges from the model", i, k, n, err)
 		}
 	}
 	rng := sim.NewRNG(7)
@@ -270,23 +263,19 @@ func TestStaleHelpTokenHarmless(t *testing.T) {
 			if _, err := s.WriteBlob(ctx, key, off, p); err != nil {
 				t.Fatal(err)
 			}
-			model[k].write(off, p)
 		case 2:
-			verify(i, k)
+			want, _ := m.data(key)
+			got := make([]byte, len(want))
+			if n, err := s.ReadBlob(ctx, key, 0, got); err != nil || n != len(want) || !bytes.Equal(got, want) {
+				t.Fatalf("op %d: read of %s = (%d, %v), diverges from the model", i, key, n, err)
+			}
 		case 3:
-			size := int64(rng.Intn(120))
-			if err := s.TruncateBlob(ctx, key, size); err != nil {
+			if err := s.TruncateBlob(ctx, key, int64(rng.Intn(120))); err != nil {
 				t.Fatal(err)
 			}
-			model[k].truncate(size)
 		}
 	}
-	for k := range model {
-		verify(1000, k)
-	}
-	if msg := s.CheckInvariants(); msg != "" {
-		t.Fatalf("invariants after stale tokens: %s", msg)
-	}
+	checkSound(t, s, m)
 }
 
 // TestNestedFanRunByHelper: when a pool worker, not the joining caller, runs
@@ -421,7 +410,8 @@ func TestHotPathAllocFree(t *testing.T) {
 
 // TestTraceOffAllocatesNothing: the appends of repair and migration —
 // install and drop, each under the stripe lock — and the debt record and
-// clear around them allocate nothing, with no observer and with one copying
+// clear around them allocate nothing, and neither does a warm foreground
+// write, truncate and delete, with no observer and with one copying
 // every event into a preallocated slice. The event is a by-value struct, so
 // observing costs the subscriber's own work, not a boxed operand per append.
 func TestTraceOffAllocatesNothing(t *testing.T) {
@@ -443,19 +433,49 @@ func TestTraceOffAllocatesNothing(t *testing.T) {
 		s.debt.settle(h, id, &stray, 2)
 		s.dropStrays(&cg, &stray, h, id, ver)
 	}
+	const runs = 100
+	ctx := storage.NewContext()
+	// Created and written up front: a create allocates, and so does the
+	// placement cache's first sight of a chunk.
+	keys := make([]string, 64+2*(runs+1))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("fg-%03d", i)
+		if err := s.CreateBlob(ctx, keys[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WriteBlob(ctx, keys[i], 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fg := func() {
+		s.WriteBlob(ctx, keys[0], 0, data)
+		s.TruncateBlob(ctx, keys[0], 16)
+		s.DeleteBlob(ctx, keys[0])
+		keys = keys[1:]
+	}
 	for i := 0; i < 64; i++ {
 		step() // warm the header pool, the stripe maps and the lane's slab
+		fg()
 	}
-	const runs = 100
 	seen := make([]Event, 0, 2*(runs+1))
+	ops := make([]Event, 0, 32*(runs+1))
 	for _, observer := range []func(Event){nil, func(ev Event) { seen = append(seen, ev) }} {
 		s.Observe(observer)
 		if a := testing.AllocsPerRun(runs, step); a != 0 {
 			t.Errorf("install, record debt, clear debt, drop (observer %v): %v allocs, want 0", observer != nil, a)
 		}
+		if observer != nil {
+			s.Observe(func(ev Event) { ops = append(ops, ev) })
+		}
+		if a := testing.AllocsPerRun(runs, fg); a != 0 {
+			t.Errorf("write, truncate, delete (observer %v): %v allocs, want 0", observer != nil, a)
+		}
 	}
 	if len(seen) != cap(seen) {
 		t.Fatalf("observer saw %d appends, want %d", len(seen), cap(seen))
+	}
+	if len(ops) == 0 {
+		t.Fatal("observer saw no foreground event")
 	}
 }
 
@@ -858,7 +878,11 @@ func TestTruncateNoopLeavesStateUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	clockBefore := ctx.Clock.Now()
-	s.Observe(func(ev Event) { t.Errorf("no-op truncate appended %+v", ev) })
+	s.Observe(func(ev Event) {
+		if ev.Kind == EventAppend {
+			t.Errorf("no-op truncate appended %+v", ev)
+		}
+	})
 	if err := s.TruncateBlob(ctx, "noop", 40); err != nil {
 		t.Fatal(err)
 	}
@@ -979,11 +1003,20 @@ func TestErrorPathsJoinFanAndCharge(t *testing.T) {
 	// the pools reusable, and change nothing: no log record anywhere, and
 	// the original bytes once the victim is back.
 	before = ctx.Clock.Now()
-	s.Observe(func(ev Event) { t.Errorf("refused write appended %+v", ev) })
+	var ends []Event
+	s.Observe(func(ev Event) {
+		if ev.Kind != EventOp {
+			t.Errorf("refused write reported %+v", ev)
+		}
+		ends = append(ends, ev)
+	})
 	if _, err := s.WriteBlob(ctx, "leak", 0, bytes.Repeat([]byte("X"), 24)); !errors.Is(err, storage.ErrUnavailable) {
 		t.Fatalf("write with chunk primary down: err = %v", err)
 	}
 	s.Observe(nil)
+	if len(ends) != 1 || !errors.Is(ends[0].Err, storage.ErrUnavailable) {
+		t.Errorf("refused write reported %+v, want one EventOp with its error and no stamp", ends)
+	}
 	if ctx.Clock.Now() <= before {
 		t.Fatal("failed write charged no virtual time")
 	}

@@ -313,7 +313,7 @@ func TestVersionsNeverGoBackwards(t *testing.T) {
 				for i, st := range r.script {
 					if i == r.victim {
 						s.Observe(func(ev Event) {
-							if !slices.ContainsFunc(tears, func(x tear) bool { return x.node == int(ev.Node) && x.lane == ev.Lane }) {
+							if ev.Kind == EventAppend && !slices.ContainsFunc(tears, func(x tear) bool { return x.node == int(ev.Node) && x.lane == ev.Lane }) {
 								tears = append(tears, tear{int(ev.Node), ev.Lane, s.servers[ev.Node].wal.LaneBuffer(ev.Lane).Len() - ev.Bytes})
 							}
 						})

@@ -96,9 +96,9 @@ func (s *Store) readReplica(cg *charge, sv *server, h uint64, id chunkID, within
 // multi-chunk write runs the Týr-style lightweight transaction: prepare on
 // every participant chunk, then commit — the paper's "blob manipulation"
 // primitive with built-in atomicity.
-func (s *Store) WriteBlob(ctx *storage.Context, key string, off int64, p []byte) (int, error) {
+func (s *Store) WriteBlob(ctx *storage.Context, key string, off int64, p []byte) (n int, err error) {
 	if off < 0 {
-		return 0, fmt.Errorf("write %q at %d: %w", key, off, storage.ErrInvalidArg)
+		return 0, s.opFailed(OpWrite, key, "", off, p, fmt.Errorf("write %q at %d: %w", key, off, storage.ErrInvalidArg))
 	}
 	s.member.RLock()
 	defer s.member.RUnlock()
@@ -109,9 +109,10 @@ func (s *Store) WriteBlob(ctx *storage.Context, key string, off int64, p []byte)
 	// future-work experiment measures.
 	primary, d, err := s.latchDesc(ctx, key, true, false)
 	if err != nil {
-		return 0, err
+		return 0, s.opFailed(OpWrite, key, "", off, p, err)
 	}
 	defer s.unlockKey(key, true)
+	defer s.opEnd(OpWrite, key, "", off, p, &err)
 	if len(p) == 0 {
 		return 0, nil
 	}
@@ -315,6 +316,9 @@ func (s *Store) writeLocked(ctx *storage.Context, key string, primary *server, s
 	var excl uint64
 	for i := range places {
 		excl |= places[i].excl
+		if s.observe != nil {
+			s.observe(Event{Kind: EventChunk, Type: wal.RecWrite, Blob: key, Off: places[i].id.idx, Ver: places[i].ver})
+		}
 	}
 	for node := 0; node < len(s.servers) && excl != 0; node++ {
 		if excl&(1<<uint(node)) != 0 && !s.servers[node].isDown() {
@@ -487,17 +491,18 @@ func applyChunk(sv *server, h uint64, id chunkID, within int64, p chunkBytes, ve
 // growing is sparse (reads return zeros). Truncating to the current size is
 // a pure metadata probe: after the lookup charge it changes nothing — no WAL
 // record, no descriptor replication.
-func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error {
+func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) (err error) {
 	if size < 0 {
-		return fmt.Errorf("truncate %q to %d: %w", key, size, storage.ErrInvalidArg)
+		return s.opFailed(OpTruncate, key, "", size, nil, fmt.Errorf("truncate %q to %d: %w", key, size, storage.ErrInvalidArg))
 	}
 	s.member.RLock()
 	defer s.member.RUnlock()
 	primary, d, err := s.latchDesc(ctx, key, true, true)
 	if err != nil {
-		return err
+		return s.opFailed(OpTruncate, key, "", size, nil, err)
 	}
 	defer s.unlockKey(key, true)
+	defer s.opEnd(OpTruncate, key, "", size, nil, &err)
 
 	if size == d.size {
 		return nil
@@ -524,6 +529,9 @@ func (s *Store) TruncateBlob(ctx *storage.Context, key string, size int64) error
 					r.sv.trimChunk(h, id, keep, sy.max+1)
 					batch.addChunk(r.sv, wal.RecChunkTruncate, h, id, keep, sy.max+1, nil)
 				}
+			}
+			if sy.max > 0 && s.observe != nil { // a copy was there to trim
+				s.observe(Event{Kind: EventChunk, Type: wal.RecChunkTruncate, Blob: key, Off: idx, Ver: sy.max + 1})
 			}
 		}
 		batch.flush(ctx)

@@ -86,11 +86,10 @@ func TestChunkBytesAreOwnLog(t *testing.T) {
 		t.Run(fmt.Sprintf("chunk%d", cs), func(t *testing.T) {
 			s := NewOnNodes(cluster.New(cluster.Config{Nodes: 6, Seed: 9}),
 				Config{ChunkSize: cs, Replication: 3, WALLanes: 4}, []cluster.NodeID{0, 1, 2, 3, 4})
-			ctx := storage.NewContext()
-			want := map[string][]byte{}
+			ctx, m := storage.NewContext(), newModel(s)
 			write := func(key string, data []byte) {
 				t.Helper()
-				if _, ok := want[key]; !ok {
+				if _, ok := m.data(key); !ok {
 					if err := s.CreateBlob(ctx, key); err != nil {
 						t.Fatal(err)
 					}
@@ -98,7 +97,6 @@ func TestChunkBytesAreOwnLog(t *testing.T) {
 				if _, err := s.WriteBlob(ctx, key, 0, data); err != nil {
 					t.Fatal(err)
 				}
-				want[key] = data
 			}
 			write("direct", pattern(1, cs))
 			write("tx", pattern(2, 3*cs))
@@ -120,7 +118,7 @@ func TestChunkBytesAreOwnLog(t *testing.T) {
 			}
 			s.SetDown(cluster.NodeID(down), false)
 			s.Repair(ctx)
-			if got, _, _ := s.servers[down].chunkData(id.ringHash(), id); !bytes.Equal(got, want["degraded"]) {
+			if got, _, _ := s.servers[down].chunkData(id.ringHash(), id); !bytes.Equal(got, pattern(4, cs)) {
 				t.Fatalf("repair did not bring node %d the degraded write", down)
 			}
 
@@ -165,10 +163,7 @@ func TestChunkBytesAreOwnLog(t *testing.T) {
 				t.Fatal("node 1 recovered no chunk")
 			}
 			checkpoint("after the CheckpointAll that follows Recover")
-			verifyAll(t, s, ctx, want)
-			if msg := s.CheckInvariants(); msg != "" {
-				t.Fatal(msg)
-			}
+			checkSound(t, s, m)
 		})
 	}
 }

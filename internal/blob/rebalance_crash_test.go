@@ -31,6 +31,7 @@ package blob
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -90,7 +91,7 @@ func tearMigrationTails(s *Store, base [][][]byte, witness int) {
 // crashRecoverAll crashes every node from the current media and recovers
 // them all; the last Recover triggers the migration roll-forward if an
 // intent replayed open.
-func crashRecoverAll(t *testing.T, s *Store, serial bool) {
+func crashRecoverAll(t testing.TB, s *Store, serial bool) {
 	t.Helper()
 	for si := range s.servers {
 		s.Crash(cluster.NodeID(si))
@@ -119,9 +120,10 @@ type crashImage struct {
 // event's node and lane, and at completion. The pre-intent state is NOT a
 // valid crash image: the ring is store-global (membership is assumed durable
 // out of band), so the earliest representable crash is "intent logged".
-func captureMigration(t testing.TB, s *Store, ctx *storage.Context, remove bool) []crashImage {
+func captureMigration(t testing.TB, s *Store, m *refModel, ctx *storage.Context, remove bool) []crashImage {
 	var images []crashImage
 	s.Observe(func(ev Event) {
+		m.observe(ev)
 		switch {
 		case ev.Kind == EventBatch:
 			images = append(images, crashImage{captureAllLanes(s), -1, 0})
@@ -129,7 +131,7 @@ func captureMigration(t testing.TB, s *Store, ctx *storage.Context, remove bool)
 			images = append(images, crashImage{captureAllLanes(s), int(ev.Node), ev.Lane})
 		}
 	})
-	defer s.Observe(nil)
+	defer s.Observe(m.observe)
 	var err error
 	if remove {
 		err = s.RemoveServer(ctx, 4)
@@ -173,10 +175,10 @@ func runMigrationCrashSweep(t *testing.T, replication int, remove bool) {
 	s := NewOnNodes(c, Config{ChunkSize: 64, Replication: replication, WALLanes: 4,
 		InlineFanout: true, MigrationBatchChunks: 4}, initial)
 	ctx := storage.NewContext()
-	expect := seedBlobs(t, s, ctx, 24)
+	m := seedBlobs(t, s, 24)
 
 	base := captureAllLanes(s)
-	images := captureMigration(t, s, ctx, remove)
+	images := captureMigration(t, s, m, ctx, remove)
 	boundaries := 0
 	for _, img := range images {
 		if img.node < 0 {
@@ -199,7 +201,7 @@ func runMigrationCrashSweep(t *testing.T, replication int, remove bool) {
 			if msg := s.CheckInvariants(); msg != "" {
 				t.Fatalf("image %d torn=%v: invariants: %s", si, torn, msg)
 			}
-			verifyBlobs(t, s, ctx, expect)
+			checkDurable(t, s, m)
 			if remove {
 				if s.DescriptorCount(4)+s.ChunkCount(4) != 0 {
 					t.Fatalf("image %d torn=%v: drained node holds data after roll-forward", si, torn)
@@ -246,10 +248,11 @@ func TestMigrationCheckpointCarriesIntent(t *testing.T) {
 	s := NewOnNodes(c, Config{ChunkSize: 64, Replication: 2, WALLanes: 4,
 		InlineFanout: true, MigrationBatchChunks: 4}, []cluster.NodeID{0, 1, 2, 3})
 	ctx := storage.NewContext()
-	expect := seedBlobs(t, s, ctx, 24)
+	m := seedBlobs(t, s, 24)
 
 	var snap [][][]byte
 	s.Observe(func(ev Event) {
+		m.observe(ev)
 		if ev.Kind == EventBatch && ev.Batch == 1 {
 			s.CheckpointAll()
 			snap = captureAllLanes(s)
@@ -258,7 +261,7 @@ func TestMigrationCheckpointCarriesIntent(t *testing.T) {
 	if err := s.AddServer(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
-	s.Observe(nil)
+	s.Observe(m.observe)
 	if snap == nil {
 		t.Fatal("migration finished before batch 1; workload too small")
 	}
@@ -268,10 +271,7 @@ func TestMigrationCheckpointCarriesIntent(t *testing.T) {
 	if s.migIntent.Load() != nil {
 		t.Fatal("intent not closed after post-checkpoint crash recovery")
 	}
-	if msg := s.CheckInvariants(); msg != "" {
-		t.Fatal(msg)
-	}
-	verifyBlobs(t, s, ctx, expect)
+	checkSound(t, s, m)
 	if s.DescriptorCount(4)+s.ChunkCount(4) == 0 {
 		t.Fatal("joined server received no data through the roll-forward")
 	}
@@ -294,20 +294,19 @@ func TestRemoveServerResetsWAL(t *testing.T) {
 		{"fault-free", func(t *testing.T) (*Store, cluster.NodeID, func()) {
 			c := cluster.New(cluster.Config{Nodes: 4, Seed: 6})
 			s := New(c, Config{ChunkSize: 64, Replication: 2, WALLanes: 4, InlineFanout: true})
-			ctx := storage.NewContext()
-			expect := seedBlobs(t, s, ctx, 20)
-			if err := s.RemoveServer(ctx, 1); err != nil {
+			m := seedBlobs(t, s, 20)
+			if err := s.RemoveServer(storage.NewContext(), 1); err != nil {
 				t.Fatal(err)
 			}
-			return s, 1, func() { verifyBlobs(t, s, ctx, expect) }
+			return s, 1, func() { checkSound(t, s, m) }
 		}, nil},
 		{"only-copy-blocked", func(t *testing.T) (*Store, cluster.NodeID, func()) {
-			s, data := onlyCopyOnNode4(t)
+			s, m := onlyCopyOnNode4(t)
 			faultK3Owners(s)
 			if err := s.RemoveServer(storage.NewContext(), 4); err != nil {
 				t.Fatal(err)
 			}
-			return s, 4, func() { readsK3(t, s, data) }
+			return s, 4, func() { checkSound(t, s, m) }
 		}, func(s *Store) {
 			s.cluster.SetFaultInjector(nil)
 			s.SetDown(1, false)
@@ -354,7 +353,7 @@ func TestMigrationThrottle(t *testing.T) {
 		s := NewOnNodes(c, Config{ChunkSize: 64, Replication: 2, WALLanes: 4,
 			InlineFanout: true, MigrationRateBytes: rate}, []cluster.NodeID{0, 1, 2, 3})
 		ctx := storage.NewContext()
-		seedBlobs(t, s, ctx, 30)
+		seedBlobs(t, s, 30)
 		start := ctx.Clock.Now()
 		if err := s.AddServer(ctx, 4); err != nil {
 			t.Fatal(err)
@@ -382,38 +381,39 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	c := cluster.New(cluster.Config{Nodes: 6, Seed: 17})
 	s := NewOnNodes(c, Config{ChunkSize: 32, Replication: 3, MigrationBatchChunks: 2},
 		[]cluster.NodeID{0, 1, 2, 3, 4})
+	m := newModel(s)
 	ctx := storage.NewContext()
 
 	const workers = 4
-	keys := make([]string, workers)
-	oracle := make([][]byte, workers)
-	for w := 0; w < workers; w++ {
-		keys[w] = fmt.Sprintf("live-%d", w)
-		if err := s.CreateBlob(ctx, keys[w]); err != nil {
+	keys := []string{"live-0", "live-1", "live-2", "live-3", "live-ro"}
+	for w, key := range keys {
+		if err := s.CreateBlob(ctx, key); err != nil {
 			t.Fatal(err)
 		}
-		oracle[w] = pattern(w, 200) // multi-chunk from the start
-		if _, err := s.WriteBlob(ctx, keys[w], 0, oracle[w]); err != nil {
-			t.Fatal(err)
+		if _, err := s.WriteBlob(ctx, key, 0, pattern(w, 200+100*(w/workers))); err != nil {
+			t.Fatal(err) // multi-chunk from the start
 		}
-	}
-	roData := pattern(99, 300)
-	if err := s.CreateBlob(ctx, "live-ro"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteBlob(ctx, "live-ro", 0, roData); err != nil {
-		t.Fatal(err)
 	}
 
 	// Stretch the sweep in real time so the workers genuinely interleave
-	// with every migration stage. This test asserts oracle equality, not
+	// with every migration stage. This test asserts model equality, not
 	// timing, so the real-time pacing cannot leak into any replayed log.
 	s.Observe(func(ev Event) {
+		m.observe(ev)
 		if ev.Kind == EventBatch {
-			//blobvet:allow virtualtime test-only real-time pacing to force goroutine interleaving; assertions are oracle-based, not timing-based
+			//blobvet:allow virtualtime test-only real-time pacing to force goroutine interleaving; assertions are model-based, not timing-based
 			time.Sleep(200 * time.Microsecond)
 		}
 	})
+	// read requires key to read back exactly as the model holds it.
+	read := func(wctx *storage.Context, key string) error {
+		want, _ := m.data(key)
+		got := make([]byte, len(want))
+		if _, err := s.ReadBlob(wctx, key, 0, got); err != nil || !bytes.Equal(got, want) {
+			return fmt.Errorf("read %q: %v, stale: %v", key, err, !bytes.Equal(got, want))
+		}
+		return nil
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -428,29 +428,12 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 					return
 				default:
 				}
-				data := pattern(w*31+i, 30+i%70)
-				off := int64((i * 17) % 180)
-				if _, err := s.WriteBlob(wctx, keys[w], off, data); err != nil {
+				if _, err := s.WriteBlob(wctx, keys[w], int64((i*17)%180), pattern(w*31+i, 30+i%70)); err != nil {
 					t.Errorf("worker %d write %d during migration: %v", w, i, err)
 					return
 				}
-				oracle[w] = applyOracle(oracle[w], off, data)
-				got := make([]byte, len(oracle[w]))
-				if _, err := s.ReadBlob(wctx, keys[w], 0, got); err != nil {
-					t.Errorf("worker %d read %d during migration: %v", w, i, err)
-					return
-				}
-				if !bytes.Equal(got, oracle[w]) {
-					t.Errorf("worker %d: stale read during migration at op %d", w, i)
-					return
-				}
-				ro := make([]byte, len(roData))
-				if _, err := s.ReadBlob(wctx, "live-ro", 0, ro); err != nil {
-					t.Errorf("worker %d: read-only blob unavailable during migration: %v", w, err)
-					return
-				}
-				if !bytes.Equal(ro, roData) {
-					t.Errorf("worker %d: read-only blob went stale during migration", w)
+				if err := errors.Join(read(wctx, keys[w]), read(wctx, "live-ro")); err != nil {
+					t.Errorf("worker %d op %d during migration: %v", w, i, err)
 					return
 				}
 			}
@@ -464,7 +447,7 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	s.Observe(nil)
+	s.Observe(m.observe)
 	if t.Failed() {
 		return
 	}
@@ -472,12 +455,7 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	if msg := s.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
-	for w := 0; w < workers; w++ {
-		got := make([]byte, len(oracle[w]))
-		if _, err := s.ReadBlob(ctx, keys[w], 0, got); err != nil || !bytes.Equal(got, oracle[w]) {
-			t.Fatalf("worker %d key diverged after churn: %v", w, err)
-		}
-	}
+	checkDurable(t, s, m)
 	if s.DescriptorCount(0)+s.ChunkCount(0) != 0 {
 		t.Fatal("drained node still holds data")
 	}
@@ -497,7 +475,6 @@ func FuzzRebalanceCrash(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 200, 0, 1, 0, 1, 1, 90, 3, 0, 50, 1, 2, 0, 1, 2, 60}, uint32(2), true, true, uint8(1))
 	f.Add([]byte{0, 0, 0, 1, 0, 90, 5, 0, 0, 1, 0, 80, 0, 1, 0, 1, 1, 100}, uint32(0), false, true, uint8(1))
 
-	keys := []string{"m0", "m1", "m2"}
 	f.Fuzz(func(t *testing.T, script []byte, crashAt uint32, torn, remove bool, replicas uint8) {
 		initial := []cluster.NodeID{0, 1, 2, 3}
 		if remove {
@@ -507,56 +484,10 @@ func FuzzRebalanceCrash(f *testing.F) {
 			Config{ChunkSize: 32, Replication: 1 + int(replicas)%3, WALLanes: 4,
 				InlineFanout: true, MigrationBatchChunks: 3}, initial)
 		ctx := storage.NewContext()
-		want := make(map[string][]byte)
-		live := make(map[string]bool)
-		for i := 0; i+3 <= len(script); i += 3 {
-			key := keys[int(script[i+1])%len(keys)]
-			arg := int(script[i+2])
-			switch script[i] % 6 {
-			case 0:
-				if !live[key] {
-					if err := s.CreateBlob(ctx, key); err != nil {
-						t.Fatal(err)
-					}
-					live[key] = true
-					want[key] = []byte{}
-				}
-			case 1, 2:
-				if live[key] {
-					data := pattern(i, arg+1)
-					off := int64(arg % 48)
-					if _, err := s.WriteBlob(ctx, key, off, data); err != nil {
-						t.Fatal(err)
-					}
-					want[key] = applyOracle(want[key], off, data)
-				}
-			case 3:
-				if live[key] {
-					if err := s.TruncateBlob(ctx, key, int64(arg)); err != nil {
-						t.Fatal(err)
-					}
-					cur := want[key]
-					if arg <= len(cur) {
-						want[key] = cur[:arg]
-					} else {
-						want[key] = append(cur, make([]byte, arg-len(cur))...)
-					}
-				}
-			case 4:
-				if live[key] {
-					if err := s.DeleteBlob(ctx, key); err != nil {
-						t.Fatal(err)
-					}
-					live[key] = false
-					delete(want, key)
-				}
-			case 5:
-				s.CheckpointAll()
-			}
-		}
+		m := runScript(t, s, []string{"m0", "m1", "m2"}, script)
 
 		base := captureAllLanes(s)
-		images := captureMigration(t, s, ctx, remove)
+		images := captureMigration(t, s, m, ctx, remove)
 		img := images[int(crashAt)%len(images)]
 
 		check := func(serial bool) []nodeState {
@@ -568,22 +499,7 @@ func FuzzRebalanceCrash(f *testing.F) {
 			if msg := s.CheckInvariants(); msg != "" {
 				t.Fatalf("serial=%v: invariants: %s", serial, msg)
 			}
-			for key, data := range want {
-				size, err := s.BlobSize(ctx, key)
-				if err != nil || size != int64(len(data)) {
-					t.Fatalf("serial=%v: blob %q size (%d, %v), want %d", serial, key, size, err, len(data))
-				}
-				if len(data) == 0 {
-					continue
-				}
-				got := make([]byte, len(data))
-				if _, err := s.ReadBlob(ctx, key, 0, got); err != nil {
-					t.Fatalf("serial=%v: read %q: %v", serial, key, err)
-				}
-				if !bytes.Equal(got, data) {
-					t.Fatalf("serial=%v: blob %q diverged from the oracle", serial, key)
-				}
-			}
+			checkDurable(t, s, m)
 			states := make([]nodeState, len(s.servers))
 			for ni, sv := range s.servers {
 				states[ni] = captureNode(sv)

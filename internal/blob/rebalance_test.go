@@ -15,11 +15,11 @@ import (
 	"repro/internal/wal"
 )
 
-// seedBlobs writes a spread of blobs and returns the expected contents.
-func seedBlobs(t *testing.T, s *Store, ctx *storage.Context, n int) map[string][]byte {
+// seedBlobs subscribes a model to s, writes a spread of blobs and returns
+// the model.
+func seedBlobs(t *testing.T, s *Store, n int) *refModel {
 	t.Helper()
-	rng := sim.NewRNG(77)
-	expect := make(map[string][]byte, n)
+	m, ctx, rng := newModel(s), storage.NewContext(), sim.NewRNG(77)
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("data/blob-%03d", i)
 		if err := s.CreateBlob(ctx, key); err != nil {
@@ -30,9 +30,8 @@ func seedBlobs(t *testing.T, s *Store, ctx *storage.Context, n int) map[string][
 		if _, err := s.WriteBlob(ctx, key, 0, data); err != nil {
 			t.Fatal(err)
 		}
-		expect[key] = data
 	}
-	return expect
+	return m
 }
 
 func verifyBlobs(t *testing.T, s *Store, ctx *storage.Context, expect map[string][]byte) {
@@ -60,7 +59,7 @@ func TestAddServerRebalances(t *testing.T) {
 	s := NewOnNodes(c, Config{ChunkSize: 64, Replication: 2},
 		[]cluster.NodeID{0, 1, 2, 3})
 	ctx := storage.NewContext()
-	expect := seedBlobs(t, s, ctx, 40)
+	m := seedBlobs(t, s, 40)
 
 	if got := len(s.ServingNodes()); got != 4 {
 		t.Fatalf("serving nodes = %d", got)
@@ -71,7 +70,7 @@ func TestAddServerRebalances(t *testing.T) {
 	if got := len(s.ServingNodes()); got != 5 {
 		t.Fatalf("serving nodes after join = %d", got)
 	}
-	verifyBlobs(t, s, ctx, expect)
+	checkSound(t, s, m)
 
 	// The new server must actually hold data (rebalancing happened).
 	if s.DescriptorCount(4)+s.ChunkCount(4) == 0 {
@@ -95,7 +94,7 @@ func TestRemoveServerDrains(t *testing.T) {
 	c := cluster.New(cluster.Config{Nodes: 5, Seed: 2})
 	s := New(c, Config{ChunkSize: 64, Replication: 2})
 	ctx := storage.NewContext()
-	expect := seedBlobs(t, s, ctx, 40)
+	m := seedBlobs(t, s, 40)
 
 	if err := s.RemoveServer(ctx, 2); err != nil {
 		t.Fatal(err)
@@ -106,14 +105,15 @@ func TestRemoveServerDrains(t *testing.T) {
 	if s.DescriptorCount(2)+s.ChunkCount(2) != 0 {
 		t.Fatal("drained server still holds data")
 	}
-	verifyBlobs(t, s, ctx, expect)
+	checkSound(t, s, m)
 }
 
 // onlyCopyOnNode4 builds the shape the drain regressions share: 5 nodes,
 // seed 1, ChunkSize 16, R 3, and blob k3, whose chunk 0 is owned by [1 0 4]
 // and by [1 0 3] once node 4 leaves. With nodes 1 and 0 down, its 16-byte
-// write lands on node 4 alone, which lists them as repair debt.
-func onlyCopyOnNode4(t *testing.T) (*Store, []byte) {
+// write lands on node 4 alone, which lists them as repair debt. The model
+// subscribed to the store comes back with it.
+func onlyCopyOnNode4(t *testing.T) (*Store, *refModel) {
 	t.Helper()
 	cfg := Config{ChunkSize: 16, Replication: 3}
 	s := New(cluster.New(cluster.Config{Nodes: 5, Seed: 1}), cfg)
@@ -122,17 +122,16 @@ func onlyCopyOnNode4(t *testing.T) (*Store, []byte) {
 	if got := fmt.Sprint(s.chunkOwners(id), after.chunkOwners(id)); got != "[1 0 4] [1 0 3]" {
 		t.Fatalf("chunk 0 of k3 owned by %s before and after the drain, want [1 0 4] [1 0 3]", got)
 	}
-	ctx := storage.NewContext()
+	m, ctx := newModel(s), storage.NewContext()
 	if err := s.CreateBlob(ctx, "k3"); err != nil {
 		t.Fatal(err)
 	}
 	s.SetDown(1, true)
 	s.SetDown(0, true)
-	data := pattern(3, 16)
-	if _, err := s.WriteBlob(ctx, "k3", 0, data); err != nil {
+	if _, err := s.WriteBlob(ctx, "k3", 0, pattern(3, 16)); err != nil {
 		t.Fatal(err)
 	}
-	return s, data
+	return s, m
 }
 
 // faultK3Owners fails every disk write on nodes 1, 0 and 3, the owners of
@@ -146,18 +145,6 @@ func faultK3Owners(s *Store) {
 	s.cluster.SetFaultInjector(cluster.NewFaultPlan(1, rules))
 }
 
-// readsK3 requires k3 to read back data and the store's invariants to hold.
-func readsK3(t *testing.T, s *Store, data []byte) {
-	t.Helper()
-	got := make([]byte, len(data))
-	if n, err := s.ReadBlob(storage.NewContext(), "k3", 0, got); err != nil || !bytes.Equal(got[:n], data) {
-		t.Fatalf("read k3 = (%x, %v), want the acknowledged %x", got[:n], err, data)
-	}
-	if msg := s.CheckInvariants(); msg != "" {
-		t.Fatal(msg)
-	}
-}
-
 // TestDrainKeepsOnlyCopy: a drain must not lose an acknowledged write whose
 // only copy sits on the drained node. In "faulted-owners" every owner refuses
 // the sweep's install until batch 0 has ended, so the copy and the debt that
@@ -169,11 +156,12 @@ func readsK3(t *testing.T, s *Store, data []byte) {
 func TestDrainKeepsOnlyCopy(t *testing.T) {
 	for _, arm := range []struct {
 		name  string
-		drain func(t *testing.T, s *Store)
+		drain func(t *testing.T, s *Store, m *refModel)
 	}{
-		{"faulted-owners", func(t *testing.T, s *Store) {
+		{"faulted-owners", func(t *testing.T, s *Store, m *refModel) {
 			faultK3Owners(s)
 			s.Observe(func(ev Event) {
+				m.observe(ev)
 				if ev.Kind == EventBatch && ev.Batch == 0 {
 					s.cluster.SetFaultInjector(nil)
 				}
@@ -181,11 +169,11 @@ func TestDrainKeepsOnlyCopy(t *testing.T) {
 			if err := s.RemoveServer(storage.NewContext(), 4); err != nil {
 				t.Fatal(err)
 			}
-			s.Observe(nil)
+			s.Observe(m.observe)
 			s.SetDown(1, false)
 			s.SetDown(0, false)
 		}},
-		{"wiped", func(t *testing.T, s *Store) {
+		{"wiped", func(t *testing.T, s *Store, _ *refModel) {
 			s.Crash(4)
 			if err := s.RemoveServer(storage.NewContext(), 4); err != nil {
 				t.Fatal(err)
@@ -198,9 +186,9 @@ func TestDrainKeepsOnlyCopy(t *testing.T) {
 		}},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			s, data := onlyCopyOnNode4(t)
-			arm.drain(t, s)
-			readsK3(t, s, data)
+			s, m := onlyCopyOnNode4(t)
+			arm.drain(t, s, m)
+			checkSound(t, s, m)
 			if s.migIntent.Load() != nil {
 				t.Fatal("the drain's intent is still open")
 			}
@@ -251,7 +239,7 @@ func TestJoinMovesMinority(t *testing.T) {
 	s := NewOnNodes(c, Config{ChunkSize: 1 << 20, Replication: 2},
 		[]cluster.NodeID{0, 1, 2, 3, 4, 5, 6, 7})
 	ctx := storage.NewContext()
-	seedBlobs(t, s, ctx, 120)
+	seedBlobs(t, s, 120)
 
 	before := make(map[string][]int)
 	for i := 0; i < 120; i++ {
@@ -303,18 +291,11 @@ func TestLeftoverStrayNeverOutranksRecreatedBlob(t *testing.T) {
 		removed = 2
 	}
 	id := chunkID{key, 0}
-	ctx := storage.NewContext()
+	ctx, m := storage.NewContext(), newModel(s)
 	write := func(data string) {
 		t.Helper()
 		if _, err := s.WriteBlob(ctx, key, 0, []byte(data)); err != nil {
 			t.Fatal(err)
-		}
-	}
-	read := func(when string) {
-		t.Helper()
-		got := make([]byte, 10)
-		if n, err := s.ReadBlob(storage.NewContext(), key, 0, got); err != nil || string(got[:n]) != "NEWNEWNEW!" {
-			t.Errorf("%s: read (%q, %v), want the acknowledged NEWNEWNEW!", when, got[:n], err)
 		}
 	}
 	if err := s.CreateBlob(ctx, key); err != nil {
@@ -358,18 +339,15 @@ func TestLeftoverStrayNeverOutranksRecreatedBlob(t *testing.T) {
 		t.Errorf("after the recreated blob's write: %s", msg)
 	}
 	s.Observe(func(ev Event) {
-		if ev.Kind == EventBatch {
-			read(fmt.Sprintf("RemoveServer(%d) at batch %d", removed, ev.Batch))
+		if m.observe(ev); ev.Kind == EventBatch {
+			checkDurable(t, s, m) // the acknowledged NEWNEWNEW! at every batch
 		}
 	})
 	if err := s.RemoveServer(ctx, cluster.NodeID(removed)); err != nil {
 		t.Fatal(err)
 	}
-	s.Observe(nil)
-	read(fmt.Sprintf("after RemoveServer(%d)", removed))
-	if msg := s.CheckInvariants(); msg != "" {
-		t.Errorf("after RemoveServer(%d): %s", removed, msg)
-	}
+	s.Observe(m.observe)
+	checkSound(t, s, m)
 }
 
 func TestJoinThenDrainRoundTrip(t *testing.T) {
@@ -377,31 +355,30 @@ func TestJoinThenDrainRoundTrip(t *testing.T) {
 	s := NewOnNodes(c, Config{ChunkSize: 64, Replication: 2},
 		[]cluster.NodeID{0, 1, 2})
 	ctx := storage.NewContext()
-	expect := seedBlobs(t, s, ctx, 30)
+	m := seedBlobs(t, s, 30)
 	if err := s.AddServer(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddServer(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
-	verifyBlobs(t, s, ctx, expect)
+	checkSound(t, s, m)
 	if err := s.RemoveServer(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	verifyBlobs(t, s, ctx, expect)
+	checkSound(t, s, m)
 	// Mutations still work after churn.
 	if _, err := s.WriteBlob(ctx, "data/blob-000", 0, []byte("post-churn")); err != nil {
 		t.Fatal(err)
 	}
-	expect["data/blob-000"] = append([]byte("post-churn"), expect["data/blob-000"][10:]...)
-	verifyBlobs(t, s, ctx, expect)
+	checkSound(t, s, m)
 }
 
 // joinStoreWithBlob returns a store serving nodes 0–2 of four, R 2, holding
 // one 10-byte blob whose descriptor primary becomes node 3 when it joins:
 // until the join's handover reaches the blob, ops find its descriptor only on
-// its old holders.
-func joinStoreWithBlob(t *testing.T) (*Store, string) {
+// its old holders. The model subscribed to the store comes back with it.
+func joinStoreWithBlob(t *testing.T) (*Store, string, *refModel) {
 	t.Helper()
 	build := func() *Store {
 		return NewOnNodes(cluster.New(cluster.Config{Nodes: 4, Seed: 1}), Config{ChunkSize: 64, Replication: 2}, []cluster.NodeID{0, 1, 2})
@@ -417,13 +394,14 @@ func joinStoreWithBlob(t *testing.T) (*Store, string) {
 		}
 	}
 	s, ctx := build(), storage.NewContext()
+	m := newModel(s)
 	if err := s.CreateBlob(ctx, key); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.WriteBlob(ctx, key, 0, pattern(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	return s, key
+	return s, key, m
 }
 
 // TestCreateAndDeleteBeforeHandover: during a join, before the handover
@@ -438,20 +416,17 @@ func TestCreateAndDeleteBeforeHandover(t *testing.T) {
 		name string
 		op   func(s *Store, ctx *storage.Context, key string) error
 		want error
-		left func(key string) map[string][]byte // the blobs the join leaves
 	}{
-		{"create", func(s *Store, ctx *storage.Context, key string) error { return s.CreateBlob(ctx, key) }, storage.ErrExists,
-			func(key string) map[string][]byte { return map[string][]byte{key: pattern(1, 10)} }},
-		{"delete", func(s *Store, ctx *storage.Context, key string) error { return s.DeleteBlob(ctx, key) }, nil,
-			func(string) map[string][]byte { return nil }},
-		{"rename", func(s *Store, ctx *storage.Context, key string) error { return s.RenameBlob(ctx, key, key+"-renamed") }, nil,
-			func(key string) map[string][]byte { return map[string][]byte{key + "-renamed": pattern(1, 10)} }},
+		{"create", func(s *Store, ctx *storage.Context, key string) error { return s.CreateBlob(ctx, key) }, storage.ErrExists},
+		{"delete", func(s *Store, ctx *storage.Context, key string) error { return s.DeleteBlob(ctx, key) }, nil},
+		{"rename", func(s *Store, ctx *storage.Context, key string) error { return s.RenameBlob(ctx, key, key+"-renamed") }, nil},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			s, key := joinStoreWithBlob(t)
+			s, key, m := joinStoreWithBlob(t)
 			ctx := storage.NewContext()
 			var err error
 			s.Observe(func(ev Event) {
+				m.observe(ev)
 				if ev.Kind == EventBatch && ev.Batch == -1 {
 					err = arm.op(s, storage.NewContext(), key)
 				}
@@ -459,26 +434,16 @@ func TestCreateAndDeleteBeforeHandover(t *testing.T) {
 			if err := s.AddServer(ctx, 3); err != nil {
 				t.Fatal(err)
 			}
-			s.Observe(nil)
+			s.Observe(m.observe)
 			if !errors.Is(err, arm.want) {
 				t.Fatalf("%s before the handover: %v, want %v", arm.name, err, arm.want)
 			}
-			left := arm.left(key)
-			check := func(when string) {
-				t.Helper()
-				if _, kept := left[key]; !kept {
-					if size, err := s.BlobSize(ctx, key); !errors.Is(err, storage.ErrNotFound) {
-						t.Errorf("%s: %s has size %d, %v; want ErrNotFound", when, key, size, err)
-					}
-				}
-				verifyBlobs(t, s, ctx, left)
-			}
-			check("after the join")
+			checkSound(t, s, m)
 			s.Crash(3)
 			if err := s.Recover(3); err != nil {
 				t.Fatal(err)
 			}
-			check("after node 3 recovered")
+			checkSound(t, s, m)
 		})
 	}
 }
@@ -491,7 +456,7 @@ func TestCreateAndDeleteBeforeHandover(t *testing.T) {
 // holds the latch while write B resolves and queues; the handover's read
 // latch is granted before B's.
 func TestWriteLatchedAcrossHandoverLogsOnNewPrimary(t *testing.T) {
-	s, key := joinStoreWithBlob(t)
+	s, key, _ := joinStoreWithBlob(t)
 	ctx := storage.NewContext()
 	write := func(off int64, done chan<- error) {
 		_, err := s.WriteBlob(storage.NewContext(), key, off, pattern(int(off), 10))
@@ -540,9 +505,9 @@ func TestWriteLatchedAcrossHandoverLogsOnNewPrimary(t *testing.T) {
 // nothing. Acting on a copy the delete had not dropped yet, the write would
 // leave a chunk behind the deleted blob.
 func TestWriteRacingDeleteAfterHandover(t *testing.T) {
-	s, key := joinStoreWithBlob(t)
+	s, key, _ := joinStoreWithBlob(t)
 	ctx := storage.NewContext()
-	seedBlobs(t, s, ctx, 20) // chunks for the join to move, so batch events fire
+	seedBlobs(t, s, 20) // chunks for the join to move, so batch events fire
 	var step atomic.Int32
 	var errDel error
 	done := make(chan error, 1)
@@ -559,12 +524,13 @@ func TestWriteRacingDeleteAfterHandover(t *testing.T) {
 	if err := s.AddServer(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
+	errWrite := <-done // the write reports its end to the observer too
 	s.Observe(nil)
 	if errDel != nil {
 		t.Fatal(errDel)
 	}
-	if err := <-done; !errors.Is(err, storage.ErrNotFound) {
-		t.Errorf("write racing the delete: %v, want ErrNotFound", err)
+	if !errors.Is(errWrite, storage.ErrNotFound) {
+		t.Errorf("write racing the delete: %v, want ErrNotFound", errWrite)
 	}
 	if msg := s.CheckInvariants(); msg != "" {
 		t.Errorf("invariants: %s", msg)

@@ -175,26 +175,20 @@ func compareRecoveryModes(t *testing.T, s *Store, last int) {
 
 // sweeper drives a deterministic workload (InlineFanout, full replication)
 // while recording, after every operation, the order-key boundary every
-// server reached and a deep copy of the expected logical blob contents —
-// the oracle the sweep checks recovered state against at op boundaries.
+// server reached and how many ops the model had acknowledged by then: a
+// crash on that boundary must recover the model's state after those ops.
 type sweeper struct {
-	t    *testing.T
-	s    *Store
-	ctx  *storage.Context
-	want map[string][]byte
+	t   *testing.T
+	s   *Store
+	m   *refModel
+	ctx *storage.Context
 	// boundaries maps an order key N (the same on every server, asserted)
-	// to the expected blob contents after the op that ended at N.
-	boundaries map[uint64]map[string][]byte
+	// to the number of ops acknowledged when the servers reached it.
+	boundaries map[uint64]int
 }
 
 func newSweeper(t *testing.T, s *Store) *sweeper {
-	return &sweeper{
-		t:          t,
-		s:          s,
-		ctx:        storage.NewContext(),
-		want:       make(map[string][]byte),
-		boundaries: make(map[uint64]map[string][]byte),
-	}
+	return &sweeper{t: t, s: s, m: newModel(s), ctx: storage.NewContext(), boundaries: make(map[uint64]int)}
 }
 
 // lastKey returns the highest order key assigned on a server, asserting
@@ -211,13 +205,13 @@ func (w *sweeper) lastKey() uint64 {
 	return k
 }
 
-func (w *sweeper) mark() {
+// done requires an op to have succeeded and marks the boundary it ended at.
+func (w *sweeper) done(err error) {
 	w.t.Helper()
-	snap := make(map[string][]byte, len(w.want))
-	for k, v := range w.want {
-		snap[k] = append([]byte(nil), v...)
+	if err != nil {
+		w.t.Fatal(err)
 	}
-	w.boundaries[w.lastKey()] = snap
+	w.boundaries[w.lastKey()] = w.m.len()
 }
 
 // pattern returns deterministic bytes distinguishable per (tag, length).
@@ -229,65 +223,25 @@ func pattern(tag, n int) []byte {
 	return p
 }
 
-func (w *sweeper) create(key string) {
-	w.t.Helper()
-	if err := w.s.CreateBlob(w.ctx, key); err != nil {
-		w.t.Fatal(err)
-	}
-	w.want[key] = []byte{}
-	w.mark()
+func (w *sweeper) create(key string) { w.done(w.s.CreateBlob(w.ctx, key)) }
+func (w *sweeper) delete(key string) { w.done(w.s.DeleteBlob(w.ctx, key)) }
+
+func (w *sweeper) truncate(key string, size int) {
+	w.done(w.s.TruncateBlob(w.ctx, key, int64(size)))
 }
 
 func (w *sweeper) write(key string, off, n, tag int) {
-	w.t.Helper()
-	data := pattern(tag, n)
-	if _, err := w.s.WriteBlob(w.ctx, key, int64(off), data); err != nil {
-		w.t.Fatal(err)
-	}
-	cur := w.want[key]
-	if need := off + n; len(cur) < need {
-		grown := make([]byte, need)
-		copy(grown, cur)
-		cur = grown
-	}
-	copy(cur[off:], data)
-	w.want[key] = cur
-	w.mark()
+	_, err := w.s.WriteBlob(w.ctx, key, int64(off), pattern(tag, n))
+	w.done(err)
 }
 
-func (w *sweeper) truncate(key string, size int) {
-	w.t.Helper()
-	if err := w.s.TruncateBlob(w.ctx, key, int64(size)); err != nil {
-		w.t.Fatal(err)
-	}
-	cur := w.want[key]
-	if size <= len(cur) {
-		w.want[key] = cur[:size]
-	} else {
-		grown := make([]byte, size)
-		copy(grown, cur)
-		w.want[key] = grown
-	}
-	w.mark()
-}
-
-func (w *sweeper) delete(key string) {
-	w.t.Helper()
-	if err := w.s.DeleteBlob(w.ctx, key); err != nil {
-		w.t.Fatal(err)
-	}
-	delete(w.want, key)
-	w.mark()
-}
-
-// checkpoint compacts every log and restarts the sweep oracle: order keys
+// checkpoint compacts every log and restarts the boundaries: order keys
 // restart at 1, so boundaries recorded before the checkpoint no longer
 // name positions in the new logs.
 func (w *sweeper) checkpoint() {
-	w.t.Helper()
 	w.s.CheckpointAll()
-	w.boundaries = make(map[uint64]map[string][]byte)
-	w.mark()
+	w.boundaries = make(map[uint64]int)
+	w.done(nil)
 }
 
 // laneIndex maps one lane's records to their order keys and cumulative
@@ -344,9 +298,10 @@ func applyCut(sv *server, idx []laneIndex, n uint64, torn bool) {
 // in [base, lastKey] — and at the torn-mid-record variant of each — then
 // recovers every replica with the parallel pipeline, re-runs the identical
 // crash with the serial oracle, and requires byte-identical outcomes. At
-// op boundaries the recovered blobs are checked against the sweeper's
-// recorded expected contents and the cross-replica invariants. The store
-// is left fully recovered (all media restored) when the sweep returns.
+// op boundaries the recovered store, and a cold restart from its logs
+// alone (coldCopy), must pass the invariants and the ledger against the
+// model as of that op. The store is left fully recovered (all media
+// restored) when the sweep returns.
 //
 // Sweeping key boundaries is exactly "a medium that crashes at every Nth
 // write boundary": the workload runs inline (serial), so the medium state
@@ -355,7 +310,7 @@ func applyCut(sv *server, idx []laneIndex, n uint64, torn bool) {
 // variant is the crash landing inside write N+1 itself. AppendNV
 // batches are covered too: a cut between two records of one vectored
 // batch append is the torn tail of that single medium write.
-func runCrashPointSweep(t *testing.T, w *sweeper, base uint64, allKeys []string) {
+func runCrashPointSweep(t *testing.T, w *sweeper, base uint64) {
 	t.Helper()
 	s := w.s
 	last := w.lastKey()
@@ -417,38 +372,13 @@ func runCrashPointSweep(t *testing.T, w *sweeper, base uint64, allKeys []string)
 				}
 			}
 
-			// At op boundaries the recovered cluster must expose exactly the
-			// recorded logical state, with cross-replica invariants intact.
-			if want, ok := w.boundaries[n]; ok {
-				if msg := s.CheckInvariants(); msg != "" {
-					t.Fatalf("crash point %d torn=%v: invariants: %s", n, torn, msg)
-				}
-				for _, key := range allKeys {
-					data, live := want[key]
-					size, err := s.BlobSize(w.ctx, key)
-					if !live {
-						if err == nil {
-							t.Fatalf("crash point %d: deleted/uncreated blob %q resurrected with size %d", n, key, size)
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("crash point %d: blob %q lost: %v", n, key, err)
-					}
-					if size != int64(len(data)) {
-						t.Fatalf("crash point %d: blob %q size %d, want %d", n, key, size, len(data))
-					}
-					if len(data) == 0 {
-						continue
-					}
-					got := make([]byte, len(data))
-					if _, err := s.ReadBlob(w.ctx, key, 0, got); err != nil {
-						t.Fatalf("crash point %d: read %q: %v", n, key, err)
-					}
-					if !bytes.Equal(got, data) {
-						t.Fatalf("crash point %d: blob %q content diverges from the op-boundary oracle", n, key)
-					}
-				}
+			// At op boundaries the recovered cluster, and its cold restart,
+			// must expose exactly the model's state as of that op.
+			if ops, ok := w.boundaries[n]; ok {
+				t.Logf("crash point %d torn=%v: after op %d", n, torn, ops)
+				want := w.m.at(ops)
+				checkSound(t, s, want)
+				checkSound(t, coldCopy(t, s), want)
 			}
 		}
 	}
@@ -474,7 +404,6 @@ func TestCrashPointSweep(t *testing.T) {
 	s := New(cluster.New(cluster.Config{Nodes: 3, Seed: 71}),
 		Config{ChunkSize: 64, Replication: 3, WALLanes: 4, InlineFanout: true})
 	w := newSweeper(t, s)
-	allKeys := []string{"b0", "b1", "b2", "b3", "b4"}
 
 	// Phase A: mixed history, no checkpoint — every boundary from the
 	// empty log up.
@@ -490,7 +419,7 @@ func TestCrashPointSweep(t *testing.T) {
 	w.write("b3", 0, 100, 5)
 	w.delete("b3")
 	w.write("b1", 40, 90, 6) // extends across chunks 0-2
-	runCrashPointSweep(t, w, 0, allKeys)
+	runCrashPointSweep(t, w, 0)
 
 	// Phase B: checkpoint, then more history — boundaries sweep the
 	// compacted log from the snapshot edge onward (a crash before the
@@ -504,7 +433,7 @@ func TestCrashPointSweep(t *testing.T) {
 	w.create("b4")
 	w.write("b4", 0, 70, 9)
 	w.delete("b1")
-	runCrashPointSweep(t, w, base, allKeys)
+	runCrashPointSweep(t, w, base)
 }
 
 // TestFailedWriteCrashSweep: a 3-chunk overwrite dies in its data phase on a
@@ -598,13 +527,7 @@ func TestFailedWriteCrashSweep(t *testing.T) {
 						t.Fatalf("cuts %v torn=%v: node %d did not recover to its pre-write state", cuts, torn, si)
 					}
 				}
-				if msg := s.CheckInvariants(); msg != "" {
-					t.Fatalf("cuts %v torn=%v: invariants: %s", cuts, torn, msg)
-				}
-				got := make([]byte, len(w.want[key]))
-				if _, err := s.ReadBlob(w.ctx, key, 0, got); err != nil || !bytes.Equal(got, w.want[key]) {
-					t.Fatalf("cuts %v torn=%v: blob does not read back as its pre-write bytes (err %v)", cuts, torn, err)
-				}
+				checkSound(t, s, w.m) // the failed write acknowledged nothing
 			}
 		}
 	}

@@ -11,10 +11,11 @@ import (
 	"repro/internal/storage"
 )
 
-// populate drives a varied mutation history across several blobs.
-func populate(t *testing.T, s *Store, ctx *storage.Context, rng *sim.RNG) map[string][]byte {
+// populate subscribes a model to s, drives a varied mutation history across
+// several blobs and returns the model.
+func populate(t *testing.T, s *Store, ctx *storage.Context, rng *sim.RNG) *refModel {
 	t.Helper()
-	expect := make(map[string][]byte)
+	m := newModel(s)
 	for i := 0; i < 6; i++ {
 		key := fmt.Sprintf("obj-%d", i)
 		if err := s.CreateBlob(ctx, key); err != nil {
@@ -25,50 +26,24 @@ func populate(t *testing.T, s *Store, ctx *storage.Context, rng *sim.RNG) map[st
 		if _, err := s.WriteBlob(ctx, key, 0, data); err != nil {
 			t.Fatal(err)
 		}
-		expect[key] = data
 	}
 	// Overwrite part of one, truncate another, delete a third.
-	patch := []byte("patched-region")
-	if _, err := s.WriteBlob(ctx, "obj-1", 50, patch); err != nil {
+	if _, err := s.WriteBlob(ctx, "obj-1", 50, []byte("patched-region")); err != nil {
 		t.Fatal(err)
 	}
-	copy(expect["obj-1"][50:], patch)
 	if err := s.TruncateBlob(ctx, "obj-2", 100); err != nil {
 		t.Fatal(err)
 	}
-	expect["obj-2"] = expect["obj-2"][:100]
 	if err := s.DeleteBlob(ctx, "obj-3"); err != nil {
 		t.Fatal(err)
 	}
-	delete(expect, "obj-3")
-	return expect
-}
-
-func verifyAll(t *testing.T, s *Store, ctx *storage.Context, expect map[string][]byte) {
-	t.Helper()
-	for key, want := range expect {
-		size, err := s.BlobSize(ctx, key)
-		if err != nil {
-			t.Fatalf("%s: size: %v", key, err)
-		}
-		if size != int64(len(want)) {
-			t.Fatalf("%s: size = %d, want %d", key, size, len(want))
-		}
-		got := make([]byte, len(want))
-		n, err := s.ReadBlob(ctx, key, 0, got)
-		if err != nil || n != len(want) || !bytes.Equal(got, want) {
-			t.Fatalf("%s: read = (%d, %v), content match=%v", key, n, err, bytes.Equal(got, want))
-		}
-	}
-	if msg := s.CheckInvariants(); msg != "" {
-		t.Fatalf("invariants: %s", msg)
-	}
+	return m
 }
 
 func TestCrashRecoverySingleNode(t *testing.T) {
 	s := New(cluster.New(cluster.Config{Nodes: 5, Seed: 1}), Config{ChunkSize: 64, Replication: 2})
 	ctx := storage.NewContext()
-	expect := populate(t, s, ctx, sim.NewRNG(11))
+	m := populate(t, s, ctx, sim.NewRNG(11))
 
 	// Crash and recover every node in turn; data must survive bit-for-bit.
 	for node := 0; node < 5; node++ {
@@ -76,14 +51,14 @@ func TestCrashRecoverySingleNode(t *testing.T) {
 		if err := s.Recover(cluster.NodeID(node)); err != nil {
 			t.Fatalf("recover node %d: %v", node, err)
 		}
-		verifyAll(t, s, ctx, expect)
+		checkSound(t, s, m)
 	}
 }
 
 func TestCrashRecoveryAllNodes(t *testing.T) {
 	s := New(cluster.New(cluster.Config{Nodes: 4, Seed: 2}), Config{ChunkSize: 32, Replication: 2})
 	ctx := storage.NewContext()
-	expect := populate(t, s, ctx, sim.NewRNG(12))
+	m := populate(t, s, ctx, sim.NewRNG(12))
 
 	// Power loss: every server loses volatile state at once.
 	for node := 0; node < 4; node++ {
@@ -98,7 +73,7 @@ func TestCrashRecoveryAllNodes(t *testing.T) {
 			t.Fatalf("recover node %d: %v", node, err)
 		}
 	}
-	verifyAll(t, s, ctx, expect)
+	checkSound(t, s, m)
 }
 
 func TestRecoveredStateIdenticalToLive(t *testing.T) {
@@ -152,7 +127,7 @@ func TestRecoveredStateIdenticalToLive(t *testing.T) {
 func TestCheckpointPreservesRecovery(t *testing.T) {
 	s := New(cluster.New(cluster.Config{Nodes: 5, Seed: 9}), Config{ChunkSize: 64, Replication: 2})
 	ctx := storage.NewContext()
-	expect := populate(t, s, ctx, sim.NewRNG(31))
+	m := populate(t, s, ctx, sim.NewRNG(31))
 
 	// Grow the logs with overwrites, then checkpoint everywhere.
 	for i := 0; i < 20; i++ {
@@ -160,7 +135,6 @@ func TestCheckpointPreservesRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	copy(expect["obj-0"], "overwrite-cycle")
 	grown := s.servers[0].wal.Size()
 	s.CheckpointAll()
 	if after := s.servers[0].wal.Size(); after >= grown {
@@ -174,21 +148,20 @@ func TestCheckpointPreservesRecovery(t *testing.T) {
 			t.Fatalf("recover node %d after checkpoint: %v", node, err)
 		}
 	}
-	verifyAll(t, s, ctx, expect)
+	checkSound(t, s, m)
 
 	// Post-checkpoint mutations append to the compacted log and survive
 	// another crash cycle.
 	if _, err := s.WriteBlob(ctx, "obj-0", 4, []byte("post-ckpt")); err != nil {
 		t.Fatal(err)
 	}
-	copy(expect["obj-0"][4:], "post-ckpt")
 	for node := 0; node < 5; node++ {
 		s.Crash(cluster.NodeID(node))
 		if err := s.Recover(cluster.NodeID(node)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	verifyAll(t, s, ctx, expect)
+	checkSound(t, s, m)
 }
 
 // TestCheckpointSkipsDownServer: a crashed server's WAL is its only
@@ -196,14 +169,14 @@ func TestCheckpointPreservesRecovery(t *testing.T) {
 func TestCheckpointSkipsDownServer(t *testing.T) {
 	s := New(cluster.New(cluster.Config{Nodes: 4, Seed: 10}), Config{ChunkSize: 64, Replication: 2})
 	ctx := storage.NewContext()
-	expect := populate(t, s, ctx, sim.NewRNG(41))
+	m := populate(t, s, ctx, sim.NewRNG(41))
 
 	s.Crash(2)
 	s.CheckpointAll() // must leave node 2's WAL intact
 	if err := s.Recover(2); err != nil {
 		t.Fatal(err)
 	}
-	verifyAll(t, s, ctx, expect)
+	checkSound(t, s, m)
 	if n := s.DescriptorCount(2) + s.ChunkCount(2); n == 0 {
 		t.Fatal("node 2 recovered empty: checkpoint wiped a down server's WAL")
 	}
@@ -485,7 +458,7 @@ func TestRecoverTwoLaneCrashConverges(t *testing.T) {
 func TestRecoverySingleLaneConfig(t *testing.T) {
 	s := New(cluster.New(cluster.Config{Nodes: 5, Seed: 7}), Config{ChunkSize: 64, Replication: 2, WALLanes: 1})
 	ctx := storage.NewContext()
-	expect := populate(t, s, ctx, sim.NewRNG(55))
+	m := populate(t, s, ctx, sim.NewRNG(55))
 	if got := s.servers[0].wal.Lanes(); got != 1 {
 		t.Fatalf("WALLanes=1 built %d lanes", got)
 	}
@@ -495,7 +468,7 @@ func TestRecoverySingleLaneConfig(t *testing.T) {
 			t.Fatalf("recover node %d: %v", node, err)
 		}
 	}
-	verifyAll(t, s, ctx, expect)
+	checkSound(t, s, m)
 }
 
 func TestWritesFailWhileCrashed(t *testing.T) {
@@ -577,7 +550,7 @@ func TestRecoverTornLaneThenResync(t *testing.T) {
 	s := newStore(t, 3, Config{ChunkSize: 4 << 10, Replication: 2})
 	ctx := storage.NewContext()
 	data := make([]byte, 64<<10)
-	want := make(map[string][]byte)
+	m := newModel(s)
 	for i := range 64 {
 		key := fmt.Sprintf("b%02d", i)
 		if err := s.CreateBlob(ctx, key); err != nil {
@@ -591,14 +564,13 @@ func TestRecoverTornLaneThenResync(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want[key] = append([]byte(nil), data...)
 	}
 	s.servers[0].wal.LaneBuffer(0).Truncate(300)
 	s.Crash(0)
 	if err := s.Recover(0); err != nil {
 		t.Fatal(err)
 	}
-	verifyAll(t, s, ctx, want)
+	checkSound(t, s, m)
 }
 
 // TestRecoverAllocatesAboutItsLog pins recovery's copies: the lanes are read

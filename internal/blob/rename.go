@@ -21,9 +21,9 @@ import (
 // duration, taken in latch-index order (once when the keys share one), so the
 // rename is atomic against concurrent writers, a reverse rename cannot
 // deadlock against it, and a reader never observes a half-copied target.
-func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
+func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) (err error) {
 	if newKey == "" || strings.ContainsRune(newKey, '\x00') {
-		return fmt.Errorf("blob key %q: %w", newKey, storage.ErrInvalidArg)
+		return s.opFailed(OpRename, oldKey, newKey, 0, nil, fmt.Errorf("blob key %q: %w", newKey, storage.ErrInvalidArg))
 	}
 	s.member.RLock()
 	defer s.member.RUnlock()
@@ -37,6 +37,7 @@ func (s *Store) RenameBlob(ctx *storage.Context, oldKey, newKey string) error {
 		s.lockKey(second, true)
 		defer s.unlockKey(second, true)
 	}
+	defer s.opEnd(OpRename, oldKey, newKey, 0, nil, &err)
 	oldPrimary, oldD, err := s.primaryDesc(oldKey)
 	if err != nil || oldKey == newKey {
 		return err

@@ -48,6 +48,7 @@ type chunkSurvey struct {
 	reps  []replica // the owners in ring order, then the non-owner holders in node order
 	max   uint64    // highest version on any non-wiped replica
 	blind bool      // a probed server was crash-wiped: max may be below the true one
+	recs  uint64    // the debt table's record count before the probes
 }
 
 // clean reports the healthy steady state: no repair debt anywhere, no
@@ -67,7 +68,7 @@ func (s *Store) clean() bool {
 // reps.
 func (s *Store) surveyChunk(h uint64, id chunkID, buf []replica) chunkSurvey {
 	owners := s.ownersForHash(h)
-	sy := chunkSurvey{reps: buf[:0]}
+	sy := chunkSurvey{reps: buf[:0], recs: s.debt.recs.Load()}
 	for range owners {
 		sy.reps = append(sy.reps, replica{}) // the owners' slots, filled last
 	}

@@ -93,11 +93,14 @@ go test -race -timeout 60m -count=20 -cpu 1,2,4 -run 'TestChaosBattery|TestSetDo
 # A decoder reading a Buffer yields each vectored record's payload as the view its append stored.
 go test -race -count=20 -cpu 1,2,4 -run 'TestMultiLog|TestBufferRelinksRetiredPayload|TestDecoderYieldsStoredViews' ./internal/wal
 # The one migration test whose outcome depends on interleaving, and the observer it drives from live appends.
+# The op events the tests' reference model is built from: each op ends with one EventOp after its appends, its chunk
+# stamps are what the chunks hold, and a refused write reports its error and no stamp. A cold restart from the lanes alone,
+# with no debt table, must find the replica a degraded write left behind.
 # A drained node is reset only once it holds nothing: the drain tests keep its only copy and its open intent until then,
 # and its retired log backing is recycled for the next join to reuse.
 # The reconcile plan folds each chunk stripe on its own pool job: after every op of a seeded history (strays, faulted
 # appends, down, crashed and removed nodes) it must list exactly the moves the sort-then-probe formulation lists.
-go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend|TestDrainKeepsOnlyCopy|TestRemoveServerResetsWAL|TestDrainRecyclesItsLog|TestChunkPlanMatchesReference' ./internal/blob
+go test -race -count=10 -cpu 1,2,4 -run 'TestMigrationUnderLiveTraffic|TestObserveSeesEveryAppend|TestErrorPathsJoinFanAndCharge|TestColdRestartRederivesDebt|TestDrainKeepsOnlyCopy|TestRemoveServerResetsWAL|TestDrainRecyclesItsLog|TestChunkPlanMatchesReference' ./internal/blob
 go test -run '^$' -bench BenchmarkMigrationPlan -benchtime 1x ./internal/blob
 # Descriptor races. An op latches its key, then looks the descriptor up, so it acts only on what is there while it holds
 # the latch: ops racing a delete, a create or a handover, and a Scan racing creates and deletes. A descriptor's highest
