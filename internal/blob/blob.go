@@ -161,12 +161,13 @@
 // run rewrites every log without the older incarnations a tombstone exists
 // to outrank, so it forgets them.
 //
-// Fault injection enters at two layers: wal.FaultMedium injects clean
-// errors, torn writes, and slow writes under the log (WAL-layer tests),
-// and the cluster layer injects seeded transient per-op faults that the
-// data plane absorbs with bounded retry and virtual-clock backoff
-// (fault.go); crashes are simulated by dropping volatile state and
-// replaying the (possibly torn) log.
+// Fault injection enters at two layers. Media damage is a lane's
+// wal.Buffer torn (Truncate) or flipped (Corrupt) before a Recover, which
+// replays the damaged log; a log append itself cannot fail. Transient
+// faults enter at the cluster layer: seeded per-op faults that the data
+// plane absorbs with bounded retry and virtual-clock backoff (fault.go).
+// Crashes are simulated by dropping volatile state and replaying the
+// (possibly torn) log.
 //
 // # Membership and elasticity semantics
 //
@@ -202,7 +203,7 @@
 // crash after any record therefore leaves every chunk on some server, and
 // the roll-forward sweep redoes what is missing. A batch (Config.MigrationBatchChunks, at most 1 MiB
 // of payload) is the dispatch and throttle quantum: a token bucket
-// (Config.MigrationRateBytes per virtual-time tick) debits each batch's bytes
+// (migrationRateBytes per virtual-time tick) debits each batch's bytes
 // before dispatch, charging deficits to the migration caller's clock, and at
 // most one batch is in flight on the pool.
 //
@@ -269,27 +270,12 @@ type Config struct {
 	// bits as its lock stripe. With 1 lane the on-medium layout is
 	// byte-identical to the single-log implementation.
 	WALLanes int
-	// SerialRecovery makes Store.Recover decode the WAL lanes with the
-	// single-threaded merge instead of the parallel lane-decode pipeline
-	// (recoverfeed.go). Recovered state is identical by construction — the
-	// merge engine is shared and only the decode staging differs — which
-	// the equivalence property tests pin byte-for-byte; the knob exists as
-	// that oracle and for debugging.
-	SerialRecovery bool
 	// MigrationBatchChunks caps how many chunks one rebalance batch moves:
 	// each AddServer/RemoveServer sweep is cut into batches of at most this
 	// many chunks (and migrationBatchBytes of payload). A batch is the
 	// dispatch and throttle quantum only — crash safety is per record.
 	// Defaults to 16.
 	MigrationBatchChunks int
-	// MigrationRateBytes throttles the rebalance sweep against foreground
-	// traffic: a token bucket holding one migrationTick's worth of budget
-	// refills MigrationRateBytes per virtual-time tick, and a batch's bytes
-	// are debited before it dispatches — deficits charge idle ticks to the
-	// migration caller's virtual clock, never to foreground ops. Defaults
-	// to 8 MiB per tick. Set to a huge value to effectively disable
-	// throttling (tests do).
-	MigrationRateBytes int
 }
 
 func (c Config) withDefaults() Config {
@@ -304,9 +290,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MigrationBatchChunks <= 0 {
 		c.MigrationBatchChunks = 16
-	}
-	if c.MigrationRateBytes <= 0 {
-		c.MigrationRateBytes = 8 << 20
 	}
 	return c
 }
@@ -459,6 +442,11 @@ type Store struct {
 	plan chunkPlanner
 	// observe is the one event subscriber (Observe), nil by default.
 	observe func(Event)
+	// serialRecovery makes Recover decode with the single-threaded merge,
+	// the oracle of the equivalence tests (recoverfeed.go); migrationRate is
+	// the throttle's refill per tick. Only in-package tests change either.
+	serialRecovery bool
+	migrationRate  int
 	// latch is the key latch table (lockKey): an op holds its key's latch,
 	// exclusively to mutate the blob, for as long as it uses the descriptor.
 	latch [keyLatches]sync.RWMutex
@@ -825,7 +813,7 @@ func NewOnNodes(c *cluster.Cluster, cfg Config, serving []cluster.NodeID) *Store
 		}
 	}
 	s := &Store{cfg: cfg, cluster: c, ring: chash.New(vnodes), metrics: metrics.NewRegistry(),
-		helpers: runtime.GOMAXPROCS(0)}
+		helpers: runtime.GOMAXPROCS(0), migrationRate: migrationRateBytes}
 	s.fanOffered, s.fanHelped = s.metrics.Counter("blob.fan.offered"), s.metrics.Counter("blob.fan.helped")
 	for _, n := range c.Nodes() {
 		sv := &server{
@@ -931,18 +919,27 @@ func (s *Store) chunkOwners(id chunkID) []int {
 // instead of failing, so foreground ops keep succeeding throughout a live
 // join/leave.
 func (s *Store) primaryDesc(key string) (*server, descriptor, error) {
-	sv := s.servers[s.descOwners(key)[0]]
-	d, ok := sv.descCopy(key)
-	if !ok && sv.isWiped() {
+	sv, d, ok, wiped := s.lookupDesc(key)
+	if wiped {
 		return nil, descriptor{}, fmt.Errorf("blob %q: primary crashed: %w", key, storage.ErrUnavailable)
+	}
+	if !ok {
+		return nil, descriptor{}, fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
+	}
+	return sv, d, nil
+}
+
+// lookupDesc is primaryDesc's lookup without the error it formats: ok
+// reports a live descriptor, and on a miss wiped a crash-wiped primary.
+func (s *Store) lookupDesc(key string) (sv *server, d descriptor, ok, wiped bool) {
+	sv = s.servers[s.descOwners(key)[0]]
+	if d, ok = sv.descCopy(key); !ok && sv.isWiped() {
+		return sv, d, false, true
 	}
 	if !ok && s.migIntent.Load() != nil {
 		d, ok = s.freshestDesc(key)
 	}
-	if !ok || d.dead {
-		return nil, descriptor{}, fmt.Errorf("blob %q: %w", key, storage.ErrNotFound)
-	}
-	return sv, d, nil
+	return sv, d, ok && !d.dead, false
 }
 
 // latchDesc is how an op reaches a blob: it takes key's latch, exclusively
@@ -1074,11 +1071,7 @@ func (s *Store) opFailed(op OpKind, key, to string, off int64, data []byte, err 
 // persistence on sv's disk through cg (directly on the caller's clock, or
 // into a fan task's ledger). It returns data as the lane stored it.
 func (s *Store) walAppendLane(cg *charge, sv *server, lane int, t wal.RecordType, header, data []byte, sum uint32) []byte {
-	key, n, stored, err := sv.wal.AppendVSum(lane, t, header, data, sum)
-	if err != nil {
-		// The in-memory buffer cannot fail; a failure here is a bug.
-		panic(fmt.Sprintf("blob: wal append: %v", err))
-	}
+	key, n, stored := sv.wal.AppendVSum(lane, t, header, data, sum)
 	cg.diskAppend(sv.node, n)
 	if s.observe != nil {
 		s.observe(Event{Kind: EventAppend, Node: sv.node, Lane: lane, Type: t, Key: key, Records: 1, Bytes: n})
@@ -1147,7 +1140,7 @@ func (s *Store) createLocked(ctx *storage.Context, key string) (*server, uint64,
 	s.cluster.MetaOp(ctx.Clock, primary.node, 1)
 	// A lookup, because mid-migration the key may still live only on its old
 	// holders.
-	if _, _, err := s.primaryDesc(key); err == nil {
+	if _, _, ok, _ := s.lookupDesc(key); ok {
 		return nil, 0, fmt.Errorf("blob %q: %w", key, storage.ErrExists)
 	}
 	return primary, s.setSize(ctx, key, primary, 0), nil
@@ -1427,10 +1420,7 @@ func (b *walBatch) resolve() {
 // (ledger charging), so the append invariant and the cost shape cannot
 // diverge between the two.
 func (s *Store) walAppendBatch(cg *charge, sv *server, lane int, specs []wal.AppendVSpec) {
-	key, n, err := sv.wal.AppendNV(lane, specs)
-	if err != nil {
-		panic(fmt.Sprintf("blob: wal batch append: %v", err))
-	}
+	key, n := sv.wal.AppendNV(lane, specs)
 	cg.diskAppend(sv.node, n)
 	if s.observe != nil {
 		s.observe(Event{Kind: EventAppend, Node: sv.node, Lane: lane, Type: specs[0].Type, Key: key, Records: len(specs), Bytes: n})

@@ -98,8 +98,9 @@ func runChaosSchedule(t *testing.T, seed uint64) {
 		opsPer  = 16
 		maxDown = 2
 	)
-	cfg := Config{ChunkSize: 16, Replication: 3, SerialRecovery: seed%2 == 1}
+	cfg := Config{ChunkSize: 16, Replication: 3}
 	s := New(cluster.New(cluster.Config{Nodes: nodes, Seed: seed + 7}), cfg)
+	s.serialRecovery = seed%2 == 1
 	// A failing seed prints every store event, by value, and the battery's own
 	// actions, in arrival order. An append's node, lane and order keys address
 	// its records in dumpChunkState's log lines.

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // TestLogBytesPinned pins the log's bytes: a fixed InlineFanout script —
@@ -144,7 +143,7 @@ func TestCheckpointRecordsPinned(t *testing.T) {
 	media := func(when string) {
 		for i, sv := range s.servers {
 			for l := 0; l < sv.wal.Lanes(); l++ {
-				recs, err := wal.ReplayAll(sv.wal.LaneBuffer(l).Reader())
+				recs, err := laneRecords(sv.wal.LaneBuffer(l))
 				if err != nil {
 					t.Fatal(err)
 				}

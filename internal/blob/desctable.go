@@ -19,7 +19,8 @@ const descBlock = 128
 type descTable struct {
 	m map[string]descriptor
 	// blocks are non-empty, each sorted, and every key of a block sorts
-	// before every key of the next.
+	// before every key of the next. A table del emptied keeps its last
+	// block in blocks[:1] for the next put.
 	blocks [][]string
 }
 
@@ -41,7 +42,11 @@ func (t *descTable) put(key string, d descriptor) {
 	}
 	t.m[key] = d
 	if len(t.blocks) == 0 {
-		t.blocks = [][]string{append(make([]string, 0, descBlock+1), key)}
+		if cap(t.blocks) == 0 {
+			t.blocks = [][]string{make([]string, 0, descBlock+1)}
+		}
+		t.blocks = t.blocks[:1]
+		t.blocks[0] = append(t.blocks[0], key)
 		return
 	}
 	// A key past every block's last key joins the last block.
@@ -71,10 +76,13 @@ func (t *descTable) del(key string) bool {
 	bi := t.block(key)
 	b := t.blocks[bi]
 	i, _ := slices.BinarySearch(b, key)
-	if b = slices.Delete(b, i, i+1); len(b) == 0 {
-		t.blocks = slices.Delete(t.blocks, bi, bi+1)
-	} else {
+	switch b = slices.Delete(b, i, i+1); {
+	case len(b) > 0:
 		t.blocks[bi] = b
+	case len(t.blocks) == 1:
+		t.blocks[0], t.blocks = b, t.blocks[:0] // kept for the next put
+	default:
+		t.blocks = slices.Delete(t.blocks, bi, bi+1)
 	}
 	return true
 }

@@ -91,11 +91,11 @@ type gateJob struct {
 
 func (j gateJob) run() { j.parked.Done(); <-j.gate }
 
-// saturatePool parks every pool worker and fills the token queue behind
-// them, so no fan can post a help token, let alone have one taken. The
-// returned func opens the gate and waits for the workers (which never
-// block) to drain the no-op filler, so the next test finds room again.
-func saturatePool() (release func()) {
+// parkPool parks every pool worker on a gate job and returns the func that
+// opens the gate. Workers read the queue in order and finish one job before
+// the next, so once all are parked every help token queued before the call
+// has been read and run, and none is left to reach a worker later.
+func parkPool() (open func()) {
 	ch := dispatchPool()
 	j := gateJob{parked: new(sync.WaitGroup), gate: make(chan struct{})}
 	for i := dispatchWorkers(); i > 0; i-- {
@@ -103,11 +103,20 @@ func saturatePool() (release func()) {
 		ch <- j
 	}
 	j.parked.Wait()
+	return func() { close(j.gate) }
+}
+
+// saturatePool parks every pool worker and fills the token queue behind
+// them, so no fan can post a help token, let alone have one taken. The
+// returned func opens the gate and waits for the workers (which never
+// block) to drain the no-op filler, so the next test finds room again.
+func saturatePool() (release func()) {
+	open := parkPool()
 	for offerHelp(&funcJob{}) {
 	}
 	return func() {
-		close(j.gate)
-		for len(ch) > 0 {
+		open()
+		for len(dispatchPool()) > 0 {
 			runtime.Gosched()
 		}
 	}
@@ -435,8 +444,8 @@ func TestTraceOffAllocatesNothing(t *testing.T) {
 	}
 	const runs = 100
 	ctx := storage.NewContext()
-	// Created and written up front: a create allocates, and so does the
-	// placement cache's first sight of a chunk.
+	// Created and written up front: the placement cache's first sight of a
+	// chunk allocates.
 	keys := make([]string, 64+2*(runs+1))
 	for i := range keys {
 		keys[i] = fmt.Sprintf("fg-%03d", i)
@@ -476,6 +485,32 @@ func TestTraceOffAllocatesNothing(t *testing.T) {
 	}
 	if len(ops) == 0 {
 		t.Fatal("observer saw no foreground event")
+	}
+
+	// A warm create and delete of one key, beside another key and on a
+	// store it leaves empty: a create's absence check formats no error, and
+	// an emptied descriptor table keeps its block for the next create.
+	beside, alone := mkStore(2, Config{ChunkSize: 64, Replication: 2}, true), mkStore(2, Config{ChunkSize: 64, Replication: 2}, true)
+	if err := beside.CreateBlob(ctx, "kept"); err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	for arm, st := range map[string]*Store{"beside another key": beside, "alone": alone} {
+		cycle := func() {
+			if err := errors.Join(st.CreateBlob(ctx, "create-delete"), st.DeleteBlob(ctx, "create-delete")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle()
+		for _, observer := range []func(Event){nil, func(Event) { events++ }} {
+			st.Observe(observer)
+			if a := testing.AllocsPerRun(runs, cycle); a != 0 {
+				t.Errorf("create, delete (%s, observer %v): %v allocs, want 0", arm, observer != nil, a)
+			}
+		}
+	}
+	if events == 0 {
+		t.Fatal("observer saw no create or delete")
 	}
 }
 
@@ -922,9 +957,17 @@ func truncateScript(t *testing.T, inline bool) (*Store, *storage.Context) {
 // a pool worker for a delete(map, key). The only fan a truncate joins is the
 // descriptor replication, which a growing truncate joins just the same, so
 // shrinking 4 chunks to 0 posts exactly the tokens growing by a byte does.
+//
+// Fans are pooled and a help token is the fan object itself, so a token an
+// earlier fan left unread can reach a worker after the descriptor
+// replication reused that object: the worker takes the first replica task
+// before the second is spawned, and the truncate posts no token. Each
+// measured truncate therefore starts with the pool parked and released
+// (parkPool), no stale token left anywhere.
 func TestTruncatePostsNoHelpTokens(t *testing.T) {
 	s, ctx := truncateScript(t, false)
 	offeredBy := func(size int64) int64 {
+		parkPool()()
 		before, _ := fanCounters(s)
 		if err := s.TruncateBlob(ctx, "trunc", size); err != nil {
 			t.Fatal(err)

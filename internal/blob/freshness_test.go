@@ -73,7 +73,8 @@ func seed070Roles(t *testing.T, s *Store) (key string, p, q, g int) {
 // served sparse zeros off the live-but-empty owner the re-join had just gained.
 func TestVacuousDebtNeverHidesFreshestCopy(t *testing.T) {
 	s := New(cluster.New(cluster.Config{Nodes: 5, Seed: 70}),
-		Config{ChunkSize: 16, Replication: 3, MigrationRateBytes: 1 << 30})
+		Config{ChunkSize: 16, Replication: 3})
+	s.migrationRate = 1 << 30
 	ctx := storage.NewContext()
 	key, p, q, g := seed070Roles(t, s)
 	write := func(b byte) {

@@ -15,7 +15,7 @@ import (
 // servers and an optional byte flip — then the whole cluster is crashed and
 // recovered twice from identical media, once through the pool-prefetched
 // lane-decode pipeline and once through the serial oracle
-// (Config.SerialRecovery). The contract is total equivalence: same error
+// (Store.serialRecovery). The contract is total equivalence: same error
 // class (nil or ErrCorrupt, never a panic), same descriptors, same chunk
 // bytes, same repaired lane media. When the damage lands on one server, the
 // other replica of every chunk (Replication 2) is intact, so the durability

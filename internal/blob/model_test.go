@@ -231,10 +231,11 @@ func checkDurable(t testing.TB, s *Store, m *refModel) (skipped int) {
 func coldCopy(t testing.TB, s *Store) *Store {
 	t.Helper()
 	c := NewOnNodes(cluster.New(cluster.Config{Nodes: len(s.servers), Cost: s.cluster.Cost()}), s.cfg, s.ServingNodes())
+	c.serialRecovery, c.migrationRate = s.serialRecovery, s.migrationRate
 	for i, sv := range s.servers {
 		restoreLanes(c.servers[i], captureLanes(sv))
 	}
-	crashRecoverAll(t, c, s.cfg.SerialRecovery)
+	crashRecoverAll(t, c, s.serialRecovery)
 	c.Repair(storage.NewContext())
 	return c
 }

@@ -59,9 +59,9 @@ const migLane = 0
 const migrationBatchBytes = 1 << 20
 
 // migrationTick is the virtual-time quantum the migration throttle sleeps
-// when its token budget is exhausted; each tick refills
-// Config.MigrationRateBytes.
-const migrationTick = time.Millisecond
+// when its token budget is exhausted; each tick refills Store.migrationRate,
+// migrationRateBytes unless a test changed it.
+const migrationTick, migrationRateBytes = time.Millisecond, 8 << 20
 
 // AddServer joins a previously unused cluster node to the store and
 // rebalances incrementally: every descriptor and chunk whose new replica
@@ -215,7 +215,7 @@ func (s *Store) logIntent(cg *charge, t wal.RecordType, intent *migrationIntent,
 // runMigration reconciles descriptors, then moves chunks in bounded batches
 // throttled by a virtual-time token bucket: each batch debits its byte
 // footprint, and an exhausted budget sleeps migrationTick quanta (refilling
-// MigrationRateBytes each) before the batch may proceed. One batch is in
+// Store.migrationRate each) before the batch may proceed. One batch is in
 // flight at a time, which bounds in-flight migration bytes on the pool.
 func (s *Store) runMigration(ctx *storage.Context) {
 	if s.observe != nil {
@@ -225,7 +225,7 @@ func (s *Store) runMigration(ctx *storage.Context) {
 	cg := s.directCharge(ctx)
 	s.reconcileDescs(&cg, nil)
 	moves := s.migrationPlan()
-	budget := s.cfg.MigrationRateBytes
+	budget := s.migrationRate
 	for batch := 0; len(moves) > 0; batch++ {
 		n, bytes := 0, 0
 		for n < len(moves) && n < s.cfg.MigrationBatchChunks &&
@@ -235,7 +235,7 @@ func (s *Store) runMigration(ctx *storage.Context) {
 		}
 		for budget < bytes {
 			cg.localCompute(migrationTick)
-			budget += s.cfg.MigrationRateBytes
+			budget += s.migrationRate
 		}
 		budget -= bytes
 		// A batch is what the throttle debits and a batch event reports,

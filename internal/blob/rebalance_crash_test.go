@@ -96,13 +96,13 @@ func crashRecoverAll(t testing.TB, s *Store, serial bool) {
 	for si := range s.servers {
 		s.Crash(cluster.NodeID(si))
 	}
-	s.cfg.SerialRecovery = serial
+	s.serialRecovery = serial
 	for si := range s.servers {
 		if err := s.Recover(cluster.NodeID(si)); err != nil {
 			t.Fatalf("recover node %d (serial=%v): %v", si, serial, err)
 		}
 	}
-	s.cfg.SerialRecovery = false
+	s.serialRecovery = false
 }
 
 // crashImage is one whole-cluster crash point of a membership change: every
@@ -345,13 +345,14 @@ func TestRemoveServerResetsWAL(t *testing.T) {
 }
 
 // TestMigrationThrottle pins the token bucket: the same join under a tight
-// MigrationRateBytes must charge more virtual time to the migration caller
+// migrationRate must charge more virtual time to the migration caller
 // than under an effectively unlimited rate.
 func TestMigrationThrottle(t *testing.T) {
 	run := func(rate int) int64 {
 		c := cluster.New(cluster.Config{Nodes: 5, Seed: 9})
 		s := NewOnNodes(c, Config{ChunkSize: 64, Replication: 2, WALLanes: 4,
-			InlineFanout: true, MigrationRateBytes: rate}, []cluster.NodeID{0, 1, 2, 3})
+			InlineFanout: true}, []cluster.NodeID{0, 1, 2, 3})
+		s.migrationRate = rate
 		ctx := storage.NewContext()
 		seedBlobs(t, s, 30)
 		start := ctx.Clock.Now()

@@ -15,7 +15,7 @@
 // The dispatch contract (dispatch.go) is preserved by construction:
 //
 //   - a decode job never blocks — it decodes a fixed-size batch from its
-//     lane's medium, read in place (Buffer.Reader), and signals a
+//     lane's medium, read in place (wal.Decoder), and signals a
 //     capacity-1 channel that is empty by protocol (one job in flight per
 //     feed, the consumer drains the signal before kicking the next);
 //   - only the recovery caller — the merge, then the drain after it, never
@@ -27,7 +27,7 @@
 //
 // The merge itself — and with it the strict consecutive-from-1 order-key
 // prefix contract and the media repair — is wal.replayMergedFeeds, shared
-// bit-for-bit with the serial path (Config.SerialRecovery); a feed only
+// bit-for-bit with the serial path (Store.serialRecovery); a feed only
 // re-stages the decode, which is why parallel recovery cannot diverge
 // from the single-threaded oracle.
 //
@@ -78,7 +78,7 @@ func recoverLanes(m *wal.MultiLog, fn func(wal.Record) error) error {
 	lfs := make([]wal.LaneFeed, len(feeds))
 	for lane := range feeds {
 		f := &laneFeed{
-			dec:   wal.NewDecoder(m.LaneBuffer(lane).Reader()),
+			dec:   wal.NewDecoder(m.LaneBuffer(lane)),
 			ready: make(chan struct{}, 1),
 		}
 		f.cur.recs = make([]wal.Record, 0, recoveryBatchRecs)

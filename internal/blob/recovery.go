@@ -164,7 +164,7 @@ func (r *redo) record(rec wal.Record) error {
 // lane rides the worker pool (recoverfeed.go) while this goroutine runs
 // the order-key merge over the pre-decoded heads. The merge engine, the
 // prefix contract, and the media repair are the same code either way —
-// Config.SerialRecovery selects the single-threaded decode as the oracle
+// Store.serialRecovery selects the single-threaded decode as the oracle
 // the equivalence tests pin the pipeline against, byte for byte.
 func (s *Store) Recover(node cluster.NodeID) error {
 	sv := s.servers[int(node)]
@@ -176,7 +176,7 @@ func (s *Store) Recover(node cluster.NodeID) error {
 	s.Crash(node)
 	r := redo{sv: sv}
 	var err error
-	if s.cfg.SerialRecovery {
+	if s.serialRecovery {
 		err = sv.wal.RecoverMerged(r.record)
 	} else {
 		err = recoverLanes(sv.wal, r.record)
@@ -388,9 +388,7 @@ func (sv *server) checkpointLane(lane int, plan *ckptLane) {
 		specs[i].Header = hdr[at : at+n : at+n]
 		at += n
 	}
-	if _, _, err := sv.wal.AppendNV(lane, specs); err != nil {
-		panic(fmt.Sprintf("blob: checkpoint node %d: %v", sv.node, err))
-	}
+	sv.wal.AppendNV(lane, specs)
 	copied := 0
 	for k, c := range plan.chunks {
 		sp := &specs[first+k]

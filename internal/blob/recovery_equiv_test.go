@@ -1,5 +1,5 @@
 // recovery_equiv_test.go pins the parallel recovery pipeline against the
-// single-threaded oracle (Config.SerialRecovery) and sweeps crash points
+// single-threaded oracle (Store.serialRecovery) and sweeps crash points
 // exhaustively:
 //
 //   - TestCrashPointSweep runs a scripted multi-blob workload (2PC writes,
@@ -48,10 +48,22 @@ func captureLanes(sv *server) [][]byte {
 	return out
 }
 
+// laneRecords decodes one lane medium from its start to a clean stop or a
+// decode error.
+func laneRecords(b *wal.Buffer) ([]wal.Record, error) {
+	var recs []wal.Record
+	dec := wal.NewDecoder(b)
+	for {
+		rec, _, done, err := dec.Next()
+		if done || err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
 // restoreLanes rewrites a server's lane media to previously captured
-// bytes. Log byte accounting is left stale on purpose: recovery re-derives
-// it (SetSize) from the merged prefix, exactly as it would after a real
-// crash left the medium and the in-memory counters out of sync.
+// bytes.
 func restoreLanes(sv *server, raw [][]byte) {
 	for lane, b := range raw {
 		lb := sv.wal.LaneBuffer(lane)
@@ -108,13 +120,13 @@ func compareRecoveryModes(t *testing.T, s *Store, last int) {
 	order = append(order, last)
 	inline := s.cfg.InlineFanout
 	s.cfg.InlineFanout = true
-	defer func() { s.cfg.InlineFanout, s.cfg.SerialRecovery = inline, false }()
+	defer func() { s.cfg.InlineFanout, s.serialRecovery = inline, false }()
 	pass := func(serial bool) ([]error, []nodeState) {
 		restoreAllLanes(s, images)
 		for node := range s.servers {
 			s.Crash(cluster.NodeID(node))
 		}
-		s.cfg.SerialRecovery = serial
+		s.serialRecovery = serial
 		errs := make([]error, len(s.servers))
 		for _, node := range order {
 			errs[node] = s.Recover(cluster.NodeID(node))
@@ -148,7 +160,9 @@ func compareRecoveryModes(t *testing.T, s *Store, last int) {
 		if !reflect.DeepEqual(stP.lanes, stS.lanes) {
 			dump := func(raw string) []string {
 				var out []string
-				dec := wal.NewDecoder(bytes.NewReader([]byte(raw)))
+				var b wal.Buffer
+				b.Write([]byte(raw))
+				dec := wal.NewDecoder(&b)
 				for {
 					rec, _, done, err := dec.Next()
 					if err != nil || done {
@@ -157,7 +171,7 @@ func compareRecoveryModes(t *testing.T, s *Store, last int) {
 						}
 						return out
 					}
-					out = append(out, fmt.Sprintf("%v/lsn%d/%dB", rec.Type, rec.LSN, len(rec.Payload)))
+					out = append(out, fmt.Sprintf("%v/lsn%d/%dB", rec.Type, rec.LSN, len(rec.Bytes())))
 				}
 			}
 			for i := range stP.lanes {
@@ -256,7 +270,7 @@ func indexLanes(t *testing.T, sv *server) []laneIndex {
 	t.Helper()
 	out := make([]laneIndex, sv.wal.Lanes())
 	for lane := range out {
-		dec := wal.NewDecoder(sv.wal.LaneBuffer(lane).Reader())
+		dec := wal.NewDecoder(sv.wal.LaneBuffer(lane))
 		var off int64
 		for {
 			rec, frame, done, err := dec.Next()
@@ -330,13 +344,13 @@ func runCrashPointSweep(t *testing.T, w *sweeper, base uint64) {
 		}
 	}
 	recoverAll := func(serial bool) {
-		s.cfg.SerialRecovery = serial
+		s.serialRecovery = serial
 		for si := range s.servers {
 			if err := s.Recover(cluster.NodeID(si)); err != nil {
 				t.Fatalf("recover node %d (serial=%v): %v", si, serial, err)
 			}
 		}
-		s.cfg.SerialRecovery = false
+		s.serialRecovery = false
 	}
 	for n := base; n <= last; n++ {
 		for _, torn := range []bool{false, true} {
@@ -498,8 +512,8 @@ func TestFailedWriteCrashSweep(t *testing.T) {
 			applyCut(sv, idx[si], cuts[si], torn)
 			s.Crash(cluster.NodeID(si))
 		}
-		s.cfg.SerialRecovery = serial
-		defer func() { s.cfg.SerialRecovery = false }()
+		s.serialRecovery = serial
+		defer func() { s.serialRecovery = false }()
 		out := make([]nodeState, len(s.servers))
 		for si, sv := range s.servers {
 			if err := s.Recover(cluster.NodeID(si)); err != nil {

@@ -84,7 +84,7 @@ type Buffer struct {
 	// empties it, so outside a checkpoint no store searches it.
 	index  []retiredBuf
 	pool   *pool // free list; a MultiLog's lanes share one
-	writes int   // Write/WriteV calls since creation (not reset by Reset)
+	writes int   // writes since creation (not reset by Reset)
 }
 
 func (b *Buffer) slabSize() int {
@@ -259,27 +259,15 @@ func (b *Buffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// WriteV implements RecordWriter: the segments land back-to-back under one
-// lock acquisition, so a vectored record append is as atomic with respect
-// to concurrent appenders and readers as a single Write.
-func (b *Buffer) WriteV(segs [][]byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.writes++
-	n := 0
-	for _, p := range segs {
-		b.pack(p)
-		n += len(p)
-	}
-	return n, nil
-}
-
-// writeRecords is WriteV over the Log's record layout — framing, header and
-// payload segments per record — that stores each payload where a view of
-// it stays valid and puts that view in the payload's slot of segs. While a
-// Reset's buffers await Recycle, it first adds each payload under half a
-// slab to the bytes re-stored from the retired buffer holding it, so the
-// whole batch counts towards relinking that buffer (relinkSmall).
+// writeRecords appends segs, the Log's record layout — framing, header and
+// payload segments per record — back-to-back under one lock acquisition, so
+// a record or batch append is as atomic with respect to concurrent
+// appenders and readers as a single Write, and returns the bytes appended.
+// It stores each payload where a view of it stays valid and puts that view
+// in the payload's slot of segs. While a Reset's buffers await Recycle, it
+// first adds each payload under half a slab to the bytes re-stored from the
+// retired buffer holding it, so the whole batch counts towards relinking
+// that buffer (relinkSmall).
 func (b *Buffer) writeRecords(segs [][]byte) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -306,9 +294,11 @@ func (b *Buffer) writeRecords(segs [][]byte) int {
 // Reader returns a reader over the stream present at the call, reading the
 // backing in place; it copies nothing until Read. Stored bytes are never
 // rewritten, so later appends, Truncate, Corrupt and Reset do not disturb it;
-// only Recycle may hand its backing to new writes. Crash recovery reads its
-// lanes this way.
-func (b *Buffer) Reader() io.Reader {
+// only Recycle may hand its backing to new writes. Tests capture a lane's
+// bytes this way; a Decoder reads the same way.
+func (b *Buffer) Reader() io.Reader { return b.reader() }
+
+func (b *Buffer) reader() *segReader {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return &segReader{segs: slices.Clone(b.segs)}
@@ -380,9 +370,9 @@ func (b *Buffer) Len() int {
 	return b.n
 }
 
-// Writes reports how many Write/WriteV calls have landed since creation
-// (Reset does not zero it): one per Append/AppendV call, one per AppendNV
-// batch however many records it carries.
+// Writes reports how many writes have landed since creation (Reset does not
+// zero it): one per Write, one per AppendV or AppendVSum call, one per
+// AppendNV batch however many records it carries.
 func (b *Buffer) Writes() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 )
@@ -40,8 +39,7 @@ func checkViews(t *testing.T, when string, views, want [][]byte) {
 func TestBufferStoresAlignedViews(t *testing.T) {
 	for _, ss := range slabSizes {
 		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
-			b := &Buffer{SlabSize: ss}
-			l := New(b)
+			b, l := oneLane(ss)
 			var want []byte
 			check := func(i int, p, stored []byte) {
 				if !bytes.Equal(stored, p) {
@@ -54,10 +52,7 @@ func TestBufferStoresAlignedViews(t *testing.T) {
 			hdr := []byte("hdr")
 			for i := 0; i < 36; i++ {
 				p := viewPayload(i)
-				lsn, _, stored, err := l.AppendVSum(RecWrite, hdr, p, Checksum(p))
-				if err != nil {
-					t.Fatal(err)
-				}
+				lsn, _, stored := l.AppendVSum(RecWrite, hdr, p, Checksum(p))
 				check(i, p, stored)
 				want = appendRecord(want, RecWrite, lsn, append(append([]byte(nil), hdr...), p...))
 			}
@@ -65,10 +60,7 @@ func TestBufferStoresAlignedViews(t *testing.T) {
 			for i := range specs {
 				specs[i] = AppendVSpec{Type: RecPrepWrite, Header: hdr, Payload: viewPayload(i + 5)}
 			}
-			first, _, err := l.AppendNV(specs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			first, _ := l.AppendNV(specs)
 			for i, sp := range specs {
 				check(100+i, sp.Payload, sp.Stored)
 				want = appendRecord(want, RecPrepWrite, first+uint64(i), append(append([]byte(nil), hdr...), sp.Payload...))
@@ -89,16 +81,12 @@ func TestBufferStoresAlignedViews(t *testing.T) {
 func TestBufferViewsOutliveDamageAndRetire(t *testing.T) {
 	for _, ss := range slabSizes {
 		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
-			b := &Buffer{SlabSize: ss}
-			l := New(b)
+			b, l := oneLane(ss)
 			var views, want [][]byte
 			appendSome := func(from, n int) {
 				for i := from; i < from+n; i++ {
 					p := viewPayload(i)
-					_, _, stored, err := l.AppendVSum(RecWrite, nil, p, Checksum(p))
-					if err != nil {
-						t.Fatal(err)
-					}
+					_, _, stored := l.AppendVSum(RecWrite, nil, p, Checksum(p))
 					views, want = append(views, stored), append(want, p)
 				}
 			}
@@ -139,16 +127,12 @@ func TestBufferViewsOutliveDamageAndRetire(t *testing.T) {
 func TestBufferRecycleReuses(t *testing.T) {
 	for _, ss := range slabSizes {
 		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
-			b := &Buffer{SlabSize: ss}
-			l := New(b)
+			b, l := oneLane(ss)
 			fill := func() (starts map[uintptr]bool) {
 				starts = make(map[uintptr]bool)
 				for i := 0; i < 24; i++ {
 					p := viewPayload(i)
-					_, _, stored, err := l.AppendVSum(RecWrite, nil, p, Checksum(p))
-					if err != nil {
-						t.Fatal(err)
-					}
+					_, _, stored := l.AppendVSum(RecWrite, nil, p, Checksum(p))
 					if len(stored) > 0 {
 						starts[addr(stored)] = true
 					}
@@ -191,9 +175,7 @@ func TestMultiLogRecycleCycleAllocFree(t *testing.T) {
 	}
 	cycle := func() {
 		for i, p := range payloads {
-			if _, _, _, err := m.AppendVSum(i%2, RecWrite, hdr, p, Checksum(p)); err != nil {
-				t.Fatal(err)
-			}
+			m.AppendVSum(i%2, RecWrite, hdr, p, Checksum(p))
 		}
 		m.ResetAll()
 		m.Recycle(0)
@@ -237,17 +219,11 @@ func TestBufferRelinksRetiredPayload(t *testing.T) {
 				}
 				return p
 			}
-			newLog := func() (*Buffer, *Log) {
-				b := &Buffer{SlabSize: ss}
-				return b, New(b)
-			}
+			newLog := func() (*Buffer, *Log) { return oneLane(ss) }
 			store := func(l *Log, p []byte) []byte {
 				t.Helper()
 				want := bytes.Clone(p)
-				_, _, stored, err := l.AppendVSum(RecWrite, nil, p, Checksum(p))
-				if err != nil {
-					t.Fatal(err)
-				}
+				_, _, stored := l.AppendVSum(RecWrite, nil, p, Checksum(p))
 				if !bytes.Equal(stored, want) {
 					t.Fatalf("stored view differs from its %d-byte payload", len(p))
 				}
@@ -319,12 +295,9 @@ func TestBufferRelinksRetiredPayload(t *testing.T) {
 				m.LaneBuffer(lane).SlabSize = ss
 			}
 			p := fill(whole, 8)
-			_, _, view, err := m.AppendVSum(0, RecWrite, nil, p, Checksum(p))
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, _, view = m.AppendVSum(0, RecWrite, nil, p, Checksum(p))
 			m.ResetAll()
-			copied("a view from another lane", m.lanes[1].log, view)
+			copied("a view from another lane", &m.lanes[1], view)
 
 			const lanes, per = 4, 8
 			m = NewMultiLog(lanes)
@@ -334,9 +307,7 @@ func TestBufferRelinksRetiredPayload(t *testing.T) {
 			views, wants := make([][]byte, lanes*per), make([][]byte, lanes*per)
 			for i := range views {
 				wants[i] = fill(whole, 10+i)
-				if _, _, views[i], err = m.AppendVSum(i%lanes, RecWrite, nil, wants[i], Checksum(wants[i])); err != nil {
-					t.Fatal(err)
-				}
+				_, _, views[i] = m.AppendVSum(i%lanes, RecWrite, nil, wants[i], Checksum(wants[i]))
 			}
 			m.ResetAll()
 			var wg sync.WaitGroup
@@ -345,17 +316,14 @@ func TestBufferRelinksRetiredPayload(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := lane; i < len(views); i += lanes {
-						_, _, got, err := m.AppendVSum(lane, RecWrite, nil, views[i], Checksum(views[i]))
-						if err != nil || addr(got) != addr(views[i]) {
-							t.Errorf("lane %d copied view %d instead of relinking it (%v)", lane, i, err)
+						if _, _, got := m.AppendVSum(lane, RecWrite, nil, views[i], Checksum(views[i])); addr(got) != addr(views[i]) {
+							t.Errorf("lane %d copied view %d instead of relinking it", lane, i)
 						}
 					}
 					m.Recycle(lane)
 					for i := range per {
 						p := fill(whole, 100+i)
-						if _, _, _, err := m.AppendVSum(lane, RecWrite, nil, p, Checksum(p)); err != nil {
-							t.Error(err)
-						}
+						m.AppendVSum(lane, RecWrite, nil, p, Checksum(p))
 					}
 				}()
 			}
@@ -377,10 +345,7 @@ func testSlabRelink(t *testing.T) {
 			for j := range p {
 				p[j] = byte(tag*31 + i*13 + j*7 + 1)
 			}
-			_, _, stored, err := l.AppendVSum(RecWrite, nil, p, Checksum(p))
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, _, stored := l.AppendVSum(RecWrite, nil, p, Checksum(p))
 			views, want = append(views, stored), append(want, p)
 		}
 		return views, want
@@ -391,9 +356,7 @@ func testSlabRelink(t *testing.T) {
 		for i, v := range views {
 			specs[i] = AppendVSpec{Type: RecWrite, Payload: v, Sum: Checksum(v)}
 		}
-		if _, _, err := l.AppendNV(specs); err != nil {
-			t.Fatal(err)
-		}
+		l.AppendNV(specs)
 		stored := make([][]byte, len(specs))
 		for i := range specs {
 			stored[i] = specs[i].Stored
@@ -404,8 +367,7 @@ func testSlabRelink(t *testing.T) {
 		return addr(p) >= addr(slab) && addr(p)+uintptr(len(p)) <= addr(slab)+uintptr(len(slab))
 	}
 
-	b := &Buffer{SlabSize: ss}
-	l := New(b)
+	b, l := oneLane(ss)
 	views, want := fillSlab(l, 1)
 	if b.Slabs() != 1 {
 		t.Fatalf("%d payloads of %d bytes took %d slabs, want 1", per, size, b.Slabs())
@@ -442,8 +404,7 @@ func testSlabRelink(t *testing.T) {
 	}
 	checkViews(t, "after Recycle and appends", dense, want)
 
-	b = &Buffer{SlabSize: ss}
-	l = New(b)
+	b, l = oneLane(ss)
 	views, want = fillSlab(l, 4)
 	slab = b.backing[0]
 	b.Reset()
@@ -468,60 +429,51 @@ func testSlabRelink(t *testing.T) {
 // vectored record's payload segment as Data, the very view the append
 // returned, with its CRC32C, and copies only the header in front of it into
 // Payload; a record with no payload segment comes back whole through Bytes.
-// Over a plain reader the same records come back whole in Payload.
 func TestDecoderYieldsStoredViews(t *testing.T) {
 	for _, ss := range slabSizes {
 		t.Run(fmt.Sprintf("slab%d", ss), func(t *testing.T) {
-			b := &Buffer{SlabSize: ss}
-			l := New(b)
+			b, l := oneLane(ss)
 			type rec struct{ hdr, p, stored []byte }
 			var recs []rec
 			for i := 0; i < 36; i++ {
 				hdr, p := []byte(fmt.Sprintf("header-%d", i)), viewPayload(i)
 				var stored []byte
-				var err error
 				switch i % 3 {
 				case 0:
-					_, _, stored, err = l.AppendVSum(RecWrite, hdr, p, Checksum(p))
+					_, _, stored = l.AppendVSum(RecWrite, hdr, p, Checksum(p))
 				case 1:
 					specs := []AppendVSpec{{Type: RecWrite, Header: hdr, Payload: p}}
-					_, _, err = l.AppendNV(specs)
+					l.AppendNV(specs)
 					stored = specs[0].Stored
 				default:
 					hdr = append(hdr, p...) // one segment: no payload view
-					_, _, err = l.Append(RecWrite, hdr)
+					l.AppendVSum(RecWrite, hdr, nil, 0)
 					p = nil
-				}
-				if err != nil {
-					t.Fatal(err)
 				}
 				recs = append(recs, rec{hdr, p, stored})
 			}
-			for _, r := range []io.Reader{b.Reader(), bytes.NewReader(readerBytes(t, b))} {
-				_, plain := r.(*bytes.Reader)
-				dec := NewDecoder(r)
-				for i, want := range recs {
-					got, _, done, err := dec.Next()
-					if done || err != nil {
-						t.Fatalf("record %d: done %v, err %v", i, done, err)
-					}
-					whole := append(append([]byte(nil), want.hdr...), want.p...)
-					if !bytes.Equal(got.Bytes(), whole) {
-						t.Fatalf("record %d: payload diverges", i)
-					}
-					if plain || len(want.p) == 0 {
-						continue
-					}
-					if !bytes.Equal(got.Payload, want.hdr) || addr(got.Data) != addr(want.stored) || len(got.Data) != len(want.stored) {
-						t.Fatalf("record %d: Data is not the %d-byte payload the append stored", i, len(want.p))
-					}
-					if got.DataSum != Checksum(want.p) {
-						t.Fatalf("record %d: DataSum %08x, want %08x", i, got.DataSum, Checksum(want.p))
-					}
+			dec := NewDecoder(b)
+			for i, want := range recs {
+				got, _, done, err := dec.Next()
+				if done || err != nil {
+					t.Fatalf("record %d: done %v, err %v", i, done, err)
 				}
-				if _, _, done, err := dec.Next(); !done || err != nil {
-					t.Fatalf("after the last record: done %v, err %v", done, err)
+				whole := append(append([]byte(nil), want.hdr...), want.p...)
+				if !bytes.Equal(got.Bytes(), whole) {
+					t.Fatalf("record %d: payload diverges", i)
 				}
+				if len(want.p) == 0 {
+					continue
+				}
+				if !bytes.Equal(got.Payload, want.hdr) || addr(got.Data) != addr(want.stored) || len(got.Data) != len(want.stored) {
+					t.Fatalf("record %d: Data is not the %d-byte payload the append stored", i, len(want.p))
+				}
+				if got.DataSum != Checksum(want.p) {
+					t.Fatalf("record %d: DataSum %08x, want %08x", i, got.DataSum, Checksum(want.p))
+				}
+			}
+			if _, _, done, err := dec.Next(); !done || err != nil {
+				t.Fatalf("after the last record: done %v, err %v", done, err)
 			}
 		})
 	}

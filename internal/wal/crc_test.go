@@ -65,29 +65,19 @@ func TestWrongSumIsCorrupt(t *testing.T) {
 	good := Checksum(payload)
 	for _, form := range []struct {
 		name      string
-		appendBad func(l *Log) error
+		appendBad func(m *MultiLog)
 	}{
-		{"AppendVSum", func(l *Log) error {
-			_, _, _, err := l.AppendVSum(RecWrite, []byte("hdr"), payload, good^1)
-			return err
-		}},
-		{"AppendNV", func(l *Log) error {
-			_, _, err := l.AppendNV([]AppendVSpec{{Type: RecWrite, Header: []byte("hdr"), Payload: payload, Sum: good ^ 1}})
-			return err
+		{"AppendVSum", func(m *MultiLog) { m.AppendVSum(0, RecWrite, []byte("hdr"), payload, good^1) }},
+		{"AppendNV", func(m *MultiLog) {
+			m.AppendNV(0, []AppendVSpec{{Type: RecWrite, Header: []byte("hdr"), Payload: payload, Sum: good ^ 1}})
 		}},
 	} {
-		name, appendBad := form.name, form.appendBad
-		var b Buffer
-		l := New(&b)
-		if _, _, _, err := l.AppendVSum(RecWrite, []byte("hdr"), payload, good); err != nil {
-			t.Fatal(err)
-		}
-		if err := appendBad(l); err != nil {
-			t.Fatal(err)
-		}
+		m := NewMultiLog(1)
+		m.AppendVSum(0, RecWrite, []byte("hdr"), payload, good)
+		form.appendBad(m)
 		seen := 0
-		if err := Replay(b.Reader(), func(Record) error { seen++; return nil }); !errors.Is(err, ErrCorrupt) || seen != 1 {
-			t.Errorf("%s with a wrong sum: replayed %d records, err %v; want 1 and ErrCorrupt", name, seen, err)
+		if err := m.ReplayMerged(func(Record) error { seen++; return nil }); !errors.Is(err, ErrCorrupt) || seen != 1 {
+			t.Errorf("%s with a wrong sum: replayed %d records, err %v; want 1 and ErrCorrupt", form.name, seen, err)
 		}
 	}
 }

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"testing"
 )
 
 // FuzzReplay is the log-format crash battery: a record sequence derived
-// deterministically from the fuzz input is appended through a random mix of
-// the encode paths (Append, AppendV, AppendNV), the medium is then torn
-// (truncated at an arbitrary offset) and optionally hit by a single-byte
-// flip, and Replay must hold the recovery contract:
+// deterministically from the fuzz input is appended to a one-lane log
+// through a random mix of the encode paths (AppendV with the payload whole
+// or split, AppendNV), the medium is then torn (truncated at an arbitrary
+// offset) and optionally hit by a single-byte flip, and replay must hold
+// the recovery contract:
 //
 //   - it never panics;
 //   - it returns nil (clean stop at the end or at a torn tail) or
@@ -34,8 +38,9 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{4, 1, 16, 8, 6, 0, 0, 0}, uint16(0xffff), true, uint16(3))               // flip inside the length prefix
 
 	f.Fuzz(func(t *testing.T, spec []byte, cut uint16, flip bool, flipOff uint16) {
-		var b Buffer
-		appended := buildLog(t, New(&b), spec)
+		m := NewMultiLog(1)
+		b := m.LaneBuffer(0)
+		appended := buildLog(t, m, spec)
 		full := b.Len()
 
 		// Tear the medium at an arbitrary offset (cut > len is a no-op:
@@ -48,7 +53,7 @@ func FuzzReplay(f *testing.F) {
 		}
 
 		var got []Record
-		valid, err := ReplayValid(b.Reader(), func(rec Record) error {
+		err := m.ReplayMerged(func(rec Record) error {
 			p := append([]byte(nil), rec.Bytes()...)
 			got = append(got, Record{Type: rec.Type, LSN: rec.LSN, Payload: p})
 			return nil
@@ -56,19 +61,26 @@ func FuzzReplay(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("replay returned a non-corruption error: %v", err)
 		}
-		// The valid prefix is exactly the framing of the yielded records,
-		// and truncating the medium to it (crash repair) must replay to the
-		// identical sequence with a clean stop.
-		var wantValid int64
+		// The valid prefix is exactly the framing of the yielded records:
+		// after a clean stop, crash repair cuts the medium there, and a
+		// medium cut there must replay to the identical sequence with a
+		// clean stop.
+		var valid int64
 		for _, rec := range got {
-			wantValid += recPrefixLen + int64(len(rec.Payload))
+			valid += recPrefixLen + int64(len(rec.Payload))
 		}
-		if valid != wantValid {
-			t.Fatalf("valid prefix %d bytes, yielded records span %d", valid, wantValid)
+		if err == nil {
+			if err := m.RecoverMerged(func(Record) error { return nil }); err != nil {
+				t.Fatalf("recover after a clean replay: %v", err)
+			}
+			if int64(b.Len()) != valid {
+				t.Fatalf("repair cut the medium at %d bytes, yielded records span %d", b.Len(), valid)
+			}
+		} else {
+			b.Truncate(int(valid))
 		}
-		b.Truncate(int(valid))
 		again := 0
-		if _, err := ReplayValid(b.Reader(), func(rec Record) error { again++; return nil }); err != nil {
+		if err := m.ReplayMerged(func(rec Record) error { again++; return nil }); err != nil {
 			t.Fatalf("replay after truncating to the valid prefix failed: %v", err)
 		}
 		if again != len(got) {
@@ -91,12 +103,13 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
-// buildLog appends records derived from spec and returns what was appended.
-// Each record consumes 4 spec bytes: (type, path, length, split). The path
-// byte routes through Append, AppendV (payload split at `split`), or a
-// pending AppendNV batch flushed when the selector says so — so the fuzzer
-// also explores every encode path's framing, not just Replay.
-func buildLog(t *testing.T, l *Log, spec []byte) []Record {
+// buildLog appends records derived from spec to m's lane 0 and returns what
+// was appended. Each record consumes 4 spec bytes: (type, path, length,
+// split). The path byte routes through AppendV with the payload whole,
+// AppendV with the payload split at `split`, or a pending AppendNV batch
+// flushed when the selector says so — so the fuzzer also explores every
+// encode path's framing, not just replay.
+func buildLog(t *testing.T, m *MultiLog, spec []byte) []Record {
 	t.Helper()
 	var appended []Record
 	var batch []AppendVSpec
@@ -104,9 +117,7 @@ func buildLog(t *testing.T, l *Log, spec []byte) []Record {
 		if len(batch) == 0 {
 			return
 		}
-		if _, _, err := l.AppendNV(batch); err != nil {
-			t.Fatalf("append batch: %v", err)
-		}
+		m.AppendNV(0, batch)
 		batch = nil
 	}
 	lsn := uint64(1)
@@ -128,12 +139,12 @@ func buildLog(t *testing.T, l *Log, spec []byte) []Record {
 		switch path {
 		case 0:
 			flush()
-			if _, _, err := l.Append(rt, payload); err != nil {
+			if _, _, err := m.AppendV(0, rt, payload, nil); err != nil {
 				t.Fatalf("append: %v", err)
 			}
 		case 1:
 			flush()
-			if _, _, err := l.AppendV(rt, payload[:split], payload[split:]); err != nil {
+			if _, _, err := m.AppendV(0, rt, payload[:split], payload[split:]); err != nil {
 				t.Fatalf("appendv: %v", err)
 			}
 		default:
@@ -149,19 +160,19 @@ func buildLog(t *testing.T, l *Log, spec []byte) []Record {
 	return appended
 }
 
-// FuzzReplayRaw feeds Replay arbitrary bytes — no encoder in the loop — so
-// the decoder's framing checks (implausible lengths, torn prefixes, CRC
-// windows) face inputs no writer would produce. The only contract here is
-// totality: nil or ErrCorrupt, never a panic or another error class.
+// FuzzReplayRaw feeds the decoder arbitrary bytes — no encoder in the loop
+// — so its framing checks (implausible lengths, torn prefixes, CRC windows)
+// face inputs no writer would produce. The contract is totality — nil or
+// ErrCorrupt, never a panic or another error class — and agreement with
+// refReplay, the copying reference decoder over the contiguous bytes.
 func FuzzReplayRaw(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 0, 0, 0, 0, 0, 0, 0})
 	// A syntactically valid single record, to give mutation a foothold.
-	var b Buffer
-	l := New(&b)
-	l.Append(RecWrite, []byte("seed-payload"))
-	l.Append(RecCommit, nil)
-	f.Add(readerRaw(&b))
+	m := NewMultiLog(1)
+	m.AppendV(0, RecWrite, []byte("seed-payload"), nil)
+	m.AppendV(0, RecCommit, nil, nil)
+	f.Add(readerRaw(m.LaneBuffer(0)))
 	// An implausible length prefix.
 	huge := make([]byte, 8)
 	binary.LittleEndian.PutUint32(huge[0:4], 1<<31)
@@ -169,7 +180,7 @@ func FuzzReplayRaw(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var plain []Record
-		err := Replay(bytes.NewReader(raw), func(rec Record) error {
+		err := refReplay(raw, func(rec Record) error {
 			if len(rec.Payload) > len(raw) {
 				t.Fatalf("record payload %d bytes exceeds the %d-byte input", len(rec.Payload), len(raw))
 			}
@@ -181,20 +192,82 @@ func FuzzReplayRaw(f *testing.F) {
 		}
 		// The same bytes in 64-byte slabs decode through the Buffer's
 		// views, bodies spanning many segments, to the same records.
-		b := Buffer{SlabSize: 64}
+		b := &Buffer{SlabSize: 64}
 		b.Write(raw)
-		n := 0
-		verr := Replay(b.Reader(), func(rec Record) error {
+		recs, verr := decodeAll(b)
+		for n, rec := range recs {
 			if n >= len(plain) || rec.Type != plain[n].Type || rec.LSN != plain[n].LSN || !bytes.Equal(rec.Bytes(), plain[n].Payload) {
-				t.Fatalf("record %d decodes differently from a Buffer than from a plain reader", n)
+				t.Fatalf("record %d decodes differently from a Buffer than from the reference", n)
 			}
-			n++
-			return nil
-		})
-		if n != len(plain) || (verr == nil) != (err == nil) || errors.Is(verr, ErrCorrupt) != errors.Is(err, ErrCorrupt) {
-			t.Fatalf("a Buffer replays %d records (%v), a plain reader %d (%v)", n, verr, len(plain), err)
+		}
+		if len(recs) != len(plain) || (verr == nil) != (err == nil) || errors.Is(verr, ErrCorrupt) != errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a Buffer replays %d records (%v), the reference %d (%v)", len(recs), verr, len(plain), err)
 		}
 	})
+}
+
+// replayBodyStep bounds each incremental body-read allocation of refReplay,
+// so an untrusted length prefix cannot trigger a giant eager allocation for
+// bytes the input does not hold.
+const replayBodyStep = 1 << 20
+
+// refReplay is the reference decoder FuzzReplayRaw checks Decoder against:
+// it reads raw as one contiguous stream, copies each record body into a
+// fresh allocation, the whole payload in Payload, and invokes fn per record.
+// It stops cleanly at the end or at a torn tail, and returns ErrCorrupt at
+// the first checksum or framing failure.
+func refReplay(raw []byte, fn func(Record) error) error {
+	r := bytes.NewReader(raw)
+	for {
+		var hdr [8]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil // torn header: clean stop
+		}
+		length := binary.LittleEndian.Uint32(hdr[0:4])
+		sum := binary.LittleEndian.Uint32(hdr[4:8])
+		if length < 9 || length > 1<<30 {
+			return fmt.Errorf("%w: implausible record length %d", ErrCorrupt, length)
+		}
+		rec, done, err := refRead(r, int(length), sum)
+		if done || err != nil {
+			return err
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+}
+
+// refRead decodes a body of n bytes from r into a fresh allocation.
+func refRead(r io.Reader, n int, sum uint32) (rec Record, done bool, err error) {
+	// Read the body in bounded steps: the length field is untrusted
+	// (corruption, torn prefix), so the buffer grows only as bytes
+	// actually arrive instead of eagerly allocating up to 1 GiB for a
+	// record the medium cannot deliver.
+	body := make([]byte, 0, min(n, replayBodyStep))
+	for len(body) < n {
+		grow := min(n-len(body), replayBodyStep)
+		off := len(body)
+		if off+grow <= cap(body) {
+			body = body[:off+grow] // records <= one step extend in place
+		} else {
+			body = append(body, make([]byte, grow)...)
+		}
+		if _, err := io.ReadFull(r, body[off:]); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return Record{}, true, nil // torn body: clean stop
+			}
+			return Record{}, false, fmt.Errorf("wal: replay body: %w", err)
+		}
+	}
+	if crc32.Checksum(body, castagnoli) != sum {
+		return Record{}, false, ErrCorrupt
+	}
+	return Record{
+		Type:    RecordType(body[0]),
+		LSN:     binary.LittleEndian.Uint64(body[1:9]),
+		Payload: body[9:],
+	}, false, nil
 }
 
 func readerRaw(b *Buffer) []byte {
@@ -405,16 +478,11 @@ func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []mlRecord {
 		split := len(payload) / 2
 		switch path {
 		case 0:
-			_, _, stored, err := m.AppendVSum(lane, rt, payload[:split], payload[split:], Checksum(payload[split:]))
-			if err != nil {
-				t.Fatalf("appendvsum: %v", err)
-			}
+			_, _, stored := m.AppendVSum(lane, rt, payload[:split], payload[split:], Checksum(payload[split:]))
 			appended = append(appended, mlRecord{Record{Type: rt, Payload: payload}, lane, split, stored})
 		case 1:
 			specs := []AppendVSpec{{Type: rt, Header: payload[:split], Payload: payload[split:]}}
-			if _, _, err := m.AppendNV(lane, specs); err != nil {
-				t.Fatalf("appendnv: %v", err)
-			}
+			m.AppendNV(lane, specs)
 			appended = append(appended, mlRecord{Record{Type: rt, Payload: payload}, lane, split, specs[0].Stored})
 		default:
 			// Two-record atomic batch; the second record reuses this spec
@@ -424,9 +492,7 @@ func buildMultiLog(t *testing.T, m *MultiLog, spec []byte) []mlRecord {
 				{Type: rt, Header: payload[:split], Payload: payload[split:]},
 				{Type: RecordType(spec[i+3]%12 + 1), Payload: second},
 			}
-			if _, _, err := m.AppendNV(lane, specs); err != nil {
-				t.Fatalf("appendnv batch: %v", err)
-			}
+			m.AppendNV(lane, specs)
 			appended = append(appended,
 				mlRecord{Record{Type: rt, Payload: payload}, lane, split, specs[0].Stored},
 				mlRecord{Record{Type: specs[1].Type, Payload: second}, lane, 0, specs[1].Stored})
@@ -489,9 +555,7 @@ func checkpointMultiLog(t *testing.T, m *MultiLog, appended []mlRecord) []mlReco
 				relinked[j] = 2*restored[h] >= len(b.retired[h])
 			}
 		}
-		if _, _, err := m.AppendNV(lane, specs); err != nil {
-			t.Fatalf("checkpoint: %v", err)
-		}
+		m.AppendNV(lane, specs)
 		for j := range recs {
 			got := specs[j].Stored
 			if len(got) > 0 && (addr(got) == addr(recs[j].stored)) != relinked[j] {

@@ -1,17 +1,15 @@
-// multilog.go implements the sharded lane log: the per-server replacement
-// for a single mutex-serialized Log, built so that parallel writers whose
-// chunks already live behind independent lock stripes also append to
-// independent log lanes.
+// multilog.go implements the sharded lane log, a server's write-ahead log,
+// built so that parallel writers whose chunks already live behind
+// independent lock stripes also append to independent log lanes.
 //
 // # Lane format and order keys
 //
-// A MultiLog is N lanes, each a private Log over its own Buffer medium.
-// The on-medium lane format is exactly the single-log record format — a
-// MultiLog with one lane produces a byte stream identical to a plain Log
-// fed the same appends — with one semantic shift: the u64 LSN field of
-// every record carries a server-scoped order key drawn from one atomic
+// A MultiLog is N lanes, each a Log over its own Buffer medium. A lane holds
+// the record format appendRecord encodes — a MultiLog with one lane holds
+// exactly appendRecord's stream with LSNs 1, 2, 3, … — and the u64 LSN field
+// of every record carries a server-scoped order key drawn from one atomic
 // counter shared by all lanes. Keys are assigned in append order (the
-// counter increments under the appending lane log's mutex), so:
+// counter increments under the appending lane's mutex), so:
 //
 //   - keys are unique and total-ordered across the whole MultiLog;
 //   - within one lane, keys on the medium are strictly increasing;
@@ -31,9 +29,9 @@
 // seamlessly.
 //
 // ResetAll (checkpoint compaction) resets the key counter along with the
-// lane media: unlike a single Log's ResetSize, keys restart at 1 after a
-// checkpoint, because the start-at-1 invariant is what lets merged replay
-// detect a lane whose entire content was torn away.
+// lane media: keys restart at 1 after a checkpoint, because the start-at-1
+// invariant is what lets merged replay detect a lane whose entire content
+// was torn away.
 package wal
 
 import (
@@ -49,16 +47,10 @@ import (
 // that Log's own mutex — the key is drawn under it, so each lane's keys are
 // strictly increasing and an AppendNV batch is contiguous with consecutive
 // keys. Safe for concurrent appends; replay and recovery require quiescence
-// (no in-flight appends), the same discipline Log's readers already assume.
+// (no in-flight appends).
 type MultiLog struct {
 	seq   atomic.Uint64 // order-key source shared by every lane
-	lanes []mlane
-}
-
-// mlane is one lane: a private Log over a private Buffer.
-type mlane struct {
-	log *Log
-	buf *Buffer
+	lanes []Log
 }
 
 // NewMultiLog returns a lane log with the given lane count (minimum 1).
@@ -68,14 +60,11 @@ func NewMultiLog(lanes int) *MultiLog {
 	if lanes < 1 {
 		lanes = 1
 	}
-	m := &MultiLog{lanes: make([]mlane, lanes)}
+	m := &MultiLog{lanes: make([]Log, lanes)}
 	free := new(pool)
 	for i := range m.lanes {
-		buf := &Buffer{pool: free}
-		l := New(buf)
-		l.src = &m.seq
-		m.lanes[i].log = l
-		m.lanes[i].buf = buf
+		m.lanes[i].buf = &Buffer{pool: free}
+		m.lanes[i].src = &m.seq
 	}
 	return m
 }
@@ -94,16 +83,12 @@ func (m *MultiLog) LaneFor(h uint64) int {
 // tests' torn-write injection go through it; appenders never should.
 func (m *MultiLog) LaneBuffer(lane int) *Buffer { return m.lanes[lane].buf }
 
-// LaneSize reports the encoded bytes appended to one lane since creation
-// or its last reset/repair.
-func (m *MultiLog) LaneSize(lane int) int64 { return m.lanes[lane].log.Size() }
-
-// Size sums the lane sizes. The sum is exact only when the log is
-// quiescent; concurrent appenders can move individual lanes mid-sum.
+// Size sums the lanes' lengths (Buffer.Len). The sum is exact only when the
+// log is quiescent; concurrent appenders can move individual lanes mid-sum.
 func (m *MultiLog) Size() int64 {
 	var total int64
 	for i := range m.lanes {
-		total += m.lanes[i].log.Size()
+		total += int64(m.lanes[i].buf.Len())
 	}
 	return total
 }
@@ -112,26 +97,28 @@ func (m *MultiLog) Size() int64 {
 // when quiescent.
 func (m *MultiLog) NextKey() uint64 { return m.seq.Load() + 1 }
 
-// AppendV appends one record to the lane and returns its order key and
-// encoded size. The header/payload split follows Log.AppendV; both segments
-// must stay unchanged until the call returns.
+// AppendV appends one record whose payload is header‖payload to the lane
+// and returns its order key and encoded size: Log.AppendVSum with the
+// payload's sum computed here. Both segments must stay unchanged until the
+// call returns. err is always nil; a Buffer cannot fail.
 func (m *MultiLog) AppendV(lane int, t RecordType, header, payload []byte) (key uint64, n int, err error) {
-	return m.lanes[lane].log.AppendV(t, header, payload)
+	key, n, _ = m.lanes[lane].AppendVSum(t, header, payload, Checksum(payload))
+	return key, n, nil
 }
 
 // AppendVSum is AppendV for a caller that already holds sum =
 // Checksum(payload), returning the payload the lane stored, which stays
 // valid until the lane's backing is reset and recycled (Log.AppendVSum).
-func (m *MultiLog) AppendVSum(lane int, t RecordType, header, payload []byte, sum uint32) (key uint64, n int, stored []byte, err error) {
-	return m.lanes[lane].log.AppendVSum(t, header, payload, sum)
+func (m *MultiLog) AppendVSum(lane int, t RecordType, header, payload []byte, sum uint32) (key uint64, n int, stored []byte) {
+	return m.lanes[lane].AppendVSum(t, header, payload, sum)
 }
 
 // AppendNV appends a batch of records to the lane atomically (contiguous
 // on the medium, consecutive order keys). Returns the first record's key
 // and the total encoded size, and sets each spec's Stored. specs and the
 // segments they reference must stay unchanged until the call returns.
-func (m *MultiLog) AppendNV(lane int, specs []AppendVSpec) (firstKey uint64, n int, err error) {
-	return m.lanes[lane].log.AppendNV(specs)
+func (m *MultiLog) AppendNV(lane int, specs []AppendVSpec) (firstKey uint64, n int) {
+	return m.lanes[lane].AppendNV(specs)
 }
 
 // LaneFeed supplies one lane's records, in medium order, to a merged
@@ -146,15 +133,15 @@ func (m *MultiLog) AppendNV(lane int, specs []AppendVSpec) (firstKey uint64, n i
 // Feed i must stream exactly what lane i's medium holds — the frame
 // lengths are summed into the lane's repair truncation point, so a feed
 // that skips, reorders, or re-frames records would make RecoverMergedFeeds
-// corrupt the medium. Decoder over LaneBuffer(i).Reader() is the canonical
+// corrupt the medium. NewDecoder(LaneBuffer(i)) is the canonical
 // implementation; concurrent pre-decoding pipelines (the blob store's
 // parallel recovery) batch that same decode stream ahead of the merge.
 type LaneFeed interface {
 	Next() (rec Record, frame int64, done bool, err error)
 }
 
-// ReplayMerged decodes every lane in place (Decoder over Buffer.Reader, so
-// each record's Data is a view of its lane) and yields records in logical
+// ReplayMerged decodes every lane in place (Decoder, so each record's Data
+// is a view of its lane) and yields records in logical
 // append order — ascending order key, required to be exactly consecutive
 // from 1. It stops cleanly at the first missing key (a torn lane tail tears
 // away everything logically after it, on every lane) and returns ErrCorrupt
@@ -175,12 +162,11 @@ func (m *MultiLog) ReplayMergedFeeds(feeds []LaneFeed, fn func(Record) error) er
 	return err
 }
 
-// laneFeeds returns the serial decode feeds: one Decoder per lane over that
-// lane's medium, read in place (Buffer.Reader).
+// laneFeeds returns the serial decode feeds: one Decoder per lane.
 func (m *MultiLog) laneFeeds() []LaneFeed {
 	feeds := make([]LaneFeed, len(m.lanes))
 	for i := range m.lanes {
-		feeds[i] = NewDecoder(m.lanes[i].buf.Reader())
+		feeds[i] = NewDecoder(m.lanes[i].buf)
 	}
 	return feeds
 }
@@ -260,9 +246,9 @@ func replayMergedFeeds(feeds []LaneFeed, fn func(Record) error) (consumed []int6
 // RecoverMerged is ReplayMerged plus crash repair: after a clean merge it
 // truncates every lane to its last record inside the merged prefix —
 // discarding torn tails AND records that decoded clean but lie logically
-// after a gap, which are unrecoverable under the prefix contract — resets
-// each lane's size accounting, and re-bases the order-key counter so the
-// next append extends the recovered prefix. On error (ErrCorrupt, a
+// after a gap, which are unrecoverable under the prefix contract — and
+// re-bases the order-key counter so the next append extends the recovered
+// prefix. On error (ErrCorrupt, a
 // handler error) nothing is repaired. Requires quiescence.
 func (m *MultiLog) RecoverMerged(fn func(Record) error) error {
 	return m.recoverFeeds(m.laneFeeds(), fn)
@@ -282,11 +268,7 @@ func (m *MultiLog) recoverFeeds(feeds []LaneFeed, fn func(Record) error) error {
 		return err
 	}
 	for i := range m.lanes {
-		ln := &m.lanes[i]
-		if int64(ln.buf.Len()) > consumed[i] {
-			ln.buf.Truncate(int(consumed[i]))
-		}
-		ln.log.SetSize(consumed[i])
+		m.lanes[i].buf.Truncate(int(consumed[i]))
 	}
 	m.seq.Store(last)
 	return nil
@@ -294,15 +276,14 @@ func (m *MultiLog) recoverFeeds(feeds []LaneFeed, fn func(Record) error) error {
 
 // ResetAll discards every lane's content and restarts the order keys at 1
 // (checkpoint compaction: the snapshot that follows is a fresh logical
-// history). Unlike Log.ResetSize, keys deliberately do NOT stay monotonic
-// across a reset — merged replay's start-at-1 invariant is what detects a
-// lane whose entire content was torn away. Each lane's backing is retired,
+// history). Keys deliberately do NOT stay monotonic across a reset —
+// merged replay's start-at-1 invariant is what detects a lane whose entire
+// content was torn away. Each lane's backing is retired,
 // not reused (Buffer.Reset): payloads stored before the reset stay valid
 // until Recycle. Requires quiescence.
 func (m *MultiLog) ResetAll() {
 	for i := range m.lanes {
 		m.lanes[i].buf.Reset()
-		m.lanes[i].log.ResetSize()
 	}
 	m.seq.Store(0)
 }

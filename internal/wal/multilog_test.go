@@ -9,63 +9,36 @@ import (
 	"testing/quick"
 )
 
-// TestMultiLogSingleLaneByteIdentical pins the acceptance baseline: a
-// MultiLog with one lane, driven through any mix of AppendV and AppendNV,
-// produces a byte stream identical to a plain Log fed the same appends —
-// the lane format IS the single-log format, order keys land where LSNs do.
+// TestMultiLogSingleLaneByteIdentical pins the lane format: a MultiLog with
+// one lane, driven through any mix of AppendV and AppendNV, writes exactly
+// appendRecord's encoding of the same records with keys 1, 2, 3, … where
+// the LSNs go, and each append returns the reference's key and size.
 func TestMultiLogSingleLaneByteIdentical(t *testing.T) {
 	f := func(ops []vOp, batchEvery uint8) bool {
 		m := NewMultiLog(1)
-		var rb Buffer
-		ref := New(&rb)
-
 		every := int(batchEvery%4) + 1
-		var batch []AppendVSpec
-		flush := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			mk, mn, err := m.AppendNV(0, batch)
-			if err != nil {
-				return false
-			}
-			rk, rn, err := ref.AppendNV(batch)
-			if err != nil {
-				return false
-			}
-			batch = batch[:0]
-			return mk == rk && mn == rn
-		}
 		for i, op := range ops {
+			var key uint64
+			var n int
 			if i%every == every-1 {
-				batch = append(batch, AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload})
-				if !flush() {
+				key, n = m.AppendNV(0, []AppendVSpec{{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload}})
+			} else {
+				var err error
+				if key, n, err = m.AppendV(0, RecordType(op.T), op.Header, op.Payload); err != nil {
 					return false
 				}
-				continue
 			}
-			mk, mn, err := m.AppendV(0, RecordType(op.T), op.Header, op.Payload)
-			if err != nil {
+			if key != uint64(i+1) || n != recPrefixLen+len(op.Header)+len(op.Payload) {
 				return false
 			}
-			rk, rn, err := ref.AppendV(RecordType(op.T), op.Header, op.Payload)
-			if err != nil {
-				return false
-			}
-			if mk != rk || mn != rn {
-				return false
-			}
-		}
-		if !flush() {
-			return false
 		}
 		got := readerBytes(t, m.LaneBuffer(0))
-		want := readerBytes(t, &rb)
+		want := legacyStream(ops)
 		if !bytes.Equal(got, want) {
-			t.Logf("single-lane MultiLog diverges from Log: %d vs %d bytes", len(got), len(want))
+			t.Logf("single-lane MultiLog diverges from appendRecord: %d vs %d bytes", len(got), len(want))
 			return false
 		}
-		return m.Size() == ref.Size()
+		return m.Size() == int64(len(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -119,15 +92,14 @@ func testMergedOrderConcurrent(t *testing.T, lanes int) {
 				}
 				var first uint64
 				var n int
-				var err error
 				if k == 1 {
-					first, n, err = m.AppendV(lane, specs[0].Type, specs[0].Header, specs[0].Payload)
+					var err error
+					if first, n, err = m.AppendV(lane, specs[0].Type, specs[0].Header, specs[0].Payload); err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
 				} else {
-					first, n, err = m.AppendNV(lane, specs)
-				}
-				if err != nil {
-					t.Errorf("append: %v", err)
-					return
+					first, n = m.AppendNV(lane, specs)
 				}
 				if n != wantN {
 					t.Errorf("writer %d request %d: encoded size %d, reference encoding %d", w, j, n, wantN)
@@ -142,7 +114,7 @@ func testMergedOrderConcurrent(t *testing.T, lanes int) {
 	type slot struct{ lane, pos int }
 	at := map[uint64]slot{}
 	for lane := 0; lane < lanes; lane++ {
-		recs, err := ReplayAll(m.LaneBuffer(lane).Reader())
+		recs, err := decodeAll(m.LaneBuffer(lane))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +308,7 @@ func (f *batchedFeed) Next() (Record, int64, bool, error) {
 // batchedFeed, exactly what a concurrent pre-decoding stage produces.
 func preDecode(m *MultiLog, lane int) *batchedFeed {
 	f := &batchedFeed{}
-	dec := NewDecoder(m.LaneBuffer(lane).Reader())
+	dec := NewDecoder(m.LaneBuffer(lane))
 	for {
 		rec, frame, done, err := dec.Next()
 		if done || err != nil {
@@ -371,9 +343,7 @@ func fillMergedFixture(t *testing.T, m *MultiLog) {
 				{Type: RecWrite, Header: payload[:2], Payload: payload[2:]},
 				{Type: RecCommit, Payload: payload[:3]},
 			}
-			if _, _, err := m.AppendNV(lane, specs); err != nil {
-				t.Fatal(err)
-			}
+			m.AppendNV(lane, specs)
 		} else if _, _, err := m.AppendV(lane, RecWrite, payload[:1], payload[1:]); err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +354,7 @@ func fillMergedFixture(t *testing.T, m *MultiLog) {
 // against the serial decode path on the same torn media: identical record
 // sequences, identical error, and — after recovery through feeds on one
 // log and through the serial path on a byte-identical twin — identical
-// repaired media and size accounting.
+// repaired media and re-based keys.
 func TestMergedFeedsMatchSerial(t *testing.T) {
 	for _, tear := range []struct {
 		name string
@@ -450,9 +420,6 @@ func TestMergedFeedsMatchSerial(t *testing.T) {
 				want := readerBytes(t, twin.LaneBuffer(lane))
 				if !bytes.Equal(got, want) {
 					t.Fatalf("lane %d repaired media diverge: %d vs %d bytes", lane, len(got), len(want))
-				}
-				if m.LaneSize(lane) != twin.LaneSize(lane) {
-					t.Fatalf("lane %d size accounting diverges: %d vs %d", lane, m.LaneSize(lane), twin.LaneSize(lane))
 				}
 			}
 			if m.NextKey() != twin.NextKey() {

@@ -11,13 +11,44 @@ import (
 	"testing/quick"
 )
 
+// oneLane returns a fresh one-lane MultiLog's lane, whose Buffer takes slabs
+// of ss bytes (0 for the default), and that Buffer. A one-lane log writes
+// exactly appendRecord's stream, keys from 1.
+func oneLane(ss int) (*Buffer, *Log) {
+	m := NewMultiLog(1)
+	m.lanes[0].buf.SlabSize = ss
+	return m.lanes[0].buf, &m.lanes[0]
+}
+
+// replayAll collects every record m's merged replay yields.
+func replayAll(m *MultiLog) ([]Record, error) {
+	var recs []Record
+	err := m.ReplayMerged(func(rec Record) error {
+		recs = append(recs, rec) // records stay valid (Decoder)
+		return nil
+	})
+	return recs, err
+}
+
+// decodeAll decodes b from its start to a clean stop or an error.
+func decodeAll(b *Buffer) ([]Record, error) {
+	var recs []Record
+	dec := NewDecoder(b)
+	for {
+		rec, _, done, err := dec.Next()
+		if done || err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
-	var b Buffer
-	l := New(&b)
+	m := NewMultiLog(1)
 	payloads := [][]byte{[]byte("alpha"), []byte(""), []byte("gamma-longer-payload")}
 	types := []RecordType{RecMeta, RecWrite, RecCommit}
 	for i := range payloads {
-		lsn, n, err := l.Append(types[i], payloads[i])
+		lsn, n, err := m.AppendV(0, types[i], payloads[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +59,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatalf("encoded size %d not larger than payload %d", n, len(payloads[i]))
 		}
 	}
-	recs, err := ReplayAll(b.Reader())
+	recs, err := replayAll(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,41 +74,41 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestReplayEmptyLog(t *testing.T) {
-	var b Buffer
-	recs, err := ReplayAll(b.Reader())
+	recs, err := replayAll(NewMultiLog(1))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty log: recs=%v err=%v", recs, err)
 	}
 }
 
+// TestNextLSNAndSize: a record takes the key NextKey reported, and the
+// log's size is exactly what its Buffer holds.
 func TestNextLSNAndSize(t *testing.T) {
-	var b Buffer
-	l := New(&b)
-	if l.NextLSN() != 1 {
-		t.Fatalf("NextLSN = %d", l.NextLSN())
+	m := NewMultiLog(1)
+	if m.NextKey() != 1 {
+		t.Fatalf("NextKey = %d", m.NextKey())
 	}
-	_, n, _ := l.Append(RecDelete, []byte("x"))
-	if l.NextLSN() != 2 {
-		t.Fatalf("NextLSN after append = %d", l.NextLSN())
+	key, n, _ := m.AppendV(0, RecDelete, []byte("x"), nil)
+	if key != 1 || m.NextKey() != 2 {
+		t.Fatalf("key %d, NextKey after append = %d", key, m.NextKey())
 	}
-	if l.Size() != int64(n) || b.Len() != n {
-		t.Fatalf("Size=%d buffer=%d encoded=%d", l.Size(), b.Len(), n)
+	if m.Size() != int64(n) || m.LaneBuffer(0).Len() != n {
+		t.Fatalf("Size=%d buffer=%d encoded=%d", m.Size(), m.LaneBuffer(0).Len(), n)
 	}
 }
 
 func TestReplayStopsAtCorruption(t *testing.T) {
-	var b Buffer
-	l := New(&b)
-	_, n1, _ := l.Append(RecMeta, []byte("one"))
-	l.Append(RecWrite, []byte("two"))
-	l.Append(RecCommit, []byte("three"))
+	m := NewMultiLog(1)
+	b := m.LaneBuffer(0)
+	_, n1, _ := m.AppendV(0, RecMeta, []byte("one"), nil)
+	m.AppendV(0, RecWrite, []byte("two"), nil)
+	m.AppendV(0, RecCommit, []byte("three"), nil)
 	// Corrupt a byte inside the second record's payload region: record 2
 	// starts at n1; skip its 8-byte header plus the type/LSN prefix.
 	if err := b.Corrupt(n1 + 8 + 9); err != nil {
 		t.Fatal(err)
 	}
 	var seen int
-	err := Replay(b.Reader(), func(Record) error { seen++; return nil })
+	err := m.ReplayMerged(func(Record) error { seen++; return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -87,16 +118,15 @@ func TestReplayStopsAtCorruption(t *testing.T) {
 }
 
 func TestReplayTornTailIsClean(t *testing.T) {
-	var b Buffer
-	l := New(&b)
-	l.Append(RecMeta, []byte("first"))
-	l.Append(RecWrite, []byte("second-record-payload"))
-	full := b.Len()
+	m := NewMultiLog(1)
+	m.AppendV(0, RecMeta, []byte("first"), nil)
+	m.AppendV(0, RecWrite, []byte("second-record-payload"), nil)
+	full := m.LaneBuffer(0).Len()
 	for _, cut := range []int{full - 1, full - 5, full - 20} {
-		var c Buffer
-		c.Write(readerBytes(t, &b))
-		c.Truncate(cut)
-		recs, err := ReplayAll(c.Reader())
+		c := NewMultiLog(1)
+		c.LaneBuffer(0).Write(readerBytes(t, m.LaneBuffer(0)))
+		c.LaneBuffer(0).Truncate(cut)
+		recs, err := replayAll(c)
 		if err != nil {
 			t.Fatalf("cut=%d: torn tail returned error %v", cut, err)
 		}
@@ -116,11 +146,10 @@ func readerBytes(t *testing.T, b *Buffer) []byte {
 }
 
 func TestReplayHandlerErrorPropagates(t *testing.T) {
-	var b Buffer
-	l := New(&b)
-	l.Append(RecMeta, nil)
+	m := NewMultiLog(1)
+	m.AppendV(0, RecMeta, nil, nil)
 	want := errors.New("handler boom")
-	err := Replay(b.Reader(), func(Record) error { return want })
+	err := m.ReplayMerged(func(Record) error { return want })
 	if !errors.Is(err, want) {
 		t.Fatalf("err = %v, want handler error", err)
 	}
@@ -154,8 +183,7 @@ func TestRecordTypeString(t *testing.T) {
 }
 
 func TestConcurrentAppendsUniqueLSNs(t *testing.T) {
-	var b Buffer
-	l := New(&b)
+	m := NewMultiLog(1)
 	var mu sync.Mutex
 	seen := map[uint64]bool{}
 	var wg sync.WaitGroup
@@ -164,7 +192,7 @@ func TestConcurrentAppendsUniqueLSNs(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				lsn, _, err := l.Append(RecWrite, []byte(fmt.Sprintf("%d-%d", i, j)))
+				lsn, _, err := m.AppendV(0, RecWrite, []byte(fmt.Sprintf("%d-%d", i, j)), nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -179,7 +207,7 @@ func TestConcurrentAppendsUniqueLSNs(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	recs, err := ReplayAll(b.Reader())
+	recs, err := replayAll(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +238,7 @@ func legacyStream(ops []vOp) []byte {
 
 // checkAccounting verifies one append's LSN/size bookkeeping against the
 // reference encoder's encoded length.
-func checkAccounting(t *testing.T, l *Log, lsn uint64, wantLSN uint64, n, wantN int) {
+func checkAccounting(t *testing.T, lsn uint64, wantLSN uint64, n, wantN int) {
 	t.Helper()
 	if lsn != wantLSN {
 		t.Fatalf("lsn = %d, want %d", lsn, wantLSN)
@@ -220,58 +248,50 @@ func checkAccounting(t *testing.T, l *Log, lsn uint64, wantLSN uint64, n, wantN 
 	}
 }
 
-// TestAppendVMatchesAppendRecord pins the vectored encode paths —
-// AppendV, AppendVSum, and AppendNV with and without caller sums —
-// byte-for-byte against the legacy appendRecord encoding across randomized
-// type/header/payload shapes, including LSN/Size accounting equality.
+// TestAppendVMatchesAppendRecord pins the vectored encode paths of a
+// one-lane log — AppendV, AppendVSum, and AppendNV with and without caller
+// sums — byte-for-byte against the reference appendRecord encoding across
+// randomized type/header/payload shapes, including key/Size accounting.
 func TestAppendVMatchesAppendRecord(t *testing.T) {
 	f := func(ops []vOp) bool {
 		want := legacyStream(ops)
 
-		// AppendV, and AppendVSum with the payload summed by the caller.
-		var vb, sb Buffer
-		vl, sl := New(&vb), New(&sb)
+		// AppendV, and AppendVSum with the payload summed by the caller;
 		// AppendNV, one atomic batch, without and with caller sums.
-		var nb, nsb Buffer
-		nl, nsl := New(&nb), New(&nsb)
+		vm, sm, nm, nsm := NewMultiLog(1), NewMultiLog(1), NewMultiLog(1), NewMultiLog(1)
 		specs := make([]AppendVSpec, 0, len(ops))
 		summed := make([]AppendVSpec, 0, len(ops))
 
 		for i, op := range ops {
 			recLen := recPrefixLen + len(op.Header) + len(op.Payload)
-			lsn, n, err := vl.AppendV(RecordType(op.T), op.Header, op.Payload)
+			lsn, n, err := vm.AppendV(0, RecordType(op.T), op.Header, op.Payload)
 			if err != nil {
 				return false
 			}
-			checkAccounting(t, vl, lsn, uint64(i+1), n, recLen)
-			lsn, n, _, err = sl.AppendVSum(RecordType(op.T), op.Header, op.Payload, Checksum(op.Payload))
-			if err != nil {
-				return false
-			}
-			checkAccounting(t, sl, lsn, uint64(i+1), n, recLen)
+			checkAccounting(t, lsn, uint64(i+1), n, recLen)
+			lsn, n, _ = sm.AppendVSum(0, RecordType(op.T), op.Header, op.Payload, Checksum(op.Payload))
+			checkAccounting(t, lsn, uint64(i+1), n, recLen)
 			specs = append(specs, AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload})
 			summed = append(summed, AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload, Sum: Checksum(op.Payload)})
 		}
 		if len(specs) > 0 {
 			for _, batch := range []struct {
-				l     *Log
+				m     *MultiLog
 				specs []AppendVSpec
-			}{{nl, specs}, {nsl, summed}} {
-				first, n, err := batch.l.AppendNV(batch.specs)
-				if err != nil || first != 1 || n != len(want) {
+			}{{nm, specs}, {nsm, summed}} {
+				first, n := batch.m.AppendNV(0, batch.specs)
+				if first != 1 || n != len(want) {
 					return false
 				}
 			}
 		}
-		for name, b := range map[string]*Buffer{"AppendV": &vb, "AppendVSum": &sb, "AppendNV": &nb, "AppendNV with sums": &nsb} {
-			if got := readerBytes(t, b); !bytes.Equal(got, want) {
+		for name, m := range map[string]*MultiLog{"AppendV": vm, "AppendVSum": sm, "AppendNV": nm, "AppendNV with sums": nsm} {
+			if got := readerBytes(t, m.LaneBuffer(0)); !bytes.Equal(got, want) {
 				t.Logf("%s stream diverges from appendRecord (%d vs %d bytes)", name, len(got), len(want))
 				return false
 			}
-		}
-		// Size/NextLSN accounting must agree with the reference stream.
-		for _, l := range []*Log{vl, sl, nl, nsl} {
-			if l.Size() != int64(len(want)) || l.NextLSN() != uint64(len(ops)+1) {
+			// Size/NextKey accounting must agree with the reference stream.
+			if m.Size() != int64(len(want)) || m.NextKey() != uint64(len(ops)+1) {
 				return false
 			}
 		}
@@ -283,21 +303,20 @@ func TestAppendVMatchesAppendRecord(t *testing.T) {
 }
 
 // TestAppendVEquivalentToAppend pins that splitting a record's payload at
-// any point is invisible on the medium: Append(t, header||payload) and
+// any point is invisible on the medium: AppendV(t, header||payload, nil) and
 // AppendV(t, header, payload) produce identical streams, and replay cannot
 // tell which form wrote a record.
 func TestAppendVEquivalentToAppend(t *testing.T) {
 	f := func(joined []byte, cut uint8) bool {
 		k := int(cut) % (len(joined) + 1)
-		var ab, vb Buffer
-		al, vl := New(&ab), New(&vb)
-		if _, _, err := al.Append(RecWrite, joined); err != nil {
+		am, vm := NewMultiLog(1), NewMultiLog(1)
+		if _, _, err := am.AppendV(0, RecWrite, joined, nil); err != nil {
 			return false
 		}
-		if _, _, err := vl.AppendV(RecWrite, joined[:k], joined[k:]); err != nil {
+		if _, _, err := vm.AppendV(0, RecWrite, joined[:k], joined[k:]); err != nil {
 			return false
 		}
-		return bytes.Equal(readerBytes(t, &ab), readerBytes(t, &vb))
+		return bytes.Equal(readerBytes(t, am.LaneBuffer(0)), readerBytes(t, vm.LaneBuffer(0)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -312,18 +331,17 @@ func TestAppendNVMatchesSequentialAppendV(t *testing.T) {
 		if len(ops) == 0 {
 			return true
 		}
-		var sb, ssb, nb, nsb Buffer
-		sl, ssl, nl, nsl := New(&sb), New(&ssb), New(&nb), New(&nsb)
+		sm, ssm, nm, nsm := NewMultiLog(1), NewMultiLog(1), NewMultiLog(1), NewMultiLog(1)
 		total := 0
 		specs := make([]AppendVSpec, len(ops))
 		summed := make([]AppendVSpec, len(ops))
 		for i, op := range ops {
-			_, n, err := sl.AppendV(RecordType(op.T), op.Header, op.Payload)
+			_, n, err := sm.AppendV(0, RecordType(op.T), op.Header, op.Payload)
 			if err != nil {
 				return false
 			}
 			sum := Checksum(op.Payload)
-			if _, sn, _, err := ssl.AppendVSum(RecordType(op.T), op.Header, op.Payload, sum); err != nil || sn != n {
+			if _, sn, _ := ssm.AppendVSum(0, RecordType(op.T), op.Header, op.Payload, sum); sn != n {
 				return false
 			}
 			total += n
@@ -331,16 +349,21 @@ func TestAppendNVMatchesSequentialAppendV(t *testing.T) {
 			summed[i] = AppendVSpec{Type: RecordType(op.T), Header: op.Header, Payload: op.Payload, Sum: sum}
 		}
 		for _, batch := range []struct {
-			l     *Log
+			m     *MultiLog
 			specs []AppendVSpec
-		}{{nl, specs}, {nsl, summed}} {
-			first, n, err := batch.l.AppendNV(batch.specs)
-			if err != nil || first != 1 || n != total {
+		}{{nm, specs}, {nsm, summed}} {
+			first, n := batch.m.AppendNV(0, batch.specs)
+			if first != 1 || n != total {
 				return false
 			}
 		}
-		want := readerBytes(t, &sb)
-		return bytes.Equal(readerBytes(t, &ssb), want) && bytes.Equal(readerBytes(t, &nb), want) && bytes.Equal(readerBytes(t, &nsb), want)
+		want := readerBytes(t, sm.LaneBuffer(0))
+		for _, m := range []*MultiLog{ssm, nm, nsm} {
+			if !bytes.Equal(readerBytes(t, m.LaneBuffer(0)), want) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -357,27 +380,26 @@ func TestAppendNVMatchesSequentialAppendV(t *testing.T) {
 	if !f(ops) {
 		t.Fatal("fixed input: batch diverges from sequential appends")
 	}
-	var b Buffer
-	l := New(&b)
-	k1, n1, err1 := l.AppendV(RecWrite, ops[0].Header, ops[0].Payload)
-	k2, n2, err2 := l.AppendV(RecCommit, nil, nil)
-	k3, n3, err3 := l.AppendNV([]AppendVSpec{
+	m := NewMultiLog(1)
+	k1, n1, err1 := m.AppendV(0, RecWrite, ops[0].Header, ops[0].Payload)
+	k2, n2, err2 := m.AppendV(0, RecCommit, nil, nil)
+	k3, n3 := m.AppendNV(0, []AppendVSpec{
 		{Type: RecMeta, Header: ops[2].Header},
 		{Type: RecDelete, Payload: ops[3].Payload},
 	})
-	if err1 != nil || err2 != nil || err3 != nil {
-		t.Fatal(err1, err2, err3)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
 	}
-	checkAccounting(t, l, k1, 1, n1, recPrefixLen+2+11)
-	checkAccounting(t, l, k2, 2, n2, recPrefixLen)
-	checkAccounting(t, l, k3, 3, n3, 2*recPrefixLen+2+2)
-	if !bytes.Equal(readerBytes(t, &b), legacyStream(ops)) {
+	checkAccounting(t, k1, 1, n1, recPrefixLen+2+11)
+	checkAccounting(t, k2, 2, n2, recPrefixLen)
+	checkAccounting(t, k3, 3, n3, 2*recPrefixLen+2+2)
+	if !bytes.Equal(readerBytes(t, m.LaneBuffer(0)), legacyStream(ops)) {
 		t.Fatal("fixed input: mixed AppendV/AppendNV stream diverges from the reference encoding")
 	}
 }
 
 // TestBufferSlabbed exercises the segmented backing across slab boundaries:
-// content written through Write/WriteV spanning many small slabs must read
+// content written through Write spanning many small slabs must read
 // back exactly, Truncate and Corrupt must address the right slab, and Reset
 // must recycle slabs without mixing stale bytes into new content.
 func TestBufferSlabbed(t *testing.T) {
@@ -385,13 +407,10 @@ func TestBufferSlabbed(t *testing.T) {
 	var want []byte
 	for i := 0; i < 100; i++ {
 		seg := bytes.Repeat([]byte{byte(i)}, i%13)
-		if i%2 == 0 {
+		for range 1 + i%2 {
 			b.Write(seg)
-		} else {
-			b.WriteV([][]byte{seg, seg})
 			want = append(want, seg...)
 		}
-		want = append(want, seg...)
 	}
 	if b.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(want))
@@ -434,12 +453,13 @@ func TestBufferSlabbed(t *testing.T) {
 // stream; a reader taken before further appends stops at the length it saw;
 // and reading a 1 MiB buffer through it costs no copy of the buffer.
 func TestBufferReaderInPlace(t *testing.T) {
-	b := &Buffer{SlabSize: 64}
-	l := New(b)
+	m := NewMultiLog(1)
+	b := m.LaneBuffer(0)
+	b.SlabSize = 64
 	var want []byte
 	for i := 0; i < 40; i++ {
 		p := bytes.Repeat([]byte{byte(i)}, (i*37)%150)
-		if _, _, err := l.Append(RecWrite, p); err != nil {
+		if _, _, err := m.AppendV(0, RecWrite, p, nil); err != nil {
 			t.Fatal(err)
 		}
 		want = appendRecord(want, RecWrite, uint64(i+1), p)
@@ -468,7 +488,7 @@ func TestBufferReaderInPlace(t *testing.T) {
 	}
 
 	r := b.Reader()
-	if _, _, err := l.Append(RecMeta, []byte("after the reader")); err != nil {
+	if _, _, err := m.AppendV(0, RecMeta, []byte("after the reader"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := readAll(r, 7); !bytes.Equal(got, want) {
@@ -499,14 +519,13 @@ func TestBufferReaderInPlace(t *testing.T) {
 // in order.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(payloads [][]byte) bool {
-		var b Buffer
-		l := New(&b)
+		m := NewMultiLog(1)
 		for _, p := range payloads {
-			if _, _, err := l.Append(RecWrite, p); err != nil {
+			if _, _, err := m.AppendV(0, RecWrite, p, nil); err != nil {
 				return false
 			}
 		}
-		recs, err := ReplayAll(b.Reader())
+		recs, err := replayAll(m)
 		if err != nil || len(recs) != len(payloads) {
 			return false
 		}

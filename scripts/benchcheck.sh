@@ -37,10 +37,10 @@
 #
 # The -race suite includes the full seeded chaos battery (TestChaosBattery:
 # 200 fault schedules of crash/tear/flap/transient-error under concurrent
-# 2PC load) plus the SetDown flap race test, and the fuzz loop picks up the
-# wal FaultMedium schedule fuzzer (FuzzFaultSchedule) alongside the replay
-# batteries, so failure-domain regressions fail here before any number is
-# measured.
+# 2PC load) plus the SetDown flap race test, and the fuzz loop runs every
+# wal fuzzer (the replay batteries, the raw-bytes decoder against its
+# copying reference, the checksum combine), so failure-domain regressions
+# fail here before any number is measured.
 #
 # The freshness stress stage then reruns exactly those two tests twenty
 # times at 1, 2 and 4 procs, once plain and once under -race (ROADMAP item
